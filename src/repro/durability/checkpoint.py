@@ -1,15 +1,21 @@
 """Atomic, CRC-verified checkpoints of the whole engine state.
 
-A checkpoint file ``checkpoint-<lsn>.ckpt`` holds one pickled state dict
-(see :mod:`repro.durability.snapshot`) behind a fixed header::
+A checkpoint file ``checkpoint-<lsn>.ckpt`` holds one state dict — the
+plain-builtin columns of :mod:`repro.durability.snapshot`, serialized
+with :mod:`pickle` — behind a fixed header::
 
     magic "RPCK" | format:u32 | lsn:u64 | crc32:u32 | length:u64
 
 Writes are crash-atomic: the bytes go to a ``.tmp`` sibling, are
 fsynced, atomically renamed over the final name, and the directory entry
 is fsynced — a reader sees either the complete new checkpoint or none
-of it.  Every write is re-read and CRC-verified before the caller is
-allowed to truncate the WAL behind it.
+of it.  Every write is re-read, checked (header, CRC) and compared with
+the bytes just encoded before the caller is allowed to truncate the WAL
+behind it.  The re-read is *not* decoded: that the file holds exactly
+the bytes this process produced is everything the disk can get wrong,
+and decoding would build a second copy of the database in memory just
+to drop it.  (Should those bytes ever fail to decode at recovery, the
+previous generation and its WAL tail are still there — see below.)
 
 The store retains the newest ``keep`` generations (default 2): recovery
 falls back to the previous checkpoint when the newest fails its CRC,
@@ -21,7 +27,9 @@ from __future__ import annotations
 
 import pickle
 import struct
+import time
 import zlib
+from typing import NamedTuple
 
 from .files import FileSystem
 
@@ -37,6 +45,17 @@ _SUFFIX = ".ckpt"
 
 class CheckpointError(Exception):
     """A checkpoint file is missing, truncated, or fails verification."""
+
+
+class WrittenCheckpoint(NamedTuple):
+    """One verified :meth:`CheckpointStore.write`: where it went, its
+    size on disk and what each phase of the write cost."""
+
+    path: str
+    bytes: int
+    encode_seconds: float    # pickle + CRC
+    write_seconds: float     # tmp write, fsync, rename, directory fsync
+    verify_seconds: float    # re-read, header + CRC check, compare
 
 
 def _checkpoint_name(lsn: int) -> str:
@@ -70,12 +89,15 @@ class CheckpointStore:
 
     # -- writing -----------------------------------------------------------------------
 
-    def write(self, lsn: int, state: dict) -> str:
+    def write(self, lsn: int, state: dict) -> WrittenCheckpoint:
         """Atomically persist ``state`` as the checkpoint at ``lsn``;
-        verified by re-read before returning."""
+        verified by re-read (header, CRC, same bytes — no decode)
+        before returning."""
+        started = time.perf_counter()
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        header = _HEADER.pack(_MAGIC, _FORMAT, lsn, zlib.crc32(payload),
-                              len(payload))
+        crc = zlib.crc32(payload)
+        header = _HEADER.pack(_MAGIC, _FORMAT, lsn, crc, len(payload))
+        encoded = time.perf_counter()
         path = f"{self.directory}/{_checkpoint_name(lsn)}"
         tmp = path + ".tmp"
         fh = self._fs.open(tmp, "wb")
@@ -87,13 +109,20 @@ class CheckpointStore:
             fh.close()
         self._fs.replace(tmp, path)
         self._fs.fsync_dir(self.directory)
-        self.load_one(path)   # never truncate the WAL behind a bad write
-        return path
+        written = time.perf_counter()
+        # never truncate the WAL behind a bad write
+        if self._read_verified(path) != (lsn, payload):
+            raise CheckpointError(
+                f"checkpoint re-read differs from what was written: {path}")
+        return WrittenCheckpoint(path, _HEADER.size + len(payload),
+                                 encoded - started, written - encoded,
+                                 time.perf_counter() - written)
 
     # -- reading -----------------------------------------------------------------------
 
-    def load_one(self, path: str) -> tuple[int, dict]:
-        """Decode and verify one checkpoint file → ``(lsn, state)``."""
+    def _read_verified(self, path: str) -> tuple[int, bytes]:
+        """One checkpoint file's ``(lsn, payload)`` after the header and
+        CRC checks — the payload is not decoded."""
         with self._fs.open(path, "rb") as fh:
             header = fh.read(_HEADER.size)
             if len(header) < _HEADER.size:
@@ -109,6 +138,11 @@ class CheckpointStore:
             raise CheckpointError(f"truncated checkpoint payload: {path}")
         if zlib.crc32(payload) != crc:
             raise CheckpointError(f"checkpoint CRC mismatch: {path}")
+        return lsn, payload
+
+    def load_one(self, path: str) -> tuple[int, dict]:
+        """Decode and verify one checkpoint file → ``(lsn, state)``."""
+        lsn, payload = self._read_verified(path)
         try:
             state = pickle.loads(payload)
         except Exception as exc:

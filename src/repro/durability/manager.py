@@ -39,6 +39,9 @@ from .wal import FSYNC_POLICIES, WriteAheadLog
 
 __all__ = ["DurabilityManager", "RecoveryReport"]
 
+_STALL_METRIC = "checkpoint_stall_seconds"
+_STALL_HELP = "Foreground wall-clock stall of one checkpoint"
+
 
 def _encode_request(request: UpdateRequest) -> dict:
     return {"k": request.kind, "d": request.document,
@@ -116,6 +119,7 @@ class DurabilityManager:
         self._recovery_seconds = 0.0
         self._checkpoint_seconds = 0.0
         self._checkpoints_total = 0
+        self._checkpoint_bytes = 0
 
     def has_state(self) -> bool:
         """Whether the directory already holds durable state."""
@@ -152,8 +156,14 @@ class DurabilityManager:
         metrics.counter("checkpoint_seconds",
                         "Cumulative wall-clock time writing checkpoints"
                         ).set(self._checkpoint_seconds)
+        # observed per checkpoint in :meth:`checkpoint`; touched here so
+        # the family is exported before the first one is cut
+        metrics.histogram(_STALL_METRIC, _STALL_HELP)
         metrics.counter("checkpoints_total", "Checkpoints written"
                         ).set(self._checkpoints_total)
+        metrics.gauge("checkpoint_bytes",
+                      "Size on disk of the newest checkpoint"
+                      ).set(self._checkpoint_bytes)
         metrics.gauge("wal_last_lsn", "Newest LSN appended or replayed"
                       ).set(self.wal.last_lsn)
 
@@ -229,17 +239,40 @@ class DurabilityManager:
         the WAL, and prune old generations; returns the checkpoint LSN.
 
         Nothing is truncated until the new checkpoint has been re-read
-        and CRC-verified, and the WAL keeps every segment the oldest
-        *retained* generation needs — so a corrupt newest checkpoint can
-        always fall back one generation with its replay tail intact.
+        and verified against the bytes just encoded, and the WAL keeps
+        every segment the oldest *retained* generation needs — so a
+        corrupt newest checkpoint can always fall back one generation
+        with its replay tail intact.
         """
         started = time.perf_counter()
-        # Quiesce before capturing: queued deferred trees are not part
-        # of the snapshot, and their WAL records are about to be
-        # truncated — flushing folds them into the extents (and leaves
-        # operator-state entries clean enough to checkpoint).
-        registry.flush()
-        state = capture_state(registry)
+        with registry.tracer.span("checkpoint") as span:
+            # Quiesce before capturing: queued deferred trees are not part
+            # of the snapshot, and their WAL records are about to be
+            # truncated — flushing folds them into the extents (and leaves
+            # operator-state entries clean enough to checkpoint).
+            registry.flush()
+            state = capture_state(registry)
+            self._add_server_state(state)
+            captured = time.perf_counter()
+            lsn = self.wal.last_lsn
+            written = self.checkpoints.write(lsn, state)
+            self.wal.start_segment(lsn + 1)
+            oldest_retained = self.checkpoints.prune()
+            self.wal.drop_segments_before(oldest_retained + 1)
+            span.set(lsn=lsn, bytes=written.bytes,
+                     capture_seconds=captured - started,
+                     encode_seconds=written.encode_seconds,
+                     write_seconds=written.write_seconds,
+                     verify_seconds=written.verify_seconds)
+        self._records_since_checkpoint = 0
+        self._checkpoints_total += 1
+        self._checkpoint_bytes = written.bytes
+        stall = time.perf_counter() - started
+        self._checkpoint_seconds += stall
+        registry.metrics.histogram(_STALL_METRIC, _STALL_HELP).observe(stall)
+        return lsn
+
+    def _add_server_state(self, state: dict) -> None:
         if self.server_state_provider is not None:
             # The serving layer's durable sidecar state (applied_index
             # high-water mark + retry dedup ledger) checkpoints with the
@@ -258,15 +291,6 @@ class DurabilityManager:
                 state["server"] = self._last_server_state
             if self.recovered_batch_meta:
                 state["server_meta"] = list(self.recovered_batch_meta)
-        lsn = self.wal.last_lsn
-        self.checkpoints.write(lsn, state)
-        self.wal.start_segment(lsn + 1)
-        oldest_retained = self.checkpoints.prune()
-        self.wal.drop_segments_before(oldest_retained + 1)
-        self._records_since_checkpoint = 0
-        self._checkpoints_total += 1
-        self._checkpoint_seconds += time.perf_counter() - started
-        return lsn
 
     # -- recovery ----------------------------------------------------------------------
 

@@ -1,29 +1,48 @@
-"""Engine-state serialization for checkpoints: capture and restore.
+"""Snapshot format 2: the explicit on-disk representation of engine state.
 
-What a checkpoint holds, and why it restores *cheaply*:
+A checkpoint payload is one dict of plain builtins (lists, dicts, str,
+int, bytes) that :class:`~repro.durability.checkpoint.CheckpointStore`
+pickles as-is.  No live :class:`~repro.xmlmodel.XmlNode`,
+:class:`~repro.apply.ExtentNode`, :class:`~repro.flexkeys.FlexKey` or
+:class:`~repro.storage.index.StructuralIndex` object reaches the file:
+object graphs pickle slowly (one reduce call per node, plus every
+derived field) and a tree is fully described by a few **flat pre-order
+columns** — position ``i`` of every column describes the ``i``-th node
+in document order and ``child_counts`` carries the shape.  This module
+alone knows the layout; nothing else reads or writes a column.
 
-* **documents** — the live :class:`~repro.xmlmodel.XmlDocument` trees,
-  pickled with every node's FlexKey attached.  Keys must survive the
-  round trip verbatim: WAL-tail records address nodes by key, and
-  re-registering from XML text would relabel inserted nodes
+What is stored, and what :func:`restore_state` rebuilds instead:
+
+* **documents** — per document ``tags`` (``None`` marks a text node),
+  ``values`` (text content), ``keys`` (FlexKey *strings*),
+  ``child_counts``, ``counts`` and a sparse ``{position: attributes}``
+  map.  Keys must survive verbatim: WAL-tail records address nodes by
+  key, and re-registering from XML text would relabel inserted nodes
   (``sibling_atom(index)`` ≠ the ``atom_for_insert`` keys they got
-  live).  :meth:`StorageManager.restore_document` re-adopts the trees
-  without reassigning anything.
-* **the StructuralIndex** — pickled directly (plain dicts of sorted key
-  strings), so restore skips the per-node ``insort`` rebuild.
-* **view extents** — each registered view's materialized
-  :class:`~repro.apply.ExtentNode` tree plus its policy, cost-model
-  calibration and refresh sequence, so restore *grafts* extents instead
-  of rematerializing every view (the reason checkpoint restore beats a
-  cold start by construction).
+  live).  Restore re-creates the nodes, their ``parent`` links and one
+  FlexKey per node; :meth:`StorageManager.restore_document` then
+  re-adopts the tree (node map, interned keys) in one walk.
+* **the StructuralIndex** — its sorted per-tag key lists, tag-path
+  cache and path interner, as the plain dicts they are, so restore
+  skips the per-node ``insort`` rebuild.  The key-interning map is *not*
+  stored: it maps every key string to the node's own FlexKey instance,
+  which the document walk has in hand.
+* **view extents** — per view ``ids``/``orders``/``tags``/``texts``/
+  ``child_counts``/``counts``, ``flags`` (one byte per node: bit 0
+  ``refresh``, bit 1 ``base``) and sparse ``{position: attributes}`` /
+  ``{position: AggState}`` maps, plus the view's query, policy,
+  cost-model calibration and refresh sequence — restore *grafts* extents
+  instead of rematerializing every view (the reason checkpoint restore
+  beats a cold start by construction).  ``_child_index`` is rebuilt from
+  the children's match keys.
 * **operator state** — the clean :class:`CachedEntry` FULL tables by
-  subplan signature.  Cells reference storage by FlexKey only, so the
-  tables pickle independently of the node graph; on restore the store
-  re-adopts them via :meth:`CachedEntry.populate` (fingerprints are
-  recomputed against the restored storage, which mirrors the
-  checkpointed one exactly).  Adoption is belt-and-braces guarded: the
-  cache is a pure performance layer, dropping an entry never affects
-  correctness.
+  subplan signature, pickled as objects.  Cells reference storage by
+  FlexKey only, so the tables are independent of the node graph; on
+  restore the store re-adopts them via :meth:`CachedEntry.populate`
+  (fingerprints are recomputed against the restored storage, which
+  mirrors the checkpointed one exactly).  Adoption is belt-and-braces
+  guarded: the cache is a pure performance layer, dropping an entry
+  never affects correctness.
 
 Views registered from raw :class:`XatOperator` plans (no query text)
 cannot be serialized — the durable facade requires query strings.
@@ -31,21 +50,172 @@ cannot be serialized — the durable facade requires query strings.
 
 from __future__ import annotations
 
+from ..apply.extent import ExtentNode
+from ..flexkeys import FlexKey
 from ..multiview.policies import MaintenancePolicy
+from ..storage.index import StructuralIndex
+from ..xmlmodel import XmlDocument, XmlNode
+from ..xmlmodel.node import ELEMENT, TEXT
 
 __all__ = ["SNAPSHOT_FORMAT", "capture_state", "restore_state"]
 
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
+
+_REFRESH, _BASE = 1, 2
+
+
+def _place(open_nodes: list, node, child_count: int):
+    """One step of rebuilding a tree from its pre-order ``child_counts``:
+    returns the parent of ``node`` (None for the root).  ``open_nodes``
+    holds a ``[node, children still to come]`` frame for every ancestor
+    that is not complete yet."""
+    parent = None
+    if open_nodes:
+        frame = open_nodes[-1]
+        parent = frame[0]
+        frame[1] -= 1
+        if not frame[1]:
+            open_nodes.pop()
+    if child_count:
+        open_nodes.append([node, child_count])
+    return parent
+
+
+# -- documents ----------------------------------------------------------------------------
+
+
+def _encode_document(root: XmlNode) -> dict:
+    tags, values, keys, child_counts, counts = [], [], [], [], []
+    attributes = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.attributes:
+            attributes[len(tags)] = node.attributes
+        tags.append(node.tag)
+        values.append(node.value)
+        keys.append(node.key.value)
+        counts.append(node.count)
+        children = node.children
+        child_counts.append(len(children))
+        if children:
+            stack.extend(children[::-1])
+    return {"tags": tags, "values": values, "keys": keys,
+            "child_counts": child_counts, "counts": counts,
+            "attributes": attributes}
+
+
+def _decode_document(columns: dict) -> XmlNode:
+    attributes = columns["attributes"]
+    root = None
+    open_nodes: list = []
+    for position, (tag, value, key, child_count, count) in enumerate(zip(
+            columns["tags"], columns["values"], columns["keys"],
+            columns["child_counts"], columns["counts"])):
+        node = XmlNode(TEXT if tag is None else ELEMENT, tag, value)
+        node.key = FlexKey(key)
+        node.count = count
+        if position in attributes:
+            node.attributes = attributes[position]
+        parent = _place(open_nodes, node, child_count)
+        if parent is None:
+            root = node
+        else:
+            node.parent = parent
+            parent.children.append(node)
+    return root
+
+
+# -- extents ------------------------------------------------------------------------------
+
+
+def _encode_extent(root: ExtentNode) -> dict:
+    ids, orders, tags, texts, child_counts, counts = [], [], [], [], [], []
+    flags = bytearray()
+    attributes, aggs = {}, {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.attributes:
+            attributes[len(ids)] = node.attributes
+        if node.agg is not None:
+            aggs[len(ids)] = node.agg
+        ids.append(node.node_id)
+        orders.append(node.order)
+        tags.append(node.tag)
+        texts.append(node.text)
+        counts.append(node.count)
+        flags.append((_REFRESH if node.refresh else 0)
+                     | (_BASE if node.base else 0))
+        children = node.children
+        child_counts.append(len(children))
+        if children:
+            stack.extend(children[::-1])
+    return {"ids": ids, "orders": orders, "tags": tags, "texts": texts,
+            "child_counts": child_counts, "counts": counts,
+            "flags": bytes(flags), "attributes": attributes, "aggs": aggs}
+
+
+def _decode_extent(columns: dict) -> ExtentNode:
+    attributes, aggs = columns["attributes"], columns["aggs"]
+    root = None
+    open_nodes: list = []
+    for position, (node_id, order, tag, text, child_count, count,
+                   flags) in enumerate(zip(
+            columns["ids"], columns["orders"], columns["tags"],
+            columns["texts"], columns["child_counts"], columns["counts"],
+            columns["flags"])):
+        node = ExtentNode(node_id, order, tag, text,
+                          attributes.get(position), count,
+                          bool(flags & _REFRESH), aggs.get(position),
+                          bool(flags & _BASE))
+        parent = _place(open_nodes, node, child_count)
+        if parent is None:
+            root = node
+        else:
+            parent.children.append(node)
+            parent._child_index[node.match_key()] = node
+    return root
+
+
+# -- the structural index -----------------------------------------------------------------
+
+
+def _encode_index(index) -> dict | None:
+    """Everything but ``_interned`` (rebuilt by the document walk) and
+    the activity counters (per-process)."""
+    if index is None:
+        return None
+    return {"tag_lists": index._tag_lists, "all_lists": index._all_lists,
+            "tag_paths": index._tag_paths,
+            "path_interner": index._path_interner}
+
+
+def _restore_index(storage, columns: dict | None) -> None:
+    """The checkpoint decides whether the restored storage is indexed
+    (the index cannot be conjured for a store that never kept one)."""
+    if columns is None:
+        storage._index = None
+        return
+    index = storage._index = StructuralIndex()
+    index._tag_lists = columns["tag_lists"]
+    index._all_lists = columns["all_lists"]
+    index._tag_paths = columns["tag_paths"]
+    index._path_interner = columns["path_interner"]
+
+
+# -- whole-registry capture / restore -----------------------------------------------------
 
 
 def capture_state(registry) -> dict:
-    """One picklable dict of the registry's whole durable state.
+    """The registry's whole durable state as one dict of plain columns.
 
-    Flushes every view first: checkpoints are cut at a quiescent point
-    so no pending delta queues need serializing, and the extents on disk
-    match a clean replay boundary.
+    The caller quiesces the registry first (``registry.flush()``):
+    checkpoints are cut at a point where no pending delta queue needs
+    serializing and the extents match a clean replay boundary.  The
+    columns alias live attribute dicts, index lists and aggregate
+    states — encode the result before the next mutation.
     """
-    registry.flush(None)
     storage = registry.storage
     views = []
     for name in registry.names():
@@ -54,12 +224,14 @@ def capture_state(registry) -> dict:
             raise ValueError(
                 f"view {name!r} was registered from a raw plan; durable "
                 f"registries require views registered from query strings")
+        extent = view.pipeline.extent
         views.append({
             "name": name,
             "query": view.query_text,
             "policy_kind": view.policy.kind,
             "policy_threshold": view.policy.threshold,
-            "extent": view.pipeline.extent,
+            "extent": (_encode_extent(extent)
+                       if extent is not None else None),
             "materialized": view.pipeline.materialized,
             "refresh_sequence": view.refresh_sequence,
             "recompute_seconds": view.cost.recompute_seconds,
@@ -78,9 +250,9 @@ def capture_state(registry) -> dict:
                 opstate[entry.signature] = entry.table
     return {
         "format": SNAPSHOT_FORMAT,
-        "documents": dict(storage._documents),
-        "roots": dict(storage._roots),
-        "index": storage.index,
+        "documents": {name: _encode_document(document.root)
+                      for name, document in storage._documents.items()},
+        "index": _encode_index(storage.index),
         "views": views,
         "opstate": opstate,
     }
@@ -93,15 +265,17 @@ def restore_state(registry, state: dict) -> None:
         raise ValueError(
             f"unsupported snapshot format {state.get('format')!r}")
     storage = registry.storage
-    storage._index = state["index"]
-    for name, document in state["documents"].items():
-        storage.restore_document(document, state["roots"][name])
+    _restore_index(storage, state["index"])
+    for name, columns in state["documents"].items():
+        root = _decode_document(columns)
+        storage.restore_document(XmlDocument(name, root), root.key)
     for spec in state["views"]:
         policy = MaintenancePolicy(spec["policy_kind"],
                                    spec["policy_threshold"])
         view = registry.register(spec["name"], spec["query"],
                                  policy=policy, materialize=False)
-        view.pipeline.extent = spec["extent"]
+        view.pipeline.extent = (_decode_extent(spec["extent"])
+                                if spec["extent"] is not None else None)
         view.pipeline.materialized = spec["materialized"]
         view.refresh_sequence = spec["refresh_sequence"]
         if spec["recompute_seconds"] is not None:

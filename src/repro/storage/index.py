@@ -185,6 +185,12 @@ class StructuralIndex:
         """The canonical instance for ``key`` (itself when not indexed)."""
         return self._interned.get(key.value, key)
 
+    def reintern(self, keys: list[FlexKey]) -> None:
+        """Make ``keys`` the canonical instances of their strings — the
+        recovery path, where the sorted lists and tag paths came from a
+        checkpoint but the FlexKey objects were created by the restore."""
+        self._interned.update((key.value, key) for key in keys)
+
     # -- introspection -----------------------------------------------------------------
 
     def stats(self) -> dict:

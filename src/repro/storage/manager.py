@@ -130,8 +130,10 @@ class StorageManager:
         the keys the live run handed out, and re-registering from text
         would relabel fragment-inserted nodes (``sibling_atom(index)``
         enumeration vs the ``atom_for_insert`` keys they actually got).
-        The structural index is restored separately by the caller — its
-        pickled form already holds every entry this walk would insort.
+        The structural index's sorted key lists and tag paths are
+        restored separately by the caller (the checkpoint stores them, so
+        no per-node ``insort`` happens here); this walk only re-interns
+        each node's own FlexKey instance, which no file can hold.
         """
         if document.name in self._documents:
             raise StorageError(
@@ -139,11 +141,16 @@ class StorageManager:
         self._documents[document.name] = document
         self._roots[document.name] = root_key
         self._doc_of_root_atom[root_key.value] = document.name
+        nodes = self._nodes
+        keys = []
         stack = [document.root]
         while stack:
             node = stack.pop()
-            self._nodes[node.key] = node
+            nodes[node.key] = node
+            keys.append(node.key)
             stack.extend(node.children)
+        if self._index is not None:
+            self._index.reintern(keys)
 
     def _assign_keys(self, node: XmlNode, key: FlexKey, document: str,
                      parent_tags: tuple[str, ...]) -> None:

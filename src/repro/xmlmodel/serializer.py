@@ -5,14 +5,14 @@ from __future__ import annotations
 from .node import XmlNode
 
 
-def _escape_text(value: str) -> str:
+def escape_text(value: str) -> str:
     return (value.replace("&", "&amp;")
                  .replace("<", "&lt;")
                  .replace(">", "&gt;"))
 
 
-def _escape_attr(value: str) -> str:
-    return _escape_text(value).replace('"', "&quot;")
+def escape_attr(value: str) -> str:
+    return escape_text(value).replace('"', "&quot;")
 
 
 def serialize(node: XmlNode, indent: int | None = None) -> str:
@@ -40,16 +40,16 @@ def _write(node: XmlNode, parts: list[str], indent: int | None,
     pad = "" if indent is None else " " * (indent * depth)
     newline = "" if indent is None else "\n"
     if node.is_text:
-        parts.append(pad + _escape_text(node.value or ""))
+        parts.append(pad + escape_text(node.value or ""))
         return
-    attrs = "".join(f' {name}="{_escape_attr(value)}"'
+    attrs = "".join(f' {name}="{escape_attr(value)}"'
                     for name, value in node.attributes.items())
     if not node.children:
         parts.append(f"{pad}<{node.tag}{attrs}/>")
         return
     only_text = all(child.is_text for child in node.children)
     if only_text:
-        text = "".join(_escape_text(child.value or "")
+        text = "".join(escape_text(child.value or "")
                        for child in node.children)
         parts.append(f"{pad}<{node.tag}{attrs}>{text}</{node.tag}>")
         return

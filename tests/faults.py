@@ -10,7 +10,9 @@ classic storage-engine failure modes:
 * **fsync failures** — ``fsync`` raises ``OSError`` (an EIO-style
   device error), which must abort the batch *before* any mutation;
 * **kill-at-LSN crash points** — the process "dies" immediately after
-  (or torn-mid-way-through) appending the WAL record with a given LSN.
+  (or torn-mid-way-through) appending the WAL record with a given LSN;
+* **silent corruption** — one byte of a file flips right after it is
+  renamed into place (what a checkpoint's re-read verification is for).
 
 :class:`SimulatedCrash` deliberately derives from ``BaseException`` so
 no ``except Exception`` recovery path in the engine can swallow it —
@@ -41,6 +43,9 @@ class FaultPlan:
     the Nth.  ``crash_after_lsn`` kills the process right after the WAL
     record with that LSN is fully written (set ``torn`` to die mid-write
     with only ``torn_write_keep`` bytes of it on disk).
+    ``flip_byte_after_replace`` is the offset of one byte to invert in
+    the destination of the next ``replace`` — after the data was fsynced
+    and renamed, before anyone re-reads it.
     """
 
     torn_write_at: int | None = None
@@ -51,6 +56,7 @@ class FaultPlan:
     fail_fsync_at: int | None = None
     crash_after_lsn: int | None = None
     torn: bool = False
+    flip_byte_after_replace: int | None = None
 
     writes: int = field(default=0, init=False)
     reads: int = field(default=0, init=False)
@@ -136,6 +142,17 @@ class FaultyFileSystem(RealFileSystem):
 
     def open(self, path: str, mode: str):
         return FaultyFile(open(path, mode), self.plan, self)
+
+    def replace(self, src: str, dst: str) -> None:
+        super().replace(src, dst)
+        offset = self.plan.flip_byte_after_replace
+        if offset is not None:
+            self.plan.flip_byte_after_replace = None
+            with open(dst, "r+b") as fh:
+                fh.seek(offset)
+                byte = fh.read(1)
+                fh.seek(offset)
+                fh.write(bytes([byte[0] ^ 0xFF]))
 
     def fsync(self, fileobj) -> None:
         self.plan.fsyncs += 1

@@ -149,9 +149,13 @@ def test_short_reads_tolerated_during_recovery(tmp_path):
 
 def test_kill_at_every_lsn_recovers_consistent(tmp_path):
     """Systematic crash-point sweep: die right after each WAL record of
-    a scripted run lands on disk, recover, oracle-compare every view."""
+    a scripted run lands on disk, recover, oracle-compare every view.
+    ``checkpoint_every=3`` puts automatic checkpoints inside the run, so
+    the later crash points recover from a format-2 snapshot plus a tail
+    instead of replaying the whole log."""
     # First pass (no faults) to learn how many records the run logs.
-    probe = Database(durable_path=str(tmp_path / "probe"), fsync="always")
+    probe = Database(durable_path=str(tmp_path / "probe"), fsync="always",
+                     checkpoint_every=3)
     seed(probe)
     rng = random.Random(23)
     for step in range(3):
@@ -162,10 +166,11 @@ def test_kill_at_every_lsn_recovers_consistent(tmp_path):
     probe.close()
     assert last_lsn >= 5
 
+    from_checkpoint = 0
     for crash_lsn in range(4, last_lsn + 1):
         path = tmp_path / f"lsn{crash_lsn}"
         plan = FaultPlan(crash_after_lsn=crash_lsn)
-        db, fs = faulty_db(path, plan)
+        db, fs = faulty_db(path, plan, checkpoint_every=3)
         crashed = False
         try:
             seed(db)
@@ -180,8 +185,13 @@ def test_kill_at_every_lsn_recovers_consistent(tmp_path):
         del db
 
         recovered = Database(durable_path=str(path), fsync="always")
+        report = recovered.recovery
+        assert report.checkpoint_lsn + report.wal_records_replayed \
+            == crash_lsn, "every durable record is restored or replayed"
+        from_checkpoint += report.checkpoint_lsn > 0
         assert_consistent(recovered)
         recovered.close()
+    assert from_checkpoint, "no crash point crossed a checkpoint"
 
 
 CHILD_SCRIPT = """

@@ -35,6 +35,45 @@ class TestEngine:
             '<r>{for $b in doc("bib.xml")/bib/nothing return $b}</r>'))
         assert out == "<r/>"
 
+    def test_serialize_extent_matches_the_xmlnode_serializer(self):
+        """The direct ExtentNode writer is byte-identical to serialising
+        the ``to_xml()`` copy: escaping, ``<e/>``, text-only and mixed
+        content, attributes, forest and single-root extents."""
+        from repro.apply import ExtentNode, forest_root
+        from repro.xmlmodel import serialize
+
+        def node(node_id, tag=None, text=None, attrs=None, children=()):
+            made = ExtentNode(node_id, node_id, tag=tag, text=text,
+                              attributes=attrs)
+            for child in children:
+                made.insert_child(child)
+            return made
+
+        tricky = node("a", "doc", attrs={"q": 'say "hi" & <go>', "n": ""},
+                      children=[
+            node("b", "empty"),
+            node("c", "empty-attr", attrs={"k": "v>w"}),
+            node("d", "only-text", children=[
+                node("d1", text="1 < 2 & 3 > 2"), node("d2", text='"q"')]),
+            node("e", "mixed", children=[
+                node("e1", text="before "), node("e2", "i"),
+                node("e3", text=None)]),
+        ])
+        forest = forest_root()
+        forest.insert_child(tricky)
+        forest.insert_child(node("z", "second"))
+        assert Engine.serialize_extent(tricky) == serialize(tricky.to_xml())
+        assert Engine.serialize_extent(forest) == "".join(
+            serialize(child.to_xml()) for child in forest.children)
+        assert Engine.serialize_extent(forest_root()) == ""
+        assert Engine.serialize_extent(None) == ""
+        sm = self._storage()
+        for query in (bibload.YEAR_GROUP_QUERY,
+                      '<r>{for $b in doc("bib.xml")/bib/book return $b}</r>'):
+            extent, _report = Engine(sm).materialize(translate_query(query))
+            assert Engine.serialize_extent(extent) == "".join(
+                serialize(child.to_xml()) for child in extent.children)
+
     def test_profiler_collects_labels(self):
         sm = self._storage()
         profiler = Profiler(enabled=True)
