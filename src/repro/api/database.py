@@ -271,7 +271,7 @@ class Database:
             "execute", parsed.binding.source, statement=statement,
             require_match=False,
             _resolver=lambda storage, cache=None:
-                evaluate_update(parsed, storage))
+                evaluate_update(parsed, storage, cache))
         return self._submit(update)
 
     def batch(self) -> "Batch":

@@ -10,7 +10,8 @@ whose counts may be negative (deletes) or whose nodes may be flagged
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Optional
 
 from ..flexkeys import FlexKey, order_of
@@ -22,6 +23,8 @@ from ..xat.table import AtomicItem, Item, NodeItem
 TEXT_ID = "#text"
 #: Synthetic root wrapping multi-root results so fusion is uniform.
 FOREST_TAG = "#forest"
+
+_ORDER = attrgetter("order")
 
 
 def forest_root() -> "ExtentNode":
@@ -74,9 +77,9 @@ class ExtentNode:
         return self._child_index.get(key)
 
     def insert_child(self, child: "ExtentNode") -> None:
-        orders = [c.order for c in self.children]
-        index = bisect.bisect_right(orders, child.order)
-        self.children.insert(index, child)
+        # bisect_right: equal-order siblings keep their insertion order
+        self.children.insert(
+            bisect_right(self.children, child.order, key=_ORDER), child)
         self._child_index[child.match_key()] = child
 
     def remove_child(self, child: "ExtentNode") -> None:

@@ -26,7 +26,10 @@ What is stored, and what :func:`restore_state` rebuilds instead:
   cache and path interner, as the plain dicts they are, so restore
   skips the per-node ``insort`` rebuild.  The key-interning map is *not*
   stored: it maps every key string to the node's own FlexKey instance,
-  which the document walk has in hand.
+  which the document walk has in hand.  Neither are the per-tag-path
+  key lists: they are the per-document lists grouped by the tag-path
+  cache, both sorted already, so restore rebuilds them in one appending
+  pass (and a file written before those lists existed is still format 2).
 * **view extents** — per view ``ids``/``orders``/``tags``/``texts``/
   ``child_counts``/``counts``, ``flags`` (one byte per node: bit 0
   ``refresh``, bit 1 ``base``) and sparse ``{position: attributes}`` /
@@ -182,8 +185,9 @@ def _decode_extent(columns: dict) -> ExtentNode:
 
 
 def _encode_index(index) -> dict | None:
-    """Everything but ``_interned`` (rebuilt by the document walk) and
-    the activity counters (per-process)."""
+    """Everything but ``_interned`` (rebuilt by the document walk),
+    ``_path_lists`` (rebuilt by :func:`_restore_index`) and the activity
+    counters (per-process)."""
     if index is None:
         return None
     return {"tag_lists": index._tag_lists, "all_lists": index._all_lists,
@@ -202,6 +206,11 @@ def _restore_index(storage, columns: dict | None) -> None:
     index._all_lists = columns["all_lists"]
     index._tag_paths = columns["tag_paths"]
     index._path_interner = columns["path_interner"]
+    tag_paths, path_lists = index._tag_paths, index._path_lists
+    for document, keys in index._all_lists.items():
+        for value in keys:   # sorted, so every per-path list stays sorted
+            path_lists.setdefault((document, tag_paths[value]),
+                                  []).append(value)
 
 
 # -- whole-registry capture / restore -----------------------------------------------------

@@ -284,6 +284,10 @@ class ViewRegistry:
             metrics.gauge("index_interned_keys",
                           "Live keys interned by the structural index"
                           ).set(stats["interned_keys"])
+            metrics.gauge("index_path_lists",
+                          "Distinct root-to-node tag paths holding a "
+                          "sorted key list in the structural index"
+                          ).set(stats["path_lists"])
         if self.plan_cache is not None:
             plan_stats = self.plan_cache.stats()
             metrics.histogram(

@@ -5,11 +5,18 @@ node's subtree a *contiguous lexicographic range* of key strings: every
 descendant of ``k`` sorts inside ``[k + "." , k + "/")`` — the level
 separator ``"."`` is smaller than every atom character and ``"/"`` is its
 successor, so the half-open range covers exactly the proper descendants.
-:class:`StructuralIndex` exploits this with three structures:
+:class:`StructuralIndex` exploits this with four structures:
 
 * **per-document, per-tag sorted key lists** in document order, so
   ``descendants(key, tag)`` is a binary search plus a slice instead of a
   subtree walk (and ``children`` the same scan filtered by depth);
+* **per-document, per-tag-path sorted key lists** — one list per distinct
+  root-to-node tag path.  Every key in such a list has the same depth, so
+  the nodes sharing a path *and a parent* ``P`` are the contiguous slice
+  ``[P + ".", P + "/")`` of it, in sibling order: a child-step-only
+  location path is answered by returning its list (``path_nodes``), and
+  ``…/person[k]`` by one binary search per parent (``nth_children``) —
+  O(parents · log N), never a pass over the N candidates;
 * a **key-interning map** from key string to a single :class:`FlexKey`
   instance whose parsed-atom tuple and order token are memoized, so range
   results never re-parse key strings;
@@ -43,9 +50,9 @@ _RANGE_END = chr(ord(LEVEL_SEP) + 1)
 class StructuralIndex:
     """Sorted-key-range index maintained alongside a ``StorageManager``."""
 
-    __slots__ = ("_tag_lists", "_all_lists", "_interned", "_tag_paths",
-                 "_path_interner", "range_scans", "walk_fallbacks",
-                 "path_lookups")
+    __slots__ = ("_tag_lists", "_all_lists", "_path_lists", "_interned",
+                 "_tag_paths", "_path_interner", "range_scans",
+                 "walk_fallbacks", "path_lookups")
 
     def __init__(self):
         # Always-on monotone activity counters (plain int adds — the
@@ -59,12 +66,16 @@ class StructuralIndex:
         self._tag_lists: dict[tuple[str, str], list[str]] = {}
         # document -> sorted list of *all* element key strings
         self._all_lists: dict[str, list[str]] = {}
+        # (document, root-to-node tag path) -> sorted list of the key
+        # strings of the elements with exactly that path (never empty:
+        # a list is dropped with its last key)
+        self._path_lists: dict[tuple[str, tuple[str, ...]], list[str]] = {}
         # key string -> the one interned FlexKey (memoized atoms/order)
         self._interned: dict[str, FlexKey] = {}
         # key string -> root-to-node element tag path
         self._tag_paths: dict[str, tuple[str, ...]] = {}
-        # tag path -> the one interned tuple: stored paths are canonical
-        # instances, so path equality checks collapse to identity tests
+        # tag path -> the one interned tuple, so a path is stored once
+        # per distinct path rather than once per node
         self._path_interner: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     # -- incremental maintenance ---------------------------------------------------
@@ -85,6 +96,8 @@ class StructuralIndex:
             insort(self._all_lists.setdefault(document, []), value)
             insort(self._tag_lists.setdefault((document, node.tag), []),
                    value)
+            insort(self._path_lists.setdefault((document, tags), []),
+                   value)
         else:
             tags = parent_tags
         self._tag_paths[value] = tags
@@ -96,11 +109,16 @@ class StructuralIndex:
         subtree, during the same walk that releases its keys)."""
         value = key.value
         self._interned.pop(value, None)
-        self._tag_paths.pop(value, None)
+        tags = self._tag_paths.pop(value, None)
         if node.is_element:
             _discard_sorted(self._all_lists.get(document), value)
             _discard_sorted(self._tag_lists.get((document, node.tag)),
                             value)
+            keys = self._path_lists.get((document, tags))
+            if keys:
+                _discard_sorted(keys, value)
+                if not keys:
+                    del self._path_lists[document, tags]
 
     # -- range queries ----------------------------------------------------------------
 
@@ -155,25 +173,42 @@ class StructuralIndex:
     def path_nodes(self, document: str,
                    tags: tuple[str, ...]) -> list[FlexKey]:
         """Elements whose root-to-node tag path equals ``tags`` exactly —
-        the answer to a child-step-only location path in one pass.
+        the answer to a child-step-only location path: the path's own
+        sorted key list, already in document order.  An unseen path is
+        answered negatively without touching any node at all."""
+        self.path_lookups += 1
+        interned = self._interned
+        return [interned[value]
+                for value in self._path_lists.get((document, tags), ())]
 
-        Walk-based child navigation touches every frontier node's child
-        list level by level; here the final tag's sorted key list is
-        filtered by the cached (interned) tag path, so each candidate
-        costs one dict lookup plus one identity test, and an unseen path
-        is answered negatively without touching any node at all.
+    def nth_children(self, document: str, tags: tuple[str, ...],
+                     position: int) -> list[FlexKey]:
+        """The ``position``-th (1-based) element with tag path ``tags``
+        under *each* parent, in document order — XPath's ``…/tag[k]``
+        on a child-step-only path.
+
+        The candidates under a parent ``P`` are the slice of the path's
+        list starting at ``bisect_left(keys, P + ".")``, so the answer
+        per parent is one binary search plus one prefix test; the
+        parents are the list of ``tags[:-1]`` (the document node for a
+        one-step path, whose only candidate is the document element).
         """
         self.path_lookups += 1
-        interned_path = self._path_interner.get(tags)
-        if interned_path is None:
-            return []  # no live node has this path
-        keys = self._tag_lists.get((document, tags[-1]))
+        keys = self._path_lists.get((document, tags))
         if not keys:
             return []
-        tag_paths = self._tag_paths
         interned = self._interned
-        return [interned[value] for value in keys
-                if tag_paths[value] is interned_path]
+        if len(tags) == 1:
+            return [interned[keys[0]]] if position == 1 else []
+        found = []
+        lo = 0
+        for parent in self._path_lists.get((document, tags[:-1]), ()):
+            prefix = parent + LEVEL_SEP
+            lo = bisect_left(keys, prefix, lo)
+            at = lo + position - 1
+            if at < len(keys) and keys[at].startswith(prefix):
+                found.append(interned[keys[at]])
+        return found
 
     # -- caches ------------------------------------------------------------------------
 
@@ -197,6 +232,7 @@ class StructuralIndex:
         return {
             "interned_keys": len(self._interned),
             "tag_lists": len(self._tag_lists),
+            "path_lists": len(self._path_lists),
             "documents": len(self._all_lists),
             "indexed_elements": sum(len(v) for v in
                                     self._all_lists.values()),

@@ -421,14 +421,12 @@ class StorageManager:
         if indexed and start is None and steps \
                 and all(axis == "child" for axis, _ in steps):
             # Child-step-only path from the document node: the result is
-            # exactly the elements whose cached root-to-node tag path
-            # equals the step tags — one filtered pass over the final
-            # tag's sorted key list instead of a level-by-level frontier
-            # walk (the walk was marginally *faster* than per-level index
-            # range scans; this slice is the form in which the index
-            # wins).  The first-step document-node convention holds: a
-            # node matches the full path only if the document element
-            # matches the first tag.
+            # exactly the elements whose root-to-node tag path equals
+            # the step tags, and the index keeps one sorted key list per
+            # such path — the answer is that list, with no frontier walk
+            # and no per-candidate test.  The first-step document-node
+            # convention holds: a node has the full path only if the
+            # document element matches the first tag.
             if name not in self._documents:
                 raise StorageError(f"unknown document {name!r}")
             return self._index.path_nodes(

@@ -26,6 +26,7 @@ as a retract/assert pair when it feeds predicates or sort keys; see
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -36,6 +37,9 @@ from ..updates.primitives import UpdateRequest
 from ..xat.paths import Path
 from .ast import PathExpr, PredicateExpr, VarRef
 from .parser import XQueryParseError, XQueryParser
+
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass
@@ -170,11 +174,15 @@ class _UpdateParser(XQueryParser):
         raise self.error("unterminated XML fragment")
 
 
-def evaluate_update(statement: UpdateStatement, storage: StorageManager
-                    ) -> list[UpdateRequest]:
-    """Resolve a parsed update statement into concrete update requests."""
+def evaluate_update(statement: UpdateStatement, storage: StorageManager,
+                    cache: Optional[dict] = None) -> list[UpdateRequest]:
+    """Resolve a parsed update statement into concrete update requests.
+
+    ``cache`` is the flush-wide navigation cache of
+    :func:`resolve_path_expr`: the binding path of a string statement
+    shares navigation with every other statement of its batch."""
     document = statement.binding.source
-    bindings = _resolve_binding(storage, statement.binding)
+    bindings = resolve_path_expr(storage, statement.binding, cache)
     if statement.where is not None:
         rel, op, literal = statement.where
         bindings = [key for key in bindings
@@ -239,12 +247,24 @@ def resolve_path_expr(storage: StorageManager, expr: PathExpr,
     """Resolve a document-rooted :class:`PathExpr`, applying each step's
     predicates before the following step navigates on.
 
+    A positional predicate on a child-step-only prefix —
+    ``/site/people/person[k]``, the shape almost every update statement
+    has — never materializes its candidates: on indexed storage the
+    structural index keeps one sorted key list per root-to-node tag
+    path, so the ``k``-th match under each parent is one binary search
+    (:meth:`StructuralIndex.nth_children`), O(parents · log N).  The
+    route is taken when the *first* predicated step is reached from the
+    document node through child steps only and its first predicate is
+    ``[k]`` with k ≥ 1; everything else (``//`` steps, value predicates,
+    a ``[k]`` after another predicate, ``[0]``, unindexed storage)
+    navigates the candidates and filters them.
+
     ``cache`` memoizes navigation segments across resolutions *of the
     same storage snapshot* (keyed by document, step prefix and the
     predicates already applied) — a transactional batch resolves every
     statement before applying any, so statements addressing siblings
-    (``person[1]``, ``person[2]``, …) share one navigation pass.  Never
-    reuse a cache across storage mutations.
+    (``//person[1]``, ``//person[2]``, …) share one navigation pass.
+    Never reuse a cache across storage mutations.
     """
     if not expr.from_document:
         raise ValueError("path must be rooted at a document")
@@ -254,6 +274,8 @@ def resolve_path_expr(storage: StorageManager, expr: PathExpr,
     applied: tuple = ()   # signature of the predicates applied so far
 
     def navigate(upto: int) -> list[FlexKey]:
+        if upto == consumed and frontier is not None:
+            return frontier
         if cache is None:
             return storage.find_by_path(expr.source, pairs[consumed:upto],
                                         start=frontier)
@@ -266,21 +288,44 @@ def resolve_path_expr(storage: StorageManager, expr: PathExpr,
         return hit
 
     for step_index in sorted(expr.predicates):
-        frontier = navigate(step_index + 1)
+        predicates = expr.predicates[step_index]
+        prefix = pairs[:step_index + 1]
+        position = (_indexed_position(storage, expr.source, prefix,
+                                      predicates[0])
+                    if frontier is None else None)
+        if position is not None:
+            frontier = storage.index.nth_children(
+                expr.source, tuple(test for _axis, test in prefix), position)
+            applied += (_signature(step_index, predicates[0]),)
+            predicates = predicates[1:]
+        else:
+            frontier = navigate(step_index + 1)
         consumed = step_index + 1
-        for predicate in expr.predicates[step_index]:
+        for predicate in predicates:
             frontier_key = ((expr.source, tuple(pairs[:consumed]), applied)
                             if cache is not None else None)
             frontier = _apply_predicate(storage, frontier, predicate,
                                         cache, frontier_key)
-            applied += ((step_index, predicate.path, predicate.op,
-                         predicate.literal),)
+            applied += (_signature(step_index, predicate),)
     return navigate(len(pairs))
 
 
-def _resolve_binding(storage: StorageManager,
-                     binding: PathExpr) -> list[FlexKey]:
-    return resolve_path_expr(storage, binding)
+def _signature(step_index: int, predicate: PredicateExpr) -> tuple:
+    return (step_index, predicate.path, predicate.op, predicate.literal)
+
+
+def _indexed_position(storage: StorageManager, document: str, prefix: list,
+                      predicate: PredicateExpr) -> Optional[int]:
+    """``k`` when ``prefix[k]`` can be answered by the structural
+    index's per-path lists (see :func:`resolve_path_expr`), else None —
+    the generic route then also owns the error cases (``[0]``, unknown
+    document)."""
+    if predicate.path != "position()" or not storage.indexed \
+            or not storage.has_document(document) \
+            or any(axis != "child" for axis, _test in prefix):
+        return None
+    position = int(predicate.literal)
+    return position if position >= 1 else None
 
 
 def _apply_predicate(storage, keys, predicate: PredicateExpr,
@@ -295,8 +340,8 @@ def _apply_predicate(storage, keys, predicate: PredicateExpr,
         # XPath semantics: position counts within each parent's matches,
         # so ``/bib/book/author[2]`` addresses every book's second
         # author.  The per-parent grouping depends only on the frontier,
-        # not the position, so a batch addressing siblings (person[1],
-        # person[2], …) shares one grouping pass through the navigation
+        # not the position, so a batch addressing siblings (//person[1],
+        # //person[2], …) shares one grouping pass through the navigation
         # cache; parents are derived lexically from the FlexKeys (storage
         # keys never compose), avoiding a node resolution per candidate.
         groups = None
@@ -341,11 +386,7 @@ def _where_matches(storage, key: FlexKey, relative: str, op: str,
                     values.append(value)
             else:
                 values.append(storage.text(target))
-    import operator as _op
-
-    table = {"=": _op.eq, "!=": _op.ne, "<": _op.lt, "<=": _op.le,
-             ">": _op.gt, ">=": _op.ge}
-    fn = table[op]
+    fn = _COMPARISONS[op]
     for value in values:
         try:
             if fn(float(value), float(literal)):

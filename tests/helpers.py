@@ -58,6 +58,27 @@ def closed_auctions_of(storage: StorageManager):
          ("child", "closed_auction")])
 
 
+def assert_path_lists_canonical(storage: StorageManager) -> None:
+    """The structural index's per-tag-path key lists equal a from-scratch
+    rebuild: one sorted, non-empty list per (document, root-to-node tag
+    path) that has live elements — whatever mutation, checkpoint and
+    replay history produced them."""
+    expected: dict = {}
+    for name in storage.document_names:
+        stack = [(storage.document(name).root, ())]
+        while stack:
+            node, parent_tags = stack.pop()
+            if not node.is_element:
+                continue
+            tags = parent_tags + (node.tag,)
+            expected.setdefault((name, tags), []).append(node.key.value)
+            stack.extend((child, tags) for child in node.children)
+    for keys in expected.values():
+        keys.sort()
+    assert storage.index._path_lists == expected
+    assert storage.index.stats()["path_lists"] == len(expected)
+
+
 # -- the randomized differential harness -------------------------------------------------
 #
 # One shared generator of site.xml update streams, parameterized by

@@ -18,17 +18,19 @@ import struct
 import pytest
 
 from .faults import FaultPlan, FaultyFileSystem
-from .helpers import ALL_MUTATORS, random_batch
+from .helpers import (ALL_MUTATORS, assert_path_lists_canonical,
+                      random_batch)
 from repro import (CostModel, FlexKey, MaterializedXQueryView,
                    StorageManager, ViewRegistry)
 from repro.api import Database
 from repro.durability import (CheckpointError, CheckpointStore,
                               DurabilityManager, RealFileSystem,
                               WriteAheadLog, read_segment)
-from repro.durability.snapshot import SNAPSHOT_FORMAT
+from repro.durability.snapshot import SNAPSHOT_FORMAT, capture_state
 from repro.durability.wal import encode_record, segment_name
 from repro.obs import render_prometheus
 from repro.workloads import xmark
+from repro.xquery.updates import resolve_path
 
 SITE = xmark.generate_site(12, seed=7)
 
@@ -271,6 +273,90 @@ def test_format2_roundtrip_is_identical_and_functional(tmp_path):
             reopened.registry.apply_updates(batch)
         reopened.registry.flush()
         assert_all_views_consistent(reopened)
+    reopened.close()
+
+
+PEOPLE = [("child", "site"), ("child", "people")]
+PERSONS = PEOPLE + [("child", "person")]
+
+
+def assert_positional_paths_match_the_walk(storage) -> None:
+    """``…/tag[k]`` through the restored per-path lists equals picking
+    the k-th child off the unindexed tree walk."""
+    def nth(parent_steps, tag, k):
+        picked = []
+        for parent in storage.find_by_path_unindexed("site.xml",
+                                                     parent_steps):
+            children = storage.children_unindexed(parent, tag)
+            if len(children) >= k:
+                picked.append(children[k - 1])
+        return picked
+
+    count = len(storage.find_by_path_unindexed("site.xml", PERSONS))
+    assert count > 2
+    for k in (1, count // 2, count, count + 1):
+        assert resolve_path(storage, "site.xml",
+                            f"/site/people/person[{k}]") \
+            == nth(PEOPLE, "person", k)
+    assert resolve_path(storage, "site.xml",
+                        "/site/people/person/address[1]") \
+        == nth(PERSONS, "address", 1)
+    assert resolve_path(storage, "site.xml",
+                        "/site/people/person/profile/interest[2]") \
+        == nth(PERSONS + [("child", "profile")], "interest", 2)
+    assert resolve_path(storage, "site.xml",
+                        f"/site/people/person[{count}]/address/city") \
+        == storage.children_unindexed(
+            nth(PERSONS, "address", 1)[-1], "city")
+
+
+def test_restored_path_lists_resolve_positional_paths(tmp_path):
+    """A checkpoint restore and a crash recovery (checkpoint + WAL tail)
+    both come back with per-path lists equal to a from-scratch rebuild."""
+    db = seed_db(tmp_path / "clean")
+    drive(db, steps=12, seed=5)
+    db.close()                                 # final checkpoint, no tail
+    crashed = seed_db(tmp_path / "crash")
+    drive(crashed, steps=6, seed=5)
+    crashed.checkpoint()
+    drive(crashed, steps=12, seed=6)           # inserts and deletes in the tail
+    del crashed                                # simulated kill: no close
+
+    for name, replays in (("clean", False), ("crash", True)):
+        reopened = durable_db(tmp_path / name)
+        assert reopened.recovery.checkpoint_lsn > 0
+        assert (reopened.recovery.wal_records_replayed > 0) == replays
+        assert_path_lists_canonical(reopened.storage)
+        assert_positional_paths_match_the_walk(reopened.storage)
+        assert_all_views_consistent(reopened)
+        reopened.close()
+
+
+def test_checkpoint_without_a_path_column_still_opens(tmp_path):
+    """Backward compatibility of format 2: a checkpoint written before
+    the per-path lists existed stores exactly these four index columns;
+    restore derives the lists from them."""
+    db = seed_db(tmp_path)
+    drive(db, steps=10, seed=9)
+    db.flush()
+    expected = {name: db.read(name) for name in db.views()}
+    rows = _extent_rows(db)
+    state = capture_state(db.registry)
+    assert state["format"] == SNAPSHOT_FORMAT == 2
+    state["index"] = {column: state["index"][column] for column in (
+        "tag_lists", "all_lists", "tag_paths", "path_interner")}
+    lsn = db.durability.wal.last_lsn
+    CheckpointStore(RealFileSystem(), str(tmp_path)).write(lsn, state)
+    del db                                     # crash: that file is the newest
+
+    reopened = durable_db(tmp_path)
+    assert reopened.recovery.checkpoint_lsn == lsn
+    assert reopened.recovery.checkpoint_generation == 0
+    assert {name: reopened.read(name) for name in reopened.views()} \
+        == expected
+    assert _extent_rows(reopened) == rows
+    assert_path_lists_canonical(reopened.storage)
+    assert_positional_paths_match_the_walk(reopened.storage)
     reopened.close()
 
 

@@ -11,10 +11,14 @@ import random
 
 import pytest
 
+from .helpers import assert_path_lists_canonical
+from repro.api import Database
+from repro.apply.extent import ExtentNode
 from repro.flexkeys import FlexKey, order_of
 from repro.storage import StorageError, StorageManager, StructuralIndex
 from repro.workloads import xmark
 from repro.xmlmodel import XmlDocument, XmlNode, parse_fragment
+from repro.xquery.updates import parse_document_path, resolve_path_expr
 
 TAGS = ["person", "name", "city", "interest", "profile", "note", "nope"]
 
@@ -25,6 +29,7 @@ PATHS = [
     [("child", "site"), ("child", "people"), ("child", "person")],
     [("child", "site"), ("descendant", "name")],
 ]
+PERSON_STEPS = PATHS[3]
 
 
 def build_site(num_persons: int = 12) -> StorageManager:
@@ -127,6 +132,167 @@ class TestRandomInterleavings:
         assert got == storage.children_unindexed(people, "person")
         assert [k.value for k in got] \
             == sorted(k.value for k in got)
+
+
+def positional_paths(storage: StorageManager) -> list[str]:
+    """The fixed probe set of the differential test, sized to the
+    current ``/site/people/person`` population."""
+    persons = storage.find_by_path_unindexed("site.xml", PERSON_STEPS)
+    last = len(persons)
+    mid = max(1, last // 2)
+    name = storage.text(storage.children_unindexed(persons[mid - 1],
+                                                   "name")[0])
+    paths = [f"/site/people/person[{k}]" for k in (1, mid, last, last + 1)]
+    paths += [
+        "/site/people/person/address[1]",
+        "/site/people/person/address[2]",
+        "/site/people/person/watches/watch[2]",
+        "/site/people/person/profile/interest[2]",
+        f"/site/people/person[{mid}]/address/city",
+        f"/site/people/person[{last}]/watches/watch[3]",
+        f'/site/people/person[{mid}][name = "{name}"]',
+        f'/site/people/person[1][name = "{name}"]',
+        f'/site/people/person[name = "{name}"][1]',
+        "//person[2]",
+        "//note/city[1]",
+        "/site//city[1]",
+        "/site[1]",
+        "/site[2]",
+        "/nope[1]",
+        "/site/people/nowhere[1]",
+        "/site/people/person[0]",
+    ]
+    return paths
+
+
+def resolve_values(storage: StorageManager, path: str, cache=None):
+    """Resolved key strings, or the error the path raises."""
+    try:
+        keys = resolve_path_expr(
+            storage, parse_document_path("site.xml", path), cache)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return [key.value for key in keys]
+
+
+def assert_positional_routes_agree(indexed: StorageManager,
+                                   walked: StorageManager) -> None:
+    batch_cache: dict = {}
+    for path in positional_paths(walked):
+        expected = resolve_values(walked, path)
+        assert resolve_values(indexed, path) == expected, path
+        # the flush-wide navigation cache must not change an answer
+        assert resolve_values(indexed, path, batch_cache) == expected, path
+        if isinstance(expected, list):
+            assert expected == sorted(expected), path
+    assert resolve_values(walked, "/site/people/person[0]")[0] \
+        == "ValueError"
+
+
+class TestPositionalResolution:
+    """``…/tag[k]`` through the per-path key lists (indexed storage)
+    equals the navigate-and-group route (``indexed=False``)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_mutation_stream(self, seed):
+        rng = random.Random(seed)
+        indexed, walked = StorageManager(), StorageManager(indexed=False)
+        for storage in (indexed, walked):
+            xmark.register_site(storage, 10, seed=7)
+        root = indexed.root_key("site.xml")
+        people = indexed.children(root, "people")[0]
+        assert_positional_routes_agree(indexed, walked)
+        for step in range(60):
+            # Both stores hand out the same keys for the same mutation
+            # stream, so one key string addresses the same node in both.
+            elements = [key.value for key in live_element_keys(indexed)]
+            op = rng.choice(["person", "note", "delete", "delete",
+                             "replace_text"])
+            if op == "person":
+                watches = "<watch/>" * rng.randrange(5)
+                xml = (f'<person id="p{step}"><name>Step {step}</name>'
+                       f'<address><city>Quincy</city></address>'
+                       f'<watches>{watches}</watches></person>')
+                siblings = [k.value for k in indexed.children(people)]
+                anchor = rng.choice(siblings + [None])
+                for storage in (indexed, walked):
+                    storage.insert_fragment(
+                        people, parse_fragment(xml)[0],
+                        before=FlexKey(anchor) if anchor else None)
+            elif op == "note":
+                parent = rng.choice(elements)
+                xml = f'<note id="n{step}"><city>Quincy</city>text</note>'
+                for storage in (indexed, walked):
+                    storage.insert_fragment(FlexKey(parent),
+                                            parse_fragment(xml)[0])
+            elif op == "delete":
+                victims = [v for v in elements
+                           if v not in (root.value, people.value)]
+                victim = rng.choice(victims)
+                for storage in (indexed, walked):
+                    storage.delete_subtree(FlexKey(victim))
+            else:
+                target = rng.choice(elements)
+                for storage in (indexed, walked):
+                    storage.replace_text(FlexKey(target), f"text-{step}")
+            assert_positional_routes_agree(indexed, walked)
+        assert_path_lists_canonical(indexed)
+
+    def test_positional_statement_resolves_without_a_scan(self, monkeypatch):
+        db = Database()
+        db.load("site.xml", xmark.generate_site(20, seed=7))
+        persons = db.storage.find_by_path("site.xml", PERSON_STEPS)
+
+        def no_scan(self, *args, **kwargs):
+            raise AssertionError("a positional statement scanned storage")
+
+        monkeypatch.setattr(StorageManager, "find_by_path", no_scan)
+        lookups = db.storage.index.path_lookups
+        update = db.update("site.xml").at("/site/people/person[7]").delete()
+        assert [request.target for request in update.requests] \
+            == [persons[6]]
+        assert db.storage.index.path_lookups == lookups + 1
+        assert not db.storage.has_node(persons[6])
+        # the string form binds through the same route
+        statement = db.execute(
+            'for $p in document("site.xml")/site/people/person[7] '
+            'update $p delete $p')
+        assert [request.target for request in statement.requests] \
+            == [persons[7]]
+        assert db.storage.index.path_lookups == lookups + 2
+
+    def test_batch_statements_share_the_navigation_cache(self, monkeypatch):
+        """Builder and string statements of one flush resolve through one
+        cache: ``//person[k]`` (the generic route) navigates once."""
+        db = Database()
+        db.load("site.xml", xmark.generate_site(8, seed=7))
+        calls = []
+        original = StorageManager.find_by_path
+
+        def counting(self, name, steps, start=None):
+            calls.append(list(steps))
+            return original(self, name, steps, start)
+
+        monkeypatch.setattr(StorageManager, "find_by_path", counting)
+        with db.batch():
+            db.update("site.xml").at("//person[2]/name").replace_with("a")
+            db.execute('for $p in document("site.xml")//person[3] '
+                       'update $p replace $p/name with "b"')
+        assert calls.count([("descendant", "person")]) == 1
+
+
+class TestExtentChildOrder:
+    def test_equal_order_siblings_keep_insertion_order(self):
+        parent = ExtentNode("root", "", tag="root")
+        rng = random.Random(5)
+        orders = [f"{rng.randrange(40):02d}" for _ in range(1000)]
+        for number, order in enumerate(orders):
+            parent.insert_child(ExtentNode(f"n{number}", order, tag="n"))
+        got = [(child.order, int(child.node_id[1:]))
+               for child in parent.children]
+        # sorted by order token; ties in insertion order (bisect_right)
+        assert got == sorted(got)
+        assert len(parent._child_index) == 1000
 
 
 class TestFindByPathDedupe:
