@@ -1,5 +1,12 @@
 """The counting rules of Chapter 6 (Tables 6.1 and 6.2) as checkable data.
 
+One deliberate deviation: the paper's ``Distinct`` sums duplicate counts
+into its output count; here that sum is only the value's *support*, the
+output is set-semantic, and maintenance emits a delta only when support
+crosses zero (the counting algorithm of Gupta, Mumick & Subrahmanian,
+SIGMOD '93) — otherwise every duplicate gained or lost re-emits, through
+the join above, the whole group.  Group By and the joins are unchanged.
+
 Count annotations record the number of derivations of every node/tuple so
 that delete updates remove exactly the derivations they cancel.  The rules
 are *implemented inside the operators* (tuple counts ride along with
@@ -36,7 +43,9 @@ QUERY_TIME_RULES: tuple[CountRule, ...] = (
               "joined tuples multiply counts; a null-padded tuple carries "
               "its left tuple's count"),
     CountRule("Distinct",
-              "output count = SUM of the duplicate input counts per value"),
+              "a value's support = SUM of its duplicate input counts; "
+              "every value with positive support is one output tuple of "
+              "count 1"),
     CountRule("Group By",
               "group tuple count = SUM of member counts; combined items "
               "carry (item count x member tuple count)"),
@@ -60,7 +69,12 @@ MAINTENANCE_TIME_RULES: tuple[CountRule, ...] = (
               "Δ(A x B) = ΔA x B_new + A_old x ΔB, counts multiplying as "
               "at query time; B_new/A_old are realized by full/anti "
               "evaluation depending on the update phase"),
-    CountRule("Distinct / Group By",
+    CountRule("Distinct",
+              "the delta's signed counts net per value against the "
+              "value's support in the input's persistent state; a "
+              "(value, +1 / -1) tuple is emitted only when support "
+              "crosses zero"),
+    CountRule("Group By",
               "linear in Z-semantics: evaluated over the delta, counts "
               "summed (negative counts cancel positive ones)"),
     CountRule("Deep Union (apply)",

@@ -9,7 +9,7 @@ pieces compose bottom-up:
   monotone LSNs in checkpoint-rolled segments;
 * :mod:`~repro.durability.checkpoint` — atomic, verified, generational
   snapshots;
-* :mod:`~repro.durability.snapshot` — snapshot format 2: how engine
+* :mod:`~repro.durability.snapshot` — snapshot format 3: how engine
   state (documents with their FlexKeys, the StructuralIndex, view
   extents, operator-state tables) is laid out as flat columns, and how
   restore rebuilds the trees from them;

@@ -1,4 +1,4 @@
-"""Snapshot format 2: the explicit on-disk representation of engine state.
+"""Snapshot format 3: the explicit on-disk representation of engine state.
 
 A checkpoint payload is one dict of plain builtins (lists, dicts, str,
 int, bytes) that :class:`~repro.durability.checkpoint.CheckpointStore`
@@ -29,7 +29,7 @@ What is stored, and what :func:`restore_state` rebuilds instead:
   which the document walk has in hand.  Neither are the per-tag-path
   key lists: they are the per-document lists grouped by the tag-path
   cache, both sorted already, so restore rebuilds them in one appending
-  pass (and a file written before those lists existed is still format 2).
+  pass (so a file written before those lists existed restores the same).
 * **view extents** — per view ``ids``/``orders``/``tags``/``texts``/
   ``child_counts``/``counts``, ``flags`` (one byte per node: bit 0
   ``refresh``, bit 1 ``base``) and sparse ``{position: attributes}`` /
@@ -49,6 +49,15 @@ What is stored, and what :func:`restore_state` rebuilds instead:
 
 Views registered from raw :class:`XatOperator` plans (no query text)
 cannot be serialized — the durable facade requires query strings.
+
+**Format 3 vs 2.**  The column layout is the same; what changed is the
+meaning of the derivation counts inside extents and operator-state
+tables: a format-2 file was written when ``Distinct`` summed duplicate
+counts, format 3 under the support-zero-crossing rule, and deltas of one
+rule do not fuse into counts of the other.  A format-2 file therefore
+still restores its documents and index columns exactly, but every view
+is **re-materialized** from them and no operator-state table is
+adopted.  Any other format is rejected.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ from ..xmlmodel.node import ELEMENT, TEXT
 
 __all__ = ["SNAPSHOT_FORMAT", "capture_state", "restore_state"]
 
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 
 _REFRESH, _BASE = 1, 2
 
@@ -270,9 +279,11 @@ def capture_state(registry) -> dict:
 def restore_state(registry, state: dict) -> None:
     """Rebuild a freshly-constructed registry (empty storage, no views)
     from a captured state dict."""
-    if state.get("format") != SNAPSHOT_FORMAT:
+    if state.get("format") not in (2, SNAPSHOT_FORMAT):
         raise ValueError(
             f"unsupported snapshot format {state.get('format')!r}")
+    # format 2: same columns, counts of the old Distinct rule (see above)
+    graft = state["format"] == SNAPSHOT_FORMAT
     storage = registry.storage
     _restore_index(storage, state["index"])
     for name, columns in state["documents"].items():
@@ -283,16 +294,19 @@ def restore_state(registry, state: dict) -> None:
                                    spec["policy_threshold"])
         view = registry.register(spec["name"], spec["query"],
                                  policy=policy, materialize=False)
-        view.pipeline.extent = (_decode_extent(spec["extent"])
-                                if spec["extent"] is not None else None)
-        view.pipeline.materialized = spec["materialized"]
         view.refresh_sequence = spec["refresh_sequence"]
         if spec["recompute_seconds"] is not None:
             view.cost.recompute_seconds = spec["recompute_seconds"]
         if spec["per_tree_seconds"] is not None:
             view.cost.per_tree_seconds = spec["per_tree_seconds"]
+        if graft:
+            view.pipeline.extent = (_decode_extent(spec["extent"])
+                                    if spec["extent"] is not None else None)
+            view.pipeline.materialized = spec["materialized"]
+        elif spec["materialized"]:
+            registry.materialize(spec["name"])
     store = registry.state_store
-    if store is not None and state["opstate"]:
+    if graft and store is not None and state["opstate"]:
         plans = [registry.view(name).pipeline.plan
                  for name in registry.names()]
         store.adopt(state["opstate"], plans)

@@ -14,11 +14,15 @@ the regime the paper's propagation equations promise to escape.
   share one entry (the registry hands every pipeline the same store, like
   the shared validation router);
 * **hash-join side indexes** over those tables, keyed by the join's
-  existing equi-key columns and maintained alongside the table; and
-* **Distinct / Group By count state** — the cached tables of those
-  operators are patched through their value/group merge rules
+  existing equi-key columns and maintained alongside the table;
+* **Group By count state** — the cached tables of Group By, Combine and
+  Aggregate are patched through their group/member merge rules
   (:meth:`~repro.xat.base.XatOperator.state_apply`) instead of being
-  re-executed.
+  re-executed; and
+* **Distinct support** — not a second kind of state: the Distinct delta
+  rule probes the side index of its *input* by value (the bucket's summed
+  counts are the value's support) to tell whether a batch moves a value
+  across zero.
 
 Cached tables always mirror *current storage* — the same state live
 FULL-mode execution reads.  They are kept current *incrementally*: the
@@ -136,9 +140,9 @@ def anti_projectable(op: XatOperator) -> bool:
 
     Requires every operator of the subtree to be per-tuple linear: each
     output tuple's cells carry all the storage keys its existence (and
-    content) depends on.  Distinct/GroupBy counts, outer-join dangling
-    tuples and constructed skeletons break that, so they fall back to
-    live ANTI execution.
+    content) depends on.  Distinct support, GroupBy counts, outer-join
+    dangling tuples and constructed skeletons break that, so they fall
+    back to live ANTI execution.
     """
     cached = getattr(op, "_state_anti_projectable", None)
     if cached is None:

@@ -6,8 +6,10 @@ file.  Returning ``None`` means "this batch shape is outside my fast
 path" — the VM then runs the interpreter's operator, so a kernel can
 guard aggressively and never be wrong, only slower.
 
-Each kernel is a *faithful port* of its operator's delta path with the
-per-batch invariants hoisted out of the per-tuple loops:
+A kernel is either a delegation — ``DISTINCT.d`` and ``ORDER_BY.d`` call
+the one delta method their operator owns, so that rule exists once — or
+a *faithful port* of its operator's delta path with the per-batch
+invariants hoisted out of the per-tuple loops:
 
 * compile-time statics (navigation step tables, equi-key columns,
   flattened lineage recipes) live on the instruction's
@@ -567,26 +569,12 @@ def _cell_group_value(cell):
 
 @register_kernel("Distinct", DELTA)
 def _distinct_delta(instr, ctx, inputs):
-    op = instr.xop
-    col = op.col
-    table = XatTable(op.schema)
-    groups: dict = {}
-    for tup in inputs[0].tuples:
-        key = _cell_group_value(tup.cells.get(col))
-        existing = groups.get(key)
-        if existing is None:
-            groups[key] = XatTuple({col: tup.cells.get(col)}, tup.count,
-                                   tup.refresh, era=tup.era)
-        else:
-            existing.count += tup.count
-            existing.refresh = existing.refresh or tup.refresh
-            if existing.era != tup.era:
-                existing.era = None  # mixed pair halves: era unusable
-    append = table.append
-    for tup in groups.values():
-        if tup.count != 0 or tup.refresh:
-            append(tup)
-    return table
+    return instr.xop.delta_rows(inputs[0], ctx)
+
+
+@register_kernel("OrderBy", DELTA)
+def _order_by_delta(instr, ctx, inputs):
+    return instr.xop.keyed_rows(inputs[0], ctx)
 
 
 @register_kernel("Combine", DELTA)

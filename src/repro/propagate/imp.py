@@ -17,7 +17,9 @@ Select                 Δσ(T) = σ(ΔT)
 Join                   Δ(A ⋈ B) = ΔA ⋈ B_new  ∪  A_old ⋈ ΔB
 Left Outer Join        as Join, plus retraction/restoration of null-padded
                        tuples whose dangling status flips (Section 7.4)
-Distinct               Δδ(T) = δ_Z(ΔT) (duplicate counts summed)
+Distinct               Δδ(T) = (v, ±1) for each value v whose support —
+                       ΔT netted onto the input's persistent state —
+                       crosses zero; nothing otherwise
 Group By               Δγ(T) = γ_Z(ΔT) per touched group
 Combine / Tagger /     linear: evaluated over the delta tuples; semantic
 XML Union              ids make the fragments fusable (Chapter 4)

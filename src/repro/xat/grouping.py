@@ -5,7 +5,8 @@ composed from the input Order Schema) and the ``assignOverRidOrd`` id
 operation of Table 4.2.  Group By supports the paper's two ``func`` forms:
 a nested Combine (grouping without aggregation) and an aggregate function.
 Counts sum across group members, keeping both operators linear for
-maintenance (Chapter 6).
+maintenance (Chapter 6) — unlike Distinct, whose output counts existence
+(:class:`repro.xat.relational.Distinct`).
 """
 
 from __future__ import annotations

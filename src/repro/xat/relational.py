@@ -1,9 +1,11 @@
 """Relational-like XAT operators (Section 2.2.2) with maintenance support.
 
 The binary join family implements the bilinear delta expansion described in
-:mod:`repro.xat.base`; Distinct and Group By sum count annotations (the
-counting rules of Tables 6.1/6.2), which makes them linear in Z-semantics
-and therefore directly evaluable over delta inputs.
+:mod:`repro.xat.base`.  Group By sums count annotations (the counting rules
+of Tables 6.1/6.2), which makes it linear in Z-semantics and therefore
+directly evaluable over delta inputs.  Distinct is not linear: its output
+is set-semantic, and its delta is the values whose support — looked up in
+the input's persistent state — crosses zero.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from ..flexkeys import FlexKey, compose_values
-from .base import DELTA, MODIFY, ExecutionContext, PlanError, XatOperator
+from .base import (DELETE, DELTA, FULL, MODIFY, ExecutionContext, PlanError,
+                   XatOperator)
 from .conditions import Comparison, Condition, conjuncts, item_value
 from .table import (AtomicItem, ContextSpec, NodeItem, TableSchema, XatTable,
                     XatTuple, items_of, single_item)
@@ -613,11 +616,17 @@ def group_key(tup: XatTuple, cols: Sequence[str], ctx) -> tuple:
 
 
 class Distinct(XatOperator):
-    """``delta_col(T)``: distinct values with derivation counting.
+    """``delta_col(T)``: the distinct values of ``col``, set-semantic.
 
-    Output counts are the *sums* of the input duplicate counts — the
-    counting rule that makes Distinct linear in Z-semantics (Chapter 6).
-    The output table keeps only the distinct column (Category VIII).
+    A value's *support* is the sum of its input duplicate counts; every
+    value with positive support is one output tuple of count 1.  The
+    delta rule is the counting algorithm's (and DBSP's incremental
+    ``distinct``): a batch emits ``(value, ±1)`` only when it moves the
+    value's support across zero — a deviation from Table 6.1's
+    sum-of-duplicates rule, under which one duplicate more or less
+    re-emitted the value and, through the bilinear join terms, every
+    member of its group.  The output table keeps only the distinct
+    column (Category VIII).
     """
 
     symbol = "delta"
@@ -632,42 +641,75 @@ class Distinct(XatOperator):
 
     def execute(self, ctx: ExecutionContext) -> XatTable:
         source = ctx.evaluate(self.inputs[0])
+        if ctx.mode == DELTA:
+            return self.delta_rows(source, ctx)
         table = XatTable(self.schema)
-        groups: dict[tuple, XatTuple] = {}
-        order: list[tuple] = []
-        for tup in source:
-            key = group_key(tup, (self.col,), ctx)
-            existing = groups.get(key)
-            if existing is None:
-                fresh = XatTuple({self.col: tup[self.col]},
-                                 tup.count, tup.refresh, era=tup.era)
-                groups[key] = fresh
-                order.append(key)
-            else:
-                existing.count += tup.count
-                existing.refresh = existing.refresh or tup.refresh
-                if existing.era != tup.era:
-                    existing.era = None  # mixed pair halves: era unusable
-        for key in order:
-            tup = groups[key]
-            if tup.count != 0 or tup.refresh:
-                table.append(tup)
+        for support, tup in self._netted(source, ctx).values():
+            if support > 0:
+                table.append(XatTuple({self.col: tup[self.col]}))
         return table
 
-    # Persistent count state (Chapter 6): delta rows merge by *value*, so
-    # a re-derivation of an existing distinct value adjusts its duplicate
-    # count instead of appearing as a second tuple.
+    def _netted(self, source: XatTable, ctx: ExecutionContext) -> dict:
+        """``value key -> [summed count, first tuple]`` over the
+        count-carrying rows of ``source`` (refresh rows are
+        count-neutral re-derivations)."""
+        cols = (self.col,)
+        netted: dict[tuple, list] = {}
+        for tup in source.tuples:
+            if tup.refresh:
+                continue
+            key = group_key(tup, cols, ctx)
+            slot = netted.get(key)
+            if slot is None:
+                netted[key] = [tup.count, tup]
+            else:
+                slot[0] += tup.count
+        return netted
+
+    def delta_rows(self, source: XatTable, ctx: ExecutionContext
+                   ) -> XatTable:
+        """The Δ rule, over the input's delta table ``source``.
+
+        The batch's signed counts net per value; the value's current
+        support is read from the *input's* persistent side index (the
+        transient one without a store or under a Map binding), which
+        holds the pre-batch state in the delete phase — deletes reach
+        storage after propagation — and the post-batch state otherwise.
+        Refresh rows and net-zero values change no support and emit
+        nothing; a crossing under a modify batch carries the pair era
+        of the state it belongs to.
+        """
+        cols = (self.col,)
+        table = XatTable(self.schema)
+        phase = ctx.delta.phase
+        handle = None
+        for key, (net, tup) in self._netted(source, ctx).items():
+            if net == 0:
+                continue
+            if handle is None:
+                handle = side_handle(ctx, self.inputs[0], FULL, cols)
+            probe_keys = _hash_keys(tup, cols, ctx)
+            rows = _probe_union(handle.probe, probe_keys)
+            if probe_keys != [key]:
+                # node items hash by text but are distinct by identity
+                rows = [t for t in rows if group_key(t, cols, ctx) == key]
+            support = sum(t.count for t in rows)
+            old, new = ((support, support + net) if phase == DELETE
+                        else (support - net, support))
+            if (old > 0) == (new > 0):
+                continue
+            appeared = new > 0
+            era = None
+            if phase == MODIFY:
+                era = "new" if appeared else "old"
+            table.append(XatTuple({self.col: tup[self.col]},
+                                  1 if appeared else -1, era=era))
+        return table
+
+    # Persistent state: delta rows merge into a cached table by *value*.
 
     def state_merge_key(self, tup: XatTuple, ctx) -> tuple:
         return ("distinct", group_key(tup, (self.col,), ctx))
-
-    def state_apply(self, existing, dt, ctx):
-        if dt.refresh:
-            # Count-neutral content refresh of a value group: the cached
-            # representative item stays valid (values are equal by key).
-            return ("noop", None) if existing is not None else ("fail",
-                                                                None)
-        return super().state_apply(existing, dt, ctx)
 
     def describe(self) -> str:
         return f"Distinct({self.col})"
@@ -711,18 +753,24 @@ class OrderBy(XatOperator):
         return f"{number:020.4f}"
 
     def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
+        table = self.keyed_rows(ctx.evaluate(self.inputs[0]), ctx)
+        if ctx.mode != DELTA:
+            # Delta tables are bags whose rows fuse by order token; only
+            # a current-state table is worth presenting sorted.
+            table.tuples.sort(key=self._order_tokens)
+        return table
+
+    def _order_tokens(self, tup: XatTuple) -> tuple:
+        items = (single_item(tup[col]) for col in self.cols)
+        return tuple(item.order_token() if item is not None else ""
+                     for item in items)
+
+    def keyed_rows(self, source: XatTable, ctx: ExecutionContext
+                   ) -> XatTable:
+        """``source`` with every sort-key cell carrying its sortable
+        order token (the whole of Order By in delta mode)."""
         table = XatTable(self.schema)
-
-        def key_fn(tup: XatTuple):
-            parts = []
-            for col in self.cols:
-                item = single_item(tup[col])
-                parts.append(self.sortable(item_value(item, ctx))
-                             if item is not None else "")
-            return tuple(parts)
-
-        for tup in sorted(source.tuples, key=key_fn):
+        for tup in source.tuples:
             cells = dict(tup.cells)
             for col in self.cols:
                 item = single_item(tup[col])
@@ -735,8 +783,6 @@ class OrderBy(XatOperator):
                     # Node-valued sort keys: override the key's order with
                     # the sortable form of the node's text value so that
                     # downstream overriding orders follow query order.
-                    from ..flexkeys import FlexKey
-
                     token = self.sortable(item_value(item, ctx))
                     cells[col] = item.with_override(FlexKey(token))
             table.append(XatTuple(cells, tup.count, tup.refresh,

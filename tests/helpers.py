@@ -14,6 +14,13 @@ from repro.workloads import bib as bibload
 from repro.workloads import xmark
 
 
+#: the three grouped views over ``site.xml`` that share one ``Distinct``
+#: signature (``distinct-values`` over the city texts)
+GROUPED_VIEWS = {"bycity": xmark.PERSONS_BY_CITY_QUERY,
+                 "headcount": xmark.CITY_HEADCOUNT_QUERY,
+                 "cities": xmark.ORDER_QUERY_2}
+
+
 def running_example() -> tuple[StorageManager, MaterializedXQueryView]:
     """The Fig 1.1/1.2 setup: bib.xml + prices.xml + the yGroup view."""
     storage = StorageManager()

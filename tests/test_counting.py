@@ -22,6 +22,8 @@ THREE_BOOKS = ("<bib><book year='1994'><title>A</title></book>"
 
 class TestCountAnnotationsAtQueryTime:
     def test_distinct_sums_duplicates(self):
+        """Duplicate counts sum into a value's *support*; the output is
+        set-semantic — one tuple of count 1 per supported value."""
         sm = storage_with(THREE_BOOKS)
         years = NavigateUnnest(
             NavigateUnnest(Source("bib.xml", "$S"), "$S",
@@ -30,25 +32,31 @@ class TestCountAnnotationsAtQueryTime:
         table = ExecutionContext(sm).evaluate(
             Distinct(years, "$y").prepare())
         counts = {single_item(t["$y"]).value: t.count for t in table}
-        assert counts == {"1994": 2, "2000": 1}
+        assert counts == {"1994": 1, "2000": 1}
 
     def test_join_multiplies_counts(self):
+        """Output count = left count x right count: a Group By tuple
+        carries its members' summed count into the join, a Distinct
+        tuple counts once however many duplicates support its value."""
         sm = storage_with(THREE_BOOKS)
-        years = NavigateUnnest(
-            NavigateUnnest(Source("bib.xml", "$S"), "$S",
-                           Path.parse("bib/book"), "$b"),
-            "$b", Path.parse("@year"), "$y")
-        dy = Distinct(years, "$y")
-        books = NavigateUnnest(
-            NavigateUnnest(Source("bib.xml", "$S2"), "$S2",
-                           Path.parse("bib/book"), "$b2"),
-            "$b2", Path.parse("@year"), "$y2")
-        join = Join(dy, books, Comparison(ColumnRef("$y"), "=",
-                                          ColumnRef("$y2"))).prepare()
-        table = ExecutionContext(sm).evaluate(join)
-        # each 1994 book tuple inherits the distinct multiplicity 2
-        counts = sorted(t.count for t in table)
-        assert counts == [1, 2, 2]
+
+        def years():
+            return NavigateUnnest(
+                NavigateUnnest(Source("bib.xml", "$S"), "$S",
+                               Path.parse("bib/book"), "$b"),
+                "$b", Path.parse("@year"), "$y")
+
+        for left, expected in (
+                (GroupBy(years(), ("$y",), combine_col="$b"), [1, 2, 2]),
+                (Distinct(years(), "$y"), [1, 1, 1])):
+            books = NavigateUnnest(
+                NavigateUnnest(Source("bib.xml", "$S2"), "$S2",
+                               Path.parse("bib/book"), "$b2"),
+                "$b2", Path.parse("@year"), "$y2")
+            join = Join(left, books, Comparison(ColumnRef("$y"), "=",
+                                                ColumnRef("$y2"))).prepare()
+            table = ExecutionContext(sm).evaluate(join)
+            assert sorted(t.count for t in table) == expected
 
     def test_groupby_sums_member_counts(self):
         sm = storage_with(THREE_BOOKS)

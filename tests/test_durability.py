@@ -18,8 +18,8 @@ import struct
 import pytest
 
 from .faults import FaultPlan, FaultyFileSystem
-from .helpers import (ALL_MUTATORS, assert_path_lists_canonical,
-                      random_batch)
+from .helpers import (ALL_MUTATORS, GROUPED_VIEWS,
+                      assert_path_lists_canonical, random_batch)
 from repro import (CostModel, FlexKey, MaterializedXQueryView,
                    StorageManager, ViewRegistry)
 from repro.api import Database
@@ -28,6 +28,7 @@ from repro.durability import (CheckpointError, CheckpointStore,
                               WriteAheadLog, read_segment)
 from repro.durability.snapshot import SNAPSHOT_FORMAT, capture_state
 from repro.durability.wal import encode_record, segment_name
+from repro.engine import Engine
 from repro.obs import render_prometheus
 from repro.workloads import xmark
 from repro.xquery.updates import resolve_path
@@ -183,7 +184,7 @@ def test_checkpoint_prune_keeps_two_generations(tmp_path):
     assert [lsn for lsn, _p in store.list()] == [9, 6]
 
 
-# -- snapshot format 2 --------------------------------------------------------------------
+# -- snapshot format ----------------------------------------------------------------------
 
 def _document_keys(db: Database) -> list[str]:
     """Every document node's FlexKey, in document order."""
@@ -217,7 +218,7 @@ PROBE_PATHS = (
 )
 
 
-def test_format2_roundtrip_is_identical_and_functional(tmp_path):
+def test_snapshot_roundtrip_is_identical_and_functional(tmp_path):
     db = durable_db(tmp_path, fsync="always")
     db.load("site.xml", SITE)
     db.create_view("join", xmark.JOIN_QUERY)
@@ -333,16 +334,16 @@ def test_restored_path_lists_resolve_positional_paths(tmp_path):
 
 
 def test_checkpoint_without_a_path_column_still_opens(tmp_path):
-    """Backward compatibility of format 2: a checkpoint written before
-    the per-path lists existed stores exactly these four index columns;
+    """Backward compatibility: a format-2 checkpoint written before the
+    per-path lists existed stores exactly these four index columns;
     restore derives the lists from them."""
     db = seed_db(tmp_path)
     drive(db, steps=10, seed=9)
     db.flush()
     expected = {name: db.read(name) for name in db.views()}
-    rows = _extent_rows(db)
     state = capture_state(db.registry)
-    assert state["format"] == SNAPSHOT_FORMAT == 2
+    assert state["format"] == SNAPSHOT_FORMAT == 3
+    state["format"] = 2
     state["index"] = {column: state["index"][column] for column in (
         "tag_lists", "all_lists", "tag_paths", "path_interner")}
     lsn = db.durability.wal.last_lsn
@@ -354,7 +355,6 @@ def test_checkpoint_without_a_path_column_still_opens(tmp_path):
     assert reopened.recovery.checkpoint_generation == 0
     assert {name: reopened.read(name) for name in reopened.views()} \
         == expected
-    assert _extent_rows(reopened) == rows
     assert_path_lists_canonical(reopened.storage)
     assert_positional_paths_match_the_walk(reopened.storage)
     reopened.close()
@@ -404,7 +404,7 @@ def test_unknown_snapshot_format_is_rejected_explicitly(tmp_path):
     store = CheckpointStore(RealFileSystem(), str(tmp_path))
     (_lsn, newest) = store.list()[0]
     _lsn, state = store.load_one(newest)
-    assert state["format"] == SNAPSHOT_FORMAT == 2
+    assert state["format"] == SNAPSHOT_FORMAT == 3
     # a well-formed file whose payload is another snapshot format (what a
     # format-1 checkpoint looks like to this build): refuse it loudly —
     # falling back past it could silently serve older data
@@ -425,6 +425,81 @@ def test_unknown_snapshot_format_is_rejected_explicitly(tmp_path):
     assert recovered.recovery.checkpoint_generation == 1
     assert_all_views_consistent(recovered)
     recovered.close()
+
+
+def test_format2_checkpoint_is_rematerialized_not_grafted(tmp_path,
+                                                          monkeypatch):
+    """A format-2 file carries the counts of the sum-of-duplicates
+    ``Distinct`` rule; fusing this build's zero-crossing deltas into
+    them leaves emptied groups standing.  Its documents and index still
+    restore, every view is rebuilt from them, no opstate is adopted."""
+    monkeypatch.setattr(CostModel, "should_recompute",
+                        lambda self, trees: False)
+    db = durable_db(tmp_path, fsync="always")
+    db.load("site.xml", xmark.generate_site(30, seed=7))
+    for name, query in GROUPED_VIEWS.items():
+        db.create_view(name, query)
+    db.update("site.xml").at(
+        "/site/people/person[1]/address/city").replace_with("Atlantis")
+    expected = {name: db.read(name) for name in db.views()}
+    keys = _document_keys(db)
+    state = capture_state(db.registry)
+    assert state["opstate"], "the modify must have left operator state"
+    state["format"] = 2
+    for view in state["views"]:
+        columns = view["extent"]
+        columns["counts"] = [count * 7 for count in columns["counts"]]
+    for table in state["opstate"].values():
+        for tup in table.tuples:
+            tup.count *= 7
+    lsn = db.durability.wal.last_lsn
+    CheckpointStore(RealFileSystem(), str(tmp_path)).write(lsn, state)
+    del db                                     # crash: that file is the newest
+
+    reopened = durable_db(tmp_path)
+    assert reopened.recovery.checkpoint_lsn == lsn
+    assert reopened.registry.state_store.entry_count() == 0
+    assert {name: reopened.read(name) for name in reopened.views()} \
+        == expected
+    assert _document_keys(reopened) == keys
+    assert_path_lists_canonical(reopened.storage)
+    groups = {reopened.read("cities").count("<city>")}
+    for position in range(1, 11):              # Atlantis empties and refills
+        city = xmark.CITIES[position % 3] if position % 4 else "Atlantis"
+        reopened.update("site.xml").at(
+            f"/site/people/person[{position}]/address/city"
+        ).replace_with(city)
+        assert_all_views_consistent(reopened)
+        groups.add(reopened.read("cities").count("<city>"))
+    assert len(groups) > 1, "no city group appeared or disappeared"
+    reopened.close()
+
+
+def test_format3_reopen_grafts_without_rematerializing(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(CostModel, "should_recompute",
+                        lambda self, trees: False)
+    db = seed_db(tmp_path / "clean")
+    drive(db, steps=8, seed=5)
+    db.close()                                 # final checkpoint, no tail
+    crashed = seed_db(tmp_path / "crash")
+    drive(crashed, steps=4, seed=5)
+    crashed.checkpoint()
+    drive(crashed, steps=8, seed=6)
+    del crashed                                # simulated kill: no close
+
+    def rematerialized(*_args, **_kwargs):
+        raise AssertionError("a format-3 restore reached Engine.materialize")
+
+    for name, replays in (("clean", False), ("crash", True)):
+        with monkeypatch.context() as patch:
+            patch.setattr(Engine, "materialize", rematerialized)
+            reopened = durable_db(tmp_path / name)
+        assert reopened.recovery.checkpoint_lsn > 0
+        assert (reopened.recovery.wal_records_replayed > 0) == replays
+        assert reopened.registry.state_store.entry_count() > 0
+        assert_all_views_consistent(reopened)
+        reopened.close()
 
 
 # -- recovery: the happy path -------------------------------------------------------------

@@ -70,8 +70,11 @@ class TestCountingRules:
             rules("compile time")
 
     def test_distinct_rule_matches_implementation(self):
-        """The stated Distinct rule (sum of duplicate counts) is what the
-        operator does — cross-checked against test_counting's behaviour."""
-        text = next(r.rule for r in rules(QUERY_TIME)
-                    if r.operator == "Distinct")
-        assert "SUM" in text
+        """The stated Distinct rules (count 1 per supported value; a
+        delta only when support crosses zero) are what the operator does
+        — cross-checked against test_counting's behaviour."""
+        for phase, phrase in ((QUERY_TIME, "count 1"),
+                              (MAINTENANCE_TIME, "crosses zero")):
+            text = next(r.rule for r in rules(phase)
+                        if r.operator == "Distinct")
+            assert phrase in text

@@ -20,15 +20,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro import MaterializedXQueryView, StorageManager, UpdateRequest
+from repro import (CostModel, MaterializedXQueryView, StorageManager,
+                   UpdateRequest, XmlDocument)
+from repro.api import Database
 from repro.updates.batch import RunBatcher, spec_for_run
 from repro.updates.primitives import UpdateTree
 from repro.workloads import xmark
-from repro.xat import DeltaSpec
-from repro.xat.base import DeltaRoot
+from repro.xat import (Combine, DeltaSpec, Distinct, Expose, LeftOuterJoin,
+                       NavigateUnnest, Path, Pattern, Source, Tagger)
+from repro.xat.base import DeltaRoot, obs_op_stats
 from repro.xat.table import AtomicItem, NodeItem, XatTuple
 
-from .helpers import assert_consistent, persons_of, run_differential
+from .helpers import (GROUPED_VIEWS, assert_consistent, persons_of,
+                      run_differential)
 
 #: the ROADMAP repro stream: mixed person churn plus city-text modifies
 CITY_MODIFY_MUTATORS = ("insert_person", "delete_person", "modify_city",
@@ -270,3 +274,165 @@ class TestMultiItemHashKeys:
         second = storage.children(address, "city")[1]
         view.apply_updates([UpdateRequest.delete("site.xml", second)])
         assert_consistent(view)
+
+
+# -- zero-crossing Distinct ----------------------------------------------------------------
+
+#: run_differential's configuration axes
+each_engine_config = pytest.mark.parametrize(
+    "config", [{"operator_state": True, "compiled": True},
+               {"operator_state": False, "compiled": True},
+               {"operator_state": True, "compiled": False},
+               {"operator_state": False, "compiled": False}],
+    ids=lambda c: "-".join(k for k, v in c.items() if v) or "neither")
+
+
+@pytest.fixture
+def always_propagate(monkeypatch):
+    """Pin the cost model to the incremental side: at these sizes a
+    recompute is cheap enough for wall-clock noise to pick it, and a
+    recomputed flush exercises no delta rule."""
+    monkeypatch.setattr(CostModel, "should_recompute",
+                        lambda self, trees: False)
+
+
+def _grouped_db(cities, **config) -> Database:
+    """One person per entry of ``cities`` under the three grouped views,
+    which share one ``Distinct`` signature (and, with operator state, one
+    store entry for its input) and run three delta passes per batch."""
+    people = "".join(xmark.new_person_xml(index, city=city)
+                     for index, city in enumerate(cities))
+    db = Database(**config)
+    db.load("site.xml", f"<site><people>{people}</people></site>")
+    for name, query in GROUPED_VIEWS.items():
+        db.create_view(name, query)
+    return db
+
+
+def _city_of(position: int) -> str:
+    return f"/site/people/person[{position}]/address/city"
+
+
+def _delta_rows(db: Database, view: str, op_type) -> int:
+    """Cumulative Δ-mode output rows of the view's ``op_type`` operator —
+    EXPLAIN's ``Δ: … out=`` counter."""
+    [op] = [op for op in db.registry.view(view).pipeline.plan.iter_operators()
+            if isinstance(op, op_type)]
+    return obs_op_stats(op)["delta_tuples_out"]
+
+
+@pytest.mark.usefixtures("always_propagate")
+@each_engine_config
+class TestDistinctZeroCrossing:
+    """``Distinct`` emits a delta only when a value's support moves
+    between zero and positive; whatever it emits, every grouped view
+    stays equal to recomputation."""
+
+    #: Boston x2, Cairo, Lima
+    CITIES = ("Boston", "Boston", "Cairo", "Lima")
+
+    def _check(self, db: Database, groups: int) -> None:
+        for name in GROUPED_VIEWS:
+            assert db.read(name) == db.registry.recompute_xml(name), name
+            assert db.registry.view(name).stats.recomputes == 0
+        assert db.read("cities").count("<city>") == groups
+        assert db.read("bycity").count("<city-group") == groups
+        assert db.read("headcount").count("<city-stat") == groups
+
+    def _run(self, config, statements, groups: int) -> Database:
+        db = _grouped_db(self.CITIES, **config)
+        self._check(db, 3)
+        with db.batch():
+            for kind, position, payload in statements:
+                if kind == "modify":
+                    db.update("site.xml").at(
+                        _city_of(position)).replace_with(payload)
+                elif kind == "insert":
+                    db.update("site.xml").at(
+                        f"/site/people/person[{position}]").insert(
+                            xmark.new_person_xml(90 + position, city=payload),
+                            position="after")
+                else:
+                    db.update("site.xml").at(
+                        f"/site/people/person[{position}]").delete()
+        self._check(db, groups)
+        return db
+
+    def test_last_member_leaves(self, config):
+        self._run(config, [("modify", 3, "Boston")], groups=2)
+
+    def test_first_member_arrives(self, config):
+        self._run(config, [("modify", 1, "Oslo")], groups=4)
+
+    def test_group_disappears_and_group_appears_in_one_batch(self, config):
+        self._run(config, [("modify", 3, "Boston"), ("modify", 1, "Oslo")],
+                  groups=3)
+
+    def test_one_leaves_one_joins_nets_to_no_delta(self, config):
+        db = self._run(config, [("modify", 3, "Lima"),
+                                ("modify", 4, "Cairo")], groups=3)
+        for name in GROUPED_VIEWS:
+            assert _delta_rows(db, name, Distinct) == 0
+
+    def test_last_member_deleted(self, config):
+        self._run(config, [("delete", 3, None)], groups=2)
+
+    def test_first_member_inserted(self, config):
+        self._run(config, [("insert", 4, "Oslo")], groups=4)
+
+    def test_delete_and_insert_phases_in_one_batch(self, config):
+        self._run(config, [("delete", 3, None), ("insert", 4, "Oslo")],
+                  groups=3)
+
+    def test_member_deleted_member_inserted_same_city(self, config):
+        db = self._run(config, [("delete", 1, None),
+                                ("insert", 4, "Boston")], groups=3)
+        for name in GROUPED_VIEWS:
+            assert _delta_rows(db, name, Distinct) == 0
+
+
+@each_engine_config
+def test_distinct_over_nodes_counts_identity_not_text(config):
+    """Node items hash into the side index by text but are distinct by
+    identity: a third ``Same`` title is a new value, not a duplicate."""
+    storage = StorageManager()
+    storage.register(XmlDocument.from_string(
+        "bib.xml", "<bib><book><title>Same</title></book>"
+                   "<book><title>Same</title></book></bib>"))
+    titles = NavigateUnnest(Source("bib.xml", "$S"), "$S",
+                            Path.parse("bib/book/title"), "$t")
+    plan = Expose(Combine(Tagger(Distinct(titles, "$t"),
+                                 Pattern("w", (), ("$t",)), "$w"),
+                          "$w"), "$w")
+    view = MaterializedXQueryView(storage, plan, **config)
+    view.materialize()
+    first = storage.children(storage.root_key("bib.xml"), "book")[0]
+    for request, expected in (
+            (UpdateRequest.insert("bib.xml", first,
+                                  "<book><title>Same</title></book>",
+                                  "after"), 3),
+            (UpdateRequest.delete("bib.xml", first), 2)):
+        view.apply_updates([request])
+        assert_consistent(view)
+        assert view.to_xml().count("<w>") == expected
+    view.close()
+
+
+@pytest.mark.usefixtures("always_propagate")
+def test_city_modify_costs_the_batch_not_the_group():
+    """One city modify does the same work at 100 and at 400 persons —
+    read off the EXPLAIN / ``view_delta_tuples`` counters, not a clock."""
+    costs = []
+    for persons in (100, 400):
+        db = Database()
+        db.load("site.xml", xmark.generate_site(persons, seed=3))
+        db.create_view("bycity", xmark.PERSONS_BY_CITY_QUERY)
+        before = db.read("bycity")
+        db.update("site.xml").at(_city_of(1)).replace_with("Boston")
+        assert db.read("bycity") == db.registry.recompute_xml("bycity")
+        assert db.read("bycity") != before, "person[1] already lived there"
+        costs.append((_delta_rows(db, "bycity", LeftOuterJoin),
+                      db.registry.view("bycity").report.fusion.mutations))
+    assert costs[0] == costs[1]
+    join_rows, mutations = costs[0]
+    assert 0 < join_rows <= 4 and 0 < mutations <= 20

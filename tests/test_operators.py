@@ -166,8 +166,9 @@ class TestDistinctGroupOrder:
         plan = Distinct(NavigateUnnest(books(storage), "$b",
                                        Path.parse("@year"), "$y"), "$y")
         table = run(storage, plan)
+        # two 1994 books support one output tuple of count 1
         counts = {single_item(t["$y"]).value: t.count for t in table}
-        assert counts == {"1994": 2, "2000": 1}
+        assert counts == {"1994": 1, "2000": 1}
         assert table.schema.order_schema == ()
 
     def test_groupby_combine(self, storage):
