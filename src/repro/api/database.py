@@ -298,7 +298,8 @@ class Database:
             raise KeyError(f"no view named {view_name!r}")
         subscription = Subscription(self, view_name, callback)
         self.registry.add_refresh_listener(
-            subscription._dispatch, deliver_mutations=deliver_mutations)
+            view_name, subscription._dispatch,
+            deliver_mutations=deliver_mutations)
         self._subscriptions.add(subscription)
         return subscription
 

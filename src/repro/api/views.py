@@ -80,32 +80,35 @@ class Subscription:
         self.view_name = view_name
         self.callback = callback
         self.active = True
+        metrics = db.registry.metrics
+        self._callbacks = metrics.counter(
+            "subscriber_callbacks",
+            "Refresh events delivered to subscribers", view=view_name)
+        self._callback_seconds = metrics.histogram(
+            "subscriber_callback_seconds",
+            "Time spent inside subscriber callbacks", view=view_name)
 
     def _dispatch(self, event: RefreshEvent) -> None:
-        if not (self.active and event.view == self.view_name):
+        """The registry's per-view listener: only this view's events
+        arrive here."""
+        if not self.active:
             return
         if not _OBS.enabled:
             self.callback(event)
             return
-        metrics = self._db.registry.metrics
-        metrics.counter("subscriber_callbacks",
-                        "Refresh events delivered to subscribers",
-                        view=self.view_name).inc()
+        self._callbacks.inc()
         started = time.perf_counter()
         try:
             self.callback(event)
         finally:
-            metrics.histogram(
-                "subscriber_callback_seconds",
-                "Time spent inside subscriber callbacks",
-                view=self.view_name).observe(
-                    time.perf_counter() - started)
+            self._callback_seconds.observe(time.perf_counter() - started)
 
     def cancel(self) -> None:
         if not self.active:
             return
         self.active = False
-        self._db.registry.remove_refresh_listener(self._dispatch)
+        self._db.registry.remove_refresh_listener(self.view_name,
+                                                  self._dispatch)
         self._db._subscriptions.discard(self)
 
     def __repr__(self) -> str:

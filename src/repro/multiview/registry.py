@@ -191,6 +191,11 @@ class RegisteredView:
         self.report = MaintenanceReport()
         self.stats = ViewStats()
         self.refresh_sequence = 0
+        #: (listener, deliver_mutations) pairs of this view; mutation
+        #: capture in its Apply phase runs only while at least one
+        #: listener wants it.
+        self.refresh_listeners: list[tuple] = []
+        self.mutation_listeners = 0
         self.query_text = ""
         self.entangled = _derivations_entangled(pipeline.plan)
 
@@ -248,10 +253,6 @@ class ViewRegistry:
         self.wal = None
         self._views: dict[str, RegisteredView] = {}
         self._storage_ops = 0
-        #: (listener, deliver_mutations) pairs; mutation capture in the
-        #: Apply phase runs only while at least one listener wants it.
-        self._refresh_listeners: list[tuple] = []
-        self._mutation_listeners = 0
         self._subscriber_errors = 0
         self._closed = False
         storage.add_listener(self._count_storage_op)
@@ -386,8 +387,9 @@ class ViewRegistry:
         self.storage.remove_listener(self._count_storage_op)
         if self.state_store is not None:
             self.state_store.close()
-        self._refresh_listeners.clear()
-        self._mutation_listeners = 0
+        for view in self._views.values():
+            view.refresh_listeners.clear()
+            view.mutation_listeners = 0
 
     def __enter__(self) -> "ViewRegistry":
         return self
@@ -397,31 +399,39 @@ class ViewRegistry:
 
     # -- refresh events ----------------------------------------------------------------
 
-    def add_refresh_listener(self, listener,
+    def add_refresh_listener(self, view_name: str, listener,
                              deliver_mutations: bool = False) -> None:
-        """Subscribe ``listener(event: RefreshEvent)`` to view refreshes —
-        fired whenever maintenance changes a view's extent (delta
-        propagation or full recomputation), whatever triggered the flush
-        (stream dispatch, a read of a deferred view, or an explicit
-        :meth:`flush`).
+        """Subscribe ``listener(event: RefreshEvent)`` to the refreshes
+        of view ``view_name`` — fired whenever maintenance changes its
+        extent (delta propagation or full recomputation), whatever
+        triggered the flush (stream dispatch, a read of a deferred view,
+        or an explicit :meth:`flush`).  The list belongs to the view and
+        goes away with it (:meth:`unregister`).
 
         ``deliver_mutations=True`` turns on visible-mutation capture in
-        the Apply phase: every *propagate* refresh then carries the
-        JSON-ready delta records on :attr:`RefreshEvent.mutations` (the
-        push payload of the network server).  Capture runs while at
-        least one such listener is registered and costs one list append
-        per visible extent mutation."""
-        self._refresh_listeners.append((listener, deliver_mutations))
+        that view's Apply phase: every *propagate* refresh then carries
+        the JSON-ready delta records on :attr:`RefreshEvent.mutations`
+        (the push payload of the network server).  Capture runs while at
+        least one such listener is registered on the view and costs one
+        list append per visible extent mutation."""
+        view = self._views[view_name]
+        view.refresh_listeners.append((listener, deliver_mutations))
         if deliver_mutations:
-            self._mutation_listeners += 1
+            view.mutation_listeners += 1
 
-    def remove_refresh_listener(self, listener) -> None:
-        """Unsubscribe (no-op when absent — discard semantics)."""
-        for entry in self._refresh_listeners:
-            if entry[0] is listener:
-                self._refresh_listeners.remove(entry)
+    def remove_refresh_listener(self, view_name: str, listener) -> None:
+        """Unsubscribe (no-op when the listener or the view is gone —
+        discard semantics)."""
+        view = self._views.get(view_name)
+        if view is None:
+            return
+        for entry in view.refresh_listeners:
+            # ``==``, not ``is``: a bound method is a fresh object at
+            # every attribute access and only compares equal to itself
+            if entry[0] == listener:
+                view.refresh_listeners.remove(entry)
                 if entry[1]:
-                    self._mutation_listeners -= 1
+                    view.mutation_listeners -= 1
                 return
 
     def _notify_refresh(self, view: RegisteredView, reason: str,
@@ -430,12 +440,12 @@ class ViewRegistry:
         # The sequence advances whether or not anyone listens — a
         # subscriber joining late sees where the view's history stands.
         view.refresh_sequence += 1
-        if not self._refresh_listeners:
+        if not view.refresh_listeners:
             return
         event = RefreshEvent(view.name, reason, trees, duration,
                              delta_tuples, view.refresh_sequence,
                              mutations)
-        for listener, _wants in list(self._refresh_listeners):
+        for listener, _wants in list(view.refresh_listeners):
             # Fan-out is isolated: one failing subscriber must neither
             # abort the flush that produced the event nor starve the
             # listeners after it.  The error is counted (the
@@ -804,7 +814,7 @@ class ViewRegistry:
             return None
         refreshes_before = len(view.report.fusion.aggregate_refreshes)
         mutations_before = view.report.fusion.mutations
-        capture = self._mutation_listeners > 0
+        capture = view.mutation_listeners > 0
         if capture:
             view.report.fusion.delta_log = []
         with self.tracer.span(

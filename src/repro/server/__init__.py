@@ -7,9 +7,11 @@ served system (ROADMAP item 1):
   (framing, request/reply/error/push message shapes, typed errors);
 * :mod:`repro.server.server` — the asyncio :class:`ViewServer`: many
   concurrent client sessions over one database, all mutations serialized
-  through a single-writer apply loop, push-based view subscriptions with
-  per-subscriber bounded queues and an explicit backpressure policy
-  (coalesce-to-latest or disconnect-with-gap), a plain-HTTP ``/metrics``
+  through a single-writer apply loop, push-based view subscriptions
+  (one fan-out point per view, each refresh encoded once and spliced
+  behind every subscriber's own head) with per-subscriber bounds and an
+  explicit backpressure policy (coalesce-to-latest or
+  disconnect-with-gap), a plain-HTTP ``/metrics``
   Prometheus scrape endpoint, and graceful shutdown that cuts a final
   checkpoint on durable databases;
 * :mod:`repro.server.client` — the blocking :class:`ReproClient` used by

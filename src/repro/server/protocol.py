@@ -34,6 +34,11 @@ The module is dependency-free in both directions (the asyncio server
 and the blocking client share it), and the delta payload inside a push
 frame is exactly the JSON-ready record list captured by the Apply phase
 (:mod:`repro.apply.deep_union`) — no re-serialization on the way out.
+Everything in a delta frame after ``subscription`` is the same for every
+subscriber of the view, so the server encodes it once per refresh
+(:func:`delta_payload`, :func:`shared_tail`) and splices it behind each
+subscriber's :func:`delta_head` (:func:`splice_frame`); clients see
+ordinary frames and must not depend on key order.
 """
 
 from __future__ import annotations
@@ -43,8 +48,10 @@ import struct
 from typing import Optional
 
 __all__ = ["FrameDecoder", "MAX_FRAME", "PROTOCOL_VERSION",
-           "ProtocolError", "dedup_token", "delta_frame", "encode_frame",
-           "error_frame", "gap_frame", "reply_frame", "resume_reset_frame"]
+           "ProtocolError", "dedup_token", "delta_frame", "delta_head",
+           "delta_payload", "encode_frame", "error_frame", "gap_frame",
+           "reply_frame", "resume_reset_frame", "shared_tail",
+           "splice_frame"]
 
 #: protocol revision announced by ``hello`` and checked by clients.
 #: Version 2 (backward compatible with 1) adds idempotency tokens on
@@ -130,27 +137,62 @@ def error_frame(request_id, code: str, message: str, **detail) -> dict:
     return frame
 
 
-def delta_frame(subscription_id: int, event) -> dict:
-    """A push frame for one :class:`~repro.multiview.RefreshEvent`.
+def delta_payload(event) -> dict:
+    """The subscriber-independent fields of a delta frame for one
+    :class:`~repro.multiview.RefreshEvent` — everything after
+    ``subscription``.
 
     ``mutations`` is the Apply phase's captured record list (or ``null``
     when the refresh recomputed the extent / capture yielded nothing to
     replay); ``reset`` tells the subscriber its mirror is stale and must
-    be rebuilt by re-reading the view.  ``coalesced`` (added in place by
-    the server's backpressure path, never by this constructor) marks a
-    frame standing for the range ``from_sequence..sequence``.
+    be rebuilt by re-reading the view.
     """
     mutations = event.mutations
     reset = event.reason == "recompute" or mutations is None
-    return {"type": "delta",
-            "subscription": subscription_id,
-            "view": event.view,
+    return {"view": event.view,
             "sequence": event.sequence,
             "reason": event.reason,
             "trees": event.trees,
             "delta_tuples": event.delta_tuples,
             "reset": reset,
             "mutations": None if reset else list(mutations)}
+
+
+def delta_frame(subscription_id: int, event) -> dict:
+    """A push frame for one refresh event, as a dict: the subscriber's
+    head fields plus :func:`delta_payload`.  ``coalesced`` (added in
+    place by the server's backpressure path, never by this constructor)
+    marks a frame standing for the range ``from_sequence..sequence``.
+    """
+    return {"type": "delta", "subscription": subscription_id,
+            **delta_payload(event)}
+
+
+# -- encode once, splice per subscriber: decodes to ``delta_frame``'s dict ---------------
+
+
+def delta_head(subscription_id: int, resumed: bool = False) -> bytes:
+    """The per-subscriber opening of a delta frame's JSON body, up to
+    and including the comma before the shared payload."""
+    return (b'{"type":"delta","subscription":%d,%s'
+            % (subscription_id, b'"resumed":true,' if resumed else b""))
+
+
+def shared_tail(encoded_payload: bytes) -> bytes:
+    """What follows any subscriber's :func:`delta_head`: the encoded
+    payload frame (``encode_frame(delta_payload(event))``) without its
+    length prefix and opening brace."""
+    return encoded_payload[HEADER_SIZE + 1:]
+
+
+def splice_frame(head: bytes, tail: bytes,
+                 max_frame: int = MAX_FRAME) -> bytes:
+    """One subscriber's wire frame: length prefix ‖ head ‖ tail."""
+    size = len(head) + len(tail)
+    if size > max_frame:
+        raise ProtocolError(
+            f"frame of {size} bytes exceeds the {max_frame}-byte limit")
+    return _HEADER.pack(size) + head + tail
 
 
 def gap_frame(subscription_id: int, view: str, after_sequence: int,

@@ -14,23 +14,37 @@ thread:
   snapshot (never a half-applied batch).  Mutating jobs stamp a
   monotone ``applied_index`` returned on the reply, which is the total
   order clients can replay against an oracle.
-* View subscriptions are plain :meth:`Database.subscribe` callbacks
-  (``deliver_mutations=True``).  They fire synchronously inside the
-  apply job that flushed the view, on the loop thread, and enqueue one
-  push frame per refresh onto each subscriber's session queue — so
-  enqueue order equals refresh order equals wire order.
+* Every subscribed view has one **feed** (:class:`_Feed`): the only
+  :meth:`Database.subscribe` registration the server holds for that view
+  (``deliver_mutations=True``), owning the resume ring and the view's
+  subscribers.  Its callback fires synchronously inside the apply job
+  that flushed the view, on the loop thread, wraps the refresh in one
+  shared :class:`_Push` and enqueues *that same object* onto the session
+  queue of each subscriber — so enqueue order equals refresh order
+  equals wire order, and a refresh costs O(1) per subscriber.
+* The writer task turns queue entries into bytes.  A push's
+  subscriber-independent JSON (``"view": … "mutations": […]}``) is
+  encoded at most once, at its first dequeue by whichever session gets
+  there first; a subscriber's frame is ``length ‖ {"type":"delta",
+  "subscription":<id>, ‖ shared bytes`` — a splice, not an encode.  Each
+  wake-up drains everything already queued for the session (up to
+  :data:`WRITE_BATCH_BYTES`) into one ``write`` and one ``drain()``.
 
-Backpressure: each subscriber carries a bound on frames queued but not
-yet written.  A slow consumer (socket full, client not reading) makes
-the writer task block in ``drain()`` while refreshes keep arriving;
-when a subscriber's ``in_flight`` count hits its limit the server
-applies the policy the client chose at subscribe time:
+Backpressure: each subscriber carries a bound, ``limit``, on frames
+queued but not yet handed to the transport; the transport itself buffers
+at most its high-water mark plus one gathered write per session
+(:data:`WRITE_BATCH_BYTES` and the frame that crossed it — where it was
+one frame when every frame was written alone).  A slow consumer (socket
+full, client not reading) makes the writer task block in ``drain()``
+while refreshes keep arriving; when a subscriber's ``in_flight`` count
+hits its limit the server applies the policy the client chose at
+subscribe time:
 
 * ``"coalesce"`` (default) — fold the new refresh into the newest
-  still-queued delta frame *in place*: the frame becomes a
-  ``coalesced`` reset covering ``from_sequence..sequence`` and the
-  client re-reads the view.  No frame is dropped silently; memory per
-  subscriber stays bounded.
+  still-queued delta entry: the entry stops sharing the view's push and
+  becomes a private ``coalesced`` reset frame covering
+  ``from_sequence..sequence``; the client re-reads the view.  No frame
+  is dropped silently; memory per subscriber stays bounded.
 * ``"disconnect"`` — push one ``gap`` frame naming the dropped range,
   then close the connection.  For mirrors that must never miss a
   delta and prefer death to staleness.
@@ -45,9 +59,10 @@ Resilience (the serving half of the durability story):
   the batch (``DurabilityManager.stamp``) and the ledger rides in
   checkpoints, so dedup survives a ``kill -9`` restart.
 * **Subscription resume** — ``subscribe(from_sequence=...)`` replays
-  missed refreshes from a bounded per-view delta backlog the server
-  captures independently of any subscriber, or falls back to one
-  explicit reset frame naming the missed range.  Never a silent gap.
+  missed refreshes from the feed's bounded ring (the same shared pushes,
+  spliced behind a ``resumed`` head; the feed outlives its subscribers),
+  or falls back to one explicit reset frame naming the missed range.
+  Never a silent gap.
 * **Protection** — per-request deadlines enforced at the apply loop's
   dequeue point (an expired job is skipped, never half-run), idle
   sessions reaped, and ``max_sessions``/``max_inflight`` admission
@@ -71,8 +86,9 @@ from typing import Optional
 from ..api import Database
 from ..updates.errors import UpdateError
 from .protocol import MAX_FRAME, PROTOCOL_VERSION, FrameDecoder, \
-    ProtocolError, dedup_token, delta_frame, encode_frame, error_frame, \
-    gap_frame, param, reply_frame, resume_reset_frame, validate_request
+    ProtocolError, dedup_token, delta_head, delta_payload, encode_frame, \
+    error_frame, gap_frame, param, reply_frame, resume_reset_frame, \
+    shared_tail, splice_frame, validate_request
 
 __all__ = ["DeadlineExceeded", "Overloaded", "ServerHandle", "ViewServer",
            "start_in_thread"]
@@ -82,6 +98,11 @@ DEFAULT_SUBSCRIBER_LIMIT = 64
 
 #: default per-view resume backlog (refreshes replayable after reconnect)
 DEFAULT_BACKLOG = 256
+
+#: a writer wake-up stops gathering queued frames into its one ``write``
+#: once it holds this many bytes, then awaits ``drain()`` — asyncio's
+#: default high-water mark
+WRITE_BATCH_BYTES = 64 * 1024
 
 #: dedup ledger bounds: replies remembered per client / clients tracked
 LEDGER_PER_CLIENT = 128
@@ -126,23 +147,162 @@ class _ReplayedError(Exception):
         self.cached = cached
 
 
+#: every ``server_*`` metric family: (name after the prefix, kind, help)
+_METRIC_FAMILIES = (
+    ("sessions", "counter", "Client sessions accepted"),
+    ("sessions_live", "gauge", "Currently connected client sessions"),
+    ("frames_in", "counter", "Frames read from clients"),
+    ("frames_out", "counter", "Frames written to clients"),
+    ("queue_depth", "gauge", "Outbound frames queued across live sessions"),
+    ("push_lag_seconds", "histogram",
+     "Refresh-to-socket latency of push frames"),
+    ("push_encodes", "counter",
+     "Shared push payloads JSON-encoded (at most one per view refresh)"),
+    ("socket_writes", "counter", "Writes handed to client transports"),
+    ("bytes_out", "counter", "Bytes handed to client transports"),
+    ("pushes_coalesced", "counter",
+     "Refreshes folded into a queued frame under backpressure"),
+    ("subscribers_dropped", "counter",
+     "Subscribers disconnected by the strict backpressure policy"),
+    ("requests_retried", "counter",
+     "Mutating requests that arrived marked as retries"),
+    ("requests_deduped", "counter",
+     "Retried requests answered from the dedup ledger"),
+    ("sessions_reaped", "counter",
+     "Idle sessions disconnected by the reaper"),
+    ("shed_total", "counter",
+     "Requests/connections shed by admission control"),
+    ("reconnects", "counter",
+     "Sessions re-established by reconnecting clients"),
+    ("deadline_expired", "counter", "Requests expired in the apply queue"),
+    ("bad_frames", "counter", "Malformed frames answered with bad_frame"),
+)
+
+
+class _ServerMetrics:
+    """The ``server_*`` metric handles, resolved once per server: one
+    attribute per :data:`_METRIC_FAMILIES` row.  Creating them also makes
+    a fresh scrape show every family at zero instead of omitting it."""
+
+    def __init__(self, registry):
+        for name, kind, help_text in _METRIC_FAMILIES:
+            setattr(self, name,
+                    getattr(registry, kind)(f"server_{name}", help_text))
+
+
+class _Push:
+    """One refresh of one view — the object the feed's ring and every
+    subscriber's queue entry share.
+
+    ``payload`` is the subscriber-independent part of the delta frame;
+    ``tail`` its wire bytes, absent until the first writer dequeues the
+    push (so a refresh nobody is sent costs no encode, and an oversized
+    one fails in a write loop, which closes that session, instead of in
+    the refresh callback, where the registry would swallow the error
+    into a silent gap)."""
+
+    __slots__ = ("payload", "tail")
+
+    def __init__(self, event):
+        self.payload = delta_payload(event)
+        self.tail: Optional[bytes] = None
+
+    @property
+    def sequence(self) -> int:
+        return self.payload["sequence"]
+
+    def encode(self, max_frame: int) -> bytes:
+        self.tail = shared_tail(encode_frame(self.payload, max_frame))
+        # The bytes stand for the records from here on; a later coalesce
+        # fold reads only the counters.
+        self.payload = dict(self.payload, mutations=None)
+        return self.tail
+
+
+class _Feed:
+    """One view's fan-out point: the server's only refresh subscription
+    on that view, the bounded ring resumes replay from, and the view's
+    subscribers across all sessions (keyed by subscription id)."""
+
+    __slots__ = ("view", "ring", "subscribers", "handle")
+
+    def __init__(self, db: Database, view: str, backlog: int):
+        self.view = view
+        self.ring: deque = deque(maxlen=backlog)
+        self.subscribers: dict[int, _Subscriber] = {}
+        self.handle = db.subscribe(view, self.publish,
+                                   deliver_mutations=True)
+
+    def publish(self, event) -> None:
+        """The refresh callback: runs synchronously inside the apply job
+        that flushed the view."""
+        push = _Push(event)
+        self.ring.append(push)
+        if self.subscribers:
+            now = time.perf_counter()
+            # copied: the strict policy detaches subscribers mid-loop
+            for subscriber in list(self.subscribers.values()):
+                subscriber.session.deliver(subscriber, push, now)
+
+    def replay(self, from_sequence: int, upto: int) -> Optional[list]:
+        """The ring's pushes covering ``from_sequence+1 .. upto``
+        contiguously, or None when the ring no longer reaches back that
+        far (the caller falls back to an explicit reset)."""
+        pushes = [push for push in self.ring
+                  if from_sequence < push.sequence <= upto]
+        if [push.sequence for push in pushes] != \
+                list(range(from_sequence + 1, upto + 1)):
+            return None
+        return pushes
+
+    def detach_all(self) -> None:
+        for subscriber in self.subscribers.values():
+            subscriber.dropped = True
+        self.subscribers.clear()
+
+
 class _Subscriber:
     """One ``subscribe`` registration on one session."""
 
     __slots__ = ("id", "view", "mode", "limit", "in_flight", "newest",
-                 "enqueued_sequence", "dropped", "subscription")
+                 "enqueued_sequence", "dropped", "session", "feed", "head")
 
     def __init__(self, sub_id: int, view: str, mode: str, limit: int,
-                 baseline_sequence: int):
+                 baseline_sequence: int, session: "_Session", feed: _Feed):
         self.id = sub_id
         self.view = view
         self.mode = mode
         self.limit = limit
-        self.in_flight = 0          # frames queued, not yet written
-        self.newest = None          # newest still-queued delta frame dict
+        self.in_flight = 0          # entries queued, not yet dequeued
+        self.newest = None          # newest still-queued _Outbound entry
         self.enqueued_sequence = baseline_sequence
         self.dropped = False
-        self.subscription = None    # the Database.subscribe handle
+        self.session = session
+        self.feed = feed
+        self.head = delta_head(sub_id)
+
+    def detach(self) -> None:
+        """Stop receiving refreshes (idempotent)."""
+        self.dropped = True
+        self.feed.subscribers.pop(self.id, None)
+
+
+class _Outbound:
+    """One entry of a session's outbound queue.
+
+    ``item`` is a frame dict (replies, errors, gap / resume-reset /
+    coalesced frames — encoded at dequeue time) or a shared
+    :class:`_Push` (spliced behind the subscriber's head, ``resumed``
+    on a backlog replay).  ``at`` is when it was queued, for the
+    push-lag histogram."""
+
+    __slots__ = ("subscriber", "item", "resumed", "at")
+
+    def __init__(self, subscriber, item, resumed, at):
+        self.subscriber = subscriber
+        self.item = item
+        self.resumed = resumed
+        self.at = at
 
 
 class _Session:
@@ -168,95 +328,137 @@ class _Session:
 
     # -- outbound ----------------------------------------------------------------------
 
-    def send(self, frame: dict,
-             subscriber: Optional[_Subscriber] = None) -> None:
-        """Enqueue one frame (loop thread only; writer task drains)."""
+    def send(self, frame: dict) -> None:
+        """Enqueue one reply/error/gap frame (loop thread only; the
+        writer task drains)."""
         if self.closing:
             return
-        if subscriber is not None:
-            subscriber.in_flight += 1
-        self.queue.put_nowait((subscriber, frame, time.perf_counter()))
-        self.server.metrics.gauge(
-            "server_queue_depth",
-            "Outbound frames queued across live sessions").inc()
+        self.queue.put_nowait(_Outbound(None, frame, False, 0.0))
+        self.server.stats.queue_depth.inc()
 
-    def deliver(self, subscriber: _Subscriber, event) -> None:
-        """One refresh event for one subscriber — the backpressure seam.
+    def push(self, subscriber: _Subscriber, item, sequence: int,
+             now: float, resumed: bool = False) -> None:
+        """Enqueue one push for ``subscriber``: a shared :class:`_Push`
+        or a frame dict, standing for refreshes up to ``sequence``."""
+        entry = _Outbound(subscriber, item, resumed, now)
+        subscriber.in_flight += 1
+        subscriber.newest = entry
+        subscriber.enqueued_sequence = sequence
+        self.queue.put_nowait(entry)
+        self.server.stats.queue_depth.inc()
+
+    def deliver(self, subscriber: _Subscriber, push: _Push,
+                now: float) -> None:
+        """One refresh for one subscriber — the backpressure seam.
 
         Runs synchronously inside the apply job that flushed the view.
         """
         if subscriber.dropped or self.closing:
             return
-        metrics = self.server.metrics
-        if subscriber.in_flight >= subscriber.limit:
-            if subscriber.mode == "coalesce" and subscriber.newest is not None:
-                # Fold into the newest still-queued frame in place.  The
-                # writer JSON-encodes at dequeue time on this same loop
-                # thread, so the mutation is race-free.
-                newest = subscriber.newest
-                newest.setdefault("from_sequence", newest["sequence"])
-                newest["coalesced"] = True
-                newest["sequence"] = event.sequence
-                newest["reason"] = event.reason
-                newest["trees"] += event.trees
-                newest["delta_tuples"] += event.delta_tuples
-                newest["reset"] = True
-                newest["mutations"] = None
-                subscriber.enqueued_sequence = event.sequence
-                metrics.counter(
-                    "server_pushes_coalesced",
-                    "Refreshes folded into a queued frame under "
-                    "backpressure").inc()
-                return
-            # Strict policy (or nothing queued to fold into): announce
-            # the gap and cut the connection once the queue drains.
-            subscriber.dropped = True
-            if subscriber.subscription is not None:
-                subscriber.subscription.cancel()
-            after = subscriber.enqueued_sequence
-            self.send(gap_frame(subscriber.id, subscriber.view, after,
-                                event.sequence, event.sequence - after))
-            metrics.counter(
-                "server_subscribers_dropped",
-                "Subscribers disconnected by the strict backpressure "
-                "policy").inc()
+        if subscriber.in_flight < subscriber.limit:
+            self.push(subscriber, push, push.sequence, now)
             return
-        frame = delta_frame(subscriber.id, event)
-        subscriber.newest = frame
-        subscriber.enqueued_sequence = event.sequence
-        self.send(frame, subscriber)
+        stats = self.server.stats
+        incoming = push.payload
+        entry = subscriber.newest
+        if subscriber.mode == "coalesce" and entry is not None:
+            # Fold into the newest still-queued entry.  The writer takes
+            # entries off the queue on this same loop thread, so the
+            # mutation is race-free.
+            frame = entry.item
+            if isinstance(frame, _Push):
+                # first fold: stop sharing the view's push
+                frame = entry.item = {"type": "delta",
+                                      "subscription": subscriber.id,
+                                      **frame.payload}
+                if entry.resumed:
+                    frame["resumed"] = True
+            frame.setdefault("from_sequence", frame["sequence"])
+            frame["coalesced"] = True
+            frame["sequence"] = incoming["sequence"]
+            frame["reason"] = incoming["reason"]
+            frame["trees"] += incoming["trees"]
+            frame["delta_tuples"] += incoming["delta_tuples"]
+            frame["reset"] = True
+            frame["mutations"] = None
+            subscriber.enqueued_sequence = incoming["sequence"]
+            stats.pushes_coalesced.inc()
+            return
+        # Strict policy (or nothing queued to fold into): announce
+        # the gap and cut the connection once the queue drains.
+        subscriber.detach()
+        after = subscriber.enqueued_sequence
+        self.send(gap_frame(subscriber.id, subscriber.view, after,
+                            incoming["sequence"],
+                            incoming["sequence"] - after))
+        stats.subscribers_dropped.inc()
+
+    def _encode(self, entry: _Outbound) -> bytes:
+        """One queue entry as wire bytes.  A shared push is encoded by
+        whichever session dequeues it first; everyone else splices."""
+        item = entry.item
+        max_frame = self.server.max_frame
+        if not isinstance(item, _Push):
+            return encode_frame(item, max_frame)
+        tail = item.tail
+        if tail is None:
+            tail = item.encode(max_frame)
+            self.server.stats.push_encodes.inc()
+        subscriber = entry.subscriber
+        return splice_frame(delta_head(subscriber.id, resumed=True)
+                            if entry.resumed else subscriber.head,
+                            tail, max_frame)
 
     async def _write_loop(self) -> None:
-        metrics = self.server.metrics
-        try:
-            while True:
-                item = await self.queue.get()
-                if item is None:
+        stats = self.server.stats
+        queue = self.queue
+        last = False    # set by the close sentinel, a gap frame or an
+        try:            # unencodable frame: flush, then end the session
+            while not last:
+                entry = await queue.get()
+                # Gather everything already queued into one write.
+                chunks, queued_at, size = [], [], 0
+                while True:
+                    if entry is None:
+                        last = True
+                        break
+                    stats.queue_depth.dec()
+                    subscriber = entry.subscriber
+                    if subscriber is not None:
+                        subscriber.in_flight -= 1
+                        if entry is subscriber.newest:
+                            subscriber.newest = None
+                    try:
+                        data = self._encode(entry)
+                    except ProtocolError:
+                        # An unencodable or oversized frame is never
+                        # skipped: what precedes it goes out, then the
+                        # session closes (a subscriber resumes from the
+                        # last sequence it received).
+                        last = True
+                        break
+                    chunks.append(data)
+                    size += len(data)
+                    if subscriber is not None:
+                        queued_at.append(entry.at)
+                    elif entry.item.get("type") == "gap":
+                        last = True     # strict policy: the gap frame
+                        break           # is the connection's last
+                    if size >= WRITE_BATCH_BYTES or queue.empty():
+                        break
+                    entry = queue.get_nowait()
+                if not chunks:
                     break
-                subscriber, frame, enqueued = item
-                if subscriber is not None:
-                    subscriber.in_flight -= 1
-                    if frame is subscriber.newest:
-                        subscriber.newest = None
-                data = encode_frame(frame, self.server.max_frame)
-                self.writer.write(data)
+                self.writer.write(b"".join(chunks))
+                stats.socket_writes.inc()
+                stats.bytes_out.inc(size)
                 await self.writer.drain()
-                metrics.gauge("server_queue_depth",
-                              "Outbound frames queued across live "
-                              "sessions").inc(-1)
-                metrics.counter("server_frames_out",
-                                "Frames written to clients").inc()
-                if subscriber is not None:
-                    metrics.histogram(
-                        "server_push_lag_seconds",
-                        "Refresh-to-socket latency of push frames"
-                    ).observe(time.perf_counter() - enqueued)
-                if frame.get("type") == "gap":
-                    break   # strict policy: the gap frame is the last
+                stats.frames_out.inc(len(chunks))
+                now = time.perf_counter()
+                for at in queued_at:
+                    stats.push_lag_seconds.observe(now - at)
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass
-        except ProtocolError:
-            pass    # an unencodable outbound frame still closes cleanly
         finally:
             await self.close()
 
@@ -264,7 +466,7 @@ class _Session:
 
     async def _read_loop(self) -> None:
         decoder = FrameDecoder(self.server.max_frame)
-        metrics = self.server.metrics
+        stats = self.server.stats
         drain = False           # True: final frames are queued; let the
         try:                    # writer flush them, then tear down
             while True:
@@ -278,15 +480,12 @@ class _Session:
                     # Garbage on the wire (bad length prefix, non-JSON
                     # body, oversized frame): one typed error, then a
                     # clean disconnect — never an unhandled task error.
-                    metrics.counter(
-                        "server_bad_frames",
-                        "Malformed frames answered with bad_frame").inc()
+                    stats.bad_frames.inc()
                     self.send(error_frame(None, "bad_frame", str(exc)))
                     drain = True
                     return
                 for frame in frames:
-                    metrics.counter("server_frames_in",
-                                    "Frames read from clients").inc()
+                    stats.frames_in.inc()
                     if not await self._handle(frame):
                         drain = True    # _handle queued the last frames
                         return
@@ -308,9 +507,7 @@ class _Session:
         try:
             request_id, op = validate_request(frame)
         except ProtocolError as exc:
-            self.server.metrics.counter(
-                "server_bad_frames",
-                "Malformed frames answered with bad_frame").inc()
+            self.server.stats.bad_frames.inc()
             self.send(error_frame(None, "bad_frame", str(exc)))
             return False
         handler = getattr(self, f"_op_{op}", None)
@@ -377,14 +574,10 @@ class _Session:
         if token is None:
             return await self.run(job)
         if frame.get("retry"):
-            server.metrics.counter(
-                "server_requests_retried",
-                "Mutating requests that arrived marked as retries").inc()
+            server.stats.requests_retried.inc()
         cached = server.ledger_get(token)
         if cached is not None:
-            server.metrics.counter(
-                "server_requests_deduped",
-                "Retried requests answered from the dedup ledger").inc()
+            server.stats.requests_deduped.inc()
             if isinstance(cached, _CachedError):
                 raise _ReplayedError(cached)
             return {**cached, "deduped": True}
@@ -432,9 +625,7 @@ class _Session:
         if client:
             self.client_id = client
         if resume:
-            self.server.metrics.counter(
-                "server_reconnects",
-                "Sessions re-established by reconnecting clients").inc()
+            self.server.stats.reconnects.inc()
         server = self.server
         db = server.db
         views = await self.run(db.views)
@@ -481,7 +672,7 @@ class _Session:
         name = param(frame, "name", str)
 
         def job():
-            self.server._drop_backlog(name)
+            self.server._drop_feed(name)
             self.server.db.drop_view(name)
             return {"applied_index": self.server.bump_applied()}
         return await self._mutate(frame, job)
@@ -549,58 +740,56 @@ class _Session:
         server = self.server
 
         def job():
-            server._ensure_backlog(view)
+            if self.closing:
+                # The connection went away while this was queued: nothing
+                # may register, close() already ran and could not undo it.
+                return None
+            feed = server._ensure_feed(view)
             baseline = db.registry.view(view).refresh_sequence
-            subscriber = _Subscriber(sub_id, view, mode, limit, baseline)
-            resumed = None
-            replay = []
-            if from_sequence >= 0 and from_sequence != baseline:
+            subscriber = _Subscriber(sub_id, view, mode, limit, baseline,
+                                     self, feed)
+            result = {"subscription": sub_id, "view": view, "mode": mode,
+                      "limit": limit, "sequence": baseline}
+            if from_sequence >= 0:
                 # The resume seam: replay the missed refreshes from the
-                # per-view backlog, or one explicit reset frame covering
-                # the whole range — never a silent gap.  A from_sequence
+                # feed's ring, or one explicit reset frame covering the
+                # whole range — never a silent gap.  A from_sequence
                 # *ahead* of the view (the server restarted without
                 # durable state, regressing sequences) is a reset too.
-                frames = None
-                if from_sequence < baseline:
-                    frames = server.backlog_frames(view, from_sequence,
-                                                   baseline)
-                if frames is not None and len(frames) <= limit:
-                    resumed = "replay"
-                    replay = [dict(f, subscription=sub_id, resumed=True)
-                              for f in frames]
+                # Enqueued inside the apply job, before the subscriber
+                # joins the feed — so replayed frames always precede
+                # live pushes on the wire, in sequence order.
+                now = time.perf_counter()
+                pushes = (feed.replay(from_sequence, baseline)
+                          if from_sequence < baseline else None)
+                if from_sequence == baseline:
+                    resumed, replayed = "current", 0    # nothing missed
+                elif pushes is not None and len(pushes) <= limit:
+                    resumed, replayed = "replay", len(pushes)
+                    for push in pushes:
+                        self.push(subscriber, push, push.sequence, now,
+                                  resumed=True)
                 else:
-                    resumed = "reset"
-                    replay = [resume_reset_frame(
-                        sub_id, view, from_sequence + 1, baseline)]
-            elif from_sequence >= 0:
-                resumed = "current"     # nothing was missed
-            for push in replay:
-                # Enqueued inside the apply job, before the subscription
-                # registers — so replayed frames always precede live
-                # pushes on the wire, in sequence order.
-                subscriber.newest = push
-                subscriber.enqueued_sequence = push["sequence"]
-                self.send(push, subscriber)
-            subscriber.subscription = db.subscribe(
-                view, lambda event: self.deliver(subscriber, event),
-                deliver_mutations=True)
-            return subscriber, baseline, resumed, len(replay)
-        subscriber, baseline, resumed, replayed = await self.run(job)
-        self.subscribers[sub_id] = subscriber
-        result = {"subscription": sub_id, "view": view, "mode": mode,
-                  "limit": limit, "sequence": baseline}
-        if resumed is not None:
-            result["resumed"] = resumed
-            result["replayed"] = replayed
-        return result
+                    resumed, replayed = "reset", 1
+                    self.push(subscriber, resume_reset_frame(
+                        sub_id, view, from_sequence + 1, baseline),
+                        baseline, now)
+                result["resumed"] = resumed
+                result["replayed"] = replayed
+            # Recorded and attached here, not after the await: a session
+            # that closes once this has run finds the subscriber in
+            # ``self.subscribers`` and detaches it.
+            self.subscribers[sub_id] = subscriber
+            feed.subscribers[sub_id] = subscriber
+            return result
+        return await self.run(job)
 
     async def _op_unsubscribe(self, frame: dict) -> dict:
         sub_id = param(frame, "subscription", int)
         subscriber = self.subscribers.pop(sub_id, None)
         if subscriber is None:
             raise KeyError(f"no subscription {sub_id} on this session")
-        if subscriber.subscription is not None:
-            await self.run(subscriber.subscription.cancel)
+        subscriber.detach()
         return {"subscription": sub_id}
 
     async def _op_explain(self, frame: dict) -> dict:
@@ -623,15 +812,11 @@ class _Session:
             return
         self.closing = True
         for subscriber in self.subscribers.values():
-            subscriber.dropped = True
-            if subscriber.subscription is not None:
-                subscriber.subscription.cancel()
+            subscriber.detach()
         self.subscribers.clear()
         depth = self.queue.qsize()
         if depth:
-            self.server.metrics.gauge(
-                "server_queue_depth",
-                "Outbound frames queued across live sessions").inc(-depth)
+            self.server.stats.queue_depth.inc(-depth)
         current = asyncio.current_task()
         for task in self._tasks:
             if task is not current:
@@ -682,13 +867,14 @@ class ViewServer:
         self._subscription_ids = 0
         self._ledger: "OrderedDict[str, OrderedDict[int, object]]" = \
             OrderedDict()
-        self._backlogs: dict[str, tuple[deque, object]] = {}
+        self._feeds: dict[str, _Feed] = {}
         self._apply_queue: Optional[asyncio.Queue] = None
         self._apply_task: Optional[asyncio.Task] = None
         self._reap_task: Optional[asyncio.Task] = None
         self._tcp_server = None
         self._http_server = None
         self._stopped = False
+        self.stats = _ServerMetrics(self.metrics)
 
     @property
     def metrics(self):
@@ -704,9 +890,7 @@ class ViewServer:
         already ``max_inflight`` deep, and :class:`DeadlineExceeded`
         (without executing) when ``deadline_ts`` passes first."""
         if self._apply_queue.qsize() >= self.max_inflight:
-            self.metrics.counter(
-                "server_shed_total",
-                "Requests/connections shed by admission control").inc()
+            self.stats.shed_total.inc()
             raise Overloaded(self.retry_after)
         loop = asyncio.get_event_loop()
         future = loop.create_future()
@@ -741,9 +925,7 @@ class ViewServer:
                     and time.monotonic() > deadline_ts:
                 # Expired while queued: the job is skipped, never
                 # half-run, so the client can retry it safely.
-                self.metrics.counter(
-                    "server_deadline_expired",
-                    "Requests expired in the apply queue").inc()
+                self.stats.deadline_expired.inc()
                 if not future.cancelled():
                     future.set_exception(DeadlineExceeded(
                         "deadline expired before the request ran "
@@ -825,38 +1007,26 @@ class ViewServer:
                              "recovered": True})
         manager.server_state_provider = self._server_state
 
-    # -- per-view delta backlogs (subscription resume) -----------------------------------
+    # -- per-view feeds (push fan-out + subscription resume) -----------------------------
 
-    def _ensure_backlog(self, view: str) -> None:
-        """Capture refreshes for ``view`` into a bounded deque of frame
-        templates, independent of any subscriber (apply-job context)."""
-        if view in self._backlogs:
-            return
-        frames: deque = deque(maxlen=self.backlog)
-        handle = self.db.subscribe(
-            view, lambda event: frames.append(delta_frame(0, event)),
-            deliver_mutations=True)
-        self._backlogs[view] = (frames, handle)
+    def _ensure_feed(self, view: str) -> _Feed:
+        """The feed of ``view``, created on its first ``subscribe`` and
+        kept — capturing refreshes into its ring whether or not anyone
+        is subscribed — until the view is dropped (apply-job context)."""
+        feed = self._feeds.get(view)
+        if feed is not None and feed.handle.active:
+            return feed
+        # none yet, or the view was dropped behind the server's back
+        # (in-process ``db.drop_view``), which cancelled the handle
+        self._drop_feed(view)
+        feed = self._feeds[view] = _Feed(self.db, view, self.backlog)
+        return feed
 
-    def _drop_backlog(self, view: str) -> None:
-        entry = self._backlogs.pop(view, None)
-        if entry is not None:
-            entry[1].cancel()
-
-    def backlog_frames(self, view: str, from_sequence: int,
-                       upto: int) -> Optional[list[dict]]:
-        """The backlog frames covering ``from_sequence+1 .. upto``
-        contiguously, or None when the backlog no longer reaches back
-        that far (the caller falls back to an explicit reset)."""
-        entry = self._backlogs.get(view)
-        if entry is None:
-            return None
-        frames = [f for f in entry[0]
-                  if from_sequence < f["sequence"] <= upto]
-        if [f["sequence"] for f in frames] != \
-                list(range(from_sequence + 1, upto + 1)):
-            return None
-        return frames
+    def _drop_feed(self, view: str) -> None:
+        feed = self._feeds.pop(view, None)
+        if feed is not None:
+            feed.handle.cancel()
+            feed.detach_all()
 
     # -- idle-session reaping -------------------------------------------------------------
 
@@ -869,9 +1039,7 @@ class ViewServer:
                 if session.closing or session.subscribers:
                     continue    # subscribers legitimately sit idle
                 if now - session.last_active > self.idle_timeout:
-                    self.metrics.counter(
-                        "server_sessions_reaped",
-                        "Idle sessions disconnected by the reaper").inc()
+                    self.stats.sessions_reaped.inc()
                     session.send(error_frame(
                         None, "idle",
                         f"session idle longer than "
@@ -881,7 +1049,6 @@ class ViewServer:
     # -- lifecycle ---------------------------------------------------------------------
 
     async def start(self) -> "ViewServer":
-        self._register_metric_families()
         self._adopt_durable_state()
         self._apply_queue = asyncio.Queue()
         self._apply_task = asyncio.ensure_future(self._apply_loop())
@@ -913,8 +1080,8 @@ class ViewServer:
                 await self._reap_task
         for session in list(self.sessions):
             await session.close()
-        for view in list(self._backlogs):
-            self._drop_backlog(view)
+        for view in list(self._feeds):
+            self._drop_feed(view)
         if self._apply_task is not None:
             self._apply_queue.put_nowait((None, None, None))
             await self._apply_task
@@ -933,9 +1100,7 @@ class ViewServer:
             # Admission control: shed at the door with a typed error
             # naming how long to back off, instead of queuing work we
             # cannot serve.
-            self.metrics.counter(
-                "server_shed_total",
-                "Requests/connections shed by admission control").inc()
+            self.stats.shed_total.inc()
             try:
                 writer.write(encode_frame(
                     error_frame(None, "overloaded",
@@ -950,58 +1115,18 @@ class ViewServer:
         self._session_ids += 1
         session = _Session(self, reader, writer, self._session_ids)
         self.sessions.add(session)
-        self.metrics.counter("server_sessions",
-                             "Client sessions accepted").inc()
-        self.metrics.gauge("server_sessions_live",
-                           "Currently connected client sessions").inc()
+        self.stats.sessions.inc()
+        self.stats.sessions_live.inc()
         session.start()
 
     def _forget(self, session: _Session) -> None:
         if session in self.sessions:
             self.sessions.discard(session)
-            self.metrics.gauge("server_sessions_live",
-                               "Currently connected client sessions"
-                               ).inc(-1)
+            self.stats.sessions_live.inc(-1)
 
     def next_subscription_id(self) -> int:
         self._subscription_ids += 1
         return self._subscription_ids
-
-    def _register_metric_families(self) -> None:
-        """Touch every server family so a fresh scrape shows them at
-        zero instead of omitting them."""
-        metrics = self.metrics
-        metrics.counter("server_sessions", "Client sessions accepted")
-        metrics.gauge("server_sessions_live",
-                      "Currently connected client sessions")
-        metrics.counter("server_frames_in", "Frames read from clients")
-        metrics.counter("server_frames_out", "Frames written to clients")
-        metrics.gauge("server_queue_depth",
-                      "Outbound frames queued across live sessions")
-        metrics.histogram("server_push_lag_seconds",
-                          "Refresh-to-socket latency of push frames")
-        metrics.counter("server_pushes_coalesced",
-                        "Refreshes folded into a queued frame under "
-                        "backpressure")
-        metrics.counter("server_subscribers_dropped",
-                        "Subscribers disconnected by the strict "
-                        "backpressure policy")
-        metrics.counter("server_requests_retried",
-                        "Mutating requests that arrived marked as "
-                        "retries")
-        metrics.counter("server_requests_deduped",
-                        "Retried requests answered from the dedup "
-                        "ledger")
-        metrics.counter("server_sessions_reaped",
-                        "Idle sessions disconnected by the reaper")
-        metrics.counter("server_shed_total",
-                        "Requests/connections shed by admission control")
-        metrics.counter("server_reconnects",
-                        "Sessions re-established by reconnecting clients")
-        metrics.counter("server_deadline_expired",
-                        "Requests expired in the apply queue")
-        metrics.counter("server_bad_frames",
-                        "Malformed frames answered with bad_frame")
 
     # -- the HTTP sidecar (Prometheus scrape + health) ---------------------------------
 

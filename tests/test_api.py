@@ -388,6 +388,44 @@ class TestSubscriptions:
         db.update("bib.xml").at("/bib/book[1]").delete()
         assert events == []
 
+    def test_cancel_removes_the_listener_and_stops_capture(self):
+        # cancel() used to leave the listener registered (it compared
+        # bound methods by identity), so capture stayed on forever and
+        # every refresh still called every dead subscription.
+        db = fresh_db()
+        db.create_view("titles", TITLES_QUERY)
+        registered = db.registry.view("titles")
+        payload = db.subscribe("titles", lambda event: None,
+                               deliver_mutations=True)
+        events = []
+        plain = db.subscribe("titles", events.append)
+        assert len(registered.refresh_listeners) == 2
+        payload.cancel()
+        assert registered.refresh_listeners == [(plain._dispatch, False)]
+        db.update("bib.xml").at("/bib/book[1]").delete()
+        assert events[0].mutations is None       # capture is off again
+
+    def test_listeners_and_capture_are_per_view(self):
+        db = fresh_db()
+        db.create_view("titles", TITLES_QUERY)
+        db.create_view("years", '<r>{for $b in doc("bib.xml")/bib/book '
+                                'return $b/@year}</r>')
+        titles, years = [], []
+        db.subscribe("titles", titles.append, deliver_mutations=True)
+        db.subscribe("years", years.append)
+        db.update("bib.xml").at("/bib/book[1]").delete()
+        assert [event.view for event in titles] == ["titles"]
+        assert [event.view for event in years] == ["years"]
+        assert titles[0].mutations is not None
+        # the payload subscriber on ``titles`` does not make the Apply
+        # phase of ``years`` log records
+        assert years[0].mutations is None
+        # a view takes its listener list with it
+        db.registry.unregister("titles")
+        db.registry.remove_refresh_listener("titles", titles.append)
+        db.create_view("titles", TITLES_QUERY)
+        assert db.registry.view("titles").refresh_listeners == []
+
     def test_subscribe_unknown_view(self):
         db = fresh_db()
         with pytest.raises(KeyError):

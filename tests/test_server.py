@@ -9,6 +9,8 @@ mocked below the protocol layer.
 
 from __future__ import annotations
 
+import asyncio
+import json
 import socket
 import threading
 import types
@@ -21,10 +23,12 @@ from repro.api import Database
 from repro.multiview import CostModel
 from repro.server import ClientSubscription, ConnectionClosed, \
     ReproClient, ServerError, start_in_thread
-from repro.server.protocol import HEADER_SIZE, MAX_FRAME, FrameDecoder, \
-    ProtocolError, delta_frame, encode_frame, gap_frame, param, \
+from repro.server.protocol import HEADER_SIZE, FrameDecoder, \
+    ProtocolError, delta_frame, delta_head, delta_payload, encode_frame, \
+    gap_frame, param, resume_reset_frame, shared_tail, splice_frame, \
     validate_request
-from repro.server.server import _Session, _Subscriber
+from repro.server.server import WRITE_BATCH_BYTES, ViewServer, _Session, \
+    _Subscriber
 from repro.workloads.bib import BIB_XML, NEW_BOOK_FRAGMENT, PRICES_XML, \
     YEAR_GROUP_QUERY
 
@@ -33,6 +37,7 @@ TITLES_QUERY = ('<r>{for $b in doc("bib.xml")/bib/book '
 
 ROWS_XML = "<data><row><name>seed</name><v>0</v></row></data>"
 ROWS_QUERY = '<r>{for $x in doc("data.xml")/data/row return $x}</r>'
+NAMES_QUERY = '<r>{for $x in doc("data.xml")/data/row return $x/name}</r>'
 
 
 def insert_row(name: str, extra: str = "") -> str:
@@ -132,47 +137,80 @@ class TestFraming:
         assert frame["reset"] is True and frame["mutations"] is None
 
 
-def _event(sequence: int, **overrides):
-    fields = {"view": "rows", "reason": "propagate", "trees": 1,
-              "delta_tuples": 1, "sequence": sequence,
-              "mutations": [{"op": "insert", "seq": sequence}]}
-    fields.update(overrides)
-    return types.SimpleNamespace(**fields)
+    def test_spliced_frame_decodes_to_delta_frame(self):
+        event = types.SimpleNamespace(
+            view="v", reason="propagate", trees=1, delta_tuples=2,
+            sequence=4, mutations=[{"op": "text", "path": [], "text": "é"}])
+        tail = shared_tail(encode_frame(delta_payload(event)))
+        for sub_id in (7, 123456):
+            assert FrameDecoder().feed(
+                splice_frame(delta_head(sub_id), tail)) == \
+                [delta_frame(sub_id, event)]
+        assert FrameDecoder().feed(
+            splice_frame(delta_head(7, resumed=True), tail)) == \
+            [dict(delta_frame(7, event), resumed=True)]
+        # the limit covers the whole body, head included
+        body = len(delta_head(7)) + len(tail)
+        assert splice_frame(delta_head(7), tail, max_frame=body)
+        with pytest.raises(ProtocolError):
+            splice_frame(delta_head(7), tail, max_frame=body - 1)
 
 
-def _offline_session():
-    """A :class:`_Session` whose tasks never run — deliver/send only."""
-    server = types.SimpleNamespace(db=Database(), max_frame=MAX_FRAME)
-    server.metrics = server.db.registry.metrics
-    return _Session(server, None, None, 1)
+def _offline_subscriber(mode: str, limit: int):
+    """A real server over the rows view that never binds a socket, one
+    :class:`_Session` whose tasks never run (deliver/queue only) and one
+    subscriber attached to the view's feed: in-process updates then
+    reach ``_Session.deliver`` as real ``RefreshEvent``s."""
+    db = Database()
+    db.load("data.xml", ROWS_XML)
+    db.create_view("rows", ROWS_QUERY, cost_model=NeverRecompute())
+    server = ViewServer(db)
+    session = _Session(server, None, None, 1)
+    feed = server._ensure_feed("rows")
+    sub = _Subscriber(1, "rows", mode, limit, 0, session, feed)
+    session.subscribers[1] = feed.subscribers[1] = sub
+    return db, session, sub
+
+
+def _queued_frames(session) -> list[dict]:
+    """Drain the session's queue the way the writer would encode it."""
+    frames = []
+    decoder = FrameDecoder()
+    while not session.queue.empty():
+        frames.extend(decoder.feed(
+            session._encode(session.queue.get_nowait())))
+    return frames
 
 
 class TestBackpressureUnit:
     def test_coalesce_folds_into_newest_queued_frame(self):
-        session = _offline_session()
-        sub = _Subscriber(1, "rows", "coalesce", limit=1,
-                          baseline_sequence=0)
-        for sequence in (1, 2, 3):
-            session.deliver(sub, _event(sequence))
+        db, session, sub = _offline_subscriber("coalesce", limit=1)
+        for index in range(3):
+            db.execute(insert_row(f"r{index}"))
         assert session.queue.qsize() == 1      # one frame stands for all
-        frame = sub.newest
+        assert sub.newest.item["subscription"] == 1     # a private dict
+        (frame,) = _queued_frames(session)
+        assert frame["type"] == "delta" and frame["view"] == "rows"
         assert frame["coalesced"] and frame["reset"]
         assert frame["from_sequence"] == 1 and frame["sequence"] == 3
         assert frame["mutations"] is None
         assert frame["trees"] == 3
         metrics = session.server.metrics
         assert metrics.counter("server_pushes_coalesced").value == 2
+        # the ring still replays the three refreshes one by one
+        ring = session.server._feeds["rows"].replay(0, 3)
+        assert [push.sequence for push in ring] == [1, 2, 3]
+        assert all(push.payload["mutations"] for push in ring)
 
     def test_disconnect_emits_gap_and_drops_subscriber(self):
-        session = _offline_session()
-        sub = _Subscriber(1, "rows", "disconnect", limit=2,
-                          baseline_sequence=0)
-        for sequence in (1, 2, 3, 4):
-            session.deliver(sub, _event(sequence))
+        db, session, sub = _offline_subscriber("disconnect", limit=2)
+        for index in range(4):
+            db.execute(insert_row(f"r{index}"))
         assert sub.dropped
-        frames = [session.queue.get_nowait()[1] for _ in range(3)]
-        assert session.queue.empty()           # event 4 went nowhere
+        assert not session.server._feeds["rows"].subscribers
+        frames = _queued_frames(session)       # event 4 went nowhere
         assert [f["type"] for f in frames] == ["delta", "delta", "gap"]
+        assert [f["sequence"] for f in frames[:2]] == [1, 2]
         gap = frames[-1]
         assert gap["after_sequence"] == 2 and gap["sequence"] == 3
         assert gap["dropped"] == 1
@@ -240,6 +278,58 @@ class RawClient:
 
     def close(self):
         self.sock.close()
+
+
+class BodyClient(RawClient):
+    """A :class:`RawClient` that reads frame by frame and keeps every
+    raw JSON body, in arrival order, in ``bodies``."""
+
+    def __init__(self, host: str, port: int):
+        super().__init__(host, port)
+        self.bodies: list[bytes] = []
+
+    def _exactly(self, count: int):
+        data = b""
+        while len(data) < count:
+            chunk = self.sock.recv(count - len(data))
+            if not chunk:
+                return None
+            data += chunk
+        return data
+
+    def recv_frame(self, timeout: float = 30.0):
+        if self.pending:
+            return self.pending.pop(0)
+        self.sock.settimeout(timeout)
+        header = self._exactly(HEADER_SIZE)
+        body = header and self._exactly(int.from_bytes(header, "big"))
+        if not body:
+            self.eof = True
+            return None
+        self.bodies.append(body)
+        return json.loads(body)
+
+
+def served_rows(cost_model=None, rows: int = 0, **kwargs):
+    """``rows_server`` plus a second view over the same document and an
+    in-process payload listener on each: returns ``(handle, events)``
+    with ``events[view]`` the real ``RefreshEvent``s the server saw."""
+    db = Database()
+    db.load("data.xml", "<data>" + "".join(
+        f"<row><name>seed{n}</name><v>0</v></row>"
+        for n in range(rows)) + "</data>")
+    db.create_view("rows", ROWS_QUERY,
+                   cost_model=cost_model or NeverRecompute())
+    db.create_view("names", NAMES_QUERY, cost_model=NeverRecompute())
+    events = {"rows": [], "names": []}
+    for view, seen in events.items():
+        db.subscribe(view, seen.append, deliver_mutations=True)
+    return start_in_thread(db, own_db=True, **kwargs), events
+
+
+def counters(handle, *names) -> list[int]:
+    metrics = handle.db.registry.metrics
+    return [metrics.counter(f"server_{name}").value for name in names]
 
 
 # -- end to end over real sockets --------------------------------------------------------
@@ -469,6 +559,277 @@ class TestBackpressureWire:
             assert gap["sequence"] > gap["after_sequence"]
             assert gap["dropped"] == \
                 gap["sequence"] - gap["after_sequence"]
+
+
+    def test_coalesced_frame_is_the_fold_of_its_events(self):
+        handle, events = served_rows()
+        with handle:
+            frames, final = self._provoke(handle, "coalesce")
+        by_sequence = {event.sequence: event for event in events["rows"]}
+        assert sorted(by_sequence) == list(range(1, final + 1))
+        assert any(frame.get("coalesced") for frame in frames)
+        for frame in frames:
+            newest = by_sequence[frame["sequence"]]
+            expected = delta_frame(frame["subscription"], newest)
+            if frame.get("coalesced"):
+                folded = [by_sequence[n] for n in range(
+                    frame["from_sequence"], frame["sequence"] + 1)]
+                expected.update(
+                    from_sequence=folded[0].sequence, coalesced=True,
+                    trees=sum(e.trees for e in folded),
+                    delta_tuples=sum(e.delta_tuples for e in folded),
+                    reset=True, mutations=None)
+            assert frame == expected
+
+
+# -- the push path: one encode per refresh, one write per wake-up ----------------------
+
+
+class TogglingCost(CostModel):
+    force = False
+
+    def should_recompute(self, trees):
+        return self.force
+
+
+class TestPushPath:
+    def test_wire_frames_equal_delta_frame_and_share_their_bytes(self):
+        cost = TogglingCost()
+        handle, events = served_rows(cost, backlog=2)
+        with handle:
+            one = BodyClient(handle.host, handle.port)
+            two = BodyClient(handle.host, handle.port)
+            writer = RawClient(handle.host, handle.port)
+            a = one.request("subscribe", view="rows")["subscription"]
+            b = two.request("subscribe", view="rows")["subscription"]
+            for name, force in (("p1", False), ("p2", True),
+                                ("p3", False)):
+                cost.force = force
+                writer.request("update", statements=[insert_row(name)])
+            seen = events["rows"]
+            assert [e.reason for e in seen] == \
+                ["propagate", "recompute", "propagate"]
+            # live pushes: dict for dict what delta_frame builds
+            assert [one.recv_frame() for _ in seen] == \
+                [delta_frame(a, e) for e in seen]
+            assert [two.recv_frame() for _ in seen] == \
+                [delta_frame(b, e) for e in seen]
+            # ... and byte for byte the same after ``subscription``
+            for body_a, body_b in zip(one.bodies[-3:], two.bodies[-3:]):
+                head_a = b'{"type":"delta","subscription":%d,' % a
+                head_b = b'{"type":"delta","subscription":%d,' % b
+                assert body_a.startswith(head_a)
+                assert body_b.startswith(head_b)
+                assert body_a[len(head_a):] == body_b[len(head_b):]
+            # backlog replay: the ring (backlog=2) still holds 2..3
+            result = one.request("subscribe", view="rows", from_sequence=1)
+            assert (result["resumed"], result["replayed"]) == ("replay", 2)
+            assert [one.recv_frame() for _ in range(2)] == \
+                [dict(delta_frame(result["subscription"], e), resumed=True)
+                 for e in seen[1:]]
+            # resume past the ring: one explicit reset frame
+            result = two.request("subscribe", view="rows", from_sequence=0)
+            assert (result["resumed"], result["replayed"]) == ("reset", 1)
+            assert two.recv_frame() == resume_reset_frame(
+                result["subscription"], "rows", 1, 3)
+            for client in (one, two, writer):
+                client.close()
+
+    def test_one_encode_per_refresh_one_write_per_wakeup(self):
+        handle, events = served_rows()
+        with handle:
+            subscriber = RawClient(handle.host, handle.port)
+            writer = RawClient(handle.host, handle.port)
+            subs = {subscriber.request("subscribe", view=view)
+                    ["subscription"]: view
+                    for view in ["rows"] * 8 + ["names"] * 8}
+            before = counters(handle, "push_encodes", "socket_writes")
+            writer.request("update", statements=[insert_row("x"),
+                                                 insert_row("y")])
+            frames = [subscriber.recv_frame() for _ in range(16)]
+            after = counters(handle, "push_encodes", "socket_writes")
+            # one batch, two views refreshed once each: two encodes, and
+            # two writes — the writer's reply and all 16 pushes together
+            assert [x - y for x, y in zip(after, before)] == [2, 2]
+            # fan-out order is subscribe order, each at its view's seq 1
+            assert [f["subscription"] for f in frames] == list(subs)
+            for frame in frames:
+                (event,) = events[subs[frame["subscription"]]]
+                assert frame == delta_frame(frame["subscription"], event)
+            subscriber.close()
+            writer.close()
+
+    def test_thousand_subscriptions_cost_one_encode_and_few_writes(self):
+        handle, events = served_rows()
+        with handle:
+            subscriber = RawClient(handle.host, handle.port)
+            writer = RawClient(handle.host, handle.port)
+            subs = [subscriber.request("subscribe", view="rows")
+                    ["subscription"] for _ in range(1000)]
+            names = ("push_encodes", "socket_writes", "bytes_out")
+            before = counters(handle, *names)
+            for index in range(2):
+                writer.request("update", statements=[insert_row(f"x{index}")])
+            frames = [subscriber.recv_frame() for _ in range(2000)]
+            encodes, writes, sent = [
+                x - y for x, y in zip(counters(handle, *names), before)]
+            assert encodes == 2             # one per refresh of ``rows``
+            # each write but a wake-up's last carries >= 64 KiB; + the
+            # two replies and at most one short write per refresh
+            assert writes <= sent // WRITE_BATCH_BYTES + 4
+            assert sent > 2000 * 100
+            # every subscription saw 1 then 2, refreshes never interleave
+            assert [f["subscription"] for f in frames] == subs + subs
+            assert [f["sequence"] for f in frames] == [1] * 1000 + [2] * 1000
+            subscriber.close()
+            writer.close()
+
+    def test_a_feed_without_subscribers_encodes_nothing(self):
+        handle, events = served_rows()
+        with handle:
+            client = RawClient(handle.host, handle.port)
+            sub = client.request("subscribe", view="rows")["subscription"]
+            client.request("unsubscribe", subscription=sub)
+            (before,) = counters(handle, "push_encodes")
+            for index in range(3):
+                client.request("update", statements=[insert_row(f"q{index}")])
+            assert counters(handle, "push_encodes") == [before]
+            # the ring captured them all the same: a resume replays them,
+            # and only then are they encoded
+            result = client.request("subscribe", view="rows", from_sequence=0)
+            assert (result["resumed"], result["replayed"]) == ("replay", 3)
+            assert [client.recv_frame() for _ in range(3)] == \
+                [dict(delta_frame(result["subscription"], e), resumed=True)
+                 for e in events["rows"]]
+            assert counters(handle, "push_encodes") == [before + 3]
+            client.close()
+
+    def test_oversized_push_closes_its_sessions_and_no_other(self):
+        # 60 rows: one statement touching them all makes a ``rows`` delta
+        # far beyond max_frame, while every request stays far below it
+        handle, events = served_rows(rows=60, max_frame=4096)
+        with handle:
+            victim = RawClient(handle.host, handle.port)
+            bystander = RawClient(handle.host, handle.port)
+            writer = RawClient(handle.host, handle.port)
+            victim.request("subscribe", view="rows")
+            bystander.request("subscribe", view="names")
+            writer.request("update", statements=[insert_row("small")])
+            writer.request("update", statements=[
+                'for $r in document("data.xml")/data/row update $r '
+                'replace $r/v with "1"'])
+            writer.request("update", statements=[insert_row("after")])
+            big = events["rows"][1]
+            assert len(encode_frame(delta_frame(1, big))) > 4096
+            # the victim got everything before the oversized refresh,
+            # then a clean close — never a later frame past a hole
+            assert victim.recv_frame()["sequence"] == 1
+            assert victim.recv_frame() is None
+            # sessions that were not owed that frame carry on
+            assert [bystander.recv_frame()["sequence"]
+                    for _ in events["names"]] == [1, 2]
+            assert "<name>after</name>" in \
+                writer.request("read", view="rows")["xml"]
+            for client in (victim, bystander, writer):
+                client.close()
+
+
+# -- subscriber lifetime: nothing outlives its session, its view or its unsubscribe ------
+
+
+def _half_close_and_drain(sock: socket.socket) -> None:
+    """Send FIN, then read to EOF: returns once the server's
+    ``_Session.close`` has detached the session's subscribers."""
+    sock.shutdown(socket.SHUT_WR)
+    sock.settimeout(30)
+    while sock.recv(65536):
+        pass
+    sock.close()
+
+
+class TestSubscriberLifetime:
+    def test_subscribes_queued_behind_a_slow_job_leak_nothing(self):
+        # the reconnect-storm shape: the apply loop is busy, clients
+        # subscribe, give up and go away
+        with rows_server() as handle:
+            server = handle.server
+            keeper = RawClient(handle.host, handle.port)
+            keeper.request("hello")
+            entered, gate = threading.Event(), threading.Event()
+
+            def slow():
+                entered.set()
+                assert gate.wait(30)
+
+            slow_job = asyncio.run_coroutine_threadsafe(
+                server.run(slow), handle._loop)
+            assert entered.wait(30)
+            quitters = []
+            for _ in range(5):
+                sock = socket.create_connection((handle.host, handle.port))
+                sock.sendall(encode_frame(
+                    {"id": 1, "op": "subscribe", "view": "rows"}))
+                quitters.append(sock)
+            gate.set()
+            slow_job.result(30)
+            for sock in quitters:
+                _half_close_and_drain(sock)
+            keeper.request("update", statements=[insert_row("x")])
+            # the feed is the view's one listener; nobody is attached
+            registered = handle.db.registry.view("rows")
+            assert registered.refresh_listeners == \
+                [(server._feeds["rows"].handle._dispatch, True)]
+            assert server._feeds["rows"].subscribers == {}
+            keeper.close()
+
+    def test_subscribe_job_that_outlives_its_session_registers_nothing(
+            self):
+        # The session closes (reaper, writer error, server stop) while
+        # its subscribe waits in the apply queue: close() has nothing to
+        # detach yet, so the job itself must notice.
+        with rows_server() as handle:
+            server = handle.server
+            client = RawClient(handle.host, handle.port)
+            client.request("hello")
+
+            async def scenario():
+                (session,) = server.sessions
+                handler = asyncio.ensure_future(session._op_subscribe(
+                    {"id": 2, "op": "subscribe", "view": "rows"}))
+                await asyncio.sleep(0)      # the handler queues its job
+                assert server._apply_queue.qsize() == 1
+                await session.close()       # ... which has not run yet
+                return await handler, session
+
+            result, session = asyncio.run_coroutine_threadsafe(
+                scenario(), handle._loop).result(30)
+            assert result is None
+            assert session.subscribers == {}
+            assert server._feeds == {}
+            assert handle.db.registry.view("rows").refresh_listeners == []
+            client.close()
+
+    def test_unsubscribe_close_and_drop_view_empty_the_feed(self):
+        with rows_server() as handle:
+            server = handle.server
+            stays = RawClient(handle.host, handle.port)
+            leaves = RawClient(handle.host, handle.port)
+            first = stays.request("subscribe", view="rows")["subscription"]
+            second = stays.request("subscribe", view="rows")["subscription"]
+            third = leaves.request("subscribe", view="rows")["subscription"]
+            feed = server._feeds["rows"]
+            assert list(feed.subscribers) == [first, second, third]
+            stays.request("unsubscribe", subscription=first)
+            assert list(feed.subscribers) == [second, third]
+            _half_close_and_drain(leaves.sock)
+            assert list(feed.subscribers) == [second]
+            survivor = feed.subscribers[second]
+            stays.request("drop_view", name="rows")
+            assert server._feeds == {} and feed.subscribers == {}
+            assert survivor.dropped and not feed.handle.active
+            # the session still owns the id: unsubscribe answers cleanly
+            stays.request("unsubscribe", subscription=second)
+            stays.close()
 
 
 # -- the multi-client stress test against the oracle -------------------------------------
