@@ -264,12 +264,10 @@ JOIN_MAINT_FLAT_TARGET = 2.0
 
 
 #: the join-maintenance execution arms: the shipping configuration
-#: (delta-plan VM + persistent operator state), the stateless VM, and
-#: the per-tuple tree interpreter the compiled gate is judged against
+#: (persistent operator state) and the stateless one
 JOIN_MAINT_ARMS = (
     ("persistent", {"operator_state": True}),
     ("cold", {"operator_state": False}),
-    ("interpreter", {"operator_state": False, "compiled": False}),
 )
 
 
@@ -284,14 +282,11 @@ def measure_join_maintenance(scale_list, repeat: int) -> list[dict]:
     views re-derive their side tables every batch, which is the
     O(document) regime this scenario exposes.
 
-    Three arms run per scale: ``persistent`` (the shipping config —
-    delta-plan VM over the persistent operator-state store), ``cold``
-    (VM, stateless) and ``interpreter`` (the per-tuple tree interpreter,
-    stateless — the pre-compilation execution engine).  Besides the
-    min-of-N wall time each arm records the *median per-batch propagate
-    phase* (``MaintenanceReport.propagate_seconds``), which isolates the
-    execution engine from the shared storage-mutation cost; the compiled
-    ≥5x gate compares those medians.
+    Two arms run per scale: ``persistent`` (the shipping config — the
+    persistent operator-state store) and ``cold`` (stateless).  Besides
+    the min-of-N wall time each arm records the *median per-batch
+    propagate phase* (``MaintenanceReport.propagate_seconds``), which
+    isolates the execution engine from the shared storage-mutation cost.
     """
     series = []
     for n in scale_list:
@@ -339,55 +334,23 @@ def measure_join_maintenance(scale_list, repeat: int) -> list[dict]:
                                        == view.recompute_xml())
             view.close()
         entry["consistency_ok"] = (entry["consistency_ok"]
-                                   and xml["persistent"] == xml["cold"]
-                                   and xml["persistent"]
-                                   == xml["interpreter"])
+                                   and xml["persistent"] == xml["cold"])
         entry["speedup"] = (entry["cold_seconds"]
                             / entry["persistent_seconds"]
                             if entry["persistent_seconds"] > 0 else None)
-        entry["compiled_speedup"] = (
-            entry["interpreter_propagate_seconds"]
-            / entry["persistent_propagate_seconds"]
-            if entry["persistent_propagate_seconds"] > 0 else None)
         series.append(entry)
     return series
-
-
-#: the compiled-execution acceptance: at the judge scale the delta-plan
-#: VM's per-batch propagate median must beat the tree interpreter's by
-#: at least this factor
-COMPILED_SPEEDUP_TARGET = 5.0
-COMPILED_JUDGE_SCALE = 400
-
-
-def _compiled_speedup_gate(series: list[dict]) -> tuple:
-    """(worst judged compiled speedup | None, gate verdict).
-
-    Judged only at scales where a batch clearly outruns timer jitter
-    (``COMPILED_JUDGE_SCALE``); smoke sweeps below it return
-    ``(None, True)`` — consistency alone gates there.
-    """
-    judged = [entry["compiled_speedup"] for entry in series
-              if entry["persons"] >= COMPILED_JUDGE_SCALE
-              and entry["compiled_speedup"] is not None]
-    if not judged:
-        return None, True
-    worst = min(judged)
-    return worst, worst >= COMPILED_SPEEDUP_TARGET
 
 
 def join_maintenance_gate(series: list[dict]) -> dict:
     """The CI gate: persistent per-batch time must not grow superlinearly
     with document size (and must stay under the flatness target on the
-    full sweep), the compiled VM must beat the tree interpreter by
-    ``COMPILED_SPEEDUP_TARGET`` on per-batch propagate medians at the
-    judge scale, with every consistency check green."""
+    full sweep), with every consistency check green."""
     first, last = series[0], series[-1]
     flat_ratio = (last["persistent_seconds"] / first["persistent_seconds"]
                   if first["persistent_seconds"] > 0 else float("inf"))
     scale_ratio = last["persons"] / first["persons"]
     consistency = all(entry["consistency_ok"] for entry in series)
-    compiled_speedup, compiled_ok = _compiled_speedup_gate(series)
     # Smoke runs sweep a narrow range where sub-ms jitter dominates; the
     # flatness target only binds once the sweep spans the full 8x range.
     # A single-scale run has no growth to judge: consistency alone gates.
@@ -401,11 +364,8 @@ def join_maintenance_gate(series: list[dict]) -> dict:
     return {"flat_ratio": flat_ratio,
             "scale_ratio": scale_ratio,
             "target": target,
-            "compiled_speedup": compiled_speedup,
-            "compiled_target": COMPILED_SPEEDUP_TARGET,
-            "compiled_judge_scale": COMPILED_JUDGE_SCALE,
             "consistency_ok": consistency,
-            "ok": ok and compiled_ok}
+            "ok": ok}
 
 
 MODIFY_HEAVY_BATCH = 6
@@ -417,12 +377,10 @@ MODIFY_HEAVY_TARGET = 1.0
 MODIFY_HEAVY_JUDGE_SCALE = 100
 
 
-#: the modify-heavy execution arms: (label, cost model, registry options)
+#: the modify-heavy arms: (label, cost model)
 MODIFY_HEAVY_ARMS = (
-    ("incremental", _NeverRecompute, {}),
-    ("recompute", _AlwaysRecompute, {}),
-    ("interpreter", _NeverRecompute,
-     {"operator_state": False, "compiled": False}),
+    ("incremental", _NeverRecompute),
+    ("recompute", _AlwaysRecompute),
 )
 
 
@@ -437,14 +395,9 @@ def measure_modify_heavy(scale_list, repeat: int) -> list[dict]:
     to always recompute — the fallback the incremental path must beat.
     Cities rotate per round so every batch genuinely moves groups.  All
     extents are checked against the recomputation oracle after the
-    timed rounds.
-
-    A third arm (``interpreter``) replays the incremental stream on the
-    per-tuple tree interpreter with no operator state — the
-    pre-compilation execution engine.  The incremental and interpreter
-    arms also record median per-batch *propagate* seconds (cumulative
-    ``MaintenanceReport.propagate_seconds`` diffed per flush), which the
-    compiled ≥5x gate compares.
+    timed rounds.  The incremental arm also records its median per-batch
+    *propagate* seconds (cumulative
+    ``MaintenanceReport.propagate_seconds`` diffed per flush).
     """
     city_path = [("child", "site"), ("child", "people"),
                  ("child", "person"), ("child", "address"),
@@ -452,9 +405,9 @@ def measure_modify_heavy(scale_list, repeat: int) -> list[dict]:
     series = []
     for n in scale_list:
         entry = {"persons": n, "batch": MODIFY_HEAVY_BATCH}
-        for label, model, options in MODIFY_HEAVY_ARMS:
+        for label, model in MODIFY_HEAVY_ARMS:
             storage = fresh_site(n)
-            registry = ViewRegistry(storage, **options)
+            registry = ViewRegistry(storage)
             registry.register("by-city", xmark.PERSONS_BY_CITY_QUERY,
                               cost_model=model())
             targets = storage.find_by_path(
@@ -495,39 +448,27 @@ def measure_modify_heavy(scale_list, repeat: int) -> list[dict]:
                           / entry["recompute_seconds"]
                           if entry["recompute_seconds"] > 0
                           else float("inf"))
-        entry["compiled_speedup"] = (
-            entry["interpreter_propagate_seconds"]
-            / entry["incremental_propagate_seconds"]
-            if entry["incremental_propagate_seconds"] > 0 else None)
         series.append(entry)
     return series
 
 
 def modify_heavy_gate(series: list[dict]) -> dict:
-    """CI gate: every arm must match the oracle at every scale, the
+    """CI gate: every arm must match the oracle at every scale and the
     incremental path must cost no more per batch than recomputation at
-    every judged document size, and the delta-plan VM must beat the tree
-    interpreter by ``COMPILED_SPEEDUP_TARGET`` on per-batch propagate
-    medians at the compiled judge scale.  Smoke sweeps below the judge
-    scales have batches in the timer-jitter regime: consistency alone
-    gates there (``worst_ratio``/``compiled_speedup`` are then null)."""
+    every judged document size.  Smoke sweeps below the judge scale have
+    batches in the timer-jitter regime: consistency alone gates there
+    (``worst_ratio`` is then null)."""
     consistency = all(entry["incremental_consistent"]
                       and entry["recompute_consistent"]
-                      and entry["interpreter_consistent"]
                       for entry in series)
     judged = [entry["ratio"] for entry in series
               if entry["persons"] >= MODIFY_HEAVY_JUDGE_SCALE]
     worst_ratio = max(judged) if judged else None
-    compiled_speedup, compiled_ok = _compiled_speedup_gate(series)
     ok = (consistency
-          and (worst_ratio is None or worst_ratio <= MODIFY_HEAVY_TARGET)
-          and compiled_ok)
+          and (worst_ratio is None or worst_ratio <= MODIFY_HEAVY_TARGET))
     return {"worst_ratio": worst_ratio,
             "target": MODIFY_HEAVY_TARGET,
             "judge_scale": MODIFY_HEAVY_JUDGE_SCALE,
-            "compiled_speedup": compiled_speedup,
-            "compiled_target": COMPILED_SPEEDUP_TARGET,
-            "compiled_judge_scale": COMPILED_JUDGE_SCALE,
             "consistency_ok": consistency,
             "ok": ok}
 
@@ -1174,9 +1115,8 @@ def run_suite(scale_list, repeat: int = 3,
         "suite": "perf_suite",
         "description": "indexed StructuralIndex fast paths vs walk-based "
                        "unindexed fallbacks across XMark scaling factors, "
-                       "plus the Database facade overhead, the persistent "
-                       "operator-state maintenance gate and the compiled "
-                       "delta-plan VM vs tree-interpreter gate",
+                       "plus the Database facade overhead and the "
+                       "persistent operator-state maintenance gate",
         "scales": list(scale_list),
         "repeat": repeat,
         "consistency_ok": (ok_desc and ok_child and ok_sel
@@ -1235,32 +1175,27 @@ def print_suite(result: dict) -> None:
                 rows.append([entry["persons"],
                              ms(entry["persistent_seconds"]),
                              ms(entry["cold_seconds"]),
-                             ms(entry["interpreter_seconds"]),
                              f"{entry['speedup']:6.1f}x",
-                             f"{entry['compiled_speedup']:6.1f}x",
                              "ok" if entry["consistency_ok"]
                              else "MISMATCH"])
             print_table(
                 f"Perf suite: {scenario['name']} — {scenario['style']}",
-                ["scale", "persistent (ms)", "cold (ms)", "interp (ms)",
-                 "speedup", "compiled", "consistency"], rows)
+                ["scale", "persistent (ms)", "cold (ms)", "speedup",
+                 "consistency"], rows)
             continue
         if scenario["name"] == "modify_heavy":
             for entry in scenario["series"]:
                 rows.append([entry["persons"],
                              ms(entry["incremental_seconds"]),
                              ms(entry["recompute_seconds"]),
-                             ms(entry["interpreter_seconds"]),
                              f"{entry['ratio']:6.2f}x",
-                             f"{entry['compiled_speedup']:6.1f}x",
                              "ok" if (entry["incremental_consistent"]
-                                      and entry["recompute_consistent"]
-                                      and entry["interpreter_consistent"])
+                                      and entry["recompute_consistent"])
                              else "MISMATCH"])
             print_table(
                 f"Perf suite: {scenario['name']} — {scenario['style']}",
-                ["scale", "incremental (ms)", "recompute (ms)",
-                 "interp (ms)", "ratio", "compiled", "consistency"], rows)
+                ["scale", "incremental (ms)", "recompute (ms)", "ratio",
+                 "consistency"], rows)
             continue
         if scenario["name"] == "cold_start_vs_restore":
             for entry in scenario["series"]:
@@ -1337,29 +1272,16 @@ def print_suite(result: dict) -> None:
     join = result["join_maintenance"]
     target_txt = ("consistency only" if join["target"] is None
                   else f"target < {join['target']:.1f}x")
-    join_compiled_txt = (
-        "compiled speedup judged above "
-        f"{join['compiled_judge_scale']} persons only"
-        if join["compiled_speedup"] is None
-        else f"compiled {join['compiled_speedup']:.1f}x the interpreter "
-             f"(target >= {join['compiled_target']:.0f}x)")
     print(f"join_maintenance: persistent per-batch time varies "
           f"{join['flat_ratio']:.2f}x over a {join['scale_ratio']:.0f}x "
-          f"document sweep ({target_txt}), {join_compiled_txt} — "
-          f"{'ok' if join['ok'] else 'SUPERLINEAR, SLOW OR INCONSISTENT'}")
+          f"document sweep ({target_txt}) — "
+          f"{'ok' if join['ok'] else 'SUPERLINEAR OR INCONSISTENT'}")
     modify = result["modify_heavy"]
     ratio_txt = ("consistency only (sweep below judge scale)"
                  if modify["worst_ratio"] is None
                  else f"at worst {modify['worst_ratio']:.2f}x of full "
                       f"recomputation (target <= {modify['target']:.1f}x)")
-    modify_compiled_txt = (
-        "compiled speedup judged above "
-        f"{modify['compiled_judge_scale']} persons only"
-        if modify["compiled_speedup"] is None
-        else f"compiled {modify['compiled_speedup']:.1f}x the interpreter "
-             f"(target >= {modify['compiled_target']:.0f}x)")
     print(f"modify_heavy: incremental per-batch cost {ratio_txt}, "
-          f"{modify_compiled_txt}, "
           f"consistency {'ok' if modify['consistency_ok'] else 'BROKEN'}"
           f" — {'ok' if modify['ok'] else 'OVER TARGET OR INCONSISTENT'}")
     restore = result["cold_start_vs_restore"]
@@ -1459,13 +1381,6 @@ def test_suite_emits_valid_json(tmp_path):
     assert "max_overhead" in loaded["api_overhead"]
     assert loaded["join_maintenance"]["consistency_ok"] is True
     assert loaded["modify_heavy"]["consistency_ok"] is True
-    # below the compiled judge scale the 5x gate abstains (null) but the
-    # keys documenting it are always present
-    for gate_name in ("join_maintenance", "modify_heavy"):
-        assert loaded[gate_name]["compiled_target"] \
-            == COMPILED_SPEEDUP_TARGET
-        assert loaded[gate_name]["compiled_judge_scale"] \
-            == COMPILED_JUDGE_SCALE
     assert loaded["observability"]["instrumentation_enabled"] is True
     assert loaded["server_fanout"]["ok"] is True
     assert loaded["server_fanout"]["max_subscribers"] >= 1
@@ -1483,16 +1398,13 @@ def test_modify_heavy_incremental_consistent():
     entry = series[0]
     assert entry["incremental_consistent"] is True
     assert entry["recompute_consistent"] is True
-    assert entry["interpreter_consistent"] is True
     assert entry["incremental_seconds"] > 0
     assert entry["incremental_propagate_seconds"] > 0
-    assert entry["interpreter_propagate_seconds"] > 0
     gate = modify_heavy_gate(series)
     assert gate["consistency_ok"] is True
-    # 30 persons sits below the judge scales: consistency alone carries
-    # the gate and no jittery sub-ms ratio or speedup is judged.
+    # 30 persons sits below the judge scale: consistency alone carries
+    # the gate and no jittery sub-ms ratio is judged.
     assert gate["worst_ratio"] is None
-    assert gate["compiled_speedup"] is None
     assert gate["ok"] is True, gate
 
 
@@ -1510,14 +1422,12 @@ def test_join_maintenance_consistent_and_sane():
     assert series[0]["consistency_ok"] is True
     assert series[0]["persistent_seconds"] > 0
     assert series[0]["persistent_propagate_seconds"] > 0
-    assert series[0]["interpreter_propagate_seconds"] > 0
     gate = join_maintenance_gate(series)
     assert gate["consistency_ok"] is True
     # A single-scale sweep has no growth to judge: consistency alone
     # must carry the gate (no spurious 1.0 < 1.0 failure).
     assert gate["ok"] is True
     assert gate["target"] is None
-    assert gate["compiled_speedup"] is None
 
 
 def test_cold_vs_restore_consistent_and_replays_tail():

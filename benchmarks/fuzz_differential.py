@@ -6,9 +6,7 @@ over every mutator kind — person/auction churn, join-key collection growth
 text modifies — against the views that historically diverged, with the
 operator-state store enabled and disabled.  Every batch is checked
 against the recompute oracle, so a future divergence fails the build
-instead of landing in ROADMAP as an open item.  ``--compiled`` (the
-default) runs every leg on the delta-plan VM; ``--no-compiled`` pins
-the sweep to the tree interpreter — CI runs one schedule of each.
+instead of landing in ROADMAP as an open item.
 
 Run from the repo root::
 
@@ -52,7 +50,7 @@ FUZZ_VIEWS = {
 
 
 def run_crash_churn(seed: int, steps: int, crash_every: int,
-                    num_persons: int = 20, compiled: bool = True) -> int:
+                    num_persons: int = 20) -> int:
     """Durable-session churn: apply random batches against a durable
     :class:`Database`, "kill" the process every ``crash_every`` rounds
     (drop the session with no close, so no final checkpoint), recover
@@ -61,7 +59,7 @@ def run_crash_churn(seed: int, steps: int, crash_every: int,
     with tempfile.TemporaryDirectory(prefix="crash-churn-") as path:
         def open_db() -> Database:
             db = Database(durable_path=path, fsync="always",
-                          checkpoint_every=32, compiled=compiled)
+                          checkpoint_every=32)
             if not db.views():                 # first open: seed the dir
                 db.load("site.xml",
                         xmark.generate_site(num_persons, seed=1))
@@ -106,11 +104,6 @@ def main(argv=None) -> int:
     parser.add_argument("--views", default=None,
                         help="comma-separated view names "
                              f"(default: all of {', '.join(FUZZ_VIEWS)})")
-    parser.add_argument("--compiled", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="run every leg on the compiled delta-plan "
-                             "VM (--no-compiled pins the sweep to the "
-                             "tree interpreter)")
     parser.add_argument("--crash-every", type=int, default=5,
                         help="crash_churn legs kill+recover the durable "
                              "session every N rounds (0 disables the "
@@ -133,20 +126,17 @@ def main(argv=None) -> int:
                 updates += run_differential(
                     seed, args.steps, ALL_MUTATORS, FUZZ_VIEWS[name],
                     num_persons=args.persons, site_seed=1,
-                    operator_state=operator_state,
-                    compiled=args.compiled)
+                    operator_state=operator_state)
                 legs_run += 1
                 print(f"ok   seed={seed} view={name} "
-                      f"operator_state={operator_state} "
-                      f"compiled={args.compiled}")
+                      f"operator_state={operator_state}")
     if args.crash_every:
         for seed in seeds:
             if time.monotonic() - started > args.budget:
                 legs_skipped += 1
                 continue
             updates += run_crash_churn(seed, args.steps, args.crash_every,
-                                       num_persons=args.persons,
-                                       compiled=args.compiled)
+                                       num_persons=args.persons)
             legs_run += 1
             print(f"ok   seed={seed} schedule=crash_churn "
                   f"crash_every={args.crash_every}")

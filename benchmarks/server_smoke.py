@@ -10,10 +10,6 @@ contract end to end:
   families and ``/healthz``;
 * SIGTERM shuts the server down gracefully (exit code 0).
 
-The whole scripted workload runs twice — once with ``--compiled``
-(delta-plan VM, the default) and once with ``--no-compiled`` (tree
-interpreter) — so both execution engines boot and serve end to end.
-
 Run:  PYTHONPATH=src python benchmarks/server_smoke.py
 
 Exits non-zero (assertion) on any violation; CI runs this as the
@@ -43,10 +39,9 @@ def insert_row(i: int) -> str:
             f'insert <row><name>r{i}</name><v>{i}</v></row> into $d')
 
 
-def run_scenario(mode_flag: str) -> int:
-    print(f"--- booting server {mode_flag} ---")
+def main() -> int:
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.server", mode_flag,
+        [sys.executable, "-m", "repro.server",
          "--port", "0", "--http-port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env={**os.environ, "PYTHONPATH": "src"})
@@ -88,13 +83,11 @@ def run_scenario(mode_flag: str) -> int:
         scrape = urllib.request.urlopen(
             f"http://{host}:{http_port}/metrics", timeout=10
         ).read().decode()
-        families = ["repro_server_sessions", "repro_server_frames_out",
-                    "repro_server_push_lag_seconds", "repro_view_flushes"]
-        if mode_flag == "--compiled":
-            families += ["repro_plan_compile_seconds",
-                         "repro_plan_cache_hits",
-                         "repro_vm_instructions_executed"]
-        for family in families:
+        for family in ("repro_server_sessions", "repro_server_frames_out",
+                       "repro_server_push_lag_seconds",
+                       "repro_view_flushes", "repro_plan_compile_seconds",
+                       "repro_plan_cache_hits",
+                       "repro_vm_instructions_executed"):
             assert family in scrape, f"{family} missing from /metrics"
         health = urllib.request.urlopen(
             f"http://{host}:{http_port}/healthz", timeout=10
@@ -112,14 +105,6 @@ def run_scenario(mode_flag: str) -> int:
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
-
-
-def main() -> int:
-    for mode_flag in ("--compiled", "--no-compiled"):
-        code = run_scenario(mode_flag)
-        if code:
-            return code
-    return 0
 
 
 if __name__ == "__main__":

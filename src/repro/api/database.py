@@ -41,7 +41,6 @@ from typing import Callable, List, Optional, Union
 
 from ..durability import DurabilityManager, RecoveryReport
 from ..multiview.cost import CostModel
-from ..multiview.pipeline import _REMOVED
 from ..multiview.policies import MaintenancePolicy
 from ..multiview.registry import MultiViewReport, RefreshEvent, ViewRegistry
 from ..obs import MetricsRegistry, Tracer, render_prometheus
@@ -65,11 +64,6 @@ class Database:
     ``Database(storage=...)`` wraps an existing one (the registry
     listener is detached again on :meth:`close`).
 
-    ``Database(compiled=False)`` runs views on the per-tuple tree
-    interpreter instead of the default compiled delta-plan VM (see
-    :mod:`repro.plan`) — same semantics, used as the differential
-    oracle and for bisecting engine regressions.
-
     ``Database(durable_path=dir)`` opens a **durable** session: update
     batches are write-ahead logged before they mutate anything, the
     engine state (documents, structural index, view extents, operator
@@ -84,22 +78,12 @@ class Database:
 
     def __init__(self, storage: Optional[StorageManager] = None, *,
                  indexed: bool = True, operator_state: bool = True,
-                 compiled: bool = True,
                  durable_path=None, fsync: str = "batch",
-                 checkpoint_every: int = 256, durability_fs=None,
-                 modify_decomposition=_REMOVED):
-        if modify_decomposition is not _REMOVED:
-            raise TypeError(
-                "modify_decomposition was removed: the legacy "
-                "delete+reinsert decomposition of insufficient modifies "
-                "is gone after its one-release deprecation window; "
-                "modifies always propagate as first-class retract/assert "
-                "pairs now")
+                 checkpoint_every: int = 256, durability_fs=None):
         self.storage = (storage if storage is not None
                         else StorageManager(indexed=indexed))
-        self.registry = ViewRegistry(
-            self.storage, operator_state=operator_state,
-            compiled=compiled)
+        self.registry = ViewRegistry(self.storage,
+                                     operator_state=operator_state)
         self._batch: Optional["Batch"] = None
         self._subscriptions: set = set()
         self._view_queries: dict[str, str] = {}

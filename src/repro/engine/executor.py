@@ -39,10 +39,10 @@ class Engine:
         ``store`` (an :class:`~repro.engine.opstate.OperatorStateStore`)
         plugs persistent cross-run operator state into the execution
         context; delta runs then serve FULL/ANTI side evaluation from it.
-        ``vm`` (a :class:`~repro.plan.PlanVM`) routes execution through
-        the compiled linear plan instead of the tree interpreter; the
-        interpreter remains the lazy fallback for anything the schedule
-        does not cover.
+        ``vm`` (a :class:`~repro.plan.PlanVM`) runs the operators in
+        its linear schedule; without one (the recompute oracle, a
+        one-shot IMP) they evaluate recursively through
+        ``ctx.evaluate`` — the same operator bodies either way.
         """
         if plan.schema is None:
             raise RuntimeError("plan not prepared; call plan.prepare()")
@@ -99,11 +99,6 @@ class Engine:
         per-phase timings.
         """
         started = time.perf_counter()
-        if vm is not None:
-            # Root-classification memo: one compiled pass touches the
-            # same few keys thousands of times across operators.
-            from ..plan.vm import FastDeltaSpec
-            spec = FastDeltaSpec.wrap(spec)
         forest = self.result_forest(plan, mode=DELTA, delta=spec,
                                     profiler=profiler, store=store, vm=vm)
         if store is not None:

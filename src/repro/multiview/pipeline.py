@@ -10,8 +10,7 @@ same code:
   storage application of accepted primitives, and the first-class
   treatment of insufficient modifies (Section 5.2.2): the replaced text
   travels as an ``(old, new)`` pair on the update tree and propagates as
-  a retraction+assertion (the legacy delete+reinsert decomposition was
-  removed after its one-release deprecation window);
+  a retraction+assertion;
 * the **Propagate/Apply** step — :meth:`ViewPipeline.propagate_run` runs
   one batch update tree through the plan in delta mode and fuses the delta
   forest into the extent with the count-aware Deep Union;
@@ -31,15 +30,12 @@ from typing import Optional
 from ..apply import ExtentNode, FusionReport
 from ..engine import Engine
 from ..engine.opstate import OperatorStateStore
+from ..plan import PlanCache, PlanVM
 from ..updates.batch import RunBatcher, spec_for_run
 from ..updates.primitives import UpdateRequest, UpdateTree
 from ..updates.sapt import Sapt
 from ..storage import StorageManager
 from ..xat import DELETE, INSERT, MODIFY, Profiler, XatOperator
-
-#: sentinel: "the caller did not pass the removed keyword" — anything
-#: else (even None/False) trips the removal TypeError below.
-_REMOVED = object()
 
 
 @dataclass
@@ -208,15 +204,7 @@ class ViewPipeline:
 
     def __init__(self, engine: Engine, plan: XatOperator,
                  sapt: Optional[Sapt] = None, validate_updates: bool = True,
-                 state_store=_OWN_STORE, compiled: bool = True,
-                 plan_cache=None, modify_decomposition=_REMOVED):
-        if modify_decomposition is not _REMOVED:
-            raise TypeError(
-                "modify_decomposition was removed: the legacy "
-                "delete+reinsert decomposition of insufficient modifies "
-                "is gone after its one-release deprecation window; "
-                "modifies always propagate as first-class retract/assert "
-                "pairs now")
+                 state_store=_OWN_STORE, plan_cache=None):
         self.engine = engine
         self.storage = engine.storage
         self.plan = plan if plan.schema is not None else plan.prepare()
@@ -226,27 +214,16 @@ class ViewPipeline:
         self.extent: Optional[ExtentNode] = None
         self.materialized = False
         self._closed = False
-        # Compiled execution: lower the plan to the linear IR and run it
-        # on the batch VM (``compiled=False`` keeps the tree interpreter
-        # as the execution engine — the differential oracle setting).
-        # ``plan_cache`` shares compiled subplans across views (the
+        # ``plan_cache`` shares lowered subplans across views (the
         # registry passes its own); a standalone pipeline owns one.
-        if compiled:
-            from ..plan import PlanCache, PlanVM
-            self.vm = PlanVM(plan_cache if plan_cache is not None
-                             else PlanCache())
-        else:
-            self.vm = None
+        self.vm = PlanVM(plan_cache if plan_cache is not None
+                         else PlanCache())
         if state_store is _OWN_STORE:
             self.state_store = OperatorStateStore(self.storage)
             self._owns_store = True
         else:
             self.state_store = state_store
             self._owns_store = False
-
-    @property
-    def compiled(self) -> bool:
-        return self.vm is not None
 
     def close(self) -> None:
         """Detach pipeline-owned resources from storage (idempotent —

@@ -37,6 +37,7 @@ from ..engine import Engine
 from ..engine.opstate import OperatorStateStore
 from ..obs import MetricsRegistry, Tracer
 from ..obs.core import STATE as _OBS
+from ..plan import PlanCache
 from ..storage import StorageManager
 from ..translate import translate_query
 from ..updates.batch import RunBatcher
@@ -46,8 +47,8 @@ from ..xat import (DELETE, INSERT, MODIFY, Aggregate, CartesianProduct,
                    XatOperator, XmlUnique)
 from ..xat.grouping import TupleFunction
 from .cost import CostModel
-from .pipeline import (_REMOVED, MaintenanceReport, ViewPipeline,
-                       apply_insert, direct_text)
+from .pipeline import (MaintenanceReport, ViewPipeline, apply_insert,
+                       direct_text)
 from .policies import IMMEDIATE_KIND, THRESHOLD_KIND, MaintenancePolicy
 from .router import SharedValidationRouter
 
@@ -220,16 +221,7 @@ class ViewRegistry:
     """
 
     def __init__(self, storage: StorageManager,
-                 operator_state: bool = True,
-                 compiled: bool = True,
-                 modify_decomposition=_REMOVED):
-        if modify_decomposition is not _REMOVED:
-            raise TypeError(
-                "modify_decomposition was removed: the legacy "
-                "delete+reinsert decomposition of insufficient modifies "
-                "is gone after its one-release deprecation window; "
-                "modifies always propagate as first-class retract/assert "
-                "pairs now")
+                 operator_state: bool = True):
         self.storage = storage
         self.engine = Engine(storage)
         self.router = SharedValidationRouter()
@@ -237,12 +229,7 @@ class ViewRegistry:
                             if operator_state else None)
         # One shared plan cache: structurally-equal subplans across
         # views compile once (mirroring the shared operator-state store).
-        self.compiled = compiled
-        if compiled:
-            from ..plan import PlanCache
-            self.plan_cache = PlanCache()
-        else:
-            self.plan_cache = None
+        self.plan_cache = PlanCache()
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
         self.metrics.add_sync_hook(self._sync_metrics)
@@ -289,32 +276,23 @@ class ViewRegistry:
                           "Distinct root-to-node tag paths holding a "
                           "sorted key list in the structural index"
                           ).set(stats["path_lists"])
-        if self.plan_cache is not None:
-            plan_stats = self.plan_cache.stats()
-            metrics.histogram(
-                "plan_compile_seconds",
-                "Wall-clock cost of lowering XAT trees to the plan IR"
-                ).set_total(plan_stats["compiles"],
-                            plan_stats["compile_seconds"])
-            metrics.counter("plan_cache_hits",
-                            "Prepared subplans served from the shared "
-                            "plan cache (cross-view structural sharing)"
-                            ).set(plan_stats["hits"])
-            metrics.counter("plan_cache_misses",
-                            "Subplan structures lowered fresh"
-                            ).set(plan_stats["misses"])
-            metrics.counter("vm_instructions_executed",
-                            "Batch-VM instructions executed (kernel, "
-                            "fallback and short-circuit)"
-                            ).set(plan_stats["instructions_executed"])
-            metrics.counter("vm_kernel_runs",
-                            "Instructions served by specialized "
-                            "columnar kernels"
-                            ).set(plan_stats["kernel_runs"])
-            metrics.counter("vm_fallback_runs",
-                            "Instructions served by the interpreter "
-                            "fallback"
-                            ).set(plan_stats["fallback_runs"])
+        plan_stats = self.plan_cache.stats()
+        metrics.histogram(
+            "plan_compile_seconds",
+            "Wall-clock cost of lowering XAT trees to the plan IR"
+            ).set_total(plan_stats["compiles"],
+                        plan_stats["compile_seconds"])
+        metrics.counter("plan_cache_hits",
+                        "Prepared subplans served from the shared "
+                        "plan cache (cross-view structural sharing)"
+                        ).set(plan_stats["hits"])
+        metrics.counter("plan_cache_misses",
+                        "Subplan structures lowered fresh"
+                        ).set(plan_stats["misses"])
+        metrics.counter("vm_instructions_executed",
+                        "Plan-VM instructions executed (short-circuits "
+                        "included)"
+                        ).set(plan_stats["instructions_executed"])
         if self.state_store is not None:
             for key, value in self.state_store.stats.as_dict().items():
                 metrics.counter(
@@ -470,7 +448,6 @@ class ViewRegistry:
         view = RegisteredView(name,
                               ViewPipeline(self.engine, plan,
                                            state_store=self.state_store,
-                                           compiled=self.compiled,
                                            plan_cache=self.plan_cache),
                               MaintenancePolicy.parse(policy),
                               cost_model if cost_model is not None

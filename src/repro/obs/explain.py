@@ -78,8 +78,8 @@ def render_explain(name: str, plan, *, policy=None, cost=None, stats=None,
 
     ``plan_cache`` (a :class:`repro.plan.PlanCache`) adds the compiled
     instruction listings — one program per compiled execution mode, each
-    line carrying the live in/out/Δ row counters and kernel-vs-fallback
-    serve counts — below the operator tree."""
+    line carrying the live in/out/Δ row counters — below the operator
+    tree."""
     lines = [f"view {name!r}"]
     if policy is not None:
         lines[0] += f"  policy={getattr(policy, 'kind', policy)}"

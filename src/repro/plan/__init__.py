@@ -1,43 +1,30 @@
-"""Compiled execution: XAT algebra trees lowered to a linear delta-plan
-IR run by a register VM over columnar tuple batches.
+"""The plan IR: XAT algebra trees lowered to a linear schedule.
 
-The tree interpreter (:meth:`repro.xat.base.ExecutionContext.evaluate`)
-remains the semantic oracle; this package is the production executor in
-front of it:
+The operators of :mod:`repro.xat` own every rule (one ``compute`` body
+per operator, Δ included); this package only decides *when* each runs:
 
 * :mod:`repro.plan.ir` — opcodes, instructions, the register model and
   the compiled-plan container (with per-instruction counters for the
   live ``EXPLAIN`` listing);
-* :mod:`repro.plan.batch` — :class:`TupleBatch` (parallel key/value/
-  count arrays instead of per-tuple dicts) and the zero-copy
-  :class:`CompositeAccessor` used for join outputs;
-* :mod:`repro.plan.compiler` — lowering rules per XAT operator,
-  common-subplan sharing across views via structural signatures, and
-  the :class:`PlanCache` (compile timings + hit/miss counters that feed
-  the obs registry);
-* :mod:`repro.plan.vm` — the :class:`PlanVM` executing a lowered plan
-  over an :class:`~repro.xat.base.ExecutionContext`, seeding the
-  interpreter memo as it goes so un-lowered corners resolve lazily with
-  identical semantics;
-* :mod:`repro.plan.kernels` — specialized columnar kernels for the hot
-  delta opcodes (guarded: a batch shape outside a kernel's fast path
-  falls back to the interpreter's operator, never to wrong answers).
+* :mod:`repro.plan.compiler` — lowering an operator DAG to dependency
+  order, common-subplan sharing across views via structural signatures,
+  and the :class:`PlanCache` (compile timings + hit/miss counters that
+  feed the obs registry);
+* :mod:`repro.plan.vm` — the :class:`PlanVM` running a lowered plan over
+  an :class:`~repro.xat.base.ExecutionContext`, seeding the context's
+  memo as it goes so anything the schedule does not cover resolves
+  through recursive ``ctx.evaluate`` against the same tables.
 """
 
-from .batch import CompositeAccessor, TupleBatch, merge_signed_counts
 from .compiler import PlanCache, lower
 from .ir import CompiledPlan, Instruction, opcode_for
-from .vm import FastDeltaSpec, PlanVM
+from .vm import PlanVM
 
 __all__ = [
     "CompiledPlan",
-    "CompositeAccessor",
-    "FastDeltaSpec",
     "Instruction",
     "PlanCache",
     "PlanVM",
-    "TupleBatch",
     "lower",
-    "merge_signed_counts",
     "opcode_for",
 ]

@@ -5,13 +5,12 @@ gets one register and one instruction; inputs are scheduled before
 consumers, so the emitted list executes straight-line.  A join's FULL/
 ANTI side evaluation is *not* scheduled under Δ — with an operator-state
 store attached the side is a stored hash index probe, and without one
-the interpreter's lazy memo resolves it on first touch — which keeps
+the recursive ``ctx.evaluate`` resolves it on first touch — which keeps
 the instruction stream exactly the work the delta pass performs.
 
-Compile-time statics (source-document sets, navigation step tables,
-join key columns) live on :class:`PreparedOp` records keyed by the
-operator's *structural signature* — the same signatures
-:mod:`repro.engine.opstate` shares cached tables under — so
+Each subtree's source-document set lives on a :class:`PreparedOp`
+record keyed by the operator's *structural signature* — the same
+signatures :mod:`repro.engine.opstate` shares cached tables under — so
 structurally-equal subplans across views compile once and share their
 prepared metadata.  The :class:`PlanCache` owns those records plus the
 per-root plan memo, and keeps the plain-int counters the obs registry
@@ -25,28 +24,23 @@ from typing import Optional
 
 from ..engine.opstate import subplan_signature
 from ..xat.base import DELTA, FULL, XatOperator
-from ..xat.construction import Map
 from .ir import CompiledPlan, Instruction, opcode_for
-from .kernels import kernel_for, prepare_statics
 
 __all__ = ["PlanCache", "PreparedOp", "lower"]
 
 
 class PreparedOp:
-    """Compile-time statics of one operator structure (signature-keyed).
+    """Compile-time metadata of one operator structure (signature-keyed).
 
     ``source_documents`` backs the VM's per-instruction empty-Δ
     short-circuit without re-walking the subtree every batch.
-    ``statics`` is the kernel-specific table (navigation steps, equi-key
-    columns, …) filled by :func:`repro.plan.kernels.prepare_statics`.
     """
 
-    __slots__ = ("signature", "source_documents", "statics")
+    __slots__ = ("signature", "source_documents")
 
-    def __init__(self, signature, source_documents: frozenset, statics):
+    def __init__(self, signature, source_documents: frozenset):
         self.signature = signature
         self.source_documents = source_documents
-        self.statics = statics
 
 
 class PlanCache:
@@ -69,8 +63,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.instructions_executed = 0
-        self.kernel_runs = 0
-        self.fallback_runs = 0
 
     # -- prepared metadata -------------------------------------------------------------
 
@@ -81,9 +73,7 @@ class PlanCache:
             self.hits += 1
             return prepared
         self.misses += 1
-        prepared = PreparedOp(signature,
-                              frozenset(op.source_documents()),
-                              prepare_statics(op))
+        prepared = PreparedOp(signature, op.source_documents())
         self._prepared[signature] = prepared
         return prepared
 
@@ -123,9 +113,7 @@ class PlanCache:
                 "compile_seconds": self.compile_seconds,
                 "hits": self.hits,
                 "misses": self.misses,
-                "instructions_executed": self.instructions_executed,
-                "kernel_runs": self.kernel_runs,
-                "fallback_runs": self.fallback_runs}
+                "instructions_executed": self.instructions_executed}
 
 
 def lower(root: XatOperator, mode: str,
@@ -147,16 +135,13 @@ def lower(root: XatOperator, mode: str,
         reg = reg_of.get(key)
         if reg is not None:
             return reg
-        # A Map's RHS is correlated: it evaluates per binding inside the
-        # operator and must never be scheduled (or memoized) standalone.
-        inputs = op.inputs[:1] if isinstance(op, Map) else op.inputs
-        srcs = tuple(visit(child, op_mode) for child in inputs)
+        srcs = tuple(visit(child, op_mode)
+                     for child in op.scheduled_inputs())
         reg = len(instructions)
         reg_of[key] = reg
         prepared = owned_cache.prepared_for(op)
         instructions.append(Instruction(
-            opcode_for(op, op_mode), reg, srcs, op, op_mode,
-            kernel=kernel_for(op, op_mode), prepared=prepared))
+            opcode_for(op, op_mode), reg, srcs, op, op_mode, prepared))
         return reg
 
     root_reg = visit(root, mode)

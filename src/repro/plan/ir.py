@@ -10,13 +10,11 @@ file *is* the per-run memo, laid out ahead of time.
 
 Opcodes name the operator family plus the execution mode so a listing
 reads like a program (``NAV_UNNEST.d r3 <- r2``).  Per-instruction
-counters (executions, rows in/out, Δ rows, kernel vs fallback runs)
-accumulate on the instruction and feed ``EXPLAIN``'s listing section.
+counters (executions, rows in/out, Δ rows, short-circuits) accumulate
+on the instruction and feed ``EXPLAIN``'s listing section.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 from ..xat.base import DELTA
 
@@ -59,38 +57,33 @@ def opcode_for(op, mode: str) -> str:
 class Instruction:
     """One step of a compiled plan: ``dest <- opcode(srcs)``.
 
-    ``xop`` is the XAT operator instance the instruction realizes and
-    ``mode`` the execution mode it runs under.  ``kernel`` is the
-    specialized columnar implementation bound at lowering time (``None``
-    means the generic interpreter-backed implementation).  ``prepared``
-    carries compile-time static metadata (navigation step tables, join
-    key columns, source-document sets) shared across structurally-equal
-    subplans.
+    ``xop`` is the XAT operator instance whose
+    :meth:`~repro.xat.base.XatOperator.compute` the instruction runs and
+    ``mode`` the execution mode it runs under.  ``prepared`` carries the
+    signature-keyed metadata (the subtree's source-document set) shared
+    across structurally-equal subplans.
     """
 
-    __slots__ = ("opcode", "dest", "srcs", "xop", "mode", "kernel",
-                 "prepared", "executed", "kernel_runs", "fallback_runs",
-                 "shortcircuits", "rows_in", "rows_out", "delta_rows")
+    __slots__ = ("opcode", "dest", "srcs", "xop", "mode", "prepared",
+                 "executed", "shortcircuits", "rows_in", "rows_out",
+                 "delta_rows")
 
     def __init__(self, opcode: str, dest: int, srcs: tuple, xop, mode: str,
-                 kernel: Optional[Callable] = None, prepared=None):
+                 prepared=None):
         self.opcode = opcode
         self.dest = dest
         self.srcs = srcs
         self.xop = xop
         self.mode = mode
-        self.kernel = kernel
         self.prepared = prepared
         # -- live counters (rendered by the EXPLAIN listing) --
         self.executed = 0
-        self.kernel_runs = 0
-        self.fallback_runs = 0
         self.shortcircuits = 0
         self.rows_in = 0
         self.rows_out = 0
         self.delta_rows = 0
 
-    def record(self, rows_in: int, rows_out: int, *, kernel: bool,
+    def record(self, rows_in: int, rows_out: int,
                shortcircuit: bool = False) -> None:
         self.executed += 1
         self.rows_in += rows_in
@@ -99,10 +92,6 @@ class Instruction:
             self.delta_rows += rows_out
         if shortcircuit:
             self.shortcircuits += 1
-        elif kernel:
-            self.kernel_runs += 1
-        else:
-            self.fallback_runs += 1
 
     def render(self) -> str:
         srcs = ", ".join(f"r{s}" for s in self.srcs) or "-"
@@ -111,9 +100,6 @@ class Instruction:
                 f" in={self.rows_in} out={self.rows_out}")
         if self.mode == DELTA:
             text += f" Δ={self.delta_rows}"
-        if self.kernel is not None:
-            text += (f" kernel={self.kernel_runs}"
-                     f"/fallback={self.fallback_runs}")
         if self.shortcircuits:
             text += f" skip={self.shortcircuits}"
         return text

@@ -1,110 +1,27 @@
-"""The batch VM: executes a lowered plan over a register file.
+"""The plan VM: executes a lowered plan over a register file.
 
-The register file doubles as the run's memo: every computed table is
-also seeded into the :class:`~repro.xat.base.ExecutionContext` cache
-under the interpreter's own ``(id(op), mode)`` key, so any evaluation
-the schedule does not cover — a join's FULL side with no state store,
-a correlated Map body — resolves lazily through the interpreter with
-*identical* semantics.  A specialized kernel that declines a batch
-shape (returns ``None``) falls back the same way.  The compiled
-executor can therefore only ever differ from the tree interpreter in
-speed, never in results; the differential suite pins that claim.
+Each instruction runs its operator's own
+:meth:`~repro.xat.base.XatOperator.compute` on the registers holding its
+inputs — the same method the recursive
+:meth:`~repro.xat.base.ExecutionContext.evaluate` reaches, so a rule has
+one body however it is scheduled.  The register file doubles as the
+run's memo: every computed table is also seeded into the context's cache
+under ``(id(op), mode)``, so an evaluation the schedule does not cover —
+a join's FULL side with no state store, the operator-state store's Δ
+re-evaluations — resolves recursively against the same tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..obs.core import STATE as _OBS
-from ..xat.base import (DELTA, DeltaSpec, ExecutionContext, XatOperator,
-                        _obs_record)
+from ..xat.base import DELTA, ExecutionContext, XatOperator, _obs_record
 from ..xat.table import XatTable
 from .compiler import PlanCache
 from .ir import CompiledPlan
 
-__all__ = ["FastDeltaSpec", "PlanVM"]
-
-
-@dataclass
-class FastDeltaSpec(DeltaSpec):
-    """A :class:`DeltaSpec` with per-run memoized root classification.
-
-    ``classify`` / ``sign_at`` / ``modify_pair`` / ``pair_roots_below``
-    are pure in the (immutable) root set, yet the interpreter calls them
-    per navigated key per operator — linear scans over the roots each
-    time.  One compiled pass touches the same few keys thousands of
-    times, so a per-spec memo keyed by the bare key bytes turns the scan
-    into a dict hit.  ``old_text`` memoizes too: within one propagate
-    pass the pre-batch text of a node is fixed by the pair roots.
-    """
-
-    _classify_memo: dict = field(default_factory=dict, repr=False,
-                                 compare=False)
-    _sign_memo: dict = field(default_factory=dict, repr=False,
-                             compare=False)
-    _pair_memo: dict = field(default_factory=dict, repr=False,
-                             compare=False)
-    _below_memo: dict = field(default_factory=dict, repr=False,
-                              compare=False)
-    _old_text_memo: dict = field(default_factory=dict, repr=False,
-                                 compare=False)
-
-    @classmethod
-    def wrap(cls, spec: DeltaSpec) -> "FastDeltaSpec":
-        if isinstance(spec, cls):
-            return spec
-        return cls(spec.document, spec.roots, spec.phase)
-
-    def classify(self, key):
-        bare = key.without_override()
-        value = bare.value
-        memo = self._classify_memo
-        if value in memo:
-            return memo[value]
-        result = DeltaSpec.classify(self, bare)
-        memo[value] = result
-        return result
-
-    def sign_at(self, key):
-        bare = key.without_override()
-        value = bare.value
-        memo = self._sign_memo
-        if value in memo:
-            return memo[value]
-        result = DeltaSpec.sign_at(self, bare)
-        memo[value] = result
-        return result
-
-    def modify_pair(self, key):
-        bare = key.without_override()
-        value = bare.value
-        memo = self._pair_memo
-        if value in memo:
-            return memo[value]
-        result = DeltaSpec.modify_pair(self, bare)
-        memo[value] = result
-        return result
-
-    def pair_roots_below(self, key):
-        bare = key.without_override()
-        value = bare.value
-        memo = self._below_memo
-        if value in memo:
-            return memo[value]
-        result = DeltaSpec.pair_roots_below(self, bare)
-        memo[value] = result
-        return result
-
-    def old_text(self, storage, key):
-        bare = key.without_override()
-        value = bare.value
-        memo = self._old_text_memo
-        if value in memo:
-            return memo[value]
-        result = DeltaSpec.old_text(self, storage, bare)
-        memo[value] = result
-        return result
+__all__ = ["PlanVM"]
 
 
 class PlanVM:
@@ -122,11 +39,8 @@ class PlanVM:
     def execute(self, cplan: CompiledPlan,
                 ctx: ExecutionContext) -> XatTable:
         regs: list = [None] * cplan.nregs
-        cache = self.cache
         memo = ctx._cache
-        delta = ctx.delta
-        delta_mode_doc = (delta.document
-                          if delta is not None else None)
+        delta_doc = ctx.delta.document if ctx.delta is not None else None
         executed = 0
         for instr in cplan.instructions:
             op = instr.xop
@@ -137,39 +51,22 @@ class PlanVM:
                 regs[instr.dest] = existing
                 continue
             executed += 1
-            if (mode == DELTA and delta_mode_doc is not None
-                    and delta_mode_doc
-                    not in instr.prepared.source_documents):
+            if (mode == DELTA and delta_doc is not None
+                    and delta_doc not in instr.prepared.source_documents):
                 # Empty-Δ short-circuit, resolved at compile time: the
                 # batch's document feeds nothing under this subtree.
                 result = XatTable(op.schema)
-                memo[key] = result
-                regs[instr.dest] = result
-                if _OBS.enabled:
-                    _obs_record(op, mode, result)
-                instr.record(0, 0, kernel=False, shortcircuit=True)
-                continue
-            rows_in = 0
-            for src in instr.srcs:
-                table = regs[src]
-                if table is not None:
-                    rows_in += len(table.tuples)
-            result = None
-            if instr.kernel is not None:
-                result = instr.kernel(
-                    instr, ctx, [regs[src] for src in instr.srcs])
-            if result is not None:
-                memo[key] = result
-                if _OBS.enabled:
-                    _obs_record(op, mode, result)
-                used_kernel = True
-                cache.kernel_runs += 1
+                instr.record(0, 0, shortcircuit=True)
             else:
-                result = ctx.evaluate(op, mode)
-                used_kernel = False
-                cache.fallback_runs += 1
+                inputs = [regs[src] for src in instr.srcs]
+                result = op.compute(ctx, inputs)
+                rows_in = 0
+                for table in inputs:
+                    rows_in += len(table.tuples)
+                instr.record(rows_in, len(result.tuples))
+            memo[key] = result
             regs[instr.dest] = result
-            instr.record(rows_in, len(result.tuples),
-                         kernel=used_kernel)
-        cache.instructions_executed += executed
+            if _OBS.enabled:
+                _obs_record(op, mode, result)
+        self.cache.instructions_executed += executed
         return regs[cplan.root]

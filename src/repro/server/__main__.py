@@ -42,11 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="plain-HTTP port for /metrics and /healthz")
     parser.add_argument("--durable", metavar="DIR", default=None,
                         help="open (or recover) a durable database here")
-    parser.add_argument("--compiled", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="execute views on the compiled delta-plan "
-                             "VM (--no-compiled falls back to the tree "
-                             "interpreter)")
     parser.add_argument("--fsync", choices=("always", "batch", "off"),
                         default="batch")
     parser.add_argument("--load", action="append", default=[],
@@ -77,9 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def serve(args) -> None:
-    db = Database(durable_path=args.durable, fsync=args.fsync,
-                  compiled=args.compiled) \
-        if args.durable else Database(compiled=args.compiled)
+    db = Database(durable_path=args.durable, fsync=args.fsync) \
+        if args.durable else Database()
     for name, path in (_parse_pair("load", item) for item in args.load):
         db.load(name, path)
     policy = int(args.policy) if args.policy.isdigit() else args.policy

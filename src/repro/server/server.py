@@ -449,9 +449,12 @@ class _Session:
                     entry = queue.get_nowait()
                 if not chunks:
                     break
-                self.writer.write(b"".join(chunks))
+                # Counted before the transport gets the bytes: a client
+                # that already holds its reply may read the counters
+                # before this thread runs again.
                 stats.socket_writes.inc()
                 stats.bytes_out.inc(size)
+                self.writer.write(b"".join(chunks))
                 await self.writer.drain()
                 stats.frames_out.inc(len(chunks))
                 now = time.perf_counter()

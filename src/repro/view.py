@@ -34,7 +34,7 @@ from typing import Optional, Union
 
 from .apply import ExtentNode
 from .engine import Engine
-from .multiview.pipeline import (_REMOVED, MaintenanceReport, ViewPipeline,
+from .multiview.pipeline import (MaintenanceReport, ViewPipeline,
                                  run_maintenance)
 from .storage import StorageManager
 from .translate import translate_query
@@ -50,16 +50,7 @@ class MaterializedXQueryView:
     def __init__(self, storage: StorageManager,
                  query: Union[str, XatOperator],
                  validate_updates: bool = True,
-                 operator_state: bool = True,
-                 compiled: bool = True,
-                 modify_decomposition=_REMOVED):
-        if modify_decomposition is not _REMOVED:
-            raise TypeError(
-                "modify_decomposition was removed: the legacy "
-                "delete+reinsert decomposition of insufficient modifies "
-                "is gone after its one-release deprecation window; "
-                "modifies always propagate as first-class retract/assert "
-                "pairs now")
+                 operator_state: bool = True):
         self.storage = storage
         self.engine = Engine(storage)
         if isinstance(query, str):
@@ -70,8 +61,7 @@ class MaterializedXQueryView:
             plan = query
         extra = {} if operator_state else {"state_store": None}
         self._pipeline = ViewPipeline(
-            self.engine, plan, validate_updates=validate_updates,
-            compiled=compiled, **extra)
+            self.engine, plan, validate_updates=validate_updates, **extra)
 
     # -- pipeline state (kept as attributes for API compatibility) -----------------------
 
@@ -108,12 +98,6 @@ class MaterializedXQueryView:
         """The pipeline's persistent operator-state store (None when
         disabled via ``operator_state=False``)."""
         return self._pipeline.state_store
-
-    @property
-    def compiled(self) -> bool:
-        """Whether execution runs through the compiled plan VM (the
-        default) or the tree interpreter (``compiled=False``)."""
-        return self._pipeline.compiled
 
     def close(self) -> None:
         """Detach view-owned storage listeners (idempotent).

@@ -78,11 +78,28 @@ class DeltaRoot:
 
 @dataclass
 class DeltaSpec:
-    """The batch being propagated: one document, homogeneous update kind."""
+    """The batch being propagated: one document, homogeneous update kind.
+
+    Every key query below is pure in the (immutable) root set, yet one
+    propagation pass asks them of the same few keys from every operator,
+    so each answer is memoized per spec under the bare key's value
+    (``old_text`` too: within one pass the pre-batch text of a node is
+    fixed by the pair roots).
+    """
 
     document: str
     roots: tuple[DeltaRoot, ...]
     phase: str  # INSERT / DELETE / MODIFY
+    _classify_memo: dict = field(default_factory=dict, repr=False,
+                                 compare=False)
+    _sign_memo: dict = field(default_factory=dict, repr=False,
+                             compare=False)
+    _pair_memo: dict = field(default_factory=dict, repr=False,
+                             compare=False)
+    _below_memo: dict = field(default_factory=dict, repr=False,
+                              compare=False)
+    _old_text_memo: dict = field(default_factory=dict, repr=False,
+                                 compare=False)
 
     def classify(self, key: FlexKey) -> Optional[str]:
         """How ``key`` relates to the update roots.
@@ -91,18 +108,30 @@ class DeltaSpec:
         ancestor of a root) or ``None`` (unrelated).
         """
         bare = key.without_override()
+        memo = self._classify_memo
+        if bare.value in memo:
+            return memo[bare.value]
+        result = None
         for root in self.roots:
             if root.key == bare or root.key.is_ancestor_of(bare):
-                return "at"
-        for root in self.roots:
-            if bare.is_ancestor_of(root.key):
-                return "ancestor"
-        return None
+                result = "at"
+                break
+        else:
+            for root in self.roots:
+                if bare.is_ancestor_of(root.key):
+                    result = "ancestor"
+                    break
+        memo[bare.value] = result
+        return result
 
     def sign_at(self, key: FlexKey) -> int:
         bare = key.without_override()
+        memo = self._sign_memo
+        if bare.value in memo:
+            return memo[bare.value]
         for root in self.roots:
             if root.key == bare or root.key.is_ancestor_of(bare):
+                memo[bare.value] = root.sign
                 return root.sign
         raise PlanError(f"{key} is not at/below an update root")
 
@@ -121,17 +150,28 @@ class DeltaSpec:
         ancestor-without-the-target's-text) is untouched.
         """
         bare = key.without_override()
+        memo = self._pair_memo
+        if bare.value in memo:
+            return memo[bare.value]
+        result = None
         for root in self.roots:
             if root.has_pair and root.key == bare:
-                return (root.old_value, root.new_value)
-        return None
+                result = (root.old_value, root.new_value)
+                break
+        memo[bare.value] = result
+        return result
 
     def pair_roots_below(self, key: FlexKey) -> list[DeltaRoot]:
         """Pair roots at or below ``key`` (whose old text ``key`` saw)."""
         bare = key.without_override()
-        return [root for root in self.roots
-                if root.has_pair
-                and (root.key == bare or bare.is_ancestor_of(root.key))]
+        memo = self._below_memo
+        if bare.value in memo:
+            return memo[bare.value]
+        result = [root for root in self.roots
+                  if root.has_pair
+                  and (root.key == bare or bare.is_ancestor_of(root.key))]
+        memo[bare.value] = result
+        return result
 
     def old_text(self, storage, key: FlexKey) -> Optional[str]:
         """The *pre-batch* concatenated text of the node at ``key``.
@@ -143,13 +183,20 @@ class DeltaSpec:
         (the modify primitive replaces exactly the target's direct text
         children, so this substitution is the whole difference).
         """
-        affected = self.pair_roots_below(key)
+        bare = key.without_override()
+        memo = self._old_text_memo
+        if bare.value in memo:
+            return memo[bare.value]
+        affected = self.pair_roots_below(bare)
         if not affected:
-            return None
-        pairs = {root.key.value: root.old_value for root in affected}
-        parts: list[str] = []
-        _old_text_walk(storage.node(key.without_override()), pairs, parts)
-        return "".join(parts)
+            result = None
+        else:
+            pairs = {root.key.value: root.old_value for root in affected}
+            parts: list[str] = []
+            _old_text_walk(storage.node(bare), pairs, parts)
+            result = "".join(parts)
+        memo[bare.value] = result
+        return result
 
 
 def _old_text_walk(node, pairs: dict, parts: list) -> None:
@@ -290,35 +337,6 @@ class ExecutionContext:
             return ANTI
         return FULL
 
-    # -- navigation admission (delta / anti filters) --------------------------------------
-
-    def admits(self, key: FlexKey) -> bool:
-        """Whether a navigated-to node is admitted under the current mode."""
-        if self.delta is None or self.mode == FULL:
-            return True
-        if self.storage.document_of_key(key) != self.delta.document:
-            return True
-        relation = self.delta.classify(key)
-        if self.mode == DELTA:
-            return relation is not None
-        # ANTI: exclude nodes at or below update roots.
-        return relation != "at"
-
-    def delta_annotation(self, key: FlexKey) -> tuple[int, bool]:
-        """(count multiplier, refresh flag) for a delta-mode navigation hit."""
-        if (self.mode != DELTA or self.delta is None
-                or self.storage.document_of_key(key) != self.delta.document):
-            return 1, False
-        relation = self.delta.classify(key)
-        if relation == "at":
-            sign = self.delta.sign_at(key)
-            if sign == 0:
-                return 1, True      # modify: count-neutral refresh
-            return sign, False
-        if relation == "ancestor":
-            return 1, True          # exposed fragment content changed
-        return 1, False
-
     # -- evaluation with memoization ----------------------------------------------------
 
     def evaluate(self, op: "XatOperator", mode: Optional[str] = None
@@ -428,7 +446,7 @@ class XatOperator:
     """Base class of every XAT operator.
 
     Subclasses implement ``_build_schema`` (Order Schema + Context Schema
-    rules, Tables 3.1 / 4.1) and ``execute``.  The ``state_*`` hooks and
+    rules, Tables 3.1 / 4.1) and ``compute``.  The ``state_*`` hooks and
     ``anti_projectable`` flag drive the persistent operator-state store
     (:mod:`repro.engine.opstate`): they describe how a cached FULL-mode
     result table of this operator is patched by the operator's own
@@ -462,14 +480,35 @@ class XatOperator:
             for child in op.inputs:
                 visit(child)
             op.schema = op._build_schema()
+            op._precompute()
         visit(self)
         return self
 
     def _build_schema(self) -> TableSchema:
         raise NotImplementedError
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
+    def _precompute(self) -> None:
+        """Hook: hoist whatever :meth:`compute` needs per run but that is
+        fixed by the plan (step tables, key columns, lineage recipes)
+        into attributes, once the input schemas exist."""
+
+    def compute(self, ctx: ExecutionContext,
+                inputs: Sequence[XatTable]) -> XatTable:
+        """This operator's table under ``ctx.mode``, from the
+        already-computed tables of :meth:`scheduled_inputs` — the one
+        body of each of its rules, whoever schedules it."""
         raise NotImplementedError
+
+    def scheduled_inputs(self) -> Sequence["XatOperator"]:
+        """The inputs evaluated ahead of this operator, under its mode."""
+        return self.inputs
+
+    def execute(self, ctx: ExecutionContext) -> XatTable:
+        """Recursive evaluation: pull the inputs through the run's memo,
+        then :meth:`compute` (the plan VM schedules the same calls
+        linearly instead)."""
+        return self.compute(ctx, [ctx.evaluate(child)
+                                  for child in self.scheduled_inputs()])
 
     def source_documents(self) -> frozenset[str]:
         """Names of source documents referenced anywhere in this subtree."""

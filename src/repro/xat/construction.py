@@ -10,15 +10,17 @@ decorrelation before maintenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from ..flexkeys import COMPOSE_SEP, FlexKey
+from ..flexkeys import FlexKey
 from ..storage import ContentItem, Skeleton
-from .base import DELTA, ExecutionContext, PlanError, XatOperator
+from .base import (DELTA, ExecutionContext, PlanError, Profiler,
+                   XatOperator)
 from .conditions import ColumnRef, Literal, item_value
-from .semantic_ids import constructed_id, lineage_tokens, order_tokens, \
-    override_from_tokens
+from .semantic_ids import (constructed_id, lineage_terminals, order_tokens,
+                           override_from_tokens, resolve_lineage)
 from .table import (AtomicItem, ContextSpec, Item, NodeItem, TableSchema,
                     XatTable, XatTuple, items_of, single_item)
 
@@ -80,52 +82,68 @@ class Tagger(XatOperator):
                 for _name, operand in self.pattern.attributes
                 if isinstance(operand, ColumnRef)]
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
-        schema = source.schema
-        table = XatTable(self.schema)
+    def _precompute(self) -> None:
+        schema = self.inputs[0].schema
         id_cols = self._id_source_columns()
-        for tup in source:
-            with ctx.profiler.timed("semantic_id"):
-                body: list[str] = []
-                for col in id_cols:
-                    body.extend(lineage_tokens(schema, tup, col))
-                if id_cols and not body:
-                    # Null-padded (outer-join) tuple: the nested RETURN has
-                    # no binding here, so no node is constructed.
-                    table.append(tup.extended(self.out, None))
-                    continue
-                node_id = constructed_id(body)
-                content_cols = self.pattern.content_columns()
-                tokens = (order_tokens(schema, tup, content_cols[0])
-                          if content_cols else [])
-                override = override_from_tokens(tokens)
+        self._has_ids = bool(id_cols)
+        #: the Lineage Context of the id columns, flattened to terminals
+        self._lineage = tuple(terminal for col in id_cols
+                              for terminal in lineage_terminals(schema, col))
+        content_cols = self.pattern.content_columns()
+        #: the column whose Order Context the node's order follows
+        self._order_col = content_cols[0] if content_cols else None
+
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        # Linear: one constructed node per input tuple, in every mode.
+        profiler = ctx.profiler if ctx.profiler.enabled else None
+        pattern = self.pattern
+        schema = inputs[0].schema
+        lineage = self._lineage
+        order_col = self._order_col
+        # With several content entries, a per-entry order prefix fixes
+        # construction order (same scheme as XML Union).
+        multi = len(pattern.content) > 1
+        out = self.out
+        table = XatTable(self.schema)
+        append = table.append
+        for tup in inputs[0].tuples:
+            if profiler is not None:
+                started = time.perf_counter()
+            body = resolve_lineage(lineage, tup)
+            if self._has_ids and not body:
+                # Null-padded (outer-join) tuple: the nested RETURN has
+                # no binding here, so no node is constructed.
+                append(tup.extended(out, None))
+                continue
+            node_id = constructed_id(body)
+            override = override_from_tokens(
+                order_tokens(schema, tup, order_col)
+                if order_col is not None else None)
+            if profiler is not None:
+                profiler.add("semantic_id", time.perf_counter() - started)
             attributes = {}
-            for name, operand in self.pattern.attributes:
+            for name, operand in pattern.attributes:
                 if isinstance(operand, Literal):
                     attributes[name] = operand.value
                 else:
-                    item = single_item(tup[operand.column])
+                    item = single_item(tup.cells.get(operand.column))
                     attributes[name] = (item_value(item, ctx)
                                         if item is not None else "")
             content: list[ContentItem] = []
-            multi = len(self.pattern.content) > 1
-            for index, entry in enumerate(self.pattern.content):
-                # With several content entries, a per-entry order prefix
-                # fixes construction order (same scheme as XML Union).
+            for index, entry in enumerate(pattern.content):
                 cid = self.XmlUnionColumnIds[index] if multi else None
                 if isinstance(entry, str):
-                    for item in items_of(tup[entry]):
+                    for item in items_of(tup.cells.get(entry)):
                         if cid is not None:
-                            item = _prefixed(item, cid, ctx)
+                            item = _prefixed(item, cid, profiler)
                         content.append(_to_content(item))
                 else:
                     literal = ContentItem.value(entry[1])
                     if cid is not None:
                         literal.key = FlexKey("z").with_override(FlexKey(cid))
                     content.append(literal)
-            skeleton = Skeleton(node_id, self.pattern.tag, attributes,
-                                content, count=1)
+            skeleton = Skeleton(node_id, pattern.tag, attributes, content,
+                                count=1)
             # The item's count is *relative* to its tuple (1): the absolute
             # derivation count (tuple count x relative) is applied where the
             # item is consumed — by Combine / Group By (assignOverRidOrd) or
@@ -135,7 +153,7 @@ class Tagger(XatOperator):
                             else node_id.with_override(override),
                             count=1, refresh=tup.refresh,
                             skeleton=skeleton)
-            table.append(tup.extended(self.out, item))
+            append(tup.extended(out, item))
         return table
 
     def describe(self) -> str:
@@ -185,14 +203,14 @@ class XmlUnion(XatOperator):
         context[self.out] = ContextSpec(order=order, lineage=lineage)
         return TableSchema(columns, base.order_schema, context)
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        profiler = ctx.profiler if ctx.profiler.enabled else None
         table = XatTable(self.schema)
-        for tup in source:
+        for tup in inputs[0]:
             items: list[Item] = []
             for cid, col in (("a", self.col1), ("b", self.col2)):
                 for item in items_of(tup[col]):
-                    items.append(_prefixed(item, cid, ctx))
+                    items.append(_prefixed(item, cid, profiler))
             table.append(tup.extended(self.out, items))
         return table
 
@@ -200,18 +218,26 @@ class XmlUnion(XatOperator):
         return f"XmlUnion {self.col1}, {self.col2} -> {self.out}"
 
 
-def _prefixed(item: Item, cid: str, ctx: ExecutionContext) -> Item:
-    """``assignColIdPrfx`` (Fig 4.5): order prefix reflecting union side."""
-    with ctx.profiler.timed("overriding_order"):
-        token = item.order_token()
-        override = FlexKey(cid + "." + token if token else cid)
-        if isinstance(item, NodeItem):
-            return NodeItem(item.key.with_override(override), item.count,
+def _prefixed(item: Item, cid: str, profiler: Optional[Profiler]) -> Item:
+    """``assignColIdPrfx`` (Fig 4.5): order prefix reflecting union side.
+
+    ``profiler`` is the run's profiler when it is enabled (the caller
+    checks once per table), else None."""
+    if profiler is not None:
+        started = time.perf_counter()
+    token = item.order_token()
+    override = FlexKey(cid + "." + token if token else cid)
+    if isinstance(item, NodeItem):
+        prefixed = NodeItem(item.key.with_override(override), item.count,
                             item.refresh, item.skeleton)
+    else:
         assert isinstance(item, AtomicItem)
         source = (item.source_key or FlexKey("z")).with_override(override)
-        return AtomicItem(item.value, source, item.count, item.refresh,
-                          item.order_value, item.agg)
+        prefixed = AtomicItem(item.value, source, item.count, item.refresh,
+                              item.order_value, item.agg)
+    if profiler is not None:
+        profiler.add("overriding_order", time.perf_counter() - started)
+    return prefixed
 
 
 class XmlUnique(XatOperator):
@@ -233,10 +259,9 @@ class XmlUnique(XatOperator):
                                         lineage=((self.col, None),))
         return TableSchema(columns, base.order_schema, context)
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
         table = XatTable(self.schema)
-        for tup in source:
+        for tup in inputs[0]:
             seen: set = set()
             unique: list[Item] = []
             for item in items_of(tup[self.col]):
@@ -278,9 +303,8 @@ class Merge(XatOperator):
     def __init__(self, left: XatOperator, right: XatOperator):
         super().__init__([left, right])
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        left = ctx.evaluate(self.inputs[0])
-        right = ctx.evaluate(self.inputs[1])
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        left, right = inputs
         table = XatTable(self.schema)
         lt = left.tuples[0] if left.tuples else XatTuple()
         rt = right.tuples[0] if right.tuples else XatTuple()
@@ -302,7 +326,7 @@ class VariableBinding(XatOperator):
                            {c: ContextSpec(order=(), lineage=())
                             for c in self.columns})
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
         if not ctx.bindings:
             raise PlanError("VariableBinding evaluated outside a Map")
         bound = ctx.bindings[-1]
@@ -334,13 +358,17 @@ class Map(XatOperator):
         context.update(left.context)
         return TableSchema(columns, left.order_schema, context)
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
+    def scheduled_inputs(self):
+        # The RHS is correlated: it evaluates per binding inside
+        # compute and must never be scheduled (or memoized) standalone.
+        return self.inputs[:1]
+
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
         if ctx.mode == DELTA:
             raise PlanError(
                 "Map cannot be maintained incrementally; decorrelate first")
-        left = ctx.evaluate(self.inputs[0])
         table = XatTable(self.schema)
-        for tup in left:
+        for tup in inputs[0]:
             ctx.bindings.append(tup)
             try:
                 inner = self.inputs[1].execute(ctx)
@@ -363,8 +391,8 @@ class Expose(XatOperator):
     def _build_schema(self) -> TableSchema:
         return self.inputs[0].schema
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        return ctx.evaluate(self.inputs[0])
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        return inputs[0]
 
     def describe(self) -> str:
         return f"Expose {self.col}"

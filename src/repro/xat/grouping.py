@@ -338,8 +338,8 @@ class Combine(XatOperator):
             {self.col: ContextSpec(order=None,
                                    lineage=(("*", None),))})
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        source = inputs[0]
         items = assign_overriding_orders(
             source.tuples, self.col, source.schema.order_schema, ctx)
         table = XatTable(self.schema)
@@ -407,19 +407,44 @@ class GroupBy(XatOperator):
         # Value-based grouping destroys tuple order (Category II, Table 3.1).
         return TableSchema(columns, (), context)
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        # Δγ(T) = γ_Z(ΔT): counts sum in Z, so the same grouping runs
+        # over current-state and delta tuples alike.
+        source = inputs[0]
         groups: dict[tuple, list[XatTuple]] = {}
-        order: list[tuple] = []
-        for tup in source:
-            key = group_key(tup, self.group_cols, ctx)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(tup)
+        for tup in source.tuples:
+            groups.setdefault(group_key(tup, self.group_cols, ctx),
+                              []).append(tup)
         table = XatTable(self.schema)
-        for key in order:
-            members = groups[key]
+        result_col = self._result_col()
+        plain_cols = [c for c in self.schema.columns if c != result_col]
+        order_schema = source.schema.order_schema
+        combine_col = self.combine_col
+
+        def emit(members: list[XatTuple]) -> None:
+            count = sum(member.count for member in members)
+            refresh = any(member.refresh for member in members)
+            eras = {member.era for member in members}
+            era = eras.pop() if len(eras) == 1 else None
+            cells: dict = {}
+            for col in plain_cols:
+                for member in members:
+                    value = member.cells.get(col)
+                    if value is not None:
+                        break
+                cells[col] = value
+            if combine_col is not None:
+                cells[combine_col] = assign_overriding_orders(
+                    members, combine_col, order_schema, ctx)
+                if count == 0 and not refresh and not cells[combine_col]:
+                    return
+            else:
+                kind, in_col, out_col = self.agg
+                state = compute_aggregate(kind, members, in_col, ctx)
+                cells[out_col] = AtomicItem(state.value(), agg=state)
+            table.append(XatTuple(cells, count, refresh, era=era))
+
+        for members in groups.values():
             # A delta group may mix count-carrying members (retractions,
             # assertions, signed re-derivations) with count-neutral
             # refresh members.  One merged tuple cannot express both —
@@ -429,42 +454,12 @@ class GroupBy(XatOperator):
             # the two parts emit separately: the signed part first, the
             # content refresh after it.
             refreshers = [t for t in members if t.refresh]
-            counted = [t for t in members if not t.refresh]
-            if refreshers and counted:
-                self._emit_group(table, counted, source, ctx)
-                self._emit_group(table, refreshers, source, ctx)
-                continue
-            self._emit_group(table, members, source, ctx)
+            if refreshers and len(refreshers) < len(members):
+                emit([t for t in members if not t.refresh])
+                emit(refreshers)
+            else:
+                emit(members)
         return table
-
-    def _emit_group(self, table: XatTable, members, source, ctx) -> None:
-        count = sum(t.count for t in members)
-        refresh = any(t.refresh for t in members)
-        eras = {t.era for t in members}
-        era = eras.pop() if len(eras) == 1 else None
-        cells: dict = {}
-        for col in self.schema.columns:
-            if col == self._result_col():
-                continue
-            value = members[0][col]
-            if value is None:
-                for member in members[1:]:
-                    if member[col] is not None:
-                        value = member[col]
-                        break
-            cells[col] = value
-        if self.combine_col is not None:
-            cells[self.combine_col] = assign_overriding_orders(
-                members, self.combine_col,
-                source.schema.order_schema, ctx)
-        else:
-            kind, in_col, out_col = self.agg
-            state = compute_aggregate(kind, members, in_col, ctx)
-            cells[out_col] = AtomicItem(state.value(), agg=state)
-        if count == 0 and not refresh and self.combine_col is not None \
-                and not cells[self.combine_col]:
-            return
-        table.append(XatTuple(cells, count, refresh, era=era))
 
     # Persistent count state (Section 7.6): cached group tuples merge by
     # group key; aggregate cells merge per-member contribution state,
@@ -532,9 +527,9 @@ class Aggregate(XatOperator):
                            (), {self.out: ContextSpec(order=None,
                                                       lineage=(("*", None),))})
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
-        state = compute_aggregate(self.kind, source.tuples, self.col, ctx)
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        state = compute_aggregate(self.kind, inputs[0].tuples, self.col,
+                                  ctx)
         table = XatTable(self.schema)
         table.append(XatTuple({self.out: AtomicItem(state.value(),
                                                     agg=state)}))
@@ -583,12 +578,9 @@ class TupleFunction(XatOperator):
         return TableSchema(base.columns + (self.out,), base.order_schema,
                            context)
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        from .conditions import item_value
-
-        source = ctx.evaluate(self.inputs[0])
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
         table = XatTable(self.schema)
-        for tup in source:
+        for tup in inputs[0]:
             items = items_of(tup[self.col])
             if self.kind == "count":
                 value = _format_number(sum(i.count for i in items))

@@ -17,11 +17,8 @@ Z-semantics change of each intermediate table (Chapter 7):
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..flexkeys import LEVEL_SEP, FlexKey
-from ..xmlmodel import XmlNode
-from .base import DELTA, ExecutionContext, XatOperator
+from .base import ANTI, DELTA, ExecutionContext, XatOperator
 from .paths import CHILD, Path, Step
 from .table import (AtomicItem, ContextSpec, Item, NodeItem, TableSchema,
                     XatTable, XatTuple, items_of)
@@ -41,6 +38,7 @@ class Source(XatOperator):
         super().__init__()
         self.document = document
         self.out = out
+        self._cached: tuple = (None, None)   # (storage manager, table)
 
     def _own_documents(self):
         return (self.document,)
@@ -50,22 +48,20 @@ class Source(XatOperator):
         return TableSchema((self.out,), (),
                            {self.out: ContextSpec(order=(), lineage=())})
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        table = XatTable(self.schema)
-        root = ctx.storage.root_key(self.document)
-        table.append(XatTuple({self.out: NodeItem(root)}))
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        # Mode-independent, a document's root key never changes and no
+        # consumer mutates an input table: one table per storage manager
+        # serves every run.
+        storage, table = self._cached
+        if storage is not ctx.storage:
+            table = XatTable(self.schema)
+            root = ctx.storage.root_key(self.document)
+            table.append(XatTuple({self.out: NodeItem(root)}))
+            self._cached = (ctx.storage, table)
         return table
 
     def describe(self) -> str:
         return f'Source("{self.document}") -> {self.out}'
-
-
-def _classify(ctx: ExecutionContext, key: FlexKey) -> Optional[str]:
-    if ctx.delta is None:
-        return None
-    if ctx.storage.document_of_key(key) != ctx.delta.document:
-        return None
-    return ctx.delta.classify(key)
 
 
 def _element_targets(ctx: ExecutionContext, entry_key: FlexKey,
@@ -143,61 +139,36 @@ def _related_targets(ctx: ExecutionContext, entry_key: FlexKey,
     return ordered
 
 
-def _seeks_roots(ctx: ExecutionContext, key: FlexKey,
-                 status: Optional[str]) -> bool:
-    """Whether delta navigation from ``key`` may seek the roots directly."""
-    return (status != _AT
-            and ctx.storage.document_of_key(key) == ctx.delta.document)
+def _reached(ctx: ExecutionContext, entry_key: FlexKey,
+             element_steps: tuple[Step, ...]) -> list[FlexKey]:
+    """FULL/ANTI navigation: the elements ``element_steps`` reach from
+    one entry node; ANTI drops every target at/below an update root."""
+    storage = ctx.storage
+    excluded = None
+    if (ctx.mode == ANTI and ctx.delta is not None
+            and storage.document_of_key(entry_key) == ctx.delta.document):
+        excluded = ctx.delta.classify
+    frontier = [entry_key]
+    is_first = storage.is_document_root(entry_key)
+    for step in element_steps:
+        reached: list[FlexKey] = []
+        for key in frontier:
+            targets = _element_targets(ctx, key, step, is_first)
+            if excluded is not None:
+                targets = [t for t in targets if excluded(t) != _AT]
+            reached.extend(targets)
+        frontier = reached
+        is_first = False
+    return frontier
 
 
-def _filter_targets(ctx: ExecutionContext, entry_status: Optional[str],
-                    targets: list[FlexKey], seek: bool, is_last: bool
-                    ) -> list[tuple[FlexKey, int, bool]]:
-    """Apply mode admission; returns (key, count multiplier, refresh).
-
-    The update sign multiplies in exactly once, when the step crosses into
-    an update root's subtree.  The ancestor→refresh annotation only applies
-    at the *final* element step: stopping at a proper ancestor of a root
-    means the reached fragment's content changed; merely passing through an
-    ancestor on the way down means nothing yet.
-    """
-    if ctx.mode == "anti":
-        kept = []
-        for key in targets:
-            if _classify(ctx, key) != _AT:
-                kept.append((key, 1, False))
-        return kept
-    if ctx.mode != DELTA or ctx.delta is None:
-        return [(key, 1, False) for key in targets]
-    if entry_status == _AT:
-        # Already inside an update root's subtree: everything below belongs
-        # to the delta; the sign was applied at the crossing.
-        return [(key, 1, False) for key in targets]
-    classified = [(key, _classify(ctx, key)) for key in targets]
-    related = [(key, cls) for key, cls in classified if cls is not None]
-    if seek and related:
-        classified = related
-    annotated = []
-    for key, cls in classified:
-        if cls == _AT:
-            sign = ctx.delta.sign_at(key)
-            if sign == 0:
-                annotated.append((key, 1, True))
-            else:
-                annotated.append((key, sign, False))
-        elif cls == _ANCESTOR and is_last:
-            annotated.append((key, 1, True))
-        else:
-            annotated.append((key, 1, False))
-    return annotated
-
-
-def _value_items(ctx: ExecutionContext, element_key: FlexKey,
-                 value_steps: tuple[Step, ...]) -> list[AtomicItem]:
-    """Evaluate trailing ``@attr`` / ``text()`` steps against one element."""
+def _cell_items(ctx: ExecutionContext, element_key: FlexKey,
+                value_steps: tuple[Step, ...]) -> list[Item]:
+    """The items one reached element contributes to the output cell: the
+    node itself, or what trailing ``@attr`` / ``text()`` steps read."""
     storage = ctx.storage
     if not value_steps:
-        return []
+        return [NodeItem(element_key)]
     first = value_steps[0]
     if first.is_attribute:
         value = storage.attribute(element_key, first.attribute_name)
@@ -213,7 +184,9 @@ def _value_items(ctx: ExecutionContext, element_key: FlexKey,
 def _pair_variants(ctx: ExecutionContext, key: FlexKey,
                    value_steps: tuple[Step, ...]):
     """``(old_items, new_items)`` when the cell produced at ``key`` reads
-    a value that a first-class modify of this batch changed, else None.
+    a value that a first-class modify of this batch changed, else None
+    (the caller has established that the batch carries pairs and that
+    ``value_steps`` reads no attribute — modifies replace text only).
 
     The two item lists carry the same *identity* (semantic ids, grouping
     and order resolve from keys/values exactly as the old and new
@@ -222,18 +195,12 @@ def _pair_variants(ctx: ExecutionContext, key: FlexKey,
     the predicates/sort keys the way the original derivation was.
     """
     spec = ctx.delta
-    if (ctx.mode != DELTA or spec is None or spec.phase != "modify"
-            or not spec.has_pairs):
-        return None
     if value_steps:
-        if value_steps[0].is_attribute:
-            return None  # modifies replace text, never attributes
         pair = spec.modify_pair(key)
         if pair is None:
             return None
-        old_value, _new_value = pair
-        return ([AtomicItem(old_value, source_key=key)],
-                _value_items(ctx, key, value_steps))
+        return ([AtomicItem(pair[0], source_key=key)],
+                _cell_items(ctx, key, value_steps))
     old_text = spec.old_text(ctx.storage, key)
     if old_text is None:
         return None
@@ -241,7 +208,7 @@ def _pair_variants(ctx: ExecutionContext, key: FlexKey,
 
 
 def _emit_pair(table: XatTable, tup: XatTuple, out_col: str, variants,
-               count: int) -> int:
+               count: int) -> None:
     """Emit a first-class modify pair for one navigated tuple.
 
     An era-neutral tuple splits into a retraction (old items, negated
@@ -252,22 +219,17 @@ def _emit_pair(table: XatTable, tup: XatTuple, out_col: str, variants,
     walk accumulated.
     """
     old_items, new_items = variants
-    produced = 0
     if tup.era is not None:
         for item in (old_items if tup.era == "old" else new_items):
             table.append(tup.extended(out_col, item, count=count,
                                       refresh=False, touched=True))
-            produced += 1
-        return produced
+        return
     for item in old_items:
         table.append(tup.extended(out_col, item, count=-count,
                                   refresh=False, touched=True, era="old"))
-        produced += 1
     for item in new_items:
         table.append(tup.extended(out_col, item, count=count,
                                   refresh=False, touched=True, era="new"))
-        produced += 1
-    return produced
 
 
 class NavigateUnnest(XatOperator):
@@ -314,92 +276,158 @@ class NavigateUnnest(XatOperator):
             context[self.out] = ContextSpec(order=(), lineage=())
         return TableSchema(columns, order_schema, context)
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
+    def _precompute(self) -> None:
+        self._element_steps = self.path.element_steps()
+        self._value_steps = self.path.value_steps()
+
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        if ctx.mode == DELTA and ctx.delta is not None:
+            return self._delta(ctx, inputs[0])
         table = XatTable(self.schema)
-        element_steps = self.path.element_steps()
-        value_steps = self.path.value_steps()
+        element_steps = self._element_steps
+        value_steps = self._value_steps
+        out = self.out
+        for tup in inputs[0].tuples:
+            for entry in items_of(tup[self.col]):
+                if not isinstance(entry, NodeItem):
+                    continue
+                produced = False
+                for key in _reached(ctx, entry.key.without_override(),
+                                    element_steps):
+                    for item in _cell_items(ctx, key, value_steps):
+                        table.append(tup.extended(out, item))
+                        produced = True
+                if not produced and self.keep_empty:
+                    table.append(tup.extended(out, None))
+        return table
+
+    def _delta(self, ctx: ExecutionContext, source: XatTable) -> XatTable:
+        """Δφ(T) = φ(ΔT), seeking the update roots (see the module doc).
+
+        Navigation never leaves the entry node's document, so whether
+        the batch's document is the one being walked is decided once per
+        entry; every frontier key carries ``(count multiplier, refresh,
+        classification)`` so each target is classified exactly once.
+        """
+        spec = ctx.delta
+        storage = ctx.storage
+        document_of_key = storage.document_of_key
+        classify = spec.classify
+        sign_at = spec.sign_at
+        doc = spec.document
+        element_steps = self._element_steps
+        value_steps = self._value_steps
+        n_last = len(element_steps) - 1
+        col = self.col
+        out = self.out
+        attr_value = bool(value_steps) and value_steps[0].is_attribute
         # A text modify can change neither attributes nor binding
         # multiplicities, so an attribute-valued unnest is inert under a
         # modify batch: crossing/stopping near a modify root must not mark
         # refresh (a spurious group-level refresh would swallow the
         # count-carrying halves of first-class pairs downstream).
-        attr_inert = (ctx.mode == DELTA and ctx.delta is not None
-                      and ctx.delta.phase == "modify" and value_steps
-                      and value_steps[0].is_attribute)
-        for tup in source:
-            for entry in items_of(tup[self.col]):
+        attr_inert = spec.phase == "modify" and attr_value
+        pairs_possible = (spec.phase == "modify" and spec.has_pairs
+                          and not attr_value)
+        table = XatTable(self.schema)
+        append = table.append
+        for tup in source.tuples:
+            cell = tup.cells.get(col)
+            if cell is None:
+                continue
+            tup_touched = tup.touched
+            for entry in (cell,) if isinstance(cell, Item) else cell:
                 if not isinstance(entry, NodeItem):
                     continue
                 entry_key = entry.key.without_override()
-                entry_status = _classify(ctx, entry_key) \
-                    if ctx.mode == DELTA else None
-                frontier: list[tuple[FlexKey, int, bool, Optional[str]]] = [
-                    (entry_key, 1, False, entry_status)]
-                is_first = ctx.storage.is_document_root(entry_key)
-                seeking = (ctx.mode == DELTA and ctx.delta is not None
-                           and not tup.touched)
+                in_doc = document_of_key(entry_key) == doc
+                if not in_doc and not tup_touched:
+                    # Every product would come out untouched and be
+                    # dropped (no classification, no sign, no pair can
+                    # apply in a foreign document) — skip the walk.
+                    continue
+                entry_status = classify(entry_key) if in_doc else None
+                frontier = [(entry_key, 1, False, entry_status)]
+                is_first = storage.is_document_root(entry_key)
+                # An untouched tuple outside every root subtree *seeks*:
+                # only the targets related to a root are enumerated,
+                # derived from the roots themselves.
+                seeking = in_doc and not tup_touched
                 for index, step in enumerate(element_steps):
-                    is_last = index == len(element_steps) - 1
-                    next_frontier = []
+                    is_last = index == n_last
+                    nxt: list = []
                     for key, mult, refresh, status in frontier:
-                        if seeking and _seeks_roots(ctx, key, status):
-                            # Root-driven seek: enumerate only the
-                            # related targets instead of scanning and
-                            # classifying the step's whole target set.
+                        if seeking and status != _AT:
                             targets = _related_targets(ctx, key, step,
                                                        is_first)
                         else:
                             targets = _element_targets(ctx, key, step,
                                                        is_first)
-                        for tgt, m2, r2 in _filter_targets(
-                                ctx, status, targets, seek=True,
-                                is_last=is_last):
-                            tgt_status = (_classify(ctx, tgt)
-                                          if ctx.mode == DELTA else None)
-                            next_frontier.append(
-                                (tgt, mult * m2, refresh or r2, tgt_status))
-                    frontier = next_frontier
+                        if not targets:
+                            continue
+                        if status == _AT or not in_doc:
+                            # Inside a root's subtree everything belongs
+                            # to the delta (the sign was applied at the
+                            # crossing); outside the batch's document no
+                            # target classifies.
+                            for tgt in targets:
+                                nxt.append((tgt, mult, refresh,
+                                            classify(tgt) if in_doc
+                                            else None))
+                            continue
+                        classified = [(tgt, classify(tgt))
+                                      for tgt in targets]
+                        related = [tc for tc in classified
+                                   if tc[1] is not None]
+                        if related:
+                            classified = related
+                        for tgt, cls in classified:
+                            if cls == _AT:
+                                # The update sign multiplies in exactly
+                                # once, at the crossing into a root's
+                                # subtree; a modify root (sign 0) marks
+                                # a count-neutral refresh instead.
+                                sign = sign_at(tgt)
+                                if sign == 0:
+                                    nxt.append((tgt, mult, True, cls))
+                                else:
+                                    nxt.append((tgt, mult * sign, refresh,
+                                                cls))
+                            elif cls == _ANCESTOR and is_last:
+                                # Stopping at a proper ancestor of a root:
+                                # the reached fragment's content changed
+                                # (passing through one on the way down
+                                # means nothing yet).
+                                nxt.append((tgt, mult, True, cls))
+                            else:
+                                nxt.append((tgt, mult, refresh, cls))
+                    frontier = nxt
                     is_first = False
-                produced = 0
+                entry_at = entry_status == _AT
                 for key, mult, refresh, status in frontier:
                     if attr_inert:
                         refresh = False
                         status = None
                     # A tuple is pinned to the delta when this navigation's
                     # final node relates to an update root, or when the
-                    # tuple already was.  In delta mode, unpinned tuples are
-                    # dropped: an unrelated branch (self-join) must
-                    # contribute an empty delta, not its full table.
-                    touched = (tup.touched or refresh or mult != 1
-                               or status is not None
-                               or entry_status == _AT)
-                    if ctx.mode == DELTA and not touched:
+                    # tuple already was.  Unpinned tuples are dropped: an
+                    # unrelated branch (self-join) must contribute an
+                    # empty delta, not its full table.
+                    if not (tup_touched or refresh or mult != 1
+                            or status is not None or entry_at):
                         continue
-                    variants = _pair_variants(ctx, key, value_steps)
-                    if variants is not None:
-                        produced += _emit_pair(table, tup, self.out,
-                                               variants, tup.count * mult)
-                        continue
-                    if value_steps:
-                        for item in _value_items(ctx, key, value_steps):
-                            out = tup.extended(
-                                self.out, item,
-                                count=tup.count * mult,
-                                refresh=tup.refresh or refresh,
-                                touched=touched)
-                            table.append(out)
-                            produced += 1
-                    else:
-                        out = tup.extended(
-                            self.out, NodeItem(key),
-                            count=tup.count * mult,
-                            refresh=tup.refresh or refresh,
-                            touched=touched)
-                        table.append(out)
-                        produced += 1
-                if produced == 0 and self.keep_empty and ctx.mode != DELTA:
-                    table.append(tup.extended(self.out, None))
+                    count = tup.count * mult
+                    if pairs_possible:
+                        variants = _pair_variants(ctx, key, value_steps)
+                        if variants is not None:
+                            _emit_pair(table, tup, out, variants, count)
+                            continue
+                    for item in _cell_items(ctx, key, value_steps):
+                        cells = dict(tup.cells)
+                        cells[out] = item
+                        append(XatTuple(cells, count,
+                                        tup.refresh or refresh, True,
+                                        tup.era))
         return table
 
     def describe(self) -> str:
@@ -431,10 +459,15 @@ class NavigateCollection(XatOperator):
         context[self.out] = ContextSpec(order=in_spec.order, lineage=lineage)
         return TableSchema(columns, base.order_schema, context)
 
+    def _precompute(self) -> None:
+        self._element_steps = self.path.element_steps()
+        self._value_steps = self.path.value_steps()
+
     def _member_variants(self, ctx: ExecutionContext, key: FlexKey,
-                         items: list[Item], value_steps
+                         items: list[Item]
                          ) -> tuple[list[Item], list[Item], bool]:
-        """One final member's ``(old_items, new_items, changed)``.
+        """One final member's ``(old_items, new_items, changed)``, for a
+        member in the batch's document.
 
         Inserted members exist only in the new state, deleted members
         only in the old one (the deferred-delete discipline keeps them
@@ -443,7 +476,8 @@ class NavigateCollection(XatOperator):
         the pre-update value.  An unchanged member is shared.
         """
         spec = ctx.delta
-        cls = _classify(ctx, key)
+        value_steps = self._value_steps
+        cls = spec.classify(key)
         if spec.phase == "insert" and cls == _AT:
             return [], items, True
         if spec.phase == "delete" and cls == _AT:
@@ -462,83 +496,109 @@ class NavigateCollection(XatOperator):
                             items, True)
         return items, items, False
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        if ctx.mode == DELTA and ctx.delta is not None:
+            return self._delta(ctx, inputs[0])
         table = XatTable(self.schema)
-        element_steps = self.path.element_steps()
-        value_steps = self.path.value_steps()
-        delta_mode = ctx.mode == DELTA and ctx.delta is not None
-        for tup in source:
-            collected: list[Item] = []   # current-state members
+        value_steps = self._value_steps
+        for tup in inputs[0].tuples:
+            collected: list[Item] = []
+            for entry in items_of(tup[self.col]):
+                if not isinstance(entry, NodeItem):
+                    continue
+                for key in _reached(ctx, entry.key.without_override(),
+                                    self._element_steps):
+                    collected.extend(_cell_items(ctx, key, value_steps))
+            table.append(tup.extended(self.out, collected))
+        return table
+
+    def _delta(self, ctx: ExecutionContext, source: XatTable) -> XatTable:
+        """One output tuple per input tuple: a cell whose membership or
+        member text differs between the pre- and post-batch states turns
+        the tuple into a retract/assert pair; content changing *below* a
+        member marks it ``refresh``; otherwise it passes through."""
+        spec = ctx.delta
+        storage = ctx.storage
+        document_of_key = storage.document_of_key
+        classify = spec.classify
+        sign_at = spec.sign_at
+        doc = spec.document
+        element_steps = self._element_steps
+        value_steps = self._value_steps
+        n_last = len(element_steps) - 1
+        col = self.col
+        out = self.out
+        table = XatTable(self.schema)
+        append = table.append
+        for tup in source.tuples:
+            collected: list[Item] = []    # current-state members
             old_members: list[Item] = []  # pre-batch members
             new_members: list[Item] = []  # post-batch members
             changed = False
             refresh = False
-            for entry in items_of(tup[self.col]):
+            for entry in items_of(tup.cells.get(col)):
                 if not isinstance(entry, NodeItem):
                     continue
                 entry_key = entry.key.without_override()
-                entry_status = _classify(ctx, entry_key) \
-                    if delta_mode else None
+                in_doc = document_of_key(entry_key) == doc
+                # Inside an update root the whole tuple reads one state
+                # (the sign was applied at the unnest crossing), never a
+                # pair; outside the batch's document nothing classifies.
+                shared = not in_doc or classify(entry_key) == _AT
                 frontier = [entry_key]
-                is_first = ctx.storage.is_document_root(entry_key)
+                is_first = storage.is_document_root(entry_key)
                 for index, step in enumerate(element_steps):
-                    is_last = index == len(element_steps) - 1
-                    next_frontier = []
+                    is_last = index == n_last
+                    nxt: list = []
                     for key in frontier:
                         targets = _element_targets(ctx, key, step, is_first)
-                        for tgt, m2, r2 in _filter_targets(
-                                ctx, entry_status, targets, seek=False,
-                                is_last=is_last):
-                            # Collections never change tuple multiplicity:
-                            # a crossed root marks the tuple refresh instead.
-                            if m2 != 1 or r2:
-                                refresh = True
-                            next_frontier.append(tgt)
-                    frontier = next_frontier
+                        if not shared:
+                            for tgt in targets:
+                                cls = classify(tgt)
+                                # Collections never change tuple
+                                # multiplicity: any crossing that is not
+                                # a plain insert (+1), or stopping at an
+                                # ancestor of a root, marks the tuple
+                                # refresh instead.
+                                if cls == _AT:
+                                    if sign_at(tgt) != 1:
+                                        refresh = True
+                                elif cls == _ANCESTOR and is_last:
+                                    refresh = True
+                        nxt.extend(targets)
+                    frontier = nxt
                     is_first = False
                 for key in frontier:
-                    items = (_value_items(ctx, key, value_steps)
-                             if value_steps else [NodeItem(key)])
+                    items = _cell_items(ctx, key, value_steps)
                     collected.extend(items)
-                    if not delta_mode:
-                        continue
-                    if entry_status == _AT:
-                        # The whole tuple is inside an update root: its
-                        # cells read one state (the sign was applied at
-                        # the unnest crossing), never a pair.
+                    if shared:
                         old_members.extend(items)
                         new_members.extend(items)
                         continue
                     olds, news, member_changed = self._member_variants(
-                        ctx, key, items, value_steps)
+                        ctx, key, items)
                     old_members.extend(olds)
                     new_members.extend(news)
                     changed = changed or member_changed
-            if delta_mode and tup.era is not None:
+            if tup.era is not None:
                 # One half of an upstream pair: extend with the matching
                 # state's members (the count already carries the sign).
                 members = old_members if tup.era == "old" else new_members
-                table.append(tup.extended(self.out, members,
-                                          count=tup.count, refresh=False,
-                                          touched=True))
-                continue
-            if delta_mode and changed:
+                append(tup.extended(out, members, refresh=False,
+                                    touched=True))
+            elif changed:
                 # The cell's content differs between the two states: a
                 # count-neutral refresh cannot re-route derivations that
                 # join/group/sort on this cell, so the tuple becomes a
                 # first-class retract/assert pair (Section 5.2.2 handled
                 # in-flight instead of by delete+reinsert decomposition).
-                table.append(tup.extended(self.out, old_members,
-                                          count=-tup.count, refresh=False,
-                                          touched=True, era="old"))
-                table.append(tup.extended(self.out, new_members,
-                                          count=tup.count, refresh=False,
-                                          touched=True, era="new"))
-                continue
-            table.append(tup.extended(self.out, collected,
-                                      count=tup.count,
-                                      refresh=tup.refresh or refresh))
+                append(tup.extended(out, old_members, count=-tup.count,
+                                    refresh=False, touched=True, era="old"))
+                append(tup.extended(out, new_members, refresh=False,
+                                    touched=True, era="new"))
+            else:
+                append(tup.extended(out, collected,
+                                    refresh=tup.refresh or refresh))
         return table
 
     def describe(self) -> str:

@@ -13,11 +13,11 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from ..flexkeys import FlexKey, compose_values
-from .base import (DELETE, DELTA, FULL, MODIFY, ExecutionContext, PlanError,
-                   XatOperator)
+from .base import (DELETE, DELTA, FULL, INSERT, MODIFY, ExecutionContext,
+                   PlanError, XatOperator)
 from .conditions import Comparison, Condition, conjuncts, item_value
-from .table import (AtomicItem, ContextSpec, NodeItem, TableSchema, XatTable,
-                    XatTuple, items_of, single_item)
+from .table import (AtomicItem, ContextSpec, Item, NodeItem, TableSchema,
+                    XatTable, XatTuple, items_of, single_item)
 
 
 class TransientSideHandle:
@@ -156,13 +156,12 @@ class Select(XatOperator):
     def _build_schema(self) -> TableSchema:
         return self.inputs[0].schema
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
-        table = XatTable(self.schema)
-        for tup in source:
-            if self.condition.evaluate(tup, ctx):
-                table.append(tup)
-        return table
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        # Δσ(T) = σ(ΔT): the same filter in every mode.
+        condition = self.condition
+        return XatTable(self.schema,
+                        [tup for tup in inputs[0].tuples
+                         if condition.evaluate(tup, ctx)])
 
     def describe(self) -> str:
         return f"Select {self.condition}"
@@ -198,10 +197,9 @@ class Rename(XatOperator):
                              for c in base.order_schema)
         return TableSchema(columns, order_schema, context)
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
         table = XatTable(self.schema)
-        for tup in source:
+        for tup in inputs[0]:
             cells = {(self.out if c == self.col else c): v
                      for c, v in tup.cells.items()}
             table.append(XatTuple(cells, tup.count, tup.refresh,
@@ -245,6 +243,10 @@ class _BinaryJoinBase(XatOperator):
 
     # -- join machinery -----------------------------------------------------------
 
+    def _precompute(self) -> None:
+        #: hash-join key columns per side; None under a theta condition
+        self._lcols, self._rcols = self._equi_key_columns() or (None, None)
+
     def _equi_key_columns(self) -> Optional[tuple[list[str], list[str]]]:
         """Columns for a hash join when every conjunct is a column equality."""
         if self.condition is None:
@@ -271,9 +273,8 @@ class _BinaryJoinBase(XatOperator):
     def _match_pairs(self, ctx: ExecutionContext, left: XatTable,
                      right: XatTable):
         """Yield (left_tuple, [matching right tuples])."""
-        equi = self._equi_key_columns()
-        if equi is not None:
-            lcols, rcols = equi
+        lcols, rcols = self._lcols, self._rcols
+        if lcols is not None:
             index: dict[tuple, list[XatTuple]] = {}
             for rt in right:
                 for key in _hash_keys(rt, rcols, ctx):
@@ -291,77 +292,65 @@ class _BinaryJoinBase(XatOperator):
                         matches.append(rt)
                 yield lt, matches
 
-    # -- maintenance expansion ------------------------------------------------------
+    def _side_matches(self, ctx: ExecutionContext, tup: XatTuple, cols,
+                      side) -> list[XatTuple]:
+        """Tuples of the other side's handle ``side`` matching ``tup``.
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
+        Under an equi condition ``cols`` are ``tup``'s key columns and
+        the handle is probed — once per distinct value of a multi-item
+        key cell (existential semantics), a side tuple matching on
+        several values still matching once.  A theta condition (``cols``
+        is None) is the nested-loop match over the side's table.
+        """
+        if cols is not None:
+            return _probe_union(side.probe, _hash_keys(tup, cols, ctx))
+        condition = self.condition
+        return [ot for ot in side.table()
+                if condition is None
+                or condition.evaluate(tup.merged(ot), ctx)]
+
+    # -- evaluation ---------------------------------------------------------------
+
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        left, right = inputs
         if ctx.mode == DELTA and ctx.delta is not None:
-            # The two-term expansion, delta side first: a term whose delta
-            # is empty is skipped outright, so the untouched side of a
-            # one-sided batch is never evaluated at all — and when it is
-            # needed, it is probed (persistent index or transient build)
-            # by the delta tuples instead of being iterated.
-            doc = ctx.delta.document
-            equi = self._equi_key_columns()
-            lcols, rcols = equi if equi is not None else (None, None)
-            table = XatTable(self.schema)
-            if doc in self.inputs[0].source_documents():
-                ldelta = ctx.evaluate(self.inputs[0], DELTA)
-                if ldelta.tuples:
-                    other = side_handle(ctx, self.inputs[1],
-                                        ctx.mode_for_new, rcols)
-                    self._combine_delta(table, ctx, ldelta, lcols, other,
-                                        delta_side="left")
-            if doc in self.inputs[1].source_documents():
-                rdelta = ctx.evaluate(self.inputs[1], DELTA)
-                if rdelta.tuples:
-                    # A_old: under a modify batch the mode alone cannot
-                    # realize the pre-update state — the diff handle
-                    # subtracts the left side's own retract/assert pairs.
-                    other = old_side_handle(ctx, self.inputs[0],
-                                            ctx.mode_for_old, lcols)
-                    self._combine_delta(table, ctx, rdelta, rcols, other,
-                                        delta_side="right")
-            return table
+            return self._delta(ctx, left, right)
         table = XatTable(self.schema)
-        self._combine_into(table, ctx,
-                           ctx.evaluate(self.inputs[0]),
-                           ctx.evaluate(self.inputs[1]),
-                           delta_side=None)
+        self._combine_into(table, ctx, left, right)
         return table
 
     def _combine_into(self, table: XatTable, ctx: ExecutionContext,
-                      left: XatTable, right: XatTable,
-                      delta_side: Optional[str]) -> None:
+                      left: XatTable, right: XatTable) -> None:
         raise NotImplementedError
 
-    def _delta_matches(self, ctx: ExecutionContext, dt: XatTuple,
-                       delta_cols, other) -> list[XatTuple]:
-        """Tuples of the non-delta side matching one delta tuple.
+    def _delta(self, ctx: ExecutionContext, ldelta: XatTable,
+               rdelta: XatTable) -> XatTable:
+        """Δ(A ⋈ B) = ΔA ⋈ B_new ∪ A_old ⋈ ΔB, delta side first.
 
-        Multi-item key cells probe once per distinct item value
-        (existential semantics); a side tuple matching on several values
-        still matches once.
+        A term whose delta is empty is skipped outright, so the
+        untouched side of a one-sided batch is never evaluated at all —
+        and when it is needed, it is probed (persistent index or
+        transient build) by the delta tuples instead of being iterated.
         """
-        if delta_cols is not None:
-            return _probe_union(other.probe,
-                                _hash_keys(dt, delta_cols, ctx))
-        matches = []
-        for ot in other.table():
-            merged = dt.merged(ot)
-            if self.condition is None or self.condition.evaluate(merged,
-                                                                 ctx):
-                matches.append(ot)
-        return matches
-
-    def _combine_delta(self, table: XatTable, ctx: ExecutionContext,
-                       delta: XatTable, delta_cols, other,
-                       delta_side: str) -> None:
-        """Default (inner-join) delta term: iterate the delta tuples and
-        probe the other side, emitting left-cells-first merges."""
-        for dt in delta:
-            for ot in self._delta_matches(ctx, dt, delta_cols, other):
-                table.append(dt.merged(ot) if delta_side == "left"
-                             else ot.merged(dt))
+        lcols, rcols = self._lcols, self._rcols
+        table = XatTable(self.schema)
+        append = table.append
+        if ldelta.tuples:
+            other = side_handle(ctx, self.inputs[1], ctx.mode_for_new,
+                                rcols)
+            for dt in ldelta.tuples:
+                for ot in self._side_matches(ctx, dt, lcols, other):
+                    append(dt.merged(ot))
+        if rdelta.tuples:
+            # A_old: under a modify batch the mode alone cannot realize
+            # the pre-update state — the diff handle subtracts the left
+            # side's own retract/assert pairs.
+            other = old_side_handle(ctx, self.inputs[0], ctx.mode_for_old,
+                                    lcols)
+            for dt in rdelta.tuples:
+                for ot in self._side_matches(ctx, dt, rcols, other):
+                    append(ot.merged(dt))
+        return table
 
 
 def _hash_keys(tup: XatTuple, cols: Sequence[str], ctx) -> list[tuple]:
@@ -374,6 +363,16 @@ def _hash_keys(tup: XatTuple, cols: Sequence[str], ctx) -> list[tuple]:
     what lets maintenance retract pairs whose key cells change arity).
     An empty key cell hashes nowhere.
     """
+    if len(cols) == 1:
+        # The common shape — one key column holding one item — skips
+        # the cross-product machinery below.
+        cell = tup.cells.get(cols[0])
+        if cell is None:
+            return []
+        if isinstance(cell, Item):
+            return [(item_value(cell, ctx),)]
+        if len(cell) == 1:
+            return [(item_value(cell[0], ctx),)]
     per_col: list[list[str]] = []
     for col in cols:
         items = items_of(tup[col])
@@ -423,7 +422,7 @@ class CartesianProduct(_BinaryJoinBase):
     def __init__(self, left: XatOperator, right: XatOperator):
         super().__init__(left, right, condition=None)
 
-    def _combine_into(self, table, ctx, left, right, delta_side):
+    def _combine_into(self, table, ctx, left, right):
         for lt in left:
             for rt in right:
                 table.append(lt.merged(rt))
@@ -435,7 +434,7 @@ class Join(_BinaryJoinBase):
     symbol = "join"
     anti_projectable = True
 
-    def _combine_into(self, table, ctx, left, right, delta_side):
+    def _combine_into(self, table, ctx, left, right):
         for lt, matches in self._match_pairs(ctx, left, right):
             for rt in matches:
                 table.append(lt.merged(rt))
@@ -451,29 +450,29 @@ class LeftOuterJoin(_BinaryJoinBase):
     symbol = "loj"
     anti_projectable = False  # dangling tuples break coverage filtering
 
-    def _handle_has_match(self, ctx, tup, cols, handle) -> bool:
-        """Whether ``tup`` matches anything in a side handle's state.
+    def _handle_has_match(self, ctx, tup, cols, side) -> bool:
+        """Whether the left tuple ``tup`` matches anything in the right
+        side's handle ``side``.
 
         With negated diff rows in play (modify phase), matching is by
         *net count*: a row present only as a cancelled pair (+c and -c)
         is no match.
         """
-        if cols is not None:
-            return sum(ot.count
-                       for ot in _probe_union(handle.probe,
-                                              _hash_keys(tup, cols, ctx))
-                       ) != 0
-        total = 0
-        for _lt, matches in self._match_pairs(ctx, _single_table(tup),
-                                              handle.table()):
-            total += sum(ot.count for ot in matches)
-        return total != 0
+        return sum(ot.count for ot in
+                   self._side_matches(ctx, tup, cols, side)) != 0
 
-    def _combine_delta(self, table, ctx, delta, delta_cols, other,
-                       delta_side):
-        equi = self._equi_key_columns()
-        modify = ctx.delta.phase == "modify"
-        if delta_side == "left":
+    def _delta(self, ctx, ldelta, rdelta):
+        """The inner-join expansion plus the dangling-tuple treatment:
+        ΔA rows null-pad where B has no match, and ΔB retracts (inserts)
+        or restores (deletes) the null-padded results of old-left rows
+        whose dangling status flips (Fig 7.3)."""
+        spec = ctx.delta
+        lcols, rcols = self._lcols, self._rcols
+        right = self.inputs[1]
+        modify = spec.phase == MODIFY
+        table = XatTable(self.schema)
+        append = table.append
+        if ldelta.tuples:
             # Inner term over (ΔA, B_new) with LOJ null-padding.  Under a
             # modify batch every count-carrying ΔA row pads against the
             # *old* right state — δ·[dangling_old]; together with the
@@ -482,70 +481,61 @@ class LeftOuterJoin(_BinaryJoinBase):
             # c_new·[dangling_new] - c_old·[dangling_old] (a new row's
             # vacuous old-dangling pad cancels against its own
             # correction inside the group sum).
-            rcols = equi[1] if equi is not None else None
+            other = side_handle(ctx, right, ctx.mode_for_new, rcols)
             old_check = None
-            for dt in delta:
-                matches = self._delta_matches(ctx, dt, delta_cols, other)
+            for dt in ldelta.tuples:
+                matches = self._side_matches(ctx, dt, lcols, other)
                 for ot in matches:
-                    table.append(dt.merged(ot))
+                    append(dt.merged(ot))
                 if not modify or dt.refresh:
                     if not matches:
-                        table.append(self._null_padded(dt, dt.count))
+                        append(self._null_padded(dt, dt.count))
                     continue
                 if old_check is None:
-                    old_check = old_side_handle(
-                        ctx, self.inputs[1], ctx.mode_for_old, rcols)
-                if not self._handle_has_match(ctx, dt, delta_cols,
-                                              old_check):
-                    table.append(self._null_padded(dt, dt.count))
-            return
-        # Inner join of old-left with the delta, plus corrections that
-        # retract (inserts) or restore (deletes) null-padded results for
-        # left tuples whose dangling status flips (Fig 7.3).
-        lcols = equi[0] if equi is not None else None
+                    old_check = old_side_handle(ctx, right,
+                                                ctx.mode_for_old, rcols)
+                if not self._handle_has_match(ctx, dt, lcols, old_check):
+                    append(self._null_padded(dt, dt.count))
+        if not rdelta.tuples:
+            return table
+        other = old_side_handle(ctx, self.inputs[0], ctx.mode_for_old,
+                                lcols)
         matched_lefts: dict[int, XatTuple] = {}
-        for dt in delta:
-            for lt in self._delta_matches(ctx, dt, delta_cols, other):
-                table.append(lt.merged(dt))
+        for dt in rdelta.tuples:
+            for lt in self._side_matches(ctx, dt, rcols, other):
+                append(lt.merged(dt))
                 matched_lefts.setdefault(id(lt), lt)
         if not matched_lefts:
-            return
-        rcols = equi[1] if equi is not None else None
+            return table
         if modify:
             # A first-class modify can flip dangling status both ways:
             # compare each touched left row against the right side's old
             # (diffed) and new (current) states.
-            if not ctx.delta.has_pairs:
-                return  # refresh-only modify: no re-routing possible
-            new_check = side_handle(ctx, self.inputs[1], ctx.mode_for_new,
-                                    rcols)
-            old_check = old_side_handle(ctx, self.inputs[1],
-                                        ctx.mode_for_old, rcols)
+            if not spec.has_pairs:
+                return table  # refresh-only modify: no re-routing possible
+            new_check = side_handle(ctx, right, ctx.mode_for_new, rcols)
+            old_check = old_side_handle(ctx, right, ctx.mode_for_old, rcols)
             for lt in matched_lefts.values():
                 if lt.era is not None:
                     continue  # synthetic diff row, not an extent left
                 has_new = self._handle_has_match(ctx, lt, lcols, new_check)
                 has_old = self._handle_has_match(ctx, lt, lcols, old_check)
                 if has_old and not has_new:
-                    table.append(self._null_padded(lt, lt.count))
+                    append(self._null_padded(lt, lt.count))
                 elif has_new and not has_old:
-                    table.append(self._null_padded(lt, -lt.count))
-            return
-        check_mode = (ctx.mode_for_old if ctx.delta.phase == "insert"
-                      else ctx.mode_for_new)
-        check = side_handle(ctx, self.inputs[1], check_mode, rcols)
+                    append(self._null_padded(lt, -lt.count))
+            return table
+        # An insert flips a left row to matched when the *old* right
+        # state held no match; a delete flips it to dangling when the
+        # *new* one holds none.
+        inserting = spec.phase == INSERT
+        check = side_handle(ctx, right, ctx.mode_for_old if inserting
+                            else ctx.mode_for_new, rcols)
         for lt in matched_lefts.values():
-            if lcols is not None:
-                has = bool(_probe_union(check.probe,
-                                        _hash_keys(lt, lcols, ctx)))
-            else:
-                has = self._has_match(ctx, lt, check.table())
-            if has:
-                continue
-            if ctx.delta.phase == "insert":
-                table.append(self._null_padded(lt, -lt.count))
-            else:  # delete
-                table.append(self._null_padded(lt, lt.count))
+            if not self._side_matches(ctx, lt, lcols, check):
+                append(self._null_padded(lt, -lt.count if inserting
+                                         else lt.count))
+        return table
 
     def _null_padded(self, lt: XatTuple, count: int) -> XatTuple:
         cells = dict(lt.cells)
@@ -553,32 +543,7 @@ class LeftOuterJoin(_BinaryJoinBase):
             cells[col] = None
         return XatTuple(cells, count, lt.refresh, lt.touched, lt.era)
 
-    def _combine_into(self, table, ctx, left, right, delta_side):
-        if delta_side == "right":
-            # Inner join of old-left with the delta, plus corrections that
-            # retract (inserts) or restore (deletes) null-padded results for
-            # left tuples whose dangling status flips (Fig 7.3).
-            right_old = None
-            right_new = None
-            for lt, matches in self._match_pairs(ctx, left, right):
-                for rt in matches:
-                    table.append(lt.merged(rt))
-                if not matches or ctx.delta.phase == "modify":
-                    continue
-                if ctx.delta.phase == "insert":
-                    if right_old is None:
-                        right_old = ctx.evaluate(self.inputs[1],
-                                                 ctx.mode_for_old)
-                    if not self._has_match(ctx, lt, right_old):
-                        table.append(self._null_padded(lt, -lt.count))
-                else:  # delete
-                    if right_new is None:
-                        right_new = ctx.evaluate(self.inputs[1],
-                                                 ctx.mode_for_new)
-                    if not self._has_match(ctx, lt, right_new):
-                        table.append(self._null_padded(lt, lt.count))
-            return
-        # Normal evaluation, or delta on the left side: plain LOJ semantics.
+    def _combine_into(self, table, ctx, left, right):
         for lt, matches in self._match_pairs(ctx, left, right):
             if matches:
                 for rt in matches:
@@ -586,19 +551,8 @@ class LeftOuterJoin(_BinaryJoinBase):
             else:
                 table.append(self._null_padded(lt, lt.count))
 
-    def _has_match(self, ctx, lt: XatTuple, right: XatTable) -> bool:
-        for _lt, matches in self._match_pairs(ctx, _single_table(lt), right):
-            return bool(matches)
-        return False
-
     def describe(self) -> str:
         return f"LeftOuterJoin {self.condition}"
-
-
-def _single_table(tup: XatTuple) -> XatTable:
-    table = XatTable(TableSchema(tuple(tup.cells)))
-    table.append(tup)
-    return table
 
 
 def group_key(tup: XatTuple, cols: Sequence[str], ctx) -> tuple:
@@ -639,8 +593,8 @@ class Distinct(XatOperator):
         return TableSchema((self.col,), (),
                            {self.col: ContextSpec(order=None, lineage=())})
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        source = ctx.evaluate(self.inputs[0])
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        source = inputs[0]
         if ctx.mode == DELTA:
             return self.delta_rows(source, ctx)
         table = XatTable(self.schema)
@@ -752,8 +706,8 @@ class OrderBy(XatOperator):
             return "-" + f"{1e18 + number:020.4f}"
         return f"{number:020.4f}"
 
-    def execute(self, ctx: ExecutionContext) -> XatTable:
-        table = self.keyed_rows(ctx.evaluate(self.inputs[0]), ctx)
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        table = self.keyed_rows(inputs[0], ctx)
         if ctx.mode != DELTA:
             # Delta tables are bags whose rows fuse by order token; only
             # a current-state table is worth presenting sorted.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..flexkeys import COMPOSE_SEP, FlexKey
-from .table import AtomicItem, NodeItem, TableSchema, XatTuple, items_of, \
+from .table import AtomicItem, Item, NodeItem, TableSchema, XatTuple, \
     single_item
 
 #: Suffix marking constructed-node identifiers.
@@ -34,19 +34,44 @@ def lineage_token_of_item(item) -> str:
     raise TypeError(f"unexpected item {item!r}")
 
 
+def lineage_terminals(schema: TableSchema, col: str
+                      ) -> list[Optional[str]]:
+    """The Lineage Context of ``col`` flattened to its terminals.
+
+    The Context Schema is fixed once a plan is prepared, so the
+    recursive column-reference resolution of Def 4.2.1 always ends in
+    the same ordered sequence of self-lineage columns (by name) and
+    Combine "all" lineages (``None``); an operator flattens it once and
+    resolves it per tuple with :func:`resolve_lineage`.
+    """
+    spec = schema.spec(col)
+    if spec.is_all_lineage:
+        return [None]
+    if spec.is_self_lineage:
+        return [col]
+    return [terminal for ref_col, _cid in spec.lineage
+            for terminal in lineage_terminals(schema, ref_col)]
+
+
+def resolve_lineage(terminals, tup: XatTuple) -> list[str]:
+    """The lineage tokens of one tuple under flattened ``terminals``."""
+    tokens: list[str] = []
+    for col in terminals:
+        if col is None:
+            tokens.append(ALL_TOKEN)
+            continue
+        cell = tup.cells.get(col)
+        if isinstance(cell, Item):
+            tokens.append(lineage_token_of_item(cell))
+        elif cell:
+            tokens.extend(lineage_token_of_item(item) for item in cell)
+    return tokens
+
+
 def lineage_tokens(schema: TableSchema, tup: XatTuple, col: str
                    ) -> list[str]:
     """Resolve the Lineage Context of ``col`` for one tuple (Def 4.2.1)."""
-    spec = schema.spec(col)
-    if spec.is_all_lineage:
-        return [ALL_TOKEN]
-    if spec.is_self_lineage:
-        return [lineage_token_of_item(item)
-                for item in items_of(tup[col])]
-    tokens: list[str] = []
-    for ref_col, _cid in spec.lineage:
-        tokens.extend(lineage_tokens(schema, tup, ref_col))
-    return tokens
+    return resolve_lineage(lineage_terminals(schema, col), tup)
 
 
 def order_tokens(schema: TableSchema, tup: XatTuple, col: str

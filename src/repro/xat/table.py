@@ -249,7 +249,8 @@ class TableSchema:
     context: dict[str, ContextSpec] = field(default_factory=dict)
 
     def spec(self, column: str) -> ContextSpec:
-        return self.context.get(column, ContextSpec())
+        spec = self.context.get(column)
+        return spec if spec is not None else ContextSpec()
 
     @property
     def ecc(self) -> tuple[str, ...]:

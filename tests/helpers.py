@@ -210,7 +210,6 @@ def run_differential(seed: int, steps: int, mutators: Sequence[str],
                      views: Union[str, Iterable[str]], *,
                      num_persons: int = 20, site_seed: int = 1,
                      operator_state: bool = True,
-                     compiled: bool = True,
                      batch_max: int = 3,
                      twin: Optional[dict] = None) -> int:
     """Drive ``steps`` random mixed batches against maintained view(s)
@@ -219,13 +218,12 @@ def run_differential(seed: int, steps: int, mutators: Sequence[str],
 
     ``views`` is one query string or an iterable of them; each runs as
     its own :class:`MaterializedXQueryView` over the same storage.
-    ``operator_state`` and ``compiled`` pick the execution
-    configuration (persistent side tables on/off, delta-plan VM vs tree
-    interpreter).  When ``twin`` is given (keyword overrides, e.g.
-    ``{"compiled": False}``), a second set of views over an identical
-    storage replays the same stream and must stay byte-identical to the
-    first — the differential leg pinning two engine configurations
-    against each other.
+    ``operator_state`` picks the execution configuration (persistent
+    side tables on/off).  When ``twin`` is given (keyword overrides,
+    e.g. ``{"operator_state": False}``), a second set of views over an
+    identical storage replays the same stream and must stay
+    byte-identical to the first — the differential leg pinning two
+    engine configurations against each other.
 
     Returns the number of updates applied.
     """
@@ -234,8 +232,7 @@ def run_differential(seed: int, steps: int, mutators: Sequence[str],
     def build(query: str, overrides: dict):
         storage = StorageManager()
         xmark.register_site(storage, num_persons, seed=site_seed)
-        options = {"operator_state": operator_state,
-                   "compiled": compiled}
+        options = {"operator_state": operator_state}
         options.update(overrides)
         view = MaterializedXQueryView(storage, query, **options)
         view.materialize()

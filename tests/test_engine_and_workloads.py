@@ -3,7 +3,7 @@
 import pytest
 
 from repro import (Engine, MaterializedXQueryView, Profiler, StorageManager,
-                   XmlDocument, translate_query)
+                   UpdateRequest, XmlDocument, translate_query)
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
 from repro.xquery.updates import apply_xquery_update, parse_update
@@ -88,6 +88,25 @@ class TestEngine:
         Engine(sm).query(translate_query(bibload.YEAR_GROUP_QUERY),
                          profiler=profiler)
         assert profiler.totals == {}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_profiler_labels_through_a_maintained_view(self, enabled):
+        """The plan VM runs the operators' own bodies, timers included:
+        materialization and a Δ batch each report every label."""
+        sm = self._storage()
+        view = MaterializedXQueryView(sm, bibload.YEAR_GROUP_QUERY)
+        materialize, batch = Profiler(enabled), Profiler(enabled)
+        view.materialize(profiler=materialize)
+        last_book = sm.children(sm.root_key("bib.xml"), "book")[-1]
+        view.apply_updates([UpdateRequest.insert(
+            "bib.xml", last_book, bibload.NEW_BOOK_FRAGMENT, "after")],
+            profiler=batch)
+        assert view.to_xml() == view.recompute_xml()
+        for profiler in (materialize, batch):
+            assert sorted(profiler.totals) == (
+                ["final_sort", "overriding_order", "semantic_id"]
+                if enabled else [])
+        view.close()
 
 
 class TestWorkloadGenerators:

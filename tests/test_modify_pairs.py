@@ -280,10 +280,7 @@ class TestMultiItemHashKeys:
 
 #: run_differential's configuration axes
 each_engine_config = pytest.mark.parametrize(
-    "config", [{"operator_state": True, "compiled": True},
-               {"operator_state": False, "compiled": True},
-               {"operator_state": True, "compiled": False},
-               {"operator_state": False, "compiled": False}],
+    "config", [{"operator_state": True}, {"operator_state": False}],
     ids=lambda c: "-".join(k for k, v in c.items() if v) or "neither")
 
 

@@ -1,12 +1,8 @@
-"""Compiled execution: the delta-plan IR, the batch primitives, and the
-compiled-vs-interpreted differential.
-
-The tree interpreter stays the semantic oracle; every test here pins the
-compiled path against it — structurally (linear plans, dependency
-order, cross-view prefix sharing), on the batch/accessor primitives
-(composite column mapping, count-signed merge, empty-delta
-short-circuit), and behaviourally (randomized mixed update streams over
-the full xmark/bib view set, byte-identical extents in both modes).
+"""The plan IR and its VM: lowered plans are linear and dependency
+ordered, share prepared metadata across views, short-circuit a foreign
+document's empty delta, and — scheduled linearly — maintain every view
+of the xmark/bib set equal to recursive recomputation under randomized
+mixed update streams.
 """
 
 from __future__ import annotations
@@ -15,15 +11,13 @@ import pytest
 
 from repro import (Database, MaterializedXQueryView, StorageManager,
                    UpdateRequest, ViewRegistry)
-from repro.plan import (CompositeAccessor, TupleBatch, lower,
-                        merge_signed_counts)
+from repro.plan import lower
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
 from repro.xat.base import DELTA, FULL, MODIFY
-from repro.xat.table import TableSchema, XatTable, XatTuple
 
 from .helpers import (ALL_MUTATORS, assert_consistent, books_of,
-                      run_differential)
+                      run_differential, site_view)
 
 CITY_PATH = [("child", "site"), ("child", "people"), ("child", "person"),
              ("child", "address"), ("child", "city")]
@@ -39,105 +33,13 @@ XMARK_VIEWS = [
 ]
 
 
-def site_view(query: str, compiled: bool = True, n: int = 20):
-    storage = StorageManager()
-    xmark.register_site(storage, n, seed=1)
-    view = MaterializedXQueryView(storage, query, compiled=compiled)
-    view.materialize()
-    return storage, view
-
-
-# -- batch / accessor primitives ---------------------------------------------------------
-
-
-class TestTupleBatch:
-
-    def _table(self) -> XatTable:
-        table = XatTable(TableSchema(("a", "b")))
-        table.append(XatTuple({"a": 1, "b": 2}))
-        table.append(XatTuple({"a": 3}, count=-2, refresh=True))
-        table.append(XatTuple({"b": 4}, count=5, touched=True, era="old"))
-        return table
-
-    def test_roundtrip_preserves_rows(self):
-        table = self._table()
-        batch = TupleBatch.from_table(table)
-        assert len(batch) == 3
-        back = batch.to_table()
-        for want, got in zip(table.tuples, back.tuples):
-            assert got.cells == want.cells
-            assert got.count == want.count
-            assert got.refresh == want.refresh
-            assert got.touched == want.touched
-            assert got.era == want.era
-
-    def test_columns_are_parallel_arrays(self):
-        batch = TupleBatch.from_table(self._table())
-        assert batch.columns["a"] == [1, 3, None]
-        assert batch.columns["b"] == [2, None, 4]
-        assert batch.counts == [1, -2, 5]
-
-    def test_row_materializes_one_boundary_tuple(self):
-        batch = TupleBatch.from_table(self._table())
-        row = batch.row(1)
-        assert row.cells == {"a": 3}
-        assert row.count == -2 and row.refresh
-
-
-class TestCompositeAccessor:
-    """The zero-copy join-output mapping must match ``XatTuple.merged``
-    (the interpreter's dict-merge semantics) exactly."""
-
-    def _accessor(self):
-        left = TableSchema(("a", "b"))
-        right = TableSchema(("b", "c"))
-        out = TableSchema(("a", "b", "c"))
-        return CompositeAccessor(left, right, out)
-
-    def test_overlapping_column_resolves_right(self):
-        acc = self._accessor()
-        assert acc.side_of == {"a": 0, "b": 1, "c": 1}
-        lt = XatTuple({"a": 1, "b": 2})
-        rt = XatTuple({"b": 20, "c": 30})
-        assert acc.cell("b", lt, rt) == 20
-        assert acc.cell("a", lt, rt) == 1
-        assert acc.cell("missing", lt, rt) is None
-
-    def test_emit_matches_merged(self):
-        acc = self._accessor()
-        lt = XatTuple({"a": 1, "b": 2}, count=2, era="old")
-        rt = XatTuple({"b": 20, "c": 30}, count=-3, refresh=True)
-        want = lt.merged(rt)
-        got = acc.emit(lt, rt)
-        assert got.cells == want.cells
-        assert got.count == want.count == -6
-        assert got.refresh == want.refresh
-        assert got.era == want.era == "old"
-
-
-class TestMergeSignedCounts:
-
-    def test_retract_assert_nets_order_free(self):
-        entries = [("x", -1), ("y", 2), ("x", 1), ("y", -1)]
-        assert merge_signed_counts(entries) == {"y": 1}
-        assert merge_signed_counts(reversed(entries)) == {"y": 1}
-
-    def test_zero_nets_drop_out(self):
-        assert merge_signed_counts([("x", 3), ("x", -3)]) == {}
-        assert merge_signed_counts([]) == {}
-
-    def test_signed_multiplicities_accumulate(self):
-        got = merge_signed_counts([("x", 2), ("x", 3), ("z", -4)])
-        assert got == {"x": 5, "z": -4}
-
-
 # -- lowering / plan cache ---------------------------------------------------------------
 
 
 class TestLowering:
 
     def test_plans_are_linear_and_dependency_ordered(self):
-        _storage, view = site_view(xmark.PERSONS_BY_CITY_QUERY)
+        _storage, view = site_view(xmark.PERSONS_BY_CITY_QUERY, 20, seed=1)
         view.apply_updates([UpdateRequest.modify(
             "site.xml",
             _storage.find_by_path("site.xml", CITY_PATH)[0], "Tampere")])
@@ -184,7 +86,7 @@ class TestLowering:
         registry.close()
 
     def test_invalidate_drops_plans_keeps_prepared(self):
-        _storage, view = site_view(xmark.SELECTION_QUERY)
+        _storage, view = site_view(xmark.SELECTION_QUERY, 20, seed=1)
         cache = view._pipeline.vm.cache
         root = view._pipeline.plan
         assert cache.plans_for(root)
@@ -201,18 +103,14 @@ class TestLowering:
 class TestVmExecution:
 
     def test_compiled_matches_interpreter_after_updates(self):
-        storage_c, compiled = site_view(xmark.JOIN_QUERY, compiled=True)
-        storage_i, interp = site_view(xmark.JOIN_QUERY, compiled=False)
-        assert compiled.compiled and not interp.compiled
-        assert compiled.to_xml() == interp.to_xml()
-        for storage, view in ((storage_c, compiled), (storage_i, interp)):
-            city = storage.find_by_path("site.xml", CITY_PATH)[2]
-            view.apply_updates(
-                [UpdateRequest.modify("site.xml", city, "Tampere")])
-            assert_consistent(view)
-        assert compiled.to_xml() == interp.to_xml()
-        compiled.close()
-        interp.close()
+        """The linearly scheduled plan against recursive evaluation."""
+        storage, view = site_view(xmark.JOIN_QUERY, 20, seed=1)
+        assert_consistent(view)
+        city = storage.find_by_path("site.xml", CITY_PATH)[2]
+        view.apply_updates(
+            [UpdateRequest.modify("site.xml", city, "Tampere")])
+        assert_consistent(view)
+        view.close()
 
     def test_foreign_document_delta_short_circuits(self):
         """A subplan sourcing only prices.xml contributes an empty delta
@@ -247,13 +145,11 @@ class TestVmExecution:
             for family in ("repro_plan_compile_seconds",
                            "repro_plan_cache_hits",
                            "repro_plan_cache_misses",
-                           "repro_vm_instructions_executed",
-                           "repro_vm_kernel_runs"):
+                           "repro_vm_instructions_executed"):
                 assert family in text, f"{family} missing"
             stats = db.registry.plan_cache.stats()
             assert stats["compiles"] >= 2      # FULL + DELTA
             assert stats["instructions_executed"] > 0
-            assert stats["kernel_runs"] > 0
 
     def test_explain_lists_compiled_plans(self):
         with Database() as db:
@@ -265,7 +161,6 @@ class TestVmExecution:
             text = db.explain("by-city")
             assert "compiled plan [full]" in text
             assert "compiled plan [delta]" in text
-            assert "kernel=" in text
 
 
 # -- operator-state stale-window regression ----------------------------------------------
@@ -277,7 +172,7 @@ class TestStaleWindowGuard:
     a later patch would silently half-apply."""
 
     def _warm_entry(self):
-        storage, view = site_view(xmark.PERSONS_BY_CITY_QUERY)
+        storage, view = site_view(xmark.PERSONS_BY_CITY_QUERY, 20, seed=1)
         cities = storage.find_by_path("site.xml", CITY_PATH)
         view.apply_updates([UpdateRequest.modify(
             "site.xml", cities[0], "Tampere")])
@@ -314,37 +209,30 @@ class TestStaleWindowGuard:
         view.close()
 
 
-# -- the compiled-vs-interpreted differential --------------------------------------------
+# -- the maintained-vs-recomputed differential -------------------------------------------
 
 
 class TestDifferential:
-    """Randomized mixed streams, every mutator kind, both execution
-    modes over identical storages: byte-identical extents throughout
-    (plus the recompute oracle after every batch)."""
+    """Randomized mixed streams, every mutator kind: the recompute
+    oracle after every batch."""
 
     @pytest.mark.parametrize("name,query", XMARK_VIEWS)
     def test_xmark_views(self, name, query):
         run_differential(7, 8, ALL_MUTATORS, query,
-                         num_persons=20, site_seed=1,
-                         twin={"compiled": False})
+                         num_persons=20, site_seed=1)
 
     def test_bib_running_example(self):
-        def build(compiled: bool):
-            storage = StorageManager()
-            bibload.register_running_example(storage)
-            view = MaterializedXQueryView(
-                storage, bibload.YEAR_GROUP_QUERY, compiled=compiled)
-            view.materialize()
-            return storage, view
-
-        def scripted(storage):
-            books = books_of(storage)
-            titles = storage.find_by_path(
-                "bib.xml", [("child", "bib"), ("child", "book"),
-                            ("child", "title")])
-            entries = storage.find_by_path(
-                "prices.xml", [("child", "prices"), ("child", "entry")])
-            return [
+        storage = StorageManager()
+        bibload.register_running_example(storage)
+        view = MaterializedXQueryView(storage, bibload.YEAR_GROUP_QUERY)
+        view.materialize()
+        books = books_of(storage)
+        titles = storage.find_by_path(
+            "bib.xml", [("child", "bib"), ("child", "book"),
+                        ("child", "title")])
+        entries = storage.find_by_path(
+            "prices.xml", [("child", "prices"), ("child", "entry")])
+        for batch in (
                 [UpdateRequest.insert("bib.xml", books[-1],
                                       bibload.NEW_BOOK_FRAGMENT, "after")],
                 [UpdateRequest.modify("bib.xml", titles[0],
@@ -354,14 +242,7 @@ class TestDifferential:
                     "<entry><price>9.99</price>"
                     "<b-title>Data on the Web</b-title></entry>",
                     "after")],
-                [UpdateRequest.delete("bib.xml", books[0])],
-            ]
-
-        pair = [build(True), build(False)]
-        for batches in zip(*(scripted(storage) for storage, _v in pair)):
-            for (_storage, view), batch in zip(pair, batches):
-                view.apply_updates(batch)
-                assert_consistent(view)
-            assert pair[0][1].to_xml() == pair[1][1].to_xml()
-        for _storage, view in pair:
-            view.close()
+                [UpdateRequest.delete("bib.xml", books[0])]):
+            view.apply_updates(batch)
+            assert_consistent(view)
+        view.close()

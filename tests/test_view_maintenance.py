@@ -6,7 +6,9 @@ extent must serialize identically (content and order) to recomputation.
 
 import pytest
 
-from repro import MaterializedXQueryView, StorageManager, UpdateRequest
+from repro import (Database, MaterializedXQueryView, StorageManager,
+                   UpdateRequest)
+from repro.multiview.cost import CostModel
 from repro.workloads import xmark
 
 from .helpers import (assert_consistent, closed_auctions_of, persons_of,
@@ -263,3 +265,35 @@ class TestValidatePhaseEffects:
         view = MaterializedXQueryView(storage, xmark.ORDER_QUERY_2)
         with pytest.raises(RuntimeError):
             view.apply_updates([])
+
+
+def test_theta_join_maintained_from_both_sides(monkeypatch):
+    """A non-equi condition has no hash keys: each Δ term runs the
+    nested-loop match against the other side's whole table."""
+    # At this size wall-clock noise could pick recomputation, and a
+    # recomputed flush exercises no delta rule.
+    monkeypatch.setattr(CostModel, "should_recompute",
+                        lambda self, trees: False)
+    with Database() as db:
+        db.load("a.xml", "<as><a><v>1</v></a><a><v>5</v></a></as>")
+        db.load("b.xml", "<bs><b><w>3</w></b><b><w>9</w></b></bs>")
+        view = db.create_view(
+            "below", """<r>{for $a in doc("a.xml")/as/a,
+                             $b in doc("b.xml")/bs/b
+                         where $a/v < $b/w return <p>{$a/v}{$b/w}</p>}</r>""")
+        reasons = []
+        view.subscribe(lambda event: reasons.append(event.reason))
+        a, b = db.update("a.xml"), db.update("b.xml")
+        for step, update in enumerate((
+                lambda: a.at("/as/a[1]").insert("<a><v>4</v></a>",
+                                                position="after"),
+                lambda: a.at("/as/a[1]/v").replace_with("7"),
+                lambda: a.at("/as/a[2]").delete(),
+                lambda: b.at("/bs/b[2]").insert("<b><w>6</w></b>",
+                                                position="after"),
+                lambda: b.at("/bs/b[1]/w").replace_with("8"),
+                lambda: b.at("/bs/b[2]").delete())):
+            before = view.read()
+            update()
+            assert view.read() == view.recompute() != before, step
+            assert reasons == ["propagate"] * (step + 1)
