@@ -1,38 +1,67 @@
-"""Shared setup for the benchmark modules."""
+"""Shared setup for the benchmark modules: sites, views, timing, tables.
+
+Every figure of the paper's evaluation has one module here; each exposes
+``figure_rows()`` — the full parameter sweep, returning printable rows
+(the series the paper plots) — and pytest(-benchmark) tests asserting the
+figure's *shape* (who wins, by roughly what factor) at a small scale.
+
+Scales are chosen for laptop/CI budgets; set ``REPRO_BENCH_SCALE`` to a
+comma-separated list of person counts to sweep larger documents.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
+import time
+from typing import Callable, Iterable, Sequence
 
-from repro import MaterializedXQueryView, Profiler, StorageManager
-from repro.bench.harness import (ms, print_table, ratio, recorded_tables,
-                                 scales, time_call)
+from repro import CostModel, Profiler, StorageManager, ViewRegistry
 from repro.engine import Engine
 from repro.translate import translate_query
 from repro.workloads import xmark
 
-__all__ = ["Engine", "MaterializedXQueryView", "Profiler", "StorageManager",
-           "fresh_site", "materialized_view", "ms", "persons", "auctions",
-           "print_table", "ratio", "save_json", "scales", "time_call",
-           "translate_query", "xmark"]
+__all__ = ["Engine", "Profiler", "StorageManager", "VIEW", "auctions",
+           "fresh_site", "maintain_seconds", "materialized_view", "ms",
+           "persons", "phase_seconds", "print_table", "ratio", "save_json",
+           "scales", "time_call", "translate_query", "xmark"]
+
+#: the name :func:`materialized_view` registers its view under
+VIEW = "view"
 
 
-def fresh_site(num_persons: int, seed: int = 42,
-               indexed: bool = True) -> StorageManager:
-    storage = StorageManager(indexed=indexed)
+def fresh_site(num_persons: int, seed: int = 42) -> StorageManager:
+    storage = StorageManager()
     xmark.register_site(storage, num_persons, seed=seed)
     return storage
 
 
-def materialized_view(query: str, num_persons: int, seed: int = 42,
-                      indexed: bool = True) -> tuple[StorageManager,
-                                                     MaterializedXQueryView]:
-    storage = fresh_site(num_persons, seed=seed, indexed=indexed)
-    view = MaterializedXQueryView(storage, query)
-    view.materialize()
-    return storage, view
+def materialized_view(query, num_persons: int, seed: int = 42
+                      ) -> tuple[StorageManager, ViewRegistry]:
+    """One materialized view (named :data:`VIEW`) in a registry of its
+    own.  The figures compare propagating with recomputing, so the cost
+    model is pinned: it must not choose between them."""
+    storage = fresh_site(num_persons, seed=seed)
+    registry = ViewRegistry(storage)
+    registry.register(VIEW, query, cost_model=CostModel(bias=math.inf))
+    return storage, registry
+
+
+def phase_seconds(report) -> list[tuple[str, float]]:
+    """The V-P-A split of the first ``apply_updates`` call on a
+    :func:`materialized_view`: the call's shared routing time plus the
+    view's (cumulative) Propagate and Apply time."""
+    own = report.views[VIEW]
+    return [("validate", report.validate_seconds),
+            ("propagate", own.propagate_seconds),
+            ("apply", own.apply_seconds)]
+
+
+def maintain_seconds(report) -> float:
+    return sum(seconds for _phase, seconds in phase_seconds(report))
 
 
 def persons(storage: StorageManager):
@@ -46,6 +75,59 @@ def auctions(storage: StorageManager):
         "site.xml",
         [("child", "site"), ("child", "closed_auctions"),
          ("child", "closed_auction")])
+
+
+# -- timing, sweeps, paper-style tables --------------------------------------------
+
+def scales(default: Sequence[int] = (50, 100, 200, 400)) -> list[int]:
+    """Document scales (number of persons) for sweeps."""
+    env = os.environ.get("REPRO_BENCH_SCALE")
+    if env:
+        return [int(part) for part in env.split(",") if part.strip()]
+    return list(default)
+
+
+def time_call(fn: Callable[[], object], repeat: int = 3) -> float:
+    """Best-of-``repeat`` wall-clock seconds for ``fn()``."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def ms(seconds: float) -> str:
+    return f"{seconds * 1000.0:9.2f}"
+
+
+def ratio(part: float, total: float) -> str:
+    if total <= 0:
+        return "n/a"
+    return f"{100.0 * part / total:6.1f}%"
+
+
+#: Every table printed by :func:`print_table`, in order — the shared
+#: ``--json PATH`` flag persists this record so each figure module emits
+#: machine-readable results alongside its console tables.
+_RECORDED_TABLES: list[dict] = []
+
+
+def print_table(title: str, headers: Sequence[str],
+                rows: Iterable[Sequence[object]]) -> None:
+    """Print one paper-style series table (and record it for JSON output)."""
+    rows = [list(row) for row in rows]
+    _RECORDED_TABLES.append({
+        "title": title,
+        "headers": list(headers),
+        "rows": [[str(cell).strip() for cell in row] for row in rows],
+    })
+    print()
+    print(f"== {title} ==")
+    widths = [max(12, len(h) + 2) for h in headers]
+    print("".join(h.rjust(w) for h, w in zip(headers, widths)))
+    for row in rows:
+        print("".join(str(cell).rjust(w) for cell, w in zip(row, widths)))
 
 
 # -- machine-readable output -------------------------------------------------------
@@ -73,7 +155,7 @@ def save_json(benchmark: str, extra: dict | None = None,
     path = json_output_path(argv)
     if not path:
         return None
-    payload = {"benchmark": benchmark, "tables": recorded_tables()}
+    payload = {"benchmark": benchmark, "tables": list(_RECORDED_TABLES)}
     if extra:
         payload.update(extra)
     with open(path, "w") as handle:

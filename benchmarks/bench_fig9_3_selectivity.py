@@ -5,8 +5,8 @@ The selection view's predicate (``age > X``) is swept so the view retains
 compared against recomputation at each selectivity.
 """
 
-from bench_common import (materialized_view, ms, persons, print_table,
-                          scales, time_call, xmark)
+from bench_common import (VIEW, maintain_seconds, materialized_view, ms,
+                          persons, print_table, scales, time_call, xmark)
 from repro import UpdateRequest
 
 #: (label, age threshold) — ages are uniform in [18, 78).
@@ -21,14 +21,14 @@ return <senior>{$p/name} {$p/address/city}</senior>
 
 
 def measure(threshold: str, num_persons: int):
-    storage, view = materialized_view(QUERY_TEMPLATE % threshold,
+    storage, registry = materialized_view(QUERY_TEMPLATE % threshold,
                                       num_persons)
     anchors = persons(storage)
     updates = [UpdateRequest.insert(
         "site.xml", anchors[-1], xmark.new_person_xml(i, age=80), "after")
         for i in range(3)]
-    report = view.apply_updates(updates)
-    recompute = time_call(lambda: view.recompute_xml(), repeat=2)
+    report = registry.apply_updates(updates)
+    recompute = time_call(lambda: registry.recompute_xml(VIEW), repeat=2)
     return report, recompute
 
 
@@ -36,22 +36,23 @@ def figure_rows(num_persons: int):
     rows = []
     for label, threshold in SELECTIVITIES:
         report, recompute = measure(threshold, num_persons)
-        rows.append([label, ms(report.total_seconds), ms(recompute),
-                     f"{recompute / max(report.total_seconds, 1e-9):6.1f}x"])
+        maintain = maintain_seconds(report)
+        rows.append([label, ms(maintain), ms(recompute),
+                     f"{recompute / max(maintain, 1e-9):6.1f}x"])
     return rows
 
 
 def test_maintenance_cheap_across_selectivities():
     for _label, threshold in SELECTIVITIES:
         report, recompute = measure(threshold, 150)
-        assert report.total_seconds < recompute
+        assert maintain_seconds(report) < recompute
 
 
 def test_benchmark_low_selectivity_maintenance(benchmark):
     def run():
-        storage, view = materialized_view(QUERY_TEMPLATE % "73", 100)
+        storage, registry = materialized_view(QUERY_TEMPLATE % "73", 100)
         anchors = persons(storage)
-        view.apply_updates([UpdateRequest.insert(
+        registry.apply_updates([UpdateRequest.insert(
             "site.xml", anchors[-1], xmark.new_person_xml(1, age=80),
             "after")])
 

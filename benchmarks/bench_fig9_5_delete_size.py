@@ -4,8 +4,8 @@ Batches of 1..N fragment deletions propagated through the counting
 machinery in one delta pass, against recomputation.
 """
 
-from bench_common import (materialized_view, ms, persons, print_table,
-                          scales, time_call, xmark)
+from bench_common import (VIEW, maintain_seconds, materialized_view, ms,
+                          persons, print_table, scales, time_call, xmark)
 from repro import UpdateRequest
 
 BATCH_SIZES = [1, 2, 4, 8]
@@ -14,11 +14,11 @@ QUERIES = [("Query 1 (selection)", xmark.SELECTION_QUERY),
 
 
 def measure(query: str, batch: int, num_persons: int):
-    storage, view = materialized_view(query, num_persons)
+    storage, registry = materialized_view(query, num_persons)
     targets = persons(storage)[:batch]
     updates = [UpdateRequest.delete("site.xml", t) for t in targets]
-    report = view.apply_updates(updates)
-    recompute = time_call(lambda: view.recompute_xml(), repeat=2)
+    report = registry.apply_updates(updates)
+    recompute = time_call(lambda: registry.recompute_xml(VIEW), repeat=2)
     return report, recompute
 
 
@@ -26,22 +26,22 @@ def figure_rows(query: str, num_persons: int):
     rows = []
     for batch in BATCH_SIZES:
         report, recompute = measure(query, batch, num_persons)
-        rows.append([batch, ms(report.total_seconds), ms(recompute)])
+        rows.append([batch, ms(maintain_seconds(report)), ms(recompute)])
     return rows
 
 
 def test_delete_maintenance_beats_recompute():
     for _name, query in QUERIES:
         report, recompute = measure(query, 4, 150)
-        assert report.total_seconds < recompute, (_name,)
+        assert maintain_seconds(report) < recompute, (_name,)
 
 
 def test_delete_batch_correct():
-    storage, view = materialized_view(xmark.JOIN_QUERY, 100)
+    storage, registry = materialized_view(xmark.JOIN_QUERY, 100)
     targets = persons(storage)[:4]
-    view.apply_updates([UpdateRequest.delete("site.xml", t)
-                        for t in targets])
-    assert view.to_xml() == view.recompute_xml()
+    registry.apply_updates([UpdateRequest.delete("site.xml", t)
+                            for t in targets])
+    assert registry.to_xml(VIEW) == registry.recompute_xml(VIEW)
 
 
 def test_benchmark_delete_batch(benchmark):

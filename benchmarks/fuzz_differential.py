@@ -3,10 +3,11 @@
 Drives the shared randomized harness (:func:`tests.helpers.run_differential`)
 over every mutator kind — person/auction churn, join-key collection growth
 (second ``<city>`` cells, nested same-tag person inserts) and city/name
-text modifies — against the views that historically diverged, with the
-operator-state store enabled and disabled.  Every batch is checked
-against the recompute oracle, so a future divergence fails the build
-instead of landing in ROADMAP as an open item.
+text modifies — against the views that historically diverged: each in a
+registry of its own, then all of them sharing one registry over one
+storage.  Every batch is checked against the recompute oracle and the
+operator-state audit, so a future divergence fails the build instead of
+landing in ROADMAP as an open item.
 
 Run from the repo root::
 
@@ -32,21 +33,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from tests.helpers import ALL_MUTATORS, random_batch, \
+from tests.helpers import ALL_MUTATORS, FUZZ_VIEWS, random_batch, \
     run_differential  # noqa: E402
 from repro.api import Database  # noqa: E402
 from repro.workloads import xmark  # noqa: E402
-
-#: the views the fuzz sweeps: the two historical ROADMAP divergences,
-#: the join and selection views (predicate re-routing through Select),
-#: and the per-group aggregate view (pair re-routing through AggState).
-FUZZ_VIEWS = {
-    "order-query-2": xmark.ORDER_QUERY_2,
-    "persons-by-city": xmark.PERSONS_BY_CITY_QUERY,
-    "join": xmark.JOIN_QUERY,
-    "selection": xmark.SELECTION_QUERY,
-    "city-headcount": xmark.CITY_HEADCOUNT_QUERY,
-}
 
 
 def run_crash_churn(seed: int, steps: int, crash_every: int,
@@ -118,18 +108,21 @@ def main(argv=None) -> int:
     legs_skipped = 0
     updates = 0
     for seed in seeds:
-        for name in names:
-            for operator_state in (True, False):
-                if time.monotonic() - started > args.budget:
-                    legs_skipped += 1
-                    continue
-                updates += run_differential(
-                    seed, args.steps, ALL_MUTATORS, FUZZ_VIEWS[name],
-                    num_persons=args.persons, site_seed=1,
-                    operator_state=operator_state)
-                legs_run += 1
-                print(f"ok   seed={seed} view={name} "
-                      f"operator_state={operator_state}")
+        # each view alone, then (given more than one) all in one registry
+        legs = [([name], False) for name in names]
+        if len(names) > 1:
+            legs.append((names, True))
+        for leg, shared in legs:
+            if time.monotonic() - started > args.budget:
+                legs_skipped += 1
+                continue
+            updates += run_differential(
+                seed, args.steps, ALL_MUTATORS,
+                [FUZZ_VIEWS[name] for name in leg],
+                num_persons=args.persons, site_seed=1, shared=shared)
+            legs_run += 1
+            print(f"ok   seed={seed} view={'+'.join(leg)}"
+                  + (" (one registry)" if shared else ""))
     if args.crash_every:
         for seed in seeds:
             if time.monotonic() - started > args.budget:

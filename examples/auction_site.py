@@ -3,86 +3,84 @@
 An XMark-like auction site keeps a materialized "persons by city" dashboard
 (the Chapter 9 grouped view).  People register, move away, and close
 auctions; every change is propagated incrementally — groups appear, grow
-and disappear without recomputing the dashboard.
+and disappear without recomputing the dashboard.  A subscription reports
+what each refresh cost.
 
 Run:  python examples/auction_site.py
 """
 
+import math
 import time
 
-from repro import MaterializedXQueryView, StorageManager, UpdateRequest
+from repro import CostModel, Database
 from repro.workloads import xmark
 
 
-def person_keys(storage):
-    return storage.find_by_path(
-        "site.xml",
-        [("child", "site"), ("child", "people"), ("child", "person")])
-
-
 def main() -> None:
-    storage = StorageManager()
-    xmark.register_site(storage, num_persons=40, seed=3)
-    view = MaterializedXQueryView(storage, xmark.PERSONS_BY_CITY_QUERY)
-    view.materialize()
-    print(f"dashboard materialized: {view.extent_size()} extent nodes, "
-          f"{view.to_xml().count('<city-group')} city groups")
+    with Database() as db:
+        db.load("site.xml", xmark.generate_site(40, seed=3))
+        # At 40 persons a recomputation costs about as much as one cold
+        # flush, so the default cost model would pick it; pin the view to
+        # propagation to show the deltas.
+        view = db.create_view("dashboard", xmark.PERSONS_BY_CITY_QUERY,
+                              cost_model=CostModel(bias=math.inf))
+        refreshes = []            # one RefreshEvent per maintained batch
+        view.subscribe(refreshes.append)
+        people = db.update("site.xml").at("/site/people")
+        print(f"dashboard materialized: "
+              f"{view.read().count('<city-group')} city groups")
 
-    # -- a newcomer in a brand-new city: a group appears -----------------------
-    anchors = person_keys(storage)
-    report = view.apply_updates([UpdateRequest.insert(
-        "site.xml", anchors[-1],
-        xmark.new_person_xml(1, city="Reykjavik"), "after")])
-    assert 'name="Reykjavik"' in view.to_xml()
-    print(f"+ newcomer in Reykjavik: group created "
-          f"({report.total_seconds * 1000:.2f} ms, "
-          f"{report.fusion.inserted} nodes inserted)")
+        # -- a newcomer in a brand-new city: a group appears -------------------
+        people.insert(xmark.new_person_xml(1, city="Reykjavik"),
+                      position="into")
+        assert 'name="Reykjavik"' in view.read()
+        event = refreshes[-1]
+        print(f"+ newcomer in Reykjavik: group created "
+              f"({event.duration_seconds * 1000:.2f} ms, "
+              f"{event.delta_tuples} extent mutations)")
 
-    # -- five more registrations across existing cities -------------------------
-    batch = [UpdateRequest.insert(
-        "site.xml", person_keys(storage)[-1],
-        xmark.new_person_xml(10 + i, city=xmark.CITIES[i]), "after")
-        for i in range(5)]
-    report = view.apply_updates(batch)
-    print(f"+ batch of 5 registrations: one delta pass "
-          f"(batches={report.batches}, "
-          f"{report.total_seconds * 1000:.2f} ms)")
-    assert view.to_xml() == view.recompute_xml()
+        # -- five more registrations across existing cities --------------------
+        with db.batch():
+            for i in range(5):
+                people.insert(
+                    xmark.new_person_xml(10 + i, city=xmark.CITIES[i]),
+                    position="into")
+        event = refreshes[-1]
+        print(f"+ batch of 5 registrations: one refresh "
+              f"({event.reason}, trees={event.trees}, "
+              f"{event.duration_seconds * 1000:.2f} ms)")
+        assert view.read() == view.recompute()
 
-    # -- someone moves: a join-path modify travels as a retract/assert pair -----
-    mover = person_keys(storage)[0]
-    address = storage.children(mover, "address")[0]
-    city = storage.children(address, "city")[0]
-    report = view.apply_updates([UpdateRequest.modify(
-        "site.xml", city, "Reykjavik")])
-    print(f"~ person moved to Reykjavik: first-class modify pair "
-          f"(accepted={report.accepted}, batches={report.batches})")
-    assert view.to_xml() == view.recompute_xml()
+        # -- someone moves: a join-path modify travels as a retract/assert pair
+        moved = db.update("site.xml") \
+            .at("/site/people/person[1]/address/city") \
+            .replace_with("Reykjavik")
+        print(f"~ person moved to Reykjavik: first-class modify pair "
+              f"(routed={moved.report.routed})")
+        assert view.read() == view.recompute()
 
-    # -- the Reykjavik crowd leaves: the whole group fragment is disconnected ---
-    leavers = []
-    for person in person_keys(storage):
-        addr = storage.children(person, "address")[0]
-        if storage.text(storage.children(addr, "city")[0]) == "Reykjavik":
-            leavers.append(UpdateRequest.delete("site.xml", person))
-    report = view.apply_updates(leavers)
-    assert 'name="Reykjavik"' not in view.to_xml()
-    print(f"- {len(leavers)} departures: Reykjavik group removed at its "
-          f"root ({report.fusion.removed_roots} disconnects, "
-          f"{report.fusion.removed_nodes} nodes gone, apply phase "
-          f"{report.apply_seconds * 1000:.2f} ms)")
-    assert view.to_xml() == view.recompute_xml()
+        # -- the Reykjavik crowd leaves: the whole group fragment is
+        # disconnected at its root -------------------------------------------
+        left = db.execute('''for $p in document("site.xml")/site/people/person
+                             where $p/address/city = "Reykjavik"
+                             update $p
+                             delete $p''')
+        assert 'name="Reykjavik"' not in view.read()
+        event = refreshes[-1]
+        print(f"- {len(left.requests)} departures: Reykjavik group removed "
+              f"({event.delta_tuples} extent mutations, "
+              f"{event.duration_seconds * 1000:.2f} ms)")
+        assert view.read() == view.recompute()
 
-    # -- compare one more incremental round against recomputation ---------------
-    start = time.perf_counter()
-    view.recompute_xml()
-    recompute = time.perf_counter() - start
-    report = view.apply_updates([UpdateRequest.insert(
-        "site.xml", person_keys(storage)[-1],
-        xmark.new_person_xml(99, city="Oslo"), "after")])
-    print(f"incremental {report.total_seconds * 1000:.2f} ms vs "
-          f"recompute {recompute * 1000:.2f} ms")
-    print("dashboard consistent with recomputation at every step.")
+        # -- compare one more incremental round against recomputation ----------
+        start = time.perf_counter()
+        view.recompute()
+        recompute = time.perf_counter() - start
+        people.insert(xmark.new_person_xml(99, city="Oslo"),
+                      position="into")
+        print(f"incremental {refreshes[-1].duration_seconds * 1000:.2f} ms "
+              f"vs recompute {recompute * 1000:.2f} ms")
+        print("dashboard consistent with recomputation at every step.")
 
 
 if __name__ == "__main__":

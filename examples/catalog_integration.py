@@ -9,8 +9,9 @@ average price, maintained from per-member aggregate state (Section 7.6).
 Run:  python examples/catalog_integration.py
 """
 
-from repro import (MaterializedXQueryView, StorageManager, UpdateRequest,
-                   XmlDocument)
+import math
+
+from repro import CostModel, Database
 from repro.workloads.bib import generate_bib, generate_prices
 
 CATALOG_VIEW = """<catalog>{
@@ -33,59 +34,55 @@ RETURN
 
 
 def main() -> None:
-    storage = StorageManager()
-    storage.register(XmlDocument.from_string(
-        "bib.xml", generate_bib(num_books=25, num_years=4)))
-    storage.register(XmlDocument.from_string(
-        "prices.xml", generate_prices(num_books=25, priced_fraction=0.7)))
+    with Database() as db:
+        db.load("bib.xml", generate_bib(num_books=25, num_years=4))
+        db.load("prices.xml",
+                generate_prices(num_books=25, priced_fraction=0.7))
+        # At 25 books a recomputation costs about as much as one cold
+        # flush, so the default cost model would pick it; pin the view to
+        # propagation to show the deltas.
+        view = db.create_view("catalog", CATALOG_VIEW,
+                              cost_model=CostModel(bias=math.inf))
+        refreshes = []            # one RefreshEvent per maintained batch
+        view.subscribe(refreshes.append)
+        print(f"integrated catalog materialized: "
+              f"{view.read().count('<year ')} year groups")
 
-    view = MaterializedXQueryView(storage, CATALOG_VIEW)
-    view.materialize()
-    years = view.to_xml().count("<year ")
-    print(f"integrated catalog materialized: {years} year groups, "
-          f"{view.extent_size()} extent nodes")
+        # -- the publisher announces a new title --------------------------------
+        db.update("bib.xml").at("/bib").insert(
+            '<book year="1981"><title>Book 000003</title>'
+            '<author><last>New</last><first>N.</first></author></book>',
+            position="into")
+        print(f"+ publisher insert propagated in "
+              f"{refreshes[-1].duration_seconds * 1000:.2f} ms")
+        assert view.read() == view.recompute()
 
-    # -- the publisher announces a new title ------------------------------------
-    bib_root = storage.root_key("bib.xml")
-    last_book = storage.children(bib_root, "book")[-1]
-    report = view.apply_updates([UpdateRequest.insert(
-        "bib.xml", last_book,
-        '<book year="1981"><title>Book 000003</title>'
-        '<author><last>New</last><first>N.</first></author></book>',
-        "after")])
-    print(f"+ publisher insert propagated in "
-          f"{report.total_seconds * 1000:.2f} ms")
-    assert view.to_xml() == view.recompute_xml()
+        # -- the price feed reprices an entry: avg-price refreshes in place -----
+        before = view.read()
+        db.update("prices.xml").at("/prices/entry[1]/price") \
+            .replace_with("199.99")
+        assert "199.99" in view.read() and view.read() != before
+        assert refreshes[-1].reason == "propagate"
+        print("~ repricing refreshed the offer and its year's avg-price "
+              "incrementally")
+        assert view.read() == view.recompute()
 
-    # -- the price feed reprices an entry: avg-price refreshes in place ---------
-    prices_root = storage.root_key("prices.xml")
-    entry = storage.children(prices_root, "entry")[0]
-    price = storage.children(entry, "price")[0]
-    before = view.to_xml()
-    report = view.apply_updates([UpdateRequest.modify(
-        "prices.xml", price, "199.99")])
-    assert "199.99" in view.to_xml() and view.to_xml() != before
-    assert not report.recomputed
-    print("~ repricing refreshed the offer and its year's avg-price "
-          "incrementally")
-    assert view.to_xml() == view.recompute_xml()
+        # -- the feed withdraws an entry: derivations counted down --------------
+        db.update("prices.xml").at("/prices/entry[2]").delete()
+        print(f"- price withdrawal: {refreshes[-1].delta_tuples} extent "
+              f"mutations")
+        assert view.read() == view.recompute()
 
-    # -- the feed withdraws an entry: derivations counted down ------------------
-    gone = storage.children(prices_root, "entry")[1]
-    report = view.apply_updates([UpdateRequest.delete("prices.xml", gone)])
-    print(f"- price withdrawal: {report.fusion.removed_roots} view "
-          f"fragments disconnected")
-    assert view.to_xml() == view.recompute_xml()
-
-    # -- an irrelevant publisher change never reaches propagation ---------------
-    author = storage.descendants(bib_root, "author")[0]
-    last = storage.children(author, "last")[0]
-    report = view.apply_updates([UpdateRequest.modify(
-        "bib.xml", last, "Renamed")])
-    assert report.irrelevant == 1 and report.batches == 0
-    print("x author rename filtered by the SAPT (irrelevant to the view)")
-    assert view.to_xml() == view.recompute_xml()
-    print("catalog consistent with recomputation at every step.")
+        # -- an irrelevant publisher change never reaches propagation -----------
+        seen = len(refreshes)
+        renamed = db.update("bib.xml").at("/bib/book[1]/author[1]/last") \
+            .replace_with("Renamed")
+        assert renamed.report.irrelevant_everywhere == 1
+        assert len(refreshes) == seen
+        print("x author rename filtered by the shared router (irrelevant "
+              "to the view)")
+        assert view.read() == view.recompute()
+        print("catalog consistent with recomputation at every step.")
 
 
 if __name__ == "__main__":

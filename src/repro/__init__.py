@@ -16,8 +16,8 @@ Quickstart (the recommended session API — see :mod:`repro.api`)::
         db.update("bib.xml").at("/bib/book[1]").delete()
         assert view.read() == view.recompute()
 
-The per-layer surface (:class:`StorageManager`,
-:class:`MaterializedXQueryView`, :class:`ViewRegistry`, raw
+The per-layer surface (:class:`StorageManager`, :class:`ViewRegistry`
+— the one V-P-A driver, which ``Database`` wraps — and raw
 :class:`UpdateRequest`\\ s) stays available for engine-level work.
 """
 
@@ -26,12 +26,11 @@ from .api import Batch, Database, Subscription, Update, View
 from .durability import DurabilityManager, RecoveryReport
 from .engine import Engine
 from .flexkeys import FlexKey
-from .multiview import (CostModel, MaintenancePolicy, MultiViewReport,
-                        RefreshEvent, ViewRegistry)
+from .multiview import (CostModel, MaintenancePolicy, MaintenanceReport,
+                        MultiViewReport, RefreshEvent, ViewRegistry)
 from .storage import StorageManager
 from .translate import TranslationError, Translator, translate_query
 from .updates import Sapt, UpdateError, UpdateRequest, UpdateTree
-from .view import MaintenanceReport, MaterializedXQueryView
 from .xat import Profiler
 from .xmlmodel import XmlDocument, XmlNode, parse_document, parse_fragment, \
     serialize
@@ -49,7 +48,6 @@ __all__ = [
     "FlexKey",
     "MaintenancePolicy",
     "MaintenanceReport",
-    "MaterializedXQueryView",
     "MultiViewReport",
     "Profiler",
     "RecoveryReport",

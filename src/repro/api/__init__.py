@@ -23,9 +23,8 @@
 
 Everything funnels through the shared validation router exactly once;
 no raw FlexKeys, storage managers or update requests appear in user
-code.  The older per-layer surface (:class:`repro.StorageManager`,
-:class:`repro.MaterializedXQueryView`, :class:`repro.ViewRegistry`, …)
-stays available for engine-level work.
+code.  The per-layer surface underneath (:class:`repro.StorageManager`,
+:class:`repro.ViewRegistry`, …) stays available for engine-level work.
 """
 
 from ..multiview.registry import RefreshEvent

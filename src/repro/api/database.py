@@ -77,13 +77,11 @@ class Database:
     """
 
     def __init__(self, storage: Optional[StorageManager] = None, *,
-                 indexed: bool = True, operator_state: bool = True,
                  durable_path=None, fsync: str = "batch",
                  checkpoint_every: int = 256, durability_fs=None):
         self.storage = (storage if storage is not None
-                        else StorageManager(indexed=indexed))
-        self.registry = ViewRegistry(self.storage,
-                                     operator_state=operator_state)
+                        else StorageManager())
+        self.registry = ViewRegistry(self.storage)
         self._batch: Optional["Batch"] = None
         self._subscriptions: set = set()
         self._view_queries: dict[str, str] = {}

@@ -256,16 +256,14 @@ def capture_state(registry) -> dict:
             "per_tree_seconds": view.cost.per_tree_seconds,
         })
     opstate = {}
-    store = registry.state_store
-    if store is not None:
-        for entry in store.entries():
-            # A stale backlog means the table lags storage — skip.  A
-            # leftover ``prepared`` plan does not: applied it is spent,
-            # unapplied its deletions never arrived (the registry is
-            # quiesced before capture), so the table mirrors storage
-            # either way and the plan itself is simply not persisted.
-            if entry.valid and not entry.stale and entry.table is not None:
-                opstate[entry.signature] = entry.table
+    for entry in registry.state_store.entries():
+        # A stale backlog means the table lags storage — skip.  A
+        # leftover ``prepared`` plan does not: applied it is spent,
+        # unapplied its deletions never arrived (the registry is
+        # quiesced before capture), so the table mirrors storage
+        # either way and the plan itself is simply not persisted.
+        if entry.valid and not entry.stale and entry.table is not None:
+            opstate[entry.signature] = entry.table
     return {
         "format": SNAPSHOT_FORMAT,
         "documents": {name: _encode_document(document.root)
@@ -305,8 +303,7 @@ def restore_state(registry, state: dict) -> None:
             view.pipeline.materialized = spec["materialized"]
         elif spec["materialized"]:
             registry.materialize(spec["name"])
-    store = registry.state_store
-    if graft and store is not None and state["opstate"]:
+    if graft and state["opstate"]:
         plans = [registry.view(name).pipeline.plan
                  for name in registry.names()]
-        store.adopt(state["opstate"], plans)
+        registry.state_store.adopt(state["opstate"], plans)

@@ -40,9 +40,9 @@ class Engine:
         plugs persistent cross-run operator state into the execution
         context; delta runs then serve FULL/ANTI side evaluation from it.
         ``vm`` (a :class:`~repro.plan.PlanVM`) runs the operators in
-        its linear schedule; without one (the recompute oracle, a
-        one-shot IMP) they evaluate recursively through
-        ``ctx.evaluate`` — the same operator bodies either way.
+        its linear schedule; without one (the recompute oracle) they
+        evaluate recursively through ``ctx.evaluate`` — the same
+        operator bodies either way.
         """
         if plan.schema is None:
             raise RuntimeError("plan not prepared; call plan.prepare()")
@@ -84,30 +84,23 @@ class Engine:
         return forest
 
     def propagate(self, plan: XatOperator, extent: Optional[ExtentNode],
-                  spec: DeltaSpec, *, profiler: Optional[Profiler] = None,
-                  report=None, before_fuse=None, store=None, vm=None
+                  spec: DeltaSpec, *, store,
+                  profiler: Optional[Profiler] = None, report=None, vm=None
                   ) -> tuple[ExtentNode, FusionReport]:
         """One V-P-A delta pass: execute ``plan`` in delta mode for ``spec``
         and fuse the resulting delta forest into ``extent``.
 
-        ``before_fuse`` (if given) runs between delta execution and fusion;
-        the maintenance pipeline applies deferred storage deletes there —
-        deletes reach storage only after propagation has read the doomed
-        subtrees, per the phase discipline of Chapter 6.  ``report`` is an
-        optional maintenance report (any object with ``propagate_seconds``,
-        ``apply_seconds`` and ``fusion`` attributes) that receives the
-        per-phase timings.
+        ``report`` is an optional maintenance report (any object with
+        ``propagate_seconds``, ``apply_seconds`` and ``fusion``
+        attributes) that receives the per-phase timings.
         """
         started = time.perf_counter()
         forest = self.result_forest(plan, mode=DELTA, delta=spec,
                                     profiler=profiler, store=store, vm=vm)
-        if store is not None:
-            # Patch (or, for deletes, stage) the batch's stale operator
-            # state while the update subtrees are still readable — before
-            # the deferred deletes below reach storage.
-            store.reconcile(spec)
-        if before_fuse is not None:
-            before_fuse()
+        # Patch (or, for deletes, stage) the batch's stale operator
+        # state while the update subtrees are still readable — the
+        # registry's delete barrier reaches storage only after this pass.
+        store.reconcile(spec)
         propagate_elapsed = time.perf_counter() - started
         started = time.perf_counter()
         fusion = report.fusion if report is not None else None

@@ -1,10 +1,10 @@
 """Multi-view maintenance: N materialized XQuery views over one storage.
 
-The subsystem generalizes the single-view V-P-A facade to a registry of
-views maintained from a single update stream:
+The subsystem is the V-P-A loop (Fig 1.5): a registry of views
+maintained from a single update stream:
 
-* :mod:`~repro.multiview.pipeline` — the shared V-P-A machinery (also
-  backing :class:`repro.MaterializedXQueryView`);
+* :mod:`~repro.multiview.pipeline` — the per-view Propagate/Apply step
+  and its report;
 * :mod:`~repro.multiview.router` — shared validation: one interned path
   index over all views, one classification per update;
 * :mod:`~repro.multiview.policies` — per-view immediate / deferred /
@@ -16,7 +16,7 @@ views maintained from a single update stream:
 """
 
 from .cost import CostModel
-from .pipeline import MaintenanceReport, ViewPipeline, run_maintenance
+from .pipeline import MaintenanceReport, ViewPipeline
 from .policies import DEFERRED, IMMEDIATE, MaintenancePolicy, threshold
 from .registry import (MultiViewReport, RefreshEvent, RegisteredView,
                        RoutedTree, ViewRegistry, ViewStats)
@@ -38,6 +38,5 @@ __all__ = [
     "ViewPipeline",
     "ViewRegistry",
     "ViewStats",
-    "run_maintenance",
     "threshold",
 ]

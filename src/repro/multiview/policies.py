@@ -2,8 +2,7 @@
 
 A registered view chooses *when* its queued delta batches propagate:
 
-* ``immediate`` — at every batch boundary of the shared update stream
-  (the single-view facade's behaviour);
+* ``immediate`` — at every batch boundary of the shared update stream;
 * ``deferred`` — queue batches and flush lazily, on the next read
   (:meth:`ViewRegistry.query`) or an explicit
   :meth:`ViewRegistry.flush`;

@@ -1,7 +1,7 @@
 """ViewRegistry: N materialized views over one storage, one update stream.
 
-The registry generalizes the single-view V-P-A facade (Fig 1.5) to many
-simultaneously maintained views:
+The registry is the one driver of the V-P-A loop (Fig 1.5), for any
+number of simultaneously maintained views:
 
 * **register / unregister** views by name; each carries its own plan,
   SAPT, extent, :class:`~repro.multiview.policies.MaintenancePolicy` and
@@ -12,10 +12,11 @@ simultaneously maintained views:
   dispatched only to the views it can affect; updates irrelevant to every
   view hit storage exactly once and propagate nowhere;
 * **shared batching** — the stream is grouped into maximal same-document
-  same-kind runs by the same :class:`~repro.updates.batch.RunBatcher`
-  the single-view driver uses; each relevant view propagates its own
-  subset of a run's trees (relevance is ancestor-monotone, so the global
-  nested-root dedup never hides a root from a view that needs it);
+  same-kind runs by :class:`~repro.updates.batch.RunBatcher` (inserts
+  and modifies reach storage before their run propagates, deletes
+  after); each relevant view propagates its own subset of a run's trees
+  (relevance is ancestor-monotone, so the global nested-root dedup never
+  hides a root from a view that needs it);
 * **policies** — immediate views propagate at every batch boundary;
   deferred/threshold views queue batches and flush lazily.  Delete
   batches are barriers: the doomed subtrees leave storage only after
@@ -210,23 +211,20 @@ class RegisteredView:
 class ViewRegistry:
     """Manages N materialized views over one :class:`StorageManager`.
 
-    ``operator_state`` controls the persistent per-operator state of the
-    Propagate phase: by default the registry owns one shared
-    :class:`~repro.engine.opstate.OperatorStateStore`, handed to every
+    The registry owns one shared
+    :class:`~repro.engine.opstate.OperatorStateStore` — the persistent
+    per-operator state of the Propagate phase — handed to every
     registered view's pipeline so structurally-equal subplans across
     views (same signature) resolve to the *same* cached side tables and
     hash indexes — the cross-view analogue of the shared validation
-    router.  Pass ``operator_state=False`` to disable (every maintenance
-    run then re-derives its side tables from storage).
+    router.
     """
 
-    def __init__(self, storage: StorageManager,
-                 operator_state: bool = True):
+    def __init__(self, storage: StorageManager):
         self.storage = storage
         self.engine = Engine(storage)
         self.router = SharedValidationRouter()
-        self.state_store = (OperatorStateStore(storage)
-                            if operator_state else None)
+        self.state_store = OperatorStateStore(storage)
         # One shared plan cache: structurally-equal subplans across
         # views compile once (mirroring the shared operator-state store).
         self.plan_cache = PlanCache()
@@ -293,14 +291,12 @@ class ViewRegistry:
                         "Plan-VM instructions executed (short-circuits "
                         "included)"
                         ).set(plan_stats["instructions_executed"])
-        if self.state_store is not None:
-            for key, value in self.state_store.stats.as_dict().items():
-                metrics.counter(
-                    f"opstate_{key}",
-                    "Operator-state store activity").set(value)
-            metrics.gauge("opstate_cached_signatures",
-                          "Distinct subplan signatures with cached state"
-                          ).set(len(self.state_store.per_signature()))
+        for key, value in self.state_store.stats.as_dict().items():
+            metrics.counter(f"opstate_{key}",
+                            "Operator-state store activity").set(value)
+        metrics.gauge("opstate_cached_signatures",
+                      "Distinct subplan signatures with cached state"
+                      ).set(len(self.state_store.per_signature()))
         for name, view in self._views.items():
             for key, value in view.stats.as_dict().items():
                 metrics.counter(f"view_{key}",
@@ -315,10 +311,10 @@ class ViewRegistry:
                             "Refreshes (monotone sequence number)",
                             view=name).set(view.refresh_sequence)
             report = view.report
-            for phase in ("validate", "propagate", "apply"):
+            for phase in ("propagate", "apply"):
                 metrics.counter(
                     "view_phase_seconds",
-                    "Cumulative V-P-A phase time", view=name,
+                    "Cumulative P-A phase time", view=name,
                     phase=phase).set(getattr(report,
                                              f"{phase}_seconds"))
             for key in ("state_hits", "state_misses", "state_patches"):
@@ -363,8 +359,7 @@ class ViewRegistry:
             return
         self._closed = True
         self.storage.remove_listener(self._count_storage_op)
-        if self.state_store is not None:
-            self.state_store.close()
+        self.state_store.close()
         for view in self._views.values():
             view.refresh_listeners.clear()
             view.mutation_listeners = 0
@@ -447,8 +442,8 @@ class ViewRegistry:
                 else query)
         view = RegisteredView(name,
                               ViewPipeline(self.engine, plan,
-                                           state_store=self.state_store,
-                                           plan_cache=self.plan_cache),
+                                           self.state_store,
+                                           self.plan_cache),
                               MaintenancePolicy.parse(policy),
                               cost_model if cost_model is not None
                               else CostModel())
@@ -612,11 +607,11 @@ class ViewRegistry:
                     request.document, result.tags, result.views)
                 # Drain conflicting queues BEFORE the text change lands:
                 # a queued tree flushed after it would re-derive from
-                # post-mutation storage and double-apply — the registry
-                # analogue of the RunBatcher.crosses discipline in
-                # run_maintenance.  A pair additionally conflicts with
-                # every queued count-signed tree (output overlap through
-                # shared group/join keys, regardless of input subtrees).
+                # post-mutation storage and double-apply (the queue-side
+                # form of the RunBatcher.crosses discipline).  A pair
+                # additionally conflicts with every queued count-signed
+                # tree (output overlap through shared group/join keys,
+                # regardless of input subtrees).
                 self._drain_overlapping(request.target, result.views,
                                         batcher,
                                         drain_signed=bool(hitters))

@@ -151,7 +151,7 @@ class SharedValidationRouter:
         insufficient (feeding a predicate or sort key) — those views
         need the first-class retract/assert pair.  Path matching shares
         :func:`repro.updates.sapt.modify_hits_steps` with the
-        single-view check, so the two classifiers cannot drift.
+        per-view SAPT check, so the two classifiers cannot drift.
         """
         self.stats.predicate_checks += 1
         hitters = set(self._predicate_wildcard.get(document, ())

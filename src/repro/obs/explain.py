@@ -94,8 +94,7 @@ def render_explain(name: str, plan, *, policy=None, cost=None, stats=None,
                      f" propagated_trees={stats.propagated_trees}"
                      f" routed_trees={stats.routed_trees}")
     if report is not None:
-        lines.append(f"timings: validate={report.validate_seconds:.6f}s"
-                     f" propagate={report.propagate_seconds:.6f}s"
+        lines.append(f"timings: propagate={report.propagate_seconds:.6f}s"
                      f" apply={report.apply_seconds:.6f}s"
                      f" batches={report.batches}"
                      f" state_hits={report.state_hits}"

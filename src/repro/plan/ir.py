@@ -41,7 +41,6 @@ _OPCODES = {
     "VariableBinding": "BIND",
     "Map": "MAP",
     "Expose": "EXPOSE",
-    "Pattern": "PATTERN",
 }
 
 #: mode -> mnemonic suffix ("full" stays bare; Δ and anti are marked)

@@ -18,7 +18,8 @@ StructuralIndex` by default: a subtree is a contiguous lexicographic
 FlexKey range, so descendant retrieval is a binary search instead of a
 tree walk.  The walk-based implementations stay available as
 ``*_unindexed`` methods (and as the only path when constructed with
-``indexed=False``) for correctness diffing and benchmarking.
+``indexed=False``): the reference the tests diff the indexed routes
+against.
 """
 
 from __future__ import annotations

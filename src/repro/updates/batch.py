@@ -9,8 +9,7 @@ sequential semantics must be preserved.
 
 :class:`RunBatcher` is the incremental form of this grouping.  It is the
 single implementation of the run discipline, shared by the offline
-:func:`batch_update_trees` helper, the single-view V-P-A driver
-(:mod:`repro.multiview.pipeline`) and the multi-view registry
+:func:`batch_update_trees` helper and the view registry
 (:mod:`repro.multiview.registry`).
 """
 

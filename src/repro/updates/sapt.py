@@ -204,8 +204,8 @@ def modify_hits_steps(steps: tuple[str, ...],
     """Whether a text replace at the element path ``tags`` feeds the
     recorded predicate access path ``steps``.
 
-    The one normalization rule shared by the single-view SAPT check and
-    the multi-view router: a path ending in ``text()`` reads exactly the
+    The one normalization rule shared by the per-view SAPT check and
+    the shared router: a path ending in ``text()`` reads exactly the
     direct text of its element (strip the value step and compare element
     paths); a path ending in ``@attr`` can never be hit (modifies replace
     text, not attributes); an element-valued path compares by subtree

@@ -1,17 +1,20 @@
 """Shared fixtures/utilities for the test suite, including the
 randomized differential harness (:func:`run_differential`) that drives
-mixed update streams against maintained views and the recompute oracle.
+mixed update streams through :class:`ViewRegistry` — the one V-P-A
+driver — against the recompute oracle.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Iterable, Optional, Sequence, Union
+from collections import Counter
+from typing import Iterable, Sequence, Union
 
-from repro import (MaterializedXQueryView, StorageManager, UpdateRequest,
-                   XmlDocument)
+from repro import CostModel, StorageManager, UpdateRequest, ViewRegistry
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
+from repro.xat.base import ExecutionContext
 
 
 #: the three grouped views over ``site.xml`` that share one ``Distinct``
@@ -20,31 +23,94 @@ GROUPED_VIEWS = {"bycity": xmark.PERSONS_BY_CITY_QUERY,
                  "headcount": xmark.CITY_HEADCOUNT_QUERY,
                  "cities": xmark.ORDER_QUERY_2}
 
+#: the views the differential fuzz sweeps: the two historical ROADMAP
+#: divergences, the join and selection views (predicate re-routing
+#: through Select), and the per-group aggregate view (pair re-routing
+#: through AggState)
+FUZZ_VIEWS = {"order-query-2": xmark.ORDER_QUERY_2,
+              "persons-by-city": xmark.PERSONS_BY_CITY_QUERY,
+              "join": xmark.JOIN_QUERY,
+              "selection": xmark.SELECTION_QUERY,
+              "city-headcount": xmark.CITY_HEADCOUNT_QUERY}
 
-def running_example() -> tuple[StorageManager, MaterializedXQueryView]:
+
+def pinned() -> CostModel:
+    """A cost model that never chooses recomputation: a test comparing
+    the extent with the recompute oracle must have *propagated* it (at
+    20 persons an unpinned model recomputes a third of the flushes)."""
+    return CostModel(bias=math.inf)
+
+
+class MaintainedView:
+    """One view registered (materialized, pinned to propagation) in a
+    :class:`ViewRegistry` of its own, bound by name; every method is the
+    registry's."""
+
+    name = "view"
+
+    def __init__(self, storage, query):
+        self.registry = ViewRegistry(storage)
+        self.registered = self.registry.register(self.name, query,
+                                                 cost_model=pinned())
+        self.pipeline = self.registered.pipeline
+
+    def apply_updates(self, updates, profiler=None):
+        return self.registry.apply_updates(updates, profiler=profiler)
+
+    def to_xml(self) -> str:
+        return self.registry.to_xml(self.name)
+
+    def recompute_xml(self) -> str:
+        return self.registry.recompute_xml(self.name)
+
+    def close(self) -> None:
+        self.registry.close()
+
+
+def running_example() -> tuple[StorageManager, MaintainedView]:
     """The Fig 1.1/1.2 setup: bib.xml + prices.xml + the yGroup view."""
     storage = StorageManager()
     bibload.register_running_example(storage)
-    view = MaterializedXQueryView(storage, bibload.YEAR_GROUP_QUERY)
-    view.materialize()
-    return storage, view
+    return storage, MaintainedView(storage, bibload.YEAR_GROUP_QUERY)
 
 
 def site_view(query: str, num_persons: int = 30, seed: int = 42
-              ) -> tuple[StorageManager, MaterializedXQueryView]:
+              ) -> tuple[StorageManager, MaintainedView]:
     storage = StorageManager()
     xmark.register_site(storage, num_persons, seed=seed)
-    view = MaterializedXQueryView(storage, query)
-    view.materialize()
-    return storage, view
+    return storage, MaintainedView(storage, query)
 
 
-def assert_consistent(view: MaterializedXQueryView) -> None:
+def assert_consistent(view: MaintainedView) -> None:
     """The paper's correctness criterion: refreshed extent == recompute."""
     got = view.to_xml()
     want = view.recompute_xml()
     assert got == want, (
         f"extent diverged from recomputation\n got: {got}\nwant: {want}")
+
+
+def audit_operator_state(registry: ViewRegistry) -> int:
+    """Every cached table the operator-state store claims current (valid,
+    no stale backlog) holds — as a fingerprint-keyed multiset with counts
+    — exactly a fresh FULL evaluation of its subplan.  The oracle where
+    recomputing the *extent* is none (after an unpropagated storage
+    write) and the check that a shared store stays exact under per-view
+    routed subsets.  Returns the number of entries audited."""
+    audited = 0
+    ctx = ExecutionContext(registry.storage)
+    for entry in registry.state_store.entries():
+        if not entry.valid or entry.stale:
+            continue
+        fresh: Counter = Counter()
+        for tup in ctx.evaluate(entry.op).tuples:
+            fresh[entry.op.state_merge_key(tup, ctx)] += tup.count
+        held = {fp: tup.count for fp, tup in entry.fingerprints.items()}
+        assert held == dict(fresh), (
+            f"cached state diverged from fresh evaluation of "
+            f"{entry.signature[:80]}")
+        assert len(entry.table.tuples) == len(held)
+        audited += 1
+    return audited
 
 
 def books_of(storage: StorageManager):
@@ -209,61 +275,53 @@ def random_batch(rng: random.Random, storage: StorageManager, step: int,
 def run_differential(seed: int, steps: int, mutators: Sequence[str],
                      views: Union[str, Iterable[str]], *,
                      num_persons: int = 20, site_seed: int = 1,
-                     operator_state: bool = True,
-                     batch_max: int = 3,
-                     twin: Optional[dict] = None) -> int:
-    """Drive ``steps`` random mixed batches against maintained view(s)
-    and assert, after every batch, that each extent is byte-identical to
-    the recompute oracle.
+                     batch_max: int = 3, shared: bool = False) -> int:
+    """Drive ``steps`` random mixed batches through
+    :meth:`ViewRegistry.apply_updates` and assert, after every batch,
+    that each maintained extent is byte-identical to the recompute
+    oracle and that the operator-state store passes
+    :func:`audit_operator_state`.
 
-    ``views`` is one query string or an iterable of them; each runs as
-    its own :class:`MaterializedXQueryView` over the same storage.
-    ``operator_state`` picks the execution configuration (persistent
-    side tables on/off).  When ``twin`` is given (keyword overrides,
-    e.g. ``{"operator_state": False}``), a second set of views over an
-    identical storage replays the same stream and must stay
-    byte-identical to the first — the differential leg pinning two
-    engine configurations against each other.
+    ``views`` is one query string or an iterable of them.  Each view
+    runs in a registry of its own over its own storage — or, with
+    ``shared``, all of them in **one** registry over **one** storage
+    (shared store, shared plan cache, each view propagating its own
+    routed subset of every batch).  Every view is pinned to propagation
+    and must never have recomputed.
 
     Returns the number of updates applied.
     """
     queries = [views] if isinstance(views, str) else list(views)
-
-    def build(query: str, overrides: dict):
+    registries = []
+    for group in ([queries] if shared else [[query] for query in queries]):
         storage = StorageManager()
         xmark.register_site(storage, num_persons, seed=site_seed)
-        options = {"operator_state": operator_state}
-        options.update(overrides)
-        view = MaterializedXQueryView(storage, query, **options)
-        view.materialize()
-        return storage, view
-
-    # Each maintained view owns its own storage; the rng stream is
-    # replayed from the same state per storage, and since all storages
-    # evolve identically the generated batches are the same logical
-    # updates (keys are deterministic per storage).
-    primary = [build(query, {}) for query in queries]
-    twins = ([build(query, dict(twin)) for query in queries]
-             if twin is not None else [])
+        registry = ViewRegistry(storage)
+        for index, query in enumerate(group):
+            registry.register(f"view{index}", query, cost_model=pinned())
+        registries.append(registry)
+    # The rng stream is replayed from the same state per storage, and
+    # since all storages evolve identically the generated batches are
+    # the same logical updates (keys are deterministic per storage).
     rng = random.Random(seed)
     applied = 0
     for step in range(steps):
         state = rng.getstate()
-        batch_size = None
-        for index, (storage, view) in enumerate(primary + twins):
+        for registry in registries:
             rng.setstate(state)
-            batch = random_batch(rng, storage, step, mutators, batch_max)
-            if index == 0:
-                applied += len(batch)
-                batch_size = len(batch)
-            else:
-                assert len(batch) == batch_size
-            view.apply_updates(batch)
-            assert_consistent(view)
-        if twins:
-            for (_s, view), (_ts, twin_view) in zip(primary, twins):
-                assert twin_view.to_xml() == view.to_xml(), (
-                    f"twin maintenance diverged at step {step}")
-    for _storage, view in primary + twins:
-        view.close()
+            batch = random_batch(rng, registry.storage, step, mutators,
+                                 batch_max)
+            registry.apply_updates(batch)
+            for name in registry.names():
+                got = registry.to_xml(name)
+                want = registry.recompute_xml(name)
+                assert got == want, (
+                    f"step {step}: {name} diverged from recomputation\n"
+                    f" got: {got}\nwant: {want}")
+            audit_operator_state(registry)
+        applied += len(batch)
+    for registry in registries:
+        assert all(registry.view(name).stats.recomputes == 0
+                   for name in registry.names()), "a fuzz view recomputed"
+        registry.close()
     return applied

@@ -1,12 +1,13 @@
 """Tests for the counting solution (Chapter 6): count annotations across
 operators and multiple-derivation deletes."""
 
-from repro import MaterializedXQueryView, StorageManager, UpdateRequest, \
-    XmlDocument
+from repro import StorageManager, UpdateRequest, XmlDocument
 from repro.xat import (ColumnRef, Comparison, Distinct, GroupBy, Join,
                        NavigateCollection, NavigateUnnest, Path, Source,
                        single_item)
 from repro.xat.base import ExecutionContext
+
+from .helpers import MaintainedView
 
 
 def storage_with(bib_xml):
@@ -82,13 +83,11 @@ class TestMultipleDerivations:
 
     def _view(self):
         sm = storage_with(THREE_BOOKS)
-        view = MaterializedXQueryView(sm, self.QUERY)
-        view.materialize()
-        return sm, view
+        return sm, MaintainedView(sm, self.QUERY)
 
     def test_group_node_counts_match_derivations(self):
         _sm, view = self._view()
-        forest = view.extent
+        forest = view.pipeline.extent
         groups = {c.attributes["Y"]: c for c in forest.children[0].children
                   if c.tag == "g"}
         # yGroup count reflects the Z-multiplicity (distinct count x members)
@@ -113,11 +112,12 @@ class TestMultipleDerivations:
     def test_fragment_deleted_from_root_not_node_by_node(self):
         sm, view = self._view()
         books = sm.children(sm.root_key("bib.xml"), "book")
-        report = view.apply_updates(
+        view.apply_updates(
             [UpdateRequest.delete("bib.xml", books[2])])  # only 2000 book
         # one root disconnect removed the whole <g Y="2000"> fragment
-        assert report.fusion.removed_roots == 1
-        assert report.fusion.removed_nodes >= 3
+        fusion = view.registered.report.fusion
+        assert fusion.removed_roots == 1
+        assert fusion.removed_nodes >= 3
         assert view.to_xml() == view.recompute_xml()
 
     def test_reinsert_after_full_delete(self):

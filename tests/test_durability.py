@@ -20,8 +20,7 @@ import pytest
 from .faults import FaultPlan, FaultyFileSystem
 from .helpers import (ALL_MUTATORS, GROUPED_VIEWS,
                       assert_path_lists_canonical, random_batch)
-from repro import (CostModel, FlexKey, MaterializedXQueryView,
-                   StorageManager, ViewRegistry)
+from repro import CostModel, FlexKey, StorageManager, ViewRegistry
 from repro.api import Database
 from repro.durability import (CheckpointError, CheckpointStore,
                               DurabilityManager, RealFileSystem,
@@ -815,15 +814,16 @@ def test_database_exit_flushes_durable_state(tmp_path):
 def test_view_close_is_idempotent():
     storage = StorageManager()
     xmark.register_site(storage, 8, seed=7)
-    view = MaterializedXQueryView(storage, xmark.SELECTION_QUERY)
-    view.materialize()
+    registry = ViewRegistry(storage)
+    registry.register("v", xmark.SELECTION_QUERY)
     assert storage._mutation_listeners      # the store's listener
-    view.close()
+    registry.close()
     assert not storage._mutation_listeners
-    view.close()                            # double-close: no-op
-    with MaterializedXQueryView(storage, xmark.SELECTION_QUERY) as twin:
-        twin.materialize()
+    registry.close()                        # double-close: no-op
+    with ViewRegistry(storage) as twin:
+        twin.register("v", xmark.SELECTION_QUERY)
         twin.close()                        # explicit close inside with
+    assert not storage._mutation_listeners
 
 
 def test_registry_close_is_idempotent():

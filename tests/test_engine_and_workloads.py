@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro import (Engine, MaterializedXQueryView, Profiler, StorageManager,
-                   UpdateRequest, XmlDocument, translate_query)
+from repro import (Engine, Profiler, StorageManager, UpdateRequest,
+                   ViewRegistry, XmlDocument, translate_query)
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
 from repro.xquery.updates import apply_xquery_update, parse_update
+
+from .helpers import MaintainedView
 
 
 class TestEngine:
@@ -94,9 +96,9 @@ class TestEngine:
         """The plan VM runs the operators' own bodies, timers included:
         materialization and a Δ batch each report every label."""
         sm = self._storage()
-        view = MaterializedXQueryView(sm, bibload.YEAR_GROUP_QUERY)
+        view = MaintainedView(sm, bibload.YEAR_GROUP_QUERY)
         materialize, batch = Profiler(enabled), Profiler(enabled)
-        view.materialize(profiler=materialize)
+        view.registry.materialize(view.name, profiler=materialize)
         last_book = sm.children(sm.root_key("bib.xml"), "book")[-1]
         view.apply_updates([UpdateRequest.insert(
             "bib.xml", last_book, bibload.NEW_BOOK_FRAGMENT, "after")],
@@ -209,25 +211,28 @@ class TestViewMisc:
         sm.register(XmlDocument.from_string("prices.xml",
                                             bibload.PRICES_XML))
         plan = translate_query(bibload.YEAR_GROUP_QUERY)
-        view = MaterializedXQueryView(sm, plan)
-        assert view.materialize() == view.recompute_xml()
+        view = MaintainedView(sm, plan)
+        assert view.to_xml() == view.recompute_xml()
 
     def test_extent_size(self):
         sm = StorageManager()
         sm.register(XmlDocument.from_string("bib.xml", bibload.BIB_XML))
         sm.register(XmlDocument.from_string("prices.xml",
                                             bibload.PRICES_XML))
-        view = MaterializedXQueryView(sm, bibload.YEAR_GROUP_QUERY)
-        assert view.extent_size() == 0
-        view.materialize()
-        assert view.extent_size() > 10
+        with ViewRegistry(sm) as registry:
+            pipeline = registry.register("v", bibload.YEAR_GROUP_QUERY,
+                                         materialize=False).pipeline
+            assert pipeline.extent_size() == 0
+            registry.materialize("v")
+            assert pipeline.extent_size() > 10
 
     def test_empty_update_list(self):
         sm = StorageManager()
         sm.register(XmlDocument.from_string("bib.xml", bibload.BIB_XML))
         sm.register(XmlDocument.from_string("prices.xml",
                                             bibload.PRICES_XML))
-        view = MaterializedXQueryView(sm, bibload.YEAR_GROUP_QUERY)
-        view.materialize()
+        view = MaintainedView(sm, bibload.YEAR_GROUP_QUERY)
         report = view.apply_updates([])
-        assert report.batches == 0 and report.accepted == 0
+        assert report.updates == 0 and report.routed == 0
+        own = report.views[view.name]
+        assert own.batches == 0 and own.accepted == 0

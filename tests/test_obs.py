@@ -124,7 +124,8 @@ class TestEngineMetrics:
             assert snapshot["view_extent_nodes"]["values"][
                 "view=by-city"] > 0
             phase = snapshot["view_phase_seconds"]["values"]
-            assert "phase=propagate,view=by-city" in phase
+            assert set(phase) == {"phase=propagate,view=by-city",
+                                  "phase=apply,view=by-city"}
             assert snapshot["storage_mutations"]["values"][""] > 0
             # index and operator-state mirrors are present
             assert "index_range_scans" in snapshot
@@ -237,8 +238,9 @@ class TestExplain:
         assert any(line.startswith("query:") for line in lines)
         assert any(line.startswith("maintenance: flushes=1")
                    for line in lines)
-        assert any(line.startswith("timings: validate=")
+        assert any(line.startswith("timings: propagate=")
                    for line in lines)
+        assert "validate=" not in text
         assert any(line.startswith("cost model: recompute=")
                    for line in lines)
         # the plan tree is annotated with live full/delta counters; the

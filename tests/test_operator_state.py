@@ -1,10 +1,12 @@
 """Persistent operator-state correctness (the cross-run cache layer).
 
 The store must be *observationally invisible*: a view maintained with
-persistent per-operator state enabled produces byte-identical extents to
-full recomputation (the paper's correctness oracle) and to the same view
-maintained stateless — under randomized mixed insert/delete/modify
-streams, after forced invalidation, and across the shared registry.
+persistent per-operator state produces byte-identical extents to full
+recomputation (the paper's correctness oracle), and every cached table
+it claims current equals a fresh evaluation of its subplan
+(:func:`tests.helpers.audit_operator_state`) — under randomized mixed
+insert/delete/modify streams, after forced invalidation, after an
+out-of-band storage write, and across the shared registry.
 """
 
 from __future__ import annotations
@@ -13,26 +15,16 @@ import random
 
 import pytest
 
-from repro import (MaterializedXQueryView, StorageManager, UpdateRequest,
-                   ViewRegistry)
+from repro import StorageManager, UpdateRequest, ViewRegistry
 from repro.engine.opstate import subplan_signature
 from repro.workloads import xmark
 from repro.xat import AtomicItem, GroupBy, NavigateUnnest, Path, Source, \
     XatTuple
 from repro.xat.grouping import compute_aggregate, merge_member_items
 
-from .helpers import (assert_consistent, closed_auctions_of, persons_of,
-                      random_batch, run_differential)
-
-
-def fresh_view(query: str, n: int = 30, operator_state: bool = True,
-               seed: int = 42):
-    storage = StorageManager()
-    xmark.register_site(storage, n, seed=seed)
-    view = MaterializedXQueryView(storage, query,
-                                  operator_state=operator_state)
-    view.materialize()
-    return storage, view
+from .helpers import (assert_consistent, audit_operator_state,
+                      closed_auctions_of, persons_of, random_batch,
+                      run_differential, site_view)
 
 
 #: the historical mixed-stream update space of this module, now expressed
@@ -76,21 +68,21 @@ class TestRandomizedOracle:
         """Dropping every cached table mid-stream must be harmless: the
         store rebuilds lazily and the extent never diverges."""
         rng = random.Random(303)
-        storage, view = fresh_view(query)
+        storage, view = site_view(query)
         for step in range(20):
             if step % 5 == 3:
-                view.state_store.invalidate_all()
+                view.registry.state_store.invalidate_all()
             view.apply_updates([random_update(rng, storage, step)])
             assert_consistent(view)
-        assert view.state_store.stats.invalidations >= 3
+        assert view.registry.state_store.stats.invalidations >= 3
 
     @pytest.mark.parametrize("name,query", MAINTAINED_QUERIES)
     def test_matches_stateless_maintenance(self, name, query):
-        """Store on vs store off: byte-identical maintained extents."""
+        """What the store serves is what stateless evaluation would
+        derive: the harness audits every cached table against a fresh
+        FULL evaluation after each step."""
         run_differential(404, 15, ORACLE_MUTATORS, query,
-                         num_persons=30, site_seed=42, batch_max=1,
-                         operator_state=True,
-                         twin={"operator_state": False})
+                         num_persons=30, site_seed=42, batch_max=1)
 
 
 class TestStoreActivity:
@@ -98,73 +90,72 @@ class TestStoreActivity:
     def test_join_sides_served_and_patched(self):
         """Alternating person/auction inserts keep both side entries warm:
         the untouched side serves from cache, the touched side patches."""
-        storage, view = fresh_view(xmark.JOIN_QUERY)
+        storage, view = site_view(xmark.JOIN_QUERY)
         for step in range(6):
             anchor = (persons_of(storage)[-1] if step % 2 == 0
                       else closed_auctions_of(storage)[-1])
             fragment = (xmark.new_person_xml(step) if step % 2 == 0
                         else xmark.new_closed_auction_xml(step, "person1"))
-            report = view.apply_updates(
+            view.apply_updates(
                 [UpdateRequest.insert("site.xml", anchor, fragment,
                                       "after")])
             assert_consistent(view)
-        stats = view.state_store.stats
+        stats = view.registry.state_store.stats
         assert stats.hits > 0
         assert stats.patches > 0
-        assert report.state_hits > 0  # surfaced per maintenance pass
+        assert view.registered.report.state_hits > 0  # surfaced per view
 
     def test_flat_maintenance_cost_counters(self):
         """Steady state serves without recomputation: after warm-up, a
         batch costs hits/patches, never misses."""
-        storage, view = fresh_view(xmark.JOIN_QUERY)
+        storage, view = site_view(xmark.JOIN_QUERY)
         anchor = persons_of(storage)[-1]
         view.apply_updates([UpdateRequest.insert(
             "site.xml", anchor, xmark.new_person_xml(0), "after")])
-        misses_before = view.state_store.stats.misses
+        misses_before = view.registry.state_store.stats.misses
         for step in range(1, 5):
             view.apply_updates([UpdateRequest.insert(
                 "site.xml", anchor, xmark.new_person_xml(step), "after")])
-        assert view.state_store.stats.misses == misses_before
+        assert view.registry.state_store.stats.misses == misses_before
         assert_consistent(view)
 
     def test_direct_storage_mutation_invalidates(self):
         """A mutation outside maintenance (no delta run to patch from)
         must not leave a stale serve behind.
 
-        Bypassing the V-P-A pipeline never updates the extent — stateless
-        maintenance diverges from the recompute oracle identically — but
-        the *next* maintenance pass must read current storage, so the
-        store-enabled view has to stay byte-identical to a stateless twin
-        across the out-of-band write.
+        Bypassing the V-P-A pipeline never updates the extent, so the
+        recompute oracle does not apply across the out-of-band write —
+        but the *next* maintenance pass must read current storage: every
+        table the store still claims current is audited against a fresh
+        evaluation after each step.
         """
         from repro.xmlmodel import parse_fragment
 
-        views = {}
-        for label, enabled in (("stateful", True), ("stateless", False)):
-            storage, view = fresh_view(xmark.JOIN_QUERY,
-                                       operator_state=enabled)
-            anchor = persons_of(storage)[-1]
-            view.apply_updates([UpdateRequest.insert(
-                "site.xml", anchor, xmark.new_person_xml(0), "after")])
-            auctions_parent = storage.parent_key(
-                closed_auctions_of(storage)[-1])
-            storage.insert_fragment(
-                auctions_parent,
-                parse_fragment(
-                    xmark.new_closed_auction_xml(99, "person2"))[0])
-            view.apply_updates([UpdateRequest.insert(
-                "site.xml", anchor, xmark.new_person_xml(1), "after")])
-            views[label] = view
-        assert views["stateful"].to_xml() == views["stateless"].to_xml()
-        # The out-of-band auction insert invalidated the cached side.
-        assert views["stateful"].state_store.stats.invalidations >= 1
+        storage, view = site_view(xmark.JOIN_QUERY)
+        anchor = persons_of(storage)[-1]
+        view.apply_updates([UpdateRequest.insert(
+            "site.xml", anchor, xmark.new_person_xml(0), "after")])
+        assert audit_operator_state(view.registry) > 0
+        auctions_parent = storage.parent_key(
+            closed_auctions_of(storage)[-1])
+        storage.insert_fragment(
+            auctions_parent,
+            parse_fragment(
+                xmark.new_closed_auction_xml(99, "person2"))[0])
+        audit_operator_state(view.registry)
+        view.apply_updates([UpdateRequest.insert(
+            "site.xml", anchor, xmark.new_person_xml(1), "after")])
+        # The next pass re-derived the auction side from current storage
+        # (the out-of-band auction included) instead of serving it stale.
+        assert audit_operator_state(view.registry) > 0
+        assert view.registry.state_store.stats.invalidations >= 1
 
 
 def assert_no_dead_keys(view) -> None:
     """No cached tuple may reference a key that left storage — a stale
     reference would crash (or silently corrupt) a later probe."""
-    storage = view.storage
-    for entry in view.state_store.entries():
+    storage = view.registry.storage
+    for entry in view.registry.state_store.entries():
         if not entry.valid or entry.table is None:
             continue
         for tup in entry.table.tuples:
@@ -184,7 +175,7 @@ class TestCacheLiveness:
         """Delete staging/commit must purge every reference to the
         deleted subtrees from the persisted tables and indexes."""
         rng = random.Random(606)
-        storage, view = fresh_view(xmark.JOIN_QUERY)
+        storage, view = site_view(xmark.JOIN_QUERY)
         for step in range(25):
             batch = random_batch(rng, storage, step, ORACLE_MUTATORS,
                                  max_size=3)
@@ -226,17 +217,6 @@ class TestRegistrySharing:
                     registry.recompute_xml("now")
                 assert registry.query("later") == \
                     registry.recompute_xml("later")
-
-    def test_disabled_store(self):
-        storage = StorageManager()
-        xmark.register_site(storage, 20)
-        with ViewRegistry(storage, operator_state=False) as registry:
-            registry.register("v", xmark.JOIN_QUERY)
-            assert registry.state_store is None
-            anchor = persons_of(storage)[-1]
-            registry.apply_updates([UpdateRequest.insert(
-                "site.xml", anchor, xmark.new_person_xml(0), "after")])
-            assert registry.query("v") == registry.recompute_xml("v")
 
     def test_close_detaches_listener(self):
         storage = StorageManager()

@@ -9,28 +9,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro import (Database, MaterializedXQueryView, StorageManager,
-                   UpdateRequest, ViewRegistry)
+from repro import Database, StorageManager, UpdateRequest, ViewRegistry
 from repro.plan import lower
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
 from repro.xat.base import DELTA, FULL, MODIFY
 
-from .helpers import (ALL_MUTATORS, assert_consistent, books_of,
-                      run_differential, site_view)
+from .helpers import (ALL_MUTATORS, FUZZ_VIEWS, assert_consistent, books_of,
+                      run_differential, running_example, site_view)
 
 CITY_PATH = [("child", "site"), ("child", "people"), ("child", "person"),
              ("child", "address"), ("child", "city")]
-
-#: the full maintained view set the fuzz sweep drives (mirrors
-#: benchmarks/fuzz_differential.py)
-XMARK_VIEWS = [
-    ("order-query-2", xmark.ORDER_QUERY_2),
-    ("persons-by-city", xmark.PERSONS_BY_CITY_QUERY),
-    ("join", xmark.JOIN_QUERY),
-    ("selection", xmark.SELECTION_QUERY),
-    ("city-headcount", xmark.CITY_HEADCOUNT_QUERY),
-]
 
 
 # -- lowering / plan cache ---------------------------------------------------------------
@@ -43,8 +32,8 @@ class TestLowering:
         view.apply_updates([UpdateRequest.modify(
             "site.xml",
             _storage.find_by_path("site.xml", CITY_PATH)[0], "Tampere")])
-        cache = view._pipeline.vm.cache
-        plans = cache.plans_for(view._pipeline.plan)
+        cache = view.pipeline.vm.cache
+        plans = cache.plans_for(view.pipeline.plan)
         assert [p.mode for p in plans] == [FULL, DELTA]
         for plan in plans:
             assert plan.nregs == len(plan.instructions)
@@ -87,8 +76,8 @@ class TestLowering:
 
     def test_invalidate_drops_plans_keeps_prepared(self):
         _storage, view = site_view(xmark.SELECTION_QUERY, 20, seed=1)
-        cache = view._pipeline.vm.cache
-        root = view._pipeline.plan
+        cache = view.pipeline.vm.cache
+        root = view.pipeline.plan
         assert cache.plans_for(root)
         prepared = dict(cache._prepared)
         cache.invalidate(root)
@@ -116,16 +105,13 @@ class TestVmExecution:
         """A subplan sourcing only prices.xml contributes an empty delta
         to a bib.xml batch without executing — the compile-time
         source-document check."""
-        storage = StorageManager()
-        bibload.register_running_example(storage)
-        view = MaterializedXQueryView(storage, bibload.YEAR_GROUP_QUERY)
-        view.materialize()
+        storage, view = running_example()
         view.apply_updates([UpdateRequest.insert(
             "bib.xml", books_of(storage)[-1],
             bibload.NEW_BOOK_FRAGMENT, "after")])
         assert_consistent(view)
-        cache = view._pipeline.vm.cache
-        (delta_plan,) = [p for p in cache.plans_for(view._pipeline.plan)
+        cache = view.pipeline.vm.cache
+        (delta_plan,) = [p for p in cache.plans_for(view.pipeline.plan)
                          if p.mode == DELTA]
         skipped = [i for i in delta_plan.instructions
                    if i.shortcircuits > 0]
@@ -177,7 +163,7 @@ class TestStaleWindowGuard:
         view.apply_updates([UpdateRequest.modify(
             "site.xml", cities[0], "Tampere")])
         tags = storage.tag_path(cities[0])
-        entries = [e for e in view.state_store.entries()
+        entries = [e for e in view.registry.state_store.entries()
                    if e.valid and e.sapt.relevant_for_tags("site.xml",
                                                            tags)]
         assert entries, "no warm entry over the city subtree"
@@ -216,16 +202,20 @@ class TestDifferential:
     """Randomized mixed streams, every mutator kind: the recompute
     oracle after every batch."""
 
-    @pytest.mark.parametrize("name,query", XMARK_VIEWS)
+    @pytest.mark.parametrize("name,query", list(FUZZ_VIEWS.items()))
     def test_xmark_views(self, name, query):
         run_differential(7, 8, ALL_MUTATORS, query,
                          num_persons=20, site_seed=1)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_xmark_views_sharing_one_registry(self, seed):
+        """All five views over one storage: one store, one plan cache,
+        each view propagating its own routed subset of every batch."""
+        run_differential(seed, 30, ALL_MUTATORS, FUZZ_VIEWS.values(),
+                         num_persons=20, site_seed=1, shared=True)
+
     def test_bib_running_example(self):
-        storage = StorageManager()
-        bibload.register_running_example(storage)
-        view = MaterializedXQueryView(storage, bibload.YEAR_GROUP_QUERY)
-        view.materialize()
+        storage, view = running_example()
         books = books_of(storage)
         titles = storage.find_by_path(
             "bib.xml", [("child", "bib"), ("child", "book"),

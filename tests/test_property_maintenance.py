@@ -10,8 +10,9 @@ would — content and order.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import (MaterializedXQueryView, StorageManager, UpdateRequest,
-                   XmlDocument)
+from repro import StorageManager, UpdateRequest, XmlDocument
+
+from .helpers import MaintainedView
 
 YEARS = ["1994", "1998", "2002"]
 TITLES = [f"Title {i}" for i in range(8)]
@@ -54,9 +55,7 @@ def _setup(query, n_initial=3):
         for i in range(0, 8, 2))
     storage.register(XmlDocument.from_string("prices.xml",
                                              f"<prices>{prices}</prices>"))
-    view = MaterializedXQueryView(storage, query)
-    view.materialize()
-    return storage, view
+    return storage, MaintainedView(storage, query)
 
 
 def _materialize_instruction(storage, instruction, step):

@@ -6,8 +6,7 @@ extent must serialize identically (content and order) to recomputation.
 
 import pytest
 
-from repro import (Database, MaterializedXQueryView, StorageManager,
-                   UpdateRequest)
+from repro import Database, StorageManager, UpdateRequest, ViewRegistry
 from repro.multiview.cost import CostModel
 from repro.workloads import xmark
 
@@ -108,10 +107,9 @@ class TestGroupMaintenance:
             "site.xml", persons[-1],
             xmark.new_person_xml(6, city="Zanzibar"), "after")])
         new_person = persons_of(storage)[-1]
-        report = view.apply_updates(
-            [UpdateRequest.delete("site.xml", new_person)])
+        view.apply_updates([UpdateRequest.delete("site.xml", new_person)])
         assert 'name="Zanzibar"' not in view.to_xml()
-        assert report.fusion.removed_roots >= 1
+        assert view.registered.report.fusion.removed_roots >= 1
         assert_consistent(view)
 
     def test_group_grows_in_place(self):
@@ -174,7 +172,7 @@ class TestModifySemantics:
             [UpdateRequest.modify("site.xml", name, "Renamed Person")])
         assert_consistent(view)
         if "Renamed Person" in view.to_xml():
-            assert report.accepted == 1
+            assert report.routed == 1
 
     def test_modify_join_key_first_class(self):
         """A join-key modify propagates as one retract/assert pair — the
@@ -186,8 +184,8 @@ class TestModifySemantics:
         city = storage.children(address, "city")[0]
         report = view.apply_updates(
             [UpdateRequest.modify("site.xml", city, "Montevideo")])
-        assert report.accepted == 1
-        assert report.batches == 1
+        assert report.routed == 1
+        assert view.registered.report.batches == 1
         assert 'name="Montevideo"' in view.to_xml()
         assert_consistent(view)
 
@@ -196,10 +194,10 @@ class TestModifySemantics:
         old keyword fails loudly instead of silently changing paths."""
         storage = StorageManager()
         xmark.register_site(storage, 10, seed=42)
-        with pytest.raises(TypeError, match="modify_decomposition"):
-            MaterializedXQueryView(storage,
-                                   xmark.PERSONS_BY_CITY_QUERY,
-                                   modify_decomposition=True)
+        with ViewRegistry(storage) as registry:
+            with pytest.raises(TypeError, match="modify_decomposition"):
+                registry.register("v", xmark.PERSONS_BY_CITY_QUERY,
+                                  modify_decomposition=True)
 
     def test_modify_deep_inside_exposed_fragment(self):
         storage, view = site_view(xmark.ORDER_QUERY_1, num_persons=10)
@@ -240,31 +238,18 @@ class TestValidatePhaseEffects:
         profile = storage.children(persons[0], "profile")[0]
         report = view.apply_updates(
             [UpdateRequest.delete("site.xml", profile)])
-        assert report.irrelevant == 1 and report.batches == 0
-        assert_consistent(view)
-
-    def test_validation_can_be_disabled(self):
-        storage, _ = site_view(xmark.ORDER_QUERY_2, num_persons=10)
-        from repro import MaterializedXQueryView
-
-        view = MaterializedXQueryView(storage, xmark.ORDER_QUERY_2,
-                                      validate_updates=False)
-        view.materialize()
-        persons = persons_of(storage)
-        profile = storage.children(persons[0], "profile")[0]
-        report = view.apply_updates(
-            [UpdateRequest.delete("site.xml", profile)])
-        assert report.irrelevant == 0
+        assert report.irrelevant_everywhere == 1 and report.routed == 0
+        assert view.registered.report.batches == 0
         assert_consistent(view)
 
     def test_update_before_materialize_rejected(self):
-        from repro import MaterializedXQueryView, StorageManager
-
         storage = StorageManager()
         xmark.register_site(storage, 5)
-        view = MaterializedXQueryView(storage, xmark.ORDER_QUERY_2)
-        with pytest.raises(RuntimeError):
-            view.apply_updates([])
+        with ViewRegistry(storage) as registry:
+            registry.register("v", xmark.ORDER_QUERY_2, materialize=False)
+            with pytest.raises(RuntimeError, match="materialize view"):
+                registry.apply_updates([UpdateRequest.delete(
+                    "site.xml", persons_of(storage)[0])])
 
 
 def test_theta_join_maintained_from_both_sides(monkeypatch):
