@@ -5,9 +5,11 @@ over every mutator kind — person/auction churn, join-key collection growth
 (second ``<city>`` cells, nested same-tag person inserts) and city/name
 text modifies — against the views that historically diverged: each in a
 registry of its own, then all of them sharing one registry over one
-storage.  Every batch is checked against the recompute oracle and the
-operator-state audit, so a future divergence fails the build instead of
-landing in ROADMAP as an open item.
+storage, then the duplicate-view leg (``tests.helpers.SHARING_VIEWS``:
+ten views, queries repeated and overlapping, so passes of one dispatch
+fill registers for one another).  Every batch is checked against the
+recompute oracle and the operator-state audit, so a future divergence
+fails the build instead of landing in ROADMAP as an open item.
 
 Run from the repo root::
 
@@ -33,8 +35,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from tests.helpers import ALL_MUTATORS, FUZZ_VIEWS, random_batch, \
-    run_differential  # noqa: E402
+from tests.helpers import ALL_MUTATORS, FUZZ_VIEWS, SHARING_VIEWS, \
+    random_batch, run_differential  # noqa: E402
 from repro.api import Database  # noqa: E402
 from repro.workloads import xmark  # noqa: E402
 
@@ -108,21 +110,24 @@ def main(argv=None) -> int:
     legs_skipped = 0
     updates = 0
     for seed in seeds:
-        # each view alone, then (given more than one) all in one registry
-        legs = [([name], False) for name in names]
+        # each view alone, then (given more than one) all in one
+        # registry, then (the default sweep) the duplicate-view leg
+        legs = [(name, [FUZZ_VIEWS[name]], False) for name in names]
         if len(names) > 1:
-            legs.append((names, True))
-        for leg, shared in legs:
+            legs.append(("+".join(names) + " (one registry)",
+                         [FUZZ_VIEWS[name] for name in names], True))
+        if not args.views:
+            legs.append((f"{len(SHARING_VIEWS)} duplicate/overlapping "
+                         "views (one registry)", SHARING_VIEWS, True))
+        for label, queries, shared in legs:
             if time.monotonic() - started > args.budget:
                 legs_skipped += 1
                 continue
             updates += run_differential(
-                seed, args.steps, ALL_MUTATORS,
-                [FUZZ_VIEWS[name] for name in leg],
+                seed, args.steps, ALL_MUTATORS, queries,
                 num_persons=args.persons, site_seed=1, shared=shared)
             legs_run += 1
-            print(f"ok   seed={seed} view={'+'.join(leg)}"
-                  + (" (one registry)" if shared else ""))
+            print(f"ok   seed={seed} view={label}")
     if args.crash_every:
         for seed in seeds:
             if time.monotonic() - started > args.budget:

@@ -33,7 +33,7 @@ class Engine:
     def run(self, plan: XatOperator, mode: str = FULL,
             delta: Optional[DeltaSpec] = None,
             profiler: Optional[Profiler] = None, store=None,
-            vm=None) -> XatTable:
+            vm=None, memo: Optional[dict] = None) -> XatTable:
         """Execute a prepared plan and return the root operator's table.
 
         ``store`` (an :class:`~repro.engine.opstate.OperatorStateStore`)
@@ -42,12 +42,15 @@ class Engine:
         ``vm`` (a :class:`~repro.plan.PlanVM`) runs the operators in
         its linear schedule; without one (the recompute oracle) they
         evaluate recursively through ``ctx.evaluate`` — the same
-        operator bodies either way.
+        operator bodies either way.  ``memo`` replaces the context's
+        private run memo (see :meth:`propagate`).
         """
         if plan.schema is None:
             raise RuntimeError("plan not prepared; call plan.prepare()")
         ctx = ExecutionContext(self.storage, mode=mode, delta=delta,
                                profiler=profiler, store=store)
+        if memo is not None:
+            ctx.memo = memo
         if vm is not None:
             return vm.run(plan, ctx)
         return ctx.evaluate(plan)
@@ -63,10 +66,11 @@ class Engine:
     def result_forest(self, plan: XatOperator, mode: str = FULL,
                       delta: Optional[DeltaSpec] = None,
                       profiler: Optional[Profiler] = None, store=None,
-                      vm=None) -> list[ExtentNode]:
+                      vm=None, memo: Optional[dict] = None
+                      ) -> list[ExtentNode]:
         """Execute and de-reference the exposed column into extent trees."""
         table = self.run(plan, mode=mode, delta=delta, profiler=profiler,
-                         store=store, vm=vm)
+                         store=store, vm=vm, memo=memo)
         column = self.exposed_column(plan)
         prof = profiler if profiler is not None else Profiler()
         forest: list[ExtentNode] = []
@@ -84,23 +88,35 @@ class Engine:
         return forest
 
     def propagate(self, plan: XatOperator, extent: Optional[ExtentNode],
-                  spec: DeltaSpec, *, store,
+                  spec: DeltaSpec, memo: dict, *, store,
                   profiler: Optional[Profiler] = None, report=None, vm=None
                   ) -> tuple[ExtentNode, FusionReport]:
         """One V-P-A delta pass: execute ``plan`` in delta mode for ``spec``
         and fuse the resulting delta forest into ``extent``.
 
+        ``memo`` is the pass's register file, ``{(signature, mode):
+        table}``: empty for a pass of its own, or the one the registry's
+        dispatch keeps beside ``spec`` — then whatever an earlier view's
+        pass under this same spec object computed is reused, not re-run,
+        and the delta forest is built afresh from the shared root table.
         ``report`` is an optional maintenance report (any object with
         ``propagate_seconds``, ``apply_seconds`` and ``fusion``
         attributes) that receives the per-phase timings.
         """
         started = time.perf_counter()
+        # Registers already filled: an earlier pass of this dispatch ran
+        # (and reconciled) under this spec, and the store has been
+        # current for it since.
+        follower = bool(memo)
         forest = self.result_forest(plan, mode=DELTA, delta=spec,
-                                    profiler=profiler, store=store, vm=vm)
-        # Patch (or, for deletes, stage) the batch's stale operator
-        # state while the update subtrees are still readable — the
-        # registry's delete barrier reaches storage only after this pass.
-        store.reconcile(spec)
+                                    profiler=profiler, store=store, vm=vm,
+                                    memo=memo)
+        if not follower:
+            # Patch (or, for deletes, stage) the batch's stale operator
+            # state while the update subtrees are still readable — the
+            # registry's delete barrier reaches storage only after the
+            # passes — reading each Δ from the registers just filled.
+            store.reconcile(spec, memo)
         propagate_elapsed = time.perf_counter() - started
         started = time.perf_counter()
         fusion = report.fusion if report is not None else None

@@ -47,6 +47,7 @@ patch and commits it when the deferred deletion events arrive.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -115,13 +116,15 @@ def _sig_core(op: XatOperator) -> tuple:
 
 
 def subplan_signature(op: XatOperator) -> str:
-    """Canonical structural signature of a subplan (memoized per op)."""
-    cached = getattr(op, "_state_signature", None)
+    """Canonical structural signature of a subplan (memoized per op, and
+    interned: it also keys the run memo, where equal signatures of
+    different views should hash and compare by identity)."""
+    cached = op._state_signature
     if cached is None:
         parts = [repr(_sig_core(op))]
         parts.extend(subplan_signature(child) for child in op.inputs)
-        cached = "(" + " ".join(parts) + ")"
-        op._state_signature = cached
+        cached = op._state_signature = sys.intern(
+            "(" + " ".join(parts) + ")")
     return cached
 
 
@@ -240,9 +243,10 @@ class _PatchPlan:
         return self.spec.classify(key) == "at"
 
     def same_batch(self, spec: DeltaSpec) -> bool:
-        """Whether ``spec`` names the batch this plan was staged for —
-        compared by content, since every view's propagation pass builds
-        its own spec object for the same closed run."""
+        """Whether ``spec`` names the batch this plan was staged for.
+        Views routed the same subset of a run share one spec object (the
+        ``is`` arm); a view flushing the run later, or routed the same
+        roots by another path, builds its own — hence by content."""
         return (self.spec is spec
                 or (self.spec.document == spec.document
                     and self.spec.phase == spec.phase
@@ -478,9 +482,9 @@ class CachedEntry:
         unchanged and the table still mirrors it; applied means it is
         spent.  Either way it must not keep absorbing deletion events
         (a reclaimed sibling atom may coincide with an old root key).
-        Batch identity is by content, not object: each view's pass
-        builds its own DeltaSpec for the same run, and re-staging a
-        shared entry once per view would cost O(views) delta passes.
+        Batch identity falls back to content (see
+        :meth:`_PatchPlan.same_batch`): re-staging a shared entry once
+        per view would cost O(views) delta passes.
         """
         if self.prepared is not None \
                 and not self.prepared.same_batch(spec):
@@ -797,20 +801,25 @@ class OperatorStateStore:
 
     # -- end-of-pass reconciliation ------------------------------------------------------
 
-    def reconcile(self, spec: DeltaSpec) -> None:
+    def reconcile(self, spec: DeltaSpec, memo: dict) -> None:
         """Bring every entry this batch touched current, served or not.
 
         A one-sided batch only *serves* the untouched side (the delta
         side's own entry never gets a FULL/ANTI request), so its stale
         entries would otherwise linger until an unrelated later batch
-        finds them uncoverable and recomputes.  Called by the engine at
-        the end of each delta pass — and, for delete batches, *before*
-        the deferred deletions reach storage, so unserved entries can
-        still stage their post-delete patch from the live subtrees.
+        finds them uncoverable and recomputes.  Called by the engine
+        after the first delta pass under ``spec`` — and, for delete
+        batches, *before* the deferred deletions reach storage, so
+        unserved entries can still stage their post-delete patch from
+        the live subtrees.  ``memo`` is that pass's register file: an
+        entry's Δ is read from it where the pass (or an earlier entry)
+        already computed it, and evaluated into it otherwise.
         """
         from ..xat.base import ExecutionContext
 
-        ctx = None
+        ctx = ExecutionContext(self.storage, mode=DELTA, delta=spec,
+                               store=self)
+        ctx.memo = memo
         for entry in list(self._by_doc.get(spec.document, ())):
             if not entry.valid:
                 continue
@@ -822,17 +831,11 @@ class OperatorStateStore:
                         spec.document, self.storage.tag_path(root.key))
                         for root in spec.roots):
                     continue  # the deletion events will be ignored anyway
-                if ctx is None:
-                    ctx = ExecutionContext(self.storage, mode=DELTA,
-                                           delta=spec, store=self)
                 delta = ctx.evaluate(entry.op, DELTA)
                 plan = entry.stage(delta, spec, ctx)
                 entry.prepared = (plan if plan is not None
                                   else _PatchPlan(spec, unstageable=True))
             elif entry.stale and entry.stale_covered_by(spec):
-                if ctx is None:
-                    ctx = ExecutionContext(self.storage, mode=DELTA,
-                                           delta=spec, store=self)
                 delta = ctx.evaluate(entry.op, DELTA)
                 plan = entry.stage(delta, spec, ctx)
                 if plan is not None:

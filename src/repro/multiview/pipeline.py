@@ -21,11 +21,10 @@ from ..apply import ExtentNode, FusionReport
 from ..engine import Engine
 from ..engine.opstate import OperatorStateStore
 from ..plan import PlanCache, PlanVM
-from ..updates.batch import spec_for_run
-from ..updates.primitives import UpdateRequest, UpdateTree
+from ..updates.primitives import UpdateRequest
 from ..updates.sapt import Sapt
 from ..storage import StorageManager
-from ..xat import Profiler, XatOperator
+from ..xat import DeltaSpec, Profiler, XatOperator
 
 
 @dataclass
@@ -162,11 +161,14 @@ class ViewPipeline:
     def extent_size(self) -> int:
         return self.extent.subtree_size() if self.extent is not None else 0
 
-    def propagate_run(self, run: list[UpdateTree],
+    def propagate_run(self, spec: DeltaSpec, memo: dict,
                       report: MaintenanceReport,
                       profiler: Optional[Profiler] = None) -> None:
-        """Propagate one closed run (one batch update tree) and fuse the
-        delta into the extent."""
+        """Propagate one closed run (one batch update tree, as the
+        registry's ``spec`` for this view's routed subset of it) and
+        fuse the delta into the extent.  ``memo`` is the register file
+        the registry keeps beside ``spec``: shared with every other
+        view's pass under the same spec object, else empty."""
         report.batches += 1
         store = self.state_store
         before = store.stats.snapshot()
@@ -176,7 +178,7 @@ class ViewPipeline:
             propagate_before = report.propagate_seconds
             apply_before = report.apply_seconds
         self.extent, _fusion = self.engine.propagate(
-            self.plan, self.extent, spec_for_run(run), profiler=profiler,
+            self.plan, self.extent, spec, memo, profiler=profiler,
             report=report, store=store, vm=self.vm)
         hits, misses, patches, _inv = store.stats.snapshot()
         report.state_hits += hits - before[0]
@@ -186,7 +188,7 @@ class ViewPipeline:
             tracer.record(
                 "phase.propagate",
                 report.propagate_seconds - propagate_before,
-                trees=len(run), kind=run[0].kind)
+                trees=len(spec.roots), kind=spec.phase)
             tracer.record("phase.apply",
                           report.apply_seconds - apply_before,
-                          trees=len(run))
+                          trees=len(spec.roots))

@@ -41,7 +41,7 @@ from ..obs.core import STATE as _OBS
 from ..plan import PlanCache
 from ..storage import StorageManager
 from ..translate import translate_query
-from ..updates.batch import RunBatcher
+from ..updates.batch import RunBatcher, spec_for_run
 from ..updates.primitives import UpdateRequest, UpdateTree
 from ..xat import (DELETE, INSERT, MODIFY, Aggregate, CartesianProduct,
                    Distinct, GroupBy, Join, LeftOuterJoin, Profiler,
@@ -237,6 +237,10 @@ class ViewRegistry:
         #: DDL is logged on success.
         self.wal = None
         self._views: dict[str, RegisteredView] = {}
+        #: the register files of the run being dispatched, one per
+        #: distinct routed subset: ``{ids of its trees: (spec, memo)}``
+        #: (see :meth:`_dispatch`); empty outside a dispatch
+        self._registers: dict[tuple, tuple] = {}
         self._storage_ops = 0
         self._subscriber_errors = 0
         self._closed = False
@@ -291,6 +295,11 @@ class ViewRegistry:
                         "Plan-VM instructions executed (short-circuits "
                         "included)"
                         ).set(plan_stats["instructions_executed"])
+        metrics.counter("vm_instructions_reused",
+                        "Plan-VM instructions whose register was filled "
+                        "from the run memo (computed by an earlier "
+                        "instruction, usually another view's pass)"
+                        ).set(plan_stats["instructions_reused"])
         for key, value in self.state_store.stats.as_dict().items():
             metrics.counter(f"opstate_{key}",
                             "Operator-state store activity").set(value)
@@ -708,28 +717,64 @@ class ViewRegistry:
     def _dispatch(self, run: list[RoutedTree]) -> None:
         """Hand one closed run to every view it affects, honouring
         policies — except that delete runs are barriers (see module
-        docstring)."""
+        docstring).
+
+        The dispatch owns the run's **register files**: per distinct
+        routed subset of the run one :class:`~repro.xat.DeltaSpec` and,
+        beside it, one memo ``{(structural signature, mode): table}``
+        (:meth:`_enqueue` creates them, :meth:`_flush_view` hands them
+        to each pass), so a Δ subplan several views share is evaluated
+        once per dispatch and ``reconcile`` reads it instead of
+        evaluating it again.  What makes the reuse sound
+        (``docs/PLAN_IR.md``, "The dispatch register file"):
+
+        * **I1** — a register is reused only under the *same spec
+          object*: same subset of the same run, inside this one call,
+          where storage is fixed (inserts and modifies landed before it,
+          deletes land after every affected view flushed) and the
+          operator-state store is current before and after each pass
+          (stale entries are patched on first serve, delete patches only
+          staged), so the Δ rules that read state (``Distinct``'s zero
+          crossing, the outer join's dangling checks) answer every pass
+          alike.  Views routed *different* subsets share nothing: under
+          the run's full spec a ``NavigateUnnest`` Δ would hand the
+          narrower views refresh rows for the extra roots' ancestors.
+        * **I2** — correlated evaluation (a non-empty binding stack)
+          neither reads nor writes the memo; operators without a
+          structural signature get a per-instance one.
+        * **I3** — memo tables are read-only: no operator and no Apply
+          step mutates an input tuple, item or ``AggState``.
+        * **I4** — a batch is looked up by the identity of its trees, so
+          only this run's subsets can hit: older batches a view flushes
+          first, and this run flushed by a deferred view later, get a
+          spec and an empty memo of their own.  The registers go with
+          the dispatch, also when a pass raises.
+        """
         affected = [view for name, view in self._views.items()
                     if any(name in tree.views for tree in run)]
-        if run[0].kind == DELETE:
-            recompute_after = []
+        try:
+            if run[0].kind == DELETE:
+                recompute_after = []
+                for view in affected:
+                    self._enqueue(view, run)
+                    deferred_trees = self._flush_view(view,
+                                                      defer_recompute=True)
+                    if deferred_trees is not None:
+                        recompute_after.append((view, deferred_trees))
+                for tree in run:
+                    self.storage.delete_subtree(tree.root)
+                for view, trees in recompute_after:
+                    self._recompute(view, trees=trees)
+                return
             for view in affected:
                 self._enqueue(view, run)
-                deferred_trees = self._flush_view(view, defer_recompute=True)
-                if deferred_trees is not None:
-                    recompute_after.append((view, deferred_trees))
-            for tree in run:
-                self.storage.delete_subtree(tree.root)
-            for view, trees in recompute_after:
-                self._recompute(view, trees=trees)
-            return
-        for view in affected:
-            self._enqueue(view, run)
-            policy = view.policy
-            if policy.kind == IMMEDIATE_KIND or (
-                    policy.kind == THRESHOLD_KIND
-                    and view.pending_trees() >= policy.threshold):
-                self._flush_view(view)
+                policy = view.policy
+                if policy.kind == IMMEDIATE_KIND or (
+                        policy.kind == THRESHOLD_KIND
+                        and view.pending_trees() >= policy.threshold):
+                    self._flush_view(view)
+        finally:
+            self._registers = {}
 
     def _enqueue(self, view: RegisteredView, run: list[RoutedTree]) -> None:
         if not view.pipeline.materialized:
@@ -757,6 +802,9 @@ class ViewRegistry:
             kept.append(tree)
         if kept:
             view.pending.append(kept)
+            key = tuple(map(id, kept))
+            if key not in self._registers:
+                self._registers[key] = (spec_for_run(kept), {})
 
     def flush(self, name: Optional[str] = None) -> None:
         """Propagate pending deltas of one view (or of all views) now."""
@@ -798,7 +846,10 @@ class ViewRegistry:
             started = time.perf_counter()
             try:
                 for batch in view.pending:
-                    view.pipeline.propagate_run(batch, view.report,
+                    spec, memo = (
+                        self._registers.get(tuple(map(id, batch)))
+                        or (spec_for_run(batch), {}))
+                    view.pipeline.propagate_run(spec, memo, view.report,
                                                 profiler=self._profiler)
             finally:
                 captured = (tuple(view.report.fusion.delta_log)

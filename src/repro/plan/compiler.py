@@ -34,13 +34,17 @@ class PreparedOp:
 
     ``source_documents`` backs the VM's per-instruction empty-Δ
     short-circuit without re-walking the subtree every batch.
+    ``first_root`` is the plan root whose lowering created the record:
+    an instruction of any *other* root that resolves to it is one that
+    root's view can fill for it (``shared-prefix=`` in the listing).
     """
 
-    __slots__ = ("signature", "source_documents")
+    __slots__ = ("signature", "source_documents", "first_root")
 
-    def __init__(self, signature, source_documents: frozenset):
+    def __init__(self, signature, source_documents: frozenset, first_root):
         self.signature = signature
         self.source_documents = source_documents
+        self.first_root = first_root
 
 
 class PlanCache:
@@ -63,17 +67,19 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.instructions_executed = 0
+        self.instructions_reused = 0
 
     # -- prepared metadata -------------------------------------------------------------
 
-    def prepared_for(self, op: XatOperator) -> PreparedOp:
+    def prepared_for(self, op: XatOperator, root: XatOperator
+                     ) -> PreparedOp:
         signature = subplan_signature(op)
         prepared = self._prepared.get(signature)
         if prepared is not None:
             self.hits += 1
             return prepared
         self.misses += 1
-        prepared = PreparedOp(signature, op.source_documents())
+        prepared = PreparedOp(signature, op.source_documents(), root)
         self._prepared[signature] = prepared
         return prepared
 
@@ -85,10 +91,13 @@ class PlanCache:
         if cached is not None:
             return cached
         started = time.perf_counter()
-        shared_before = self.hits
         compiled = lower(root, mode, cache=self)
         compiled.compile_seconds = time.perf_counter() - started
-        compiled.shared_prefix_instructions = self.hits - shared_before
+        # Hits on this root's own records (its Δ compile meets its FULL
+        # compile's) are not sharing.
+        compiled.shared_prefix_instructions = sum(
+            instr.prepared.first_root is not root
+            for instr in compiled.instructions)
         self.compiles += 1
         self.compile_seconds += compiled.compile_seconds
         self._plans[key] = compiled
@@ -113,7 +122,8 @@ class PlanCache:
                 "compile_seconds": self.compile_seconds,
                 "hits": self.hits,
                 "misses": self.misses,
-                "instructions_executed": self.instructions_executed}
+                "instructions_executed": self.instructions_executed,
+                "instructions_reused": self.instructions_reused}
 
 
 def lower(root: XatOperator, mode: str,
@@ -139,7 +149,7 @@ def lower(root: XatOperator, mode: str,
                      for child in op.scheduled_inputs())
         reg = len(instructions)
         reg_of[key] = reg
-        prepared = owned_cache.prepared_for(op)
+        prepared = owned_cache.prepared_for(op, root)
         instructions.append(Instruction(
             opcode_for(op, op_mode), reg, srcs, op, op_mode, prepared))
         return reg

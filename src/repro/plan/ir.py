@@ -5,13 +5,15 @@ flat register file.  Each instruction computes one ``(operator, mode)``
 node of the algebra DAG and writes its table into its destination
 register; operands name the registers holding the already-computed
 inputs.  The same operator appearing under several modes (a join's Δ
-pass next to its FULL side) occupies distinct registers — the register
-file *is* the per-run memo, laid out ahead of time.
+pass next to its FULL side) occupies distinct registers.  At run time a
+register is filled from the run memo when an earlier instruction — of
+this plan or, inside one registry dispatch, of another view's — already
+computed the same ``(structural signature, mode)`` node.
 
 Opcodes name the operator family plus the execution mode so a listing
 reads like a program (``NAV_UNNEST.d r3 <- r2``).  Per-instruction
-counters (executions, rows in/out, Δ rows, short-circuits) accumulate
-on the instruction and feed ``EXPLAIN``'s listing section.
+counters (executions, memo reuses, rows in/out, Δ rows, short-circuits)
+accumulate on the instruction and feed ``EXPLAIN``'s listing section.
 """
 
 from __future__ import annotations
@@ -60,23 +62,26 @@ class Instruction:
     :meth:`~repro.xat.base.XatOperator.compute` the instruction runs and
     ``mode`` the execution mode it runs under.  ``prepared`` carries the
     signature-keyed metadata (the subtree's source-document set) shared
-    across structurally-equal subplans.
+    across structurally-equal subplans, and ``key`` — ``(signature,
+    mode)``, built once here — is the instruction's slot in the run memo.
     """
 
-    __slots__ = ("opcode", "dest", "srcs", "xop", "mode", "prepared",
-                 "executed", "shortcircuits", "rows_in", "rows_out",
-                 "delta_rows")
+    __slots__ = ("opcode", "dest", "srcs", "xop", "mode", "prepared", "key",
+                 "executed", "reused", "shortcircuits", "rows_in",
+                 "rows_out", "delta_rows")
 
     def __init__(self, opcode: str, dest: int, srcs: tuple, xop, mode: str,
-                 prepared=None):
+                 prepared):
         self.opcode = opcode
         self.dest = dest
         self.srcs = srcs
         self.xop = xop
         self.mode = mode
         self.prepared = prepared
+        self.key = (prepared.signature, mode)
         # -- live counters (rendered by the EXPLAIN listing) --
         self.executed = 0
+        self.reused = 0     # register filled from the run memo instead
         self.shortcircuits = 0
         self.rows_in = 0
         self.rows_out = 0
@@ -96,7 +101,8 @@ class Instruction:
         srcs = ", ".join(f"r{s}" for s in self.srcs) or "-"
         text = (f"r{self.dest:<3} <- {self.opcode:<13} {srcs:<12}"
                 f" runs={self.executed}"
-                f" in={self.rows_in} out={self.rows_out}")
+                + (f" reuse={self.reused}" if self.reused else "")
+                + f" in={self.rows_in} out={self.rows_out}")
         if self.mode == DELTA:
             text += f" Δ={self.delta_rows}"
         if self.shortcircuits:

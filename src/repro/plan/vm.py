@@ -4,11 +4,14 @@ Each instruction runs its operator's own
 :meth:`~repro.xat.base.XatOperator.compute` on the registers holding its
 inputs — the same method the recursive
 :meth:`~repro.xat.base.ExecutionContext.evaluate` reaches, so a rule has
-one body however it is scheduled.  The register file doubles as the
-run's memo: every computed table is also seeded into the context's cache
-under ``(id(op), mode)``, so an evaluation the schedule does not cover —
-a join's FULL side with no state store, the operator-state store's Δ
-re-evaluations — resolves recursively against the same tables.
+one body however it is scheduled.  The register file is backed by the
+run's memo: an instruction first looks its ``(signature, mode)`` key up
+in the context's ``memo`` and executes only on a miss, and every table
+it computes is seeded there — so an evaluation the schedule does not
+cover (a join's FULL side with no state store, the operator-state
+store's Δ evaluations) resolves recursively against the same tables,
+and inside one registry dispatch a later view's pass under the same
+``DeltaSpec`` reuses what an earlier one computed.
 """
 
 from __future__ import annotations
@@ -39,17 +42,19 @@ class PlanVM:
     def execute(self, cplan: CompiledPlan,
                 ctx: ExecutionContext) -> XatTable:
         regs: list = [None] * cplan.nregs
-        memo = ctx._cache
+        memo = ctx.memo
         delta_doc = ctx.delta.document if ctx.delta is not None else None
-        executed = 0
+        executed = reused = 0
         for instr in cplan.instructions:
-            op = instr.xop
-            mode = instr.mode
-            key = (id(op), mode)
+            key = instr.key
             existing = memo.get(key)
             if existing is not None:
                 regs[instr.dest] = existing
+                instr.reused += 1
+                reused += 1
                 continue
+            op = instr.xop
+            mode = instr.mode
             executed += 1
             if (mode == DELTA and delta_doc is not None
                     and delta_doc not in instr.prepared.source_documents):
@@ -69,4 +74,5 @@ class PlanVM:
             if _OBS.enabled:
                 _obs_record(op, mode, result)
         self.cache.instructions_executed += executed
+        self.cache.instructions_reused += reused
         return regs[cplan.root]

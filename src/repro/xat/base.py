@@ -90,6 +90,8 @@ class DeltaSpec:
     document: str
     roots: tuple[DeltaRoot, ...]
     phase: str  # INSERT / DELETE / MODIFY
+    #: whether any root of this batch is a first-class modify
+    has_pairs: bool = field(init=False, repr=False, compare=False)
     _classify_memo: dict = field(default_factory=dict, repr=False,
                                  compare=False)
     _sign_memo: dict = field(default_factory=dict, repr=False,
@@ -100,6 +102,10 @@ class DeltaSpec:
                               compare=False)
     _old_text_memo: dict = field(default_factory=dict, repr=False,
                                  compare=False)
+
+    def __post_init__(self):
+        self.has_pairs = (self.phase == MODIFY
+                          and any(r.has_pair for r in self.roots))
 
     def classify(self, key: FlexKey) -> Optional[str]:
         """How ``key`` relates to the update roots.
@@ -136,11 +142,6 @@ class DeltaSpec:
         raise PlanError(f"{key} is not at/below an update root")
 
     # -- first-class modify pairs -------------------------------------------------------
-
-    @property
-    def has_pairs(self) -> bool:
-        """Whether any root of this batch is a first-class modify."""
-        return self.phase == MODIFY and any(r.has_pair for r in self.roots)
 
     def modify_pair(self, key: FlexKey) -> Optional[tuple[str, str]]:
         """The ``(old, new)`` text pair when ``key`` *is* a pair root.
@@ -292,8 +293,16 @@ class ExecutionContext:
     :class:`~repro.engine.opstate.OperatorStateStore` or anything with its
     ``serve``/``join_side`` surface): during delta runs, FULL/ANTI-mode
     side evaluation is answered from cross-run operator state instead of
-    re-executing the subplan.  The per-run ``_cache`` memo below still
-    dedupes within one run; the store is what survives between runs.
+    re-executing the subplan; the store is what survives between runs.
+
+    ``memo`` is the run's register file, ``{(structural signature,
+    mode): table}``: the plan VM and the recursive :meth:`evaluate` both
+    read and fill it, so structurally-equal subplans evaluate once per
+    memo.  A context owns a private one unless the engine replaces it
+    with the memo of the registry's dispatch, which every pass under one
+    ``DeltaSpec`` object and the store's ``reconcile`` share (see
+    ``ViewRegistry._dispatch`` for when that is sound).  Its tables are
+    read-only to every consumer.
     """
 
     def __init__(self, storage: StorageManager,
@@ -311,7 +320,7 @@ class ExecutionContext:
         self.track_semantic_ids = track_semantic_ids
         self.store = store
         self.bindings: list[XatTuple] = []      # Map-operator correlation stack
-        self._cache: dict[tuple[int, str], XatTable] = {}
+        self.memo: dict[tuple[str, str], XatTable] = {}
 
     # -- mode management ------------------------------------------------------------
 
@@ -320,7 +329,7 @@ class ExecutionContext:
                                  self.delta, self.profiler,
                                  self.track_semantic_ids, self.store)
         clone.bindings = self.bindings
-        clone._cache = self._cache
+        clone.memo = self.memo
         return clone
 
     @property
@@ -348,12 +357,12 @@ class ExecutionContext:
             if _OBS.enabled:
                 _obs_record(op, ctx.mode, result)
             return result
-        # Uncorrelated from here on — the cache key needs no binding-stack
+        # Uncorrelated from here on — the memo key needs no binding-stack
         # discriminator (Map evaluates its RHS directly, never through
-        # this memo, so a cached table is always binding-independent).
+        # this memo, so a memoized table is always binding-independent).
         assert not ctx.bindings
-        cache_key = (id(op), ctx.mode)
-        cached = self._cache.get(cache_key)
+        cache_key = (op._state_signature or _signature(op), ctx.mode)
+        cached = self.memo.get(cache_key)
         if cached is not None:
             return cached
         if (ctx.mode == DELTA and ctx.delta is not None
@@ -363,7 +372,7 @@ class ExecutionContext:
             result = op.execute(ctx)
         if _OBS.enabled:
             _obs_record(op, ctx.mode, result)
-        self._cache[cache_key] = result
+        self.memo[cache_key] = result
         return result
 
     def evaluate_stable(self, op: "XatOperator",
@@ -378,6 +387,12 @@ class ExecutionContext:
             if table is not None:
                 return table
         return self.evaluate(op, mode)
+
+
+def _signature(op: "XatOperator") -> str:
+    # resolved late: the signature rules name every operator class
+    from ..engine.opstate import subplan_signature
+    return subplan_signature(op)
 
 
 _op_ids = itertools.count(1)
@@ -460,6 +475,9 @@ class XatOperator:
     #: linear operators whose output tuples carry all their storage
     #: provenance (see :func:`repro.engine.opstate.anti_projectable`).
     anti_projectable = False
+
+    #: memo of :func:`repro.engine.opstate.subplan_signature`
+    _state_signature: Optional[str] = None
 
     def __init__(self, inputs: Sequence["XatOperator"] = ()):
         self.inputs: list[XatOperator] = list(inputs)

@@ -34,6 +34,16 @@ FUZZ_VIEWS = {"order-query-2": xmark.ORDER_QUERY_2,
               "city-headcount": xmark.CITY_HEADCOUNT_QUERY}
 
 
+#: the duplicate-view leg of the differential: queries repeat and overlap
+#: on purpose, so passes of one dispatch share Δ registers (equal routed
+#: subsets) next to passes that must not (different subsets)
+SHARING_VIEWS = (xmark.PERSONS_BY_CITY_QUERY, xmark.PERSONS_BY_CITY_QUERY,
+                 xmark.CITY_HEADCOUNT_QUERY, xmark.ORDER_QUERY_2,
+                 xmark.JOIN_QUERY, xmark.JOIN_QUERY, xmark.SELECTION_QUERY,
+                 xmark.ORDER_QUERY_1, xmark.ORDER_QUERY_3,
+                 xmark.ORDER_QUERY_4)
+
+
 def pinned() -> CostModel:
     """A cost model that never chooses recomputation: a test comparing
     the extent with the recompute oracle must have *propagated* it (at

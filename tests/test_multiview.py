@@ -14,7 +14,8 @@ from repro.updates.sapt import Sapt
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
 
-from .helpers import books_of, closed_auctions_of as auctions_of, persons_of
+from .helpers import (GROUPED_VIEWS, _site_paths, books_of,
+                      closed_auctions_of as auctions_of, persons_of, pinned)
 
 
 def multiview_storage(num_persons: int = 20) -> StorageManager:
@@ -433,6 +434,172 @@ class TestCostBasedFallback:
         model.observe_recompute(1.0)
         model.observe_recompute(3.0)
         assert model.recompute_seconds == pytest.approx(2.0)
+
+
+class TestDispatchRegisterFile:
+    """One Δ per subplan per dispatch: views routed the same subset of a
+    run share one spec and one ``(signature, mode)`` memo, and nothing
+    else does (the invariants of ``ViewRegistry._dispatch``)."""
+
+    @staticmethod
+    def _cities(storage):
+        return _site_paths(storage, "site", "people", "person", "address",
+                           "city")
+
+    @staticmethod
+    def _delta_plan(registry, name):
+        root = registry.view(name).pipeline.plan
+        return registry.plan_cache.plans_for(root)[1]
+
+    def test_twin_view_executes_no_delta_instruction(self):
+        storage = multiview_storage()
+        registry = ViewRegistry(storage)
+        events = {"one": [], "two": []}
+        for name in events:
+            registry.register(name, xmark.PERSONS_BY_CITY_QUERY,
+                              cost_model=pinned())
+            registry.add_refresh_listener(name, events[name].append,
+                                          deliver_mutations=True)
+        cities = self._cities(storage)
+        registry.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[0], "Tampere"),
+             UpdateRequest.modify("site.xml", cities[3], "Oslo")])
+        one, two = (self._delta_plan(registry, n) for n in events)
+        assert all(i.executed == 1 and i.reused == 0
+                   for i in one.instructions)
+        assert all(i.executed == 0 and i.reused == 1
+                   for i in two.instructions)
+        (first,), (second,) = events["one"], events["two"]
+        assert first.mutations and first.mutations == second.mutations
+        assert first.delta_tuples == second.delta_tuples
+        assert_all_consistent(registry)
+        registry.close()
+
+    def test_deferred_flush_reuses_nothing_from_earlier_dispatches(self):
+        storage = multiview_storage()
+        registry = ViewRegistry(storage)
+        registry.register("now", xmark.SELECTION_QUERY, cost_model=pinned())
+        registry.register("later", xmark.SELECTION_QUERY, policy=DEFERRED,
+                          cost_model=pinned())
+        names = _site_paths(storage, "site", "people", "person", "name")
+        for index in range(3):     # count-neutral: the queue is not drained
+            registry.apply_updates([UpdateRequest.modify(
+                "site.xml", names[index], f"Renamed {index}")])
+        assert registry.view("later").pending_trees() == 3
+        assert registry._registers == {}
+        before = registry.plan_cache.stats()
+        registry.query("later")
+        after = registry.plan_cache.stats()
+        assert (after["instructions_executed"]
+                - before["instructions_executed"]
+                == 3 * len(self._delta_plan(registry, "later")))
+        assert after["instructions_reused"] == before["instructions_reused"]
+        assert_all_consistent(registry)
+        registry.close()
+
+    def test_views_come_go_and_recompute_inside_a_subset_group(self):
+        storage = multiview_storage()
+        registry = ViewRegistry(storage)
+        for name, query in GROUPED_VIEWS.items():
+            # the middle view of the group recomputes at every flush
+            registry.register(name, query, cost_model=(
+                CostModel(recompute_seconds=0.0, per_tree_seconds=1.0,
+                          alpha=1e-9) if name == "headcount" else pinned()))
+        cities = self._cities(storage)
+
+        def batch(index):
+            registry.apply_updates(
+                [UpdateRequest.modify("site.xml", cities[index], "Tampere"),
+                 UpdateRequest.modify("site.xml", cities[index + 1],
+                                      "Oslo")])
+            assert_all_consistent(registry)
+
+        batch(0)
+        registry.register("late", xmark.PERSONS_BY_CITY_QUERY,
+                          cost_model=pinned())
+        batch(2)
+        late = self._delta_plan(registry, "late")
+        assert all(i.executed == 0 and i.reused == 1
+                   for i in late.instructions)
+        registry.unregister("bycity")     # the pass that filled them
+        batch(4)
+        # now only ``cities`` (and its reconcile) runs ahead of it
+        executed = sum(i.executed for i in late.instructions)
+        assert 0 < executed < len(late)
+        assert (executed + sum(i.reused for i in late.instructions)
+                == 2 * len(late))
+        headcount = registry.view("headcount").stats
+        assert headcount.recomputes == headcount.flushes == 3
+        assert registry.view("cities").stats.recomputes == 0
+        registry.close()
+
+    def test_failed_pass_leaves_no_register_behind(self):
+        storage = multiview_storage()
+        registry = ViewRegistry(storage)
+        registry.register("bycity", xmark.PERSONS_BY_CITY_QUERY,
+                          cost_model=pinned())
+        registry.register("headcount", xmark.CITY_HEADCOUNT_QUERY,
+                          cost_model=pinned())
+        cities = self._cities(storage)
+        root = registry.view("headcount").pipeline.plan
+
+        def broken(ctx, inputs):
+            raise RuntimeError("operator failed mid-pass")
+
+        root.compute = broken
+        with pytest.raises(RuntimeError, match="mid-pass"):
+            registry.apply_updates([UpdateRequest.modify(
+                "site.xml", cities[0], "Tampere")])
+        assert registry._registers == {}
+        del root.compute
+        # the batch ``headcount`` still holds is retried under a spec
+        # and a memo of its own, before the next modify lands
+        registry.apply_updates([UpdateRequest.modify(
+            "site.xml", cities[1], "Oslo")])
+        assert registry.view("headcount").report.batches == 3
+        assert_all_consistent(registry)
+        registry.close()
+
+    def test_different_routed_subsets_share_nothing(self):
+        storage = multiview_storage()
+        registry = ViewRegistry(storage)
+        registry.register("join", xmark.JOIN_QUERY, cost_model=pinned())
+        registry.register("sel", xmark.SELECTION_QUERY, cost_model=pinned())
+        specs = []
+        propagate = registry.engine.propagate
+
+        def recording(plan, extent, spec, memo, **kwargs):
+            specs.append((spec, dict(memo)))
+            return propagate(plan, extent, spec, memo, **kwargs)
+
+        registry.engine.propagate = recording
+        registry.apply_updates([
+            UpdateRequest.insert("site.xml", persons_of(storage)[-1],
+                                 xmark.new_person_xml(1, age=71), "after"),
+            UpdateRequest.insert("site.xml", auctions_of(storage)[-1],
+                                 xmark.new_closed_auction_xml(
+                                     1, "newperson1"), "after")])
+        (join_spec, join_memo), (sel_spec, sel_memo) = specs
+        assert len(join_spec.roots) == 2 and len(sel_spec.roots) == 1
+        assert join_memo == {} and sel_memo == {}
+        assert registry.plan_cache.stats()["instructions_reused"] == 0
+        assert_all_consistent(registry)
+        registry.close()
+
+    def test_correlated_evaluation_bypasses_the_memo(self):
+        from repro.xat import ExecutionContext, Source
+
+        storage = multiview_storage()
+        source = Source("site.xml", "$d").prepare()
+        ctx = ExecutionContext(storage)
+        ctx.bindings.append(object())
+        ctx.evaluate(source)
+        assert ctx.memo == {}
+        ctx.bindings.pop()
+        table = ctx.evaluate(source)
+        assert list(ctx.memo.values()) == [table]
+        # ... and a structurally-equal operator resolves to the same slot
+        assert ctx.evaluate(Source("site.xml", "$d").prepare()) is table
 
 
 class TestSharedRouterUnit:

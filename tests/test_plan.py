@@ -15,7 +15,8 @@ from repro.workloads import bib as bibload
 from repro.workloads import xmark
 from repro.xat.base import DELTA, FULL, MODIFY
 
-from .helpers import (ALL_MUTATORS, FUZZ_VIEWS, assert_consistent, books_of,
+from .helpers import (ALL_MUTATORS, FUZZ_VIEWS, GROUPED_VIEWS,
+                      SHARING_VIEWS, assert_consistent, books_of, pinned,
                       run_differential, running_example, site_view)
 
 CITY_PATH = [("child", "site"), ("child", "people"), ("child", "person"),
@@ -63,6 +64,16 @@ class TestLowering:
         registry = ViewRegistry(storage)
         registry.register("one", xmark.SELECTION_QUERY)
         misses_after_one = registry.plan_cache.misses
+        # A lone view's Δ compile hits the records of its own FULL
+        # compile; that is not a prefix another view can fill.
+        registry.apply_updates([UpdateRequest.modify(
+            "site.xml", storage.find_by_path("site.xml", CITY_PATH)[0],
+            "Tampere")])
+        one = registry.view("one").pipeline.plan
+        lone = registry.plan_cache.plans_for(one)
+        assert [p.mode for p in lone] == [FULL, DELTA]
+        assert all(p.shared_prefix_instructions == 0 for p in lone)
+        assert "shared-prefix=" not in registry.explain("one")
         registry.register("two", xmark.SELECTION_QUERY)
         stats = registry.plan_cache.stats()
         assert stats["hits"] > 0
@@ -123,7 +134,8 @@ class TestVmExecution:
     def test_vm_counters_feed_metrics(self):
         with Database() as db:
             db.load("site.xml", xmark.generate_site(10, seed=1))
-            db.create_view("by-city", xmark.PERSONS_BY_CITY_QUERY)
+            db.create_view("by-city", xmark.PERSONS_BY_CITY_QUERY,
+                           cost_model=pinned())
             db.execute('for $p in document("site.xml")'
                        '/site/people/person[1] update $p '
                        'replace $p/address/city with "Tampere"')
@@ -131,22 +143,75 @@ class TestVmExecution:
             for family in ("repro_plan_compile_seconds",
                            "repro_plan_cache_hits",
                            "repro_plan_cache_misses",
-                           "repro_vm_instructions_executed"):
+                           "repro_vm_instructions_executed",
+                           "repro_vm_instructions_reused"):
                 assert family in text, f"{family} missing"
             stats = db.registry.plan_cache.stats()
             assert stats["compiles"] >= 2      # FULL + DELTA
             assert stats["instructions_executed"] > 0
+            assert stats["instructions_reused"] == 0   # nobody to share with
+            db.create_view("twin", xmark.PERSONS_BY_CITY_QUERY,
+                           cost_model=pinned())
+            db.execute('for $p in document("site.xml")'
+                       '/site/people/person[2] update $p '
+                       'replace $p/address/city with "Tampere"')
+            reused = db.registry.plan_cache.stats()["instructions_reused"]
+            assert reused > 0
+            assert (f"repro_vm_instructions_reused {reused}"
+                    in db.render_prometheus())
+
+    def test_grouped_views_execute_each_shared_delta_once(self):
+        """``bycity`` + ``headcount`` + ``cities`` lower to 16 + 14 + 8
+        Δ instructions of which 26 are structurally distinct: one
+        dispatch executes those and fills the other 12 registers from
+        its memo."""
+        storage = StorageManager()
+        xmark.register_site(storage, 40, seed=1)
+        registry = ViewRegistry(storage)
+        for name, query in GROUPED_VIEWS.items():
+            registry.register(name, query, cost_model=pinned())
+        cities = storage.find_by_path("site.xml", CITY_PATH)
+        before = registry.plan_cache.stats()
+        registry.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[0], "Tampere"),
+             UpdateRequest.modify("site.xml", cities[1], "Oslo")])
+        after = registry.plan_cache.stats()
+        assert (after["instructions_executed"]
+                - before["instructions_executed"]) == 26
+        assert (after["instructions_reused"]
+                - before["instructions_reused"]) == 12
+        for name in GROUPED_VIEWS:
+            assert registry.to_xml(name) == registry.recompute_xml(name)
+            assert registry.view(name).stats.recomputes == 0
+        registry.close()
 
     def test_explain_lists_compiled_plans(self):
         with Database() as db:
             db.load("site.xml", xmark.generate_site(10, seed=1))
-            db.create_view("by-city", xmark.PERSONS_BY_CITY_QUERY)
+            db.create_view("by-city", xmark.PERSONS_BY_CITY_QUERY,
+                           cost_model=pinned())
             db.execute('for $p in document("site.xml")'
                        '/site/people/person[1] update $p '
                        'replace $p/address/city with "Tampere"')
             text = db.explain("by-city")
             assert "compiled plan [full]" in text
             assert "compiled plan [delta]" in text
+            assert "reuse=" not in text and "shared-prefix=" not in text
+            # A follower of a twin pair fills its Δ registers from the
+            # first view's pass: reuse= counts, runs= stays.
+            db.create_view("twin", xmark.PERSONS_BY_CITY_QUERY,
+                           cost_model=pinned())
+            db.execute('for $p in document("site.xml")'
+                       '/site/people/person[2] update $p '
+                       'replace $p/address/city with "Tampere"')
+            twin = db.registry.view("twin").pipeline.plan
+            delta_plan = db.registry.plan_cache.plans_for(twin)[1]
+            assert [(i.executed, i.reused)
+                    for i in delta_plan.instructions] \
+                == [(0, 1)] * len(delta_plan)
+            listing = db.explain("twin").split("compiled plan [delta]")[1]
+            assert listing.count(" runs=0 reuse=1 ") == len(delta_plan)
+            assert "shared-prefix=" in listing
 
 
 # -- operator-state stale-window regression ----------------------------------------------
@@ -212,6 +277,12 @@ class TestDifferential:
         """All five views over one storage: one store, one plan cache,
         each view propagating its own routed subset of every batch."""
         run_differential(seed, 30, ALL_MUTATORS, FUZZ_VIEWS.values(),
+                         num_persons=20, site_seed=1, shared=True)
+
+    def test_duplicate_and_overlapping_views_in_one_registry(self):
+        """Ten views, two of them registered twice: every dispatch has
+        followers filling registers from another view's pass."""
+        run_differential(7, 30, ALL_MUTATORS, SHARING_VIEWS,
                          num_persons=20, site_seed=1, shared=True)
 
     def test_bib_running_example(self):
