@@ -3,17 +3,19 @@
 Drives the shared randomized harness (:func:`tests.helpers.run_differential`)
 over every mutator kind — person/auction churn, join-key collection growth
 (second ``<city>`` cells, nested same-tag person inserts) and city/name
-text modifies — against the views that historically diverged: each in a
-registry of its own, then all of them sharing one registry over one
-storage, then the duplicate-view leg (``tests.helpers.SHARING_VIEWS``:
+text modifies — against the views that historically diverged and the
+per-city ``count`` / ``max`` / ``sum`` aggregates: each in a registry of
+its own, then all of them sharing one registry over one storage, then
+the duplicate-view leg (``tests.helpers.SHARING_VIEWS``:
 ten views, queries repeated and overlapping, so passes of one dispatch
 fill registers for one another).  Every batch is checked against the
-recompute oracle and the operator-state audit, so a future divergence
+recompute oracle and the operator-state audit (cached tables and the
+side indexes' support counters), so a future divergence
 fails the build instead of landing in ROADMAP as an open item.
 
 Run from the repo root::
 
-    PYTHONPATH=src python benchmarks/fuzz_differential.py \
+    PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/fuzz_differential.py \
         --seeds 1,2,3 --steps 30 --budget 300
 
 The budget is a soft wall-clock cap: the sweep stops scheduling new legs

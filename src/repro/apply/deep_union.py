@@ -11,9 +11,13 @@ top-down, matching children by semantic identity:
 * ``refresh`` nodes are count-neutral content re-derivations: attributes
   and text children are replaced, element children fuse recursively, and
   missing ones are inserted;
-* aggregate-valued text nodes merge their :class:`AggState`; a min/max
-  state whose extremum may have been deleted is reported for group
-  recomputation (the counting-algorithm fallback of Section 7.6).
+* aggregate-valued text nodes patch their :class:`AggState` in place, in
+  O(|delta state|): the extent *owns* the states it patches — a state
+  that entered it not owned (materialization, a new group's node adopted
+  from a delta forest, a graft from a checkpoint written before
+  ownership existed) is copied once, before its first patch, because the
+  item it rode in on is shared by every pass that reads its register and
+  by the operator-state store.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ class FusionReport:
     removed_nodes: int = 0
     merged: int = 0
     replaced_text: int = 0
-    aggregate_refreshes: list[tuple] = field(default_factory=list)
     delta_log: Optional[list] = field(default=None, repr=False)
 
     @property
@@ -59,8 +62,7 @@ class FusionReport:
                 "removed_nodes": self.removed_nodes,
                 "merged": self.merged,
                 "replaced_text": self.replaced_text,
-                "mutations": self.mutations,
-                "aggregate_refreshes": len(self.aggregate_refreshes)}
+                "mutations": self.mutations}
 
     def merge(self, other: "FusionReport") -> "FusionReport":
         """Fold ``other``'s activity into this report (bench summaries
@@ -70,7 +72,6 @@ class FusionReport:
         self.removed_nodes += other.removed_nodes
         self.merged += other.merged
         self.replaced_text += other.replaced_text
-        self.aggregate_refreshes.extend(other.aggregate_refreshes)
         return self
 
 
@@ -343,15 +344,16 @@ def _replace_text_children(existing: ExtentNode, incoming: ExtentNode,
 def _merge_aggregate(existing: ExtentNode, incoming: ExtentNode,
                      report: FusionReport, log: Optional[list] = None,
                      path: tuple = ()) -> None:
-    """Merge per-member aggregate contributions (Section 7.6).
+    """Patch per-member aggregate contributions in place (Section 7.6).
 
     Thanks to the per-member counting state, min/max deletes re-evaluate
-    over the surviving members locally — no global recomputation is needed
-    (``aggregate_refreshes`` stays empty; the field remains for exotic
-    states that cannot be merged, none of which arise from our operators).
+    over the surviving members locally — no group recomputation.  The
+    incoming state is read, never kept: other passes fuse the same one.
     """
     before = existing.text
-    existing.agg = existing.agg.merge(incoming.agg)
+    if not existing.agg.owned:
+        existing.agg = existing.agg.owned_copy()
+    existing.agg.patch(incoming.agg)
     existing.text = existing.agg.value()
     if log is not None and existing.text != before:
         _log_agg(log, path, existing)

@@ -103,14 +103,6 @@ class ExtentNode:
             node.append(child.to_xml())
         return node
 
-    def deep_copy(self) -> "ExtentNode":
-        clone = ExtentNode(self.node_id, self.order, self.tag, self.text,
-                           dict(self.attributes), self.count, self.refresh,
-                           self.agg, self.base)
-        for child in self.children:
-            clone.insert_child(child.deep_copy())
-        return clone
-
     def __repr__(self) -> str:
         label = f"text={self.text!r}" if self.is_text else f"<{self.tag}>"
         return (f"ExtentNode({self.node_id!r}, {label}, count={self.count}, "

@@ -14,15 +14,17 @@ the regime the paper's propagation equations promise to escape.
   share one entry (the registry hands every pipeline the same store, like
   the shared validation router);
 * **hash-join side indexes** over those tables, keyed by the join's
-  existing equi-key columns and maintained alongside the table;
+  existing equi-key columns and maintained alongside the table — each
+  index holds, per probe key, the bucket of tuples *and* their net count
+  (the key's *support*), so a rule that only asks "does this key still
+  match anything" reads one integer instead of summing the bucket;
 * **Group By count state** — the cached tables of Group By, Combine and
   Aggregate are patched through their group/member merge rules
   (:meth:`~repro.xat.base.XatOperator.state_apply`) instead of being
   re-executed; and
 * **Distinct support** — not a second kind of state: the Distinct delta
-  rule probes the side index of its *input* by value (the bucket's summed
-  counts are the value's support) to tell whether a batch moves a value
-  across zero.
+  rule reads the support its *input*'s side index maintains per value to
+  tell whether a batch moves a value across zero.
 
 Cached tables always mirror *current storage* — the same state live
 FULL-mode execution reads.  They are kept current *incrementally*: the
@@ -59,7 +61,7 @@ from ..xat.grouping import Aggregate, Combine, GroupBy, TupleFunction
 from ..xat.navigation import NavigateCollection, NavigateUnnest, Source
 from ..xat.relational import (CartesianProduct, Distinct, Join,
                               LeftOuterJoin, OrderBy, Rename, Select,
-                              _hash_keys)
+                              _hash_keys, scanned_support)
 from ..xat.table import AtomicItem, Item, NodeItem, XatTable, XatTuple
 
 __all__ = ["OperatorStateStore", "StoreStats", "subplan_signature"]
@@ -268,6 +270,10 @@ class _PatchPlan:
 
 # -- one cached subplan ------------------------------------------------------------------
 
+class _IndexDesync(Exception):
+    """A side index does not hold a tuple its table does."""
+
+
 class CachedEntry:
     """One persisted FULL-mode table (plus side indexes) of a subplan."""
 
@@ -286,6 +292,9 @@ class CachedEntry:
         self._fp_of: dict = {}                 # id(tuple) -> fingerprint
         self._pos: dict = {}                   # id(tuple) -> table position
         self.indexes: dict = {}                # cols -> {probe key: [tuples]}
+        # cols -> {probe key: net count of its bucket}: maintained with
+        # the bucket in _add / _remove / index_for, never re-summed
+        self.supports: dict = {}
         # id(tuple) -> {cols: keys it is indexed under}.  Removal must use
         # the keys recorded at insertion: recomputing them against current
         # storage is wrong whenever the values changed since (a modify
@@ -309,6 +318,7 @@ class CachedEntry:
         self._fp_of.clear()
         self._pos.clear()
         self.indexes.clear()
+        self.supports.clear()
         self._indexed_keys.clear()
         self.stale.clear()
         self.prepared = None
@@ -335,8 +345,14 @@ class CachedEntry:
         for cols, index in self.indexes.items():
             tup_keys = self._keys_for(tup, cols, keys, ctx, new=True)
             self._indexed_keys.setdefault(id(tup), {})[cols] = tup_keys
-            for key in tup_keys:
-                index.setdefault(key, []).append(tup)
+            self._index(index, self.supports[cols], tup, tup_keys)
+
+    @staticmethod
+    def _index(index: dict, support: dict, tup: XatTuple,
+               tup_keys: list) -> None:
+        for key in tup_keys:
+            index.setdefault(key, []).append(tup)
+            support[key] = support.get(key, 0) + tup.count
 
     def _remove(self, fp, keys: Optional[dict] = None, ctx=None) -> None:
         tup = self.fingerprints.pop(fp)
@@ -353,15 +369,19 @@ class CachedEntry:
                 tup_keys = recorded[cols]
             else:
                 tup_keys = self._keys_for(tup, cols, keys, ctx, new=False)
+            support = self.supports[cols]
             for key in tup_keys:
-                bucket = index.get(key)
-                if bucket is not None:
-                    try:
-                        bucket.remove(tup)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del index[key]
+                try:
+                    bucket = index[key]
+                    bucket.remove(tup)
+                except (KeyError, ValueError):
+                    # The index lost track of a tuple it should hold:
+                    # bucket and counter can no longer be trusted.
+                    raise _IndexDesync(key) from None
+                if bucket:
+                    support[key] -= tup.count
+                else:
+                    del index[key], support[key]
 
     def _replace(self, fp, new_tup: XatTuple,
                  keys: Optional[dict] = None, ctx=None) -> None:
@@ -381,11 +401,11 @@ class CachedEntry:
         index = self.indexes.get(cols)
         if index is None:
             index = {}
+            support = self.supports[cols] = {}
             for tup in self.table.tuples:
                 tup_keys = _probe_keys(tup, cols, ctx)
                 self._indexed_keys.setdefault(id(tup), {})[cols] = tup_keys
-                for key in tup_keys:
-                    index.setdefault(key, []).append(tup)
+                self._index(index, support, tup, tup_keys)
             self.indexes[cols] = index
             if self.prepared is not None:
                 # A staged delete patch must learn this index's keys while
@@ -446,17 +466,25 @@ class CachedEntry:
             plan.add_keys_for(cols, self, ctx)
         return plan
 
-    def commit(self, plan: _PatchPlan, ctx=None) -> None:
-        for planned in plan.ops:
-            if planned.verb == "insert":
-                self._add(planned.fingerprint, planned.new_tuple,
-                          planned.keys, ctx)
-            elif planned.verb == "replace":
-                self._replace(planned.fingerprint, planned.new_tuple,
+    def commit(self, plan: _PatchPlan, ctx=None) -> bool:
+        """Apply a staged plan.  False when a side index turned out not
+        to hold a tuple it should: the entry is left invalid (the caller
+        counts the invalidation; the table recomputes on next use)."""
+        try:
+            for planned in plan.ops:
+                if planned.verb == "insert":
+                    self._add(planned.fingerprint, planned.new_tuple,
                               planned.keys, ctx)
-            else:  # remove
-                self._remove(planned.fingerprint, planned.keys, ctx)
+                elif planned.verb == "replace":
+                    self._replace(planned.fingerprint, planned.new_tuple,
+                                  planned.keys, ctx)
+                else:  # remove
+                    self._remove(planned.fingerprint, planned.keys, ctx)
+        except _IndexDesync:
+            self.invalidate()
+            return False
         plan.applied = True
+        return True
 
     # -- invalidation --------------------------------------------------------------------
 
@@ -467,6 +495,7 @@ class CachedEntry:
         self._fp_of.clear()
         self._pos.clear()
         self.indexes.clear()
+        self.supports.clear()
         self._indexed_keys.clear()
         self.stale.clear()
         self.prepared = None
@@ -576,6 +605,22 @@ class StoredSideHandle:
                 kept.append(projected)
         return kept
 
+    def support(self, key) -> int:
+        """Net count of the tuples under ``key``: the maintained counter
+        in FULL mode; ANTI filters the bucket per tuple, so it is
+        summed."""
+        if self._mode == ANTI:
+            return scanned_support(self, self.probe(key))
+        entry = self._entry
+        entry.index_for(self.cols, self._ctx)
+        self._store.stats.support_probes += 1
+        entry.stats.support_probes += 1
+        return entry.supports[self.cols].get(key, 0)
+
+    def scanned(self, rows: int) -> None:
+        self._store.stats.bucket_rows_scanned += rows
+        self._entry.stats.bucket_rows_scanned += rows
+
     def table(self) -> XatTable:
         if self._mode == FULL:
             return self._entry.table
@@ -596,6 +641,8 @@ class StoreStats:
     misses: int = 0        # serves that had to (re)compute the table
     patches: int = 0       # cached tables patched from a batch delta
     invalidations: int = 0  # entries dropped by the listener / fallback
+    support_probes: int = 0       # supports answered from a counter
+    bucket_rows_scanned: int = 0  # rows summed where no counter serves
 
     def snapshot(self) -> tuple:
         return (self.hits, self.misses, self.patches, self.invalidations)
@@ -603,7 +650,9 @@ class StoreStats:
     def as_dict(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
                 "patches": self.patches,
-                "invalidations": self.invalidations}
+                "invalidations": self.invalidations,
+                "support_probes": self.support_probes,
+                "bucket_rows_scanned": self.bucket_rows_scanned}
 
 
 class OperatorStateStore:
@@ -760,8 +809,7 @@ class OperatorStateStore:
             if entry.stale_covered_by(spec):
                 delta = ctx.evaluate(op, DELTA)
                 plan = entry.stage(delta, spec, ctx)
-                if plan is not None:
-                    entry.commit(plan, ctx)
+                if plan is not None and entry.commit(plan, ctx):
                     entry.stale.clear()
                     self.stats.patches += 1
                     self.stats.hits += 1
@@ -838,8 +886,7 @@ class OperatorStateStore:
             elif entry.stale and entry.stale_covered_by(spec):
                 delta = ctx.evaluate(entry.op, DELTA)
                 plan = entry.stage(delta, spec, ctx)
-                if plan is not None:
-                    entry.commit(plan, ctx)
+                if plan is not None and entry.commit(plan, ctx):
                     entry.stale.clear()
                     self.stats.patches += 1
                     entry.stats.patches += 1

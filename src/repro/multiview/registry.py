@@ -832,7 +832,6 @@ class ViewRegistry:
             self._recompute(view, trees=trees,
                             predicted_propagate=predicted)
             return None
-        refreshes_before = len(view.report.fusion.aggregate_refreshes)
         mutations_before = view.report.fusion.mutations
         capture = view.mutation_listeners > 0
         if capture:
@@ -868,12 +867,6 @@ class ViewRegistry:
             self.metrics.histogram(
                 "flush_trees", "Update trees consumed per flush",
                 view=view.name).observe(trees)
-        if len(view.report.fusion.aggregate_refreshes) > refreshes_before:
-            # min/max eviction: fall back to recomputation (Section 7.6).
-            if defer_recompute:
-                return trees
-            self._recompute(view, trees=trees)
-            return None
         self._notify_refresh(view, "propagate", trees, elapsed,
                              delta_tuples, captured)
         return None

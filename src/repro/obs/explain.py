@@ -6,8 +6,10 @@ instrumented :class:`~repro.xat.base.ExecutionContext` accumulated on
 the operator instance — full-mode and delta-mode executions with tuples
 in/out — plus, for subplans the persistent
 :class:`~repro.engine.opstate.OperatorStateStore` knows by structural
-signature, the per-signature serve statistics (hits / misses / patches /
-invalidations and current cached row count).  A plan whose maintenance
+signature, the per-signature serve statistics (hits / misses / patches,
+current cached row count, and the support questions its side indexes
+answered from a counter — ``probes=`` — against the bucket rows summed
+where no counter serves — ``scanned=``).  A plan whose maintenance
 regressed (a side table re-derived every batch, a delta fanning out
 wider than its batch) is readable straight off the tree, no profiler
 attached.
@@ -51,7 +53,9 @@ def _op_line(op, store) -> str:
             text += (f" · state: served={entry_stats['hits']}"
                      f" recomputed={entry_stats['misses']}"
                      f" patched={entry_stats['patches']}"
-                     f" rows={'-' if rows is None else rows}")
+                     f" rows={'-' if rows is None else rows}"
+                     f" probes={entry_stats['support_probes']}"
+                     f" scanned={entry_stats['bucket_rows_scanned']}")
     return text
 
 

@@ -50,10 +50,27 @@ class AggState:
     existing members) and handles min/max deletes without recomputation: a
     member is alive while its derivation count is positive; the aggregate
     value is computed over alive members, each counted once.
+
+    There is one contribution rule, :meth:`patch`, in place and
+    O(|other|).  Who may call it is a matter of *ownership*: a state
+    built by :func:`compute_aggregate` rides a delta or FULL table that
+    several passes (and the operator-state store) read, so nobody
+    mutates it; :meth:`owned_copy` hands its caller a private state,
+    alive members only, which the caller alone holds and patches.  The
+    view extent owns the states it patches (``apply/deep_union.py``); a
+    cached table's states are shared with every pass the table serves
+    and go through the pure :meth:`merge`.  ``owned`` defaults on the
+    class, so a state pickled before the mark existed reads not owned.
+
+    An owned state holds alive members only, so its ``count`` is
+    ``len(contribs)``; ``sum``/``avg``/``min``/``max`` scan the alive
+    members' values on every :meth:`value` (no running total is kept: a
+    running float drifts from recomputation's ``sum``).
     """
 
     kind: str
     contribs: dict[str, AggContrib] = field(default_factory=dict)
+    owned: bool = False
 
     def add(self, member_id: str, value: float, count: int,
             refresh: bool = False) -> None:
@@ -73,44 +90,62 @@ class AggState:
             existing.value = value
             existing.refresh = True
 
-    def merge(self, other: "AggState") -> "AggState":
-        merged = AggState(self.kind,
-                          {k: AggContrib(c.value, c.count)
-                           for k, c in self.contribs.items()})
+    def owned_copy(self) -> "AggState":
+        """A private copy, alive members only, that its one holder
+        patches in place."""
+        return AggState(self.kind,
+                        {k: AggContrib(c.value, c.count)
+                         for k, c in self.contribs.items() if c.count > 0},
+                        owned=True)
+
+    def patch(self, other: "AggState") -> None:
+        """Fold the delta state ``other`` in, in place, in O(|other|)."""
+        contribs = self.contribs
         for member_id, contrib in other.contribs.items():
-            existing = merged.contribs.get(member_id)
+            existing = contribs.get(member_id)
             if existing is None:
                 if contrib.count > 0:
-                    merged.contribs[member_id] = AggContrib(contrib.value,
-                                                            contrib.count)
+                    contribs[member_id] = AggContrib(contrib.value,
+                                                     contrib.count)
                 elif contrib.refresh:
                     # value-only re-derivation of a member this state
                     # never saw: keep it alive with one derivation
-                    merged.contribs[member_id] = AggContrib(contrib.value,
-                                                            1)
+                    contribs[member_id] = AggContrib(contrib.value, 1)
                 continue
             existing.count += contrib.count
-            if contrib.refresh:
+            if existing.count <= 0:
+                del contribs[member_id]
+            elif contrib.refresh:
                 existing.value = contrib.value
-        merged.contribs = {k: c for k, c in merged.contribs.items()
-                           if c.count > 0}
+
+    def merge(self, other: "AggState") -> "AggState":
+        """The pure form of :meth:`patch`, for holders that share their
+        states (a cached table stages a patch before committing it)."""
+        merged = self.owned_copy()
+        merged.patch(other)
+        merged.owned = False
         return merged
 
     def alive_values(self) -> list[float]:
         return [c.value for c in self.contribs.values() if c.count > 0]
 
     def value(self) -> str:
-        values = self.alive_values()
-        if self.kind == "count":
-            return _format_number(len(values))
-        if self.kind == "sum":
-            return _format_number(sum(values))
-        if not values:
-            return ""
-        if self.kind == "avg":
-            return _format_number(sum(values) / len(values))
-        return _format_number(min(values) if self.kind == "min"
-                              else max(values))
+        if self.owned and self.kind == "count":
+            return _format_number(len(self.contribs))
+        return _aggregate_text(self.kind, self.alive_values())
+
+
+def _aggregate_text(kind: str, values: list[float]) -> str:
+    """The text of aggregate ``kind`` over ``values``."""
+    if kind == "count":
+        return _format_number(len(values))
+    if kind == "sum":
+        return _format_number(sum(values))
+    if not values:
+        return ""
+    if kind == "avg":
+        return _format_number(sum(values) / len(values))
+    return _format_number(min(values) if kind == "min" else max(values))
 
 
 def _format_number(value) -> str:
@@ -586,16 +621,8 @@ class TupleFunction(XatOperator):
                 value = _format_number(sum(i.count for i in items))
             else:
                 numbers = [float(item_value(i, ctx)) for i in items]
-                if not numbers:
-                    value = ""
-                elif self.kind == "sum":
-                    value = _format_number(sum(numbers))
-                elif self.kind == "avg":
-                    value = _format_number(sum(numbers) / len(numbers))
-                elif self.kind == "min":
-                    value = _format_number(min(numbers))
-                else:
-                    value = _format_number(max(numbers))
+                value = _aggregate_text(self.kind, numbers) \
+                    if numbers else ""
             table.append(tup.extended(self.out, AtomicItem(value)))
         return table
 

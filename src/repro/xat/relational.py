@@ -54,6 +54,27 @@ class TransientSideHandle:
                     self._index.setdefault(tup_key, []).append(tup)
         return self._index.get(key, [])
 
+    def support(self, key) -> int:
+        """Net count of the tuples under ``key`` (a one-run index keeps
+        no counters: the bucket is summed)."""
+        return scanned_support(self, self.probe(key))
+
+    def scanned(self, rows: int) -> None:
+        if self._ctx.store is not None:
+            self._ctx.store.stats.bucket_rows_scanned += rows
+
+
+def scanned_support(side, rows: list) -> int:
+    """The net count of ``rows`` of the handle ``side``, summed row by
+    row — what every support question costs where no maintained counter
+    answers it (a transient or ANTI-filtered bucket, the union over a
+    multi-item key cell, a theta match).  The rows walked are counted
+    through the handle's ``scanned`` — on the run's store and, for a
+    stored side, on its entry — so an O(|group|) path shows in the
+    metrics and under its signature in EXPLAIN without a profiler."""
+    side.scanned(len(rows))
+    return sum(tup.count for tup in rows)
+
 
 def side_handle(ctx: ExecutionContext, op: XatOperator, mode: str,
                 cols) -> "TransientSideHandle":
@@ -101,17 +122,28 @@ class DiffSideHandle:
             self._negations[marker] = negated
         return negated
 
-    def probe(self, key) -> list:
-        if key is None:
-            return []
+    def _delta_rows(self, key) -> list:
         if self._index is None:
             self._index = {}
             for tup in self._delta:
                 for tup_key in _hash_keys(tup, self.cols, self._ctx):
                     self._index.setdefault(tup_key, []).append(tup)
+        return self._index.get(key, ())
+
+    def probe(self, key) -> list:
+        if key is None:
+            return []
         matches = list(self._base.probe(key))
-        matches.extend(self._negated(t) for t in self._index.get(key, ()))
+        matches.extend(self._negated(t) for t in self._delta_rows(key))
         return matches
+
+    def support(self, key) -> int:
+        """The base side's support minus the delta rows under ``key``."""
+        return self._base.support(key) \
+            - sum(t.count for t in self._delta_rows(key))
+
+    def scanned(self, rows: int) -> None:
+        self._base.scanned(rows)
 
     def table(self) -> XatTable:
         if self._table is None:
@@ -454,12 +486,21 @@ class LeftOuterJoin(_BinaryJoinBase):
         """Whether the left tuple ``tup`` matches anything in the right
         side's handle ``side``.
 
-        With negated diff rows in play (modify phase), matching is by
-        *net count*: a row present only as a cancelled pair (+c and -c)
-        is no match.
+        Matching is by *net count* — with negated diff rows in play
+        (modify phase) a row present only as a cancelled pair (+c and
+        -c) is no match — and the net count under one probe key is the
+        handle's ``support``: a maintained counter on a stored FULL side
+        (minus the batch's own rows on a diff handle), O(1) whatever the
+        group's size.  A multi-item key cell (the union of several
+        buckets, each tuple once) and a theta condition have no single
+        key to ask about and sum their matches.
         """
-        return sum(ot.count for ot in
-                   self._side_matches(ctx, tup, cols, side)) != 0
+        if cols is not None:
+            keys = _hash_keys(tup, cols, ctx)
+            if len(keys) == 1:
+                return side.support(keys[0]) != 0
+        return scanned_support(
+            side, self._side_matches(ctx, tup, cols, side)) != 0
 
     def _delta(self, ctx, ldelta, rdelta):
         """The inner-join expansion plus the dangling-tuple treatment:
@@ -532,7 +573,7 @@ class LeftOuterJoin(_BinaryJoinBase):
         check = side_handle(ctx, right, ctx.mode_for_old if inserting
                             else ctx.mode_for_new, rcols)
         for lt in matched_lefts.values():
-            if not self._side_matches(ctx, lt, lcols, check):
+            if not self._handle_has_match(ctx, lt, lcols, check):
                 append(self._null_padded(lt, -lt.count if inserting
                                          else lt.count))
         return table
@@ -625,10 +666,13 @@ class Distinct(XatOperator):
         """The Δ rule, over the input's delta table ``source``.
 
         The batch's signed counts net per value; the value's current
-        support is read from the *input's* persistent side index (the
-        transient one without a store or under a Map binding), which
-        holds the pre-batch state in the delete phase — deletes reach
-        storage after propagation — and the post-batch state otherwise.
+        support is the one the *input's* persistent side index maintains
+        for it (``handle.support``: a counter read, no bucket walk; the
+        transient handle — no store, or under a Map binding — sums its
+        bucket), which is the pre-batch state in the delete phase —
+        deletes reach storage after propagation — and the post-batch
+        state otherwise.  Node-valued items hash by text but are distinct
+        by identity, so their bucket is filtered and summed.
         Refresh rows and net-zero values change no support and emit
         nothing; a crossing under a modify batch carries the pair era
         of the state it belongs to.
@@ -643,11 +687,13 @@ class Distinct(XatOperator):
             if handle is None:
                 handle = side_handle(ctx, self.inputs[0], FULL, cols)
             probe_keys = _hash_keys(tup, cols, ctx)
-            rows = _probe_union(handle.probe, probe_keys)
-            if probe_keys != [key]:
+            if probe_keys == [key]:
+                support = handle.support(key)
+            else:
                 # node items hash by text but are distinct by identity
-                rows = [t for t in rows if group_key(t, cols, ctx) == key]
-            support = sum(t.count for t in rows)
+                support = scanned_support(handle, [
+                    t for t in _probe_union(handle.probe, probe_keys)
+                    if group_key(t, cols, ctx) == key])
             old, new = ((support, support + net) if phase == DELETE
                         else (support - net, support))
             if (old > 0) == (new > 0):

@@ -23,15 +23,29 @@ GROUPED_VIEWS = {"bycity": xmark.PERSONS_BY_CITY_QUERY,
                  "headcount": xmark.CITY_HEADCOUNT_QUERY,
                  "cities": xmark.ORDER_QUERY_2}
 
+def city_aggregate_query(function: str, path: str) -> str:
+    """``CITY_HEADCOUNT_QUERY`` with another aggregate: ``function`` over
+    ``$p/<path>`` of each city's persons."""
+    return (xmark.CITY_HEADCOUNT_QUERY
+            .replace("count(", function + "(")
+            .replace("return $p/name", "return $p/" + path))
+
+
+CITY_MAX_AGE_QUERY = city_aggregate_query("max", "profile/age")
+CITY_INCOME_SUM_QUERY = city_aggregate_query("sum", "profile/@income")
+
 #: the views the differential fuzz sweeps: the two historical ROADMAP
 #: divergences, the join and selection views (predicate re-routing
-#: through Select), and the per-group aggregate view (pair re-routing
-#: through AggState)
+#: through Select), and the per-group aggregate views (pair re-routing
+#: through AggState) — a count, an extremum and a sum, whose
+#: members person churn and city moves carry between groups
 FUZZ_VIEWS = {"order-query-2": xmark.ORDER_QUERY_2,
               "persons-by-city": xmark.PERSONS_BY_CITY_QUERY,
               "join": xmark.JOIN_QUERY,
               "selection": xmark.SELECTION_QUERY,
-              "city-headcount": xmark.CITY_HEADCOUNT_QUERY}
+              "city-headcount": xmark.CITY_HEADCOUNT_QUERY,
+              "city-max-age": CITY_MAX_AGE_QUERY,
+              "city-income-sum": CITY_INCOME_SUM_QUERY}
 
 
 #: the duplicate-view leg of the differential: queries repeat and overlap
@@ -102,7 +116,8 @@ def assert_consistent(view: MaintainedView) -> None:
 def audit_operator_state(registry: ViewRegistry) -> int:
     """Every cached table the operator-state store claims current (valid,
     no stale backlog) holds — as a fingerprint-keyed multiset with counts
-    — exactly a fresh FULL evaluation of its subplan.  The oracle where
+    — exactly a fresh FULL evaluation of its subplan, and every side
+    index's support counters equal their buckets' sums.  The oracle where
     recomputing the *extent* is none (after an unpropagated storage
     write) and the check that a shared store stays exact under per-view
     routed subsets.  Returns the number of entries audited."""
@@ -119,6 +134,16 @@ def audit_operator_state(registry: ViewRegistry) -> int:
             f"cached state diverged from fresh evaluation of "
             f"{entry.signature[:80]}")
         assert len(entry.table.tuples) == len(held)
+        # every side index: no empty bucket, and the maintained support
+        # of each probe key is its bucket's net count
+        assert set(entry.supports) == set(entry.indexes)
+        for cols, index in entry.indexes.items():
+            assert all(index.values()), f"empty bucket under {cols}"
+            assert entry.supports[cols] == {
+                key: sum(tup.count for tup in bucket)
+                for key, bucket in index.items()}, (
+                f"support counters of {cols} diverged from their "
+                f"buckets in {entry.signature[:80]}")
         audited += 1
     return audited
 

@@ -1,8 +1,19 @@
 """Aggregate views and their incremental maintenance (Section 7.6)."""
 
+import math
+import pickle
+
 import pytest
 
-from repro import StorageManager, UpdateRequest, XmlDocument
+from repro import CostModel, StorageManager, UpdateRequest, XmlDocument
+from repro.api import Database
+from repro.apply.deep_union import deep_union
+from repro.apply.extent import ExtentNode
+from repro.xat import NavigateUnnest, Path, Source
+from repro.xat.base import FULL, ExecutionContext
+from repro.xat.grouping import AggContrib, AggState
+from repro.xat.relational import DiffSideHandle, TransientSideHandle
+from repro.xat.table import AtomicItem, XatTuple
 
 from .helpers import MaintainedView
 
@@ -110,3 +121,359 @@ class TestAggregateMaintenance:
             "sales.xml", self._sales_root(sm), sale(7, "north"), "into")])
         assert '<region name="north">7</region>' in view.to_xml()
         assert view.to_xml() == view.recompute_xml()
+
+
+# -- per-group state in O(Δ): supports, owned states, exact summaries ---------------------
+
+TOWNS = ("<d><towns><t>Boston</t><t>Cairo</t><t>Lima</t></towns><people>"
+         "<p><name>a</name><town>Boston</town><pay>10</pay></p>"
+         "<p><name>b</name><town>Boston</town><pay>30</pay></p>"
+         "<p><name>c</name><town>Cairo</town><pay>20</pay></p>"
+         "</people></d>")
+
+
+def town_query(agg="count", path="name"):
+    """Every listed town with an aggregate over its people: the towns
+    are a side of their own, so a town nobody lives in *dangles* in the
+    left outer join (count 0) instead of disappearing."""
+    return f"""<r>{{ for $t in doc("d.xml")/d/towns/t/text()
+    return <g name="{{$t}}">{{{agg}(for $p in doc("d.xml")/d/people/p
+        where $t = $p/town return $p/{path})}}</g> }}</r>"""
+
+
+def person(name, town, pay=5):
+    return f"<p><name>{name}</name><town>{town}</town><pay>{pay}</pay></p>"
+
+
+def towns_storage() -> StorageManager:
+    sm = StorageManager()
+    sm.register(XmlDocument.from_string("d.xml", TOWNS))
+    return sm
+
+
+def people_of(sm):
+    return sm.find_by_path("d.xml", [("child", "d"), ("child", "people"),
+                                     ("child", "p")])
+
+
+@pytest.fixture
+def town_view():
+    sm = towns_storage()
+    return sm, MaintainedView(sm, town_query())
+
+
+class TestDanglingFlipsThroughSupport:
+    """A left outer join decides dangling status by the right side's
+    *support* under the left row's key — a counter read on a stored FULL
+    side, a bucket sum on a transient or ANTI one."""
+
+    @staticmethod
+    def _town_of(sm, position):
+        return sm.children(people_of(sm)[position], "town")[0]
+
+    def _check(self, view, *expected):
+        xml = view.to_xml()
+        assert xml == view.recompute_xml()
+        for name, count in expected:
+            assert f'<g name="{name}">{count}</g>' in xml
+
+    def test_modify_moves_the_last_and_the_first_member(self, town_view):
+        sm, view = town_view
+        # c is Cairo's last member and Lima's first
+        view.apply_updates([UpdateRequest.modify(
+            "d.xml", self._town_of(sm, 2), "Lima")])
+        self._check(view, ("Cairo", 0), ("Lima", 1), ("Boston", 2))
+        view.apply_updates([UpdateRequest.modify(
+            "d.xml", self._town_of(sm, 2), "Cairo")])
+        self._check(view, ("Cairo", 1), ("Lima", 0))
+        # a move between two populated towns flips nothing
+        view.apply_updates([UpdateRequest.modify(
+            "d.xml", self._town_of(sm, 0), "Cairo")])
+        self._check(view, ("Boston", 1), ("Cairo", 2), ("Lima", 0))
+
+    def test_insert_and_delete_phases(self, town_view):
+        sm, view = town_view
+        view.apply_updates([UpdateRequest.insert(
+            "d.xml", people_of(sm)[-1], person("d", "Lima"), "after")])
+        self._check(view, ("Lima", 1))
+        view.apply_updates([UpdateRequest.insert(
+            "d.xml", people_of(sm)[-1], person("e", "Lima"), "after")])
+        self._check(view, ("Lima", 2))
+        for remaining in (1, 0):
+            view.apply_updates([UpdateRequest.delete(
+                "d.xml", people_of(sm)[-1])])
+            self._check(view, ("Lima", remaining))
+        view.apply_updates([UpdateRequest.delete(
+            "d.xml", people_of(sm)[2])])
+        self._check(view, ("Cairo", 0), ("Boston", 2))
+
+    def test_multi_item_key_cell_sums_the_union(self, town_view):
+        """A person with two towns hashes under two keys; a left row
+        whose own key cell held several values would have no single key
+        to ask about.  Either way the answer is the union's."""
+        sm, view = town_view
+        c = people_of(sm)[2]
+        view.apply_updates([UpdateRequest.insert(
+            "d.xml", c, "<town>Lima</town>", "into")])
+        self._check(view, ("Cairo", 1), ("Lima", 1))
+        view.apply_updates([UpdateRequest.modify(
+            "d.xml", sm.children(c, "town")[0], "Boston")])
+        self._check(view, ("Cairo", 0), ("Boston", 3), ("Lima", 1))
+        view.apply_updates([UpdateRequest.delete(
+            "d.xml", sm.children(c, "town")[1])])
+        self._check(view, ("Lima", 0), ("Boston", 3))
+
+    def test_stored_side_answers_from_its_counter(self):
+        sm = towns_storage()
+        view = MaintainedView(sm, town_query())
+        stats = view.registry.state_store.stats
+        view.apply_updates([UpdateRequest.modify(
+            "d.xml", self._town_of(sm, 2), "Lima")])
+        assert stats.support_probes > 0
+        assert stats.bucket_rows_scanned == 0
+        # the insert phase checks the ANTI side, which filters its bucket
+        view.apply_updates([UpdateRequest.insert(
+            "d.xml", people_of(sm)[0], person("d", "Boston"), "after")])
+        assert stats.bucket_rows_scanned > 0
+        self._check(view, ("Boston", 3))
+        self._scans_counted_per_signature(view)
+
+    @staticmethod
+    def _scans_counted_per_signature(view):
+        """Every row a fallback walks is counted once on the store and
+        once on the entry whose side it belongs to (EXPLAIN's
+        ``scanned=``)."""
+        store = view.registry.state_store
+        assert store.stats.bucket_rows_scanned == sum(
+            entry.stats.bucket_rows_scanned for entry in store.entries())
+
+    def test_multi_item_left_key_scans_under_its_signature(self):
+        """A person with two towns is a *left* row with no single key to
+        ask about: the union of its buckets is summed, and the rows
+        walked show under the towns side's signature."""
+        sm = towns_storage()
+        view = MaintainedView(sm, f"""<r>{{
+            for $p in doc("d.xml")/d/people/p
+            return <g>{{count(for $t in doc("d.xml")/d/towns/t
+                where $t = $p/town return $t)}}</g> }}</r>""")
+        stats = view.registry.state_store.stats
+        c = people_of(sm)[2]
+        view.apply_updates([UpdateRequest.modify(
+            "d.xml", sm.children(c, "town")[0], "Oslo")])
+        assert view.to_xml() == view.recompute_xml()
+        assert stats.bucket_rows_scanned == 0
+        view.apply_updates([UpdateRequest.insert(
+            "d.xml", c, "<town>Lima</town>", "into")])
+        before = stats.bucket_rows_scanned
+        view.apply_updates([UpdateRequest.modify(
+            "d.xml", sm.children(c, "town")[0], "Cairo")])
+        assert view.to_xml() == view.recompute_xml()
+        assert view.to_xml().count("<g>2</g>") == 1
+        assert stats.bucket_rows_scanned > before
+        assert view.registered.stats.recomputes == 0
+        self._scans_counted_per_signature(view)
+
+
+class TestSideHandleSupport:
+    """``support(key)`` of the two store-less handles, on a small table:
+    always the net count of what ``probe(key)`` returns."""
+
+    @staticmethod
+    def _side():
+        sm = towns_storage()
+        people = NavigateUnnest(Source("d.xml", "$S"), "$S",
+                                Path.parse("d/people/p"), "$p")
+        op = NavigateUnnest(people, "$p", Path.parse("town/text()"), "$t")
+        op.prepare()
+        ctx = ExecutionContext(sm)
+        return ctx, TransientSideHandle(ctx, op, FULL, ("$t",))
+
+    def test_transient_handle_sums_its_bucket(self):
+        _, side = self._side()
+        assert [side.support((town,)) for town in
+                ("Boston", "Cairo", "Lima")] == [2, 1, 0]
+
+    def test_diff_handle_subtracts_its_own_delta_rows(self):
+        """Under a modify batch the old side is FULL minus the side's
+        delta: c moved Lima -> Cairo, so the retraction (-1, Lima) puts
+        Lima back and the assertion (+1, Cairo) cancels the row FULL
+        already holds."""
+        ctx, base = self._side()
+        [cairo_row] = base.probe(("Cairo",))
+        lima_cells = dict(cairo_row.cells)
+        lima_cells["$t"] = AtomicItem("Lima")
+        delta = [XatTuple(lima_cells, -1, era="old"),
+                 XatTuple(cairo_row.cells, 1, era="new")]
+        old = DiffSideHandle(base, delta, ("$t",), ctx)
+        for town, support in (("Boston", 2), ("Cairo", 0), ("Lima", 1)):
+            assert old.support((town,)) == support
+            assert sum(t.count for t in old.probe((town,))) == support
+
+
+class TestExactAggregateText:
+    """An aggregate's text always equals recomputation's: an owned state
+    keeps alive members only (``count`` is their number) and
+    ``sum``/``avg``/``min``/``max`` scan their values, so no running
+    float drifts."""
+
+    def _view(self, agg):
+        sm = towns_storage()
+        return sm, MaintainedView(sm, town_query(agg, "pay"))
+
+    def _pay_of(self, sm, position):
+        return sm.children(people_of(sm)[position], "pay")[0]
+
+    @pytest.mark.parametrize("agg,before,after", [("max", "30", "10"),
+                                                  ("min", "10", "30")])
+    def test_extremum_member_leaves(self, agg, before, after):
+        sm, view = self._view(agg)
+        assert f'<g name="Boston">{before}</g>' in view.to_xml()
+        extreme = 1 if agg == "max" else 0
+        view.apply_updates([UpdateRequest.delete(
+            "d.xml", people_of(sm)[extreme])])
+        assert f'<g name="Boston">{after}</g>' in view.to_xml()
+        assert view.to_xml() == view.recompute_xml()
+
+    @pytest.mark.parametrize("agg,new_pay,after", [("max", "7", "20"),
+                                                   ("max", "99", "99"),
+                                                   ("min", "50", "20"),
+                                                   ("min", "1", "1")])
+    def test_extremum_value_is_modified(self, agg, new_pay, after):
+        sm, view = self._view(agg)
+        # a fourth member, then change the one holding the extremum
+        view.apply_updates([UpdateRequest.insert(
+            "d.xml", people_of(sm)[-1], person("d", "Boston", 20),
+            "after")])
+        assert view.to_xml() == view.recompute_xml()
+        view.apply_updates([UpdateRequest.modify(
+            "d.xml", self._pay_of(sm, 1 if agg == "max" else 0), new_pay)])
+        assert f'<g name="Boston">{after}</g>' in view.to_xml()
+        assert view.to_xml() == view.recompute_xml()
+        assert view.registered.stats.recomputes == 0
+
+    @pytest.mark.parametrize("agg", ["sum", "avg"])
+    def test_non_integral_values_come_and_go_without_drift(self, agg):
+        sm, view = self._view(agg)
+        start = view.to_xml()
+        for name, pay in (("d", "0.1"), ("e", "0.2"), ("f", "0.7")):
+            view.apply_updates([UpdateRequest.insert(
+                "d.xml", people_of(sm)[-1], person(name, "Boston", pay),
+                "after")])
+            assert view.to_xml() == view.recompute_xml()
+        assert repr(0.1 + 0.2) != "0.3"     # what a running float keeps
+        for _ in range(3):
+            view.apply_updates([UpdateRequest.delete(
+                "d.xml", people_of(sm)[-1])])
+            assert view.to_xml() == view.recompute_xml()
+        assert view.to_xml() == start
+        assert view.registered.stats.recomputes == 0
+
+    def test_owned_copy_holds_alive_members_and_patches_in_place(self):
+        state = AggState("sum")
+        for member, pay, count in (("a", 10.0, 1), ("b", 30.0, 1),
+                                   ("z", 5.0, -1)):
+            state.add(member, pay, count)
+        owned = state.owned_copy()
+        assert owned.owned and set(owned.contribs) == {"a", "b"}
+        assert owned.value() == "40"
+        delta = AggState("sum")
+        delta.add("c", 0.1, 1)          # arrives
+        delta.add("b", 30.0, -1)        # leaves
+        delta.add("a", 12.0, 0, refresh=True)   # value moves
+        contribs = owned.contribs
+        owned.patch(delta)
+        assert owned.contribs is contribs and set(contribs) == {"a", "c"}
+        assert owned.value() == repr(12.0 + 0.1)
+        assert set(state.contribs) == {"a", "b", "z"} and not state.owned
+        assert state.contribs["a"].value == 10.0
+
+    def test_owned_count_is_the_number_of_members_held(self):
+        state = AggState("count")
+        for member in "abc":
+            state.add(member, 0.0, 1)
+        state.add("gone", 0.0, -1)
+        assert state.value() == "3"     # not owned: scans for the alive
+        owned = state.owned_copy()
+        leaving = AggState("count")
+        leaving.add("a", 0.0, -1)
+        owned.patch(leaving)
+        assert owned.value() == str(len(owned.contribs)) == "2"
+
+    def test_merge_is_copy_then_patch_and_shares_nothing(self):
+        base = AggState("count")
+        base.add("a", 0.0, 1)
+        base.add("b", 0.0, 1)
+        delta = AggState("count")
+        delta.add("a", 0.0, -1)
+        delta.add("c", 0.0, 1)
+        merged = base.merge(delta)
+        assert merged.value() == "2" and not merged.owned
+        assert set(merged.contribs) == {"b", "c"}
+        assert set(base.contribs) == {"a", "b"}
+        assert all(merged.contribs[k] is not base.contribs[k]
+                   for k in merged.contribs if k in base.contribs)
+
+
+class TestCheckpointBetweenPatches:
+    def test_restored_states_keep_patching(self, tmp_path):
+        """``capture_state`` aliases the extent's live (owned) states;
+        the checkpoint written between two patches restores states that
+        the WAL tail — and later batches — patch correctly, and the live
+        session is not disturbed by having been captured."""
+        db = Database(durable_path=str(tmp_path), fsync="always")
+        db.load("d.xml", TOWNS)
+        for agg in ("count", "sum", "max"):
+            db.create_view(agg, town_query(agg, "pay"),
+                           cost_model=CostModel(bias=math.inf))
+
+        def move(database, position, town):
+            database.update("d.xml").at(
+                f"/d/people/p[{position}]/town").replace_with(town)
+
+        def check(database):
+            for name in database.views():
+                assert database.read(name) \
+                    == database.registry.recompute_xml(name), name
+                assert database.registry.view(name).stats.recomputes == 0
+
+        move(db, 3, "Lima")             # the extent's states, patched once
+        for name in db.views():
+            # a checkpoint keeps a view's calibration, not its bias: make
+            # recomputation look dear so the reopened views propagate too
+            db.registry.view(name).cost.recompute_seconds = 1e6
+        db.checkpoint()
+        move(db, 1, "Lima")             # second patch rides the WAL tail
+        check(db)
+        expected = {name: db.read(name) for name in db.views()}
+        del db                          # crash: no final checkpoint
+
+        reopened = Database(durable_path=str(tmp_path), fsync="always")
+        assert reopened.recovery.wal_records_replayed == 1
+        assert {name: reopened.read(name)
+                for name in reopened.views()} == expected
+        move(reopened, 2, "Cairo")
+        move(reopened, 1, "Boston")
+        check(reopened)
+        assert '<g name="Lima">20</g>' in reopened.read("sum")
+        reopened.close()
+
+    def test_state_pickled_without_the_mark_is_not_owned(self):
+        """A checkpoint written before ownership existed holds states
+        whose ``__dict__`` has only ``kind`` and ``contribs``."""
+        state = AggState.__new__(AggState)
+        state.__dict__.update(kind="sum", contribs={
+            "a": AggContrib(10.0, 1), "b": AggContrib(2.5, 1)})
+        restored = pickle.loads(pickle.dumps(state))
+        assert "owned" not in restored.__dict__ and not restored.owned
+        assert restored.value() == "12.5"
+        node = ExtentNode("id", "x", text=restored.value(), agg=restored)
+        extent = ExtentNode("r", "", tag="rc")
+        extent.insert_child(node)
+        delta = ExtentNode("r", "", tag="rc")
+        gone = AggState("sum")
+        gone.add("b", 2.5, -1)
+        delta.insert_child(ExtentNode("id", "x", text="", agg=gone))
+        deep_union(extent, delta)
+        assert node.agg is not restored and node.agg.owned
+        assert node.text == "10" and set(restored.contribs) == {"a", "b"}
+

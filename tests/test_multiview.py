@@ -7,7 +7,7 @@ current sources.
 
 import pytest
 
-from repro import StorageManager, UpdateRequest, ViewRegistry
+from repro import StorageManager, UpdateRequest, ViewRegistry, XmlDocument
 from repro.multiview import CostModel, DEFERRED, threshold
 from repro.multiview.router import SharedValidationRouter
 from repro.updates.sapt import Sapt
@@ -628,3 +628,116 @@ class TestSharedRouterUnit:
         router.unsubscribe("only")
         person = persons_of(storage)[0]
         assert router.route(storage, "site.xml", person).views == frozenset()
+
+
+class TestPerGroupState:
+    """Grouped views pay for the update, not for the group: supports are
+    maintained counters, and an extent takes its own copy of an aggregate
+    state before it first patches it in place."""
+
+    @staticmethod
+    def _city(position: int) -> str:
+        return f"/site/people/person[{position}]/address/city"
+
+    @staticmethod
+    def _states(registry, name) -> dict:
+        """The view's aggregate states, by their group's city."""
+        def walk(node, city=None):
+            if node.agg is not None:
+                yield city, node.agg
+            for child in node.children:
+                yield from walk(child, node.attributes.get("name", city))
+        return dict(walk(registry.view(name).pipeline.extent))
+
+    def test_twin_aggregate_views_never_patch_a_shared_state(self):
+        """Two identical views' passes share Δ registers, so both
+        extents adopt a new group's node from the *same* delta item —
+        and then patch it: each must take its own copy first."""
+        storage = multiview_storage()
+        registry = ViewRegistry(storage)
+        for name in ("one", "two"):
+            registry.register(name, xmark.CITY_HEADCOUNT_QUERY,
+                              cost_model=pinned())
+        cities = _site_paths(storage, "site", "people", "person",
+                             "address", "city")
+
+        def check(members: int, patched: bool = True) -> None:
+            assert_all_consistent(registry)
+            assert f'<city-stat name="Tampere">{members}</city-stat>' \
+                in registry.query("one")
+            one, two = (self._states(registry, n) for n in ("one", "two"))
+            assert one.keys() == two.keys() and "Tampere" in one
+            for city in one:
+                # a state both extents hold is one neither has patched
+                assert one[city] is not two[city] or not one[city].owned
+            assert (one["Tampere"].owned, two["Tampere"].owned) \
+                == (patched, patched)
+
+        registry.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[0], "Tampere")])
+        two_plan = registry.plan_cache.plans_for(
+            registry.view("two").pipeline.plan)[1]
+        assert all(i.reused == 1 for i in two_plan.instructions)
+        # adopted from the one delta item both passes read; not copied
+        # until its first patch
+        check(1, patched=False)
+        assert self._states(registry, "one")["Tampere"] \
+            is self._states(registry, "two")["Tampere"]
+        for members, city in enumerate(cities[1:4], start=2):
+            registry.apply_updates(
+                [UpdateRequest.modify("site.xml", city, "Tampere")])
+            check(members)
+        registry.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[0], "Oslo")])
+        check(3)
+        assert all(registry.view(n).stats.recomputes == 0
+                   for n in ("one", "two"))
+        registry.close()
+
+    @staticmethod
+    def _grouped_registry(per_city: int):
+        """``per_city`` persons in each of three cities, interleaved, so
+        person ``k`` lives in the same city at every scale."""
+        towns = ("Boston", "Cairo", "Lima")
+        people = "".join(xmark.new_person_xml(index, city=towns[index % 3])
+                         for index in range(3 * per_city))
+        storage = StorageManager()
+        storage.register(XmlDocument.from_string(
+            "site.xml", f"<site><people>{people}</people></site>"))
+        registry = ViewRegistry(storage)
+        for name, query in GROUPED_VIEWS.items():
+            registry.register(name, query, cost_model=pinned())
+        return storage, registry
+
+    def test_group_work_counters_do_not_grow_with_the_group(self):
+        """No clock: the same modify batches cost the same number of
+        support probes at 40 and at 400 persons per city, and no bucket
+        row is ever walked."""
+        readings = []
+        for per_city in (40, 400):
+            storage, registry = self._grouped_registry(per_city)
+            cities = _site_paths(storage, "site", "people", "person",
+                                 "address", "city")
+            stats = registry.state_store.stats
+            for batch in (
+                    [(0, "Cairo"), (1, "Lima")],       # between groups
+                    [(2, "Tampere")],                  # a group appears
+                    [(5, "Tampere"), (3, "Boston")],
+                    [(2, "Lima"), (5, "Lima")]):       # ... and empties
+                registry.apply_updates(
+                    [UpdateRequest.modify("site.xml", cities[index], city)
+                     for index, city in batch])
+            assert_all_consistent(registry)
+            assert all(registry.view(name).stats.recomputes == 0
+                       for name in GROUPED_VIEWS)
+            assert stats.bucket_rows_scanned == 0
+            assert stats.support_probes > 0
+            per_signature = {
+                signature: (entry["support_probes"],
+                            entry["bucket_rows_scanned"])
+                for signature, entry
+                in registry.state_store.per_signature().items()}
+            readings.append((stats.support_probes, per_signature))
+            assert "probes=" in registry.explain("headcount")
+            registry.close()
+        assert readings[0] == readings[1]

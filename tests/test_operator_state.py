@@ -150,6 +150,42 @@ class TestStoreActivity:
         assert audit_operator_state(view.registry) > 0
         assert view.registry.state_store.stats.invalidations >= 1
 
+    def test_index_that_lost_a_tuple_invalidates_instead_of_drifting(self):
+        """A side index that does not hold a tuple its table does is a
+        broken invariant: the patch that trips over it must drop the
+        entry (counted, recomputed on next use), not leave a support
+        counter out of step with its bucket."""
+        storage, view = site_view(xmark.CITY_HEADCOUNT_QUERY)
+        cities = [storage.children(storage.children(p, "address")[0],
+                                   "city")[0] for p in persons_of(storage)]
+        view.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[0], "Tampere")])
+        store = view.registry.state_store
+        [entry] = [e for e in store.entries() if e.valid and e.indexes
+                   and type(e.op).__name__ == "NavigateCollection"]
+        [(cols, index)] = entry.indexes.items()
+        victim = next(tup for tup in entry.table.tuples
+                      if tup.cells["$p_3"].key == persons_of(storage)[1])
+        for bucket in index.values():   # lose it behind the entry's back
+            if victim in bucket:
+                bucket.remove(victim)
+        with pytest.raises(AssertionError, match="support counters"):
+            audit_operator_state(view.registry)
+        before = (store.stats.invalidations, entry.stats.invalidations,
+                  entry.stats.misses)
+        view.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[1], "Tampere")])
+        assert (store.stats.invalidations, entry.stats.invalidations) \
+            == (before[0] + 1, before[1] + 1)
+        # ... and the serve path of that same pass recomputed it
+        assert entry.valid and entry.stats.misses == before[2] + 1
+        assert audit_operator_state(view.registry) > 0
+        assert_consistent(view)
+        view.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[2], "Tampere")])
+        assert store.stats.invalidations == before[0] + 1
+        assert_consistent(view)
+
 
 def assert_no_dead_keys(view) -> None:
     """No cached tuple may reference a key that left storage — a stale

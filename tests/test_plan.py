@@ -274,7 +274,7 @@ class TestDifferential:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_xmark_views_sharing_one_registry(self, seed):
-        """All five views over one storage: one store, one plan cache,
+        """All fuzz views over one storage: one store, one plan cache,
         each view propagating its own routed subset of every batch."""
         run_differential(seed, 30, ALL_MUTATORS, FUZZ_VIEWS.values(),
                          num_persons=20, site_seed=1, shared=True)
