@@ -19,7 +19,7 @@ pieces compose bottom-up:
 
 from .checkpoint import CheckpointError, CheckpointStore
 from .files import FileSystem, RealFileSystem
-from .manager import DurabilityManager, RecoveryReport
+from .manager import DurabilityManager, RecoveryError, RecoveryReport
 from .wal import FSYNC_POLICIES, WriteAheadLog, read_segment
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "FSYNC_POLICIES",
     "FileSystem",
     "RealFileSystem",
+    "RecoveryError",
     "RecoveryReport",
     "WriteAheadLog",
     "read_segment",

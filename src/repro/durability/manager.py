@@ -28,7 +28,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from ..flexkeys import FlexKey
+from ..flexkeys import ATOM_SCHEME, FlexKey
 from ..multiview.policies import MaintenancePolicy
 from ..updates.primitives import UpdateRequest
 from ..xmlmodel import XmlDocument, parse_fragment, serialize
@@ -37,7 +37,12 @@ from .files import FileSystem, RealFileSystem
 from .snapshot import capture_state, restore_state
 from .wal import FSYNC_POLICIES, WriteAheadLog
 
-__all__ = ["DurabilityManager", "RecoveryReport"]
+__all__ = ["DurabilityManager", "RecoveryError", "RecoveryReport"]
+
+
+class RecoveryError(Exception):
+    """The durable directory cannot be replayed faithfully by this build."""
+
 
 _STALL_METRIC = "checkpoint_stall_seconds"
 _STALL_HELP = "Foreground wall-clock stall of one checkpoint"
@@ -58,6 +63,20 @@ def _decode_request(data: dict) -> UpdateRequest:
     return UpdateRequest(data["k"], data["d"], FlexKey.parse(data["t"]),
                          fragment=fragment, position=data["p"],
                          new_value=data["v"])
+
+
+def _require_scheme(record: dict, trees, wide: bool = False) -> None:
+    """Replay keys ``trees`` from text, and only the enumeration that keyed
+    them live reproduces the keys later records address.  Scheme 1 (no
+    stamp) and 2 agree on a node's first 12 children: wider trees stop."""
+    if record.get("atoms") != ATOM_SCHEME and (wide or any(
+            len(node.children) > 12
+            for tree in trees for node in tree.iter_subtree())):
+        raise RecoveryError(
+            f"a WAL {record['t']} record keyed its nodes under sibling-atom "
+            f"scheme {record.get('atoms', 1)}, this build assigns scheme "
+            f"{ATOM_SCHEME}: open and close() the directory with the release "
+            "that wrote it (closing checkpoints the keys), then reopen it")
 
 
 @dataclass
@@ -173,14 +192,16 @@ class DurabilityManager:
         """Append one routed update batch *before* it mutates anything."""
         if self.replaying or not updates:
             return
-        self._append({"t": "batch",
-                      "u": [_encode_request(r) for r in updates]})
+        record = {"t": "batch", "u": [_encode_request(r) for r in updates]}
+        if any(r.fragment is not None for r in updates):
+            record["atoms"] = ATOM_SCHEME
+        self._append(record)
 
     def log_load(self, name: str, document: XmlDocument) -> None:
         if self.replaying:
             return
         self._append({"t": "load", "name": name,
-                      "xml": document.to_string()})
+                      "xml": document.to_string(), "atoms": ATOM_SCHEME})
 
     def log_create_view(self, name: str, query: str,
                         policy: MaintenancePolicy,
@@ -347,8 +368,12 @@ class DurabilityManager:
         application, which is the converged state, not an error)."""
         kind = payload["t"]
         if kind == "load":
-            registry.storage.register(XmlDocument.from_string(
-                payload["name"], payload["xml"]))
+            storage = registry.storage
+            document = XmlDocument.from_string(payload["name"],
+                                               payload["xml"])
+            _require_scheme(payload, [document.root],   # and its root atom
+                            wide=len(storage.document_names) >= 12)
+            storage.register(document)
         elif kind == "create_view":
             policy = MaintenancePolicy(payload["policy_kind"],
                                        payload["policy_threshold"])
@@ -359,6 +384,8 @@ class DurabilityManager:
             registry.unregister(payload["name"])
         elif kind == "batch":
             requests = [_decode_request(u) for u in payload["u"]]
+            _require_scheme(payload, [r.fragment for r in requests
+                                      if r.fragment is not None])
             try:
                 registry.apply_updates(requests)
             except Exception:

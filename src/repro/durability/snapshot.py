@@ -24,7 +24,7 @@ What is stored, and what :func:`restore_state` rebuilds instead:
   re-adopts the tree (node map, interned keys) in one walk.
 * **the StructuralIndex** — its sorted per-tag key lists, tag-path
   cache and path interner, as the plain dicts they are, so restore
-  skips the per-node ``insort`` rebuild.  The key-interning map is *not*
+  skips rebuilding them.  The key-interning map is *not*
   stored: it maps every key string to the node's own FlexKey instance,
   which the document walk has in hand.  Neither are the per-tag-path
   key lists: they are the per-document lists grouped by the tag-path

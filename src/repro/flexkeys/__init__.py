@@ -14,6 +14,7 @@ from .key import (
     order_of,
 )
 from .generator import (
+    ATOM_SCHEME,
     SiblingKeyAllocator,
     atom_for_insert,
     sibling_atom,
@@ -21,6 +22,7 @@ from .generator import (
 )
 
 __all__ = [
+    "ATOM_SCHEME",
     "COMPOSE_SEP",
     "LEVEL_SEP",
     "FlexKey",

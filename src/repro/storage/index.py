@@ -25,22 +25,23 @@ successor, so the half-open range covers exactly the proper descendants.
   change, so a cached path stays valid for the node's whole lifetime.
 
 The index is maintained *incrementally* by the
-:class:`~repro.storage.manager.StorageManager` mutation entry points —
-the same points that drive its listener notifications — so upkeep cost is
-proportional to the update size, never the document size.  (It hooks the
-mutation points directly rather than the public listener API because
-delete notifications carry only the subtree root after the keys are
-already dropped, and ``replace_text`` suppresses its internal
-sub-operations.)
+:class:`~repro.storage.manager.StorageManager` mutation entry points, a
+whole subtree at a time.  A subtree's keys are one contiguous run of
+every sorted list they appear in and the keying walk visits them in key
+order, so ``add_subtree`` costs **one bisect + one slice assignment per
+touched list** (all / per-tag / per-tag-path) and ``remove_subtree`` one
+bisect pair + one range ``del`` — upkeep is proportional to the update
+size, never the document size.  (It hooks the mutation points directly
+rather than the public listener API because delete notifications carry
+only the subtree root after the keys are already dropped.)
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import Optional
 
 from ..flexkeys import LEVEL_SEP, FlexKey
-from ..xmlmodel import XmlNode
 
 #: Exclusive upper bound of a subtree's key range: the character after the
 #: level separator, smaller than every atom character.
@@ -80,45 +81,44 @@ class StructuralIndex:
 
     # -- incremental maintenance ---------------------------------------------------
 
-    def add_node(self, document: str, key: FlexKey, node: XmlNode,
-                 parent_tags: tuple[str, ...]) -> tuple[str, ...]:
-        """Index one newly-keyed node; returns its root-to-node tag path.
+    def intern_path(self, tags: tuple[str, ...]) -> tuple[str, ...]:
+        """The one stored tuple equal to ``tags``."""
+        return self._path_interner.setdefault(tags, tags)
 
-        Registration assigns keys in document order, so the ``insort``
-        calls append at the end of each list; mid-document inserts pay one
-        binary search plus one list shift per indexed node.
-        """
-        value = key.value
-        self._interned[value] = key
-        if node.is_element:
-            tags = parent_tags + (node.tag,)
-            tags = self._path_interner.setdefault(tags, tags)
-            insort(self._all_lists.setdefault(document, []), value)
-            insort(self._tag_lists.setdefault((document, node.tag), []),
-                   value)
-            insort(self._path_lists.setdefault((document, tags), []),
-                   value)
-        else:
-            tags = parent_tags
-        self._tag_paths[value] = tags
-        return tags
+    def add_subtree(self, document: str, keys: dict[str, FlexKey],
+                    paths: dict[str, tuple[str, ...]], elements: list[str],
+                    by_tag: dict[str, list[str]],
+                    by_path: dict[tuple[str, ...], list[str]]) -> None:
+        """Index one newly-keyed subtree: ``keys`` / ``paths`` map every
+        node's key string to its key and interned tag path, ``elements``
+        are the element key strings, ``by_tag`` / ``by_path`` those grouped
+        per tag and per tag path — all in key order, so each group lands
+        as one run (appended while a document registers)."""
+        self._interned.update(keys)
+        self._tag_paths.update(paths)
+        if elements:
+            _splice(self._all_lists.setdefault(document, []), elements)
+        for tag, run in by_tag.items():
+            _splice(self._tag_lists.setdefault((document, tag), []), run)
+        for tags, run in by_path.items():
+            _splice(self._path_lists.setdefault((document, tags), []), run)
 
-    def remove_node(self, document: str, key: FlexKey,
-                    node: XmlNode) -> None:
-        """Drop one node's entries (called once per node of a deleted
-        subtree, during the same walk that releases its keys)."""
-        value = key.value
-        self._interned.pop(value, None)
-        tags = self._tag_paths.pop(value, None)
-        if node.is_element:
-            _discard_sorted(self._all_lists.get(document), value)
-            _discard_sorted(self._tag_lists.get((document, node.tag)),
-                            value)
-            keys = self._path_lists.get((document, tags))
-            if keys:
-                _discard_sorted(keys, value)
-                if not keys:
-                    del self._path_lists[document, tags]
+    def remove_subtree(self, document: str, values: list[str]) -> None:
+        """Drop a subtree's entries; ``values`` are all its key strings,
+        the root's first.  The tag paths they had name the lists to cut
+        (a text node has its parent's: a cut that finds nothing)."""
+        interned, tag_paths = self._interned, self._tag_paths
+        paths = set()
+        for value in values:
+            del interned[value]
+            paths.add(tag_paths.pop(value))
+        low = values[0]
+        high = low + _RANGE_END
+        _cut(self._all_lists, document, low, high)
+        for tag in {tags[-1] for tags in paths}:
+            _cut(self._tag_lists, (document, tag), low, high)
+        for tags in paths:
+            _cut(self._path_lists, (document, tags), low, high)
 
     # -- range queries ----------------------------------------------------------------
 
@@ -242,9 +242,18 @@ class StructuralIndex:
         }
 
 
-def _discard_sorted(keys: Optional[list[str]], value: str) -> None:
+def _splice(keys: list[str], run: list[str]) -> None:
+    """Insert ``run`` — the sorted keys of one subtree, so contiguous in
+    ``keys`` once inserted — at its one position."""
+    at = bisect_left(keys, run[0])
+    keys[at:at] = run
+
+
+def _cut(lists: dict, name, low: str, high: str) -> None:
+    """Delete the keys in ``[low, high)`` from ``lists[name]``, and the
+    list with its last key."""
+    keys = lists[name]
+    at = bisect_left(keys, low)
+    del keys[at:bisect_left(keys, high, at)]
     if not keys:
-        return
-    idx = bisect_left(keys, value)
-    if idx < len(keys) and keys[idx] == value:
-        del keys[idx]
+        del lists[name]

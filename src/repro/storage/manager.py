@@ -24,9 +24,11 @@ against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
-from ..flexkeys import FlexKey, atom_for_insert, sibling_atom
+from ..flexkeys import LEVEL_SEP, FlexKey, atom_for_insert, sibling_atom
 from ..xmlmodel import XmlDocument, XmlNode
 from .index import StructuralIndex
 
@@ -45,7 +47,6 @@ class StorageManager:
         self._doc_of_root_atom: dict[str, str] = {}
         self._listeners: list = []
         self._mutation_listeners: list = []
-        self._notify_depth = 0
         self._index: Optional[StructuralIndex] = (
             StructuralIndex() if indexed else None)
 
@@ -64,10 +65,10 @@ class StorageManager:
 
         ``op`` is one of ``"insert"``, ``"delete"``, ``"modify"``; ``key``
         is the affected node's FlexKey.  Each user-level update primitive
-        notifies exactly once (internal sub-operations are suppressed), so
-        listeners can count how often an update stream hits storage — the
-        multi-view registry uses this to assert that updates irrelevant to
-        every view touch storage exactly once.
+        notifies exactly once (the attach / detach steps it is built from
+        never do), so listeners can count how often an update stream hits
+        storage — the multi-view registry uses this to assert that updates
+        irrelevant to every view touch storage exactly once.
         """
         self._listeners.append(listener)
 
@@ -99,8 +100,6 @@ class StorageManager:
 
     def _notify(self, op: str, key: FlexKey,
                 tags: Optional[tuple] = None) -> None:
-        if self._notify_depth:
-            return
         for listener in self._listeners:
             listener(op, key)
         if self._mutation_listeners:
@@ -119,7 +118,7 @@ class StorageManager:
         self._documents[document.name] = document
         self._roots[document.name] = root_key
         self._doc_of_root_atom[root_key.value] = document.name
-        self._assign_keys(document.root, root_key, document.name, ())
+        self._assign_keys(document.root, root_key, ())
         return root_key
 
     def restore_document(self, document: XmlDocument,
@@ -133,7 +132,7 @@ class StorageManager:
         enumeration vs the ``atom_for_insert`` keys they actually got).
         The structural index's sorted key lists and tag paths are
         restored separately by the caller (the checkpoint stores them, so
-        no per-node ``insort`` happens here); this walk only re-interns
+        nothing is spliced here); this walk only re-interns
         each node's own FlexKey instance, which no file can hold.
         """
         if document.name in self._documents:
@@ -153,17 +152,41 @@ class StorageManager:
         if self._index is not None:
             self._index.reintern(keys)
 
-    def _assign_keys(self, node: XmlNode, key: FlexKey, document: str,
+    def _assign_keys(self, root: XmlNode, root_key: FlexKey,
                      parent_tags: tuple[str, ...]) -> None:
-        node.key = key
-        self._nodes[key] = node
-        if self._index is not None:
-            tags = self._index.add_node(document, key, node, parent_tags)
-        else:
-            tags = parent_tags
-        for index, child in enumerate(node.children):
-            self._assign_keys(child, key.child(sibling_atom(index)),
-                              document, tags)
+        """Key the subtree under ``root`` (which gets ``root_key``): one
+        pre-order walk — that is key order — fills the node map and, when
+        indexed, collects what the structural index then splices in."""
+        nodes = self._nodes
+        index = self._index
+        keys: dict[str, FlexKey] = {}
+        paths: dict[str, tuple[str, ...]] = {}
+        elements: list[str] = []
+        by_tag: dict[str, list[str]] = {}
+        by_path: dict[tuple[str, ...], list[str]] = {}
+        stack = [(root, root_key, parent_tags)]
+        while stack:
+            node, key, tags = stack.pop()
+            node.key = key
+            nodes[key] = node
+            value = key.value
+            if index is not None:
+                if node.tag is not None:    # an element
+                    tags = index.intern_path(tags + (node.tag,))
+                    elements.append(value)
+                    by_tag.setdefault(node.tag, []).append(value)
+                    by_path.setdefault(tags, []).append(value)
+                keys[value] = key
+                paths[value] = tags
+            children = node.children
+            if children:
+                prefix = value + LEVEL_SEP
+                stack.extend(
+                    [(children[at], FlexKey(prefix + sibling_atom(at)), tags)
+                     for at in range(len(children) - 1, -1, -1)])
+        if index is not None:
+            index.add_subtree(self.document_of_key(root_key), keys, paths,
+                              elements, by_tag, by_path)
 
     # -- lookup ----------------------------------------------------------------------
 
@@ -303,82 +326,75 @@ class StorageManager:
         parent = self.node(parent_key)
         if after is not None and before is not None:
             raise StorageError("give at most one of after/before")
-        siblings = parent.children
-        if after is not None:
-            anchor = self.node(after)
-            if anchor.parent is not parent:
-                raise StorageError(f"{after} is not a child of {parent_key}")
-            index = siblings.index(anchor) + 1
-        elif before is not None:
-            anchor = self.node(before)
-            if anchor.parent is not parent:
-                raise StorageError(f"{before} is not a child of {parent_key}")
-            index = siblings.index(anchor)
+        anchor_key = after if after is not None else before
+        if anchor_key is None:
+            index = len(parent.children)
         else:
-            index = len(siblings)
-        low = siblings[index - 1].key.local() if index > 0 else None
-        high = siblings[index].key.local() if index < len(siblings) else None
-        atom = atom_for_insert(low, high)
-        parent.insert(index, fragment)
-        new_key = parent_key.child(atom)
-        if self._index is not None:
-            self._assign_keys(fragment, new_key,
-                              self.document_of_key(parent_key),
-                              self.tag_path(parent_key))
-        else:
-            self._assign_keys(fragment, new_key, "", ())
+            anchor = self.node(anchor_key)
+            if anchor.parent is not parent:
+                raise StorageError(
+                    f"{anchor_key} is not a child of {parent_key}")
+            index = _child_position(anchor) + (after is not None)
+        new_key = self._attach(parent, index, fragment)
         self._notify("insert", new_key)
         return new_key
 
-    def delete_subtree(self, key: FlexKey) -> XmlNode:
-        """Disconnect the subtree rooted at ``key`` and drop its keys.
+    def _attach(self, parent: XmlNode, index: int,
+                fragment: XmlNode) -> FlexKey:
+        """Link ``fragment`` in as ``parent.children[index]`` under a fresh
+        key strictly between its neighbours' (no notification)."""
+        siblings = parent.children
+        low = siblings[index - 1].key.local() if index > 0 else None
+        high = siblings[index].key.local() if index < len(siblings) else None
+        new_key = parent.key.child(atom_for_insert(low, high))
+        parent.insert(index, fragment)
+        self._assign_keys(fragment, new_key, self.tag_path(parent.key))
+        return new_key
 
-        A single ``iter_subtree`` walk collects the (key, node) pairs;
-        keys and index entries are dropped without re-resolving each key.
-        """
+    def delete_subtree(self, key: FlexKey) -> XmlNode:
+        """Disconnect the subtree rooted at ``key`` and drop its keys."""
         node = self.node(key)
         if node.parent is None:
             raise StorageError("cannot delete a document root")
         # Captured before the keys drop: deletion listeners still need to
         # classify the doomed subtree against their access paths.
-        tags = (self.tag_path(key)
-                if self._mutation_listeners and not self._notify_depth
-                else None)
-        index = self._index
-        document = self.document_of_key(key) if index is not None else ""
-        for sub in node.iter_subtree():
-            del self._nodes[sub.key]
-            if index is not None:
-                index.remove_node(document, sub.key, sub)
-        node.detach()
+        tags = self.tag_path(key) if self._mutation_listeners else None
+        self._detach(node)
         self._notify("delete", key, tags)
         return node
+
+    def _detach(self, root: XmlNode) -> None:
+        """Unlink ``root`` and forget its subtree's keys in one walk (no
+        notification)."""
+        del root.parent.children[_child_position(root)]
+        root.parent = None
+        nodes = self._nodes
+        values = []
+        for node in root.iter_subtree():
+            del nodes[node.key]
+            values.append(node.key.value)
+        if self._index is not None:
+            self._index.remove_subtree(self.document_of_key(root.key),
+                                       values)
 
     def replace_text(self, key: FlexKey, new_value: str) -> None:
         """Replace the text content of the node at ``key``.
 
-        Mirrors the XQuery-update ``replace $t/text() with "v"`` primitive:
-        existing text children are dropped (their keys released) and a single
-        new text node is inserted.
+        Mirrors the XQuery-update ``replace $t/text() with "v"`` primitive.
+        Content that is one text node keeps the node and its key — only
+        the value changes; mixed or empty content drops every text child
+        (their keys released) and appends one new text node.
         """
         node = self.node(key)
+        children = node.children
         if node.is_text:
             node.value = new_value
-            self._notify("modify", key)
-            return
-        self._notify_depth += 1
-        try:
-            for child in list(node.children):
-                if child.is_text:
-                    del self._nodes[child.key]
-                    if self._index is not None:
-                        self._index.remove_node(
-                            self.document_of_key(key), child.key, child)
-                    node.remove(child)
-            text_node = XmlNode.text(new_value)
-            self.insert_fragment(key, text_node)
-        finally:
-            self._notify_depth -= 1
+        elif len(children) == 1 and children[0].is_text:
+            children[0].value = new_value
+        else:
+            for child in [c for c in children if c.is_text]:
+                self._detach(child)
+            self._attach(node, len(children), XmlNode.text(new_value))
         self._notify("modify", key)
 
     def replace_attribute(self, key: FlexKey, name: str, value: str) -> None:
@@ -465,3 +481,13 @@ class StorageManager:
             current = matched
             first = False
         return current
+
+
+_KEY_STRING = attrgetter("key.value")
+
+
+def _child_position(node: XmlNode) -> int:
+    """Where ``node`` sits in its parent's child list — siblings are in
+    key order, so a binary search rather than a scan of a wide parent."""
+    return bisect_left(node.parent.children, node.key.value,
+                       key=_KEY_STRING)

@@ -4,11 +4,18 @@ Covers the subset the paper's documents use: elements, attributes, text,
 comments, processing instructions (skipped), CDATA, and the five predefined
 entities.  Pure-whitespace text between elements is dropped (data-centric
 whitespace handling, matching the Rainbow engine's loader).
+
+One compiled-regex match per tag, one ``str.find`` per text run; the open
+elements are the ``parent`` chain of the node being filled (no recursion).
+Every part of a tag pattern after the ``<`` is optional, so a malformed tag
+matches its well-formed prefix and the error names the offset where it ends.
 """
 
 from __future__ import annotations
 
-from .node import XmlNode
+import re
+
+from .node import ELEMENT, TEXT, XmlNode
 
 
 class XmlParseError(ValueError):
@@ -27,199 +34,190 @@ _ENTITIES = {
     "apos": "'",
 }
 
+_NAME = r"[\w\-.:]"
+_WS = r"[ \t\r\n]*"
+_ATTRIBUTE = rf"{_NAME}+{_WS}={_WS}(?:\"[^\"]*\"|'[^']*')"
+#: ``<name attr="v" …`` then ``>`` or ``/>`` (group 3; absent = malformed).
+_OPEN_TAG = re.compile(rf"<({_NAME}*)((?:{_WS}{_ATTRIBUTE})*){_WS}(/?>)?")
+#: One attribute inside the (well-formed) attribute run of an open tag.
+_ATTR = re.compile(rf"({_NAME}+){_WS}={_WS}([\"'])(.*?)\2", re.DOTALL)
+#: Where a malformed attribute stops: name, ``=``, opening quote.
+_BAD_ATTR = re.compile(rf"({_NAME}*){_WS}(=?){_WS}([\"']?)")
+_CLOSE_TAG = re.compile(rf"</({_NAME}*){_WS}(>?)")
+_REFERENCE = re.compile(r"&([^;]*)(;?)")
+_SPACE = re.compile(_WS)
+
 
 def parse_document(text: str) -> XmlNode:
     """Parse an XML document string, returning the root element."""
-    parser = _Parser(text)
-    return parser.parse()
+    pos = _skip_misc(text, 0)
+    if not text.startswith("<", pos):
+        raise XmlParseError("expected '<'", pos)
+    root, pos, is_open = _open_tag(text, pos)
+    if is_open:
+        pos = _parse_content(text, pos, root, [])
+    pos = _skip_misc(text, pos)
+    if pos != len(text):
+        raise XmlParseError("trailing content after document element", pos)
+    return root
 
 
 def parse_fragment(text: str) -> list[XmlNode]:
     """Parse a sequence of top-level elements/text (an XML fragment)."""
-    parser = _Parser(text)
-    return parser.parse_content_until_end()
+    nodes: list[XmlNode] = []
+    _parse_content(text, 0, None, nodes)
+    return nodes
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self._text = text
-        self._pos = 0
-        self._len = len(text)
-
-    # -- public entry points -----------------------------------------------------
-
-    def parse(self) -> XmlNode:
-        self._skip_misc()
-        root = self._parse_element()
-        self._skip_misc()
-        if self._pos != self._len:
-            raise XmlParseError("trailing content after document element",
-                                self._pos)
-        return root
-
-    def parse_content_until_end(self) -> list[XmlNode]:
-        nodes = self._parse_content(stop_tag=None)
-        if self._pos != self._len:
-            raise XmlParseError("unparsed trailing content", self._pos)
-        return nodes
-
-    # -- lexical helpers -----------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self._pos + offset
-        return self._text[idx] if idx < self._len else ""
-
-    def _starts_with(self, token: str) -> bool:
-        return self._text.startswith(token, self._pos)
-
-    def _expect(self, token: str) -> None:
-        if not self._starts_with(token):
-            raise XmlParseError(f"expected {token!r}", self._pos)
-        self._pos += len(token)
-
-    def _skip_ws(self) -> None:
-        while self._pos < self._len and self._text[self._pos] in " \t\r\n":
-            self._pos += 1
-
-    def _skip_misc(self) -> None:
-        """Skip whitespace, XML declarations, PIs, comments, DOCTYPE."""
-        while True:
-            self._skip_ws()
-            if self._starts_with("<?"):
-                end = self._text.find("?>", self._pos)
-                if end < 0:
-                    raise XmlParseError("unterminated processing instruction",
-                                        self._pos)
-                self._pos = end + 2
-            elif self._starts_with("<!--"):
-                end = self._text.find("-->", self._pos)
-                if end < 0:
-                    raise XmlParseError("unterminated comment", self._pos)
-                self._pos = end + 3
-            elif self._starts_with("<!DOCTYPE"):
-                end = self._text.find(">", self._pos)
-                if end < 0:
-                    raise XmlParseError("unterminated DOCTYPE", self._pos)
-                self._pos = end + 1
-            else:
-                return
-
-    def _parse_name(self) -> str:
-        start = self._pos
-        while self._pos < self._len:
-            ch = self._text[self._pos]
-            if ch.isalnum() or ch in "_-.:":
-                self._pos += 1
-            else:
-                break
-        if self._pos == start:
-            raise XmlParseError("expected a name", self._pos)
-        return self._text[start:self._pos]
-
-    def _decode_entities(self, raw: str) -> str:
-        if "&" not in raw:
-            return raw
-        out: list[str] = []
-        i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch != "&":
-                out.append(ch)
-                i += 1
-                continue
-            end = raw.find(";", i)
+def _skip_misc(text: str, pos: int) -> int:
+    """Skip whitespace, XML declarations, PIs, comments, DOCTYPE."""
+    while True:
+        pos = _SPACE.match(text, pos).end()
+        if text.startswith("<?", pos):
+            end = text.find("?>", pos)
             if end < 0:
-                raise XmlParseError("unterminated entity reference", self._pos)
-            name = raw[i + 1:end]
-            if name.startswith("#x") or name.startswith("#X"):
-                out.append(chr(int(name[2:], 16)))
-            elif name.startswith("#"):
-                out.append(chr(int(name[1:])))
-            elif name in _ENTITIES:
-                out.append(_ENTITIES[name])
-            else:
-                raise XmlParseError(f"unknown entity &{name};", self._pos)
-            i = end + 1
-        return "".join(out)
-
-    # -- grammar ------------------------------------------------------------------
-
-    def _parse_element(self) -> XmlNode:
-        self._expect("<")
-        tag = self._parse_name()
-        node = XmlNode.element(tag)
-        while True:
-            self._skip_ws()
-            ch = self._peek()
-            if ch == ">":
-                self._pos += 1
-                break
-            if self._starts_with("/>"):
-                self._pos += 2
-                return node
-            attr = self._parse_name()
-            self._skip_ws()
-            self._expect("=")
-            self._skip_ws()
-            quote = self._peek()
-            if quote not in ("'", '"'):
-                raise XmlParseError("expected quoted attribute value", self._pos)
-            self._pos += 1
-            end = self._text.find(quote, self._pos)
+                raise XmlParseError("unterminated processing instruction",
+                                    pos)
+            pos = end + 2
+        elif text.startswith("<!--", pos):
+            end = text.find("-->", pos)
             if end < 0:
-                raise XmlParseError("unterminated attribute value", self._pos)
-            node.attributes[attr] = self._decode_entities(
-                self._text[self._pos:end])
-            self._pos = end + 1
-        for child in self._parse_content(stop_tag=tag):
-            node.append(child)
-        return node
+                raise XmlParseError("unterminated comment", pos)
+            pos = end + 3
+        elif text.startswith("<!DOCTYPE", pos):
+            end = text.find(">", pos)
+            if end < 0:
+                raise XmlParseError("unterminated DOCTYPE", pos)
+            pos = end + 1
+        else:
+            return pos
 
-    def _parse_content(self, stop_tag: str | None) -> list[XmlNode]:
-        nodes: list[XmlNode] = []
-        while self._pos < self._len:
-            if self._starts_with("</"):
-                if stop_tag is None:
-                    raise XmlParseError("unexpected close tag", self._pos)
-                self._pos += 2
-                name = self._parse_name()
-                if name != stop_tag:
+
+def _decode_entities(raw: str, position: int) -> str:
+    """``raw`` with its references replaced; a bad one is reported at
+    ``position`` (an attribute's value start, a text run's end)."""
+    def replace(match: re.Match) -> str:
+        name, terminated = match.groups()
+        if not terminated:
+            raise XmlParseError("unterminated entity reference", position)
+        if name.startswith("#"):
+            try:
+                if name[1:2] in ("x", "X"):
+                    return chr(int(name[2:], 16))
+                return chr(int(name[1:]))
+            except (ValueError, OverflowError):
+                raise XmlParseError(
+                    f"invalid character reference &{name};",
+                    position) from None
+        if name not in _ENTITIES:
+            raise XmlParseError(f"unknown entity &{name};", position)
+        return _ENTITIES[name]
+
+    return _REFERENCE.sub(replace, raw)
+
+
+def _open_tag(text: str, pos: int) -> tuple[XmlNode, int, bool]:
+    """The element whose open tag starts at ``pos`` (a ``<``), the
+    offset after the tag, and whether content follows (not ``<…/>``)."""
+    match = _OPEN_TAG.match(text, pos)
+    tag, attributes, close = match.groups()
+    if not tag:
+        raise XmlParseError("expected a name", pos + 1)
+    node = XmlNode(ELEMENT, tag)
+    if attributes:
+        decoded = node.attributes
+        if "&" in attributes:   # a bad reference is reported at its value
+            for attr in _ATTR.finditer(text, match.start(2), match.end(2)):
+                decoded[attr[1]] = _decode_entities(attr[3], attr.start(3))
+        else:
+            for name, _quote, value in _ATTR.findall(attributes):
+                decoded[name] = value
+    if close is None:
+        bad = _BAD_ATTR.match(text, match.end())
+        if not bad[1]:
+            raise XmlParseError("expected a name", bad.start())
+        if not bad[2]:
+            raise XmlParseError("expected '='", bad.start(2))
+        if not bad[3]:
+            raise XmlParseError("expected quoted attribute value",
+                                bad.start(3))
+        raise XmlParseError("unterminated attribute value", bad.end())
+    return node, match.end(), close == ">"
+
+
+def _parse_content(text: str, pos: int, node: XmlNode | None,
+                   top: list[XmlNode]) -> int:
+    """Lex element content from ``pos``, returning the offset reached.
+
+    With ``node`` (the document element, its open tag consumed): fill it
+    and stop after its close tag.  With ``None``: a fragment — lex to the
+    end of ``text``, collecting the parentless top-level nodes in ``top``.
+    """
+    root = node
+    length = len(text)
+    siblings = top if node is None else node.children
+    while pos < length:
+        lead = text[pos:pos + 2]
+        if lead[0] != "<":
+            end = text.find("<", pos)
+            if end < 0:
+                end = length
+            value = text[pos:end]
+            if "&" in value:
+                value = _decode_entities(value, end)
+            value = value.strip()
+            pos = end
+            if value:
+                child = XmlNode(TEXT, None, value)
+                child.parent = node
+                siblings.append(child)
+        elif lead == "</":
+            if node is None:
+                raise XmlParseError("unexpected close tag", pos)
+            expected = f"</{node.tag}>"
+            if text.startswith(expected, pos):   # the usual spelling
+                pos += len(expected)
+            else:
+                match = _CLOSE_TAG.match(text, pos)
+                name = match[1]
+                if not name:
+                    raise XmlParseError("expected a name", pos + 2)
+                if name != node.tag:
                     raise XmlParseError(
-                        f"mismatched close tag </{name}> for <{stop_tag}>",
-                        self._pos)
-                self._skip_ws()
-                self._expect(">")
-                return nodes
-            if self._starts_with("<!--"):
-                end = self._text.find("-->", self._pos)
-                if end < 0:
-                    raise XmlParseError("unterminated comment", self._pos)
-                self._pos = end + 3
-                continue
-            if self._starts_with("<![CDATA["):
-                end = self._text.find("]]>", self._pos)
-                if end < 0:
-                    raise XmlParseError("unterminated CDATA", self._pos)
-                nodes.append(XmlNode.text(self._text[self._pos + 9:end]))
-                self._pos = end + 3
-                continue
-            if self._starts_with("<?"):
-                end = self._text.find("?>", self._pos)
-                if end < 0:
-                    raise XmlParseError("unterminated PI", self._pos)
-                self._pos = end + 2
-                continue
-            if self._peek() == "<":
-                nodes.append(self._parse_element())
-                continue
-            end = self._text.find("<", self._pos)
+                        f"mismatched close tag </{name}> for <{node.tag}>",
+                        match.end(1))
+                pos = match.end()
+                if not match[2]:
+                    raise XmlParseError("expected '>'", pos)
+            if node is root:
+                return pos
+            node = node.parent
+            siblings = top if node is None else node.children
+        elif lead == "<?":
+            end = text.find("?>", pos)
             if end < 0:
-                end = self._len
-            raw = self._text[self._pos:end]
-            self._pos = end
-            decoded = self._decode_entities(raw)
-            if decoded.strip():
-                nodes.append(XmlNode.text(decoded.strip()))
-        if stop_tag is not None:
-            raise XmlParseError(f"unterminated element <{stop_tag}>", self._pos)
-        return nodes
+                raise XmlParseError("unterminated PI", pos)
+            pos = end + 2
+        elif lead == "<!" and text.startswith("<!--", pos):
+            end = text.find("-->", pos)
+            if end < 0:
+                raise XmlParseError("unterminated comment", pos)
+            pos = end + 3
+        elif lead == "<!" and text.startswith("<![CDATA[", pos):
+            end = text.find("]]>", pos)
+            if end < 0:
+                raise XmlParseError("unterminated CDATA", pos)
+            child = XmlNode(TEXT, None, text[pos + 9:end])
+            child.parent = node
+            siblings.append(child)
+            pos = end + 3
+        else:
+            child, pos, is_open = _open_tag(text, pos)
+            child.parent = node
+            siblings.append(child)
+            if is_open:
+                node = child
+                siblings = child.children
+    if node is not None:
+        raise XmlParseError(f"unterminated element <{node.tag}>", pos)
+    return pos

@@ -167,24 +167,56 @@ def closed_auctions_of(storage: StorageManager):
 
 
 def assert_path_lists_canonical(storage: StorageManager) -> None:
-    """The structural index's per-tag-path key lists equal a from-scratch
-    rebuild: one sorted, non-empty list per (document, root-to-node tag
-    path) that has live elements — whatever mutation, checkpoint and
-    replay history produced them."""
-    expected: dict = {}
+    """Everything the storage manager and its structural index keep per
+    node equals a from-scratch walk of the documents — the node map, the
+    interned keys, the tag-path cache and the sorted all / per-tag /
+    per-tag-path key lists (one sorted, non-empty list per path that has
+    live elements) — whatever mutation, checkpoint and replay history
+    produced them; and every child list is in key order, which is what
+    lets a sibling's position be bisected."""
+    nodes: dict = {}
+    tag_paths: dict = {}
+    all_lists: dict = {}
+    tag_lists: dict = {}
+    path_lists: dict = {}
     for name in storage.document_names:
         stack = [(storage.document(name).root, ())]
         while stack:
-            node, parent_tags = stack.pop()
-            if not node.is_element:
-                continue
-            tags = parent_tags + (node.tag,)
-            expected.setdefault((name, tags), []).append(node.key.value)
+            node, tags = stack.pop()
+            value = node.key.value
+            nodes[node.key] = node
+            if node.is_element:
+                tags = tags + (node.tag,)
+                all_lists.setdefault(name, []).append(value)
+                tag_lists.setdefault((name, node.tag), []).append(value)
+                path_lists.setdefault((name, tags), []).append(value)
+            tag_paths[value] = tags
+            children = [child.key.value for child in node.children]
+            assert children == sorted(set(children)), (
+                f"children of {value} are not in key order")
+            assert all(child.rpartition(".")[0] == value
+                       for child in children)
             stack.extend((child, tags) for child in node.children)
-    for keys in expected.values():
-        keys.sort()
-    assert storage.index._path_lists == expected
-    assert storage.index.stats()["path_lists"] == len(expected)
+    assert storage._nodes.keys() == nodes.keys()
+    assert all(storage._nodes[key] is node for key, node in nodes.items())
+    index = storage.index
+    if index is None:
+        return
+    for lists in (all_lists, tag_lists, path_lists):
+        for keys in lists.values():
+            keys.sort()
+    assert index._interned.keys() == tag_paths.keys()
+    assert all(index._interned[key.value] is key for key in nodes)
+    assert index._tag_paths == tag_paths
+    assert all(index._path_interner[tags] is tags
+               for tags in index._tag_paths.values())
+    assert index._all_lists == all_lists
+    # (a checkpoint written before tag lists were dropped with their last
+    # key may restore empty ones)
+    assert {name: keys for name, keys in index._tag_lists.items()
+            if keys} == tag_lists
+    assert index._path_lists == path_lists
+    assert index.stats()["path_lists"] == len(path_lists)
 
 
 # -- the randomized differential harness -------------------------------------------------
@@ -354,6 +386,7 @@ def run_differential(seed: int, steps: int, mutators: Sequence[str],
                     f"step {step}: {name} diverged from recomputation\n"
                     f" got: {got}\nwant: {want}")
             audit_operator_state(registry)
+            assert_path_lists_canonical(registry.storage)
         applied += len(batch)
     for registry in registries:
         assert all(registry.view(name).stats.recomputes == 0

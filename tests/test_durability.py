@@ -24,6 +24,7 @@ from repro import CostModel, FlexKey, StorageManager, ViewRegistry
 from repro.api import Database
 from repro.durability import (CheckpointError, CheckpointStore,
                               DurabilityManager, RealFileSystem,
+                              RecoveryError,
                               WriteAheadLog, read_segment)
 from repro.durability.snapshot import SNAPSHOT_FORMAT, capture_state
 from repro.durability.wal import encode_record, segment_name
@@ -424,6 +425,81 @@ def test_unknown_snapshot_format_is_rejected_explicitly(tmp_path):
     assert recovered.recovery.checkpoint_generation == 1
     assert_all_views_consistent(recovered)
     recovered.close()
+
+
+def _as_atom_scheme_1(monkeypatch) -> None:
+    """Key and stamp like a build from before the logarithmic sibling
+    atoms: unary ``z`` blocks of 12, WAL records that name scheme 1."""
+    monkeypatch.setattr(
+        "repro.storage.manager.sibling_atom",
+        lambda index: "z" * (index // 12) + "bdfhjlnprtvx"[index % 12])
+    monkeypatch.setattr("repro.durability.manager.ATOM_SCHEME", 1)
+
+
+def test_directory_keyed_under_the_old_atom_scheme_restores_and_replays(
+        tmp_path, monkeypatch):
+    """Checkpoints store keys verbatim and nothing re-keys a restored
+    node, so an older directory opens unchanged: same keys, WAL-tail
+    batches resolve, and new nodes slot in between the old atoms."""
+    with monkeypatch.context() as old:
+        _as_atom_scheme_1(old)
+        db = durable_db(tmp_path, fsync="always")
+        db.load("site.xml", xmark.generate_site(40, seed=7))
+        db.create_view("join", xmark.JOIN_QUERY)
+        db.create_view("sel", xmark.SELECTION_QUERY)
+        assert "b.d.zzzb" in _document_keys(db)        # the 37th person
+        drive(db, 6)
+        db.checkpoint()
+        db.update("site.xml").at("/site/people").insert(
+            xmark.new_person_xml(900), position="into")    # the WAL tail
+        db.update("site.xml").at("/site/people/person[38]/name") \
+            .replace_with("Tail")
+        keys = _document_keys(db)
+        expected = {name: db.read(name) for name in db.views()}
+        del db                                         # crash
+
+    reopened = durable_db(tmp_path)
+    assert reopened.recovery.checkpoint_lsn > 0
+    assert reopened.recovery.wal_records_replayed == 2
+    assert _document_keys(reopened) == keys
+    assert {name: reopened.read(name) for name in reopened.views()} \
+        == expected
+    drive(reopened, 12, seed=11)
+    reopened.update("site.xml").at("/site/people/person[20]").insert(
+        xmark.new_person_xml(901), position="after")
+    assert_all_views_consistent(reopened)
+    assert_path_lists_canonical(reopened.storage)
+    reopened.close()
+
+
+def test_load_record_of_another_atom_scheme_is_refused_not_rekeyed(
+        tmp_path, monkeypatch):
+    """Replaying a ``load`` record keys the document from its text.  If
+    another enumeration logged the batches after it, their targets name
+    other nodes here: stop with the typed error, never guess."""
+    wide, narrow = tmp_path / "wide", tmp_path / "narrow"
+    with monkeypatch.context() as old:
+        _as_atom_scheme_1(old)
+        db = durable_db(wide, fsync="always")
+        db.load("site.xml", xmark.generate_site(40, seed=7))
+        db.update("site.xml").at("/site/people/person[38]/name") \
+            .replace_with("Renamed")
+        del db                            # crash before any checkpoint
+        db = durable_db(narrow, fsync="always")
+        db.load("site.xml", xmark.generate_site(10, seed=7))
+        db.update("site.xml").at("/site/people/person[9]/name") \
+            .replace_with("Renamed")
+        narrow_keys = _document_keys(db)
+        del db
+    with pytest.raises(RecoveryError, match="scheme 1.*close\\(\\)"):
+        durable_db(wide)
+    # no node has more than 12 children: both schemes key it the same
+    reopened = durable_db(narrow)
+    assert _document_keys(reopened) == narrow_keys
+    [name] = resolve_path(reopened.storage, "site.xml",
+                          "/site/people/person[9]/name")
+    assert reopened.storage.text(name) == "Renamed"
+    reopened.close()
 
 
 def test_format2_checkpoint_is_rematerialized_not_grafted(tmp_path,

@@ -112,16 +112,25 @@ class TestCompose:
 
 class TestAtomGeneration:
     def test_sibling_atoms_monotone_unique(self):
-        seq = [sibling_atom(i) for i in range(200)]
-        assert seq == sorted(seq)
-        assert len(set(seq)) == 200
+        seq = [sibling_atom(i) for i in range(50_001)]
+        assert all(a < b for a, b in zip(seq, seq[1:]))   # hence unique
+        assert not any(atom.endswith("a") for atom in seq)
+        assert all(a < atom_between(a, b) < b for a, b in zip(seq, seq[1:]))
 
     def test_sibling_atoms_iterator(self):
         assert list(sibling_atoms(3)) == ["b", "d", "f"]
 
     def test_rollover(self):
-        assert sibling_atom(12) == "zb"
-        assert sibling_atom(24) == "zzb"
+        # z, a length-class letter, that many base-12 gapped digits.
+        assert sibling_atom(11) == "x"
+        assert [sibling_atom(i) for i in (12, 13, 23)] == ["zbb", "zbd", "zbx"]
+        assert [sibling_atom(i) for i in (24, 25, 167)] == ["zcbb", "zcbd",
+                                                            "zcxx"]
+        assert sibling_atom(168) == "zdbbb"
+
+    def test_atom_length_is_logarithmic(self):
+        assert len(sibling_atom(8000)) <= 8
+        assert len(sibling_atom(12 ** 9)) <= 12
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

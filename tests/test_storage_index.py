@@ -8,6 +8,7 @@ answers from the node tree on every call, so they are the oracle.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -132,6 +133,131 @@ class TestRandomInterleavings:
         assert got == storage.children_unindexed(people, "person")
         assert [k.value for k in got] \
             == sorted(k.value for k in got)
+
+
+CHURN_DOC = (
+    "<lib><name>Lib</name>"
+    "<section id='s1'><name>Outer</name>"
+    "<section id='s2'><name>Inner</name><item><name>I1</name></item>"
+    "</section><item><name>I2</name>tail</item><empty/></section>"
+    "<mixed>lead<b>bold</b>trail</mixed></lib>")
+
+CHURN_FRAGMENTS = [
+    "<item><name>N</name></item>",
+    "<section><name>S</name><section><item><name>D</name></item>"
+    "</section></section>",
+    "<name>Bare</name>",
+    "<mixed>a<b>b</b>c</mixed>",
+    "<empty/>",
+    "<wide>" + "<item><name>W</name></item>" * 14 + "</wide>",
+]
+
+
+class TestSubtreeChurn:
+    """Whole subtrees enter and leave the index as one run per list: after
+    every step of a random churn the node map, the interned keys, the
+    tag-path cache and all three families of sorted lists equal a
+    from-scratch walk, and listeners saw one event per primitive."""
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_churn_keeps_every_structure_canonical(self, seed, indexed):
+        rng = random.Random(seed)
+        storage = StorageManager(indexed=indexed)
+        storage.register(XmlDocument.from_string("lib.xml", CHURN_DOC))
+        storage.register(XmlDocument.from_string("other.xml", "<lib/>"))
+        root = storage.document("lib.xml").root
+        events = []
+        storage.add_mutation_listener(
+            lambda op, key, tags: events.append((op, key.value, tags)))
+        assert_path_lists_canonical(storage)
+        for step in range(120):
+            nodes = list(root.iter_subtree())
+            elements = [n for n in nodes if n.is_element]
+            op = rng.choice(["insert", "insert", "insert_text", "delete",
+                             "delete_text", "replace_text"])
+            expected = None
+            if op in ("insert", "insert_text"):
+                fragment = (XmlNode.text(f"t{step}") if op == "insert_text"
+                            else parse_fragment(
+                                rng.choice(CHURN_FRAGMENTS))[0])
+                parent = rng.choice(elements)
+                where = rng.choice(["front", "middle", "end"])
+                siblings = parent.children
+                if where == "end" or not siblings:
+                    key = storage.insert_fragment(parent.key, fragment)
+                elif where == "front":
+                    key = storage.insert_fragment(parent.key, fragment,
+                                                  before=siblings[0].key)
+                else:
+                    key = storage.insert_fragment(
+                        parent.key, fragment,
+                        after=rng.choice(siblings).key)
+                assert fragment.parent is parent and fragment.key is key
+                expected = ("insert", key.value, storage.tag_path(key))
+            elif op in ("delete", "delete_text"):
+                victims = [n for n in nodes if n is not root
+                           and n.is_text == (op == "delete_text")]
+                if victims:
+                    victim = rng.choice(victims)
+                    key, tags = victim.key, storage.tag_path(victim.key)
+                    assert storage.delete_subtree(key) is victim
+                    assert victim.parent is None
+                    assert not storage.has_node(key)
+                    expected = ("delete", key.value, tags)
+            else:
+                target = rng.choice(nodes)
+                storage.replace_text(target.key, f"v{step}")
+                assert (target.value if target.is_text else "".join(
+                    c.value for c in target.children if c.is_text)) \
+                    == f"v{step}"
+                expected = ("modify", target.key.value,
+                            storage.tag_path(target.key))
+            assert events == ([expected] if expected else [])
+            events.clear()
+            assert_path_lists_canonical(storage)
+
+    def test_replace_text_keeps_the_text_node_and_burns_no_slot(self):
+        """A modify of single-text content is a value change on the node
+        that is there: no key leaves or re-enters the node map or the
+        interning dict, so 20 000 of them never grow either table."""
+        storage = build_site(10)
+        city = storage.find_by_path(
+            "site.xml", [("descendant", "city")])[0]
+        text = storage.node(city).children[0]
+        text_key = text.key
+        interned = storage.index.stats()["interned_keys"]
+        node_map_bytes = sys.getsizeof(storage._nodes)
+        interned_bytes = sys.getsizeof(storage.index._interned)
+        events = []
+        storage.add_listener(lambda op, key: events.append((op, key)))
+        for step in range(20_000):
+            storage.replace_text(city, f"City {step}")
+        assert events == [("modify", city)] * 20_000
+        assert storage.node(city).children == [text]
+        assert text.key is text_key and text.value == "City 19999"
+        assert storage.index.intern(FlexKey(text_key.value)) is text_key
+        assert storage.index.stats()["interned_keys"] == interned
+        assert sys.getsizeof(storage._nodes) == node_map_bytes
+        assert sys.getsizeof(storage.index._interned) == interned_bytes
+        assert_path_lists_canonical(storage)
+
+    def test_keys_stay_short_under_a_wide_node(self):
+        """Sibling atoms grow with the logarithm of the sibling index, so
+        the 8000th person's subtree is keyed as cheaply as the first's
+        (677 characters under the unary ``z`` blocks)."""
+        storage = StorageManager()
+        people = XmlNode.element("people", children=[
+            XmlNode.element("person", children=[
+                XmlNode.element("address", children=[
+                    XmlNode.element("city", children=[XmlNode.text("C")])])])
+            for _ in range(8000)])
+        storage.register(XmlDocument("site.xml",
+                                     XmlNode.element("site", None, [people])))
+        lengths = [len(key.value) for key in storage._nodes]
+        assert max(lengths) <= 40
+        assert sum(lengths) / len(lengths) <= 20
+        assert_path_lists_canonical(storage)
 
 
 def positional_paths(storage: StorageManager) -> list[str]:
