@@ -8,7 +8,10 @@ per-city ``count`` / ``max`` / ``sum`` aggregates: each in a registry of
 its own, then all of them sharing one registry over one storage, then
 the duplicate-view leg (``tests.helpers.SHARING_VIEWS``:
 ten views, queries repeated and overlapping, so passes of one dispatch
-fill registers for one another).  Every batch is checked against the
+fill registers for one another), then the same ten views with two of
+them deferred and one flushing at a threshold
+(``tests.helpers.SHARING_POLICIES``: queues spanning several batches,
+read every fifth step).  Every batch is checked against the
 recompute oracle and the operator-state audit (cached tables and the
 side indexes' support counters), so a future divergence
 fails the build instead of landing in ROADMAP as an open item.
@@ -37,8 +40,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from tests.helpers import ALL_MUTATORS, FUZZ_VIEWS, SHARING_VIEWS, \
-    random_batch, run_differential  # noqa: E402
+from tests.helpers import ALL_MUTATORS, FUZZ_VIEWS, SHARING_POLICIES, \
+    SHARING_VIEWS, random_batch, run_differential  # noqa: E402
 from repro.api import Database  # noqa: E402
 from repro.workloads import xmark  # noqa: E402
 
@@ -113,21 +116,27 @@ def main(argv=None) -> int:
     updates = 0
     for seed in seeds:
         # each view alone, then (given more than one) all in one
-        # registry, then (the default sweep) the duplicate-view leg
-        legs = [(name, [FUZZ_VIEWS[name]], False) for name in names]
+        # registry, then (the default sweep) the duplicate-view leg,
+        # immediate and with queued policies
+        legs = [(name, [FUZZ_VIEWS[name]], False, None) for name in names]
         if len(names) > 1:
             legs.append(("+".join(names) + " (one registry)",
-                         [FUZZ_VIEWS[name] for name in names], True))
+                         [FUZZ_VIEWS[name] for name in names], True, None))
         if not args.views:
             legs.append((f"{len(SHARING_VIEWS)} duplicate/overlapping "
-                         "views (one registry)", SHARING_VIEWS, True))
-        for label, queries, shared in legs:
+                         "views (one registry)", SHARING_VIEWS, True, None))
+            legs.append((f"{len(SHARING_VIEWS)} duplicate/overlapping "
+                         "views, two deferred + one threshold(3) "
+                         "(one registry)", SHARING_VIEWS, True,
+                         SHARING_POLICIES))
+        for label, queries, shared, policies in legs:
             if time.monotonic() - started > args.budget:
                 legs_skipped += 1
                 continue
             updates += run_differential(
                 seed, args.steps, ALL_MUTATORS, queries,
-                num_persons=args.persons, site_seed=1, shared=shared)
+                num_persons=args.persons, site_seed=1, shared=shared,
+                policies=policies)
             legs_run += 1
             print(f"ok   seed={seed} view={label}")
     if args.crash_every:

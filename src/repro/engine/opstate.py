@@ -33,9 +33,13 @@ the pre-deletion tag path, so relevancy survives the key drop) and
 
 * **ignores** mutations irrelevant to an entry's own mini-SAPT (an
   unrelated update stream leaves warm state warm);
-* **patches** an entry whose recorded stale mutations are exactly covered
-  by the batch being propagated, by applying the subplan's *own*
-  delta-mode output (O(batch), the Z-semantics merge of Chapter 6);
+* **patches** an entry whose stale mutations belong to the batch being
+  propagated, by applying the subplan's *own* delta-mode output
+  (O(batch), the Z-semantics merge of Chapter 6).  Batches are told
+  apart by their dispatch **epoch** — every storage event and every
+  :class:`~repro.xat.base.DeltaSpec` of one run carries it — so events
+  of one batch stack, and a relevant event of a second batch
+  invalidates: a stale table lags storage by at most one epoch;
 * **invalidates** and lazily recomputes otherwise — the safe fallback
   mirroring the cost model's incremental-vs-recompute discipline.
 
@@ -44,7 +48,7 @@ re-execution wherever the subplan is *anti-projectable* (every output
 tuple carries the storage keys its existence depends on): the cached table
 is filtered by root coverage, and index probes filter per bucket.  Deletes
 propagate before they reach storage, so a delete-phase serve *stages* the
-patch and commits it when the deferred deletion events arrive.
+patch and commits it when the run's deferred deletion events arrive.
 """
 
 from __future__ import annotations
@@ -233,7 +237,6 @@ class _PatchPlan:
 
     def __init__(self, spec: DeltaSpec, unstageable: bool = False):
         self.spec = spec
-        self.root_values = frozenset(r.key.value for r in spec.roots)
         self.ops: list[_PlannedOp] = []
         self.applied = False
         #: the delta could not be validated against the entry — the plan
@@ -241,19 +244,10 @@ class _PatchPlan:
         #: arrive instead of patching it
         self.unstageable = unstageable
 
-    def covers(self, key) -> bool:
-        return self.spec.classify(key) == "at"
-
-    def same_batch(self, spec: DeltaSpec) -> bool:
-        """Whether ``spec`` names the batch this plan was staged for.
-        Views routed the same subset of a run share one spec object (the
-        ``is`` arm); a view flushing the run later, or routed the same
-        roots by another path, builds its own — hence by content."""
-        return (self.spec is spec
-                or (self.spec.document == spec.document
-                    and self.spec.phase == spec.phase
-                    and self.root_values
-                    == frozenset(r.key.value for r in spec.roots)))
+    def covers(self, key, epoch: int) -> bool:
+        """Whether a deletion event of dispatch ``epoch`` is one this
+        plan was staged for."""
+        return epoch == self.spec.epoch and self.spec.classify(key) == "at"
 
     def add_keys_for(self, cols, entry: "CachedEntry", ctx) -> None:
         """Precompute probe keys for a newly-built index (storage alive)."""
@@ -277,9 +271,6 @@ class _IndexDesync(Exception):
 class CachedEntry:
     """One persisted FULL-mode table (plus side indexes) of a subplan."""
 
-    #: stale-mutation backlog beyond which we stop tracking and invalidate
-    MAX_STALE = 64
-
     def __init__(self, signature: str, op: XatOperator):
         self.signature = signature
         self.op = op
@@ -301,6 +292,7 @@ class CachedEntry:
         # patch removes the old tuple *after* the text was replaced).
         self._indexed_keys: dict = {}
         self.stale: list = []                  # [(kind, FlexKey)]
+        self.stale_epoch = 0                   # the dispatch ``stale`` is of
         self.valid = False
         self.prepared: Optional[_PatchPlan] = None
 
@@ -501,31 +493,31 @@ class CachedEntry:
         self.prepared = None
 
     def stale_covered_by(self, spec: DeltaSpec) -> bool:
-        return all(kind == spec.phase and spec.classify(key) == "at"
-                   for kind, key in self.stale)
+        return spec.epoch == self.stale_epoch and all(
+            kind == spec.phase and spec.classify(key) == "at"
+            for kind, key in self.stale)
 
     def drop_stale_prepared(self, spec: DeltaSpec) -> None:
-        """Expire a staged delete patch belonging to an earlier batch.
+        """Expire a staged delete patch of an earlier dispatch.
 
         Unapplied means its deletions never arrived — storage is
         unchanged and the table still mirrors it; applied means it is
-        spent.  Either way it must not keep absorbing deletion events
-        (a reclaimed sibling atom may coincide with an old root key).
-        Batch identity falls back to content (see
-        :meth:`_PatchPlan.same_batch`): re-staging a shared entry once
-        per view would cost O(views) delta passes.
+        spent.  A plan of ``spec``'s own epoch stays, whichever view's
+        routed subset staged it: one staging per entry per batch.
         """
         if self.prepared is not None \
-                and not self.prepared.same_batch(spec):
+                and self.prepared.spec.epoch != spec.epoch:
             self.prepared = None
 
-    def on_mutation(self, kind: str, key, tags: tuple,
-                    document: str) -> None:
-        """One storage mutation on a document this entry sources."""
+    def on_mutation(self, kind: str, key, tags: tuple, document: str,
+                    epoch: int) -> None:
+        """One storage mutation on a document this entry sources, made
+        in dispatch ``epoch`` (inserts and modifies land just before
+        their run is dispatched, deletions inside it)."""
         if not self.valid:
             return
         if self.prepared is not None and kind == DELETE \
-                and self.prepared.covers(key):
+                and self.prepared.covers(key, epoch):
             # The deferred deletions this entry's staged patch was
             # computed for: commit once, absorb the remaining events.
             if self.prepared.unstageable:
@@ -535,24 +527,14 @@ class CachedEntry:
             return
         if not self.sapt.relevant_for_tags(document, tags):
             return  # unrelated traffic leaves warm state warm
-        if kind == DELETE or len(self.stale) >= self.MAX_STALE:
+        if kind == DELETE or (self.stale and epoch != self.stale_epoch):
             # Deletion events arrive after the subtree is gone — too late
-            # to derive a delta.  Recompute lazily on next use.
+            # to derive a delta; and no one spec covers the events of two
+            # batches.  Recompute lazily on next use.
             self.invalidate()
             return
-        for _kind, stale_key in self.stale:
-            if (stale_key == key or stale_key.is_ancestor_of(key)
-                    or key.is_ancestor_of(stale_key)):
-                # A second mutation on the same subtree: the stale list
-                # cannot tell whether the events belong to one batch or
-                # to two (a batch may be absorbed by a recompute-flush
-                # or routed to no view, so no reconcile separates
-                # windows).  A later spec with coinciding roots would
-                # pass stale_covered_by yet its delta only describes
-                # the newer change — patch silently loses the older
-                # one.  Indistinguishable means unpatchable: recompute.
-                self.invalidate()
-                return
+        # Events of one batch stack: its spec's Δ reads final storage.
+        self.stale_epoch = epoch
         self.stale.append((kind, key))
 
 
@@ -660,6 +642,9 @@ class OperatorStateStore:
 
     def __init__(self, storage):
         self.storage = storage
+        #: the dispatch epoch storage events are stamped with; the view
+        #: registry stamps each run with it and advances it after
+        self.epoch = 0
         self.stats = StoreStats()
         self._entries: dict[str, CachedEntry] = {}
         self._by_doc: dict[str, list[CachedEntry]] = {}
@@ -759,7 +744,7 @@ class OperatorStateStore:
             return
         for entry in self._by_doc.get(document, ()):
             was_valid = entry.valid
-            entry.on_mutation(kind, key, tags, document)
+            entry.on_mutation(kind, key, tags, document, self.epoch)
             if was_valid and not entry.valid:
                 self.stats.invalidations += 1
                 entry.stats.invalidations += 1

@@ -669,19 +669,21 @@ class ViewRegistry:
           under it.  ``modifies_only`` restricts this to queued modify
           trees (insert-over-insert nesting stays queued — the pending
           insert covers it when it reads final storage).
-        * **output overlap** — count-signed trees (inserts and modify
-          pairs) re-derive against *final* storage when they flush, so
-          a queued one absorbs any later count-signed change no matter
-          how distant the input nodes are (a shared group or join key
-          is enough); the newer tree then asserts the same derivation
+        * **output overlap** — every queued tree re-derives against
+          *final* storage when it flushes, so it absorbs any later
+          count-signed change no matter how distant the input nodes are
+          (a shared group or join key is enough): a queued insert or
+          pair asserts the newer derivation, and so does a queued
+          count-neutral refresh, whose group re-derives with the new
+          member in it; the newer tree then asserts the same derivation
           again and the counts are silently inflated — invisible in the
           XML until a retraction under-removes.  ``drain_signed``
-          flushes every queued count-signed tree before the caller's
-          own count-signed change enters storage — but only for views
-          whose derivations are :func:`entangled <_derivations_
-          entangled>` across source items; per-item linear views keep
-          batching, as do count-neutral content refreshes everywhere —
-          that is what the deferred policy amortizes.
+          flushes every queued tree before the caller's own
+          count-signed change enters storage — but only for views whose
+          derivations are :func:`entangled <_derivations_entangled>`
+          across source items; per-item linear views keep batching, as
+          do entangled views under refreshes — that is what the
+          deferred policy amortizes.
 
         ``names`` limits the scan to the routed views (None scans all —
         inserts route only after the node exists).  The pending run is
@@ -691,9 +693,7 @@ class ViewRegistry:
                   if name in self._views] if names is not None
                  else list(self._views.values()))
 
-        def conflicts(t, signed: bool) -> bool:
-            if signed and (t.kind == INSERT or t.has_pair):
-                return True
+        def overlaps(t) -> bool:
             if modifies_only and t.kind != MODIFY:
                 return False
             return (t.root == target or t.root.is_ancestor_of(target)
@@ -703,9 +703,8 @@ class ViewRegistry:
         for view in views:
             if not view.pending:
                 continue
-            signed = drain_signed and view.entangled
-            if not any(conflicts(t, signed)
-                       for batch in view.pending for t in batch):
+            if not (drain_signed and view.entangled) and not any(
+                    overlaps(t) for batch in view.pending for t in batch):
                 continue
             if not closed:
                 run = batcher.close()
@@ -719,6 +718,14 @@ class ViewRegistry:
         policies — except that delete runs are barriers (see module
         docstring).
 
+        Each dispatch is one **epoch** of the operator-state store: the
+        run's trees are stamped with the store's counter, which advances
+        when the dispatch ends, so the run's own storage events — inserts
+        and modifies landed just before this call, deletes land inside
+        it — and every spec built for the run carry the same number.
+        The store patches a cached table only from a spec of the epoch
+        its stale events belong to.
+
         The dispatch owns the run's **register files**: per distinct
         routed subset of the run one :class:`~repro.xat.DeltaSpec` and,
         beside it, one memo ``{(structural signature, mode): table}``
@@ -729,7 +736,7 @@ class ViewRegistry:
         (``docs/PLAN_IR.md``, "The dispatch register file"):
 
         * **I1** — a register is reused only under the *same spec
-          object*: same subset of the same run, inside this one call,
+          object*: same subset of the same run, inside this one epoch,
           where storage is fixed (inserts and modifies landed before it,
           deletes land after every affected view flushed) and the
           operator-state store is current before and after each pass
@@ -744,12 +751,15 @@ class ViewRegistry:
           structural signature get a per-instance one.
         * **I3** — memo tables are read-only: no operator and no Apply
           step mutates an input tuple, item or ``AggState``.
-        * **I4** — a batch is looked up by the identity of its trees, so
-          only this run's subsets can hit: older batches a view flushes
-          first, and this run flushed by a deferred view later, get a
-          spec and an empty memo of their own.  The registers go with
-          the dispatch, also when a pass raises.
+        * **I4** — registers live for one epoch: a batch is looked up by
+          the identity of its trees and the registers go with the
+          dispatch, also when a pass raises, so older batches a view
+          flushes first, and this run flushed by a deferred view later,
+          get a spec of their own epoch and an empty memo.
         """
+        store = self.state_store
+        for tree in run:
+            tree.epoch = store.epoch
         affected = [view for name, view in self._views.items()
                     if any(name in tree.views for tree in run)]
         try:
@@ -775,6 +785,7 @@ class ViewRegistry:
                     self._flush_view(view)
         finally:
             self._registers = {}
+            store.epoch += 1
 
     def _enqueue(self, view: RegisteredView, run: list[RoutedTree]) -> None:
         if not view.pipeline.materialized:

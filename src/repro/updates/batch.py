@@ -7,10 +7,10 @@ not reordered across kind/document boundaries — the paper's batches encode
 updates "of possibly different types" that may share prefix paths, and
 sequential semantics must be preserved.
 
-:class:`RunBatcher` is the incremental form of this grouping.  It is the
-single implementation of the run discipline, shared by the offline
-:func:`batch_update_trees` helper and the view registry
-(:mod:`repro.multiview.registry`).
+:class:`RunBatcher` is the one implementation of this grouping; the view
+registry (:mod:`repro.multiview.registry`) feeds it validated trees and
+dispatches each closed run, and :func:`spec_for_run` turns a run (or a
+view's routed subset of one) into the spec of its propagation pass.
 """
 
 from __future__ import annotations
@@ -92,22 +92,9 @@ class RunBatcher:
 
 
 def spec_for_run(run: list[UpdateTree]) -> DeltaSpec:
-    """The :class:`DeltaSpec` propagating one closed run in a single pass."""
+    """The :class:`DeltaSpec` propagating one closed run in a single pass
+    (carrying the dispatch epoch its trees were stamped with)."""
     return DeltaSpec(run[0].document,
                      tuple(DeltaRoot(t.root, t.kind, t.old_value,
                                      t.new_value) for t in run),
-                     run[0].kind)
-
-
-def batch_update_trees(trees: list[UpdateTree]) -> list[DeltaSpec]:
-    """Group consecutive same-document same-kind trees into DeltaSpecs."""
-    batcher = RunBatcher()
-    batches: list[DeltaSpec] = []
-    for tree in trees:
-        closed, _accepted = batcher.push(tree)
-        if closed is not None:
-            batches.append(spec_for_run(closed))
-    closed = batcher.close()
-    if closed is not None:
-        batches.append(spec_for_run(closed))
-    return batches
+                     run[0].kind, run[0].epoch)

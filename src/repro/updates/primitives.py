@@ -88,6 +88,9 @@ class UpdateTree:
     keys or sort keys (re-routing a derivation is not expressible as a
     count-neutral refresh).  Sufficient modifies leave the pair unset
     and propagate as refreshes, as before.
+
+    ``epoch`` is stamped when the tree's run is dispatched (see
+    :attr:`repro.xat.base.DeltaSpec.epoch`).
     """
 
     document: str
@@ -95,6 +98,7 @@ class UpdateTree:
     kind: str
     old_value: Optional[str] = None
     new_value: Optional[str] = None
+    epoch: int = 0
 
     @property
     def sign(self) -> int:

@@ -80,6 +80,12 @@ class DeltaRoot:
 class DeltaSpec:
     """The batch being propagated: one document, homogeneous update kind.
 
+    ``epoch`` names the dispatch the batch's run went out in (the
+    operator-state store's counter, stamped by the view registry): every
+    spec built for one run — any view's routed subset, flushed then or
+    later — carries the same epoch, and the storage events of that run
+    carry it too, so the store tells batches apart by it, never by roots.
+
     Every key query below is pure in the (immutable) root set, yet one
     propagation pass asks them of the same few keys from every operator,
     so each answer is memoized per spec under the bare key's value
@@ -90,6 +96,7 @@ class DeltaSpec:
     document: str
     roots: tuple[DeltaRoot, ...]
     phase: str  # INSERT / DELETE / MODIFY
+    epoch: int = 0
     #: whether any root of this batch is a first-class modify
     has_pairs: bool = field(init=False, repr=False, compare=False)
     _classify_memo: dict = field(default_factory=dict, repr=False,

@@ -9,9 +9,10 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from repro import CostModel, StorageManager, UpdateRequest, ViewRegistry
+from repro.multiview import DEFERRED, IMMEDIATE, threshold
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
 from repro.xat.base import ExecutionContext
@@ -56,6 +57,12 @@ SHARING_VIEWS = (xmark.PERSONS_BY_CITY_QUERY, xmark.PERSONS_BY_CITY_QUERY,
                  xmark.JOIN_QUERY, xmark.JOIN_QUERY, xmark.SELECTION_QUERY,
                  xmark.ORDER_QUERY_1, xmark.ORDER_QUERY_3,
                  xmark.ORDER_QUERY_4)
+
+#: the policy leg of the differential, by index into ``SHARING_VIEWS``: a
+#: grouped and a join view deferred, a join view flushing every third
+#: tree — so multi-batch queues build up, drain before conflicting
+#: changes and flush batches of older epochs over a shared store
+SHARING_POLICIES = {1: DEFERRED, 5: DEFERRED, 8: threshold(3)}
 
 
 def pinned() -> CostModel:
@@ -342,30 +349,39 @@ def random_batch(rng: random.Random, storage: StorageManager, step: int,
 def run_differential(seed: int, steps: int, mutators: Sequence[str],
                      views: Union[str, Iterable[str]], *,
                      num_persons: int = 20, site_seed: int = 1,
-                     batch_max: int = 3, shared: bool = False) -> int:
+                     batch_max: int = 3, shared: bool = False,
+                     policies: Optional[dict] = None) -> int:
     """Drive ``steps`` random mixed batches through
-    :meth:`ViewRegistry.apply_updates` and assert, after every batch,
-    that each maintained extent is byte-identical to the recompute
-    oracle and that the operator-state store passes
+    :meth:`ViewRegistry.apply_updates` and assert that each maintained
+    extent is byte-identical to the recompute oracle and, after every
+    batch, that the operator-state store passes
     :func:`audit_operator_state`.
 
     ``views`` is one query string or an iterable of them.  Each view
     runs in a registry of its own over its own storage — or, with
     ``shared``, all of them in **one** registry over **one** storage
     (shared store, shared plan cache, each view propagating its own
-    routed subset of every batch).  Every view is pinned to propagation
-    and must never have recomputed.
+    routed subset of every batch).  ``policies`` maps an index into
+    ``views`` to that view's maintenance policy (immediate otherwise).
+    Immediate views are compared after every batch; the others through
+    :meth:`ViewRegistry.query` — which flushes them — every fifth step
+    and after the last, so their queues span several batches in between.
+    Every view is pinned to propagation and must never have recomputed.
 
     Returns the number of updates applied.
     """
     queries = [views] if isinstance(views, str) else list(views)
+    policies = policies or {}
     registries = []
-    for group in ([queries] if shared else [[query] for query in queries]):
+    indexed = list(enumerate(queries))
+    for group in ([indexed] if shared else [[pair] for pair in indexed]):
         storage = StorageManager()
         xmark.register_site(storage, num_persons, seed=site_seed)
         registry = ViewRegistry(storage)
-        for index, query in enumerate(group):
-            registry.register(f"view{index}", query, cost_model=pinned())
+        for name_index, (index, query) in enumerate(group):
+            registry.register(f"view{name_index}", query,
+                              policy=policies.get(index, IMMEDIATE),
+                              cost_model=pinned())
         registries.append(registry)
     # The rng stream is replayed from the same state per storage, and
     # since all storages evolve identically the generated batches are
@@ -379,8 +395,14 @@ def run_differential(seed: int, steps: int, mutators: Sequence[str],
             batch = random_batch(rng, registry.storage, step, mutators,
                                  batch_max)
             registry.apply_updates(batch)
+            read_queued = (step + 1) % 5 == 0 or step == steps - 1
             for name in registry.names():
-                got = registry.to_xml(name)
+                if registry.view(name).policy != IMMEDIATE:
+                    if not read_queued:
+                        continue
+                    got = registry.query(name)
+                else:
+                    got = registry.to_xml(name)
                 want = registry.recompute_xml(name)
                 assert got == want, (
                     f"step {step}: {name} diverged from recomputation\n"

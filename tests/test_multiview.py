@@ -284,14 +284,15 @@ class TestThresholdPolicy:
 
 
 class TestCountSignedDrainDiscipline:
-    """Cross-batch count-signed trees (inserts and modify pairs) in one
-    deferred queue re-derive against *final* storage at flush time, so
-    through a shared group or join key one queued tree absorbs another's
-    contribution and the derivation counts silently inflate — invisible
-    in the XML until a retraction under-removes and leaves a stale
-    duplicate.  The registry must drain queued signed trees before a new
-    signed mutation lands (for entangled views; per-item linear views
-    keep batching).  These are the minimized repros that found the bug.
+    """Queued trees in one deferred queue — inserts, modify pairs and
+    count-neutral refreshes alike — re-derive against *final* storage at
+    flush time, so through a shared group or join key a queued tree
+    absorbs a later count-signed change and the derivation counts
+    silently inflate — invisible in the XML until a retraction
+    under-removes and leaves a stale duplicate.  The registry must drain
+    every queued tree before a new count-signed mutation lands (for
+    entangled views; per-item linear views keep batching).  These are
+    the minimized repros that found the bug.
     """
 
     @pytest.fixture(autouse=True)
@@ -370,6 +371,30 @@ class TestCountSignedDrainDiscipline:
         registry.apply_updates([UpdateRequest.delete(
             "site.xml", persons[2])])
         assert registry.query("bycity") == registry.recompute_xml("bycity")
+
+    def test_queued_refresh_not_absorbed_by_later_insert(self):
+        """A count-neutral refresh re-derives against final storage too:
+        a queued name refresh that flushes after a second ``<city>``
+        landed under the same person re-derives the person into the new
+        city's group, and the insert then asserts it again."""
+        for finish in ("delete-city", "delete-person", "modify-city"):
+            storage, registry = self.grouped_registry()
+            person = persons_of(storage)[3]
+            registry.apply_updates([UpdateRequest.modify(
+                "site.xml", storage.children(person, "name")[0],
+                "Renamed")])
+            address = storage.children(person, "address")[0]
+            registry.apply_updates([UpdateRequest.insert(
+                "site.xml", address, "<city>Atlantis</city>", "into")])
+            new_city = storage.children(address, "city")[-1]
+            registry.apply_updates([{
+                "delete-city": UpdateRequest.delete("site.xml", new_city),
+                "delete-person": UpdateRequest.delete("site.xml", person),
+                "modify-city": UpdateRequest.modify("site.xml", new_city,
+                                                    "Lima"),
+            }[finish]])
+            assert registry.query("bycity") \
+                == registry.recompute_xml("bycity"), finish
 
     def test_entanglement_classifier(self):
         storage, registry = standard_registry()

@@ -22,9 +22,12 @@ from repro.xat import AtomicItem, GroupBy, NavigateUnnest, Path, Source, \
     XatTuple
 from repro.xat.grouping import compute_aggregate, merge_member_items
 
-from .helpers import (assert_consistent, audit_operator_state,
-                      closed_auctions_of, persons_of, random_batch,
-                      run_differential, site_view)
+from .helpers import (GROUPED_VIEWS, assert_consistent,
+                      audit_operator_state, closed_auctions_of, persons_of,
+                      pinned, random_batch, run_differential, site_view)
+
+CITY_PATH = [("child", "site"), ("child", "people"), ("child", "person"),
+             ("child", "address"), ("child", "city")]
 
 
 #: the historical mixed-stream update space of this module, now expressed
@@ -185,6 +188,79 @@ class TestStoreActivity:
             [UpdateRequest.modify("site.xml", cities[2], "Tampere")])
         assert store.stats.invalidations == before[0] + 1
         assert_consistent(view)
+
+
+class TestBatchEpochs:
+    """One dispatch, one epoch: a batch's storage events and every spec
+    built for it carry the same number, so the store patches from the
+    batch's own Δ however views split its roots and however many events
+    it stacks."""
+
+    @staticmethod
+    def registry(num_persons: int, views: dict) -> ViewRegistry:
+        storage = StorageManager()
+        xmark.register_site(storage, num_persons, seed=1)
+        registry = ViewRegistry(storage)
+        for name, query in views.items():
+            registry.register(name, query, cost_model=pinned())
+        return registry
+
+    def test_two_root_batches_split_across_views_stay_warm(self):
+        """``join`` is routed both roots of a person + auction batch,
+        ``sel`` and ``profiles`` the person only: a delete patch staged
+        under one view's subset serves the others' passes of the same
+        dispatch, and nothing is re-derived from the document."""
+        registry = self.registry(1000, {"join": xmark.JOIN_QUERY,
+                                        "sel": xmark.SELECTION_QUERY,
+                                        "profiles": xmark.ORDER_QUERY_1})
+        storage, stats = registry.storage, registry.state_store.stats
+        for cycle in range(20):
+            if cycle == 1:
+                warm = (stats.invalidations, stats.misses)
+            registry.apply_updates([
+                UpdateRequest.insert("site.xml", persons_of(storage)[-1],
+                                     xmark.new_person_xml(cycle), "after"),
+                UpdateRequest.insert(
+                    "site.xml", closed_auctions_of(storage)[-1],
+                    xmark.new_closed_auction_xml(
+                        cycle, f"newperson{cycle}"), "after")])
+            registry.apply_updates([
+                UpdateRequest.delete("site.xml", persons_of(storage)[-1]),
+                UpdateRequest.delete("site.xml",
+                                     closed_auctions_of(storage)[-1])])
+        assert (stats.invalidations, stats.misses) == warm
+        for name in registry.names():
+            assert registry.query(name) == registry.recompute_xml(name)
+        audit_operator_state(registry)
+        registry.close()
+
+    def grouped_run(self, targets_of) -> None:
+        """Warm the three grouped views with one city modify, then apply
+        one batch modifying ``targets_of(cities)``: no entry may be
+        invalidated or re-derived, and every table stays exact."""
+        def modifies(targets):
+            return [UpdateRequest.modify("site.xml", city,
+                                         xmark.CITIES[step % 5])
+                    for step, city in enumerate(targets)]
+
+        registry = self.registry(200, GROUPED_VIEWS)
+        stats = registry.state_store.stats
+        cities = registry.storage.find_by_path("site.xml", CITY_PATH)
+        registry.apply_updates(modifies(cities[-1:]))
+        warm = (stats.invalidations, stats.misses)
+        registry.apply_updates(modifies(targets_of(cities)))
+        assert (stats.invalidations, stats.misses) == warm
+        assert audit_operator_state(registry) > 0
+        for name in registry.names():
+            assert registry.to_xml(name) == registry.recompute_xml(name)
+            assert registry.view(name).stats.recomputes == 0
+        registry.close()
+
+    def test_one_batch_modifying_a_city_twice_patches(self):
+        self.grouped_run(lambda cities: [cities[0], cities[0]])
+
+    def test_a_long_modify_run_patches(self):
+        self.grouped_run(lambda cities: cities[:80])
 
 
 def assert_no_dead_keys(view) -> None:

@@ -13,11 +13,12 @@ from repro import Database, StorageManager, UpdateRequest, ViewRegistry
 from repro.plan import lower
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
-from repro.xat.base import DELTA, FULL, MODIFY
+from repro.xat.base import DELTA, FULL, MODIFY, DeltaRoot, DeltaSpec
 
 from .helpers import (ALL_MUTATORS, FUZZ_VIEWS, GROUPED_VIEWS,
-                      SHARING_VIEWS, assert_consistent, books_of, pinned,
-                      run_differential, running_example, site_view)
+                      SHARING_POLICIES, SHARING_VIEWS, assert_consistent,
+                      books_of, pinned, run_differential, running_example,
+                      site_view)
 
 CITY_PATH = [("child", "site"), ("child", "people"), ("child", "person"),
              ("child", "address"), ("child", "city")]
@@ -218,9 +219,11 @@ class TestVmExecution:
 
 
 class TestStaleWindowGuard:
-    """A second mutation on an already-stale subtree is ambiguous (one
-    batch or two?) — the entry must invalidate, not stack a stale record
-    a later patch would silently half-apply."""
+    """A stale backlog belongs to one batch, named by its dispatch epoch:
+    events of that epoch stack (same subtree or not) and the batch's own
+    spec patches them, while a relevant event of another epoch — which no
+    one spec can cover — invalidates the entry instead of stacking a
+    record a later patch would silently half-apply."""
 
     def _warm_entry(self):
         storage, view = site_view(xmark.PERSONS_BY_CITY_QUERY, 20, seed=1)
@@ -234,28 +237,51 @@ class TestStaleWindowGuard:
         assert entries, "no warm entry over the city subtree"
         return storage, view, entries[0], cities
 
-    def test_distinct_subtrees_stack_same_subtree_invalidates(self):
+    @staticmethod
+    def _spec(keys, epoch):
+        return DeltaSpec("site.xml", tuple(DeltaRoot(key, MODIFY)
+                                           for key in keys),
+                         MODIFY, epoch)
+
+    def test_events_of_one_epoch_stack_and_one_spec_covers_them(self):
         storage, view, entry, cities = self._warm_entry()
-        tags = storage.tag_path(cities[0])
-        entry.on_mutation(MODIFY, cities[0], tags, "site.xml")
-        assert entry.valid and len(entry.stale) == 1
+        epoch = view.registry.state_store.epoch
+        address = storage.parent_key(cities[0])
+        for key in (cities[0], cities[1], cities[0], address):
+            entry.on_mutation(MODIFY, key, storage.tag_path(key),
+                              "site.xml", epoch)
+        assert entry.valid and len(entry.stale) == 4
+        # the batch's own spec covers the backlog; a spec whose roots
+        # coincide but that names another batch does not
+        assert entry.stale_covered_by(
+            self._spec([address, cities[1]], epoch))
+        assert not entry.stale_covered_by(
+            self._spec([address, cities[1]], epoch + 1))
+        assert not entry.stale_covered_by(self._spec([cities[0]], epoch))
+        view.close()
+
+    def test_event_of_a_second_epoch_invalidates(self):
+        storage, view, entry, cities = self._warm_entry()
+        epoch = view.registry.state_store.epoch
+        address = storage.parent_key(cities[0])
+        assert address.is_ancestor_of(cities[0])
+        entry.on_mutation(MODIFY, cities[0],
+                          storage.tag_path(cities[0]), "site.xml", epoch)
         entry.on_mutation(MODIFY, cities[1],
-                          storage.tag_path(cities[1]), "site.xml")
+                          storage.tag_path(cities[1]), "site.xml", epoch)
         assert entry.valid and len(entry.stale) == 2
-        entry.on_mutation(MODIFY, cities[0], tags, "site.xml")
+        entry.on_mutation(MODIFY, address,
+                          storage.tag_path(address), "site.xml", epoch + 1)
         assert not entry.valid
         view.close()
 
-    def test_ancestor_of_stale_key_invalidates(self):
+    def test_event_of_a_second_epoch_invalidates_on_a_disjoint_subtree(self):
         storage, view, entry, cities = self._warm_entry()
-        address = storage.find_by_path(
-            "site.xml", CITY_PATH[:-1])[0]
-        assert address.is_ancestor_of(cities[0])
+        epoch = view.registry.state_store.epoch
         entry.on_mutation(MODIFY, cities[0],
-                          storage.tag_path(cities[0]), "site.xml")
-        assert entry.valid
-        entry.on_mutation(MODIFY, address,
-                          storage.tag_path(address), "site.xml")
+                          storage.tag_path(cities[0]), "site.xml", epoch)
+        entry.on_mutation(MODIFY, cities[1],
+                          storage.tag_path(cities[1]), "site.xml", epoch + 1)
         assert not entry.valid
         view.close()
 
@@ -284,6 +310,15 @@ class TestDifferential:
         followers filling registers from another view's pass."""
         run_differential(7, 30, ALL_MUTATORS, SHARING_VIEWS,
                          num_persons=20, site_seed=1, shared=True)
+
+    def test_deferred_and_threshold_views_in_one_registry(self):
+        """The same ten views with two deferred and one threshold view:
+        their queues span several batches (and epochs) between reads,
+        drain before conflicting changes and flush older batches over
+        the store the immediate views keep current."""
+        run_differential(5, 40, ALL_MUTATORS, SHARING_VIEWS,
+                         num_persons=20, site_seed=1, shared=True,
+                         policies=SHARING_POLICIES)
 
     def test_bib_running_example(self):
         storage, view = running_example()

@@ -4,7 +4,7 @@ import pytest
 
 from repro import StorageManager, UpdateRequest, XmlDocument
 from repro.translate import translate_query
-from repro.updates import Sapt, UpdateTree, batch_update_trees
+from repro.updates import RunBatcher, Sapt, UpdateTree, spec_for_run
 from repro.updates.sapt import EXPOSED, PREDICATE
 from repro.flexkeys import FlexKey
 from repro.xat.base import DELETE, INSERT, MODIFY
@@ -121,10 +121,18 @@ class TestBatching:
     def _tree(self, doc, key, kind):
         return UpdateTree(doc, FlexKey(key), kind)
 
+    @staticmethod
+    def _runs(trees):
+        """Push ``trees`` through one :class:`RunBatcher`; the closed
+        runs, each as the spec of its propagation pass."""
+        batcher = RunBatcher()
+        runs = [batcher.push(tree)[0] for tree in trees] + [batcher.close()]
+        return [spec_for_run(run) for run in runs if run is not None]
+
     def test_same_kind_same_doc_one_batch(self):
         trees = [self._tree("d", "b.b", INSERT),
                  self._tree("d", "b.d", INSERT)]
-        batches = batch_update_trees(trees)
+        batches = self._runs(trees)
         assert len(batches) == 1
         assert len(batches[0].roots) == 2
 
@@ -132,25 +140,25 @@ class TestBatching:
         trees = [self._tree("d", "b.b", INSERT),
                  self._tree("d", "b.d", DELETE),
                  self._tree("d", "b.f", DELETE)]
-        batches = batch_update_trees(trees)
+        batches = self._runs(trees)
         assert [b.phase for b in batches] == [INSERT, DELETE]
 
     def test_document_change_splits(self):
         trees = [self._tree("d1", "b.b", INSERT),
                  self._tree("d2", "b.b", INSERT)]
-        assert len(batch_update_trees(trees)) == 2
+        assert len(self._runs(trees)) == 2
 
     def test_nested_roots_deduplicated(self):
         trees = [self._tree("d", "b.b", DELETE),
                  self._tree("d", "b.b.d", DELETE)]  # inside the first
-        batches = batch_update_trees(trees)
+        batches = self._runs(trees)
         assert len(batches[0].roots) == 1
         assert batches[0].roots[0].key.value == "b.b"
 
     def test_enclosing_root_replaces_nested(self):
         trees = [self._tree("d", "b.b.d", DELETE),
                  self._tree("d", "b.b", DELETE)]
-        batches = batch_update_trees(trees)
+        batches = self._runs(trees)
         assert [r.key.value for r in batches[0].roots] == ["b.b"]
 
 
