@@ -18,6 +18,16 @@ top-down, matching children by semantic identity:
   ownership existed) is copied once, before its first patch, because the
   item it rode in on is shared by every pass that reads its register and
   by the operator-state store.
+
+**Serialization caches.**  Every extent element caches its compact XML
+(:attr:`ExtentNode.xml`) and ``_fuse`` empties the cache of the node it
+fuses, on entry.  The rule is complete: an element's XML changes only
+when its own attributes, text or children change or a descendant's do;
+each such change happens inside ``_fuse`` of that element, which Deep
+Union reaches only through ``_fuse`` of every ancestor.  All other
+elements keep strings that are still right; inserted subtrees arrive
+uncached (or cached by the delta log once settled) and removed ones
+take their caches along.  A count-only merge empties its path too.
 """
 
 from __future__ import annotations
@@ -25,8 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..xmlmodel.serializer import serialize
-from .extent import FOREST_TAG, TEXT_ID, ExtentNode, forest_root
+from .extent import FOREST_TAG, ExtentNode, forest_root, serialize_extent
 
 
 @dataclass
@@ -109,7 +118,7 @@ def _json_path(path: tuple) -> list:
 def _log_insert(log: list, path: tuple, node: ExtentNode) -> None:
     log.append({"op": "insert", "parent": _json_path(path),
                 "key": list(node.match_key()), "order": node.order,
-                "xml": serialize(node.to_xml())})
+                "xml": serialize_extent(node)})
 
 
 def _log_remove(log: list, path: tuple, key: tuple) -> None:
@@ -125,7 +134,7 @@ def _log_text(log: list, path: tuple, existing: ExtentNode) -> None:
 
 def _log_replace(log: list, path: tuple, existing: ExtentNode) -> None:
     log.append({"op": "replace", "path": _json_path(path),
-                "xml": serialize(existing.to_xml())})
+                "xml": serialize_extent(existing)})
 
 
 def _log_agg(log: list, path: tuple, node: ExtentNode) -> None:
@@ -246,6 +255,7 @@ def _fuse(existing: ExtentNode, incoming: ExtentNode,
     path of ``existing`` (match keys below the forest root, see the
     record schema above) and is only extended while ``log`` is a list.
     """
+    existing.xml = None
     report.merged += 1
     if incoming.agg is not None and existing.agg is not None:
         _merge_aggregate(existing, incoming, report, log, path)

@@ -6,10 +6,15 @@ derivations, Chapter 6) and children kept sorted by order token.  The same
 structure represents delta update trees (Chapter 7's propagation output),
 whose counts may be negative (deletes) or whose nodes may be flagged
 ``refresh`` (content-only re-derivations).
+
+:func:`serialize_extent` is the one writer of extent XML.  Every element
+caches what it last wrote (``xml``) and Deep Union empties that cache
+along the paths it fuses, so a read rebuilds only what changed.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from operator import attrgetter
 from typing import Optional
@@ -17,6 +22,7 @@ from typing import Optional
 from ..flexkeys import FlexKey, order_of
 from ..storage import ContentItem, Skeleton
 from ..xmlmodel import XmlNode
+from ..xmlmodel.serializer import escape_attr, escape_text
 from ..xat.grouping import AggState
 from ..xat.table import AtomicItem, Item, NodeItem
 
@@ -35,7 +41,7 @@ class ExtentNode:
     """One node of a materialized view extent / delta update tree."""
 
     __slots__ = ("node_id", "order", "tag", "text", "attributes", "children",
-                 "count", "refresh", "agg", "base", "_child_index")
+                 "count", "refresh", "agg", "base", "xml", "_child_index")
 
     def __init__(self, node_id: str, order: str, tag: Optional[str] = None,
                  text: Optional[str] = None,
@@ -54,6 +60,9 @@ class ExtentNode:
         #: True for exposed copies of base (source) nodes: a refresh of a
         #: base copy is a full re-derivation and replaces children wholesale.
         self.base = base
+        #: an element's XML as :func:`serialize_extent` last wrote it;
+        #: None until written and after a change (text nodes: always)
+        self.xml: Optional[str] = None
         self._child_index: dict[tuple, ExtentNode] = {}
 
     # -- identity ------------------------------------------------------------------
@@ -107,6 +116,55 @@ class ExtentNode:
         label = f"text={self.text!r}" if self.is_text else f"<{self.tag}>"
         return (f"ExtentNode({self.node_id!r}, {label}, count={self.count}, "
                 f"{len(self.children)} children)")
+
+
+# -- the extent writer --------------------------------------------------------------------
+
+
+class _WriterTally(threading.local):
+    """Elements :func:`serialize_extent` built — rather than reused from
+    their cache — in this thread; a reader counts its own write as the
+    difference across the call."""
+
+    built = 0
+
+
+WRITER_TALLY = _WriterTally()
+
+
+def serialize_extent(node: Optional[ExtentNode]) -> str:
+    """Compact XML of an extent or of one of its nodes: byte-identical to
+    ``serialize(node.to_xml())`` (the ``indent=None`` form of
+    :mod:`repro.xmlmodel.serializer`), except that a forest root writes
+    its children one after another and None writes nothing."""
+    if node is None:
+        return ""
+    built = [0]
+    xml = _write(node.children if node.tag == FOREST_TAG else [node], built)
+    WRITER_TALLY.built += built[0]
+    return xml
+
+
+def _write(nodes: list, built: list) -> str:
+    """Sibling nodes' XML: a clean element's cached string, a text node
+    escaped, and any other element rebuilt (``built`` counts them)."""
+    return "".join([node.xml or (_build(node, built) if node.tag is not None
+                                 else escape_text(node.text or ""))
+                    for node in nodes])
+
+
+def _build(node: ExtentNode, built: list) -> str:
+    built[0] += 1
+    tag = node.tag
+    attrs = ("".join([f' {name}="{escape_attr(value)}"'
+                      for name, value in node.attributes.items()])
+             if node.attributes else "")
+    if node.children:
+        xml = f"<{tag}{attrs}>{_write(node.children, built)}</{tag}>"
+    else:
+        xml = f"<{tag}{attrs}/>"
+    node.xml = xml
+    return xml
 
 
 # -- building extent/delta trees from execution results ---------------------------------

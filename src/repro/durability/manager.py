@@ -317,7 +317,16 @@ class DurabilityManager:
 
     def recover(self, registry) -> RecoveryReport:
         """Rebuild ``registry`` (fresh, empty) from the durable directory
-        and position the WAL for appending.  Call :meth:`bind` after."""
+        and position the WAL for appending.  Call :meth:`bind` after.
+        A recovery that raises closes the manager (no checkpoint), so
+        the WAL segment it opened for appending is not left open."""
+        try:
+            return self._recover(registry)
+        except BaseException:
+            self.close()
+            raise
+
+    def _recover(self, registry) -> RecoveryReport:
         report = RecoveryReport()
         started = time.perf_counter()
         self.recovered_server_state = None

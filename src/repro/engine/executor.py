@@ -12,14 +12,13 @@ import time
 from typing import Optional
 
 from ..apply.deep_union import FusionReport, deep_union, fuse_forest
-from ..apply.extent import FOREST_TAG, ExtentNode, node_from_item
+from ..apply.extent import ExtentNode, node_from_item, serialize_extent
 from ..storage import StorageManager
 from ..xat.base import (DELTA, FULL, DeltaSpec, ExecutionContext, Profiler,
                         XatOperator)
 from ..xat.construction import Expose
 from ..xat.table import XatTable, items_of
 from ..xmlmodel import XmlNode
-from ..xmlmodel.serializer import escape_attr, escape_text
 
 
 class Engine:
@@ -139,18 +138,14 @@ class Engine:
 
     @staticmethod
     def serialize_extent(extent: Optional[ExtentNode]) -> str:
-        """Compact XML of an extent, written straight from the
-        :class:`ExtentNode` tree — byte-identical to
-        ``serialize(extent.to_xml())`` without building the copy."""
-        if extent is None:
-            return ""
-        parts: list[str] = []
-        if extent.tag == FOREST_TAG:
-            for child in extent.children:
-                _write_extent(child, parts)
-        else:
-            _write_extent(extent, parts)
-        return "".join(parts)
+        """Compact XML of an extent — byte-identical to
+        ``serialize(extent.to_xml())`` for each root of the forest.
+
+        Written by :func:`repro.apply.extent.serialize_extent`, which
+        reuses every element's cached string and rebuilds only the
+        elements Deep Union changed since the extent was last written,
+        so a read costs O(elements changed), not O(view)."""
+        return serialize_extent(extent)
 
     def query(self, plan: XatOperator,
               profiler: Optional[Profiler] = None) -> str:
@@ -163,22 +158,6 @@ class Engine:
         if len(extent.children) == 1:
             return extent.children[0].to_xml()
         return extent.to_xml() if extent.children else None
-
-
-def _write_extent(node: ExtentNode, parts: list[str]) -> None:
-    """The compact (``indent=None``) form of ``xmlmodel.serializer``."""
-    if node.tag is None:
-        parts.append(escape_text(node.text or ""))
-        return
-    attrs = "".join(f' {name}="{escape_attr(value)}"'
-                    for name, value in node.attributes.items())
-    if not node.children:
-        parts.append(f"<{node.tag}{attrs}/>")
-        return
-    parts.append(f"<{node.tag}{attrs}>")
-    for child in node.children:
-        _write_extent(child, parts)
-    parts.append(f"</{node.tag}>")
 
 
 def _ensure_sorted(node: ExtentNode) -> None:

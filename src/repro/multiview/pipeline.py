@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..apply import ExtentNode, FusionReport
+from ..apply.extent import WRITER_TALLY
 from ..engine import Engine
 from ..engine.opstate import OperatorStateStore
 from ..plan import PlanCache, PlanVM
@@ -135,6 +136,9 @@ class ViewPipeline:
         self.tracer = None
         self.extent: Optional[ExtentNode] = None
         self.materialized = False
+        #: extent elements rebuilt by reads (a read takes every other
+        #: element from its cached XML)
+        self.serialized_elements = 0
         self.vm = PlanVM(plan_cache)
         self.state_store = state_store
 
@@ -150,7 +154,10 @@ class ViewPipeline:
                                                        vm=self.vm)
 
     def to_xml(self) -> str:
-        return Engine.serialize_extent(self.extent)
+        before = WRITER_TALLY.built
+        xml = Engine.serialize_extent(self.extent)
+        self.serialized_elements += WRITER_TALLY.built - before
+        return xml
 
     def recompute_xml(self) -> str:
         """Full recomputation over current sources (the correctness

@@ -316,6 +316,10 @@ class ViewRegistry:
                           view=name).set(view.pending_trees())
             metrics.gauge("view_extent_nodes", "Materialized extent size",
                           view=name).set(view.pipeline.extent_size())
+            metrics.counter("view_serialized_elements_total",
+                            "Extent elements rebuilt by reads (the rest "
+                            "came from their cached XML)",
+                            view=name).set(view.pipeline.serialized_elements)
             metrics.counter("view_refreshes",
                             "Refreshes (monotone sequence number)",
                             view=name).set(view.refresh_sequence)
@@ -348,6 +352,7 @@ class ViewRegistry:
             name, view.pipeline.plan, policy=view.policy, cost=view.cost,
             stats=view.stats, report=view.report, store=self.state_store,
             extent_size=view.pipeline.extent_size(),
+            serialized_elements=view.pipeline.serialized_elements,
             pending_trees=view.pending_trees(),
             query_text=view.query_text, plan_cache=self.plan_cache)
 

@@ -76,6 +76,7 @@ def _walk(op, store, prefix: str, last: bool, lines: list,
 
 def render_explain(name: str, plan, *, policy=None, cost=None, stats=None,
                    report=None, store=None, extent_size=None,
+                   serialized_elements=None,
                    pending_trees: int = 0, query_text: str = "",
                    plan_cache=None) -> str:
     """The annotated plan tree of one maintained view as display text.
@@ -89,6 +90,8 @@ def render_explain(name: str, plan, *, policy=None, cost=None, stats=None,
         lines[0] += f"  policy={getattr(policy, 'kind', policy)}"
     if extent_size is not None:
         lines[0] += f"  extent_nodes={extent_size}"
+    if serialized_elements is not None:
+        lines[0] += f"  serialized_elements={serialized_elements}"
     lines[0] += f"  pending_trees={pending_trees}"
     if query_text:
         lines.append(f"query: {' '.join(query_text.split())}")

@@ -697,6 +697,43 @@ def test_recover_torn_final_record(tmp_path):
     again.close()
 
 
+class _HandleCountingFileSystem(RealFileSystem):
+    """Remembers every file it opens, to count those left open."""
+
+    def __init__(self):
+        self.opened = []
+
+    def open(self, path: str, mode: str):
+        handle = super().open(path, mode)
+        self.opened.append(handle)
+        return handle
+
+    def open_handles(self) -> int:
+        return sum(not handle.closed for handle in self.opened)
+
+
+@pytest.mark.parametrize("payload, error", [
+    ({"t": "bogus"}, ValueError),
+    # a wide document logged without its atom scheme
+    ({"t": "load", "name": "wide.xml", "xml": "<w>" + "<c/>" * 13 + "</w>"},
+     RecoveryError),
+])
+def test_failed_recovery_leaves_no_file_open(tmp_path, payload, error):
+    """The WAL segment recovery opened for appending is closed when a
+    record cannot be replayed: the raise leaves ``Database.__init__``
+    before the caller holds anything it could close."""
+    db = seed_db(tmp_path)
+    db.close()
+    lsn = db.durability.wal.last_lsn
+    segment = sorted(glob.glob(str(tmp_path / "wal-*.log")))[-1]
+    with open(segment, "ab") as fh:
+        fh.write(encode_record(lsn + 1, payload))
+    fs = _HandleCountingFileSystem()
+    with pytest.raises(error):
+        Database(durable_path=tmp_path, durability_fs=fs)
+    assert fs.opened and fs.open_handles() == 0
+
+
 def test_recover_corrupt_checkpoint_falls_back_with_tail(tmp_path):
     db = seed_db(tmp_path, checkpoint_every=4)
     drive(db, steps=10)                        # several checkpoints cut
