@@ -15,11 +15,14 @@ read every fifth step).  Every batch is checked against the
 recompute oracle and the operator-state audit (cached tables and the
 side indexes' support counters), so a future divergence
 fails the build instead of landing in ROADMAP as an open item.
+``--ad-hoc`` adds the ad-hoc leg to every registry: each step, every
+view's query is also asked through ``ViewRegistry.ask`` (the query
+entries ``Database.query`` keeps) and must equal a fresh evaluation.
 
 Run from the repo root::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/fuzz_differential.py \
-        --seeds 1,2,3 --steps 30 --budget 300
+        --seeds 1,2,3 --steps 30 --budget 300 [--ad-hoc]
 
 The budget is a soft wall-clock cap: the sweep stops scheduling new legs
 once it is exhausted (already-running legs finish), printing how much was
@@ -105,6 +108,11 @@ def main(argv=None) -> int:
                         help="crash_churn legs kill+recover the durable "
                              "session every N rounds (0 disables the "
                              "crash_churn schedule; default 5)")
+    parser.add_argument("--ad-hoc", action="store_true",
+                        help="every step, also ask each view's query "
+                             "through ViewRegistry.ask (kept query "
+                             "entries) and compare it with a fresh "
+                             "Engine.query")
     args = parser.parse_args(argv)
     seeds = [int(part) for part in args.seeds.split(",") if part]
     names = ([name for name in args.views.split(",") if name]
@@ -136,9 +144,10 @@ def main(argv=None) -> int:
             updates += run_differential(
                 seed, args.steps, ALL_MUTATORS, queries,
                 num_persons=args.persons, site_seed=1, shared=shared,
-                policies=policies)
+                policies=policies, ad_hoc=args.ad_hoc)
             legs_run += 1
-            print(f"ok   seed={seed} view={label}")
+            print(f"ok   seed={seed} view={label}"
+                  + (" +ad-hoc" if args.ad_hoc else ""))
     if args.crash_every:
         for seed in seeds:
             if time.monotonic() - started > args.budget:

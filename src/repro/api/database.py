@@ -46,7 +46,6 @@ from ..multiview.registry import MultiViewReport, RefreshEvent, ViewRegistry
 from ..obs import MetricsRegistry, Tracer, render_prometheus
 from ..obs.core import STATE as _OBS
 from ..storage import StorageManager
-from ..translate import translate_query
 from ..updates.errors import UpdateError
 from ..xmlmodel import XmlDocument
 from ..xquery.parser import XQueryParseError
@@ -222,9 +221,15 @@ class Database:
     # -- ad-hoc reads ------------------------------------------------------------------
 
     def query(self, xquery: str) -> str:
-        """Execute an XQuery string once and return its XML result
-        (no extent is kept — use :meth:`create_view` for that)."""
-        return self.registry.engine.query(translate_query(xquery))
+        """Answer an XQuery string; the XML equals a fresh evaluation.
+
+        The registry keeps the extent of up to eight per-item linear
+        queries, maintained like hidden deferred views, so asking the
+        same text again costs the updates since the last ask.  A query
+        that groups, joins or deduplicates is evaluated fresh every time
+        (see :meth:`ViewRegistry.ask`).  Kept extents are neither views
+        nor durable state — use :meth:`create_view` for those."""
+        return self.registry.ask(xquery)
 
     # -- updates -----------------------------------------------------------------------
 

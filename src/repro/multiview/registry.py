@@ -18,9 +18,20 @@ number of simultaneously maintained views:
   (relevance is ancestor-monotone, so the global nested-root dedup never
   hides a root from a view that needs it);
 * **policies** — immediate views propagate at every batch boundary;
-  deferred/threshold views queue batches and flush lazily.  Delete
-  batches are barriers: the doomed subtrees leave storage only after
-  every relevant view (whatever its policy) has propagated them;
+  deferred/threshold views, and the query entries below, queue batches
+  and flush lazily.  Delete batches are barriers: the doomed subtrees
+  leave storage only after every relevant view (whatever its policy)
+  has propagated them;
+* **ad-hoc queries** — :meth:`ViewRegistry.ask` keeps the extent of each
+  per-item linear query it answers as a :class:`QueryEntry`, a deferred
+  view no one named: routed, queued and barrier-flushed like any other,
+  flushed when the same text is asked again, absent from :meth:`names`,
+  metrics labels, the WAL and checkpoints.  At most
+  :data:`QUERY_CACHE_CAPACITY` are kept (least recently asked evicted
+  first), and an entry whose queue would cost as much as re-reading its
+  sources is evicted, never recomputed in place.  Entangled queries (see
+  :func:`_derivations_entangled`) are evaluated fresh on every ask over
+  a kept prepared plan;
 * **cost-based fallback** — at flush time each view's cost model compares
   the estimated propagation cost of its pending trees against observed
   recomputation cost and recomputes the extent wholesale when
@@ -30,6 +41,7 @@ number of simultaneously maintained views:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -46,11 +58,13 @@ from ..updates.primitives import UpdateRequest, UpdateTree
 from ..xat import (DELETE, INSERT, MODIFY, Aggregate, CartesianProduct,
                    Distinct, GroupBy, Join, LeftOuterJoin, Profiler,
                    XatOperator, XmlUnique)
+from ..xat.base import FULL
 from ..xat.grouping import TupleFunction
 from .cost import CostModel
 from .pipeline import (MaintenanceReport, ViewPipeline, apply_insert,
                        direct_text)
-from .policies import IMMEDIATE_KIND, THRESHOLD_KIND, MaintenancePolicy
+from .policies import (DEFERRED, IMMEDIATE_KIND, THRESHOLD_KIND,
+                       MaintenancePolicy)
 from .router import SharedValidationRouter
 
 
@@ -200,12 +214,54 @@ class RegisteredView:
         self.mutation_listeners = 0
         self.query_text = ""
         self.entangled = _derivations_entangled(pipeline.plan)
+        #: the ``view`` attribute of this view's flush spans
+        self.label = name
 
     def pending_trees(self) -> int:
         return sum(len(batch) for batch in self.pending)
 
     def to_xml(self) -> str:
         return self.pipeline.to_xml()
+
+
+#: query entries :meth:`ViewRegistry.ask` keeps at most
+QUERY_CACHE_CAPACITY = 8
+
+
+class QueryEntry(RegisteredView):
+    """The kept extent of one ad-hoc query (see :meth:`ViewRegistry.ask`).
+
+    A deferred view under the router key ``("query", text)`` — no view
+    name is a tuple — that never recomputes: once its queue reaches
+    :meth:`over_work_bound` it is evicted instead.  An entangled entry
+    keeps only its prepared plan and is never routed.
+    """
+
+    def __init__(self, text: str, pipeline: ViewPipeline):
+        super().__init__(("query", text), pipeline, DEFERRED,
+                         CostModel(bias=math.inf))
+        self.label = "query"
+        #: rows the materialization's instructions read, and how many
+        #: instructions the plan has (the work bound's two sides)
+        self.rows_read = 0
+        self.instructions = 0
+
+    def over_work_bound(self) -> bool:
+        """Would propagating the queue touch as many rows as
+        re-materializing did?  (Every pending tree is charged one row per
+        instruction — counters, not a clock.)"""
+        return self.pending_trees() * self.instructions >= self.rows_read
+
+
+@dataclass
+class QueryCacheStats:
+    """What :meth:`ViewRegistry.ask` did: answers from a kept extent,
+    fresh evaluations, and evictions by reason."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: dict = field(
+        default_factory=lambda: {"work": 0, "capacity": 0})
 
 
 class ViewRegistry:
@@ -237,6 +293,9 @@ class ViewRegistry:
         #: DDL is logged on success.
         self.wal = None
         self._views: dict[str, RegisteredView] = {}
+        #: :meth:`ask`'s entries by router key, least recently asked first
+        self._queries: dict[tuple, QueryEntry] = {}
+        self.query_stats = QueryCacheStats()
         #: the register files of the run being dispatched, one per
         #: distinct routed subset: ``{ids of its trees: (spec, memo)}``
         #: (see :meth:`_dispatch`); empty outside a dispatch
@@ -306,6 +365,20 @@ class ViewRegistry:
         metrics.gauge("opstate_cached_signatures",
                       "Distinct subplan signatures with cached state"
                       ).set(len(self.state_store.per_signature()))
+        queries = self.query_stats
+        metrics.counter("query_cache_hits",
+                        "Ad-hoc queries answered from a kept extent"
+                        ).set(queries.hits)
+        metrics.counter("query_cache_misses",
+                        "Ad-hoc queries evaluated fresh (first ask, "
+                        "after an eviction, or entangled)"
+                        ).set(queries.misses)
+        for reason, count in queries.evictions.items():
+            metrics.counter("query_cache_evictions",
+                            "Ad-hoc query entries dropped",
+                            reason=reason).set(count)
+        metrics.gauge("query_cache_entries",
+                      "Ad-hoc query entries kept").set(len(self._queries))
         for name, view in self._views.items():
             for key, value in view.stats.as_dict().items():
                 metrics.counter(f"view_{key}",
@@ -528,6 +601,65 @@ class ViewRegistry:
         """Full recomputation oracle for one view (extent untouched)."""
         return self._views[name].pipeline.recompute_xml()
 
+    # -- ad-hoc queries ----------------------------------------------------------------
+
+    def ask(self, xquery: str) -> str:
+        """Answer an ad-hoc XQuery string — byte-identical to a fresh
+        ``Engine.query(translate_query(xquery))``.
+
+        The first ask of a per-item linear query materializes it and
+        keeps the extent as a :class:`QueryEntry`; a later ask of the same
+        text flushes the entry's queued Δ and writes it through the
+        cached-XML extent writer.  An entangled query is evaluated fresh
+        every time over the entry's kept prepared plan."""
+        key = ("query", xquery)
+        entry = self._queries.pop(key, None)
+        if entry is not None:
+            self._queries[key] = entry          # now the most recent
+            if entry.entangled:
+                self.query_stats.misses += 1
+                return entry.pipeline.recompute_xml()
+            self.query_stats.hits += 1
+            self._flush_view(entry)
+            return entry.pipeline.to_xml()
+        self.query_stats.misses += 1
+        pipeline = ViewPipeline(self.engine, translate_query(xquery),
+                                self.state_store, self.plan_cache)
+        pipeline.tracer = self.tracer
+        entry = QueryEntry(xquery, pipeline)
+        if entry.entangled:
+            xml = pipeline.recompute_xml()
+        else:
+            try:
+                pipeline.materialize()
+            except BaseException:
+                self.plan_cache.invalidate(pipeline.plan)
+                raise
+            xml = pipeline.to_xml()
+            # a fresh materialization runs every instruction once
+            compiled = self.plan_cache.plan(pipeline.plan, FULL)
+            entry.rows_read = sum(instr.rows_in
+                                  for instr in compiled.instructions)
+            entry.instructions = len(compiled)
+            self.router.subscribe(key, pipeline.sapt)
+        self._queries[key] = entry
+        if len(self._queries) > QUERY_CACHE_CAPACITY:
+            self._evict(next(iter(self._queries.values())), "capacity")
+        return xml
+
+    def _evict(self, entry: QueryEntry, reason: str) -> None:
+        del self._queries[entry.name]
+        if not entry.entangled:
+            self.router.unsubscribe(entry.name)
+        entry.pending.clear()
+        self.plan_cache.invalidate(entry.pipeline.plan)
+        self.query_stats.evictions[reason] += 1
+
+    def _routed(self, name) -> Optional[RegisteredView]:
+        """The view or query entry subscribed to the router as ``name``."""
+        view = self._views.get(name)
+        return view if view is not None else self._queries.get(name)
+
     # -- the shared update entry point -------------------------------------------------
 
     def apply_updates(self, updates: list[UpdateRequest],
@@ -651,7 +783,7 @@ class ViewRegistry:
             assert closed is None  # the boundary flush above closed it
             if accepted:
                 for name in tree.views:
-                    view = self._views.get(name)
+                    view = self._routed(name)
                     if view is not None:
                         view.report.accepted += 1
                         view.stats.routed_trees += 1
@@ -694,9 +826,9 @@ class ViewRegistry:
         inserts route only after the node exists).  The pending run is
         closed first so its trees flush in order.
         """
-        views = ([self._views[name] for name in names
-                  if name in self._views] if names is not None
-                 else list(self._views.values()))
+        views = ([view for view in map(self._routed, names)
+                  if view is not None] if names is not None
+                 else [*self._views.values(), *self._queries.values()])
 
         def overlaps(t) -> bool:
             if modifies_only and t.kind != MODIFY:
@@ -765,13 +897,16 @@ class ViewRegistry:
         store = self.state_store
         for tree in run:
             tree.epoch = store.epoch
-        affected = [view for name, view in self._views.items()
-                    if any(name in tree.views for tree in run)]
+        routed = frozenset().union(*(tree.views for tree in run))
+        affected = [view for view in (*self._views.values(),
+                                      *self._queries.values())
+                    if view.name in routed]
         try:
             if run[0].kind == DELETE:
                 recompute_after = []
                 for view in affected:
-                    self._enqueue(view, run)
+                    if not self._enqueue(view, run):
+                        continue
                     deferred_trees = self._flush_view(view,
                                                       defer_recompute=True)
                     if deferred_trees is not None:
@@ -782,7 +917,8 @@ class ViewRegistry:
                     self._recompute(view, trees=trees)
                 return
             for view in affected:
-                self._enqueue(view, run)
+                if not self._enqueue(view, run):
+                    continue
                 policy = view.policy
                 if policy.kind == IMMEDIATE_KIND or (
                         policy.kind == THRESHOLD_KIND
@@ -792,7 +928,9 @@ class ViewRegistry:
             self._registers = {}
             store.epoch += 1
 
-    def _enqueue(self, view: RegisteredView, run: list[RoutedTree]) -> None:
+    def _enqueue(self, view: RegisteredView, run: list[RoutedTree]) -> bool:
+        """Queue ``view``'s routed subset of ``run``; False when that
+        put a query entry over its work bound and evicted it."""
         if not view.pipeline.materialized:
             raise RuntimeError(
                 f"materialize view {view.name!r} before updating it")
@@ -818,9 +956,13 @@ class ViewRegistry:
             kept.append(tree)
         if kept:
             view.pending.append(kept)
+            if isinstance(view, QueryEntry) and view.over_work_bound():
+                self._evict(view, "work")
+                return False
             key = tuple(map(id, kept))
             if key not in self._registers:
                 self._registers[key] = (spec_for_run(kept), {})
+        return True
 
     def flush(self, name: Optional[str] = None) -> None:
         """Propagate pending deltas of one view (or of all views) now."""
@@ -853,7 +995,7 @@ class ViewRegistry:
         if capture:
             view.report.fusion.delta_log = []
         with self.tracer.span(
-                "view.flush", view=view.name, trees=trees,
+                "view.flush", view=view.label, trees=trees,
                 decision="propagate",
                 predicted_propagate_seconds=predicted,
                 predicted_recompute_seconds=view.cost.recompute_seconds
@@ -876,7 +1018,7 @@ class ViewRegistry:
         view.stats.propagated_trees += trees
         view.pending.clear()
         delta_tuples = view.report.fusion.mutations - mutations_before
-        if _OBS.enabled:
+        if _OBS.enabled and not isinstance(view, QueryEntry):
             self.metrics.histogram(
                 "flush_seconds", "Wall-clock cost of one flush",
                 view=view.name, decision="propagate").observe(elapsed)

@@ -12,7 +12,9 @@ from collections import Counter
 from typing import Iterable, Optional, Sequence, Union
 
 from repro import CostModel, StorageManager, UpdateRequest, ViewRegistry
+from repro.engine import Engine
 from repro.multiview import DEFERRED, IMMEDIATE, threshold
+from repro.translate import translate_query
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
 from repro.xat.base import ExecutionContext
@@ -350,7 +352,8 @@ def run_differential(seed: int, steps: int, mutators: Sequence[str],
                      views: Union[str, Iterable[str]], *,
                      num_persons: int = 20, site_seed: int = 1,
                      batch_max: int = 3, shared: bool = False,
-                     policies: Optional[dict] = None) -> int:
+                     policies: Optional[dict] = None,
+                     ad_hoc: bool = False) -> int:
     """Drive ``steps`` random mixed batches through
     :meth:`ViewRegistry.apply_updates` and assert that each maintained
     extent is byte-identical to the recompute oracle and, after every
@@ -367,6 +370,11 @@ def run_differential(seed: int, steps: int, mutators: Sequence[str],
     :meth:`ViewRegistry.query` — which flushes them — every fifth step
     and after the last, so their queues span several batches in between.
     Every view is pinned to propagation and must never have recomputed.
+
+    ``ad_hoc`` adds the ad-hoc leg: after every batch each view's query
+    is also asked through :meth:`ViewRegistry.ask` (a kept query entry
+    beside the views) and must equal a fresh
+    ``Engine.query(translate_query(q))``.
 
     Returns the number of updates applied.
     """
@@ -407,6 +415,16 @@ def run_differential(seed: int, steps: int, mutators: Sequence[str],
                 assert got == want, (
                     f"step {step}: {name} diverged from recomputation\n"
                     f" got: {got}\nwant: {want}")
+            if ad_hoc:
+                for query in dict.fromkeys(registry.view(name).query_text
+                                           for name in registry.names()):
+                    got = registry.ask(query)
+                    want = Engine(registry.storage).query(
+                        translate_query(query))
+                    assert got == want, (
+                        f"step {step}: ad-hoc answer diverged from fresh "
+                        f"evaluation\nquery: {query}\n got: {got}\n"
+                        f"want: {want}")
             audit_operator_state(registry)
             assert_path_lists_canonical(registry.storage)
         applied += len(batch)

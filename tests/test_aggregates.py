@@ -9,6 +9,8 @@ from repro import CostModel, StorageManager, UpdateRequest, XmlDocument
 from repro.api import Database
 from repro.apply.deep_union import deep_union
 from repro.apply.extent import ExtentNode
+from repro.engine import Engine
+from repro.translate import translate_query
 from repro.xat import NavigateUnnest, Path, Source
 from repro.xat.base import FULL, ExecutionContext
 from repro.xat.grouping import AggContrib, AggState
@@ -274,28 +276,50 @@ class TestDanglingFlipsThroughSupport:
         self._scans_counted_per_signature(view)
 
 
+#: ``$p/town`` both places ``$p`` in its town's group and correlates the
+#: inner count
+TWO_LEVEL_QUERY = """<r>{
+    for $t in doc("d.xml")/d/towns/t/text()
+    return <g>{$t}{for $p in doc("d.xml")/d/people/p where $p/town = $t
+        return <m>{count(for $q in doc("d.xml")/d/people/p
+                         where $q/town = $p/town return $q/name)}</m>}</g>
+    }</r>"""
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "known divergence: a modify of $p/town moves the row across two "
     "grouping levels at once — the outer group and the inner count's "
     "correlation — and the maintained extent keeps <m> under the old town"))
 def test_modify_of_a_key_read_at_two_grouping_levels():
-    """``$p/town`` both places ``$p`` in its town's group and correlates
-    the inner count; moving ``c`` from Cairo to Lima must move its
-    ``<m>`` along.  Maintained today: ``<g>Cairo<m>1</m></g><g>Lima</g>``;
-    recomputed: ``<g>Cairo</g><g>Lima<m>1</m></g>``."""
+    """Moving ``c`` from Cairo to Lima must move its ``<m>`` along.
+    Maintained today: ``<g>Cairo<m>1</m></g><g>Lima</g>``; recomputed:
+    ``<g>Cairo</g><g>Lima<m>1</m></g>``."""
     sm = towns_storage()
-    view = MaintainedView(sm, """<r>{
-        for $t in doc("d.xml")/d/towns/t/text()
-        return <g>{$t}{for $p in doc("d.xml")/d/people/p where $p/town = $t
-            return <m>{count(for $q in doc("d.xml")/d/people/p
-                             where $q/town = $p/town return $q/name)}</m>}</g>
-        }</r>""")
+    view = MaintainedView(sm, TWO_LEVEL_QUERY)
     view.apply_updates([UpdateRequest.modify(
         "d.xml", sm.children(people_of(sm)[2], "town")[0], "Lima")])
     assert view.registered.stats.recomputes == 0
     assert view.recompute_xml().endswith(
         "<g>Cairo</g><g>Lima<m>1</m></g></r>")
     assert view.to_xml() == view.recompute_xml()
+
+
+def test_two_level_ad_hoc_query_is_evaluated_fresh():
+    """The same shape asked through ``db.query``: entangled, so no
+    extent is kept and the answer after the Cairo → Lima modify is the
+    recompute answer, not the divergence pinned above."""
+    db = Database()
+    db.load("d.xml", TOWNS)
+    assert db.query(TWO_LEVEL_QUERY).endswith(
+        "<g>Cairo<m>1</m></g><g>Lima</g></r>")
+    db.update("d.xml").at("/d/people/p[3]/town").replace_with("Lima")
+    answer = db.query(TWO_LEVEL_QUERY)
+    assert answer.endswith("<g>Cairo</g><g>Lima<m>1</m></g></r>")
+    assert answer == Engine(db.storage).query(
+        translate_query(TWO_LEVEL_QUERY))
+    stats = db.registry.query_stats
+    assert (stats.hits, stats.misses) == (0, 2)
+    assert db.registry.router.subscribers() == []
 
 
 class TestSideHandleSupport:

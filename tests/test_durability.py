@@ -30,6 +30,7 @@ from repro.durability.snapshot import SNAPSHOT_FORMAT, capture_state
 from repro.durability.wal import encode_record, segment_name
 from repro.engine import Engine
 from repro.obs import render_prometheus
+from repro.translate import translate_query
 from repro.workloads import xmark
 from repro.xquery.updates import resolve_path
 
@@ -635,6 +636,53 @@ def test_recovery_restores_operator_state_warm(tmp_path, monkeypatch):
     drive(recovered, steps=2, seed=23)
     assert store.stats.hits > 0, (
         "restored operator state should serve hits, not recompute all")
+    recovered.close()
+
+
+#: an ad-hoc query whose extent the registry keeps (per-item linear)
+AD_HOC = ('<r>{for $p in doc("site.xml")/site/people/person '
+          'where $p/profile/age > "30" return <e>{$p/name}</e>}</r>')
+
+
+def test_ad_hoc_entries_are_not_durable_state(tmp_path):
+    db = seed_db(tmp_path)
+    drive(db, steps=3)
+    db.query(AD_HOC)
+    drive(db, steps=3, seed=5)
+    assert db.query(AD_HOC) == Engine(db.storage).query(
+        translate_query(AD_HOC))
+    assert db.registry.query_stats.hits == 1
+    assert sorted(db.views()) == ["bycity", "join"]
+    assert sorted(view["name"] for view in
+                  capture_state(db.registry)["views"]) == ["bycity", "join"]
+    fs = RealFileSystem()
+    kinds = set()
+    for _start, path in db.durability.wal.segments():
+        records, _valid, _total = read_segment(fs, path)
+        for _lsn, payload in records:
+            kinds.add(payload["t"])
+            assert "profile/age" not in repr(payload)
+    assert kinds == {"load", "create_view", "batch"}
+    db.checkpoint()
+    db.close()
+
+
+def test_killed_session_answers_ad_hoc_queries_alike(tmp_path):
+    """A recovered session keeps no entry: it re-materializes on the
+    first ask and answers with the bytes the killed one gave."""
+    db = seed_db(tmp_path)
+    drive(db, steps=4)
+    db.query(AD_HOC)
+    drive(db, steps=4, seed=9)
+    before = db.query(AD_HOC)
+    del db                                     # simulated kill: no close
+    recovered = durable_db(tmp_path)
+    assert recovered.recovery.wal_records_replayed > 0
+    assert recovered.registry.query_stats.misses == 0
+    assert recovered.query(AD_HOC) == before
+    assert before == Engine(recovered.storage).query(
+        translate_query(AD_HOC))
+    assert recovered.registry.query_stats.misses == 1
     recovered.close()
 
 

@@ -315,6 +315,55 @@ class TestReadWork:
             assert db.registry.view("bycity").stats.recomputes == 0
 
 
+class TestQueryCache:
+    """``db.query``'s kept entries: registry-wide counters with no
+    per-query label, and a ``view.flush`` span labelled ``query``."""
+
+    OSLO = ('<r>{for $p in doc("site.xml")/site/people/person '
+            'where $p/address/city = "Oslo" return $p/name}</r>')
+
+    def test_counters_and_gauge_carry_no_query_label(self):
+        with _city_db() as db:
+            db.query(self.OSLO)
+            db.update("site.xml").at("/site/people/person[1]/name") \
+                .replace_with("Renamed")
+            assert "Renamed" in db.query(self.OSLO)
+            db.query(xmark.CITY_HEADCOUNT_QUERY)    # entangled: fresh
+            snapshot = db.metrics()
+            assert snapshot["query_cache_hits"]["values"] == {"": 1}
+            assert snapshot["query_cache_misses"]["values"] == {"": 2}
+            assert snapshot["query_cache_evictions"]["values"] == {
+                "reason=work": 0, "reason=capacity": 0}
+            assert snapshot["query_cache_entries"]["kind"] == "gauge"
+            assert snapshot["query_cache_entries"]["values"] == {"": 2}
+            labels = {label for family in snapshot.values()
+                      for key in family["values"]
+                      for label in key.split(",") if key}
+            assert {label for label in labels
+                    if label.startswith("view=")} == {"view=by-city"}
+            text = db.render_prometheus()
+            assert "repro_query_cache_hits 1" in text
+            assert 'repro_query_cache_evictions{reason="work"} 0' in text
+            assert "Oslo" not in text
+
+    def test_an_entry_flush_emits_a_view_flush_span(self):
+        with _city_db() as db:
+            db.query(self.OSLO)
+            sink = CollectingSink()
+            db.add_trace_sink(sink)
+            db.update("site.xml").at("/site/people/person[3]/name") \
+                .replace_with("Renamed")
+            assert not [s for s in sink.by_name("view.flush")
+                        if s.attrs["view"] == "query"]   # queued
+            db.query(self.OSLO)
+            [flush] = [s for s in sink.by_name("view.flush")
+                       if s.attrs["view"] == "query"]
+            assert flush.attrs["trees"] == 1
+            assert flush.attrs["decision"] == "propagate"
+            assert sink.by_name("phase.propagate")[-1].parent_id == \
+                flush.span_id
+
+
 class TestDisabledDifferential:
     def test_disabled_observability_identical_extents(self):
         """The paranoia check: enabled vs disabled observability must

@@ -320,6 +320,27 @@ class TestDifferential:
                          num_persons=20, site_seed=1, shared=True,
                          policies=SHARING_POLICIES)
 
+    @pytest.mark.parametrize("name,query", list(FUZZ_VIEWS.items()))
+    def test_ad_hoc_answers(self, name, query):
+        """Each view's query also asked through ``ask`` every step: a
+        kept entry (the per-item linear ones) or a fresh evaluation
+        (the entangled ones) beside the view, equal to ``Engine.query``."""
+        run_differential(7, 8, ALL_MUTATORS, query,
+                         num_persons=20, site_seed=1, ad_hoc=True)
+
+    def test_ad_hoc_answers_sharing_one_registry(self):
+        run_differential(2, 30, ALL_MUTATORS, FUZZ_VIEWS.values(),
+                         num_persons=20, site_seed=1, shared=True,
+                         ad_hoc=True)
+
+    def test_ad_hoc_answers_beside_queued_views(self):
+        """Eight distinct texts (a full entry table) asked beside the
+        deferred and threshold views: entries drain, barrier-flush and
+        share registers with them."""
+        run_differential(3, 30, ALL_MUTATORS, SHARING_VIEWS,
+                         num_persons=20, site_seed=1, shared=True,
+                         policies=SHARING_POLICIES, ad_hoc=True)
+
     def test_bib_running_example(self):
         storage, view = running_example()
         books = books_of(storage)

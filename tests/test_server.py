@@ -20,6 +20,7 @@ import urllib.request
 import pytest
 
 from repro.api import Database
+from repro.engine import Engine
 from repro.multiview import CostModel
 from repro.server import ClientSubscription, ConnectionClosed, \
     ReproClient, ServerError, start_in_thread
@@ -29,6 +30,7 @@ from repro.server.protocol import HEADER_SIZE, FrameDecoder, \
     validate_request
 from repro.server.server import WRITE_BATCH_BYTES, ViewServer, _Session, \
     _Subscriber
+from repro.translate import translate_query
 from repro.workloads.bib import BIB_XML, NEW_BOOK_FRAGMENT, PRICES_XML, \
     YEAR_GROUP_QUERY
 
@@ -310,14 +312,17 @@ class BodyClient(RawClient):
         return json.loads(body)
 
 
+def seeded_rows_xml(rows: int) -> str:
+    return "<data>" + "".join(f"<row><name>seed{n}</name><v>0</v></row>"
+                              for n in range(rows)) + "</data>"
+
+
 def served_rows(cost_model=None, rows: int = 0, **kwargs):
     """``rows_server`` plus a second view over the same document and an
     in-process payload listener on each: returns ``(handle, events)``
     with ``events[view]`` the real ``RefreshEvent``s the server saw."""
     db = Database()
-    db.load("data.xml", "<data>" + "".join(
-        f"<row><name>seed{n}</name><v>0</v></row>"
-        for n in range(rows)) + "</data>")
+    db.load("data.xml", seeded_rows_xml(rows))
     db.create_view("rows", ROWS_QUERY,
                    cost_model=cost_model or NeverRecompute())
     db.create_view("names", NAMES_QUERY, cost_model=NeverRecompute())
@@ -436,6 +441,36 @@ class TestEndToEnd:
                 xml = one.read("rows")["xml"]
                 assert xml == two.read("rows")["xml"]
                 assert xml == one.query(ROWS_QUERY)
+
+    def test_query_after_update_is_fresh(self):
+        """The second ``query`` of a text is answered from the entry the
+        first one kept; every ``update`` between asks is in the answer,
+        and the entry is no view."""
+        query = ('<r>{for $x in doc("data.xml")/data/row '
+                 'where $x/v > "1" return $x/name}</r>')
+        # enough rows that a few queued trees stay under the work bound
+        handle, _events = served_rows(rows=30)
+        replica = Database()
+        replica.load("data.xml", seeded_rows_xml(30))
+        with handle:
+            with ReproClient(handle.host, handle.port) as client:
+                for statements in ([], [insert_row("a")],
+                                   [replace_row_value("seed3", "5")],
+                                   [replace_row_value("a", "7"),
+                                    delete_row("seed3")]):
+                    if statements:
+                        client.update(statements)
+                        with replica.batch():
+                            for statement in statements:
+                                replica.execute(statement)
+                    assert client.query(query) == Engine(
+                        replica.storage).query(translate_query(query))
+                assert "<name>a</name>" in client.query(query)
+                assert [view["name"] for view in client.views()] == \
+                    ["rows", "names"]
+                metrics = client.metrics()
+                assert metrics["query_cache_hits"]["values"][""] == 4
+                assert metrics["query_cache_misses"]["values"][""] == 1
 
     def test_unsubscribe_stops_pushes(self):
         with rows_server() as handle:
