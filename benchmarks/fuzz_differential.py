@@ -55,7 +55,9 @@ def run_crash_churn(seed: int, steps: int, crash_every: int,
     :class:`Database`, "kill" the process every ``crash_every`` rounds
     (drop the session with no close, so no final checkpoint), recover
     from the directory, and oracle-check every view after each batch
-    and each recovery.  Returns the number of updates applied."""
+    and each recovery.  A background checkpoint is settled right after
+    the batch that cut it, so what each crash recovers from depends on
+    the seed alone.  Returns the number of updates applied."""
     with tempfile.TemporaryDirectory(prefix="crash-churn-") as path:
         def open_db() -> Database:
             db = Database(durable_path=path, fsync="always",
@@ -76,6 +78,7 @@ def run_crash_churn(seed: int, steps: int, crash_every: int,
             batch = random_batch(rng, db.storage, step, ALL_MUTATORS)
             if batch:
                 db.registry.apply_updates(batch)
+                db.durability.settle(db.registry)
                 updates += len(batch)
             for name in db.views():
                 got = db.read(name)

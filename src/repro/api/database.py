@@ -66,8 +66,10 @@ class Database:
     ``Database(durable_path=dir)`` opens a **durable** session: update
     batches are write-ahead logged before they mutate anything, the
     engine state (documents, structural index, view extents, operator
-    state) is checkpointed every ``checkpoint_every`` logged records and
-    on :meth:`close`, and opening over an existing directory *recovers*
+    state) is checkpointed every ``checkpoint_every`` logged records (by
+    a forked child, off the request path, in a single-threaded process)
+    and on :meth:`checkpoint` / :meth:`close` (inline, durable on
+    return), and opening over an existing directory *recovers*
     — newest verified checkpoint restored, WAL tail replayed through
     the normal pipeline, torn trailing records discarded.  ``fsync`` is
     ``"always"`` (a batch acknowledged is a batch on disk), ``"batch"``

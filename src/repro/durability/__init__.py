@@ -14,7 +14,8 @@ pieces compose bottom-up:
   extents, operator-state tables) is laid out as flat columns, and how
   restore rebuilds the trees from them;
 * :mod:`~repro.durability.manager` — the orchestrator a
-  :class:`~repro.multiview.ViewRegistry` binds to.
+  :class:`~repro.multiview.ViewRegistry` binds to, which also runs the
+  automatic checkpoint's encoder in a forked child.
 """
 
 from .checkpoint import CheckpointError, CheckpointStore

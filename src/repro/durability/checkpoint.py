@@ -6,6 +6,12 @@ with :mod:`pickle` — behind a fixed header::
 
     magic "RPCK" | format:u32 | lsn:u64 | crc32:u32 | length:u64
 
+:func:`encode_state` is the one encoder.  :meth:`CheckpointStore.write`
+runs it here; a background checkpoint runs it in a forked child (see
+:mod:`repro.durability.manager`) and hands the bytes it produced to
+:meth:`CheckpointStore.write_payload`, which writes them exactly like
+``write`` does.
+
 Writes are crash-atomic: the bytes go to a ``.tmp`` sibling, are
 fsynced, atomically renamed over the final name, and the directory entry
 is fsynced — a reader sees either the complete new checkpoint or none
@@ -33,7 +39,7 @@ from typing import NamedTuple
 
 from .files import FileSystem
 
-__all__ = ["CheckpointError", "CheckpointStore"]
+__all__ = ["CheckpointError", "CheckpointStore", "encode_state"]
 
 _MAGIC = b"RPCK"
 _FORMAT = 1
@@ -53,9 +59,15 @@ class WrittenCheckpoint(NamedTuple):
 
     path: str
     bytes: int
-    encode_seconds: float    # pickle + CRC
+    encode_seconds: float    # pickle (``write`` only) + CRC
     write_seconds: float     # tmp write, fsync, rename, directory fsync
     verify_seconds: float    # re-read, header + CRC check, compare
+
+
+def encode_state(state: dict) -> bytes:
+    """A checkpoint payload: the state dict, pickled.  Inline and
+    background checkpoints both encode through here."""
+    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _checkpoint_name(lsn: int) -> str:
@@ -90,11 +102,20 @@ class CheckpointStore:
     # -- writing -----------------------------------------------------------------------
 
     def write(self, lsn: int, state: dict) -> WrittenCheckpoint:
-        """Atomically persist ``state`` as the checkpoint at ``lsn``;
-        verified by re-read (header, CRC, same bytes — no decode)
-        before returning."""
+        """Atomically persist ``state`` as the checkpoint at ``lsn``:
+        :func:`encode_state`, then :meth:`write_payload`."""
         started = time.perf_counter()
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = encode_state(state)
+        pickled = time.perf_counter() - started
+        written = self.write_payload(lsn, payload)
+        return written._replace(encode_seconds=written.encode_seconds
+                                + pickled)
+
+    def write_payload(self, lsn: int, payload: bytes) -> WrittenCheckpoint:
+        """Atomically persist an encoded state as the checkpoint at
+        ``lsn``; verified by re-read (header, CRC, same bytes — no
+        decode) before returning."""
+        started = time.perf_counter()
         crc = zlib.crc32(payload)
         header = _HEADER.pack(_MAGIC, _FORMAT, lsn, crc, len(payload))
         encoded = time.perf_counter()

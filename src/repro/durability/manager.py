@@ -19,25 +19,54 @@ that failed mid-apply before the crash fails identically on replay
 (same partial storage application), so recovery converges on the
 pre-crash state rather than diverging from it.  Torn trailing records
 are truncated away, never fatal.
+
+Checkpoints run in two places.  An explicit :meth:`checkpoint` (and
+:meth:`close`) encodes and writes in this process and returns with the
+checkpoint durable.  The automatic one (:meth:`maybe_checkpoint`) moves
+the encoding off the request path, the way Redis's ``BGSAVE`` does: the
+parent flushes the registry, notes the cut LSN, forks and rolls the WAL
+to a segment starting at ``lsn + 1`` — a few milliseconds — and goes on
+applying batches.  The child holds a copy-on-write image of the
+registry as it stood at the cut.  It runs the same encoder
+(:func:`capture_state` + :func:`~repro.durability.checkpoint.encode_state`),
+writes length, CRC-32 and payload to an unlinked spool file and exits.
+Every later :meth:`maybe_checkpoint` polls it (``wait4``, non-blocking);
+once it has exited cleanly and the spool checks out, the parent writes
+the payload through :meth:`CheckpointStore.write_payload`, prunes
+generations and drops WAL segments exactly as an inline checkpoint does.
+Until then the previous generation plus the whole WAL tail recovers, so
+every crash point keeps its meaning.  A failed child changes nothing on
+disk and the next trigger retries.  At most one child runs at a time,
+and a process with more than one thread never forks (the child would
+inherit locks other threads hold): it checkpoints inline.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
+import signal
+import struct
+import sys
+import tempfile
+import threading
 import time
+import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 from ..flexkeys import ATOM_SCHEME, FlexKey
 from ..multiview.policies import MaintenancePolicy
 from ..updates.primitives import UpdateRequest
 from ..xmlmodel import XmlDocument, parse_fragment, serialize
-from .checkpoint import CheckpointStore
+from .checkpoint import CheckpointStore, encode_state
 from .files import FileSystem, RealFileSystem
 from .snapshot import capture_state, restore_state
 from .wal import FSYNC_POLICIES, WriteAheadLog
 
-__all__ = ["DurabilityManager", "RecoveryError", "RecoveryReport"]
+__all__ = ["DurabilityManager", "RecoveryError", "RecoveryReport",
+           "fork_safe"]
 
 
 class RecoveryError(Exception):
@@ -46,6 +75,84 @@ class RecoveryError(Exception):
 
 _STALL_METRIC = "checkpoint_stall_seconds"
 _STALL_HELP = "Foreground wall-clock stall of one checkpoint"
+
+#: what a background child writes ahead of its payload: length, CRC-32
+_SPOOL_HEADER = struct.Struct(">QI")
+#: why a background checkpoint was discarded (``checkpoint_failures_total``)
+FAILURE_REASONS = ("exit", "signal", "spool")
+
+
+def fork_safe() -> bool:
+    """Whether a checkpoint may fork: the platform has ``fork()`` and this
+    process runs one thread (a child gets only the forking thread, and
+    any lock another thread held stays held in it forever)."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _write_spool(fd: int, payload: bytes) -> None:
+    with open(fd, "wb", closefd=False) as spool:
+        spool.write(_SPOOL_HEADER.pack(len(payload), zlib.crc32(payload)))
+        spool.write(payload)
+
+
+def _run_child(spool_fd: int, encode) -> None:
+    """The forked child's whole life; never returns.  ``os._exit`` skips
+    the parent's atexit handlers and buffered-file flushes, and with
+    ``gc`` off no collection runs finalizers or touches — and so
+    copies — every page of the inherited heap."""
+    code = 1
+    try:
+        gc.disable()
+        signal.set_wakeup_fd(-1)      # the parent's event loop owns it
+        for signum in signal.valid_signals():
+            if callable(signal.getsignal(signum)):
+                signal.signal(signum, signal.SIG_DFL)
+        _write_spool(spool_fd, encode())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _Child:
+    """One background checkpoint: the forked encoder, its cut, its spool."""
+
+    def __init__(self, pid: int, lsn: int, spool):
+        self.pid = pid
+        self.lsn = lsn
+        self.spool = spool
+        self.forked = time.perf_counter()
+        self.seconds = 0.0      # fork to reaped, wall clock
+        self.status = None
+        self.rusage = None
+
+    def poll(self, block: bool = False) -> bool:
+        """Reap the child if it has exited (or, with ``block``, once it
+        has); returns whether it has been reaped."""
+        if self.status is None:
+            try:
+                pid, status, rusage = os.wait4(
+                    self.pid, 0 if block else os.WNOHANG)
+            except ChildProcessError:    # reaped behind our back
+                pid, status, rusage = self.pid, 1 << 8, None
+            if pid:
+                self.status, self.rusage = status, rusage
+                self.seconds = time.perf_counter() - self.forked
+        return self.status is not None
+
+    def payload(self) -> tuple[str | None, bytes]:
+        """``(failure reason or None, payload)`` of the reaped child."""
+        code = os.waitstatus_to_exitcode(self.status)
+        if code:
+            return ("signal" if code < 0 else "exit"), b""
+        self.spool.seek(0)
+        header = self.spool.read(_SPOOL_HEADER.size)
+        if len(header) < _SPOOL_HEADER.size:
+            return "spool", b""
+        length, crc = _SPOOL_HEADER.unpack(header)
+        payload = self.spool.read(length)
+        if len(payload) != length or zlib.crc32(payload) != crc:
+            return "spool", b""
+        return None, payload
 
 
 def _encode_request(request: UpdateRequest) -> dict:
@@ -139,6 +246,13 @@ class DurabilityManager:
         self._checkpoint_seconds = 0.0
         self._checkpoints_total = 0
         self._checkpoint_bytes = 0
+        # the background checkpoint in flight (at most one), and what
+        # the reaped ones cost
+        self._child: _Child | None = None
+        self._background_total = 0
+        self._failures: Counter = Counter()
+        self._child_cpu_seconds = 0.0
+        self._child_max_rss = 0
 
     def has_state(self) -> bool:
         """Whether the directory already holds durable state."""
@@ -178,11 +292,28 @@ class DurabilityManager:
         # observed per checkpoint in :meth:`checkpoint`; touched here so
         # the family is exported before the first one is cut
         metrics.histogram(_STALL_METRIC, _STALL_HELP)
-        metrics.counter("checkpoints_total", "Checkpoints written"
+        metrics.counter("checkpoints_total",
+                        "Checkpoints cut (inline, or handed to a child)"
                         ).set(self._checkpoints_total)
         metrics.gauge("checkpoint_bytes",
                       "Size on disk of the newest checkpoint"
                       ).set(self._checkpoint_bytes)
+        metrics.counter("checkpoint_background_total",
+                        "Checkpoints encoded by a forked child"
+                        ).set(self._background_total)
+        for reason in FAILURE_REASONS:
+            metrics.counter("checkpoint_failures_total",
+                            "Background checkpoints discarded",
+                            reason=reason).set(self._failures[reason])
+        metrics.counter("checkpoint_child_cpu_seconds_total",
+                        "CPU (user + system) of reaped checkpoint children"
+                        ).set(self._child_cpu_seconds)
+        metrics.gauge("checkpoint_child_max_rss_bytes",
+                      "Peak resident set of the newest reaped child"
+                      ).set(self._child_max_rss)
+        metrics.gauge("checkpoint_inflight",
+                      "Background checkpoints forked, not yet completed"
+                      ).set(int(self._child is not None))
         metrics.gauge("wal_last_lsn", "Newest LSN appended or replayed"
                       ).set(self.wal.last_lsn)
 
@@ -247,51 +378,146 @@ class DurabilityManager:
     # -- checkpointing -----------------------------------------------------------------
 
     def maybe_checkpoint(self, registry) -> bool:
-        """Cut a checkpoint when enough records accumulated since the
-        last one (called by the registry after each applied stream)."""
-        if self.replaying \
-                or self._records_since_checkpoint < self.checkpoint_every:
+        """Called by the registry after each applied stream: complete the
+        background checkpoint once its child has exited, and cut a new
+        one — in a child — when enough records accumulated since the
+        last cut.  Returns whether :meth:`checkpoint` ran."""
+        if self.replaying:
             return False
-        self.checkpoint(registry)
+        child = self._child
+        if child is not None and not child.poll():
+            return False            # at most one child: the cut waits
+        due = self._records_since_checkpoint >= self.checkpoint_every
+        if child is None and not due:
+            return False
+        self.checkpoint(registry, background=True, cut=due)
         return True
 
-    def checkpoint(self, registry) -> int:
-        """Serialize the registry's full state at the current LSN, roll
-        the WAL, and prune old generations; returns the checkpoint LSN.
+    def settle(self, registry) -> bool:
+        """Wait for the background checkpoint in flight, if any, and
+        complete it — the deterministic point for tests and crash drills
+        that need it on disk.  Returns whether there was one."""
+        if self._child is None:
+            return False
+        self.checkpoint(registry, cut=False)
+        return True
+
+    def checkpoint(self, registry, *, background: bool = False,
+                   cut: bool = True) -> int | None:
+        """All foreground checkpoint work.  First the background
+        checkpoint in flight, if any, is completed (waiting for its
+        child).  Then, with ``cut``, the registry's state at the current
+        LSN is checkpointed: written here, or — with ``background`` in a
+        process that may fork — handed to a child.  Returns the LSN of
+        the new cut; without ``cut``, the LSN of the completed
+        checkpoint (None when there was none or its child failed).
 
         Nothing is truncated until the new checkpoint has been re-read
-        and verified against the bytes just encoded, and the WAL keeps
-        every segment the oldest *retained* generation needs — so a
-        corrupt newest checkpoint can always fall back one generation
-        with its replay tail intact.
+        and verified against the bytes encoded, and the WAL keeps every
+        segment the oldest *retained* generation needs — so a corrupt
+        newest checkpoint can always fall back one generation with its
+        replay tail intact.
         """
         started = time.perf_counter()
+        lsn = None
         with registry.tracer.span("checkpoint") as span:
-            # Quiesce before capturing: queued deferred trees are not part
-            # of the snapshot, and their WAL records are about to be
-            # truncated — flushing folds them into the extents (and leaves
-            # operator-state entries clean enough to checkpoint).
-            registry.flush()
-            state = capture_state(registry)
-            self._add_server_state(state)
-            captured = time.perf_counter()
-            lsn = self.wal.last_lsn
-            written = self.checkpoints.write(lsn, state)
-            self.wal.start_segment(lsn + 1)
-            oldest_retained = self.checkpoints.prune()
-            self.wal.drop_segments_before(oldest_retained + 1)
-            span.set(lsn=lsn, bytes=written.bytes,
-                     capture_seconds=captured - started,
-                     encode_seconds=written.encode_seconds,
-                     write_seconds=written.write_seconds,
-                     verify_seconds=written.verify_seconds)
-        self._records_since_checkpoint = 0
-        self._checkpoints_total += 1
-        self._checkpoint_bytes = written.bytes
+            if self._child is not None:
+                lsn = self._complete(span)
+            if cut:
+                cut_started = time.perf_counter()
+                # Quiesce before capturing: queued deferred trees are not
+                # part of the snapshot, and their WAL records are about to
+                # be truncated — flushing folds them into the extents (and
+                # leaves operator-state entries clean enough to checkpoint).
+                registry.flush()
+                lsn = self.wal.last_lsn
+                if not (background and fork_safe() and self._fork(
+                        registry, lsn, span)):
+                    self._write_inline(registry, lsn, cut_started, span)
+                self._records_since_checkpoint = 0
+                self._checkpoints_total += 1
         stall = time.perf_counter() - started
         self._checkpoint_seconds += stall
         registry.metrics.histogram(_STALL_METRIC, _STALL_HELP).observe(stall)
         return lsn
+
+    def capture(self, registry, server: dict | None = None) -> dict:
+        """The state a checkpoint cut now holds: :func:`capture_state`
+        plus the serving layer's sections (``server``, when the caller
+        took them already).  The caller quiesces the registry first."""
+        state = capture_state(registry)
+        if server is None:
+            self._add_server_state(state)
+        else:
+            state.update(server)
+        return state
+
+    def _write_inline(self, registry, lsn: int, started: float,
+                      span) -> None:
+        state = self.capture(registry)
+        captured = time.perf_counter()
+        written = self.checkpoints.write(lsn, state)
+        self.wal.start_segment(lsn + 1)
+        self._retire(written)
+        span.set(lsn=lsn, background=False, bytes=written.bytes,
+                 capture_seconds=captured - started,
+                 encode_seconds=written.encode_seconds,
+                 write_seconds=written.write_seconds,
+                 verify_seconds=written.verify_seconds)
+
+    def _fork(self, registry, lsn: int, span) -> bool:
+        """Hand the cut at ``lsn`` to a forked child and roll the WAL
+        behind it; False when the fork itself failed."""
+        server: dict = {}
+        self._add_server_state(server)      # the parent's bookkeeping
+        spool = tempfile.TemporaryFile(dir=self.path)
+        try:
+            pid = os.fork()
+        except OSError:
+            spool.close()
+            return False
+        if pid == 0:
+            _run_child(spool.fileno(),
+                       lambda: encode_state(self.capture(registry, server)))
+        self._child = _Child(pid, lsn, spool)
+        self._background_total += 1
+        self.wal.start_segment(lsn + 1)
+        span.set(lsn=lsn, background=True, pid=pid)
+        return True
+
+    def _complete(self, span) -> int | None:
+        """Reap the child in flight (waiting for it) and write its
+        payload; a failed child is counted and leaves the disk as is."""
+        child, self._child = self._child, None
+        try:
+            child.poll(block=True)
+            if child.rusage is not None:
+                self._child_cpu_seconds += (child.rusage.ru_utime
+                                            + child.rusage.ru_stime)
+                self._child_max_rss = child.rusage.ru_maxrss * (
+                    1 if sys.platform == "darwin" else 1024)
+            span.set(background=True, pid=child.pid,
+                     child_seconds=child.seconds)
+            failure, payload = child.payload()
+            if failure is not None:
+                self._failures[failure] += 1
+                span.set(failure=failure)
+                return None
+            written = self.checkpoints.write_payload(child.lsn, payload)
+            self._retire(written)
+            span.set(lsn=child.lsn, bytes=written.bytes,
+                     write_seconds=written.write_seconds,
+                     verify_seconds=written.verify_seconds)
+            return child.lsn
+        finally:
+            child.spool.close()
+
+    def _retire(self, written) -> None:
+        """After a verified write: drop the generations and WAL segments
+        no retained checkpoint needs."""
+        oldest_retained = self.checkpoints.prune()
+        self.wal.drop_segments_before(oldest_retained + 1)
+        self._checkpoint_bytes = written.bytes
 
     def _add_server_state(self, state: dict) -> None:
         if self.server_state_provider is not None:
@@ -412,11 +638,19 @@ class DurabilityManager:
 
     def close(self, registry=None) -> None:
         """Flush durable state and release the log (idempotent).  With a
-        registry, a final checkpoint is cut first so the next open
-        restores instead of replaying."""
+        registry, a final checkpoint is cut first (after completing the
+        background one) so the next open restores instead of replaying;
+        without, a background child is killed — the WAL covers its cut.
+        No child outlives this call."""
         if self.closed:
             return
         if registry is not None:
             self.checkpoint(registry)
+        elif self._child is not None:
+            child, self._child = self._child, None
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(child.pid, signal.SIGKILL)
+            child.poll(block=True)
+            child.spool.close()
         self.wal.close()
         self.closed = True

@@ -187,6 +187,10 @@ class FlexKey:
     def __hash__(self) -> int:
         return hash(self._value)
 
+    def __reduce__(self):
+        # the memoized forms are not state: rebuilt on first use
+        return FlexKey, (self._value, self._override)
+
     def __lt__(self, other: "FlexKey") -> bool:
         return self.order_token() < other.order_token()
 

@@ -29,6 +29,7 @@ schedule replays exactly.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import socket
 import threading
@@ -237,10 +238,12 @@ class ChaosProxy:
         if self._closed:
             return
         self._closed = True
-        try:
+        # close() alone leaves the accept thread blocked in accept();
+        # shutdown() wakes it, so stop() joins it instead of timing out
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
+        with contextlib.suppress(OSError):
             self._listener.close()
-        except OSError:
-            pass
         self.sever_all()
         self._accept_thread.join(timeout=5.0)
 

@@ -4,16 +4,25 @@ The fault-injection suite (torn writes, fsync failures, kill-at-LSN and
 the subprocess kill -9 differential) lives in
 ``test_durability_faults.py``; this module covers the deterministic
 surface: record round-trips, checkpoint atomicity/fallback, the
-recovery edge-case matrix of ISSUE 7, replay idempotence, durability
-metrics/tracing, and the close-idempotence regressions.
+recovery edge-case matrix of ISSUE 7, replay idempotence, background
+checkpoints (the forked encoder against an inline one, its failures,
+nothing outliving ``close()``), durability metrics/tracing, and the
+close-idempotence regressions.
 """
 
 from __future__ import annotations
 
+import copy
 import glob
+import hashlib
+import json
 import os
+import pickle
 import random
+import shutil
 import struct
+import threading
+import zlib
 
 import pytest
 
@@ -26,15 +35,22 @@ from repro.durability import (CheckpointError, CheckpointStore,
                               DurabilityManager, RealFileSystem,
                               RecoveryError,
                               WriteAheadLog, read_segment)
+from repro.durability import manager as manager_module
+from repro.durability.checkpoint import encode_state
+from repro.durability.manager import fork_safe
 from repro.durability.snapshot import SNAPSHOT_FORMAT, capture_state
 from repro.durability.wal import encode_record, segment_name
 from repro.engine import Engine
 from repro.obs import render_prometheus
 from repro.translate import translate_query
 from repro.workloads import xmark
+from repro.xat.base import _cached_item
+from repro.xat.table import AtomicItem, NodeItem, XatTuple
 from repro.xquery.updates import resolve_path
 
 SITE = xmark.generate_site(12, seed=7)
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+E2E_DIR = os.path.join(os.path.dirname(TESTS_DIR), "benchmarks", "e2e")
 
 
 def durable_db(path, **kwargs):
@@ -52,11 +68,14 @@ def seed_db(path, **kwargs) -> Database:
 
 
 def drive(db: Database, steps: int, seed: int = 3) -> None:
+    """Random batches; each background checkpoint is settled right after
+    the batch that cut it, so the files on disk depend on the seed only."""
     rng = random.Random(seed)
     for step in range(steps):
         batch = random_batch(rng, db.storage, step, ALL_MUTATORS)
         if batch:
             db.registry.apply_updates(batch)
+            db.durability.settle(db.registry)
 
 
 def assert_all_views_consistent(db: Database) -> None:
@@ -186,6 +205,56 @@ def test_checkpoint_prune_keeps_two_generations(tmp_path):
 
 
 # -- snapshot format ----------------------------------------------------------------------
+
+def _slots(item) -> dict:
+    return {slot: getattr(item, slot) for cls in type(item).__mro__
+            for slot in getattr(cls, "__slots__", ())}
+
+
+def test_table_cells_pickle_and_copy_as_constructor_calls():
+    """Operator-state tables reach checkpoints as objects: their cells
+    reduce to ``(class, constructor args)``, and the copy that strips
+    ``refresh`` for the cache still copies every other field."""
+    key = FlexKey("b.c", FlexKey("c.d"))
+    key.order_token(), key.atoms                   # memoized, not state
+    node = NodeItem(key, 2, True, None, "old text")
+    atomic = AtomicItem("7", FlexKey("b.e"), -1, True, "007", agg=[3])
+    for item in (node, atomic):
+        stripped = _cached_item(item)
+        assert stripped is not item and item.refresh
+        assert _slots(stripped) == {**_slots(item), "refresh": False}
+        assert _slots(copy.copy(item)) == _slots(item)
+    assert _cached_item(atomic).agg is atomic.agg  # a shallow copy
+    row = XatTuple({"$p": node, "$a": [atomic]}, 3, True, True, "old")
+    restored = pickle.loads(pickle.dumps(row, pickle.HIGHEST_PROTOCOL))
+    assert (restored.count, restored.refresh, restored.touched,
+            restored.era) == (3, True, True, "old")
+    assert _slots(restored["$p"]) == _slots(node)
+    assert _slots(restored["$a"][0]) == _slots(atomic)
+    assert repr(restored["$p"].key) == "b.c[c.d]"
+    assert restored["$p"].key.order_token() == "c.d"
+    assert b"_atoms" not in pickle.dumps(key, pickle.HIGHEST_PROTOCOL)
+
+
+def test_checkpoint_pickled_with_slot_state_restores_identically(tmp_path):
+    """``tests/fixtures/format3-slot-state`` is a format-3 checkpoint
+    written before table cells pickled as constructor calls (their
+    slots went in as state dicts).  It restores to the view XML its
+    writer read, byte for byte, and maintenance goes on from it."""
+    fixture = os.path.join(TESTS_DIR, "fixtures", "format3-slot-state")
+    shutil.copy(os.path.join(fixture, "checkpoint-00000000000000000013.ckpt"),
+                tmp_path)
+    with open(os.path.join(fixture, "views.json"), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    db = durable_db(tmp_path)
+    assert db.recovery.checkpoint_lsn == 13
+    assert db.recovery.wal_records_replayed == 0
+    assert len(db.registry.state_store.entries()) > 0
+    assert {name: db.read(name) for name in db.views()} == expected
+    drive(db, steps=6, seed=13)
+    assert_all_views_consistent(db)
+    db.close()
+
 
 def _document_keys(db: Database) -> list[str]:
     """Every document node's FlexKey, in document order."""
@@ -886,6 +955,165 @@ def test_auto_checkpoint_truncates_wal(tmp_path):
     recovered = durable_db(tmp_path)
     assert_all_views_consistent(recovered)
     recovered.close()
+
+
+# -- background checkpoints ---------------------------------------------------------------
+
+def _wal_lsns(manager: DurabilityManager) -> list[int]:
+    return [lsn for _start, path in manager.wal.segments()
+            for lsn, _payload in read_segment(manager.fs, path)[0]]
+
+
+def test_background_payload_equals_inline_encode_at_the_cut(
+        tmp_path, monkeypatch, may_fork):
+    """The equivalence oracle of the forked encoder, over a 1024-batch
+    session of the benchmark's ``multiview_durable_mixed`` plan: every
+    payload a child encoded hashes like an inline encode taken at the
+    same cut (same LSN, before the next batch)."""
+    monkeypatch.syspath_prepend(E2E_DIR)
+    import workloads as e2e
+    spec = next(w for w in e2e.IN_PROCESS
+                if w.name == "multiview_durable_mixed")
+    db = durable_db(tmp_path, fsync=e2e.FSYNC,
+                    checkpoint_every=e2e.CHECKPOINT_EVERY)
+    db.load(e2e.DOCUMENT, xmark.generate_site(spec.persons, seed=601))
+    for name, query in spec.views.items():
+        db.create_view(name, query)
+    manager = db.durability
+    written = {}
+    write_payload = manager.checkpoints.write_payload
+
+    def recording(lsn, payload):
+        written[lsn] = hashlib.sha256(payload).hexdigest()
+        return write_payload(lsn, payload)
+
+    monkeypatch.setattr(manager.checkpoints, "write_payload", recording)
+    inline = {}
+    plan = spec.plan(random.Random(601), spec.persons)
+    for _ in range(1024):
+        batch = next(plan)
+        with db.batch():
+            for _kind, path, value in batch.statements:
+                db.update(e2e.DOCUMENT).at(path).replace_with(value)
+        for kind, argument in batch.then:
+            (db.read if kind == "read" else db.query)(argument)
+        child = manager._child
+        if child is not None and child.lsn not in inline:
+            inline[child.lsn] = hashlib.sha256(
+                encode_state(manager.capture(db.registry))).hexdigest()
+    manager.settle(db.registry)
+    assert len(inline) == 4 == manager._background_total
+    assert {lsn: written[lsn] for lsn in inline} == inline
+    db.close()
+
+
+def test_failed_child_leaves_disk_alone_and_next_trigger_retries(
+        tmp_path, monkeypatch, may_fork):
+    db = seed_db(tmp_path, checkpoint_every=1000)
+    manager = db.durability
+    db.checkpoint()
+    drive(db, steps=4)                         # a WAL tail behind it
+    generations, lsns = manager.checkpoints.list(), _wal_lsns(manager)
+    parent = os.getpid()
+
+    def failing_in_the_child(registry):
+        if os.getpid() != parent:
+            raise RuntimeError("the encoder failed")
+        return capture_state(registry)
+
+    monkeypatch.setattr(manager_module, "capture_state",
+                        failing_in_the_child)
+    manager.checkpoint(db.registry, background=True)
+    assert manager._child is not None
+    assert manager.settle(db.registry)
+    assert manager._failures == {"exit": 1}
+    assert manager.checkpoints.list() == generations
+    assert _wal_lsns(manager) == lsns
+    monkeypatch.undo()
+
+    manager.checkpoint_every = 1               # the next trigger
+    db.update("site.xml").at("/site/people/person[1]/name") \
+        .replace_with("Retried")
+    assert manager.settle(db.registry)
+    assert manager.checkpoints.list()[0][0] == manager.wal.last_lsn
+    assert manager._failures == {"exit": 1}
+    assert manager._background_total == 2
+    expected = {name: db.read(name) for name in db.views()}
+    del db                                     # crash: restore, no tail
+    recovered = durable_db(tmp_path)
+    assert recovered.recovery.wal_records_replayed == 0
+    assert {name: recovered.read(name) for name in expected} == expected
+    recovered.close()
+
+
+@pytest.mark.parametrize("damage", ["length", "crc"])
+def test_spool_failing_its_check_is_discarded_never_written(
+        tmp_path, monkeypatch, may_fork, damage):
+    db = seed_db(tmp_path, checkpoint_every=1000)
+    manager = db.durability
+    db.checkpoint()
+    drive(db, steps=2)
+    generations = manager.checkpoints.list()
+
+    def damaged(fd, payload):
+        header = manager_module._SPOOL_HEADER.pack(
+            len(payload) + (damage == "length"),
+            zlib.crc32(payload) ^ (damage == "crc"))
+        with open(fd, "wb", closefd=False) as spool:
+            spool.write(header + payload)
+
+    monkeypatch.setattr(manager_module, "_write_spool", damaged)
+    monkeypatch.setattr(manager.checkpoints, "write_payload", None)
+    manager.checkpoint(db.registry, background=True)
+    assert manager.settle(db.registry)
+    assert manager._failures == {"spool": 1}
+    assert manager.checkpoints.list() == generations
+    monkeypatch.undo()
+    db.close()
+
+
+@pytest.mark.parametrize("with_registry", [True, False])
+def test_nothing_outlives_close(tmp_path, may_fork, with_registry):
+    db = seed_db(tmp_path, checkpoint_every=1000)
+    drive(db, steps=3)
+    manager = db.durability
+    manager.checkpoint(db.registry, background=True)
+    child = manager._child
+    if with_registry:
+        db.close()                             # completes, then cuts inline
+    else:
+        manager.close()                        # kills the child
+    with pytest.raises(ChildProcessError):
+        os.waitpid(child.pid, os.WNOHANG)
+    assert child.spool.closed
+    assert all(name.startswith(("checkpoint-", "wal-"))
+               for name in os.listdir(tmp_path))
+    reopened = durable_db(tmp_path)
+    assert reopened.recovery.wal_records_replayed == (
+        0 if with_registry else manager.wal.last_lsn)
+    assert_all_views_consistent(reopened)
+    reopened.close()
+    if not with_registry:
+        db.close()
+
+
+def test_a_second_thread_keeps_the_checkpoint_inline(tmp_path, may_fork):
+    db = seed_db(tmp_path, checkpoint_every=1000)
+    drive(db, steps=3)
+    manager = db.durability
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not fork_safe()
+        lsn = manager.checkpoint(db.registry, background=True)
+        assert manager._child is None and manager._background_total == 0
+        assert manager.checkpoints.list()[0][0] == lsn   # durable already
+    finally:
+        stop.set()
+        thread.join()
+    assert fork_safe()
+    db.close()
 
 
 # -- observability ------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Every test drives the real WAL/checkpoint/recovery code through
 :class:`tests.faults.FaultyFileSystem` — torn writes, short reads,
-fsync failures and kill-at-LSN crash points — plus one genuine
-``kill -9`` of a subprocess, and oracle-compares every view (extent
-serialization vs recomputation over recovered storage) afterwards.
+fsync failures and kill-at-LSN crash points — plus a genuine ``kill -9``
+of a subprocess, twice (once while a background checkpoint is
+unfinished), and oracle-compares every view (extent serialization vs
+recomputation over recovered storage) afterwards.
 """
 
 from __future__ import annotations
@@ -147,6 +148,18 @@ def test_short_reads_tolerated_during_recovery(tmp_path):
     recovered.close()
 
 
+def churn(db: Database, steps: int, seed: int = 23) -> None:
+    """Random batches, each background checkpoint settled right after
+    the batch that cut it: which crash point lands behind which
+    checkpoint depends on the seed, not on how fast a child ran."""
+    rng = random.Random(seed)
+    for step in range(steps):
+        batch = random_batch(rng, db.storage, step, ALL_MUTATORS)
+        if batch:
+            db.registry.apply_updates(batch)
+            db.durability.settle(db.registry)
+
+
 def test_kill_at_every_lsn_recovers_consistent(tmp_path):
     """Systematic crash-point sweep: die right after each WAL record of
     a scripted run lands on disk, recover, oracle-compare every view.
@@ -157,11 +170,7 @@ def test_kill_at_every_lsn_recovers_consistent(tmp_path):
     probe = Database(durable_path=str(tmp_path / "probe"), fsync="always",
                      checkpoint_every=3)
     seed(probe)
-    rng = random.Random(23)
-    for step in range(3):
-        batch = random_batch(rng, probe.storage, step, ALL_MUTATORS)
-        if batch:
-            probe.registry.apply_updates(batch)
+    churn(probe, 3)
     last_lsn = probe.durability.wal.last_lsn
     probe.close()
     assert last_lsn >= 5
@@ -174,11 +183,7 @@ def test_kill_at_every_lsn_recovers_consistent(tmp_path):
         crashed = False
         try:
             seed(db)
-            rng = random.Random(23)
-            for step in range(3):
-                batch = random_batch(rng, db.storage, step, ALL_MUTATORS)
-                if batch:
-                    db.registry.apply_updates(batch)
+            churn(db, 3)
         except SimulatedCrash:
             crashed = True
         assert crashed, f"crash point {crash_lsn} never fired"
@@ -192,6 +197,135 @@ def test_kill_at_every_lsn_recovers_consistent(tmp_path):
         assert_consistent(recovered)
         recovered.close()
     assert from_checkpoint, "no crash point crossed a checkpoint"
+
+
+def test_crash_with_a_child_in_flight_recovers_the_previous_generation(
+        tmp_path, may_fork):
+    """A background checkpoint counts once it is completed: a crash
+    while its child runs recovers the previous generation plus the
+    whole WAL tail, the records before the unfinished cut included."""
+    plan = FaultPlan()
+    db, fs = faulty_db(tmp_path, plan, checkpoint_every=1000)
+    seed(db)
+    previous = db.checkpoint()
+    churn(db, 4)
+    manager = db.durability
+    cut = manager.checkpoint(db.registry, background=True)
+    encoder = manager._child
+    plan.crash_after_lsn = manager.wal.next_lsn
+    with pytest.raises(SimulatedCrash):
+        db.registry.apply_updates(insert_person_batch(db))
+    del db
+
+    recovered = Database(durable_path=str(tmp_path), fsync="always")
+    report = recovered.recovery
+    assert previous < cut < plan.crash_after_lsn
+    assert report.checkpoint_lsn == previous
+    assert report.wal_records_replayed == plan.crash_after_lsn - previous
+    assert "faultperson" in recovered.storage.document(
+        "site.xml").to_string()
+    assert_consistent(recovered)
+    recovered.close()
+    os.waitpid(encoder.pid, 0)     # the dead session's child
+
+
+def test_crash_between_the_completion_write_and_the_wal_drop(
+        tmp_path, monkeypatch, may_fork):
+    """Completing writes the new generation, then prunes generations and
+    drops WAL segments.  Dying in between leaves more on disk than
+    needed; recovery restores the new generation and replays only the
+    records after its cut."""
+    db, fs = faulty_db(tmp_path, FaultPlan(), checkpoint_every=1000)
+    seed(db)
+    db.checkpoint()
+    churn(db, 3)
+    manager = db.durability
+    cut = manager.checkpoint(db.registry, background=True)
+
+    def die():
+        raise SimulatedCrash("after the completion write, before the drop")
+
+    monkeypatch.setattr(manager.checkpoints, "prune", die)
+    with pytest.raises(SimulatedCrash):
+        db.registry.apply_updates(insert_person_batch(db))  # completes here
+        manager.settle(db.registry)                         # or else here
+    assert manager.checkpoints.list()[0][0] == cut
+    expected = snapshot(db)
+    del db
+
+    recovered = Database(durable_path=str(tmp_path), fsync="always")
+    assert recovered.recovery.checkpoint_lsn == cut
+    assert recovered.recovery.wal_records_replayed == 1
+    assert snapshot(recovered) == expected
+    assert_consistent(recovered)
+    recovered.close()
+
+
+INFLIGHT_SCRIPT = """
+import os, random, sys, time
+sys.path.insert(0, sys.argv[2])
+sys.path.insert(0, sys.argv[3])
+from helpers import ALL_MUTATORS, random_batch
+from repro.api import Database
+from repro.workloads import xmark
+
+path, marker = sys.argv[1], sys.argv[4]
+db = Database(durable_path=path, fsync="always", checkpoint_every=16)
+db.load("site.xml", xmark.generate_site(12, seed=7))
+db.create_view("join", xmark.JOIN_QUERY)
+db.create_view("bycity", xmark.PERSONS_BY_CITY_QUERY, policy="deferred")
+manager = db.durability
+rng = random.Random(99)
+step = 0
+while manager._child is None or not manager.checkpoints.list():
+    batch = random_batch(rng, db.storage, step, ALL_MUTATORS)
+    if batch:
+        db.registry.apply_updates(batch)
+    step += 1
+# a generation on disk and a child in flight that nothing will complete
+with open(marker + ".tmp", "w") as fh:
+    fh.write(f"{manager.checkpoints.list()[0][0]} {manager._child.lsn} "
+             f"{manager.wal.last_lsn}")
+os.replace(marker + ".tmp", marker)
+time.sleep(120)
+"""
+
+
+def test_subprocess_kill9_with_a_child_in_flight(tmp_path):
+    """SIGKILL a durable session while its background checkpoint is
+    unfinished: the reopened directory restores the last completed
+    generation, replays every record after it and holds no spool."""
+    durable = tmp_path / "db"
+    marker = tmp_path / "cut"
+    session = subprocess.Popen(
+        [sys.executable, "-c", INFLIGHT_SCRIPT, str(durable), SRC_DIR,
+         TESTS_DIR, str(marker)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.time() + 90
+        while not marker.exists() and time.time() < deadline:
+            if session.poll() is not None:
+                raise AssertionError(
+                    "session died before the kill: "
+                    + session.stderr.read().decode("utf-8", "replace"))
+            time.sleep(0.05)
+        assert marker.exists(), "no child in flight before the deadline"
+    finally:
+        if session.poll() is None:
+            os.kill(session.pid, signal.SIGKILL)
+        session.wait()
+        session.stderr.close()
+    completed, cut, last = map(int, marker.read_text().split())
+
+    recovered = Database(durable_path=str(durable), fsync="always")
+    report = recovered.recovery
+    assert completed < cut <= last
+    assert report.checkpoint_lsn == completed
+    assert report.wal_records_replayed == last - completed
+    assert all(name.startswith(("checkpoint-", "wal-"))
+               for name in os.listdir(durable))
+    assert_consistent(recovered)
+    recovered.close()
 
 
 CHILD_SCRIPT = """

@@ -160,6 +160,53 @@ class TestEngineMetrics:
             assert line.startswith("#") or " " in line
 
 
+class TestCheckpointMetrics:
+    FAMILIES = ("checkpoint_background_total", "checkpoint_failures_total",
+                "checkpoint_child_cpu_seconds_total",
+                "checkpoint_child_max_rss_bytes", "checkpoint_inflight")
+
+    def test_background_checkpoint_metrics_and_spans(self, tmp_path,
+                                                     may_fork):
+        db = Database(durable_path=tmp_path, checkpoint_every=1000)
+        db.load("site.xml", SITE)
+        db.create_view("by-city", xmark.CITY_HEADCOUNT_QUERY)
+        sink = CollectingSink()
+        db.add_trace_sink(sink)
+        manager = db.durability
+
+        def values(snapshot, name):
+            return snapshot[name]["values"]
+
+        snapshot = db.metrics()
+        assert all(name in snapshot for name in self.FAMILIES)
+        assert values(snapshot, "checkpoint_failures_total") == {
+            "reason=exit": 0, "reason=signal": 0, "reason=spool": 0}
+        lsn = manager.checkpoint(db.registry, background=True)
+        snapshot = db.metrics()
+        assert values(snapshot, "checkpoint_inflight") == {"": 1}
+        assert values(snapshot, "checkpoint_background_total") == {"": 1}
+        assert values(snapshot, "checkpoint_child_cpu_seconds_total") == {
+            "": 0}
+        assert manager.settle(db.registry)
+        snapshot = db.metrics()
+        assert values(snapshot, "checkpoint_inflight") == {"": 0}
+        assert values(snapshot, "checkpoint_child_cpu_seconds_total")[""] > 0
+        assert values(snapshot, "checkpoint_child_max_rss_bytes")[""] > 0
+        # the fork and the completion are each one foreground stall
+        assert values(snapshot, "checkpoint_stall_seconds")[""]["count"] == 2
+        forked, completed = sink.by_name("checkpoint")
+        assert forked.attrs["background"] is True
+        assert forked.attrs["lsn"] == completed.attrs["lsn"] == lsn
+        assert forked.attrs["pid"] == completed.attrs["pid"] > 0
+        assert completed.attrs["child_seconds"] > 0
+        assert completed.attrs["bytes"] == values(
+            snapshot, "checkpoint_bytes")[""] > 0
+        text = db.render_prometheus()
+        assert 'repro_checkpoint_failures_total{reason="spool"} 0' in text
+        assert "repro_checkpoint_inflight 0" in text
+        db.close()
+
+
 class TestTracing:
     def test_span_nesting_under_multiview_batch(self):
         storage = StorageManager()
