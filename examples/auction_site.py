@@ -9,21 +9,16 @@ what each refresh cost.
 Run:  python examples/auction_site.py
 """
 
-import math
 import time
 
-from repro import CostModel, Database
+from repro import Database
 from repro.workloads import xmark
 
 
 def main() -> None:
     with Database() as db:
         db.load("site.xml", xmark.generate_site(40, seed=3))
-        # At 40 persons a recomputation costs about as much as one cold
-        # flush, so the default cost model would pick it; pin the view to
-        # propagation to show the deltas.
-        view = db.create_view("dashboard", xmark.PERSONS_BY_CITY_QUERY,
-                              cost_model=CostModel(bias=math.inf))
+        view = db.create_view("dashboard", xmark.PERSONS_BY_CITY_QUERY)
         refreshes = []            # one RefreshEvent per maintained batch
         view.subscribe(refreshes.append)
         people = db.update("site.xml").at("/site/people")

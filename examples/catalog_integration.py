@@ -9,9 +9,8 @@ average price, maintained from per-member aggregate state (Section 7.6).
 Run:  python examples/catalog_integration.py
 """
 
-import math
 
-from repro import CostModel, Database
+from repro import Database
 from repro.workloads.bib import generate_bib, generate_prices
 
 CATALOG_VIEW = """<catalog>{
@@ -38,11 +37,7 @@ def main() -> None:
         db.load("bib.xml", generate_bib(num_books=25, num_years=4))
         db.load("prices.xml",
                 generate_prices(num_books=25, priced_fraction=0.7))
-        # At 25 books a recomputation costs about as much as one cold
-        # flush, so the default cost model would pick it; pin the view to
-        # propagation to show the deltas.
-        view = db.create_view("catalog", CATALOG_VIEW,
-                              cost_model=CostModel(bias=math.inf))
+        view = db.create_view("catalog", CATALOG_VIEW)
         refreshes = []            # one RefreshEvent per maintained batch
         view.subscribe(refreshes.append)
         print(f"integrated catalog materialized: "

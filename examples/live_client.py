@@ -23,7 +23,6 @@ Run:  PYTHONPATH=src python examples/live_client.py
 """
 
 from repro.api import Database
-from repro.multiview import CostModel
 from repro.server import ReproClient, start_in_thread
 from repro.workloads.bib import BIB_XML, PRICES_XML, YEAR_GROUP_QUERY
 
@@ -47,15 +46,6 @@ for $book in document("bib.xml")/bib/book
 where $book/title = "Fresh Book"
 update $book
 replace $book/title with "Fresh Book, 2nd ed."'''
-
-
-class NeverRecompute(CostModel):
-    """Pin the maintenance choice so every titles refresh pushes a
-    delta — the default model may flip tiny views to recomputation,
-    which is correct but makes a delta-payload demo anticlimactic."""
-
-    def choose(self, view, batch_size):   # noqa: ARG002
-        return "propagate"
 
 
 def watch(subscription, client, expected_sequence: int) -> None:
@@ -82,13 +72,12 @@ def watch(subscription, client, expected_sequence: int) -> None:
 
 
 def main() -> None:
-    # The database this server owns.  The titles view is created here,
-    # before serving, only to pin its cost model; a vanilla deployment
-    # would create views over the wire or via ``--view``.
+    # The database this server owns, with the titles view created before
+    # serving; views can also be created over the wire (as ``by_year``
+    # is below) or via ``python -m repro.server --view``.
     db = Database()
     db.load("bib.xml", BIB_XML).load("prices.xml", PRICES_XML)
-    db.create_view("titles", TITLES_QUERY,
-                   cost_model=NeverRecompute())
+    db.create_view("titles", TITLES_QUERY)
 
     with start_in_thread(db, own_db=True, http_port=0) as handle:
         print(f"server on {handle.host}:{handle.port} "

@@ -26,7 +26,7 @@ from .api import Batch, Database, Subscription, Update, View
 from .durability import DurabilityManager, RecoveryReport
 from .engine import Engine
 from .flexkeys import FlexKey
-from .multiview import (CostModel, MaintenancePolicy, MaintenanceReport,
+from .multiview import (MaintenancePolicy, MaintenanceReport,
                         MultiViewReport, RefreshEvent, ViewRegistry)
 from .storage import StorageManager
 from .translate import TranslationError, Translator, translate_query
@@ -41,7 +41,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "Batch",
-    "CostModel",
     "Database",
     "DurabilityManager",
     "Engine",

@@ -40,7 +40,6 @@ import time
 from typing import Callable, List, Optional, Union
 
 from ..durability import DurabilityManager, RecoveryReport
-from ..multiview.cost import CostModel
 from ..multiview.policies import MaintenancePolicy
 from ..multiview.registry import MultiViewReport, RefreshEvent, ViewRegistry
 from ..obs import MetricsRegistry, Tracer, render_prometheus
@@ -184,15 +183,13 @@ class Database:
 
     def create_view(self, name: str, query: str,
                     policy: Union[MaintenancePolicy, str, int] = "immediate",
-                    *, cost_model: Optional[CostModel] = None,
-                    materialize: bool = True) -> View:
+                    *, materialize: bool = True) -> View:
         """Define, register and (by default) materialize a named view.
 
         ``policy`` is ``"immediate"``, ``"deferred"``, an int K
         (threshold), or a :class:`MaintenancePolicy`.
         """
         self.registry.register(name, query, policy=policy,
-                               cost_model=cost_model,
                                materialize=materialize)
         self._view_queries[name] = query
         return View(self, name)
@@ -319,7 +316,7 @@ class Database:
     def explain(self, view_name: str) -> str:
         """The view's algebra plan annotated with live per-operator
         counters (tuples in/out in full and delta mode, operator-state
-        serves) plus its maintenance stats and cost-model calibration."""
+        serves) plus its maintenance stats and work bound."""
         if view_name not in self.registry:
             raise KeyError(f"no view named {view_name!r}")
         return self.registry.explain(view_name)

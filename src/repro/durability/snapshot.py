@@ -33,8 +33,8 @@ What is stored, and what :func:`restore_state` rebuilds instead:
 * **view extents** — per view ``ids``/``orders``/``tags``/``texts``/
   ``child_counts``/``counts``, ``flags`` (one byte per node: bit 0
   ``refresh``, bit 1 ``base``) and sparse ``{position: attributes}`` /
-  ``{position: AggState}`` maps, plus the view's query, policy,
-  cost-model calibration and refresh sequence — restore *grafts* extents
+  ``{position: AggState}`` maps, plus the view's query, policy, work
+  bound (``rows_read``) and refresh sequence — restore *grafts* extents
   instead of rematerializing every view (the reason checkpoint restore
   beats a cold start by construction).  ``_child_index`` is rebuilt from
   the children's match keys.
@@ -252,8 +252,7 @@ def capture_state(registry) -> dict:
                        if extent is not None else None),
             "materialized": view.pipeline.materialized,
             "refresh_sequence": view.refresh_sequence,
-            "recompute_seconds": view.cost.recompute_seconds,
-            "per_tree_seconds": view.cost.per_tree_seconds,
+            "rows_read": view.rows_read,
         })
     opstate = {}
     for entry in registry.state_store.entries():
@@ -293,11 +292,10 @@ def restore_state(registry, state: dict) -> None:
         view = registry.register(spec["name"], spec["query"],
                                  policy=policy, materialize=False)
         view.refresh_sequence = spec["refresh_sequence"]
-        if spec["recompute_seconds"] is not None:
-            view.cost.recompute_seconds = spec["recompute_seconds"]
-        if spec["per_tree_seconds"] is not None:
-            view.cost.per_tree_seconds = spec["per_tree_seconds"]
         if graft:
+            # a view spec written before the work bound has no count: the
+            # view stays incremental until its first recompute measures it
+            view.rows_read = spec.get("rows_read")
             view.pipeline.extent = (_decode_extent(spec["extent"])
                                     if spec["extent"] is not None else None)
             view.pipeline.materialized = spec["materialized"]

@@ -41,7 +41,7 @@ the pre-deletion tag path, so relevancy survives the key drop) and
   of one batch stack, and a relevant event of a second batch
   invalidates: a stale table lags storage by at most one epoch;
 * **invalidates** and lazily recomputes otherwise — the safe fallback
-  mirroring the cost model's incremental-vs-recompute discipline.
+  mirroring a view's incremental-vs-recompute work bound.
 
 ANTI mode ("current state minus the update roots") is served without
 re-execution wherever the subplan is *anti-projectable* (every output

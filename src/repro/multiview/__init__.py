@@ -9,13 +9,11 @@ maintained from a single update stream:
   index over all views, one classification per update;
 * :mod:`~repro.multiview.policies` — per-view immediate / deferred /
   threshold flush policies;
-* :mod:`~repro.multiview.cost` — cost-based incremental-vs-recompute
-  flush decisions;
 * :mod:`~repro.multiview.registry` — the :class:`ViewRegistry` tying it
-  together.
+  together, and each view's work bound (incremental vs recompute at
+  flush time, from row counters).
 """
 
-from .cost import CostModel
 from .pipeline import MaintenanceReport, ViewPipeline
 from .policies import DEFERRED, IMMEDIATE, MaintenancePolicy, threshold
 from .registry import (MultiViewReport, RefreshEvent, RegisteredView,
@@ -23,7 +21,6 @@ from .registry import (MultiViewReport, RefreshEvent, RegisteredView,
 from .router import RouterStats, RouteResult, SharedValidationRouter
 
 __all__ = [
-    "CostModel",
     "DEFERRED",
     "IMMEDIATE",
     "MaintenancePolicy",

@@ -26,6 +26,7 @@ from ..updates.primitives import UpdateRequest
 from ..updates.sapt import Sapt
 from ..storage import StorageManager
 from ..xat import DeltaSpec, Profiler, XatOperator
+from ..xat.base import FULL
 
 
 @dataclass
@@ -142,16 +143,17 @@ class ViewPipeline:
         self.vm = PlanVM(plan_cache)
         self.state_store = state_store
 
-    def materialize(self, profiler: Optional[Profiler] = None) -> None:
+    def materialize(self, profiler: Optional[Profiler] = None) -> int:
+        """(Re)build the extent by full computation over current sources;
+        returns the rows the FULL plan's instructions read doing it (the
+        counters accumulate on the instructions, so their change)."""
+        compiled = self.vm.cache.plan(self.plan, FULL)
+        before = sum(instr.rows_in for instr in compiled.instructions)
         self.extent, _report = self.engine.materialize(self.plan,
                                                        profiler=profiler,
                                                        vm=self.vm)
         self.materialized = True
-
-    def recompute(self) -> None:
-        """Replace the extent by full recomputation over current sources."""
-        self.extent, _report = self.engine.materialize(self.plan,
-                                                       vm=self.vm)
+        return sum(instr.rows_in for instr in compiled.instructions) - before
 
     def to_xml(self) -> str:
         before = WRITER_TALLY.built

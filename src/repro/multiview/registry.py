@@ -4,8 +4,7 @@ The registry is the one driver of the V-P-A loop (Fig 1.5), for any
 number of simultaneously maintained views:
 
 * **register / unregister** views by name; each carries its own plan,
-  SAPT, extent, :class:`~repro.multiview.policies.MaintenancePolicy` and
-  :class:`~repro.multiview.cost.CostModel`;
+  SAPT, extent and :class:`~repro.multiview.policies.MaintenancePolicy`;
 * **shared Validate** — every :class:`~repro.updates.primitives
   .UpdateRequest` entering :meth:`apply_updates` is classified *once* by
   the :class:`~repro.multiview.router.SharedValidationRouter` and
@@ -32,16 +31,15 @@ number of simultaneously maintained views:
   sources is evicted, never recomputed in place.  Entangled queries (see
   :func:`_derivations_entangled`) are evaluated fresh on every ask over
   a kept prepared plan;
-* **cost-based fallback** — at flush time each view's cost model compares
-  the estimated propagation cost of its pending trees against observed
-  recomputation cost and recomputes the extent wholesale when
-  incremental maintenance would lose (Section 9.1's enable-cost
-  trade-off, applied per batch).
+* **the work bound** — a view recomputes its extent wholesale instead of
+  propagating when its pending trees, charged one row per instruction of
+  its FULL plan, reach the rows its last materialization read (Section
+  9.1's crossover is about the fraction of the source a batch touches,
+  so the decision reads counters, never a clock).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -60,7 +58,6 @@ from ..xat import (DELETE, INSERT, MODIFY, Aggregate, CartesianProduct,
                    XatOperator, XmlUnique)
 from ..xat.base import FULL
 from ..xat.grouping import TupleFunction
-from .cost import CostModel
 from .pipeline import (MaintenanceReport, ViewPipeline, apply_insert,
                        direct_text)
 from .policies import (DEFERRED, IMMEDIATE_KIND, THRESHOLD_KIND,
@@ -80,9 +77,9 @@ class RefreshEvent:
     """One view's extent just changed under maintenance.
 
     ``reason`` is ``"propagate"`` (pending delta batches were propagated
-    into the extent) or ``"recompute"`` (the cost model or a min/max
-    eviction forced full recomputation).  ``trees`` counts the update
-    trees the refresh consumed.  ``duration_seconds`` is the wall-clock
+    into the extent) or ``"recompute"`` (the pending trees reached the
+    view's work bound, :meth:`RegisteredView.over_work_bound`).
+    ``trees`` counts the update trees the refresh consumed.  ``duration_seconds`` is the wall-clock
     cost of the refresh itself, ``delta_tuples`` the honest size of the
     change (extent mutations fused on propagation; extent node count on
     recomputation), and ``sequence`` the view's monotonically increasing
@@ -198,11 +195,13 @@ class RegisteredView:
     internally)."""
 
     def __init__(self, name: str, pipeline: ViewPipeline,
-                 policy: MaintenancePolicy, cost: CostModel):
+                 policy: MaintenancePolicy):
         self.name = name
         self.pipeline = pipeline
         self.policy = policy
-        self.cost = cost
+        #: rows the FULL plan's instructions read at the last
+        #: (re)materialization; None until one is measured
+        self.rows_read: Optional[int] = None
         self.pending: list[list[RoutedTree]] = []
         self.report = MaintenanceReport()
         self.stats = ViewStats()
@@ -219,6 +218,20 @@ class RegisteredView:
 
     def pending_trees(self) -> int:
         return sum(len(batch) for batch in self.pending)
+
+    @property
+    def instructions(self) -> int:
+        """Instructions of the view's FULL plan."""
+        pipeline = self.pipeline
+        return len(pipeline.vm.cache.plan(pipeline.plan, FULL))
+
+    def over_work_bound(self) -> bool:
+        """Would propagating the queue touch as many rows as
+        re-materializing did?  (Every pending tree is charged one row per
+        instruction — counters, not a clock.)  A view whose
+        materialization was never measured stays incremental."""
+        return (self.rows_read is not None and self.pending_trees()
+                * self.instructions >= self.rows_read)
 
     def to_xml(self) -> str:
         return self.pipeline.to_xml()
@@ -238,19 +251,8 @@ class QueryEntry(RegisteredView):
     """
 
     def __init__(self, text: str, pipeline: ViewPipeline):
-        super().__init__(("query", text), pipeline, DEFERRED,
-                         CostModel(bias=math.inf))
+        super().__init__(("query", text), pipeline, DEFERRED)
         self.label = "query"
-        #: rows the materialization's instructions read, and how many
-        #: instructions the plan has (the work bound's two sides)
-        self.rows_read = 0
-        self.instructions = 0
-
-    def over_work_bound(self) -> bool:
-        """Would propagating the queue touch as many rows as
-        re-materializing did?  (Every pending tree is charged one row per
-        instruction — counters, not a clock.)"""
-        return self.pending_trees() * self.instructions >= self.rows_read
 
 
 @dataclass
@@ -422,7 +424,8 @@ class ViewRegistry:
 
         view = self._views[name]
         return render_explain(
-            name, view.pipeline.plan, policy=view.policy, cost=view.cost,
+            name, view.pipeline.plan, policy=view.policy,
+            work_bound=(view.rows_read, view.instructions),
             stats=view.stats, report=view.report, store=self.state_store,
             extent_size=view.pipeline.extent_size(),
             serialized_elements=view.pipeline.serialized_elements,
@@ -520,7 +523,6 @@ class ViewRegistry:
 
     def register(self, name: str, query: Union[str, XatOperator],
                  policy: Union[MaintenancePolicy, str, int] = "immediate",
-                 cost_model: Optional[CostModel] = None,
                  materialize: bool = True) -> RegisteredView:
         """Register (and by default materialize) a view under ``name``."""
         if name in self._views:
@@ -531,9 +533,7 @@ class ViewRegistry:
                               ViewPipeline(self.engine, plan,
                                            self.state_store,
                                            self.plan_cache),
-                              MaintenancePolicy.parse(policy),
-                              cost_model if cost_model is not None
-                              else CostModel())
+                              MaintenancePolicy.parse(policy))
         view.pipeline.tracer = self.tracer
         if isinstance(query, str):
             view.query_text = query
@@ -577,14 +577,12 @@ class ViewRegistry:
                     profiler: Optional[Profiler] = None) -> None:
         """(Re)materialize one view, or every registered view.
 
-        The observed full-computation time seeds the view's cost model —
+        The rows each materialization reads are the view's work bound —
         the recompute side of every later flush decision."""
         views = ([self._views[name]] if name is not None
                  else list(self._views.values()))
         for view in views:
-            started = time.perf_counter()
-            view.pipeline.materialize(profiler=profiler)
-            view.cost.observe_recompute(time.perf_counter() - started)
+            view.rows_read = view.pipeline.materialize(profiler=profiler)
 
     def query(self, name: str) -> str:
         """Read a view's XML, first flushing its pending deltas (the lazy
@@ -631,16 +629,11 @@ class ViewRegistry:
             xml = pipeline.recompute_xml()
         else:
             try:
-                pipeline.materialize()
+                entry.rows_read = pipeline.materialize()
             except BaseException:
                 self.plan_cache.invalidate(pipeline.plan)
                 raise
             xml = pipeline.to_xml()
-            # a fresh materialization runs every instruction once
-            compiled = self.plan_cache.plan(pipeline.plan, FULL)
-            entry.rows_read = sum(instr.rows_in
-                                  for instr in compiled.instructions)
-            entry.instructions = len(compiled)
             self.router.subscribe(key, pipeline.sapt)
         self._queries[key] = entry
         if len(self._queries) > QUERY_CACHE_CAPACITY:
@@ -981,14 +974,11 @@ class ViewRegistry:
             return None
         view.stats.flushes += 1
         trees = view.pending_trees()
-        recompute = view.cost.should_recompute(trees)
-        predicted = view.cost.estimate_propagation(trees)
-        if recompute:
+        if view.over_work_bound():
             view.pending.clear()
             if defer_recompute:
                 return trees
-            self._recompute(view, trees=trees,
-                            predicted_propagate=predicted)
+            self._recompute(view, trees=trees)
             return None
         mutations_before = view.report.fusion.mutations
         capture = view.mutation_listeners > 0
@@ -996,10 +986,8 @@ class ViewRegistry:
             view.report.fusion.delta_log = []
         with self.tracer.span(
                 "view.flush", view=view.label, trees=trees,
-                decision="propagate",
-                predicted_propagate_seconds=predicted,
-                predicted_recompute_seconds=view.cost.recompute_seconds
-                ) as span:
+                decision="propagate", work_rows=trees * view.instructions,
+                bound_rows=view.rows_read) as span:
             started = time.perf_counter()
             try:
                 for batch in view.pending:
@@ -1014,7 +1002,6 @@ class ViewRegistry:
                 view.report.fusion.delta_log = None
             elapsed = time.perf_counter() - started
             span.set(observed_seconds=elapsed)
-        view.cost.observe_propagation(trees, elapsed)
         view.stats.propagated_trees += trees
         view.pending.clear()
         delta_tuples = view.report.fusion.mutations - mutations_before
@@ -1029,19 +1016,15 @@ class ViewRegistry:
                              delta_tuples, captured)
         return None
 
-    def _recompute(self, view: RegisteredView, trees: int = 0,
-                   predicted_propagate: Optional[float] = None) -> None:
+    def _recompute(self, view: RegisteredView, trees: int = 0) -> None:
         with self.tracer.span(
                 "view.flush", view=view.name, trees=trees,
-                decision="recompute",
-                predicted_propagate_seconds=predicted_propagate,
-                predicted_recompute_seconds=view.cost.recompute_seconds
-                ) as span:
+                decision="recompute", work_rows=trees * view.instructions,
+                bound_rows=view.rows_read) as span:
             started = time.perf_counter()
-            view.pipeline.recompute()
+            view.rows_read = view.pipeline.materialize()
             elapsed = time.perf_counter() - started
             span.set(observed_seconds=elapsed)
-        view.cost.observe_recompute(elapsed)
         view.report.recomputed = True
         view.stats.recomputes += 1
         if _OBS.enabled:

@@ -74,7 +74,8 @@ def _walk(op, store, prefix: str, last: bool, lines: list,
               lines, False)
 
 
-def render_explain(name: str, plan, *, policy=None, cost=None, stats=None,
+def render_explain(name: str, plan, *, policy=None, work_bound=None,
+                   stats=None,
                    report=None, store=None, extent_size=None,
                    serialized_elements=None,
                    pending_trees: int = 0, query_text: str = "",
@@ -84,7 +85,8 @@ def render_explain(name: str, plan, *, policy=None, cost=None, stats=None,
     ``plan_cache`` (a :class:`repro.plan.PlanCache`) adds the compiled
     instruction listings — one program per compiled execution mode, each
     line carrying the live in/out/Δ row counters — below the operator
-    tree."""
+    tree.  ``work_bound`` is the view's ``(rows_read, instructions)``:
+    pending trees × instructions reaching ``rows_read`` recompute."""
     lines = [f"view {name!r}"]
     if policy is not None:
         lines[0] += f"  policy={getattr(policy, 'kind', policy)}"
@@ -107,15 +109,11 @@ def render_explain(name: str, plan, *, policy=None, cost=None, stats=None,
                      f" state_hits={report.state_hits}"
                      f" state_misses={report.state_misses}"
                      f" state_patches={report.state_patches}")
-    if cost is not None:
-        recompute = cost.recompute_seconds
-        per_tree = cost.per_tree_seconds
-        lines.append(
-            "cost model: recompute="
-            + (f"{recompute:.6f}s" if recompute is not None else "?")
-            + " per_tree="
-            + (f"{per_tree:.6f}s" if per_tree is not None else "?")
-            + f" bias={cost.bias}")
+    if work_bound is not None:
+        rows_read, instructions = work_bound
+        lines.append("work bound: rows_read="
+                     + ("?" if rows_read is None else str(rows_read))
+                     + f" instructions={instructions}")
     lines.append("plan:")
     _walk(plan, store, "", True, lines, True)
     if plan_cache is not None:

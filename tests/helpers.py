@@ -6,12 +6,11 @@ driver — against the recompute oracle.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from typing import Iterable, Optional, Sequence, Union
 
-from repro import CostModel, StorageManager, UpdateRequest, ViewRegistry
+from repro import StorageManager, UpdateRequest, ViewRegistry
 from repro.engine import Engine
 from repro.multiview import DEFERRED, IMMEDIATE, threshold
 from repro.translate import translate_query
@@ -67,11 +66,13 @@ SHARING_VIEWS = (xmark.PERSONS_BY_CITY_QUERY, xmark.PERSONS_BY_CITY_QUERY,
 SHARING_POLICIES = {1: DEFERRED, 5: DEFERRED, 8: threshold(3)}
 
 
-def pinned() -> CostModel:
-    """A cost model that never chooses recomputation: a test comparing
-    the extent with the recompute oracle must have *propagated* it (at
-    20 persons an unpinned model recomputes a third of the flushes)."""
-    return CostModel(bias=math.inf)
+def pin(view):
+    """Keep a registered view on propagation whatever its queue, and
+    return it: a test comparing the extent with the recompute oracle must
+    have *propagated* it (at 20 persons a few batches of a deferred queue
+    reach the work bound)."""
+    view.over_work_bound = lambda: False
+    return view
 
 
 class MaintainedView:
@@ -83,8 +84,7 @@ class MaintainedView:
 
     def __init__(self, storage, query):
         self.registry = ViewRegistry(storage)
-        self.registered = self.registry.register(self.name, query,
-                                                 cost_model=pinned())
+        self.registered = pin(self.registry.register(self.name, query))
         self.pipeline = self.registered.pipeline
 
     def apply_updates(self, updates, profiler=None):
@@ -387,9 +387,8 @@ def run_differential(seed: int, steps: int, mutators: Sequence[str],
         xmark.register_site(storage, num_persons, seed=site_seed)
         registry = ViewRegistry(storage)
         for name_index, (index, query) in enumerate(group):
-            registry.register(f"view{name_index}", query,
-                              policy=policies.get(index, IMMEDIATE),
-                              cost_model=pinned())
+            pin(registry.register(f"view{name_index}", query,
+                                  policy=policies.get(index, IMMEDIATE)))
         registries.append(registry)
     # The rng stream is replayed from the same state per storage, and
     # since all storages evolve identically the generated batches are

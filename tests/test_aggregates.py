@@ -1,11 +1,10 @@
 """Aggregate views and their incremental maintenance (Section 7.6)."""
 
-import math
 import pickle
 
 import pytest
 
-from repro import CostModel, StorageManager, UpdateRequest, XmlDocument
+from repro import StorageManager, UpdateRequest, XmlDocument
 from repro.api import Database
 from repro.apply.deep_union import deep_union
 from repro.apply.extent import ExtentNode
@@ -471,8 +470,7 @@ class TestCheckpointBetweenPatches:
         db = Database(durable_path=str(tmp_path), fsync="always")
         db.load("d.xml", TOWNS)
         for agg in ("count", "sum", "max"):
-            db.create_view(agg, town_query(agg, "pay"),
-                           cost_model=CostModel(bias=math.inf))
+            db.create_view(agg, town_query(agg, "pay"))
 
         def move(database, position, town):
             database.update("d.xml").at(
@@ -485,10 +483,8 @@ class TestCheckpointBetweenPatches:
                 assert database.registry.view(name).stats.recomputes == 0
 
         move(db, 3, "Lima")             # the extent's states, patched once
-        for name in db.views():
-            # a checkpoint keeps a view's calibration, not its bias: make
-            # recomputation look dear so the reopened views propagate too
-            db.registry.view(name).cost.recompute_seconds = 1e6
+        # the checkpoint keeps each view's work bound, so the reopened
+        # views propagate too
         db.checkpoint()
         move(db, 1, "Lima")             # second patch rides the WAL tail
         check(db)

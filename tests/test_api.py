@@ -7,7 +7,7 @@ import pytest
 from repro import StorageManager, UpdateError, UpdateRequest, ViewRegistry, \
     XmlDocument
 from repro.api import Database, RefreshEvent, Subscription, Update, View
-from repro.multiview.cost import CostModel
+from repro.multiview import RegisteredView
 from repro.workloads.bib import (BIB_XML, NEW_BOOK_FRAGMENT, PRICES_XML,
                                  YEAR_GROUP_QUERY)
 
@@ -281,14 +281,11 @@ class TestSubscriptions:
         assert events[0].reason == "propagate"
         assert events[0].trees == 1
 
-    def test_refresh_event_on_recompute(self):
-        class AlwaysRecompute(CostModel):
-            def should_recompute(self, trees):
-                return True
-
+    def test_refresh_event_on_recompute(self, monkeypatch):
+        monkeypatch.setattr(RegisteredView, "over_work_bound",
+                            lambda self: True)
         db = fresh_db()
-        db.create_view("titles", TITLES_QUERY,
-                       cost_model=AlwaysRecompute())
+        db.create_view("titles", TITLES_QUERY)
         events = []
         db.subscribe("titles", events.append)
         db.update("bib.xml").at("/bib/book[1]").delete()
@@ -364,14 +361,11 @@ class TestSubscriptions:
         db.update("bib.xml").at("/bib/book[1]").delete()
         assert events[0].mutations is None
 
-    def test_mutations_none_on_recompute(self):
-        class AlwaysRecompute(CostModel):
-            def should_recompute(self, trees):
-                return True
-
+    def test_mutations_none_on_recompute(self, monkeypatch):
+        monkeypatch.setattr(RegisteredView, "over_work_bound",
+                            lambda self: True)
         db = fresh_db()
-        db.create_view("titles", TITLES_QUERY,
-                       cost_model=AlwaysRecompute())
+        db.create_view("titles", TITLES_QUERY)
         events = []
         db.subscribe("titles", events.append, deliver_mutations=True)
         db.update("bib.xml").at("/bib/book[1]").delete()

@@ -29,8 +29,9 @@ import pytest
 from .faults import FaultPlan, FaultyFileSystem
 from .helpers import (ALL_MUTATORS, GROUPED_VIEWS,
                       assert_path_lists_canonical, random_batch)
-from repro import CostModel, FlexKey, StorageManager, ViewRegistry
+from repro import FlexKey, StorageManager, ViewRegistry
 from repro.api import Database
+from repro.multiview import RegisteredView
 from repro.durability import (CheckpointError, CheckpointStore,
                               DurabilityManager, RealFileSystem,
                               RecoveryError,
@@ -239,8 +240,10 @@ def test_table_cells_pickle_and_copy_as_constructor_calls():
 def test_checkpoint_pickled_with_slot_state_restores_identically(tmp_path):
     """``tests/fixtures/format3-slot-state`` is a format-3 checkpoint
     written before table cells pickled as constructor calls (their
-    slots went in as state dicts).  It restores to the view XML its
-    writer read, byte for byte, and maintenance goes on from it."""
+    slots went in as state dicts), and before view specs carried a work
+    bound.  It restores to the view XML its writer read, byte for byte,
+    and maintenance goes on from it — incrementally, since no view has
+    a recorded ``rows_read``."""
     fixture = os.path.join(TESTS_DIR, "fixtures", "format3-slot-state")
     shutil.copy(os.path.join(fixture, "checkpoint-00000000000000000013.ckpt"),
                 tmp_path)
@@ -251,8 +254,12 @@ def test_checkpoint_pickled_with_slot_state_restores_identically(tmp_path):
     assert db.recovery.wal_records_replayed == 0
     assert len(db.registry.state_store.entries()) > 0
     assert {name: db.read(name) for name in db.views()} == expected
+    assert all(db.registry.view(name).rows_read is None
+               for name in db.views())
     drive(db, steps=6, seed=13)
     assert_all_views_consistent(db)
+    assert all(db.registry.view(name).stats.recomputes == 0
+               for name in db.views())
     db.close()
 
 
@@ -578,8 +585,8 @@ def test_format2_checkpoint_is_rematerialized_not_grafted(tmp_path,
     ``Distinct`` rule; fusing this build's zero-crossing deltas into
     them leaves emptied groups standing.  Its documents and index still
     restore, every view is rebuilt from them, no opstate is adopted."""
-    monkeypatch.setattr(CostModel, "should_recompute",
-                        lambda self, trees: False)
+    monkeypatch.setattr(RegisteredView, "over_work_bound",
+                        lambda self: False)
     db = durable_db(tmp_path, fsync="always")
     db.load("site.xml", xmark.generate_site(30, seed=7))
     for name, query in GROUPED_VIEWS.items():
@@ -622,8 +629,8 @@ def test_format2_checkpoint_is_rematerialized_not_grafted(tmp_path,
 
 def test_format3_reopen_grafts_without_rematerializing(tmp_path,
                                                        monkeypatch):
-    monkeypatch.setattr(CostModel, "should_recompute",
-                        lambda self, trees: False)
+    monkeypatch.setattr(RegisteredView, "over_work_bound",
+                        lambda self: False)
     db = seed_db(tmp_path / "clean")
     drive(db, steps=8, seed=5)
     db.close()                                 # final checkpoint, no tail
@@ -690,11 +697,10 @@ def test_recovered_registry_keeps_maintaining(tmp_path):
 
 
 def test_recovery_restores_operator_state_warm(tmp_path, monkeypatch):
-    # Pin the cost model to incremental maintenance: recompute choices
-    # depend on wall-clock calibration, and whether an entry is clean
+    # Pin incremental maintenance: whether an entry is clean
     # (checkpointable) at close varies with which path each flush took.
-    monkeypatch.setattr(CostModel, "should_recompute",
-                        lambda self, trees: False)
+    monkeypatch.setattr(RegisteredView, "over_work_bound",
+                        lambda self: False)
     db = seed_db(tmp_path)
     drive(db, steps=5)
     db.close()

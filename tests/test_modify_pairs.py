@@ -31,7 +31,7 @@ from repro.xat.base import DeltaRoot, obs_op_stats
 from repro.xat.table import AtomicItem, NodeItem, XatTuple
 
 from .helpers import (GROUPED_VIEWS, MaintainedView, assert_consistent,
-                      persons_of, pinned, run_differential, site_view)
+                      persons_of, pin, run_differential, site_view)
 
 #: the ROADMAP repro stream: mixed person churn plus city-text modifies
 CITY_MODIFY_MUTATORS = ("insert_person", "delete_person", "modify_city",
@@ -285,16 +285,16 @@ class TestMultiItemHashKeys:
 def _grouped_db(cities) -> Database:
     """One person per entry of ``cities`` under the three grouped views,
     which share one ``Distinct`` signature (and one store entry for its
-    input) and run three delta passes per batch.  The cost model is
-    pinned to the incremental side: at these sizes a recompute is cheap
-    enough for wall-clock noise to pick it, and a recomputed flush
-    exercises no delta rule."""
+    input) and run three delta passes per batch.  The views are pinned
+    to the incremental side: on a handful of persons one batch reaches
+    the work bound, and a recomputed flush exercises no delta rule."""
     people = "".join(xmark.new_person_xml(index, city=city)
                      for index, city in enumerate(cities))
     db = Database()
     db.load("site.xml", f"<site><people>{people}</people></site>")
     for name, query in GROUPED_VIEWS.items():
-        db.create_view(name, query, cost_model=pinned())
+        db.create_view(name, query)
+        pin(db.registry.view(name))
     return db
 
 
@@ -412,8 +412,8 @@ def test_city_modify_costs_the_batch_not_the_group():
     for persons in (100, 400):
         db = Database()
         db.load("site.xml", xmark.generate_site(persons, seed=3))
-        db.create_view("bycity", xmark.PERSONS_BY_CITY_QUERY,
-                       cost_model=pinned())
+        db.create_view("bycity", xmark.PERSONS_BY_CITY_QUERY)
+        pin(db.registry.view("bycity"))
         before = db.read("bycity")
         db.update("site.xml").at(_city_of(1)).replace_with("Boston")
         assert db.read("bycity") == db.registry.recompute_xml("bycity")

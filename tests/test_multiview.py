@@ -1,21 +1,25 @@
-"""Multi-view maintenance: routing, policies, cost fallback, consistency.
+"""Multi-view maintenance: routing, policies, work bound, consistency.
 
 Every consistency assertion uses the paper's criterion — a view's extent
 must serialize identically (content and order) to recomputation over the
 current sources.
 """
 
+import time
+
 import pytest
 
-from repro import StorageManager, UpdateRequest, ViewRegistry, XmlDocument
-from repro.multiview import CostModel, DEFERRED, threshold
+from repro import (Database, StorageManager, UpdateRequest, ViewRegistry,
+                   XmlDocument)
+from repro.multiview import DEFERRED, RegisteredView, threshold
+from repro.multiview.pipeline import ViewPipeline
 from repro.multiview.router import SharedValidationRouter
 from repro.updates.sapt import Sapt
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
 
 from .helpers import (GROUPED_VIEWS, _site_paths, books_of,
-                      closed_auctions_of as auctions_of, persons_of, pinned)
+                      closed_auctions_of as auctions_of, persons_of, pin)
 
 
 def multiview_storage(num_persons: int = 20) -> StorageManager:
@@ -297,11 +301,10 @@ class TestCountSignedDrainDiscipline:
 
     @pytest.fixture(autouse=True)
     def force_incremental(self, monkeypatch):
-        # The cost model's recompute fallback masks the bug (and its
-        # wall-clock calibration made the failures flaky): pin every
+        # The work bound's recompute fallback masks the bug: pin every
         # flush to the incremental path.
-        monkeypatch.setattr(CostModel, "should_recompute",
-                            lambda self, trees: False)
+        monkeypatch.setattr(RegisteredView, "over_work_bound",
+                            lambda self: False)
 
     @staticmethod
     def grouped_registry():
@@ -405,60 +408,134 @@ class TestCountSignedDrainDiscipline:
 
 
 class TestCostBasedFallback:
-    def test_flush_falls_back_to_recompute_when_incremental_loses(self):
-        storage = multiview_storage()
+    """One flush decision, from counters: a view recomputes once its
+    pending trees × FULL-plan instructions reach the rows its last
+    materialization read (:meth:`RegisteredView.over_work_bound`)."""
+
+    @staticmethod
+    def seniors(policy=DEFERRED, num_persons: int = 20):
+        storage = multiview_storage(num_persons)
         registry = ViewRegistry(storage)
-        # Calibrate so any pending tree looks more expensive than a full
-        # recomputation: per-tree cost huge, recompute cost ~zero.
-        registry.register(
-            "seniors", xmark.SELECTION_QUERY,
-            cost_model=CostModel(recompute_seconds=0.0,
-                                 per_tree_seconds=1.0, alpha=1e-9))
+        view = registry.register("seniors", xmark.SELECTION_QUERY,
+                                 policy=policy)
+        return storage, registry, view
+
+    def test_flush_falls_back_to_recompute_when_incremental_loses(self):
+        storage, registry, view = self.seniors(policy="immediate")
+        view.rows_read = 0            # any pending tree reaches the bound
         persons = persons_of(storage)
         registry.apply_updates([UpdateRequest.insert(
             "site.xml", persons[-1], xmark.new_person_xml(1, age=71),
             "after")])
-        view = registry.view("seniors")
         assert view.stats.recomputes == 1
         assert view.report.recomputed
         assert view.report.batches == 0  # nothing propagated incrementally
+        assert view.rows_read > 0        # re-measured by the recompute
         assert_all_consistent(registry)
 
     def test_recompute_after_delete_barrier_sees_final_storage(self):
-        storage = multiview_storage()
-        registry = ViewRegistry(storage)
-        registry.register(
-            "seniors", xmark.SELECTION_QUERY,
-            cost_model=CostModel(recompute_seconds=0.0,
-                                 per_tree_seconds=1.0, alpha=1e-9))
+        storage, registry, view = self.seniors(policy="immediate")
+        view.rows_read = 0
         persons = persons_of(storage)
         registry.apply_updates([
             UpdateRequest.delete("site.xml", persons[1]),
             UpdateRequest.delete("site.xml", persons[2]),
         ])
-        view = registry.view("seniors")
         assert view.stats.recomputes == 1
         assert (registry.to_xml("seniors")
                 == registry.recompute_xml("seniors"))
 
-    def test_uncalibrated_model_stays_incremental(self):
-        model = CostModel()
-        assert not model.should_recompute(10_000)
-        model.observe_recompute(0.5)
-        assert not model.should_recompute(10_000)  # per-tree still unknown
-        model.observe_propagation(10, 1.0)
-        assert model.should_recompute(6)   # 6 * 0.1 > 0.5
-        assert not model.should_recompute(4)
+    def test_switch_point_is_rows_read_over_instructions(self):
+        """``⌈rows_read / instructions⌉ − 1`` pending trees propagate,
+        and one more recomputes."""
+        reasons = {}
+        for extra in (0, 1):
+            storage, registry, view = self.seniors(num_persons=40)
+            switch = -(-view.rows_read // view.instructions)
+            assert 1 < switch < 40
+            names = _site_paths(storage, "site", "people", "person",
+                                "name")
+            for index in range(switch - 1 + extra):
+                registry.apply_updates([UpdateRequest.modify(
+                    "site.xml", names[index], f"Renamed {index}")])
+            assert view.pending_trees() == switch - 1 + extra
+            events = []
+            registry.add_refresh_listener("seniors", events.append)
+            assert registry.query("seniors") \
+                == registry.recompute_xml("seniors")
+            reasons[extra] = [event.reason for event in events]
+            assert view.stats.recomputes == extra
+            registry.close()
+        assert reasons == {0: ["propagate"], 1: ["recompute"]}
 
-    def test_ewma_calibration(self):
-        model = CostModel(alpha=0.5)
-        model.observe_propagation(10, 1.0)
-        assert model.per_tree_seconds == pytest.approx(0.1)
-        model.observe_propagation(10, 2.0)
-        assert model.per_tree_seconds == pytest.approx(0.15)
-        model.observe_recompute(1.0)
-        model.observe_recompute(3.0)
-        assert model.recompute_seconds == pytest.approx(2.0)
+    def test_rows_read_is_remeasured_after_a_recompute(self):
+        storage, registry, view = self.seniors()
+        before = view.rows_read
+        switch = -(-before // view.instructions)
+        persons = persons_of(storage)
+        registry.apply_updates([
+            UpdateRequest.insert("site.xml", persons[-1],
+                                 xmark.new_person_xml(index, age=71),
+                                 "after")
+            for index in range(switch)])
+        registry.flush("seniors")
+        assert view.stats.recomputes == 1
+        # the document grew, and so did the bound: the count is the one a
+        # materialization reads now
+        assert view.rows_read > before
+        assert view.rows_read == view.pipeline.materialize()
+        assert_all_consistent(registry)
+
+    def test_unmeasured_view_stays_incremental(self):
+        storage, registry, view = self.seniors()
+        view.rows_read = None
+        names = _site_paths(storage, "site", "people", "person", "name")
+        for index, name in enumerate(names):
+            registry.apply_updates([UpdateRequest.modify(
+                "site.xml", name, f"Renamed {index}")])
+        assert not view.over_work_bound()
+        registry.flush("seniors")
+        assert view.stats.recomputes == 0
+        assert view.stats.propagated_trees == len(names)
+        assert_all_consistent(registry)
+
+    def test_restored_view_keeps_its_bound(self, tmp_path):
+        db = Database(durable_path=str(tmp_path))
+        db.load("site.xml", xmark.generate_site(20, seed=1))
+        db.create_view("seniors", xmark.SELECTION_QUERY)
+        bound = db.registry.view("seniors").rows_read
+        assert bound > 0
+        db.close()
+        reopened = Database(durable_path=str(tmp_path))
+        view = reopened.registry.view("seniors")
+        assert view.pipeline.materialized and view.stats.recomputes == 0
+        assert view.rows_read == bound
+        reopened.close()
+
+    def test_slow_flush_does_not_flip_the_view(self, monkeypatch):
+        """The decision reads no clock: a propagation slowed by 200 ms
+        leaves every later flush propagating."""
+        storage, registry, view = self.seniors(policy="immediate")
+        propagate_run = ViewPipeline.propagate_run
+        slowed = []
+
+        def slow(self, *args, **kwargs):
+            if not slowed:
+                slowed.append(True)
+                time.sleep(0.2)
+            return propagate_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(ViewPipeline, "propagate_run", slow)
+        events = []
+        registry.add_refresh_listener("seniors", events.append)
+        names = _site_paths(storage, "site", "people", "person", "name")
+        for index in range(4):
+            registry.apply_updates([UpdateRequest.modify(
+                "site.xml", names[index], f"Renamed {index}")])
+        assert slowed and events[0].duration_seconds >= 0.2
+        assert [event.reason for event in events] == ["propagate"] * 4
+        assert view.stats.recomputes == 0
+        assert_all_consistent(registry)
 
 
 class TestDispatchRegisterFile:
@@ -481,8 +558,7 @@ class TestDispatchRegisterFile:
         registry = ViewRegistry(storage)
         events = {"one": [], "two": []}
         for name in events:
-            registry.register(name, xmark.PERSONS_BY_CITY_QUERY,
-                              cost_model=pinned())
+            pin(registry.register(name, xmark.PERSONS_BY_CITY_QUERY))
             registry.add_refresh_listener(name, events[name].append,
                                           deliver_mutations=True)
         cities = self._cities(storage)
@@ -503,9 +579,8 @@ class TestDispatchRegisterFile:
     def test_deferred_flush_reuses_nothing_from_earlier_dispatches(self):
         storage = multiview_storage()
         registry = ViewRegistry(storage)
-        registry.register("now", xmark.SELECTION_QUERY, cost_model=pinned())
-        registry.register("later", xmark.SELECTION_QUERY, policy=DEFERRED,
-                          cost_model=pinned())
+        pin(registry.register("now", xmark.SELECTION_QUERY))
+        pin(registry.register("later", xmark.SELECTION_QUERY, policy=DEFERRED))
         names = _site_paths(storage, "site", "people", "person", "name")
         for index in range(3):     # count-neutral: the queue is not drained
             registry.apply_updates([UpdateRequest.modify(
@@ -526,10 +601,10 @@ class TestDispatchRegisterFile:
         storage = multiview_storage()
         registry = ViewRegistry(storage)
         for name, query in GROUPED_VIEWS.items():
-            # the middle view of the group recomputes at every flush
-            registry.register(name, query, cost_model=(
-                CostModel(recompute_seconds=0.0, per_tree_seconds=1.0,
-                          alpha=1e-9) if name == "headcount" else pinned()))
+            view = pin(registry.register(name, query))
+            if name == "headcount":
+                # the middle view of the group recomputes at every flush
+                view.over_work_bound = lambda: True
         cities = self._cities(storage)
 
         def batch(index):
@@ -540,8 +615,7 @@ class TestDispatchRegisterFile:
             assert_all_consistent(registry)
 
         batch(0)
-        registry.register("late", xmark.PERSONS_BY_CITY_QUERY,
-                          cost_model=pinned())
+        pin(registry.register("late", xmark.PERSONS_BY_CITY_QUERY))
         batch(2)
         late = self._delta_plan(registry, "late")
         assert all(i.executed == 0 and i.reused == 1
@@ -561,10 +635,8 @@ class TestDispatchRegisterFile:
     def test_failed_pass_leaves_no_register_behind(self):
         storage = multiview_storage()
         registry = ViewRegistry(storage)
-        registry.register("bycity", xmark.PERSONS_BY_CITY_QUERY,
-                          cost_model=pinned())
-        registry.register("headcount", xmark.CITY_HEADCOUNT_QUERY,
-                          cost_model=pinned())
+        pin(registry.register("bycity", xmark.PERSONS_BY_CITY_QUERY))
+        pin(registry.register("headcount", xmark.CITY_HEADCOUNT_QUERY))
         cities = self._cities(storage)
         root = registry.view("headcount").pipeline.plan
 
@@ -588,8 +660,8 @@ class TestDispatchRegisterFile:
     def test_different_routed_subsets_share_nothing(self):
         storage = multiview_storage()
         registry = ViewRegistry(storage)
-        registry.register("join", xmark.JOIN_QUERY, cost_model=pinned())
-        registry.register("sel", xmark.SELECTION_QUERY, cost_model=pinned())
+        pin(registry.register("join", xmark.JOIN_QUERY))
+        pin(registry.register("sel", xmark.SELECTION_QUERY))
         specs = []
         propagate = registry.engine.propagate
 
@@ -681,8 +753,7 @@ class TestPerGroupState:
         storage = multiview_storage()
         registry = ViewRegistry(storage)
         for name in ("one", "two"):
-            registry.register(name, xmark.CITY_HEADCOUNT_QUERY,
-                              cost_model=pinned())
+            pin(registry.register(name, xmark.CITY_HEADCOUNT_QUERY))
         cities = _site_paths(storage, "site", "people", "person",
                              "address", "city")
 
@@ -731,7 +802,7 @@ class TestPerGroupState:
             "site.xml", f"<site><people>{people}</people></site>"))
         registry = ViewRegistry(storage)
         for name, query in GROUPED_VIEWS.items():
-            registry.register(name, query, cost_model=pinned())
+            pin(registry.register(name, query))
         return storage, registry
 
     def test_group_work_counters_do_not_grow_with_the_group(self):

@@ -33,10 +33,10 @@ import time
 import pytest
 
 from repro.api import Database
-from repro.multiview import CostModel
 from repro.server import ConnectionClosed, ReproClient, ServerError, \
     start_in_thread
 from repro.server.protocol import encode_frame
+from .helpers import pin
 from .netfaults import ChaosProxy
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -53,15 +53,11 @@ def insert_row(name: str) -> str:
             f'insert <row><name>{name}</name><v>0</v></row> into $d')
 
 
-class NeverRecompute(CostModel):
-    def should_recompute(self, trees):
-        return False
-
-
 def rows_db() -> Database:
     db = Database()
     db.load("data.xml", ROWS_XML)
-    db.create_view("rows", ROWS_QUERY, cost_model=NeverRecompute())
+    db.create_view("rows", ROWS_QUERY)
+    pin(db.registry.view("rows"))
     return db
 
 
@@ -181,8 +177,7 @@ class TestKillAndResume:
             # -- differential oracle in the server's serialized order ------
             with Database() as oracle:
                 oracle.load("data.xml", ROWS_XML)
-                oracle.create_view("rows", ROWS_QUERY,
-                                   cost_model=NeverRecompute())
+                oracle.create_view("rows", ROWS_QUERY)
                 for _, name in sorted(acked):
                     oracle.execute(insert_row(name))
                 assert oracle.read("rows") == xml
@@ -414,8 +409,8 @@ class TestSubscriptionResume:
     def test_resume_across_durable_server_restart(self, tmp_path):
         db = Database(durable_path=tmp_path)
         db.load("data.xml", ROWS_XML)
-        db.create_view("rows", ROWS_QUERY,
-                       cost_model=NeverRecompute())
+        db.create_view("rows", ROWS_QUERY)
+        pin(db.registry.view("rows"))
         handle = start_in_thread(db, own_db=True)
         proxy = ChaosProxy(handle.port, seed=13)
         subscriber = ReproClient(proxy.host, proxy.port, reconnect=True,

@@ -5,12 +5,11 @@ and the differential guarantee that none of it changes maintenance.
 from __future__ import annotations
 
 import json
-import math
 import random
 
 import pytest
 
-from repro import (CostModel, Database, StorageManager, UpdateRequest,
+from repro import (Database, StorageManager, UpdateRequest,
                    ViewRegistry)
 from repro.obs import (CollectingSink, Counter, Gauge, Histogram,
                        MetricsRegistry, Span, TraceSink, Tracer, disabled,
@@ -241,6 +240,10 @@ class TestTracing:
                 assert flush.attrs["decision"] in ("propagate",
                                                    "recompute")
                 assert flush.attrs["observed_seconds"] <= root.duration
+                # the decision's two sides, in rows: pending trees x
+                # instructions against the last materialization's reads
+                assert flush.attrs["work_rows"] > 0
+                assert flush.attrs["bound_rows"] > 0
 
             phases = sink.by_name("phase.propagate")
             assert phases
@@ -278,6 +281,9 @@ class TestExplain:
                 .at("/site/people/person[1]/address/city") \
                 .replace_with("Montevideo")
             text = db.explain("headcount")
+            view = db.registry.view("headcount")
+            bound = (f"work bound: rows_read={view.rows_read} "
+                     f"instructions={view.instructions}")
 
         lines = text.splitlines()
         assert lines[0].startswith("view 'headcount'")
@@ -289,8 +295,7 @@ class TestExplain:
         assert any(line.startswith("timings: propagate=")
                    for line in lines)
         assert "validate=" not in text
-        assert any(line.startswith("cost model: recompute=")
-                   for line in lines)
+        assert bound in lines and view.rows_read > 0
         # the plan tree is annotated with live full/delta counters; the
         # compiled instruction listings follow the operator tree
         tail = lines[lines.index("plan:") + 1:]
@@ -335,8 +340,7 @@ class TestReadWork:
         with Database(storage=storage) as db:
             for name, query in (("ages", self.AGES),
                                 ("bycity", xmark.PERSONS_BY_CITY_QUERY)):
-                db.create_view(name, query,
-                               cost_model=CostModel(bias=math.inf))
+                db.create_view(name, query)
 
             def rebuilt_by_read(name):
                 before = db.metrics()["view_serialized_elements_total"][
@@ -417,14 +421,6 @@ class TestDisabledDifferential:
         produce byte-identical view extents over a mixed random stream
         (observability reads the engine, never steers it)."""
 
-        class _NeverRecompute(CostModel):
-            """Pin flush decisions: the stock cost model chooses
-            propagate-vs-recompute from wall-clock observations, which
-            host load could flip between the two runs."""
-
-            def should_recompute(self, trees: int) -> bool:
-                return False
-
         def run(enabled: bool) -> list[str]:
             previous = set_enabled(enabled)
             try:
@@ -432,11 +428,9 @@ class TestDisabledDifferential:
                 xmark.register_site(storage, 15, seed=6)
                 with ViewRegistry(storage) as registry:
                     registry.register("by-city",
-                                      xmark.PERSONS_BY_CITY_QUERY,
-                                      cost_model=_NeverRecompute())
+                                      xmark.PERSONS_BY_CITY_QUERY)
                     registry.register("sales", xmark.JOIN_QUERY,
-                                      policy=3,
-                                      cost_model=_NeverRecompute())
+                                      policy=3)
                     rng = random.Random(11)
                     extents = []
                     for step in range(12):

@@ -24,7 +24,7 @@ from repro.xat.grouping import compute_aggregate, merge_member_items
 
 from .helpers import (GROUPED_VIEWS, assert_consistent,
                       audit_operator_state, closed_auctions_of, persons_of,
-                      pinned, random_batch, run_differential, site_view)
+                      pin, random_batch, run_differential, site_view)
 
 CITY_PATH = [("child", "site"), ("child", "people"), ("child", "person"),
              ("child", "address"), ("child", "city")]
@@ -202,7 +202,7 @@ class TestBatchEpochs:
         xmark.register_site(storage, num_persons, seed=1)
         registry = ViewRegistry(storage)
         for name, query in views.items():
-            registry.register(name, query, cost_model=pinned())
+            pin(registry.register(name, query))
         return registry
 
     def test_two_root_batches_split_across_views_stay_warm(self):

@@ -17,7 +17,7 @@ from repro.xat.base import DELTA, FULL, MODIFY, DeltaRoot, DeltaSpec
 
 from .helpers import (ALL_MUTATORS, FUZZ_VIEWS, GROUPED_VIEWS,
                       SHARING_POLICIES, SHARING_VIEWS, assert_consistent,
-                      books_of, pinned, run_differential, running_example,
+                      books_of, pin, run_differential, running_example,
                       site_view)
 
 CITY_PATH = [("child", "site"), ("child", "people"), ("child", "person"),
@@ -135,8 +135,8 @@ class TestVmExecution:
     def test_vm_counters_feed_metrics(self):
         with Database() as db:
             db.load("site.xml", xmark.generate_site(10, seed=1))
-            db.create_view("by-city", xmark.PERSONS_BY_CITY_QUERY,
-                           cost_model=pinned())
+            db.create_view("by-city", xmark.PERSONS_BY_CITY_QUERY)
+            pin(db.registry.view("by-city"))
             db.execute('for $p in document("site.xml")'
                        '/site/people/person[1] update $p '
                        'replace $p/address/city with "Tampere"')
@@ -151,8 +151,8 @@ class TestVmExecution:
             assert stats["compiles"] >= 2      # FULL + DELTA
             assert stats["instructions_executed"] > 0
             assert stats["instructions_reused"] == 0   # nobody to share with
-            db.create_view("twin", xmark.PERSONS_BY_CITY_QUERY,
-                           cost_model=pinned())
+            db.create_view("twin", xmark.PERSONS_BY_CITY_QUERY)
+            pin(db.registry.view("twin"))
             db.execute('for $p in document("site.xml")'
                        '/site/people/person[2] update $p '
                        'replace $p/address/city with "Tampere"')
@@ -170,7 +170,7 @@ class TestVmExecution:
         xmark.register_site(storage, 40, seed=1)
         registry = ViewRegistry(storage)
         for name, query in GROUPED_VIEWS.items():
-            registry.register(name, query, cost_model=pinned())
+            pin(registry.register(name, query))
         cities = storage.find_by_path("site.xml", CITY_PATH)
         before = registry.plan_cache.stats()
         registry.apply_updates(
@@ -189,8 +189,8 @@ class TestVmExecution:
     def test_explain_lists_compiled_plans(self):
         with Database() as db:
             db.load("site.xml", xmark.generate_site(10, seed=1))
-            db.create_view("by-city", xmark.PERSONS_BY_CITY_QUERY,
-                           cost_model=pinned())
+            db.create_view("by-city", xmark.PERSONS_BY_CITY_QUERY)
+            pin(db.registry.view("by-city"))
             db.execute('for $p in document("site.xml")'
                        '/site/people/person[1] update $p '
                        'replace $p/address/city with "Tampere"')
@@ -200,8 +200,8 @@ class TestVmExecution:
             assert "reuse=" not in text and "shared-prefix=" not in text
             # A follower of a twin pair fills its Δ registers from the
             # first view's pass: reuse= counts, runs= stays.
-            db.create_view("twin", xmark.PERSONS_BY_CITY_QUERY,
-                           cost_model=pinned())
+            db.create_view("twin", xmark.PERSONS_BY_CITY_QUERY)
+            pin(db.registry.view("twin"))
             db.execute('for $p in document("site.xml")'
                        '/site/people/person[2] update $p '
                        'replace $p/address/city with "Tampere"')

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import random
 import socket
 import threading
 import types
@@ -21,7 +22,6 @@ import pytest
 
 from repro.api import Database
 from repro.engine import Engine
-from repro.multiview import CostModel
 from repro.server import ClientSubscription, ConnectionClosed, \
     ReproClient, ServerError, start_in_thread
 from repro.server.protocol import HEADER_SIZE, FrameDecoder, \
@@ -33,6 +33,8 @@ from repro.server.server import WRITE_BATCH_BYTES, ViewServer, _Session, \
 from repro.translate import translate_query
 from repro.workloads.bib import BIB_XML, NEW_BOOK_FRAGMENT, PRICES_XML, \
     YEAR_GROUP_QUERY
+
+from .helpers import pin
 
 TITLES_QUERY = ('<r>{for $b in doc("bib.xml")/bib/book '
                 'return $b/title}</r>')
@@ -59,20 +61,22 @@ def replace_row_value(name: str, value: str) -> str:
             f'replace $r/v with "{value}"')
 
 
-class NeverRecompute(CostModel):
-    """Pin maintenance to propagation so pushes carry mutation payloads
-    (the tiny test views would otherwise calibrate into recompute)."""
-
-    def should_recompute(self, trees):
-        return False
+def rows_db(xml: str = ROWS_XML, views=(("rows", ROWS_QUERY),)
+            ) -> Database:
+    """A database over the rows document with its views pinned to
+    propagation, so pushes carry mutation payloads (on a one-row document
+    a single tree reaches the work bound)."""
+    db = Database()
+    db.load("data.xml", xml)
+    for name, query in views:
+        db.create_view(name, query)
+        pin(db.registry.view(name))
+    return db
 
 
 def rows_server(**kwargs):
     """A served database pre-loaded with the rows document and view."""
-    db = Database()
-    db.load("data.xml", ROWS_XML)
-    db.create_view("rows", ROWS_QUERY, cost_model=NeverRecompute())
-    return start_in_thread(db, own_db=True, **kwargs)
+    return start_in_thread(rows_db(), own_db=True, **kwargs)
 
 
 # -- the protocol layer (no sockets) -----------------------------------------------------
@@ -163,9 +167,7 @@ def _offline_subscriber(mode: str, limit: int):
     :class:`_Session` whose tasks never run (deliver/queue only) and one
     subscriber attached to the view's feed: in-process updates then
     reach ``_Session.deliver`` as real ``RefreshEvent``s."""
-    db = Database()
-    db.load("data.xml", ROWS_XML)
-    db.create_view("rows", ROWS_QUERY, cost_model=NeverRecompute())
+    db = rows_db()
     server = ViewServer(db)
     session = _Session(server, None, None, 1)
     feed = server._ensure_feed("rows")
@@ -317,15 +319,12 @@ def seeded_rows_xml(rows: int) -> str:
                               for n in range(rows)) + "</data>"
 
 
-def served_rows(cost_model=None, rows: int = 0, **kwargs):
+def served_rows(rows: int = 0, **kwargs):
     """``rows_server`` plus a second view over the same document and an
     in-process payload listener on each: returns ``(handle, events)``
     with ``events[view]`` the real ``RefreshEvent``s the server saw."""
-    db = Database()
-    db.load("data.xml", seeded_rows_xml(rows))
-    db.create_view("rows", ROWS_QUERY,
-                   cost_model=cost_model or NeverRecompute())
-    db.create_view("names", NAMES_QUERY, cost_model=NeverRecompute())
+    db = rows_db(seeded_rows_xml(rows),
+                 (("rows", ROWS_QUERY), ("names", NAMES_QUERY)))
     events = {"rows": [], "names": []}
     for view, seen in events.items():
         db.subscribe(view, seen.append, deliver_mutations=True)
@@ -384,14 +383,8 @@ class TestEndToEnd:
                 assert client.read("rows")["sequence"] == 5
 
     def test_recompute_refresh_pushes_reset_frame(self):
-        class AlwaysRecompute(CostModel):
-            def should_recompute(self, trees):
-                return True
-
-        db = Database()
-        db.load("data.xml", ROWS_XML)
-        db.create_view("rows", ROWS_QUERY,
-                       cost_model=AlwaysRecompute())
+        db = rows_db()
+        db.registry.view("rows").over_work_bound = lambda: True
         with start_in_thread(db, own_db=True) as handle:
             with ReproClient(handle.host, handle.port) as client:
                 subscription = client.subscribe("rows")
@@ -620,17 +613,10 @@ class TestBackpressureWire:
 # -- the push path: one encode per refresh, one write per wake-up ----------------------
 
 
-class TogglingCost(CostModel):
-    force = False
-
-    def should_recompute(self, trees):
-        return self.force
-
-
 class TestPushPath:
     def test_wire_frames_equal_delta_frame_and_share_their_bytes(self):
-        cost = TogglingCost()
-        handle, events = served_rows(cost, backlog=2)
+        handle, events = served_rows(backlog=2)
+        rows = handle.db.registry.view("rows")
         with handle:
             one = BodyClient(handle.host, handle.port)
             two = BodyClient(handle.host, handle.port)
@@ -639,7 +625,7 @@ class TestPushPath:
             b = two.request("subscribe", view="rows")["subscription"]
             for name, force in (("p1", False), ("p2", True),
                                 ("p3", False)):
-                cost.force = force
+                rows.over_work_bound = lambda force=force: force
                 writer.request("update", statements=[insert_row(name)])
             seen = events["rows"]
             assert [e.reason for e in seen] == \
@@ -1023,3 +1009,57 @@ class TestSubscriptionLifecycle:
         assert subscription.last_sequence == 5
         with pytest.raises(ConnectionClosed):
             subscription.get(timeout=1)
+
+
+# -- a served run is reproducible from its seed ----------------------------------------
+
+
+class TestSeedReproducibility:
+    """The flush decision reads row counters, never a clock, so the
+    unpinned views of two served runs of one seeded stream decide alike
+    and their subscribers receive the same bytes."""
+
+    @staticmethod
+    def served_run(seed: int) -> tuple[list, list]:
+        rng = random.Random(seed)
+        db = Database()
+        db.load("data.xml", seeded_rows_xml(3))
+        events = []
+        for view, query in (("rows", ROWS_QUERY), ("names", NAMES_QUERY)):
+            db.create_view(view, query)
+            db.subscribe(view, events.append)
+        live = [f"seed{n}" for n in range(3)]
+        with start_in_thread(db, own_db=True) as handle:
+            watcher = BodyClient(handle.host, handle.port)
+            writer = RawClient(handle.host, handle.port)
+            for view in ("rows", "names"):
+                watcher.request("subscribe", view=view)
+            start = len(watcher.bodies)
+            for step in range(30):
+                statements = []
+                for index in range(rng.randint(1, 6)):
+                    name = f"n{step}x{index}"
+                    choice = rng.random()
+                    if choice < 0.5 or len(live) < 2:
+                        statements.append(insert_row(name))
+                        live.append(name)
+                    elif choice < 0.75:
+                        statements.append(delete_row(
+                            live.pop(rng.randrange(len(live)))))
+                    else:
+                        statements.append(replace_row_value(
+                            rng.choice(live), str(rng.randint(0, 9))))
+                writer.request("update", statements=statements)
+                while len(watcher.bodies) - start < len(events):
+                    assert watcher.recv_frame() is not None
+            watcher.close()
+            writer.close()
+        return ([(event.view, event.reason) for event in events],
+                watcher.bodies[start:])
+
+    def test_same_seed_same_decisions_same_frames(self):
+        reasons, frames = self.served_run(5)
+        assert {reason for _view, reason in reasons} \
+            == {"propagate", "recompute"}
+        assert len(frames) == len(reasons)
+        assert self.served_run(5) == (reasons, frames)

@@ -7,7 +7,7 @@ extent must serialize identically (content and order) to recomputation.
 import pytest
 
 from repro import Database, StorageManager, UpdateRequest, ViewRegistry
-from repro.multiview.cost import CostModel
+from repro.multiview import RegisteredView
 from repro.workloads import xmark
 
 from .helpers import (assert_consistent, closed_auctions_of, persons_of,
@@ -255,10 +255,10 @@ class TestValidatePhaseEffects:
 def test_theta_join_maintained_from_both_sides(monkeypatch):
     """A non-equi condition has no hash keys: each Δ term runs the
     nested-loop match against the other side's whole table."""
-    # At this size wall-clock noise could pick recomputation, and a
+    # On documents this small one batch reaches the work bound, and a
     # recomputed flush exercises no delta rule.
-    monkeypatch.setattr(CostModel, "should_recompute",
-                        lambda self, trees: False)
+    monkeypatch.setattr(RegisteredView, "over_work_bound",
+                        lambda self: False)
     with Database() as db:
         db.load("a.xml", "<as><a><v>1</v></a><a><v>5</v></a></as>")
         db.load("b.xml", "<bs><b><w>3</w></b><b><w>9</w></b></bs>")
