@@ -21,15 +21,16 @@ What is stored, and what :func:`restore_state` rebuilds instead:
   (``sibling_atom(index)`` ≠ the ``atom_for_insert`` keys they got
   live).  Restore re-creates the nodes, their ``parent`` links and one
   FlexKey per node; :meth:`StorageManager.restore_document` then
-  re-adopts the tree (node map, interned keys) in one walk.
+  re-adopts the tree into the node map in one walk.
 * **the StructuralIndex** — its sorted per-tag key lists, tag-path
   cache and path interner, as the plain dicts they are, so restore
-  skips rebuilding them.  The key-interning map is *not*
-  stored: it maps every key string to the node's own FlexKey instance,
-  which the document walk has in hand.  Neither are the per-tag-path
-  key lists: they are the per-document lists grouped by the tag-path
-  cache, both sorted already, so restore rebuilds them in one appending
-  pass (so a file written before those lists existed restores the same).
+  skips rebuilding them; they are filled into the fresh storage's own
+  index, which reads its FlexKeys from the node map.  The per-tag-path
+  key lists are not stored: they are the per-document lists grouped by
+  the tag-path cache, both sorted already, so restore rebuilds them in
+  one appending pass (so a file written before those lists existed
+  restores the same).  A payload without index columns — written by a
+  store that kept no index — is rejected before storage is touched.
 * **view extents** — per view ``ids``/``orders``/``tags``/``texts``/
   ``child_counts``/``counts``, ``flags`` (one byte per node: bit 0
   ``refresh``, bit 1 ``base``) and sparse ``{position: attributes}`` /
@@ -65,7 +66,6 @@ from __future__ import annotations
 from ..apply.extent import ExtentNode
 from ..flexkeys import FlexKey
 from ..multiview.policies import MaintenancePolicy
-from ..storage.index import StructuralIndex
 from ..xmlmodel import XmlDocument, XmlNode
 from ..xmlmodel.node import ELEMENT, TEXT
 
@@ -193,24 +193,17 @@ def _decode_extent(columns: dict) -> ExtentNode:
 # -- the structural index -----------------------------------------------------------------
 
 
-def _encode_index(index) -> dict | None:
-    """Everything but ``_interned`` (rebuilt by the document walk),
-    ``_path_lists`` (rebuilt by :func:`_restore_index`) and the activity
-    counters (per-process)."""
-    if index is None:
-        return None
+def _encode_index(index) -> dict:
+    """Everything but ``_path_lists`` (rebuilt by :func:`_restore_index`)
+    and the activity counters (per-process); the FlexKeys themselves are
+    the restored nodes' own."""
     return {"tag_lists": index._tag_lists, "all_lists": index._all_lists,
             "tag_paths": index._tag_paths,
             "path_interner": index._path_interner}
 
 
-def _restore_index(storage, columns: dict | None) -> None:
-    """The checkpoint decides whether the restored storage is indexed
-    (the index cannot be conjured for a store that never kept one)."""
-    if columns is None:
-        storage._index = None
-        return
-    index = storage._index = StructuralIndex()
+def _restore_index(index, columns: dict) -> None:
+    """Fill a fresh storage's index in place from its columns."""
     index._tag_lists = columns["tag_lists"]
     index._all_lists = columns["all_lists"]
     index._tag_paths = columns["tag_paths"]
@@ -279,10 +272,15 @@ def restore_state(registry, state: dict) -> None:
     if state.get("format") not in (2, SNAPSHOT_FORMAT):
         raise ValueError(
             f"unsupported snapshot format {state.get('format')!r}")
+    if state.get("index") is None:
+        raise ValueError(
+            "snapshot has no structural index: it was written by a "
+            "storage manager constructed without one, which this "
+            "release no longer supports")
     # format 2: same columns, counts of the old Distinct rule (see above)
     graft = state["format"] == SNAPSHOT_FORMAT
     storage = registry.storage
-    _restore_index(storage, state["index"])
+    _restore_index(storage.index, state["index"])
     for name, columns in state["documents"].items():
         root = _decode_document(columns)
         storage.restore_document(XmlDocument(name, root), root.key)

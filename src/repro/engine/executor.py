@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from ..apply.deep_union import FusionReport, deep_union, fuse_forest
+from ..apply.deep_union import FusionReport, fuse_forest
 from ..apply.extent import ExtentNode, node_from_item, serialize_extent
 from ..storage import StorageManager
 from ..xat.base import (DELTA, FULL, DeltaSpec, ExecutionContext, Profiler,

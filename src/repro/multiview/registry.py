@@ -325,20 +325,19 @@ class ViewRegistry:
             "subscriber_errors",
             "Refresh listeners that raised (isolated, flush unharmed)"
             ).set(self._subscriber_errors)
-        index = self.storage.index
-        if index is not None:
-            stats = index.stats()
-            for key in ("range_scans", "walk_fallbacks", "path_lookups"):
-                metrics.counter(
-                    f"index_{key}",
-                    "Structural-index navigation activity").set(stats[key])
-            metrics.gauge("index_interned_keys",
-                          "Live keys interned by the structural index"
-                          ).set(stats["interned_keys"])
-            metrics.gauge("index_path_lists",
-                          "Distinct root-to-node tag paths holding a "
-                          "sorted key list in the structural index"
-                          ).set(stats["path_lists"])
+        stats = self.storage.index.stats()
+        for key in ("range_scans", "walk_fallbacks", "path_lookups"):
+            metrics.counter(
+                f"index_{key}",
+                "Structural-index navigation activity").set(stats[key])
+        metrics.gauge("index_interned_keys",
+                      "Live keys in the storage node map (one FlexKey "
+                      "instance each, shared with the structural index)"
+                      ).set(stats["interned_keys"])
+        metrics.gauge("index_path_lists",
+                      "Distinct root-to-node tag paths holding a "
+                      "sorted key list in the structural index"
+                      ).set(stats["path_lists"])
         plan_stats = self.plan_cache.stats()
         metrics.histogram(
             "plan_compile_seconds",

@@ -22,7 +22,6 @@ checks that equivalence and measures the saving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..flexkeys import FlexKey
 from ..storage import StorageManager

@@ -5,7 +5,7 @@ node's subtree a *contiguous lexicographic range* of key strings: every
 descendant of ``k`` sorts inside ``[k + "." , k + "/")`` — the level
 separator ``"."`` is smaller than every atom character and ``"/"`` is its
 successor, so the half-open range covers exactly the proper descendants.
-:class:`StructuralIndex` exploits this with four structures:
+:class:`StructuralIndex` exploits this with three structures:
 
 * **per-document, per-tag sorted key lists** in document order, so
   ``descendants(key, tag)`` is a binary search plus a slice instead of a
@@ -17,12 +17,15 @@ successor, so the half-open range covers exactly the proper descendants.
   location path is answered by returning its list (``path_nodes``), and
   ``…/person[k]`` by one binary search per parent (``nth_children``) —
   O(parents · log N), never a pass over the N candidates;
-* a **key-interning map** from key string to a single :class:`FlexKey`
-  instance whose parsed-atom tuple and order token are memoized, so range
-  results never re-parse key strings;
 * a **root-to-node tag-path cache** consulted by the SAPT validator and
   the multi-view router — keys are never relabeled and element tags never
   change, so a cached path stays valid for the node's whole lifetime.
+
+The lists hold key strings; a range query turns them into FlexKeys by
+reading the storage manager's node map (``nodes[value].key``), which it
+shares rather than copies.  That is the one FlexKey instance per live
+key, whose parsed-atom tuple and order token are memoized, so range
+results never re-parse key strings.
 
 The index is maintained *incrementally* by the
 :class:`~repro.storage.manager.StorageManager` mutation entry points, a
@@ -42,6 +45,7 @@ from bisect import bisect_left
 from typing import Optional
 
 from ..flexkeys import LEVEL_SEP, FlexKey
+from ..xmlmodel import XmlNode
 
 #: Exclusive upper bound of a subtree's key range: the character after the
 #: level separator, smaller than every atom character.
@@ -51,11 +55,13 @@ _RANGE_END = chr(ord(LEVEL_SEP) + 1)
 class StructuralIndex:
     """Sorted-key-range index maintained alongside a ``StorageManager``."""
 
-    __slots__ = ("_tag_lists", "_all_lists", "_path_lists", "_interned",
+    __slots__ = ("_nodes", "_tag_lists", "_all_lists", "_path_lists",
                  "_tag_paths", "_path_interner", "range_scans",
                  "walk_fallbacks", "path_lookups")
 
-    def __init__(self):
+    def __init__(self, nodes: dict[str, XmlNode]):
+        # the storage manager's node map (key string -> node), read only
+        self._nodes = nodes
         # Always-on monotone activity counters (plain int adds — the
         # observability layer pulls them into metric snapshots): range
         # scans answered by the sorted key lists, walk fallbacks where
@@ -71,8 +77,6 @@ class StructuralIndex:
         # strings of the elements with exactly that path (never empty:
         # a list is dropped with its last key)
         self._path_lists: dict[tuple[str, tuple[str, ...]], list[str]] = {}
-        # key string -> the one interned FlexKey (memoized atoms/order)
-        self._interned: dict[str, FlexKey] = {}
         # key string -> root-to-node element tag path
         self._tag_paths: dict[str, tuple[str, ...]] = {}
         # tag path -> the one interned tuple, so a path is stored once
@@ -85,16 +89,14 @@ class StructuralIndex:
         """The one stored tuple equal to ``tags``."""
         return self._path_interner.setdefault(tags, tags)
 
-    def add_subtree(self, document: str, keys: dict[str, FlexKey],
-                    paths: dict[str, tuple[str, ...]], elements: list[str],
-                    by_tag: dict[str, list[str]],
+    def add_subtree(self, document: str, paths: dict[str, tuple[str, ...]],
+                    elements: list[str], by_tag: dict[str, list[str]],
                     by_path: dict[tuple[str, ...], list[str]]) -> None:
-        """Index one newly-keyed subtree: ``keys`` / ``paths`` map every
-        node's key string to its key and interned tag path, ``elements``
-        are the element key strings, ``by_tag`` / ``by_path`` those grouped
-        per tag and per tag path — all in key order, so each group lands
-        as one run (appended while a document registers)."""
-        self._interned.update(keys)
+        """Index one newly-keyed subtree: ``paths`` maps every node's key
+        string to its interned tag path, ``elements`` are the element key
+        strings, ``by_tag`` / ``by_path`` those grouped per tag and per
+        tag path — all in key order, so each group lands as one run
+        (appended while a document registers)."""
         self._tag_paths.update(paths)
         if elements:
             _splice(self._all_lists.setdefault(document, []), elements)
@@ -107,11 +109,8 @@ class StructuralIndex:
         """Drop a subtree's entries; ``values`` are all its key strings,
         the root's first.  The tag paths they had name the lists to cut
         (a text node has its parent's: a cut that finds nothing)."""
-        interned, tag_paths = self._interned, self._tag_paths
-        paths = set()
-        for value in values:
-            del interned[value]
-            paths.add(tag_paths.pop(value))
+        tag_paths = self._tag_paths
+        paths = {tag_paths.pop(value) for value in values}
         low = values[0]
         high = low + _RANGE_END
         _cut(self._all_lists, document, low, high)
@@ -139,8 +138,8 @@ class StructuralIndex:
         value = key.value
         lo = bisect_left(keys, value + LEVEL_SEP)
         hi = bisect_left(keys, value + _RANGE_END, lo)
-        interned = self._interned
-        return [interned[v] for v in keys[lo:hi]]
+        nodes = self._nodes
+        return [nodes[v].key for v in keys[lo:hi]]
 
     def children(self, document: str, key: FlexKey, tag: str,
                  child_count: int) -> Optional[list[FlexKey]]:
@@ -166,8 +165,8 @@ class StructuralIndex:
             return None
         self.range_scans += 1
         child_seps = value.count(LEVEL_SEP) + 1
-        interned = self._interned
-        return [interned[v] for v in keys[lo:hi]
+        nodes = self._nodes
+        return [nodes[v].key for v in keys[lo:hi]
                 if v.count(LEVEL_SEP) == child_seps]
 
     def path_nodes(self, document: str,
@@ -177,8 +176,8 @@ class StructuralIndex:
         sorted key list, already in document order.  An unseen path is
         answered negatively without touching any node at all."""
         self.path_lookups += 1
-        interned = self._interned
-        return [interned[value]
+        nodes = self._nodes
+        return [nodes[value].key
                 for value in self._path_lists.get((document, tags), ())]
 
     def nth_children(self, document: str, tags: tuple[str, ...],
@@ -197,9 +196,9 @@ class StructuralIndex:
         keys = self._path_lists.get((document, tags))
         if not keys:
             return []
-        interned = self._interned
+        nodes = self._nodes
         if len(tags) == 1:
-            return [interned[keys[0]]] if position == 1 else []
+            return [nodes[keys[0]].key] if position == 1 else []
         found = []
         lo = 0
         for parent in self._path_lists.get((document, tags[:-1]), ()):
@@ -207,7 +206,7 @@ class StructuralIndex:
             lo = bisect_left(keys, prefix, lo)
             at = lo + position - 1
             if at < len(keys) and keys[at].startswith(prefix):
-                found.append(interned[keys[at]])
+                found.append(nodes[keys[at]].key)
         return found
 
     # -- caches ------------------------------------------------------------------------
@@ -216,21 +215,11 @@ class StructuralIndex:
         """The cached root-to-node tag path for a live key string."""
         return self._tag_paths.get(value)
 
-    def intern(self, key: FlexKey) -> FlexKey:
-        """The canonical instance for ``key`` (itself when not indexed)."""
-        return self._interned.get(key.value, key)
-
-    def reintern(self, keys: list[FlexKey]) -> None:
-        """Make ``keys`` the canonical instances of their strings — the
-        recovery path, where the sorted lists and tag paths came from a
-        checkpoint but the FlexKey objects were created by the restore."""
-        self._interned.update((key.value, key) for key in keys)
-
     # -- introspection -----------------------------------------------------------------
 
     def stats(self) -> dict:
         return {
-            "interned_keys": len(self._interned),
+            "interned_keys": len(self._nodes),
             "tag_lists": len(self._tag_lists),
             "path_lists": len(self._path_lists),
             "documents": len(self._all_lists),

@@ -14,12 +14,12 @@ algorithms depend on.
 
 Navigation (``children`` / ``descendants`` / ``find_by_path``) runs
 through an incrementally-maintained :class:`~repro.storage.index.
-StructuralIndex` by default: a subtree is a contiguous lexicographic
-FlexKey range, so descendant retrieval is a binary search instead of a
-tree walk.  The walk-based implementations stay available as
-``*_unindexed`` methods (and as the only path when constructed with
-``indexed=False``): the reference the tests diff the indexed routes
-against.
+StructuralIndex`: a subtree is a contiguous lexicographic FlexKey range,
+so descendant retrieval is a binary search instead of a tree walk.  The
+store keeps one node map, keyed by key string; the index reads its
+FlexKeys from it (``nodes[value].key``) rather than holding a copy.  The
+walk-based reference the tests diff these routes against lives in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -40,22 +40,19 @@ class StorageError(KeyError):
 class StorageManager:
     """Holds all registered source documents and resolves FlexKeys to nodes."""
 
-    def __init__(self, indexed: bool = True):
+    def __init__(self):
         self._documents: dict[str, XmlDocument] = {}
         self._roots: dict[str, FlexKey] = {}
-        self._nodes: dict[FlexKey, XmlNode] = {}
+        # key string -> node; the node's ``key`` is the one FlexKey
+        # instance of that string (memoized atoms and order token)
+        self._nodes: dict[str, XmlNode] = {}
         self._doc_of_root_atom: dict[str, str] = {}
         self._listeners: list = []
         self._mutation_listeners: list = []
-        self._index: Optional[StructuralIndex] = (
-            StructuralIndex() if indexed else None)
+        self._index = StructuralIndex(self._nodes)
 
     @property
-    def indexed(self) -> bool:
-        return self._index is not None
-
-    @property
-    def index(self) -> Optional[StructuralIndex]:
+    def index(self) -> StructuralIndex:
         return self._index
 
     # -- update notification --------------------------------------------------------
@@ -132,8 +129,7 @@ class StorageManager:
         enumeration vs the ``atom_for_insert`` keys they actually got).
         The structural index's sorted key lists and tag paths are
         restored separately by the caller (the checkpoint stores them, so
-        nothing is spliced here); this walk only re-interns
-        each node's own FlexKey instance, which no file can hold.
+        nothing is spliced here); this walk only fills the node map.
         """
         if document.name in self._documents:
             raise StorageError(
@@ -142,24 +138,19 @@ class StorageManager:
         self._roots[document.name] = root_key
         self._doc_of_root_atom[root_key.value] = document.name
         nodes = self._nodes
-        keys = []
         stack = [document.root]
         while stack:
             node = stack.pop()
-            nodes[node.key] = node
-            keys.append(node.key)
+            nodes[node.key.value] = node
             stack.extend(node.children)
-        if self._index is not None:
-            self._index.reintern(keys)
 
     def _assign_keys(self, root: XmlNode, root_key: FlexKey,
                      parent_tags: tuple[str, ...]) -> None:
         """Key the subtree under ``root`` (which gets ``root_key``): one
-        pre-order walk — that is key order — fills the node map and, when
-        indexed, collects what the structural index then splices in."""
+        pre-order walk — that is key order — fills the node map and
+        collects what the structural index then splices in."""
         nodes = self._nodes
         index = self._index
-        keys: dict[str, FlexKey] = {}
         paths: dict[str, tuple[str, ...]] = {}
         elements: list[str] = []
         by_tag: dict[str, list[str]] = {}
@@ -168,25 +159,22 @@ class StorageManager:
         while stack:
             node, key, tags = stack.pop()
             node.key = key
-            nodes[key] = node
             value = key.value
-            if index is not None:
-                if node.tag is not None:    # an element
-                    tags = index.intern_path(tags + (node.tag,))
-                    elements.append(value)
-                    by_tag.setdefault(node.tag, []).append(value)
-                    by_path.setdefault(tags, []).append(value)
-                keys[value] = key
-                paths[value] = tags
+            nodes[value] = node
+            if node.tag is not None:    # an element
+                tags = index.intern_path(tags + (node.tag,))
+                elements.append(value)
+                by_tag.setdefault(node.tag, []).append(value)
+                by_path.setdefault(tags, []).append(value)
+            paths[value] = tags
             children = node.children
             if children:
                 prefix = value + LEVEL_SEP
                 stack.extend(
                     [(children[at], FlexKey(prefix + sibling_atom(at)), tags)
                      for at in range(len(children) - 1, -1, -1)])
-        if index is not None:
-            index.add_subtree(self.document_of_key(root_key), keys, paths,
-                              elements, by_tag, by_path)
+        index.add_subtree(self.document_of_key(root_key), paths, elements,
+                          by_tag, by_path)
 
     # -- lookup ----------------------------------------------------------------------
 
@@ -224,12 +212,12 @@ class StorageManager:
 
     def node(self, key: FlexKey) -> XmlNode:
         try:
-            return self._nodes[key.without_override()]
+            return self._nodes[key.value]
         except KeyError:
             raise StorageError(f"no node stored under key {key}") from None
 
     def has_node(self, key: FlexKey) -> bool:
-        return key.without_override() in self._nodes
+        return key.value in self._nodes
 
     def node_count(self) -> int:
         return len(self._nodes)
@@ -237,46 +225,27 @@ class StorageManager:
     # -- navigation (always in document order) ------------------------------------------
 
     def children(self, key: FlexKey, tag: Optional[str] = None) -> list[FlexKey]:
-        node = self.node(key)
-        index = self._index
-        if index is not None and tag is not None \
-                and len(node.children) > 16:
+        children = self.node(key).children
+        if tag is not None and len(children) > 16:
             # Hybrid: a range scan of the tag's sorted key list wins only
             # when the tag is selective under a wide node; for narrow
             # nodes even the prune check costs more than the child walk.
-            fast = index.children(self.document_of_key(key), key, tag,
-                                  len(node.children))
+            fast = self._index.children(self.document_of_key(key), key, tag,
+                                        len(children))
             if fast is not None:
                 return fast
-        elif index is not None:
+        else:
             # Narrow node (or no tag test): the tree walk is the cheaper
             # plan by construction — counted so the range-vs-walk split
             # stays honest in metric snapshots.
-            index.walk_fallbacks += 1
-        return [c.key for c in node.children
-                if c.is_element and (tag is None or c.tag == tag)]
-
-    def children_unindexed(self, key: FlexKey,
-                           tag: Optional[str] = None) -> list[FlexKey]:
-        """Walk-based ``children`` (the indexed path's correctness oracle)."""
-        node = self.node(key)
-        return [c.key for c in node.children
+            self._index.walk_fallbacks += 1
+        return [c.key for c in children
                 if c.is_element and (tag is None or c.tag == tag)]
 
     def descendants(self, key: FlexKey, tag: Optional[str] = None) -> list[FlexKey]:
-        if self._index is not None:
-            if not self.has_node(key):
-                raise StorageError(f"no node stored under key {key}")
-            return self._index.descendants(self.document_of_key(key), key,
-                                           tag)
-        return self.descendants_unindexed(key, tag)
-
-    def descendants_unindexed(self, key: FlexKey,
-                              tag: Optional[str] = None) -> list[FlexKey]:
-        """Walk-based ``descendants`` (the indexed path's correctness
-        oracle; cost is proportional to the subtree, not the result)."""
-        node = self.node(key)
-        return [d.key for d in node.descendants(tag)]
+        if not self.has_node(key):
+            raise StorageError(f"no node stored under key {key}")
+        return self._index.descendants(self.document_of_key(key), key, tag)
 
     def attribute(self, key: FlexKey, name: str) -> Optional[str]:
         return self.node(key).attributes.get(name)
@@ -296,17 +265,10 @@ class StorageManager:
         validator and multi-view router classify updates against it
         without re-walking ancestors.
         """
-        if self._index is not None:
-            cached = self._index.tag_path(key.value)
-            if cached is not None:
-                return cached
-        tags: list[str] = []
-        node = self.node(key)
-        while node is not None:
-            if node.is_element:
-                tags.append(node.tag)
-            node = node.parent
-        return tuple(reversed(tags))
+        tags = self._index.tag_path(key.value)
+        if tags is None:
+            raise StorageError(f"no node stored under key {key}")
+        return tags
 
     def iter_subtree_keys(self, key: FlexKey) -> Iterator[FlexKey]:
         for node in self.node(key).iter_subtree():
@@ -371,11 +333,10 @@ class StorageManager:
         nodes = self._nodes
         values = []
         for node in root.iter_subtree():
-            del nodes[node.key]
-            values.append(node.key.value)
-        if self._index is not None:
-            self._index.remove_subtree(self.document_of_key(root.key),
-                                       values)
+            value = node.key.value
+            del nodes[value]
+            values.append(value)
+        self._index.remove_subtree(self.document_of_key(root.key), values)
 
     def replace_text(self, key: FlexKey, new_value: str) -> None:
         """Replace the text content of the node at ``key``.
@@ -420,22 +381,8 @@ class StorageManager:
         predicate filtering between steps); the first-step document-node
         convention only applies when starting from the root.
         """
-        return self._find_by_path(name, steps, self._index is not None,
-                                  start)
-
-    def find_by_path_unindexed(self, name: str,
-                               steps: Iterable[tuple[str, str]],
-                               start: Optional[list[FlexKey]] = None
-                               ) -> list[FlexKey]:
-        """Walk-based ``find_by_path`` (the indexed path's oracle)."""
-        return self._find_by_path(name, steps, False, start)
-
-    def _find_by_path(self, name: str, steps: Iterable[tuple[str, str]],
-                      indexed: bool,
-                      start: Optional[list[FlexKey]] = None
-                      ) -> list[FlexKey]:
         steps = list(steps)
-        if indexed and start is None and steps \
+        if start is None and steps \
                 and all(axis == "child" for axis, _ in steps):
             # Child-step-only path from the document node: the result is
             # exactly the elements whose root-to-node tag path equals
@@ -448,11 +395,6 @@ class StorageManager:
                 raise StorageError(f"unknown document {name!r}")
             return self._index.path_nodes(
                 name, tuple(test for _axis, test in steps))
-        if indexed:
-            children, descendants = self.children, self.descendants
-        else:
-            children = self.children_unindexed
-            descendants = self.descendants_unindexed
         current = list(start) if start is not None else [self.root_key(name)]
         first = start is None
         for axis, nametest in steps:
@@ -466,9 +408,9 @@ class StorageManager:
                         reached = ([key] if self.node(key).tag == nametest
                                    else [])
                     else:
-                        reached = children(key, nametest)
+                        reached = self.children(key, nametest)
                 elif axis == "descendant":
-                    reached = descendants(key, nametest)
+                    reached = self.descendants(key, nametest)
                     if first and self.node(key).tag == nametest:
                         reached = [key] + reached
                 else:

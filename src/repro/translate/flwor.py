@@ -27,7 +27,7 @@ from typing import Optional, Union
 from ..xat import (Aggregate, And, ColumnRef, Combine, Comparison, Distinct,
                    Expose, GroupBy, Join, LeftOuterJoin, Literal,
                    NavigateCollection, NavigateUnnest, Merge, OrderBy, Path,
-                   Pattern, PlanError, Select, Source, Tagger, XatOperator)
+                   Pattern, Select, Source, Tagger, XatOperator)
 from ..xquery import ast
 from ..xquery.normalize import normalize
 

@@ -25,10 +25,8 @@ from typing import Optional
 
 from ..flexkeys import FlexKey
 from ..storage import StorageManager
-from ..xat import (NavigateCollection, NavigateUnnest, Select, XatOperator,
-                   conjuncts)
+from ..xat import NavigateCollection, NavigateUnnest, XatOperator, conjuncts
 from ..xat.paths import DESCENDANT
-from ..xat.relational import _BinaryJoinBase
 
 BINDING = "binding"
 VALUE = "value"
@@ -141,7 +139,7 @@ class Sapt:
         not reach the view (Section 5.2.1).
         """
         return self.relevant_for_tags(document,
-                                      tag_path(storage, target))
+                                      storage.tag_path(target))
 
     def relevant_for_tags(self, document: str,
                           tags: tuple[str, ...]) -> bool:
@@ -172,7 +170,7 @@ class Sapt:
                               target: FlexKey) -> bool:
         """True when a text replace at ``target`` feeds a predicate path."""
         return self.modify_hits_predicate_tags(
-            document, tag_path(storage, target))
+            document, storage.tag_path(target))
 
     def modify_hits_predicate_tags(self, document: str,
                                    tags: tuple[str, ...]) -> bool:
@@ -193,7 +191,7 @@ class Sapt:
                          if BINDING in a.usages}
         key: Optional[FlexKey] = target
         while key is not None:
-            if tag_path(storage, key) in binding_paths:
+            if storage.tag_path(key) in binding_paths:
                 return key
             key = storage.parent_key(key)
         return None
@@ -217,15 +215,3 @@ def modify_hits_steps(steps: tuple[str, ...],
         steps = steps[:-1]
     return steps == tags
 
-
-def tag_path(storage: StorageManager, key: FlexKey) -> tuple[str, ...]:
-    """The root-to-node element tag path of ``key`` in its document.
-
-    Delegates to the storage manager, whose structural index caches the
-    path per key (keys never relabel, tags never change), so classifying
-    an update does not re-walk the target's ancestors.
-    """
-    return storage.tag_path(key)
-
-
-_tag_path = tag_path  # historical name

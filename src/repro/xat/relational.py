@@ -10,9 +10,9 @@ the input's persistent state — crosses zero.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..flexkeys import FlexKey, compose_values
+from ..flexkeys import FlexKey
 from .base import (DELETE, DELTA, FULL, INSERT, MODIFY, ExecutionContext,
                    PlanError, XatOperator)
 from .conditions import Comparison, Condition, conjuncts, item_value

@@ -12,12 +12,9 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional
-
 from .ast import (BoolAnd, Comparison, ElementConstructor, Expression,
-                  FLWOR, ForClause, FunctionCall, LetClause, NumberLiteral,
-                  PathExpr, Sequence, StringLiteral, TextContent, VarRef)
+                  FLWOR, ForClause, FunctionCall, NumberLiteral, PathExpr,
+                  Sequence, StringLiteral, TextContent, VarRef)
 
 
 def normalize(expr: Expression) -> Expression:

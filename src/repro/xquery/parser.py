@@ -7,8 +7,6 @@ with query expressions inside ``{ }``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .ast import (BoolAnd, Comparison, ElementConstructor, Expression,
                   FLWOR, ForClause, FunctionCall, LetClause, NumberLiteral,
                   PathExpr, PredicateExpr, Sequence, StringLiteral,

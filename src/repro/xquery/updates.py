@@ -249,15 +249,15 @@ def resolve_path_expr(storage: StorageManager, expr: PathExpr,
 
     A positional predicate on a child-step-only prefix —
     ``/site/people/person[k]``, the shape almost every update statement
-    has — never materializes its candidates: on indexed storage the
-    structural index keeps one sorted key list per root-to-node tag
-    path, so the ``k``-th match under each parent is one binary search
+    has — never materializes its candidates: the structural index
+    keeps one sorted key list per root-to-node tag path, so the
+    ``k``-th match under each parent is one binary search
     (:meth:`StructuralIndex.nth_children`), O(parents · log N).  The
     route is taken when the *first* predicated step is reached from the
     document node through child steps only and its first predicate is
     ``[k]`` with k ≥ 1; everything else (``//`` steps, value predicates,
-    a ``[k]`` after another predicate, ``[0]``, unindexed storage)
-    navigates the candidates and filters them.
+    a ``[k]`` after another predicate, ``[0]``) navigates the candidates
+    and filters them.
 
     ``cache`` memoizes navigation segments across resolutions *of the
     same storage snapshot* (keyed by document, step prefix and the
@@ -320,7 +320,7 @@ def _indexed_position(storage: StorageManager, document: str, prefix: list,
     index's per-path lists (see :func:`resolve_path_expr`), else None —
     the generic route then also owns the error cases (``[0]``, unknown
     document)."""
-    if predicate.path != "position()" or not storage.indexed \
+    if predicate.path != "position()" \
             or not storage.has_document(document) \
             or any(axis != "child" for axis, _test in prefix):
         return None

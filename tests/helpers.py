@@ -12,6 +12,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from repro import StorageManager, UpdateRequest, ViewRegistry
 from repro.engine import Engine
+from repro.flexkeys import FlexKey
 from repro.multiview import DEFERRED, IMMEDIATE, threshold
 from repro.translate import translate_query
 from repro.workloads import bib as bibload
@@ -175,14 +176,80 @@ def closed_auctions_of(storage: StorageManager):
          ("child", "closed_auction")])
 
 
+# -- the walk oracle ---------------------------------------------------------------------
+#
+# Storage navigation re-derived from the XmlNode tree on every call: the
+# reference the structural index's range scans, per-path lists and
+# tag-path cache are diffed against.  Same contracts as the
+# StorageManager methods they mirror (element keys only, document
+# order, ``find_by_path``'s frontier deduplicated and sorted).
+
+def walk_children(storage: StorageManager, key: FlexKey,
+                  tag: Optional[str] = None) -> list[FlexKey]:
+    return [child.key for child in storage.node(key).children
+            if child.is_element and (tag is None or child.tag == tag)]
+
+
+def walk_descendants(storage: StorageManager, key: FlexKey,
+                     tag: Optional[str] = None) -> list[FlexKey]:
+    return [node.key for node in storage.node(key).descendants(tag)]
+
+
+def walk_tag_path(storage: StorageManager, key: FlexKey) -> tuple:
+    tags = []
+    node = storage.node(key)
+    while node is not None:
+        if node.is_element:
+            tags.append(node.tag)
+        node = node.parent
+    return tuple(reversed(tags))
+
+
+def walk_find_by_path(storage: StorageManager, name: str, steps,
+                      start: Optional[list] = None) -> list[FlexKey]:
+    """``find_by_path`` by walking: from the document node (whose first
+    child step names the document element) or from ``start``."""
+    current = list(start) if start is not None else [storage.root_key(name)]
+    first = start is None
+    for axis, test in steps:
+        reached: dict = {}
+        for key in current:
+            own = storage.node(key).tag == test
+            if axis == "child":
+                found = (([key] if own else []) if first
+                         else walk_children(storage, key, test))
+            elif axis == "descendant":
+                found = ([key] if first and own else []) \
+                    + walk_descendants(storage, key, test)
+            else:
+                raise ValueError(f"unsupported axis {axis!r}")
+            for target in found:
+                reached.setdefault(target.value, target)
+        current = [reached[value] for value in sorted(reached)]
+        first = False
+    return current
+
+
+def walk_nth_per_parent(storage: StorageManager, keys: list,
+                        k: int) -> list[FlexKey]:
+    """XPath's ``[k]`` over a frontier in document order: the ``k``-th
+    (1-based) key under each parent node."""
+    groups: dict = {}
+    for key in keys:
+        groups.setdefault(id(storage.node(key).parent), []).append(key)
+    return [members[k - 1] for members in groups.values()
+            if len(members) >= k]
+
+
 def assert_path_lists_canonical(storage: StorageManager) -> None:
     """Everything the storage manager and its structural index keep per
-    node equals a from-scratch walk of the documents — the node map, the
-    interned keys, the tag-path cache and the sorted all / per-tag /
-    per-tag-path key lists (one sorted, non-empty list per path that has
-    live elements) — whatever mutation, checkpoint and replay history
-    produced them; and every child list is in key order, which is what
-    lets a sibling's position be bisected."""
+    node equals a from-scratch walk of the documents — the node map
+    (keyed by key string, and the very map the index reads its FlexKeys
+    from), the tag-path cache and the sorted all / per-tag / per-tag-path
+    key lists (one sorted, non-empty list per path that has live
+    elements) — whatever mutation, checkpoint and replay history produced
+    them; and every child list is in key order, which is what lets a
+    sibling's position be bisected."""
     nodes: dict = {}
     tag_paths: dict = {}
     all_lists: dict = {}
@@ -193,7 +260,7 @@ def assert_path_lists_canonical(storage: StorageManager) -> None:
         while stack:
             node, tags = stack.pop()
             value = node.key.value
-            nodes[node.key] = node
+            nodes[value] = node
             if node.is_element:
                 tags = tags + (node.tag,)
                 all_lists.setdefault(name, []).append(value)
@@ -207,15 +274,13 @@ def assert_path_lists_canonical(storage: StorageManager) -> None:
                        for child in children)
             stack.extend((child, tags) for child in node.children)
     assert storage._nodes.keys() == nodes.keys()
-    assert all(storage._nodes[key] is node for key, node in nodes.items())
+    assert all(storage._nodes[value] is node for value, node in nodes.items())
     index = storage.index
-    if index is None:
-        return
+    assert index._nodes is storage._nodes
+    assert storage._nodes.keys() == index._tag_paths.keys()
     for lists in (all_lists, tag_lists, path_lists):
         for keys in lists.values():
             keys.sort()
-    assert index._interned.keys() == tag_paths.keys()
-    assert all(index._interned[key.value] is key for key in nodes)
     assert index._tag_paths == tag_paths
     assert all(index._path_interner[tags] is tags
                for tags in index._tag_paths.values())

@@ -28,7 +28,9 @@ import pytest
 
 from .faults import FaultPlan, FaultyFileSystem
 from .helpers import (ALL_MUTATORS, GROUPED_VIEWS,
-                      assert_path_lists_canonical, random_batch)
+                      assert_path_lists_canonical, random_batch,
+                      walk_children, walk_descendants, walk_find_by_path,
+                      walk_nth_per_parent)
 from repro import FlexKey, StorageManager, ViewRegistry
 from repro.api import Database
 from repro.multiview import RegisteredView
@@ -39,7 +41,8 @@ from repro.durability import (CheckpointError, CheckpointStore,
 from repro.durability import manager as manager_module
 from repro.durability.checkpoint import encode_state
 from repro.durability.manager import fork_safe
-from repro.durability.snapshot import SNAPSHOT_FORMAT, capture_state
+from repro.durability.snapshot import (SNAPSHOT_FORMAT, capture_state,
+                                       restore_state)
 from repro.durability.wal import encode_record, segment_name
 from repro.engine import Engine
 from repro.obs import render_prometheus
@@ -318,12 +321,11 @@ def test_snapshot_roundtrip_is_identical_and_functional(tmp_path):
     assert _document_keys(reopened) == keys
     assert _extent_rows(reopened) == rows
     storage = reopened.storage
-    assert storage.indexed
     for node in storage.document("site.xml").root.iter_subtree():
-        # parents, the node map and the re-interned keys all line up
-        assert storage.node(node.key) is node
-        assert storage.index.intern(FlexKey(node.key.value)) is node.key
+        # parents and the node map line up
+        assert storage.node(FlexKey(node.key.value)) is node
         assert all(child.parent is node for child in node.children)
+    assert_path_lists_canonical(storage)
     for name in reopened.views():
         stack = [reopened.registry.view(name).pipeline.extent]
         while stack:
@@ -333,15 +335,15 @@ def test_snapshot_roundtrip_is_identical_and_functional(tmp_path):
             stack.extend(node.children)
     for steps in PROBE_PATHS:
         assert storage.find_by_path("site.xml", steps) \
-            == storage.find_by_path_unindexed("site.xml", steps)
+            == walk_find_by_path(storage, "site.xml", steps)
     root = storage.root_key("site.xml")
     for tag in (None, "person", "city", "closed_auction"):
         assert storage.descendants(root, tag) \
-            == storage.descendants_unindexed(root, tag)
+            == walk_descendants(storage, root, tag)
     people = storage.find_by_path(
         "site.xml", [("child", "site"), ("child", "people")])[0]
     assert storage.children(people, "person") \
-        == storage.children_unindexed(people, "person")
+        == walk_children(storage, people, "person")
     # counts, aggregate state and _child_index are functional, not just
     # loadable: maintenance on the restored state keeps matching recompute
     rng = random.Random(31)
@@ -360,17 +362,12 @@ PERSONS = PEOPLE + [("child", "person")]
 
 def assert_positional_paths_match_the_walk(storage) -> None:
     """``…/tag[k]`` through the restored per-path lists equals picking
-    the k-th child off the unindexed tree walk."""
+    the k-th child off the tree walk."""
     def nth(parent_steps, tag, k):
-        picked = []
-        for parent in storage.find_by_path_unindexed("site.xml",
-                                                     parent_steps):
-            children = storage.children_unindexed(parent, tag)
-            if len(children) >= k:
-                picked.append(children[k - 1])
-        return picked
+        return walk_nth_per_parent(storage, walk_find_by_path(
+            storage, "site.xml", parent_steps + [("child", tag)]), k)
 
-    count = len(storage.find_by_path_unindexed("site.xml", PERSONS))
+    count = len(walk_find_by_path(storage, "site.xml", PERSONS))
     assert count > 2
     for k in (1, count // 2, count, count + 1):
         assert resolve_path(storage, "site.xml",
@@ -384,8 +381,7 @@ def assert_positional_paths_match_the_walk(storage) -> None:
         == nth(PERSONS + [("child", "profile")], "interest", 2)
     assert resolve_path(storage, "site.xml",
                         f"/site/people/person[{count}]/address/city") \
-        == storage.children_unindexed(
-            nth(PERSONS, "address", 1)[-1], "city")
+        == walk_children(storage, nth(PERSONS, "address", 1)[-1], "city")
 
 
 def test_restored_path_lists_resolve_positional_paths(tmp_path):
@@ -853,6 +849,28 @@ def test_failed_recovery_leaves_no_file_open(tmp_path, payload, error):
         fh.write(encode_record(lsn + 1, payload))
     fs = _HandleCountingFileSystem()
     with pytest.raises(error):
+        Database(durable_path=tmp_path, durability_fs=fs)
+    assert fs.opened and fs.open_handles() == 0
+
+
+def test_checkpoint_without_an_index_is_rejected_explicitly(tmp_path):
+    """A checkpoint of a store that kept no structural index (``"index":
+    None``, which older releases could write) is refused with the cause
+    named, before the registry's storage is touched, and recovery leaves
+    no file open."""
+    db = seed_db(tmp_path)
+    lsn = db.durability.wal.last_lsn
+    db.close()
+    store = CheckpointStore(RealFileSystem(), str(tmp_path))
+    _lsn, state = store.load_one(store.list()[0][1])
+    state["index"] = None
+    store.write(lsn + 1, state)
+    registry = ViewRegistry(StorageManager())
+    with pytest.raises(ValueError, match="no structural index"):
+        restore_state(registry, copy.deepcopy(state))
+    assert registry.storage.document_names == [] and not registry.names()
+    fs = _HandleCountingFileSystem()
+    with pytest.raises(ValueError, match="no structural index"):
         Database(durable_path=tmp_path, durability_fs=fs)
     assert fs.opened and fs.open_handles() == 0
 

@@ -1,24 +1,28 @@
 """Consistency tests for the incremental structural index.
 
 The contract under test: after ANY interleaving of the storage mutation
-primitives, the indexed navigation fast paths (``children`` /
-``descendants`` / ``find_by_path`` / ``tag_path``) return exactly what
-the walk-based unindexed fallbacks return.  The fallbacks re-derive
-answers from the node tree on every call, so they are the oracle.
+primitives, the indexed navigation paths (``children`` / ``descendants``
+/ ``find_by_path`` / ``tag_path``) return exactly what the walk oracle
+in ``tests/helpers.py`` returns.  The walk re-derives answers from the
+node tree on every call, so it is the oracle.
 """
 
+import inspect
 import random
 import sys
 
 import pytest
 
-from .helpers import assert_path_lists_canonical
+from .helpers import (assert_path_lists_canonical, walk_children,
+                      walk_descendants, walk_find_by_path,
+                      walk_nth_per_parent, walk_tag_path)
 from repro.api import Database
 from repro.apply.extent import ExtentNode
 from repro.flexkeys import FlexKey, order_of
 from repro.storage import StorageError, StorageManager, StructuralIndex
 from repro.workloads import xmark
 from repro.xmlmodel import XmlDocument, XmlNode, parse_fragment
+from repro.xat.paths import Path
 from repro.xquery.updates import parse_document_path, resolve_path_expr
 
 TAGS = ["person", "name", "city", "interest", "profile", "note", "nope"]
@@ -41,40 +45,31 @@ def build_site(num_persons: int = 12) -> StorageManager:
 
 def live_element_keys(storage: StorageManager) -> list[FlexKey]:
     root = storage.root_key("site.xml")
-    return [root] + storage.descendants_unindexed(root)
+    return [root] + walk_descendants(storage, root)
 
 
 def assert_storage_consistent(storage: StorageManager) -> None:
-    """Every fast path equals its walk-based oracle."""
+    """Every navigation path equals the walk oracle."""
     root = storage.root_key("site.xml")
     keys = live_element_keys(storage)
     for tag in TAGS + [None]:
         assert storage.descendants(root, tag) \
-            == storage.descendants_unindexed(root, tag), tag
+            == walk_descendants(storage, root, tag), tag
     for key in keys:
         for tag in (None, "city", "person", "interest"):
             assert storage.children(key, tag) \
-                == storage.children_unindexed(key, tag), (key, tag)
+                == walk_children(storage, key, tag), (key, tag)
         assert storage.descendants(key, "city") \
-            == storage.descendants_unindexed(key, "city"), key
-        assert storage.tag_path(key) == _walk_tag_path(storage, key), key
+            == walk_descendants(storage, key, "city"), key
+        assert storage.tag_path(key) == walk_tag_path(storage, key), key
     for steps in PATHS:
         assert storage.find_by_path("site.xml", steps) \
-            == storage.find_by_path_unindexed("site.xml", steps), steps
-
-
-def _walk_tag_path(storage, key):
-    tags = []
-    node = storage.node(key)
-    while node is not None:
-        if node.is_element:
-            tags.append(node.tag)
-        node = node.parent
-    return tuple(reversed(tags))
+            == walk_find_by_path(storage, "site.xml", steps), steps
 
 
 class TestRandomInterleavings:
-    """Random insert/delete/replace streams keep both paths identical."""
+    """Random insert/delete/replace streams keep every path equal to
+    the walk."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_mutation_stream(self, seed):
@@ -130,7 +125,7 @@ class TestRandomInterleavings:
                 after=anchor)
         assert_storage_consistent(storage)
         got = storage.children(people, "person")
-        assert got == storage.children_unindexed(people, "person")
+        assert got == walk_children(storage, people, "person")
         assert [k.value for k in got] \
             == sorted(k.value for k in got)
 
@@ -155,15 +150,15 @@ CHURN_FRAGMENTS = [
 
 class TestSubtreeChurn:
     """Whole subtrees enter and leave the index as one run per list: after
-    every step of a random churn the node map, the interned keys, the
-    tag-path cache and all three families of sorted lists equal a
-    from-scratch walk, and listeners saw one event per primitive."""
+    every step of a random churn the node map, the tag-path cache and
+    all three families of sorted lists equal a from-scratch walk, and
+    listeners saw one event per primitive."""
 
-    @pytest.mark.parametrize("indexed", [True, False])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_churn_keeps_every_structure_canonical(self, seed, indexed):
+    @pytest.mark.parametrize("seed", range(6),
+                             ids=[f"{seed}-True" for seed in range(6)])
+    def test_churn_keeps_every_structure_canonical(self, seed):
         rng = random.Random(seed)
-        storage = StorageManager(indexed=indexed)
+        storage = StorageManager()
         storage.register(XmlDocument.from_string("lib.xml", CHURN_DOC))
         storage.register(XmlDocument.from_string("other.xml", "<lib/>"))
         root = storage.document("lib.xml").root
@@ -219,8 +214,8 @@ class TestSubtreeChurn:
 
     def test_replace_text_keeps_the_text_node_and_burns_no_slot(self):
         """A modify of single-text content is a value change on the node
-        that is there: no key leaves or re-enters the node map or the
-        interning dict, so 20 000 of them never grow either table."""
+        that is there: no key leaves or re-enters the node map, so 20 000
+        of them never grow it."""
         storage = build_site(10)
         city = storage.find_by_path(
             "site.xml", [("descendant", "city")])[0]
@@ -228,7 +223,6 @@ class TestSubtreeChurn:
         text_key = text.key
         interned = storage.index.stats()["interned_keys"]
         node_map_bytes = sys.getsizeof(storage._nodes)
-        interned_bytes = sys.getsizeof(storage.index._interned)
         events = []
         storage.add_listener(lambda op, key: events.append((op, key)))
         for step in range(20_000):
@@ -236,10 +230,9 @@ class TestSubtreeChurn:
         assert events == [("modify", city)] * 20_000
         assert storage.node(city).children == [text]
         assert text.key is text_key and text.value == "City 19999"
-        assert storage.index.intern(FlexKey(text_key.value)) is text_key
+        assert storage._nodes[text_key.value] is text
         assert storage.index.stats()["interned_keys"] == interned
         assert sys.getsizeof(storage._nodes) == node_map_bytes
-        assert sys.getsizeof(storage.index._interned) == interned_bytes
         assert_path_lists_canonical(storage)
 
     def test_keys_stay_short_under_a_wide_node(self):
@@ -254,7 +247,7 @@ class TestSubtreeChurn:
             for _ in range(8000)])
         storage.register(XmlDocument("site.xml",
                                      XmlNode.element("site", None, [people])))
-        lengths = [len(key.value) for key in storage._nodes]
+        lengths = [len(value) for value in storage._nodes]
         assert max(lengths) <= 40
         assert sum(lengths) / len(lengths) <= 20
         assert_path_lists_canonical(storage)
@@ -263,11 +256,10 @@ class TestSubtreeChurn:
 def positional_paths(storage: StorageManager) -> list[str]:
     """The fixed probe set of the differential test, sized to the
     current ``/site/people/person`` population."""
-    persons = storage.find_by_path_unindexed("site.xml", PERSON_STEPS)
+    persons = walk_find_by_path(storage, "site.xml", PERSON_STEPS)
     last = len(persons)
     mid = max(1, last // 2)
-    name = storage.text(storage.children_unindexed(persons[mid - 1],
-                                                   "name")[0])
+    name = storage.text(walk_children(storage, persons[mid - 1], "name")[0])
     paths = [f"/site/people/person[{k}]" for k in (1, mid, last, last + 1)]
     paths += [
         "/site/people/person/address[1]",
@@ -301,37 +293,58 @@ def resolve_values(storage: StorageManager, path: str, cache=None):
     return [key.value for key in keys]
 
 
-def assert_positional_routes_agree(indexed: StorageManager,
-                                   walked: StorageManager) -> None:
+def walk_resolve(storage: StorageManager, path: str):
+    """What ``path`` addresses, by walking: each step navigates the walk
+    frontier, then filters it by that step's predicates — ``[k]``
+    per parent, ``[child = "literal"]`` by the child's text.  ``None``
+    for a path that must be refused (``[0]``)."""
+    expr = parse_document_path("site.xml", path)
+    frontier = None
+    for index, step in enumerate(Path.parse(expr.path).as_pairs()):
+        frontier = walk_find_by_path(storage, "site.xml", [step], frontier)
+        for predicate in expr.predicates.get(index, ()):
+            if predicate.path == "position()":
+                k = int(predicate.literal)
+                if k < 1:
+                    return None
+                frontier = walk_nth_per_parent(storage, frontier, k)
+            else:
+                assert predicate.op == "=", predicate
+                frontier = [
+                    key for key in frontier
+                    if any(storage.text(child) == predicate.literal
+                           for child in walk_children(storage, key,
+                                                      predicate.path))]
+    return [key.value for key in frontier]
+
+
+def assert_positional_routes_match_the_walk(storage: StorageManager) -> None:
     batch_cache: dict = {}
-    for path in positional_paths(walked):
-        expected = resolve_values(walked, path)
-        assert resolve_values(indexed, path) == expected, path
+    for path in positional_paths(storage):
+        expected = walk_resolve(storage, path)
+        if expected is None:
+            assert resolve_values(storage, path)[0] == "ValueError", path
+            continue
+        assert resolve_values(storage, path) == expected, path
         # the flush-wide navigation cache must not change an answer
-        assert resolve_values(indexed, path, batch_cache) == expected, path
-        if isinstance(expected, list):
-            assert expected == sorted(expected), path
-    assert resolve_values(walked, "/site/people/person[0]")[0] \
-        == "ValueError"
+        assert resolve_values(storage, path, batch_cache) == expected, path
+        assert expected == sorted(expected), path
 
 
 class TestPositionalResolution:
-    """``…/tag[k]`` through the per-path key lists (indexed storage)
-    equals the navigate-and-group route (``indexed=False``)."""
+    """``…/tag[k]`` through the per-path key lists, and every path the
+    generic navigate-and-filter route takes (``//`` steps, value
+    predicates, ``[k]`` behind another predicate), equal the walk."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_mutation_stream(self, seed):
         rng = random.Random(seed)
-        indexed, walked = StorageManager(), StorageManager(indexed=False)
-        for storage in (indexed, walked):
-            xmark.register_site(storage, 10, seed=7)
-        root = indexed.root_key("site.xml")
-        people = indexed.children(root, "people")[0]
-        assert_positional_routes_agree(indexed, walked)
+        storage = build_site(10)
+        root = storage.root_key("site.xml")
+        people = storage.children(root, "people")[0]
+        assert_positional_routes_match_the_walk(storage)
         for step in range(60):
-            # Both stores hand out the same keys for the same mutation
-            # stream, so one key string addresses the same node in both.
-            elements = [key.value for key in live_element_keys(indexed)]
+            elements = live_element_keys(storage)
             op = rng.choice(["person", "note", "delete", "delete",
                              "replace_text"])
             if op == "person":
@@ -339,30 +352,20 @@ class TestPositionalResolution:
                 xml = (f'<person id="p{step}"><name>Step {step}</name>'
                        f'<address><city>Quincy</city></address>'
                        f'<watches>{watches}</watches></person>')
-                siblings = [k.value for k in indexed.children(people)]
-                anchor = rng.choice(siblings + [None])
-                for storage in (indexed, walked):
-                    storage.insert_fragment(
-                        people, parse_fragment(xml)[0],
-                        before=FlexKey(anchor) if anchor else None)
+                anchor = rng.choice(storage.children(people) + [None])
+                storage.insert_fragment(people, parse_fragment(xml)[0],
+                                        before=anchor)
             elif op == "note":
-                parent = rng.choice(elements)
                 xml = f'<note id="n{step}"><city>Quincy</city>text</note>'
-                for storage in (indexed, walked):
-                    storage.insert_fragment(FlexKey(parent),
-                                            parse_fragment(xml)[0])
+                storage.insert_fragment(rng.choice(elements),
+                                        parse_fragment(xml)[0])
             elif op == "delete":
-                victims = [v for v in elements
-                           if v not in (root.value, people.value)]
-                victim = rng.choice(victims)
-                for storage in (indexed, walked):
-                    storage.delete_subtree(FlexKey(victim))
+                storage.delete_subtree(rng.choice(
+                    [key for key in elements if key not in (root, people)]))
             else:
-                target = rng.choice(elements)
-                for storage in (indexed, walked):
-                    storage.replace_text(FlexKey(target), f"text-{step}")
-            assert_positional_routes_agree(indexed, walked)
-        assert_path_lists_canonical(indexed)
+                storage.replace_text(rng.choice(elements), f"text-{step}")
+            assert_positional_routes_match_the_walk(storage)
+        assert_path_lists_canonical(storage)
 
     def test_positional_statement_resolves_without_a_scan(self, monkeypatch):
         db = Database()
@@ -431,8 +434,8 @@ class TestFindByPathDedupe:
         result = storage.find_by_path(
             "nest.xml", [("descendant", "b"), ("descendant", "c")])
         assert len(result) == 1
-        result = storage.find_by_path_unindexed(
-            "nest.xml", [("descendant", "b"), ("descendant", "c")])
+        result = walk_find_by_path(
+            storage, "nest.xml", [("descendant", "b"), ("descendant", "c")])
         assert len(result) == 1
 
     def test_results_in_document_order(self):
@@ -445,14 +448,6 @@ class TestFindByPathDedupe:
 
 
 class TestIndexUnits:
-    def test_unindexed_manager_has_no_index(self):
-        storage = StorageManager(indexed=False)
-        xmark.register_site(storage, 3)
-        assert not storage.indexed and storage.index is None
-        root = storage.root_key("site.xml")
-        assert storage.descendants(root, "city") \
-            == storage.descendants_unindexed(root, "city")
-
     def test_unknown_key_still_raises(self):
         storage = build_site(3)
         with pytest.raises(StorageError):
@@ -467,6 +462,8 @@ class TestIndexUnits:
         storage.delete_subtree(victim)
         with pytest.raises(StorageError):
             storage.descendants(victim, "city")
+        with pytest.raises(StorageError):
+            storage.tag_path(victim)
 
     def test_index_stats_track_mutations(self):
         storage = build_site(3)
@@ -491,6 +488,8 @@ class TestIndexUnits:
         from repro.storage.index import StructuralIndex as module_cls
         assert module_cls is StructuralIndex
         assert isinstance(StorageManager().index, StructuralIndex)
+        # one store shape: no constructor argument selects another
+        assert not inspect.signature(StorageManager).parameters
 
 
 class TestFlexKeyMemoization:
