@@ -2,8 +2,9 @@
 
 Drives the shared randomized harness (:func:`tests.helpers.run_differential`)
 over every mutator kind — person/auction churn, join-key collection growth
-(second ``<city>`` cells, nested same-tag person inserts) and city/name
-text modifies — against the views that historically diverged and the
+(second ``<city>`` cells, nested same-tag person inserts), city/name
+text modifies and unchanged modifies (a city or name rewritten to the
+text it holds) — against the views that historically diverged and the
 per-city ``count`` / ``max`` / ``sum`` aggregates: each in a registry of
 its own, then all of them sharing one registry over one storage, then
 the duplicate-view leg (``tests.helpers.SHARING_VIEWS``:

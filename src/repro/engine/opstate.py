@@ -221,9 +221,10 @@ class _PlannedOp:
     verb: str                     # "insert" | "replace" | "remove"
     fingerprint: tuple
     new_tuple: Optional[XatTuple]
-    # per index-columns probe-key *lists* of the affected tuples,
-    # precomputed while storage is alive (delete patches commit after
-    # the deletion); multi-item key cells hash under several keys
+    # per index-columns probe-key *list* of ``new_tuple``, precomputed
+    # while storage is alive (delete patches commit after the deletion);
+    # multi-item key cells hash under several keys.  The replaced tuple
+    # leaves its buckets under the keys recorded when it was indexed.
     keys: dict = field(default_factory=dict)
 
 
@@ -249,17 +250,13 @@ class _PatchPlan:
         plan was staged for."""
         return epoch == self.spec.epoch and self.spec.classify(key) == "at"
 
-    def add_keys_for(self, cols, entry: "CachedEntry", ctx) -> None:
-        """Precompute probe keys for a newly-built index (storage alive)."""
+    def add_keys_for(self, cols, ctx) -> None:
+        """Precompute the new tuples' probe keys for an index (storage
+        alive)."""
         for planned in self.ops:
-            if cols in planned.keys:
-                continue
-            old = entry.fingerprints.get(planned.fingerprint)
-            old_keys = (_probe_keys(old, cols, ctx)
-                        if old is not None else [])
-            new_keys = (_probe_keys(planned.new_tuple, cols, ctx)
-                        if planned.new_tuple is not None else [])
-            planned.keys[cols] = (old_keys, new_keys)
+            if cols not in planned.keys and planned.new_tuple is not None:
+                planned.keys[cols] = _probe_keys(planned.new_tuple, cols,
+                                                 ctx)
 
 
 # -- one cached subplan ------------------------------------------------------------------
@@ -335,7 +332,7 @@ class CachedEntry:
         self._pos[id(tup)] = len(self.table.tuples)
         self.table.tuples.append(tup)
         for cols, index in self.indexes.items():
-            tup_keys = self._keys_for(tup, cols, keys, ctx, new=True)
+            tup_keys = self._keys_for(tup, cols, keys, ctx)
             self._indexed_keys.setdefault(id(tup), {})[cols] = tup_keys
             self._index(index, self.supports[cols], tup, tup_keys)
 
@@ -346,7 +343,7 @@ class CachedEntry:
             index.setdefault(key, []).append(tup)
             support[key] = support.get(key, 0) + tup.count
 
-    def _remove(self, fp, keys: Optional[dict] = None, ctx=None) -> None:
+    def _remove(self, fp) -> None:
         tup = self.fingerprints.pop(fp)
         self._fp_of.pop(id(tup))
         pos = self._pos.pop(id(tup))
@@ -357,10 +354,9 @@ class CachedEntry:
             self._pos[id(last)] = pos
         recorded = self._indexed_keys.pop(id(tup), None)
         for cols, index in self.indexes.items():
-            if recorded is not None and cols in recorded:
-                tup_keys = recorded[cols]
-            else:
-                tup_keys = self._keys_for(tup, cols, keys, ctx, new=False)
+            if recorded is None or cols not in recorded:
+                raise _IndexDesync(cols)
+            tup_keys = recorded[cols]
             support = self.supports[cols]
             for key in tup_keys:
                 try:
@@ -377,13 +373,12 @@ class CachedEntry:
 
     def _replace(self, fp, new_tup: XatTuple,
                  keys: Optional[dict] = None, ctx=None) -> None:
-        self._remove(fp, keys, ctx)
+        self._remove(fp)
         self._add(fp, new_tup, keys, ctx)
 
-    def _keys_for(self, tup, cols, keys, ctx, new: bool) -> list:
+    def _keys_for(self, tup, cols, keys, ctx) -> list:
         if keys is not None and cols in keys:
-            old_keys, new_keys = keys[cols]
-            return new_keys if new else old_keys
+            return keys[cols]
         if ctx is None:
             return []
         return _probe_keys(tup, cols, ctx)
@@ -402,7 +397,7 @@ class CachedEntry:
             if self.prepared is not None:
                 # A staged delete patch must learn this index's keys while
                 # the doomed subtrees are still readable.
-                self.prepared.add_keys_for(cols, self, ctx)
+                self.prepared.add_keys_for(cols, ctx)
         return index
 
     def fingerprint_of(self, tup: XatTuple):
@@ -455,7 +450,7 @@ class CachedEntry:
                 planned.verb = "drop"   # inserted and removed within plan
         plan.ops = [p for p in plan.ops if p.verb != "drop"]
         for cols in cols_list:
-            plan.add_keys_for(cols, self, ctx)
+            plan.add_keys_for(cols, ctx)
         return plan
 
     def commit(self, plan: _PatchPlan, ctx=None) -> bool:
@@ -471,7 +466,7 @@ class CachedEntry:
                     self._replace(planned.fingerprint, planned.new_tuple,
                                   planned.keys, ctx)
                 else:  # remove
-                    self._remove(planned.fingerprint, planned.keys, ctx)
+                    self._remove(planned.fingerprint)
         except _IndexDesync:
             self.invalidate()
             return False

@@ -3,9 +3,7 @@
 :class:`~repro.multiview.registry.ViewRegistry` is the one driver of the
 Fig 1.5 loop; this module holds what it runs per view and per request:
 
-* the **Validate** storage helpers — :func:`apply_insert` and
-  :func:`direct_text`, the text an insufficient modify (Section 5.2.2)
-  carries as the ``old`` half of its ``(old, new)`` pair;
+* the **Validate** storage helper :func:`apply_insert`;
 * the **Propagate/Apply** step — :meth:`ViewPipeline.propagate_run` runs
   one batch update tree through the plan in delta mode and fuses the
   delta forest into the extent with the count-aware Deep Union;
@@ -101,15 +99,6 @@ def apply_insert(storage: StorageManager, request: UpdateRequest):
                                        after=request.target)
     return storage.insert_fragment(parent, request.fragment,
                                    before=request.target)
-
-
-def direct_text(storage: StorageManager, key) -> str:
-    """The concatenated *direct* text children of the element at ``key``
-    — exactly what the modify primitive replaces (``storage.text`` would
-    concatenate the whole subtree)."""
-    return "".join(child.value or ""
-                   for child in storage.node(key).children
-                   if child.is_text)
 
 
 # -- the maintainable state of one view ------------------------------------------------

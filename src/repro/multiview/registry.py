@@ -58,8 +58,7 @@ from ..xat import (DELETE, INSERT, MODIFY, Aggregate, CartesianProduct,
                    XatOperator, XmlUnique)
 from ..xat.base import FULL
 from ..xat.grouping import TupleFunction
-from .pipeline import (MaintenanceReport, ViewPipeline, apply_insert,
-                       direct_text)
+from .pipeline import MaintenanceReport, ViewPipeline, apply_insert
 from .policies import (DEFERRED, IMMEDIATE_KIND, THRESHOLD_KIND,
                        MaintenancePolicy)
 from .router import SharedValidationRouter
@@ -129,6 +128,8 @@ class MultiViewReport:
                                      # per processed request)
     routed: int = 0                  # requests relevant to >= 1 view
     irrelevant_everywhere: int = 0   # requests that only touched storage
+    unchanged: int = 0               # modifies of text already held: routed
+                                     # and logged, never applied or propagated
     storage_ops: int = 0             # storage mutations performed
     validate_seconds: float = 0.0    # shared routing time (not per view)
     views: dict = field(default_factory=dict)  # name -> cumulative report
@@ -138,6 +139,7 @@ class MultiViewReport:
                 "classifications": self.classifications,
                 "routed": self.routed,
                 "irrelevant_everywhere": self.irrelevant_everywhere,
+                "unchanged": self.unchanged,
                 "storage_ops": self.storage_ops,
                 "validate_seconds": self.validate_seconds,
                 "views": {name: report.as_dict()
@@ -153,6 +155,7 @@ class MultiViewReport:
         self.classifications += other.classifications
         self.routed += other.routed
         self.irrelevant_everywhere += other.irrelevant_everywhere
+        self.unchanged += other.unchanged
         self.storage_ops += other.storage_ops
         self.validate_seconds += other.validate_seconds
         for name, report in other.views.items():
@@ -303,6 +306,7 @@ class ViewRegistry:
         #: (see :meth:`_dispatch`); empty outside a dispatch
         self._registers: dict[tuple, tuple] = {}
         self._storage_ops = 0
+        self._modifies_unchanged = 0
         self._subscriber_errors = 0
         self._closed = False
         storage.add_listener(self._count_storage_op)
@@ -321,6 +325,10 @@ class ViewRegistry:
                             "Shared-validation router activity").set(value)
         metrics.counter("storage_mutations",
                         "Storage mutations observed").set(self._storage_ops)
+        metrics.counter("registry_modifies_unchanged_total",
+                        "Modifies of text the node already held "
+                        "(routed and logged, never propagated)"
+                        ).set(self._modifies_unchanged)
         metrics.counter(
             "subscriber_errors",
             "Refresh listeners that raised (isolated, flush unharmed)"
@@ -736,6 +744,15 @@ class ViewRegistry:
             else:  # MODIFY
                 result = self.router.route(storage, request.document,
                                            request.target)
+                if storage.holds_text(request.target, request.new_value):
+                    # Unchanged: classified (router statistics count it)
+                    # and WAL-logged by the caller, but the text is
+                    # already there — no storage event, no tree, no flush.
+                    report.unchanged += 1
+                    self._modifies_unchanged += 1
+                    report.validate_seconds += (time.perf_counter()
+                                                - started)
+                    continue
                 if not result.views:
                     storage.replace_text(request.target, request.new_value)
                     report.validate_seconds += (time.perf_counter()
@@ -758,12 +775,14 @@ class ViewRegistry:
                     # in-flight for the views that need it; views that
                     # read the value as content get an equivalent
                     # retract/assert re-derivation.
-                    old_value = direct_text(storage, request.target)
+                    old_value, old_texts = storage.replaced_text(
+                        request.target)
                     storage.replace_text(request.target, request.new_value)
                     tree = RoutedTree(request.document, request.target,
                                       MODIFY, old_value=old_value,
                                       new_value=request.new_value,
-                                      views=result.views)
+                                      views=result.views,
+                                      old_texts=old_texts)
                 else:
                     storage.replace_text(request.target, request.new_value)
                     tree = RoutedTree(request.document, request.target,

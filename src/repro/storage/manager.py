@@ -358,6 +358,32 @@ class StorageManager:
             self._attach(node, len(children), XmlNode.text(new_value))
         self._notify("modify", key)
 
+    def replaced_text(self, key: FlexKey) -> tuple[str, Optional[tuple]]:
+        """What :meth:`replace_text` of the element ``key`` replaces: its
+        concatenated *direct* text children (:meth:`text` concatenates
+        the whole subtree) and — unless the content is one text node,
+        which the replace keeps — their ``(key, text)`` pairs, the
+        ``old_texts`` of :class:`~repro.xat.base.DeltaRoot`."""
+        children = self.node(key).children
+        texts = [child for child in children if child.is_text]
+        old_value = "".join(child.value or "" for child in texts)
+        if len(children) == 1 and texts:
+            return old_value, None
+        return old_value, tuple((child.key, child.value or "")
+                                for child in texts)
+
+    def holds_text(self, key: FlexKey, value: str) -> bool:
+        """Whether :meth:`replace_text` of ``key`` with ``value`` would
+        change nothing: ``key`` is a text node holding ``value``, or its
+        content is one text node holding it.  Mixed, multi-text and empty
+        content never hold it — the replace restructures them."""
+        node = self.node(key)
+        if node.is_text:
+            return node.value == value
+        children = node.children
+        return (len(children) == 1 and children[0].is_text
+                and children[0].value == value)
+
     def replace_attribute(self, key: FlexKey, name: str, value: str) -> None:
         self.node(key).attributes[name] = value
         self._notify("modify", key)

@@ -72,6 +72,7 @@ class RunBatcher:
                     existing.new_value = tree.new_value
                     if existing.old_value is None:
                         existing.old_value = tree.old_value
+                        existing.old_texts = tree.old_texts
                     return closed, False
             self._run.append(tree)
             return closed, True
@@ -96,5 +97,6 @@ def spec_for_run(run: list[UpdateTree]) -> DeltaSpec:
     (carrying the dispatch epoch its trees were stamped with)."""
     return DeltaSpec(run[0].document,
                      tuple(DeltaRoot(t.root, t.kind, t.old_value,
-                                     t.new_value) for t in run),
+                                     t.new_value, t.old_texts)
+                           for t in run),
                      run[0].kind, run[0].epoch)

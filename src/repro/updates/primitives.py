@@ -99,6 +99,8 @@ class UpdateTree:
     old_value: Optional[str] = None
     new_value: Optional[str] = None
     epoch: int = 0
+    #: the replaced text children (see :class:`repro.xat.base.DeltaRoot`)
+    old_texts: Optional[tuple] = None
 
     @property
     def sign(self) -> int:

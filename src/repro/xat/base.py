@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from ..flexkeys import FlexKey
 from ..obs.core import STATE as _OBS
 from ..storage import SkeletonStore, StorageManager
-from .table import TableSchema, XatTable, XatTuple
+from .table import AtomicItem, TableSchema, XatTable, XatTuple
 
 FULL = "full"
 DELTA = "delta"
@@ -60,12 +60,18 @@ class DeltaRoot:
     paired retraction (old value, count -1) and assertion (new value,
     count +1) instead of a count-neutral refresh.  Sufficient modifies
     (values that feed no predicate/sort key) leave the pair unset.
+
+    ``old_texts`` is None when the modify kept the target's one text node
+    (and its key); otherwise it holds the ``(key, text)`` of each direct
+    text child the modify replaced — none for empty content — which is
+    what a ``text()`` step read before the batch.
     """
 
     key: FlexKey
     kind: str  # INSERT / DELETE / MODIFY
     old_value: Optional[str] = None
     new_value: Optional[str] = None
+    old_texts: Optional[tuple] = None
 
     @property
     def sign(self) -> int:
@@ -74,6 +80,14 @@ class DeltaRoot:
     @property
     def has_pair(self) -> bool:
         return self.kind == MODIFY and self.old_value is not None
+
+    def old_items(self, key: FlexKey) -> list:
+        """The ``text()`` items of this pair root (at ``key``) before the
+        batch, as the retraction half re-reads them."""
+        if self.old_texts is None:
+            return [AtomicItem(self.old_value, source_key=key)]
+        return [AtomicItem(text, source_key=text_key)
+                for text_key, text in self.old_texts]
 
 
 @dataclass
@@ -88,9 +102,12 @@ class DeltaSpec:
 
     Every key query below is pure in the (immutable) root set, yet one
     propagation pass asks them of the same few keys from every operator,
-    so each answer is memoized per spec under the bare key's value
-    (``old_text`` too: within one pass the pre-batch text of a node is
-    fixed by the pair roots).
+    so each answer is memoized per spec under the key's value string — a
+    key and its bare form share it, so a hit costs one probe and no
+    allocation (``old_text`` too: within one pass the pre-batch text of a
+    node is fixed by the pair roots).  :meth:`node_text` memoizes the
+    current text of a node the same way: storage is fixed while a spec is
+    live (``docs/PLAN_IR.md``, I1).
     """
 
     document: str
@@ -109,6 +126,8 @@ class DeltaSpec:
                               compare=False)
     _old_text_memo: dict = field(default_factory=dict, repr=False,
                                  compare=False)
+    _text_memo: dict = field(default_factory=dict, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         self.has_pairs = (self.phase == MODIFY
@@ -120,10 +139,10 @@ class DeltaSpec:
         Returns ``"at"`` (at or below a root), ``"ancestor"`` (proper
         ancestor of a root) or ``None`` (unrelated).
         """
+        result = self._classify_memo.get(key.value, _MISS)
+        if result is not _MISS:
+            return result
         bare = key.without_override()
-        memo = self._classify_memo
-        if bare.value in memo:
-            return memo[bare.value]
         result = None
         for root in self.roots:
             if root.key == bare or root.key.is_ancestor_of(bare):
@@ -134,51 +153,51 @@ class DeltaSpec:
                 if bare.is_ancestor_of(root.key):
                     result = "ancestor"
                     break
-        memo[bare.value] = result
+        self._classify_memo[bare.value] = result
         return result
 
     def sign_at(self, key: FlexKey) -> int:
+        sign = self._sign_memo.get(key.value)
+        if sign is not None:
+            return sign
         bare = key.without_override()
-        memo = self._sign_memo
-        if bare.value in memo:
-            return memo[bare.value]
         for root in self.roots:
             if root.key == bare or root.key.is_ancestor_of(bare):
-                memo[bare.value] = root.sign
+                self._sign_memo[bare.value] = root.sign
                 return root.sign
         raise PlanError(f"{key} is not at/below an update root")
 
     # -- first-class modify pairs -------------------------------------------------------
 
-    def modify_pair(self, key: FlexKey) -> Optional[tuple[str, str]]:
-        """The ``(old, new)`` text pair when ``key`` *is* a pair root.
+    def pair_root(self, key: FlexKey) -> Optional[DeltaRoot]:
+        """The first-class modify root at ``key``, if ``key`` *is* one.
 
         Only an exact match counts: a modify replaces the direct text of
         its target element, so the text of a proper descendant (or
         ancestor-without-the-target's-text) is untouched.
         """
+        result = self._pair_memo.get(key.value, _MISS)
+        if result is not _MISS:
+            return result
         bare = key.without_override()
-        memo = self._pair_memo
-        if bare.value in memo:
-            return memo[bare.value]
         result = None
         for root in self.roots:
             if root.has_pair and root.key == bare:
-                result = (root.old_value, root.new_value)
+                result = root
                 break
-        memo[bare.value] = result
+        self._pair_memo[bare.value] = result
         return result
 
     def pair_roots_below(self, key: FlexKey) -> list[DeltaRoot]:
         """Pair roots at or below ``key`` (whose old text ``key`` saw)."""
+        result = self._below_memo.get(key.value)
+        if result is not None:
+            return result
         bare = key.without_override()
-        memo = self._below_memo
-        if bare.value in memo:
-            return memo[bare.value]
         result = [root for root in self.roots
                   if root.has_pair
                   and (root.key == bare or bare.is_ancestor_of(root.key))]
-        memo[bare.value] = result
+        self._below_memo[bare.value] = result
         return result
 
     def old_text(self, storage, key: FlexKey) -> Optional[str]:
@@ -191,10 +210,10 @@ class DeltaSpec:
         (the modify primitive replaces exactly the target's direct text
         children, so this substitution is the whole difference).
         """
+        result = self._old_text_memo.get(key.value, _MISS)
+        if result is not _MISS:
+            return result
         bare = key.without_override()
-        memo = self._old_text_memo
-        if bare.value in memo:
-            return memo[bare.value]
         affected = self.pair_roots_below(bare)
         if not affected:
             result = None
@@ -203,8 +222,19 @@ class DeltaSpec:
             parts: list[str] = []
             _old_text_walk(storage.node(bare), pairs, parts)
             result = "".join(parts)
-        memo[bare.value] = result
+        self._old_text_memo[bare.value] = result
         return result
+
+    def node_text(self, storage, key: FlexKey) -> str:
+        """The current concatenated text of the node at ``key``."""
+        text = self._text_memo.get(key.value)
+        if text is None:
+            text = self._text_memo[key.value] = storage.text(key)
+        return text
+
+
+#: memo-miss sentinel for answers that may be None
+_MISS = object()
 
 
 def _old_text_walk(node, pairs: dict, parts: list) -> None:

@@ -45,16 +45,23 @@ def item_value(item: Item, ctx) -> str:
     """The comparison value of one item (node items take their text).
 
     A node item carrying a ``text_override`` (the retraction half of a
-    first-class modify pair) answers with the materialized pre-update
-    text instead of current storage.
+    first-class modify pair) answers with the pre-update text — a string,
+    or the spec that reconstructs it — instead of current storage.  Under
+    a delta spec the text is read once per node per pass
+    (:meth:`DeltaSpec.node_text`).
     """
     if isinstance(item, AtomicItem):
         return item.value
     if isinstance(item, NodeItem):
-        if item.text_override is not None:
-            return item.text_override
+        override = item.text_override
+        if override is not None:
+            if override.__class__ is str:
+                return override
+            return override.old_text(ctx.storage, item.key)
         if item.is_constructed:
             raise ValueError("cannot compare constructed nodes by value")
+        if ctx.delta is not None:
+            return ctx.delta.node_text(ctx.storage, item.key)
         return ctx.storage.text(item.key)
     raise TypeError(f"unexpected item {item!r}")
 

@@ -196,15 +196,13 @@ def _pair_variants(ctx: ExecutionContext, key: FlexKey,
     """
     spec = ctx.delta
     if value_steps:
-        pair = spec.modify_pair(key)
-        if pair is None:
+        root = spec.pair_root(key)
+        if root is None:
             return None
-        return ([AtomicItem(pair[0], source_key=key)],
-                _cell_items(ctx, key, value_steps))
-    old_text = spec.old_text(ctx.storage, key)
-    if old_text is None:
+        return (root.old_items(key), _cell_items(ctx, key, value_steps))
+    if not spec.pair_roots_below(key):
         return None
-    return ([NodeItem(key, text_override=old_text)], [NodeItem(key)])
+    return ([NodeItem(key, text_override=spec)], [NodeItem(key)])
 
 
 def _emit_pair(table: XatTable, tup: XatTuple, out_col: str, variants,
@@ -485,15 +483,11 @@ class NavigateCollection(XatOperator):
         if spec.phase == "modify" and spec.has_pairs:
             if value_steps:
                 if not value_steps[0].is_attribute:
-                    pair = spec.modify_pair(key)
-                    if pair is not None:
-                        return ([AtomicItem(pair[0], source_key=key)],
-                                items, True)
-            else:
-                old_text = spec.old_text(ctx.storage, key)
-                if old_text is not None:
-                    return ([NodeItem(key, text_override=old_text)],
-                            items, True)
+                    root = spec.pair_root(key)
+                    if root is not None:
+                        return root.old_items(key), items, True
+            elif spec.pair_roots_below(key):
+                return [NodeItem(key, text_override=spec)], items, True
         return items, items, False
 
     def compute(self, ctx: ExecutionContext, inputs) -> XatTable:

@@ -48,13 +48,16 @@ class NodeItem(Item):
     stored node (identity — semantic ids, grouping, order — is the key
     and must match the extent), but every value read must see the text
     the old derivation was routed by.  ``None`` (the default) reads
-    current storage.
+    current storage.  Delta navigation sets it to the pass's
+    :class:`~repro.xat.base.DeltaSpec`, whose ``old_text`` reconstructs
+    the pre-update text on the first read: most retracted nodes (a
+    person above a changed city) are never read by value.
     """
 
     __slots__ = ("key", "skeleton", "text_override")
 
     def __init__(self, key: FlexKey, count: int = 1, refresh: bool = False,
-                 skeleton=None, text_override: Optional[str] = None):
+                 skeleton=None, text_override=None):
         super().__init__(count, refresh)
         self.key = key
         self.skeleton = skeleton

@@ -384,6 +384,17 @@ def _mut_modify_name(rng, storage, step, doomed):
                                 f"Renamed {step}")
 
 
+def _mut_modify_same(rng, storage, step, doomed):
+    """An unchanged modify: a live city or name rewritten to the text it
+    holds (routed and logged, never propagated — unless an earlier
+    statement of the batch changed that text)."""
+    tags = ("address", "city") if rng.random() < 0.5 else ("name",)
+    targets = _alive(_site_paths(storage, "site", "people", "person",
+                                 *tags), doomed)
+    target = rng.choice(targets)
+    return UpdateRequest.modify("site.xml", target, storage.text(target))
+
+
 MUTATORS = {
     "insert_person": _mut_insert_person,
     "insert_city": _mut_insert_city,
@@ -393,6 +404,7 @@ MUTATORS = {
     "delete_auction": _mut_delete_auction,
     "modify_city": _mut_modify_city,
     "modify_name": _mut_modify_name,
+    "modify_same": _mut_modify_same,
 }
 
 #: every mutator kind — the CI fuzz step drives this full set

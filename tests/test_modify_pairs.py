@@ -17,6 +17,8 @@ Both must now converge with the recompute oracle for >= 50 mixed steps.
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from repro import (StorageManager, UpdateRequest, ViewRegistry,
@@ -31,7 +33,8 @@ from repro.xat.base import DeltaRoot, obs_op_stats
 from repro.xat.table import AtomicItem, NodeItem, XatTuple
 
 from .helpers import (GROUPED_VIEWS, MaintainedView, assert_consistent,
-                      persons_of, pin, run_differential, site_view)
+                      audit_operator_state, persons_of, pin,
+                      run_differential, site_view)
 
 #: the ROADMAP repro stream: mixed person churn plus city-text modifies
 CITY_MODIFY_MUTATORS = ("insert_person", "delete_person", "modify_city",
@@ -187,8 +190,19 @@ class TestPairPlumbing:
             is False
         spec = spec_for_run([tree])
         assert spec.has_pairs
-        assert spec.modify_pair(FlexKey("b.b")) == ("Boston", "Oslo")
-        assert spec.modify_pair(FlexKey("b.d")) is None
+        root = spec.pair_root(FlexKey("b.b"))
+        assert (root.old_value, root.new_value) == ("Boston", "Oslo")
+        assert spec.pair_root(FlexKey("b.d")) is None
+        [old] = root.old_items(FlexKey("b.b"))
+        assert (old.value, old.source_key) == ("Boston", FlexKey("b.b"))
+        # a modify that replaced several text children retracts each
+        replaced = spec_for_run([UpdateTree(
+            "site.xml", FlexKey("b.b"), "modify", old_value="Bos",
+            new_value="Oslo", old_texts=((FlexKey("b.b.b"), "B"),
+                                         (FlexKey("b.b.f"), "os")))])
+        assert [(item.value, item.source_key.value) for item in
+                replaced.pair_root(FlexKey("b.b")).old_items(
+                    FlexKey("b.b"))] == [("B", "b.b.b"), ("os", "b.b.f")]
 
     def test_old_text_substitutes_pair_roots(self):
         storage = StorageManager()
@@ -210,18 +224,30 @@ class TestPairPlumbing:
         assert spec.old_text(storage, name) is None
 
     def test_node_item_text_override_wins_value_reads(self):
+        from repro.xat.base import ExecutionContext
         from repro.xat.conditions import item_value
         storage = StorageManager()
         xmark.register_site(storage, 3, seed=1)
         city = self._city(storage)
-
-        class Ctx:
-            pass
-
-        ctx = Ctx()
-        ctx.storage = storage
+        ctx = ExecutionContext(storage)
         assert item_value(NodeItem(city), ctx) == storage.text(city)
         assert item_value(NodeItem(city, text_override="Old"), ctx) == "Old"
+        # under a spec the text is read once per pass (storage is fixed
+        # while the spec is live) and the override still wins
+        ctx.delta = DeltaSpec("site.xml", (DeltaRoot(city, "modify"),),
+                              "modify")
+        text = storage.text(city)
+        assert item_value(NodeItem(city), ctx) == text
+        storage.node(city).children[0].value = "Elsewhere"
+        assert item_value(NodeItem(city), ctx) == text
+        assert item_value(NodeItem(city), ExecutionContext(storage)) \
+            == "Elsewhere"
+        assert item_value(NodeItem(city, text_override="Old"), ctx) == "Old"
+        # a retraction half carries its pass's spec instead, which
+        # rebuilds the pre-update text on demand
+        pair = DeltaSpec("site.xml", (DeltaRoot(city, "modify", "Old",
+                                                "Elsewhere"),), "modify")
+        assert item_value(NodeItem(city, text_override=pair), ctx) == "Old"
 
     def test_run_batcher_coalesces_same_root_modifies(self):
         from repro.flexkeys import FlexKey
@@ -423,3 +449,167 @@ def test_city_modify_costs_the_batch_not_the_group():
     assert costs[0] == costs[1]
     join_rows, mutations = costs[0]
     assert 0 < join_rows <= 4 and 0 < mutations <= 20
+
+
+# -- unchanged modifies ------------------------------------------------------------------
+
+#: reads the city as content: a modify of it is sufficient (no pair)
+CITY_CONTENT_QUERY = ('<r>{for $p in doc("site.xml")/site/people/person '
+                      'return <c>{$p/address/city}</c>}</r>')
+
+CITY_PATH = [("child", tag) for tag in ("site", "people", "person",
+                                        "address", "city")]
+
+
+class TestUnchangedModify:
+    """A modify that writes the text its target already holds is routed
+    (router statistics count it) and WAL-logged, and then stops: no
+    storage write, no queued tree, no flush, no refresh."""
+
+    #: person 3's city is Cairo, person 4's Lima
+    CITIES = ("Boston", "Boston", "Cairo", "Lima")
+
+    def _db(self, *edits, durable_path=None) -> Database:
+        """The grouped views plus a content view over four persons;
+        ``edits`` are ``(old, new)`` replacements of the people XML."""
+        people = "".join(xmark.new_person_xml(index, city=city)
+                         for index, city in enumerate(self.CITIES))
+        for old, new in edits:
+            people = people.replace(old, new, 1)
+        db = Database(durable_path=durable_path)
+        db.load("site.xml", f"<site><people>{people}</people></site>")
+        for name, query in {**GROUPED_VIEWS,
+                            "content": CITY_CONTENT_QUERY}.items():
+            db.create_view(name, query)
+            pin(db.registry.view(name))
+        return db
+
+    @staticmethod
+    def _city(db: Database, position: int):
+        return db.registry.storage.find_by_path("site.xml",
+                                                CITY_PATH)[position - 1]
+
+    @staticmethod
+    def _state(db: Database) -> tuple:
+        registry = db.registry
+        return ({name: db.read(name) for name in db.views()},
+                {name: (registry.view(name).stats.flushes,
+                        registry.view(name).stats.routed_trees,
+                        registry.view(name).refresh_sequence)
+                 for name in db.views()},
+                registry.state_store.stats.as_dict(),
+                audit_operator_state(registry))
+
+    @staticmethod
+    def _check(db: Database) -> None:
+        for name in db.views():
+            assert db.read(name) == db.registry.recompute_xml(name), name
+            assert db.registry.view(name).stats.recomputes == 0
+
+    def test_holds_text_is_exact(self):
+        db = self._db(("<city>Cairo</city>", "<city>Cairo<i/></city>"),
+                      ("<city>Lima</city>", "<city/>"))
+        storage = db.registry.storage
+        boston = self._city(db, 1)
+        [text] = storage.node(boston).children
+        assert storage.holds_text(boston, "Boston")
+        assert storage.holds_text(text.key, "Boston")
+        assert not storage.holds_text(boston, "Bost")
+        assert not storage.holds_text(self._city(db, 3), "Cairo")  # mixed
+        assert not storage.holds_text(self._city(db, 4), "")       # empty
+
+    def test_same_value_modify_changes_nothing(self):
+        db = self._db()
+        registry = db.registry
+        events, storage_events = [], []
+        for name in db.views():
+            db.subscribe(name, events.append)
+        registry.storage.add_mutation_listener(
+            lambda op, key, tags: storage_events.append(op))
+        before = self._state(db)
+        report = registry.apply_updates([UpdateRequest.modify(
+            "site.xml", self._city(db, 3), "Cairo")])
+        assert (report.unchanged, report.routed, report.storage_ops) \
+            == (1, 1, 0)
+        assert storage_events == [] and events == []
+        assert self._state(db) == before
+        assert db.metrics()["registry_modifies_unchanged_total"][
+            "values"][""] == 1
+        # the next real change is the views' next refresh
+        db.update("site.xml").at(_city_of(3)).replace_with("Lima")
+        assert storage_events == ["modify"]
+        assert {event.sequence for event in events} == {1}
+        self._check(db)
+
+    def test_unchanged_modify_is_logged_and_replayed(self, tmp_path):
+        db = self._db(durable_path=str(tmp_path / "live"))
+
+        def logged() -> int:
+            return db.metrics()["wal_records_total"]["values"][""]
+
+        records = logged()
+        db.update("site.xml").at(_city_of(3)).replace_with("Cairo")
+        assert logged() == records + 1
+        db.update("site.xml").at(_city_of(4)).replace_with("Boston")
+        expected = {name: db.read(name) for name in db.views()}
+        shutil.copytree(tmp_path / "live", tmp_path / "crash")
+        db.close()
+        reopened = Database(durable_path=str(tmp_path / "crash"))
+        assert reopened.recovery.wal_records_replayed >= 2
+        assert {name: reopened.read(name)
+                for name in reopened.views()} == expected
+        reopened.update("site.xml").at(_city_of(2)).replace_with("Lima")
+        reopened.update("site.xml").at(_city_of(1)).replace_with("Boston")
+        self._check(reopened)
+        reopened.close()
+
+    @pytest.mark.parametrize("edit, position, value", [
+        (("<city>Cairo</city>", "<city>Cairo<i/></city>"), 3, "Cairo"),
+        (("<city>Cairo</city>", "<city>Cai<![CDATA[ro]]></city>"), 3,
+         "Cairo"),
+        (("<city>Lima</city>", "<city/>"), 4, ""),
+        (("<city>Cairo</city>", "<city>Cai<i/>ro</city>"), 3, "Cairo"),
+        (("<city>Cairo</city>", "<city>Cai<![CDATA[ro]]></city>"), 3,
+         "Lima"),
+        (("<city>Lima</city>", "<city/>"), 4, "Boston"),
+    ], ids=["mixed", "two_texts", "empty", "split", "two_texts_moved",
+            "empty_moved"])
+    def test_restructured_content_is_not_unchanged(self, edit, position,
+                                                   value):
+        """The modify replaces every text child with one new one; the
+        pair retracts each replaced child's text (``text()`` reads them
+        one by one) and asserts the new one."""
+        db = self._db(edit)
+        storage_events = []
+        db.registry.storage.add_mutation_listener(
+            lambda op, key, tags: storage_events.append(op))
+        report = db.registry.apply_updates([UpdateRequest.modify(
+            "site.xml", self._city(db, position), value)])
+        assert report.unchanged == 0 and storage_events == ["modify"]
+        [text] = [child for child in db.registry.storage.node(
+            self._city(db, position)).children if child.is_text]
+        assert text.value == value
+        self._check(db)
+
+    def test_second_write_of_a_batch_is_unchanged(self):
+        db = self._db()
+        city = self._city(db, 3)
+        report = db.registry.apply_updates([
+            UpdateRequest.modify("site.xml", city, "Oslo"),
+            UpdateRequest.modify("site.xml", city, "Oslo")])
+        assert report.unchanged == 1
+        self._check(db)
+        assert db.read("cities") == ("<result><city>Boston</city>"
+                                     "<city>Lima</city><city>Oslo</city>"
+                                     "</result>")
+
+    def test_write_and_write_back_in_one_batch(self):
+        db = self._db()
+        before = {name: db.read(name) for name in db.views()}
+        city = self._city(db, 3)
+        report = db.registry.apply_updates([
+            UpdateRequest.modify("site.xml", city, "Oslo"),
+            UpdateRequest.modify("site.xml", city, "Cairo")])
+        assert report.unchanged == 0
+        self._check(db)
+        assert {name: db.read(name) for name in db.views()} == before

@@ -189,6 +189,30 @@ class TestStoreActivity:
         assert store.stats.invalidations == before[0] + 1
         assert_consistent(view)
 
+    def test_tuple_without_recorded_keys_invalidates(self):
+        """A patch removes a tuple from its buckets under the keys
+        recorded when it was indexed, never under keys recomputed from
+        storage: a tuple with no record is an index desync, so the entry
+        invalidates and the same pass recomputes it."""
+        storage, view = site_view(xmark.CITY_HEADCOUNT_QUERY)
+        cities = [storage.children(storage.children(p, "address")[0],
+                                   "city")[0] for p in persons_of(storage)]
+        view.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[0], "Tampere")])
+        store = view.registry.state_store
+        [entry] = [e for e in store.entries() if e.valid and e.indexes
+                   and type(e.op).__name__ == "NavigateCollection"]
+        victim = next(tup for tup in entry.table.tuples
+                      if tup.cells["$p_3"].key == persons_of(storage)[1])
+        del entry._indexed_keys[id(victim)]
+        before = (store.stats.invalidations, entry.stats.misses)
+        view.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[1], "Tampere")])
+        assert (store.stats.invalidations, entry.stats.misses) \
+            == (before[0] + 1, before[1] + 1)
+        assert entry.valid and audit_operator_state(view.registry) > 0
+        assert_consistent(view)
+
 
 class TestBatchEpochs:
     """One dispatch, one epoch: a batch's storage events and every spec

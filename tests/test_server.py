@@ -382,6 +382,26 @@ class TestEndToEnd:
                 # the pushed stream mirrors what a read now sees
                 assert client.read("rows")["sequence"] == 5
 
+    def test_unchanged_update_pushes_nothing(self):
+        """An update that rewrites the value a row already holds is
+        applied (and acknowledged) without a refresh: no frame is pushed
+        for it, and the next real change carries the next contiguous
+        sequence."""
+        with rows_server() as handle:
+            with ReproClient(handle.host, handle.port) as client:
+                subscription = client.subscribe("rows")
+                client.update([replace_row_value("seed", "0")])
+                assert client.read("rows")["sequence"] == 0
+                client.update([replace_row_value("seed", "9")])
+                frame = subscription.get(timeout=10)
+                assert frame["sequence"] == 1 and not frame["reset"]
+                assert "<v>9</v>" in client.read("rows")["xml"]
+                assert client.read("rows")["sequence"] == 1
+                assert subscription.frames.empty()
+                metrics = client.metrics()
+                assert metrics["registry_modifies_unchanged_total"][
+                    "values"][""] == 1
+
     def test_recompute_refresh_pushes_reset_frame(self):
         db = rows_db()
         db.registry.view("rows").over_work_bound = lambda: True
