@@ -42,7 +42,7 @@ from typing import Callable, List, Optional, Union
 from ..durability import DurabilityManager, RecoveryReport
 from ..multiview.policies import MaintenancePolicy
 from ..multiview.registry import MultiViewReport, RefreshEvent, ViewRegistry
-from ..obs import MetricsRegistry, Tracer, render_prometheus
+from ..obs import Tracer, render_prometheus
 from ..obs.core import STATE as _OBS
 from ..storage import StorageManager
 from ..updates.errors import UpdateError
@@ -290,12 +290,6 @@ class Database:
         return subscription
 
     # -- observability -----------------------------------------------------------------
-
-    @property
-    def obs_metrics(self) -> MetricsRegistry:
-        """The engine's live metrics registry (shared with the view
-        registry; exporters read it, hot paths feed it)."""
-        return self.registry.metrics
 
     @property
     def tracer(self) -> Tracer:

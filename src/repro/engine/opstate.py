@@ -400,9 +400,6 @@ class CachedEntry:
                 self.prepared.add_keys_for(cols, ctx)
         return index
 
-    def fingerprint_of(self, tup: XatTuple):
-        return self._fp_of.get(id(tup))
-
     # -- delta patching ------------------------------------------------------------------
 
     def stage(self, delta: XatTable, spec: DeltaSpec,

@@ -205,12 +205,6 @@ class MetricsRegistry:
         externally accumulated stats into the registry there."""
         self._sync_hooks.append(hook)
 
-    def remove_sync_hook(self, hook) -> None:
-        try:
-            self._sync_hooks.remove(hook)
-        except ValueError:
-            pass
-
     def sync(self) -> None:
         for hook in list(self._sync_hooks):
             hook(self)

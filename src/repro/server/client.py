@@ -47,15 +47,11 @@ import time
 import uuid
 from typing import Optional
 
-from .protocol import MAX_FRAME, FrameDecoder, ProtocolError, encode_frame
+from .protocol import MAX_FRAME, MUTATING_OPS, FrameDecoder, \
+    ProtocolError, encode_frame
 
-__all__ = ["ClientSubscription", "ConnectionClosed", "MUTATING_OPS",
-           "ReproClient", "ServerError"]
-
-#: ops that change database state — these carry idempotency tokens when
-#: the client runs with ``reconnect=True``
-MUTATING_OPS = frozenset({"load", "create_view", "drop_view", "execute",
-                          "update"})
+__all__ = ["ClientSubscription", "ConnectionClosed", "ReproClient",
+           "ServerError"]
 
 #: cap on pushes parked for a subscription id we don't know (yet)
 _ORPHAN_LIMIT = 256
@@ -176,7 +172,7 @@ class ReproClient:
 
     def __init__(self, host: str, port: int, *,
                  timeout: Optional[float] = 30.0,
-                 max_frame: int = MAX_FRAME, hello: bool = True,
+                 max_frame: int = MAX_FRAME,
                  connect_timeout: float = 10.0, reconnect: bool = False,
                  max_retries: int = 8, backoff: float = 0.05,
                  backoff_cap: float = 2.0,
@@ -195,7 +191,6 @@ class ReproClient:
         self.retry_window = retry_window
         self.client_id = client_id or f"c-{uuid.uuid4().hex[:12]}"
         self._rng = rng if rng is not None else random.Random()
-        self._do_hello = hello
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._next_id = 0
@@ -235,11 +230,10 @@ class ReproClient:
         self._reader = reader
         reader.start()
         try:
-            if self._do_hello or resume:
-                params = {"client": self.client_id}
-                if resume:
-                    params["resume"] = True
-                self.server_info = self._raw_request("hello", **params)
+            params = {"client": self.client_id}
+            if resume:
+                params["resume"] = True
+            self.server_info = self._raw_request("hello", **params)
             if resume:
                 self._resubscribe()
         except BaseException:
@@ -330,14 +324,6 @@ class ReproClient:
             self._waiters.clear()
         for waiter in waiters:
             waiter.event.set()  # frame stays None -> ConnectionClosed
-
-    def drop_connection(self) -> None:
-        """Fault-injection hook: sever the TCP connection without
-        closing the client (benchmarks/tests exercise the reconnect
-        path with this)."""
-        with self._state_lock:
-            sock = self._sock
-        _close_socket(sock)
 
     # -- the reader thread ---------------------------------------------------------------
 

@@ -47,11 +47,11 @@ import json
 import struct
 from typing import Optional
 
-__all__ = ["FrameDecoder", "MAX_FRAME", "PROTOCOL_VERSION",
+__all__ = ["FrameDecoder", "MAX_FRAME", "MUTATING_OPS", "PROTOCOL_VERSION",
            "ProtocolError", "dedup_token", "delta_frame", "delta_head",
            "delta_payload", "encode_frame", "error_frame", "gap_frame",
-           "reply_frame", "resume_reset_frame", "shared_tail",
-           "splice_frame"]
+           "reply_frame", "reset_frame", "resume_reset_frame",
+           "shared_tail", "splice_frame"]
 
 #: protocol revision announced by ``hello`` and checked by clients.
 #: Version 2 (backward compatible with 1) adds idempotency tokens on
@@ -59,6 +59,12 @@ __all__ = ["FrameDecoder", "MAX_FRAME", "PROTOCOL_VERSION",
 #: ``deadline_ms`` deadlines and the ``overloaded``/``bad_frame``/
 #: ``deadline`` error codes.
 PROTOCOL_VERSION = 2
+
+#: the ops that change database state: the server answers exactly these
+#: with an ``applied_index`` ticket and deduplicates their idempotency
+#: tokens, and a reconnecting client tokens exactly these
+MUTATING_OPS = frozenset({"load", "create_view", "drop_view", "execute",
+                          "update"})
 
 #: default ceiling for one frame's JSON body (64 MiB); both sides
 #: refuse larger frames instead of buffering unboundedly
@@ -160,9 +166,8 @@ def delta_payload(event) -> dict:
 
 def delta_frame(subscription_id: int, event) -> dict:
     """A push frame for one refresh event, as a dict: the subscriber's
-    head fields plus :func:`delta_payload`.  ``coalesced`` (added in
-    place by the server's backpressure path, never by this constructor)
-    marks a frame standing for the range ``from_sequence..sequence``.
+    head fields plus :func:`delta_payload`.  The server never builds it
+    (it splices, below); it is the reference a spliced frame decodes to.
     """
     return {"type": "delta", "subscription": subscription_id,
             **delta_payload(event)}
@@ -208,24 +213,38 @@ def gap_frame(subscription_id: int, view: str, after_sequence: int,
             "dropped": dropped}
 
 
+def reset_frame(subscription_id: int, view: str, from_sequence: int,
+                sequence: int, reason: str, trees: int = 0,
+                delta_tuples: int = 0, resumed: bool = False) -> dict:
+    """Every unshared delta frame: one ``coalesced`` reset standing for
+    the refreshes ``from_sequence..sequence`` (the client re-reads the
+    view).  The backpressure fold builds it from the refreshes it
+    merges, the resume fallback from the range a resume missed."""
+    frame = {"type": "delta",
+             "subscription": subscription_id,
+             "view": view,
+             "sequence": sequence,
+             "reason": reason,
+             "trees": trees,
+             "delta_tuples": delta_tuples,
+             "reset": True,
+             "coalesced": True,
+             "from_sequence": from_sequence,
+             "mutations": None}
+    if resumed:
+        frame["resumed"] = True
+    return frame
+
+
 def resume_reset_frame(subscription_id: int, view: str,
                        from_sequence: int, sequence: int) -> dict:
     """The resume fallback: the backlog no longer reaches back to the
     subscriber's ``from_sequence``, so one explicit reset frame stands
     for the whole missed range and the client re-reads the view.  Never
     a silent gap: the frame names exactly what it covers."""
-    return {"type": "delta",
-            "subscription": subscription_id,
-            "view": view,
-            "sequence": sequence,
-            "reason": "resume",
-            "trees": 0,
-            "delta_tuples": 0,
-            "reset": True,
-            "coalesced": True,
-            "resumed": True,
-            "from_sequence": min(from_sequence, sequence),
-            "mutations": None}
+    return reset_frame(subscription_id, view,
+                       min(from_sequence, sequence), sequence, "resume",
+                       resumed=True)
 
 
 def dedup_token(frame: dict) -> Optional[tuple]:

@@ -85,10 +85,10 @@ from typing import Optional
 
 from ..api import Database
 from ..updates.errors import UpdateError
-from .protocol import MAX_FRAME, PROTOCOL_VERSION, FrameDecoder, \
-    ProtocolError, dedup_token, delta_head, delta_payload, encode_frame, \
-    error_frame, gap_frame, param, reply_frame, resume_reset_frame, \
-    shared_tail, splice_frame, validate_request
+from .protocol import MAX_FRAME, MUTATING_OPS, PROTOCOL_VERSION, \
+    FrameDecoder, ProtocolError, dedup_token, delta_head, delta_payload, \
+    encode_frame, error_frame, gap_frame, param, reply_frame, reset_frame, \
+    resume_reset_frame, shared_tail, splice_frame, validate_request
 
 __all__ = ["DeadlineExceeded", "Overloaded", "ServerHandle", "ViewServer",
            "start_in_thread"]
@@ -127,7 +127,9 @@ class DeadlineExceeded(Exception):
 
 @dataclass
 class _CachedError:
-    """A remembered error reply (ledger value for a failed mutation).
+    """An error reply as data: what :func:`_error_of` maps an exception
+    to, and the dedup ledger's value for a failed mutation (so a retry
+    replays exactly what the first attempt answered).
 
     Lives at module level so it pickles into durable checkpoints along
     with the rest of the dedup ledger.
@@ -137,14 +139,28 @@ class _CachedError:
     message: str
     detail: dict = field(default_factory=dict)
 
+    def frame(self, request_id, **extra) -> dict:
+        return error_frame(request_id, self.code, self.message, **extra,
+                           **self.detail)
 
-class _ReplayedError(Exception):
-    """Internal: a retried token whose first attempt failed — carry the
-    remembered error so the dispatcher re-sends it verbatim."""
 
-    def __init__(self, cached: _CachedError):
-        super().__init__(cached.message)
-        self.cached = cached
+def _error_of(exc: Exception) -> _CachedError:
+    """The one exception → error-code table, for live replies and the
+    dedup ledger alike (first match wins: ``UpdateError`` is a
+    ``ValueError``)."""
+    if isinstance(exc, Overloaded):
+        return _CachedError("overloaded", str(exc),
+                            {"retry_after": exc.retry_after})
+    if isinstance(exc, DeadlineExceeded):
+        return _CachedError("deadline", str(exc))
+    if isinstance(exc, UpdateError):
+        return _CachedError("update", str(exc), {"applied": exc.applied})
+    if isinstance(exc, KeyError):
+        return _CachedError("not_found",
+                            str(exc.args[0]) if exc.args else str(exc))
+    if isinstance(exc, (ProtocolError, ValueError, RuntimeError)):
+        return _CachedError("bad_request", str(exc))
+    return _CachedError("internal", f"{type(exc).__name__}: {exc}")
 
 
 #: every ``server_*`` metric family: (name after the prefix, kind, help)
@@ -290,11 +306,10 @@ class _Subscriber:
 class _Outbound:
     """One entry of a session's outbound queue.
 
-    ``item`` is a frame dict (replies, errors, gap / resume-reset /
-    coalesced frames — encoded at dequeue time) or a shared
-    :class:`_Push` (spliced behind the subscriber's head, ``resumed``
-    on a backlog replay).  ``at`` is when it was queued, for the
-    push-lag histogram."""
+    ``item`` is a frame dict (replies, errors, gap and reset frames —
+    encoded at dequeue time) or a shared :class:`_Push` (spliced behind
+    the subscriber's head).  ``resumed`` marks what a resume queued;
+    ``at`` is when it was queued, for the push-lag histogram."""
 
     __slots__ = ("subscriber", "item", "resumed", "at")
 
@@ -318,7 +333,6 @@ class _Session:
         self.subscribers: dict[int, _Subscriber] = {}
         self.closing = False
         self.last_active = time.monotonic()
-        self.client_id: Optional[str] = None
         self._deadline_ts: Optional[float] = None
         self._tasks: list[asyncio.Task] = []
 
@@ -362,25 +376,19 @@ class _Session:
         incoming = push.payload
         entry = subscriber.newest
         if subscriber.mode == "coalesce" and entry is not None:
-            # Fold into the newest still-queued entry.  The writer takes
-            # entries off the queue on this same loop thread, so the
-            # mutation is race-free.
-            frame = entry.item
-            if isinstance(frame, _Push):
-                # first fold: stop sharing the view's push
-                frame = entry.item = {"type": "delta",
-                                      "subscription": subscriber.id,
-                                      **frame.payload}
-                if entry.resumed:
-                    frame["resumed"] = True
-            frame.setdefault("from_sequence", frame["sequence"])
-            frame["coalesced"] = True
-            frame["sequence"] = incoming["sequence"]
-            frame["reason"] = incoming["reason"]
-            frame["trees"] += incoming["trees"]
-            frame["delta_tuples"] += incoming["delta_tuples"]
-            frame["reset"] = True
-            frame["mutations"] = None
+            # Fold into the newest still-queued entry (the first fold
+            # stops sharing the view's push).  The writer takes entries
+            # off the queue on this same loop thread, so replacing the
+            # entry's item is race-free.
+            item = entry.item
+            folded = item.payload if isinstance(item, _Push) else item
+            entry.item = reset_frame(
+                subscriber.id, subscriber.view,
+                folded.get("from_sequence", folded["sequence"]),
+                incoming["sequence"], incoming["reason"],
+                folded["trees"] + incoming["trees"],
+                folded["delta_tuples"] + incoming["delta_tuples"],
+                resumed=entry.resumed)
             subscriber.enqueued_sequence = incoming["sequence"]
             stats.pushes_coalesced.inc()
             return
@@ -495,8 +503,7 @@ class _Session:
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass
         except Exception as exc:   # noqa: BLE001 — sessions must survive
-            self.send(error_frame(None, "internal",
-                                  f"{type(exc).__name__}: {exc}"))
+            self.send(_error_of(exc).frame(None))
             drain = True
         finally:
             if drain and not self.closing:
@@ -514,43 +521,25 @@ class _Session:
             self.send(error_frame(None, "bad_frame", str(exc)))
             return False
         handler = getattr(self, f"_op_{op}", None)
-        if handler is None:
-            self.send(error_frame(request_id, "bad_request",
-                                  f"unknown op {op!r}"))
-            return True
         self._deadline_ts = self.server.deadline_for(frame)
         try:
-            result = await handler(frame)
-        except _ReplayedError as exc:
-            cached = exc.cached
-            self.send(error_frame(request_id, cached.code, cached.message,
-                                  deduped=True, **cached.detail))
-        except Overloaded as exc:
-            self.send(error_frame(request_id, "overloaded", str(exc),
-                                  retry_after=exc.retry_after))
-        except DeadlineExceeded as exc:
-            self.send(error_frame(request_id, "deadline", str(exc)))
-        except ProtocolError as exc:
-            self.send(error_frame(request_id, "bad_request", str(exc)))
-        except UpdateError as exc:
-            self.send(error_frame(request_id, "update", str(exc),
-                                  applied=exc.applied))
-        except KeyError as exc:
-            self.send(error_frame(request_id, "not_found",
-                                  str(exc.args[0]) if exc.args
-                                  else str(exc)))
-        except (ValueError, RuntimeError) as exc:
-            self.send(error_frame(request_id, "bad_request", str(exc)))
+            if handler is None:
+                raise ProtocolError(f"unknown op {op!r}")
+            if op in MUTATING_OPS:
+                # a mutating handler parses the request and returns the
+                # apply job; _mutate runs it and assigns its ticket
+                reply = await self._mutate(request_id, frame,
+                                           handler(frame))
+            else:
+                reply = reply_frame(request_id, await handler(frame))
         except Exception as exc:   # noqa: BLE001 — sessions must survive
-            self.send(error_frame(request_id, "internal",
-                                  f"{type(exc).__name__}: {exc}"))
-        else:
-            self.send(reply_frame(request_id, result))
-            if op == "bye":
-                self.queue.put_nowait(None)   # close after the reply
-                return False
+            reply = _error_of(exc).frame(request_id)
         finally:
             self._deadline_ts = None
+        self.send(reply)
+        if op == "bye":
+            self.queue.put_nowait(None)   # close after the reply
+            return False
         return True
 
     # -- apply-loop access (deadline + idempotency seams) --------------------------------
@@ -560,73 +549,60 @@ class _Session:
         deadline."""
         return await self.server.run(job, deadline_ts=self._deadline_ts)
 
-    async def _mutate(self, frame: dict, job) -> dict:
-        """Run a mutating ``job`` with at-most-once semantics.
+    async def _mutate(self, request_id, frame: dict, job) -> dict:
+        """Run a mutating ``job`` at most once; its reply frame carries
+        the mutation's ``applied_index`` ticket.
 
-        Tokenless requests run directly (legacy behaviour).  A tokened
-        request first consults the server's dedup ledger — a hit replays
-        the remembered reply (marked ``deduped``, with its *original*
-        ``applied_index``) without touching the database.  A miss runs
-        the job with the token stamped into the same WAL record as the
-        mutation, then remembers the reply (or the error) under the
-        token.  Shed/expired requests were never executed, so they leave
-        no ledger entry and stay safely retryable.
+        A tokened request first consults the server's dedup ledger — a
+        hit replays the remembered reply or error (marked ``deduped``,
+        with its *original* ``applied_index``) without touching the
+        database.  A miss runs the job with the token stamped into the
+        same WAL record as the mutation, then remembers the reply (or
+        the error) under the token.  Shed/expired requests were never
+        executed, so they leave no ledger entry and stay safely
+        retryable.
         """
         server = self.server
         token = dedup_token(frame)
-        if token is None:
-            return await self.run(job)
-        if frame.get("retry"):
-            server.stats.requests_retried.inc()
-        cached = server.ledger_get(token)
-        if cached is not None:
-            server.stats.requests_deduped.inc()
-            if isinstance(cached, _CachedError):
-                raise _ReplayedError(cached)
-            return {**cached, "deduped": True}
+        if token is not None:
+            if frame.get("retry"):
+                server.stats.requests_retried.inc()
+            cached = server.ledger_get(token)
+            if cached is not None:
+                server.stats.requests_deduped.inc()
+                if isinstance(cached, _CachedError):
+                    return cached.frame(request_id, deduped=True)
+                return reply_frame(request_id, {**cached, "deduped": True})
 
-        def stamped():
-            # Predict the mutation's ticket *inside* the apply job —
-            # jobs are serialized, so applied_index cannot move between
-            # here and the handler's single bump_applied() call.
-            meta = {"c": token[0], "s": token[1],
-                    "a": server.applied_index + 1}
+        def ticketed():
+            # Jobs are serialized, so the ticket predicted here for the
+            # WAL stamp is the one taken once the job succeeds.
+            ticket = server.applied_index + 1
             manager = server.db.durability
-            if manager is not None:
-                with manager.stamp(meta):
-                    return job()
-            return job()
+            with (manager.stamp({"c": token[0], "s": token[1], "a": ticket})
+                  if token is not None and manager is not None
+                  else contextlib.nullcontext()):
+                result = job()
+            server.applied_index = ticket
+            result["applied_index"] = ticket
+            return result
 
         try:
-            result = await self.run(stamped)
-        except (Overloaded, DeadlineExceeded):
-            raise               # never executed — must stay retryable
-        except UpdateError as exc:
-            server.ledger_put(token, _CachedError(
-                "update", str(exc), {"applied": exc.applied}))
+            result = await self.run(ticketed)
+        except Exception as exc:
+            if token is not None \
+                    and not isinstance(exc, (Overloaded, DeadlineExceeded)):
+                server.ledger_put(token, _error_of(exc))
             raise
-        except KeyError as exc:
-            server.ledger_put(token, _CachedError(
-                "not_found",
-                str(exc.args[0]) if exc.args else str(exc)))
-            raise
-        except (ProtocolError, ValueError, RuntimeError) as exc:
-            server.ledger_put(token, _CachedError("bad_request", str(exc)))
-            raise
-        except Exception as exc:   # noqa: BLE001 — remembered verbatim
-            server.ledger_put(token, _CachedError(
-                "internal", f"{type(exc).__name__}: {exc}"))
-            raise
-        server.ledger_put(token, result)
-        return result
+        if token is not None:
+            server.ledger_put(token, result)
+        return reply_frame(request_id, result)
 
     # -- request handlers --------------------------------------------------------------
 
     async def _op_hello(self, frame: dict) -> dict:
-        client = param(frame, "client", str, "")
+        param(frame, "client", str, "")  # typed, unused: tokens name theirs
         resume = param(frame, "resume", bool, False)
-        if client:
-            self.client_id = client
         if resume:
             self.server.stats.reconnects.inc()
         server = self.server
@@ -646,39 +622,37 @@ class _Session:
     async def _op_bye(self, frame: dict) -> dict:
         return {}
 
-    async def _op_load(self, frame: dict) -> dict:
+    def _op_load(self, frame: dict):
         name = param(frame, "name", str)
         xml = param(frame, "xml", str)
 
         def job():
             self.server.db.load(name, xml)
-            return {"applied_index": self.server.bump_applied(),
-                    "documents": self.server.db.documents()}
-        return await self._mutate(frame, job)
+            return {"documents": self.server.db.documents()}
+        return job
 
     async def _op_documents(self, frame: dict) -> dict:
         return {"documents":
                 await self.run(self.server.db.documents)}
 
-    async def _op_create_view(self, frame: dict) -> dict:
+    def _op_create_view(self, frame: dict):
         name = param(frame, "name", str)
         query = param(frame, "query", str)
         policy = param(frame, "policy", (str, int), "immediate")
 
         def job():
             self.server.db.create_view(name, query, policy)
-            return {"view": name,
-                    "applied_index": self.server.bump_applied()}
-        return await self._mutate(frame, job)
+            return {"view": name}
+        return job
 
-    async def _op_drop_view(self, frame: dict) -> dict:
+    def _op_drop_view(self, frame: dict):
         name = param(frame, "name", str)
 
         def job():
             self.server._drop_feed(name)
             self.server.db.drop_view(name)
-            return {"applied_index": self.server.bump_applied()}
-        return await self._mutate(frame, job)
+            return {}
+        return job
 
     async def _op_views(self, frame: dict) -> dict:
         db = self.server.db
@@ -706,15 +680,15 @@ class _Session:
         return {"xml": await self.run(
             lambda: self.server.db.query(xquery))}
 
-    async def _op_execute(self, frame: dict) -> dict:
+    def _op_execute(self, frame: dict):
         statement = param(frame, "statement", str)
 
         def job():
             self.server.db.execute(statement)
-            return {"applied_index": self.server.bump_applied()}
-        return await self._mutate(frame, job)
+            return {}
+        return job
 
-    async def _op_update(self, frame: dict) -> dict:
+    def _op_update(self, frame: dict):
         statements = param(frame, "statements", list)
         if not all(isinstance(s, str) for s in statements):
             raise ProtocolError(
@@ -724,9 +698,8 @@ class _Session:
             with self.server.db.batch():
                 for statement in statements:
                     self.server.db.execute(statement)
-            return {"applied_index": self.server.bump_applied(),
-                    "statements": len(statements)}
-        return await self._mutate(frame, job)
+            return {"statements": len(statements)}
+        return job
 
     async def _op_subscribe(self, frame: dict) -> dict:
         view = param(frame, "view", str)
@@ -776,7 +749,7 @@ class _Session:
                     resumed, replayed = "reset", 1
                     self.push(subscriber, resume_reset_frame(
                         sub_id, view, from_sequence + 1, baseline),
-                        baseline, now)
+                        baseline, now, resumed=True)
                 result["resumed"] = resumed
                 result["replayed"] = replayed
             # Recorded and attached here, not after the await: a session
@@ -899,11 +872,6 @@ class ViewServer:
         future = loop.create_future()
         self._apply_queue.put_nowait((job, future, deadline_ts))
         return await future
-
-    def bump_applied(self) -> int:
-        """The mutation ticket (call from inside an apply job)."""
-        self.applied_index += 1
-        return self.applied_index
 
     def deadline_for(self, frame: dict) -> Optional[float]:
         """The absolute deadline for one request: the client's

@@ -343,18 +343,15 @@ class ExecutionContext:
     """
 
     def __init__(self, storage: StorageManager,
-                 skeletons: Optional[SkeletonStore] = None,
                  mode: str = FULL,
                  delta: Optional[DeltaSpec] = None,
                  profiler: Optional[Profiler] = None,
-                 track_semantic_ids: bool = True,
                  store=None):
         self.storage = storage
-        self.skeletons = skeletons if skeletons is not None else SkeletonStore()
+        self.skeletons = SkeletonStore()
         self.mode = mode
         self.delta = delta
         self.profiler = profiler if profiler is not None else Profiler()
-        self.track_semantic_ids = track_semantic_ids
         self.store = store
         self.bindings: list[XatTuple] = []      # Map-operator correlation stack
         self.memo: dict[tuple[str, str], XatTable] = {}
@@ -362,11 +359,9 @@ class ExecutionContext:
     # -- mode management ------------------------------------------------------------
 
     def with_mode(self, mode: str) -> "ExecutionContext":
-        clone = ExecutionContext(self.storage, self.skeletons, mode,
-                                 self.delta, self.profiler,
-                                 self.track_semantic_ids, self.store)
-        clone.bindings = self.bindings
-        clone.memo = self.memo
+        """This context in another mode, sharing everything else."""
+        clone = _copy.copy(self)
+        clone.mode = mode
         return clone
 
     @property

@@ -16,7 +16,7 @@ constructed) or atomic values — or sequences thereof.  Items carry
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from ..flexkeys import FlexKey, order_of
 
@@ -31,9 +31,6 @@ class Item:
         self.refresh = refresh
 
     def order_token(self) -> str:
-        raise NotImplementedError
-
-    def lineage_token(self) -> str:
         raise NotImplementedError
 
 
@@ -78,9 +75,6 @@ class NodeItem(Item):
     def order_token(self) -> str:
         return order_of(self.key)
 
-    def lineage_token(self) -> str:
-        return self.key.value
-
     def __repr__(self) -> str:
         return f"N({self.key!r})"
 
@@ -113,9 +107,6 @@ class AtomicItem(Item):
             return self.order_value
         if self.source_key is not None:
             return order_of(self.source_key)
-        return self.value
-
-    def lineage_token(self) -> str:
         return self.value
 
     def __repr__(self) -> str:
@@ -240,9 +231,6 @@ class ContextSpec:
     def is_all_lineage(self) -> bool:
         return len(self.lineage) == 1 and self.lineage[0][0] == "*"
 
-    def lineage_columns(self) -> list[str]:
-        return [col for col, _ in self.lineage if col != "*"]
-
     def __repr__(self) -> str:
         if self.order is None:
             order_txt = ""
@@ -273,10 +261,6 @@ class TableSchema:
         return tuple(c for c in self.columns
                      if self.spec(c).is_self_lineage)
 
-    def with_columns(self, columns: Sequence[str]) -> "TableSchema":
-        return TableSchema(tuple(columns), self.order_schema,
-                           dict(self.context))
-
 
 class XatTable:
     """A bag of :class:`XatTuple` under a :class:`TableSchema`."""
@@ -300,21 +284,6 @@ class XatTable:
 
     def __iter__(self) -> Iterator[XatTuple]:
         return iter(self.tuples)
-
-    def sorted_tuples(self) -> list[XatTuple]:
-        """Tuples in the order induced by the Order Schema (Def 3.3.2)."""
-        order_cols = self.schema.order_schema
-        if not order_cols:
-            return list(self.tuples)
-
-        def sort_key(tup: XatTuple) -> tuple[str, ...]:
-            tokens = []
-            for col in order_cols:
-                item = single_item(tup[col])
-                tokens.append(item.order_token() if item is not None else "")
-            return tuple(tokens)
-
-        return sorted(self.tuples, key=sort_key)
 
     def __repr__(self) -> str:
         return f"XatTable(cols={list(self.columns)}, {len(self.tuples)} tuples)"

@@ -74,7 +74,3 @@ def _inline_lets(expr: Expression, env: dict[str, Expression]) -> Expression:
     if isinstance(expr, (StringLiteral, NumberLiteral, TextContent)):
         return expr
     raise TypeError(f"unexpected AST node {expr!r}")
-
-
-def flwor_variables(expr: FLWOR) -> list[str]:
-    return [clause.var for clause in expr.fors]

@@ -277,6 +277,34 @@ class TestIdempotentRetries:
                 for name in ("ckpt", "tail", "fresh"):
                     assert xml.count(f"<name>{name}</name>") == 1
 
+    def test_replayed_error_matches_the_first_answer(self, tmp_path):
+        # A failed tokened mutation is remembered as its error: a retry
+        # gets the same code, message and detail, marked deduped — from
+        # memory, and from a checkpoint after a restart.
+        bad = ('for $d in document("missing.xml")/data update $d '
+               'delete $d/row')
+
+        def answer(client, **retry):
+            with pytest.raises(ServerError) as caught:
+                client.request("execute", statement=bad, client="phoenix",
+                               seq=1, **retry)
+            error = caught.value
+            return (error.code, error.message, error.detail["applied"],
+                    error.detail.get("deduped"))
+
+        db = Database(durable_path=tmp_path)
+        db.load("data.xml", ROWS_XML)
+        with start_in_thread(db, own_db=True) as handle:
+            with ReproClient(handle.host, handle.port) as client:
+                first = answer(client)
+                assert first[0] == "update" and first[3] is None
+                assert answer(client, retry=1) == first[:3] + (True,)
+                client.checkpoint()     # the ledger rides the checkpoint
+        with start_in_thread(Database(durable_path=tmp_path),
+                             own_db=True) as handle:
+            with ReproClient(handle.host, handle.port) as client:
+                assert answer(client, retry=1) == first[:3] + (True,)
+
     def test_dedup_survives_external_db_closed_after_server(
             self, tmp_path):
         # An external (non-owned) database outlives its server: the

@@ -24,7 +24,7 @@ from repro.api import Database
 from repro.engine import Engine
 from repro.server import ClientSubscription, ConnectionClosed, \
     ReproClient, ServerError, start_in_thread
-from repro.server.protocol import HEADER_SIZE, FrameDecoder, \
+from repro.server.protocol import HEADER_SIZE, MUTATING_OPS, FrameDecoder, \
     ProtocolError, delta_frame, delta_head, delta_payload, encode_frame, \
     gap_frame, param, resume_reset_frame, shared_tail, splice_frame, \
     validate_request
@@ -542,6 +542,59 @@ class TestEndToEnd:
             assert "<name>durable-row</name>" in reopened.read("rows")
             assert reopened.read("rows") == \
                 reopened.view("rows").recompute()
+
+
+class TestMutatingOps:
+    def test_mutating_ops_take_one_ticket_and_dedup_their_resend(
+            self, tmp_path):
+        """``protocol.MUTATING_OPS`` decides both ends: the server
+        tickets and dedups exactly these ops, and a reconnecting client
+        tokens exactly these."""
+        db = Database(durable_path=tmp_path)
+        db.load("data.xml", ROWS_XML)
+        db.create_view("rows", ROWS_QUERY)
+        with start_in_thread(db, own_db=True) as handle:
+            server = handle.server
+            client = ReproClient(handle.host, handle.port, reconnect=True)
+            raw = client._raw_request
+            sent = []
+
+            def spy(op, **params):
+                sent.append((op, params))
+                return raw(op, **params)
+            client._raw_request = spy
+            sub = client.request("subscribe", view="rows")
+            requests = [
+                ("load", {"name": "more.xml", "xml": "<more/>"}),
+                ("create_view", {"name": "v2", "query": ROWS_QUERY}),
+                ("drop_view", {"name": "v2"}),
+                ("execute", {"statement": insert_row("a")}),
+                ("update", {"statements": [insert_row("b")]}),
+                ("hello", {}), ("ping", {}), ("documents", {}),
+                ("views", {}), ("read", {"view": "rows"}),
+                ("query", {"xquery": ROWS_QUERY}),
+                ("explain", {"view": "rows"}), ("metrics", {}),
+                ("checkpoint", {}),
+                ("unsubscribe", {"subscription": sub["subscription"]})]
+            handlers = {name[len("_op_"):] for name in dir(_Session)
+                        if name.startswith("_op_")}
+            assert {op for op, _ in requests} | {"subscribe", "bye"} == \
+                handlers
+            for op, params in requests:
+                before = server.applied_index
+                result = client.request(op, **params)
+                if op not in MUTATING_OPS:
+                    assert server.applied_index == before, op
+                    continue
+                assert server.applied_index == before + 1, op
+                assert result["applied_index"] == before + 1
+                again = raw(op, **sent[-1][1], retry=1)
+                assert again == dict(result, deduped=True)
+                assert server.applied_index == before + 1
+            client.close()      # says bye
+            assert sent[-1][0] == "bye"
+            assert {op for op, params in sent if "seq" in params} == \
+                MUTATING_OPS
 
 
 # -- backpressure over the wire ----------------------------------------------------------
