@@ -12,21 +12,25 @@ comma-separated list of person counts to sweep larger documents.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
-from repro import Profiler, StorageManager, ViewRegistry
+from repro import StorageManager, ViewRegistry
 from repro.engine import Engine
 from repro.translate import translate_query
 from repro.workloads import xmark
 
-__all__ = ["Engine", "Profiler", "StorageManager", "VIEW", "auctions",
-           "fresh_site", "maintain_seconds", "materialized_view", "ms",
-           "persons", "phase_seconds", "print_table", "ratio", "save_json",
-           "scales", "time_call", "translate_query", "xmark"]
+__all__ = ["BREAKDOWN_TARGETS", "Engine", "StorageManager", "VIEW",
+           "auctions", "fresh_site", "maintain_seconds", "materialized_view",
+           "ms", "persons", "phase_seconds", "print_table", "ratio",
+           "save_json", "scales", "time_call", "timed_calls",
+           "translate_query", "xmark"]
 
 #: the name :func:`materialized_view` registers its view under
 VIEW = "view"
@@ -97,6 +101,61 @@ def time_call(fn: Callable[[], object], repeat: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+#: The paper's order and semantic-id cost breakdowns (Figs 3.7-3.10,
+#: 4.9-4.10): each label times the module-level functions that do its
+#: work, as ``(module, name)`` pairs.
+BREAKDOWN_TARGETS = {
+    "semantic_id": [("repro.xat.construction", name)
+                    for name in ("resolve_lineage", "constructed_id",
+                                 "order_tokens", "override_from_tokens")],
+    "overriding_order": [("repro.xat.construction", "_prefixed"),
+                         ("repro.xat.grouping", "assign_overriding_orders")],
+    "final_sort": [("repro.engine.executor", "_ensure_sorted")],
+}
+
+
+@contextmanager
+def timed_calls(targets=BREAKDOWN_TARGETS):
+    """Wall-clock seconds spent in ``targets`` while the block runs, as a
+    ``{label: seconds}`` dict filled in place.
+
+    Each target is replaced by a timing wrapper for the block's duration
+    (the callers look it up as a module global, so every call goes
+    through the wrapper); a call made while another call of the same
+    label is open — recursion, or one target calling another — is not
+    counted again.  A target name the module no longer has raises
+    ``AttributeError`` before anything runs."""
+    totals = dict.fromkeys(targets, 0.0)
+    open_calls = dict.fromkeys(targets, 0)
+
+    def timed(label, function):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            if open_calls[label]:
+                return function(*args, **kwargs)
+            open_calls[label] = 1
+            started = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                totals[label] += time.perf_counter() - started
+                open_calls[label] = 0
+        return wrapper
+
+    originals = []
+    try:
+        for label, names in targets.items():
+            for module_name, name in names:
+                module = importlib.import_module(module_name)
+                function = getattr(module, name)
+                originals.append((module, name, function))
+                setattr(module, name, timed(label, function))
+        yield totals
+    finally:
+        for module, name, function in reversed(originals):
+            setattr(module, name, function)
 
 
 def ms(seconds: float) -> str:

@@ -7,8 +7,8 @@ computation, Overriding Order key assignment, and the final (partial) sort.
 
 from __future__ import annotations
 
-from bench_common import (Engine, Profiler, fresh_site, ms, print_table,
-                          ratio, scales, time_call, translate_query)
+from bench_common import (Engine, fresh_site, ms, print_table, ratio,
+                          scales, time_call, timed_calls, translate_query)
 
 ORDER_LABELS = ("order_schema", "overriding_order", "final_sort")
 
@@ -28,12 +28,11 @@ def measure_order_cost(query: str, num_persons: int) -> dict[str, float]:
     order_schema_cost = time_call(prepare, repeat=3)
     plan = plan_holder["plan"]
 
-    profiler = Profiler(enabled=True)
-    execution = time_call(lambda: engine.query(plan, profiler=profiler),
-                          repeat=2)
-    # profiler accumulated over both repeats: halve for a per-run figure
-    overriding = profiler.totals.get("overriding_order", 0.0) / 2
-    final_sort = profiler.totals.get("final_sort", 0.0) / 2
+    with timed_calls() as totals:
+        execution = time_call(lambda: engine.query(plan), repeat=2)
+    # totals accumulated over both repeats: halve for a per-run figure
+    overriding = totals["overriding_order"] / 2
+    final_sort = totals["final_sort"] / 2
     return {
         "execution": execution,
         "order_schema": order_schema_cost,

@@ -7,8 +7,8 @@ assignment), for a navigation-light and a construction-heavy query.
 
 from __future__ import annotations
 
-from bench_common import (Engine, Profiler, fresh_site, ms, print_table,
-                          ratio, scales, time_call, translate_query)
+from bench_common import (Engine, fresh_site, ms, print_table, ratio,
+                          scales, time_call, timed_calls, translate_query)
 
 #: Query 1 of Fig 4.8 (flavour): grouping view with moderate construction.
 SEMID_QUERY_1 = """<result>{
@@ -36,11 +36,11 @@ def measure_semid_cost(query: str, num_persons: int) -> dict[str, float]:
     storage = fresh_site(num_persons)
     engine = Engine(storage)
     plan = translate_query(query)
-    profiler = Profiler(enabled=True)
-    execution = time_call(lambda: engine.query(plan, profiler=profiler),
-                          repeat=2)
-    semid = profiler.totals.get("semantic_id", 0.0) / 2
-    prefixes = profiler.totals.get("overriding_order", 0.0) / 2
+    with timed_calls() as totals:
+        execution = time_call(lambda: engine.query(plan), repeat=2)
+    # totals accumulated over both repeats: halve for a per-run figure
+    semid = totals["semantic_id"] / 2
+    prefixes = totals["overriding_order"] / 2
     return {"execution": execution, "semantic_id": semid,
             "order_prefix": prefixes, "total": semid + prefixes}
 

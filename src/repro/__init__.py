@@ -31,7 +31,6 @@ from .multiview import (MaintenancePolicy, MaintenanceReport,
 from .storage import StorageManager
 from .translate import TranslationError, Translator, translate_query
 from .updates import Sapt, UpdateError, UpdateRequest, UpdateTree
-from .xat import Profiler
 from .xmlmodel import XmlDocument, XmlNode, parse_document, parse_fragment, \
     serialize
 from .xquery import parse_query
@@ -48,7 +47,6 @@ __all__ = [
     "MaintenancePolicy",
     "MaintenanceReport",
     "MultiViewReport",
-    "Profiler",
     "RecoveryReport",
     "RefreshEvent",
     "Sapt",

@@ -43,7 +43,6 @@ from ..durability import DurabilityManager, RecoveryReport
 from ..multiview.policies import MaintenancePolicy
 from ..multiview.registry import MultiViewReport, RefreshEvent, ViewRegistry
 from ..obs import Tracer, render_prometheus
-from ..obs.core import STATE as _OBS
 from ..storage import StorageManager
 from ..updates.errors import UpdateError
 from ..xmlmodel import XmlDocument
@@ -84,7 +83,6 @@ class Database:
         self.registry = ViewRegistry(self.storage)
         self._batch: Optional["Batch"] = None
         self._subscriptions: set = set()
-        self._view_queries: dict[str, str] = {}
         self._closed = False
         self._durability: Optional[DurabilityManager] = None
         self.recovery: Optional[RecoveryReport] = None
@@ -100,9 +98,6 @@ class Database:
                     "with storage=None to recover it")
             self._durability = manager
             self.recovery = manager.recover(self.registry)
-            for name in self.registry.names():
-                self._view_queries[name] = \
-                    self.registry.view(name).query_text
             manager.bind(self.registry)
             if not had_state and self.storage.document_names:
                 # A pre-populated StorageManager over a fresh directory:
@@ -191,12 +186,10 @@ class Database:
         """
         self.registry.register(name, query, policy=policy,
                                materialize=materialize)
-        self._view_queries[name] = query
         return View(self, name)
 
     def drop_view(self, name: str) -> None:
         self.registry.unregister(name)
-        self._view_queries.pop(name, None)
         for subscription in list(self._subscriptions):
             if subscription.view_name == name:
                 subscription.cancel()
@@ -377,14 +370,13 @@ class Database:
                 applied=applied_ops) from exc
         finally:
             self.storage.remove_listener(count)
-        if _OBS.enabled:
-            metrics = self.registry.metrics
-            metrics.counter("db_statements",
-                            "Update statements applied").inc(len(updates))
-            metrics.histogram(
-                "db_apply_seconds",
-                "Latency of one statement-submission flush").observe(
-                    time.perf_counter() - started)
+        metrics = self.registry.metrics
+        metrics.counter("db_statements",
+                        "Update statements applied").inc(len(updates))
+        metrics.histogram(
+            "db_apply_seconds",
+            "Latency of one statement-submission flush").observe(
+                time.perf_counter() - started)
         for update, batch_requests in resolved:
             update.requests = batch_requests
             update.applied = True

@@ -6,7 +6,6 @@ import time
 from typing import Callable
 
 from ..multiview.registry import RefreshEvent
-from ..obs.core import STATE as _OBS
 
 __all__ = ["Subscription", "View"]
 
@@ -25,7 +24,7 @@ class View:
 
     @property
     def query_text(self) -> str:
-        return self._db._view_queries.get(self.name, "")
+        return self._registered.query_text
 
     @property
     def policy(self):
@@ -92,9 +91,6 @@ class Subscription:
         """The registry's per-view listener: only this view's events
         arrive here."""
         if not self.active:
-            return
-        if not _OBS.enabled:
-            self.callback(event)
             return
         self._callbacks.inc()
         started = time.perf_counter()

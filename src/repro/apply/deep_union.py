@@ -65,24 +65,6 @@ class FusionReport:
         return (self.inserted + self.removed_roots + self.removed_nodes
                 + self.merged + self.replaced_text)
 
-    def as_dict(self) -> dict:
-        return {"inserted": self.inserted,
-                "removed_roots": self.removed_roots,
-                "removed_nodes": self.removed_nodes,
-                "merged": self.merged,
-                "replaced_text": self.replaced_text,
-                "mutations": self.mutations}
-
-    def merge(self, other: "FusionReport") -> "FusionReport":
-        """Fold ``other``'s activity into this report (bench summaries
-        and :meth:`repro.api.Database.metrics` merge across flushes)."""
-        self.inserted += other.inserted
-        self.removed_roots += other.removed_roots
-        self.removed_nodes += other.removed_nodes
-        self.merged += other.merged
-        self.replaced_text += other.replaced_text
-        return self
-
 
 # -- delta records (the push-subscription payload) --------------------------------------
 #

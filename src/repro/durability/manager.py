@@ -200,9 +200,6 @@ class RecoveryReport:
     documents: int = 0
     views: int = 0
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 class DurabilityManager:
     """One durable directory (WAL segments + checkpoint generations)."""

@@ -14,8 +14,7 @@ from typing import Optional
 from ..apply.deep_union import FusionReport, fuse_forest
 from ..apply.extent import ExtentNode, node_from_item, serialize_extent
 from ..storage import StorageManager
-from ..xat.base import (DELTA, FULL, DeltaSpec, ExecutionContext, Profiler,
-                        XatOperator)
+from ..xat.base import DELTA, FULL, DeltaSpec, ExecutionContext, XatOperator
 from ..xat.construction import Expose
 from ..xat.table import XatTable, items_of
 from ..xmlmodel import XmlNode
@@ -30,8 +29,7 @@ class Engine:
     # -- low-level -----------------------------------------------------------------
 
     def run(self, plan: XatOperator, mode: str = FULL,
-            delta: Optional[DeltaSpec] = None,
-            profiler: Optional[Profiler] = None, store=None,
+            delta: Optional[DeltaSpec] = None, store=None,
             vm=None, memo: Optional[dict] = None) -> XatTable:
         """Execute a prepared plan and return the root operator's table.
 
@@ -47,7 +45,7 @@ class Engine:
         if plan.schema is None:
             raise RuntimeError("plan not prepared; call plan.prepare()")
         ctx = ExecutionContext(self.storage, mode=mode, delta=delta,
-                               profiler=profiler, store=store)
+                               store=store)
         if memo is not None:
             ctx.memo = memo
         if vm is not None:
@@ -63,15 +61,13 @@ class Engine:
         return plan.schema.columns[-1]
 
     def result_forest(self, plan: XatOperator, mode: str = FULL,
-                      delta: Optional[DeltaSpec] = None,
-                      profiler: Optional[Profiler] = None, store=None,
+                      delta: Optional[DeltaSpec] = None, store=None,
                       vm=None, memo: Optional[dict] = None
                       ) -> list[ExtentNode]:
         """Execute and de-reference the exposed column into extent trees."""
-        table = self.run(plan, mode=mode, delta=delta, profiler=profiler,
-                         store=store, vm=vm, memo=memo)
+        table = self.run(plan, mode=mode, delta=delta, store=store, vm=vm,
+                         memo=memo)
         column = self.exposed_column(plan)
-        prof = profiler if profiler is not None else Profiler()
         forest: list[ExtentNode] = []
         for tup in table:
             for item in items_of(tup[column]):
@@ -81,15 +77,13 @@ class Engine:
         # The final (partial) sort of Section 3.3.3: collections are almost
         # always already ordered (keys were never reshuffled), so this is
         # one verification scan per children list, sorting only if needed.
-        with prof.timed("final_sort"):
-            for root in forest:
-                _ensure_sorted(root)
+        for root in forest:
+            _ensure_sorted(root)
         return forest
 
     def propagate(self, plan: XatOperator, extent: Optional[ExtentNode],
-                  spec: DeltaSpec, memo: dict, *, store,
-                  profiler: Optional[Profiler] = None, report=None, vm=None
-                  ) -> tuple[ExtentNode, FusionReport]:
+                  spec: DeltaSpec, memo: dict, *, store, report=None,
+                  vm=None) -> tuple[ExtentNode, FusionReport]:
         """One V-P-A delta pass: execute ``plan`` in delta mode for ``spec``
         and fuse the resulting delta forest into ``extent``.
 
@@ -108,8 +102,7 @@ class Engine:
         # current for it since.
         follower = bool(memo)
         forest = self.result_forest(plan, mode=DELTA, delta=spec,
-                                    profiler=profiler, store=store, vm=vm,
-                                    memo=memo)
+                                    store=store, vm=vm, memo=memo)
         if not follower:
             # Patch (or, for deletes, stage) the batch's stale operator
             # state while the update subtrees are still readable — the
@@ -125,15 +118,14 @@ class Engine:
             report.apply_seconds += time.perf_counter() - started
         return extent, fusion_report
 
-    def materialize(self, plan: XatOperator,
-                    profiler: Optional[Profiler] = None, vm=None
+    def materialize(self, plan: XatOperator, vm=None
                     ) -> tuple[ExtentNode, FusionReport]:
         """Initial view materialization: execute and fuse into an extent.
 
         The returned extent is always the synthetic forest wrapper; views
         with a single top-level constructor have a one-child forest.
         """
-        forest = self.result_forest(plan, profiler=profiler, vm=vm)
+        forest = self.result_forest(plan, vm=vm)
         return fuse_forest(None, forest)
 
     @staticmethod
@@ -147,10 +139,9 @@ class Engine:
         so a read costs O(elements changed), not O(view)."""
         return serialize_extent(extent)
 
-    def query(self, plan: XatOperator,
-              profiler: Optional[Profiler] = None) -> str:
+    def query(self, plan: XatOperator) -> str:
         """Plain query execution: serialized XML result."""
-        extent, _report = self.materialize(plan, profiler=profiler)
+        extent, _report = self.materialize(plan)
         return self.serialize_extent(extent)
 
     def query_tree(self, plan: XatOperator) -> Optional[XmlNode]:

@@ -23,7 +23,7 @@ from ..plan import PlanCache, PlanVM
 from ..updates.primitives import UpdateRequest
 from ..updates.sapt import Sapt
 from ..storage import StorageManager
-from ..xat import DeltaSpec, Profiler, XatOperator
+from ..xat import DeltaSpec, XatOperator
 from ..xat.base import FULL
 
 
@@ -38,7 +38,6 @@ class MaintenanceReport:
     (re)computed, and cached tables patched from batch deltas.
     """
 
-    accepted: int = 0
     batches: int = 0
     propagate_seconds: float = 0.0
     apply_seconds: float = 0.0
@@ -47,41 +46,6 @@ class MaintenanceReport:
     state_hits: int = 0
     state_misses: int = 0
     state_patches: int = 0
-
-    @property
-    def total_seconds(self) -> float:
-        return self.propagate_seconds + self.apply_seconds
-
-    def as_dict(self) -> dict:
-        return {"accepted": self.accepted,
-                "batches": self.batches,
-                "propagate_seconds": self.propagate_seconds,
-                "apply_seconds": self.apply_seconds,
-                "total_seconds": self.total_seconds,
-                "recomputed": self.recomputed,
-                "state_hits": self.state_hits,
-                "state_misses": self.state_misses,
-                "state_patches": self.state_patches,
-                "fusion": self.fusion.as_dict()}
-
-    def merge(self, other: "MaintenanceReport") -> "MaintenanceReport":
-        """Fold another pass's activity into this report.
-
-        Counters and phase timings add; ``recomputed`` ors (any pass
-        falling back to recomputation taints the merged summary).  Used
-        by benchmark summaries and :class:`MultiViewReport` merging to
-        aggregate across flushes.
-        """
-        self.accepted += other.accepted
-        self.batches += other.batches
-        self.propagate_seconds += other.propagate_seconds
-        self.apply_seconds += other.apply_seconds
-        self.recomputed = self.recomputed or other.recomputed
-        self.state_hits += other.state_hits
-        self.state_misses += other.state_misses
-        self.state_patches += other.state_patches
-        self.fusion.merge(other.fusion)
-        return self
 
 
 # -- Validate phase: storage application helpers ----------------------------------------
@@ -132,14 +96,13 @@ class ViewPipeline:
         self.vm = PlanVM(plan_cache)
         self.state_store = state_store
 
-    def materialize(self, profiler: Optional[Profiler] = None) -> int:
+    def materialize(self) -> int:
         """(Re)build the extent by full computation over current sources;
         returns the rows the FULL plan's instructions read doing it (the
         counters accumulate on the instructions, so their change)."""
         compiled = self.vm.cache.plan(self.plan, FULL)
         before = sum(instr.rows_in for instr in compiled.instructions)
         self.extent, _report = self.engine.materialize(self.plan,
-                                                       profiler=profiler,
                                                        vm=self.vm)
         self.materialized = True
         return sum(instr.rows_in for instr in compiled.instructions) - before
@@ -160,8 +123,7 @@ class ViewPipeline:
         return self.extent.subtree_size() if self.extent is not None else 0
 
     def propagate_run(self, spec: DeltaSpec, memo: dict,
-                      report: MaintenanceReport,
-                      profiler: Optional[Profiler] = None) -> None:
+                      report: MaintenanceReport) -> None:
         """Propagate one closed run (one batch update tree, as the
         registry's ``spec`` for this view's routed subset of it) and
         fuse the delta into the extent.  ``memo`` is the register file
@@ -176,8 +138,8 @@ class ViewPipeline:
             propagate_before = report.propagate_seconds
             apply_before = report.apply_seconds
         self.extent, _fusion = self.engine.propagate(
-            self.plan, self.extent, spec, memo, profiler=profiler,
-            report=report, store=store, vm=self.vm)
+            self.plan, self.extent, spec, memo, report=report,
+            store=store, vm=self.vm)
         hits, misses, patches, _inv = store.stats.snapshot()
         report.state_hits += hits - before[0]
         report.state_misses += misses - before[1]

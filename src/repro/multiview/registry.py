@@ -47,15 +47,14 @@ from typing import Optional, Union
 from ..engine import Engine
 from ..engine.opstate import OperatorStateStore
 from ..obs import MetricsRegistry, Tracer
-from ..obs.core import STATE as _OBS
 from ..plan import PlanCache
 from ..storage import StorageManager
 from ..translate import translate_query
 from ..updates.batch import RunBatcher, spec_for_run
 from ..updates.primitives import UpdateRequest, UpdateTree
 from ..xat import (DELETE, INSERT, MODIFY, Aggregate, CartesianProduct,
-                   Distinct, GroupBy, Join, LeftOuterJoin, Profiler,
-                   XatOperator, XmlUnique)
+                   Distinct, GroupBy, Join, LeftOuterJoin, XatOperator,
+                   XmlUnique)
 from ..xat.base import FULL
 from ..xat.grouping import TupleFunction
 from .pipeline import MaintenanceReport, ViewPipeline, apply_insert
@@ -134,38 +133,6 @@ class MultiViewReport:
     validate_seconds: float = 0.0    # shared routing time (not per view)
     views: dict = field(default_factory=dict)  # name -> cumulative report
 
-    def as_dict(self) -> dict:
-        return {"updates": self.updates,
-                "classifications": self.classifications,
-                "routed": self.routed,
-                "irrelevant_everywhere": self.irrelevant_everywhere,
-                "unchanged": self.unchanged,
-                "storage_ops": self.storage_ops,
-                "validate_seconds": self.validate_seconds,
-                "views": {name: report.as_dict()
-                          for name, report in self.views.items()}}
-
-    def merge(self, other: "MultiViewReport") -> "MultiViewReport":
-        """Fold another pass into this one (benchmark summaries merging
-        across flushes).  Per-view reports merge by name; a view report
-        shared by both passes (the registry exposes *cumulative* per-view
-        reports) is kept once, not double-counted.
-        """
-        self.updates += other.updates
-        self.classifications += other.classifications
-        self.routed += other.routed
-        self.irrelevant_everywhere += other.irrelevant_everywhere
-        self.unchanged += other.unchanged
-        self.storage_ops += other.storage_ops
-        self.validate_seconds += other.validate_seconds
-        for name, report in other.views.items():
-            own = self.views.get(name)
-            if own is None:
-                self.views[name] = report
-            elif own is not report:
-                own.merge(report)
-        return self
-
 
 #: Operators whose output rows draw on *multiple* source items: a group
 #: absorbs every member with its key, a join row both sides, a dedup
@@ -235,9 +202,6 @@ class RegisteredView:
         materialization was never measured stays incremental."""
         return (self.rows_read is not None and self.pending_trees()
                 * self.instructions >= self.rows_read)
-
-    def to_xml(self) -> str:
-        return self.pipeline.to_xml()
 
 
 #: query entries :meth:`ViewRegistry.ask` keeps at most
@@ -441,7 +405,7 @@ class ViewRegistry:
 
     def add_trace_sink(self, sink) -> None:
         """Attach a :class:`repro.obs.TraceSink`; spans flow only while
-        at least one sink is attached (and observability is enabled)."""
+        at least one sink is attached."""
         self.tracer.add_sink(sink)
 
     def remove_trace_sink(self, sink) -> None:
@@ -580,8 +544,7 @@ class ViewRegistry:
 
     # -- materialization and reads -----------------------------------------------------
 
-    def materialize(self, name: Optional[str] = None,
-                    profiler: Optional[Profiler] = None) -> None:
+    def materialize(self, name: Optional[str] = None) -> None:
         """(Re)materialize one view, or every registered view.
 
         The rows each materialization reads are the view's work bound —
@@ -589,7 +552,7 @@ class ViewRegistry:
         views = ([self._views[name]] if name is not None
                  else list(self._views.values()))
         for view in views:
-            view.rows_read = view.pipeline.materialize(profiler=profiler)
+            view.rows_read = view.pipeline.materialize()
 
     def query(self, name: str) -> str:
         """Read a view's XML, first flushing its pending deltas (the lazy
@@ -662,8 +625,7 @@ class ViewRegistry:
 
     # -- the shared update entry point -------------------------------------------------
 
-    def apply_updates(self, updates: list[UpdateRequest],
-                      profiler: Optional[Profiler] = None
+    def apply_updates(self, updates: list[UpdateRequest]
                       ) -> MultiViewReport:
         """Route, batch and propagate one heterogeneous update sequence
         across every registered view."""
@@ -678,20 +640,14 @@ class ViewRegistry:
                         self.router.stats.routed,
                         self.router.stats.irrelevant_everywhere)
         ops_before = self._storage_ops
-        self._profiler = profiler
-        try:
-            with self.tracer.span("registry.apply_updates",
-                                  updates=len(updates),
-                                  views=len(self._views)) as span:
-                self._apply_queue(list(updates), RunBatcher(), report)
-                span.set(routed=self.router.stats.routed
-                         - stats_before[1])
-        finally:
-            self._profiler = None
-        if _OBS.enabled:
-            self.metrics.histogram(
-                "apply_updates_size",
-                "Requests per apply_updates call").observe(len(updates))
+        with self.tracer.span("registry.apply_updates",
+                              updates=len(updates),
+                              views=len(self._views)) as span:
+            self._apply_queue(list(updates), RunBatcher(), report)
+            span.set(routed=self.router.stats.routed - stats_before[1])
+        self.metrics.histogram(
+            "apply_updates_size",
+            "Requests per apply_updates call").observe(len(updates))
 
         report.classifications = (self.router.stats.classifications
                                   - stats_before[0])
@@ -707,8 +663,7 @@ class ViewRegistry:
 
     def _apply_queue(self, queue: list[UpdateRequest], batcher: RunBatcher,
                      report: MultiViewReport) -> None:
-        """Validate, route and dispatch the queue; the caller owns
-        profiler cleanup."""
+        """Validate, route and dispatch the queue."""
         storage = self.storage
         for request in queue:
             report.updates += 1
@@ -796,7 +751,6 @@ class ViewRegistry:
                 for name in tree.views:
                     view = self._routed(name)
                     if view is not None:
-                        view.report.accepted += 1
                         view.stats.routed_trees += 1
         closed = batcher.close()
         if closed is not None:
@@ -1012,8 +966,7 @@ class ViewRegistry:
                     spec, memo = (
                         self._registers.get(tuple(map(id, batch)))
                         or (spec_for_run(batch), {}))
-                    view.pipeline.propagate_run(spec, memo, view.report,
-                                                profiler=self._profiler)
+                    view.pipeline.propagate_run(spec, memo, view.report)
             finally:
                 captured = (tuple(view.report.fusion.delta_log)
                             if capture else None)
@@ -1023,7 +976,7 @@ class ViewRegistry:
         view.stats.propagated_trees += trees
         view.pending.clear()
         delta_tuples = view.report.fusion.mutations - mutations_before
-        if _OBS.enabled and not isinstance(view, QueryEntry):
+        if not isinstance(view, QueryEntry):
             self.metrics.histogram(
                 "flush_seconds", "Wall-clock cost of one flush",
                 view=view.name, decision="propagate").observe(elapsed)
@@ -1045,11 +998,8 @@ class ViewRegistry:
             span.set(observed_seconds=elapsed)
         view.report.recomputed = True
         view.stats.recomputes += 1
-        if _OBS.enabled:
-            self.metrics.histogram(
-                "flush_seconds", "Wall-clock cost of one flush",
-                view=view.name, decision="recompute").observe(elapsed)
+        self.metrics.histogram(
+            "flush_seconds", "Wall-clock cost of one flush",
+            view=view.name, decision="recompute").observe(elapsed)
         self._notify_refresh(view, "recompute", trees, elapsed,
                              view.pipeline.extent_size())
-
-    _profiler: Optional[Profiler] = None

@@ -11,12 +11,12 @@ current cached row count, and the support questions its side indexes
 answered from a counter — ``probes=`` — against the bucket rows summed
 where no counter serves — ``scanned=``).  A plan whose maintenance
 regressed (a side table re-derived every batch, a delta fanning out
-wider than its batch) is readable straight off the tree, no profiler
-attached.
+wider than its batch) is readable straight off the tree, from counters
+the engine always keeps (no timer or trace sink needed).
 
 This module is imported lazily by the session API — it may import engine
 internals, but ``repro.obs`` itself must stay import-light (the hot
-layers import ``repro.obs.core`` at module load).
+layers import it at module load).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Zero-dependency metrics: counters, gauges, reservoir histograms.
 
 The registry is the pull side of the observability layer: hot code holds
-plain metric objects (an increment is one guarded attribute add, no dict
+plain metric objects (an increment is one attribute add, no dict
 lookup) and exporters — :meth:`repro.api.Database.metrics`,
 :func:`repro.obs.render_prometheus` — read a consistent snapshot on
 demand.  Components whose counters live elsewhere (the router's
@@ -9,11 +9,6 @@ demand.  Components whose counters live elsewhere (the router's
 the structural index) register *sync hooks* that mirror their current
 values into the registry just before each snapshot, so instrumentation
 never adds a second increment to an already-counted hot path.
-
-Everything is gated by the module-level enabled flag in
-:mod:`repro.obs.core`: with observability disabled every ``inc`` /
-``observe`` returns immediately, and the differential tests assert the
-flag cannot change any view extent.
 
 Histograms keep exact ``count`` / ``sum`` / ``min`` / ``max`` plus a
 fixed-size reservoir (Vitter's algorithm R with a deterministic LCG, so
@@ -24,8 +19,6 @@ quantile estimates are reproducible run to run) from which
 from __future__ import annotations
 
 from typing import Callable, Optional
-
-from .core import STATE
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -40,13 +33,11 @@ class Counter:
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
-        if STATE.enabled:
-            self.value += amount
+        self.value += amount
 
     def set(self, value) -> None:
         """Mirror an externally accumulated monotone count (sync hooks)."""
-        if STATE.enabled:
-            self.value = value
+        self.value = value
 
     def export(self):
         return self.value
@@ -62,16 +53,13 @@ class Gauge:
         self.value = 0
 
     def set(self, value) -> None:
-        if STATE.enabled:
-            self.value = value
+        self.value = value
 
     def inc(self, amount=1) -> None:
-        if STATE.enabled:
-            self.value += amount
+        self.value += amount
 
     def dec(self, amount=1) -> None:
-        if STATE.enabled:
-            self.value -= amount
+        self.value -= amount
 
     def export(self):
         return self.value
@@ -102,8 +90,6 @@ class Histogram:
         self._rng = 0x9E3779B97F4A7C15
 
     def observe(self, value: float) -> None:
-        if not STATE.enabled:
-            return
         self.count += 1
         self.sum += value
         if self.min is None or value < self.min:
@@ -124,9 +110,8 @@ class Histogram:
         """Mirror an externally accumulated (count, sum) pair (sync
         hooks) — reservoir quantiles stay whatever direct ``observe``
         calls produced."""
-        if STATE.enabled:
-            self.count = count
-            self.sum = total
+        self.count = count
+        self.sum = total
 
     def quantile(self, q: float) -> Optional[float]:
         """Reservoir quantile by linear interpolation; None when empty."""

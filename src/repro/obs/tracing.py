@@ -8,9 +8,9 @@ children arrive before their parents — the order a streaming consumer
 (the future network server pushing traces to clients) wants.
 
 The whole machinery is pay-for-use: ``tracer.span(...)`` returns a
-shared no-op object unless observability is enabled *and* at least one
-sink is attached, which keeps the instrumented hot paths at one
-attribute load + branch when nobody is watching.
+shared no-op object unless at least one sink is attached, which keeps
+the instrumented hot paths at one attribute load + branch when nobody
+is watching.
 
 Spans that do not wrap a code region (a phase whose duration was
 measured elsewhere, e.g. the engine's propagate/apply split) are emitted
@@ -23,8 +23,6 @@ from __future__ import annotations
 import itertools
 import time
 from typing import Optional, Protocol, runtime_checkable
-
-from .core import STATE
 
 __all__ = ["Span", "TraceSink", "Tracer"]
 
@@ -49,12 +47,6 @@ class Span:
     def set(self, **attrs) -> None:
         """Attach attributes discovered while the span is open."""
         self.attrs.update(attrs)
-
-    def as_dict(self) -> dict:
-        return {"span_id": self.span_id, "parent_id": self.parent_id,
-                "depth": self.depth, "name": self.name,
-                "start": self.start, "duration": self.duration,
-                "attrs": dict(self.attrs)}
 
     def __repr__(self) -> str:
         return (f"<Span {self.name} #{self.span_id} "
@@ -121,7 +113,7 @@ class Tracer:
 
     @property
     def active(self) -> bool:
-        return bool(self._sinks) and STATE.enabled
+        return bool(self._sinks)
 
     def add_sink(self, sink: TraceSink) -> None:
         self._sinks.append(sink)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..obs.core import STATE as _OBS
 from ..xat.base import DELTA, ExecutionContext, XatOperator, _obs_record
 from ..xat.table import XatTable
 from .compiler import PlanCache
@@ -71,8 +70,7 @@ class PlanVM:
                 instr.record(rows_in, len(result.tuples))
             memo[key] = result
             regs[instr.dest] = result
-            if _OBS.enabled:
-                _obs_record(op, mode, result)
+            _obs_record(op, mode, result)
         self.cache.instructions_executed += executed
         self.cache.instructions_reused += reused
         return regs[cplan.root]

@@ -2,14 +2,13 @@
 
 from .index import StructuralIndex
 from .manager import StorageError, StorageManager
-from .skeleton import REF, VALUE, ContentItem, Skeleton, SkeletonStore
+from .skeleton import REF, VALUE, ContentItem, Skeleton
 
 __all__ = [
     "REF",
     "VALUE",
     "ContentItem",
     "Skeleton",
-    "SkeletonStore",
     "StorageError",
     "StorageManager",
     "StructuralIndex",

@@ -11,7 +11,7 @@ skeletons recursively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from ..flexkeys import FlexKey
 
@@ -63,31 +63,3 @@ class Skeleton:
     def __repr__(self) -> str:
         return (f"Skeleton({self.node_id}, <{self.tag}>, "
                 f"{len(self.content)} items)")
-
-
-class SkeletonStore:
-    """Holds skeletons of constructed nodes keyed by their identifier value.
-
-    The store is per-execution (query results) — maintenance runs get their
-    own store whose skeletons are then fused into the materialized extent.
-    """
-
-    def __init__(self):
-        self._skeletons: dict[str, Skeleton] = {}
-
-    def put(self, skeleton: Skeleton) -> None:
-        self._skeletons[skeleton.node_id.value] = skeleton
-
-    def get(self, node_id: Union[FlexKey, str]) -> Skeleton:
-        value = node_id.value if isinstance(node_id, FlexKey) else node_id
-        return self._skeletons[value]
-
-    def has(self, node_id: Union[FlexKey, str]) -> bool:
-        value = node_id.value if isinstance(node_id, FlexKey) else node_id
-        return value in self._skeletons
-
-    def __len__(self) -> int:
-        return len(self._skeletons)
-
-    def __iter__(self):
-        return iter(self._skeletons.values())

@@ -1,8 +1,7 @@
 """The XAT algebra: tables, operators, order & context schemas (Ch 2-4)."""
 
 from .base import (ANTI, DELETE, DELTA, FULL, INSERT, MODIFY, DeltaRoot,
-                   DeltaSpec, ExecutionContext, PlanError, Profiler,
-                   XatOperator)
+                   DeltaSpec, ExecutionContext, PlanError, XatOperator)
 from .conditions import And, ColumnRef, Comparison, Literal, conjuncts, \
     item_value
 from .construction import (Expose, Map, Merge, Pattern, Tagger,
@@ -24,7 +23,7 @@ __all__ = [
     "DeltaSpec", "Distinct", "ExecutionContext", "Expose", "FULL", "GroupBy",
     "INSERT", "Item", "Join", "LeftOuterJoin", "Literal", "MODIFY", "Map",
     "Merge", "NavigateCollection", "NavigateUnnest", "NodeItem", "OrderBy",
-    "Path", "PathError", "Pattern", "PlanError", "Profiler", "Rename",
+    "Path", "PathError", "Pattern", "PlanError", "Rename",
     "Select", "Source", "Step", "TableSchema", "Tagger", "VariableBinding",
     "XatOperator", "XatTable", "XatTuple", "XmlUnion", "XmlUnique",
     "conjuncts", "constructed_id", "item_value", "items_of",

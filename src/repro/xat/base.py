@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import copy as _copy
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..flexkeys import FlexKey
-from ..obs.core import STATE as _OBS
-from ..storage import SkeletonStore, StorageManager
+from ..storage import StorageManager
 from .table import AtomicItem, TableSchema, XatTable, XatTuple
 
 FULL = "full"
@@ -291,38 +289,6 @@ def _obs_record(op: "XatOperator", mode: str, table: XatTable) -> None:
         stats["tuples_out"] += len(table.tuples)
 
 
-class Profiler:
-    """Accumulates per-concern wall-clock costs for the paper's breakdowns."""
-
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-        self.totals: dict[str, float] = {}
-
-    def add(self, label: str, seconds: float) -> None:
-        self.totals[label] = self.totals.get(label, 0.0) + seconds
-
-    def timed(self, label: str):
-        return _Timer(self, label)
-
-
-class _Timer:
-    __slots__ = ("_profiler", "_label", "_start")
-
-    def __init__(self, profiler: Profiler, label: str):
-        self._profiler = profiler
-        self._label = label
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        if self._profiler.enabled:
-            self._profiler.add(self._label,
-                               time.perf_counter() - self._start)
-        return False
-
-
 class ExecutionContext:
     """Everything an operator needs at run time.
 
@@ -345,13 +311,10 @@ class ExecutionContext:
     def __init__(self, storage: StorageManager,
                  mode: str = FULL,
                  delta: Optional[DeltaSpec] = None,
-                 profiler: Optional[Profiler] = None,
                  store=None):
         self.storage = storage
-        self.skeletons = SkeletonStore()
         self.mode = mode
         self.delta = delta
-        self.profiler = profiler if profiler is not None else Profiler()
         self.store = store
         self.bindings: list[XatTuple] = []      # Map-operator correlation stack
         self.memo: dict[tuple[str, str], XatTable] = {}
@@ -386,8 +349,7 @@ class ExecutionContext:
         if ctx.bindings:
             # Correlated (Map) evaluation cannot be cached safely.
             result = op.execute(ctx)
-            if _OBS.enabled:
-                _obs_record(op, ctx.mode, result)
+            _obs_record(op, ctx.mode, result)
             return result
         # Uncorrelated from here on — the memo key needs no binding-stack
         # discriminator (Map evaluates its RHS directly, never through
@@ -402,8 +364,7 @@ class ExecutionContext:
             result = XatTable(op.schema)  # Δ of an unaffected subtree is empty
         else:
             result = op.execute(ctx)
-        if _OBS.enabled:
-            _obs_record(op, ctx.mode, result)
+        _obs_record(op, ctx.mode, result)
         self.memo[cache_key] = result
         return result
 

@@ -10,14 +10,12 @@ decorrelation before maintenance.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ..flexkeys import FlexKey
 from ..storage import ContentItem, Skeleton
-from .base import (DELTA, ExecutionContext, PlanError, Profiler,
-                   XatOperator)
+from .base import DELTA, ExecutionContext, PlanError, XatOperator
 from .conditions import ColumnRef, Literal, item_value
 from .semantic_ids import (constructed_id, lineage_terminals, order_tokens,
                            override_from_tokens, resolve_lineage)
@@ -95,7 +93,6 @@ class Tagger(XatOperator):
 
     def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
         # Linear: one constructed node per input tuple, in every mode.
-        profiler = ctx.profiler if ctx.profiler.enabled else None
         pattern = self.pattern
         schema = inputs[0].schema
         lineage = self._lineage
@@ -107,8 +104,6 @@ class Tagger(XatOperator):
         table = XatTable(self.schema)
         append = table.append
         for tup in inputs[0].tuples:
-            if profiler is not None:
-                started = time.perf_counter()
             body = resolve_lineage(lineage, tup)
             if self._has_ids and not body:
                 # Null-padded (outer-join) tuple: the nested RETURN has
@@ -119,8 +114,6 @@ class Tagger(XatOperator):
             override = override_from_tokens(
                 order_tokens(schema, tup, order_col)
                 if order_col is not None else None)
-            if profiler is not None:
-                profiler.add("semantic_id", time.perf_counter() - started)
             attributes = {}
             for name, operand in pattern.attributes:
                 if isinstance(operand, Literal):
@@ -135,7 +128,7 @@ class Tagger(XatOperator):
                 if isinstance(entry, str):
                     for item in items_of(tup.cells.get(entry)):
                         if cid is not None:
-                            item = _prefixed(item, cid, profiler)
+                            item = _prefixed(item, cid)
                         content.append(_to_content(item))
                 else:
                     literal = ContentItem.value(entry[1])
@@ -204,13 +197,12 @@ class XmlUnion(XatOperator):
         return TableSchema(columns, base.order_schema, context)
 
     def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
-        profiler = ctx.profiler if ctx.profiler.enabled else None
         table = XatTable(self.schema)
         for tup in inputs[0]:
             items: list[Item] = []
             for cid, col in (("a", self.col1), ("b", self.col2)):
                 for item in items_of(tup[col]):
-                    items.append(_prefixed(item, cid, profiler))
+                    items.append(_prefixed(item, cid))
             table.append(tup.extended(self.out, items))
         return table
 
@@ -218,26 +210,17 @@ class XmlUnion(XatOperator):
         return f"XmlUnion {self.col1}, {self.col2} -> {self.out}"
 
 
-def _prefixed(item: Item, cid: str, profiler: Optional[Profiler]) -> Item:
-    """``assignColIdPrfx`` (Fig 4.5): order prefix reflecting union side.
-
-    ``profiler`` is the run's profiler when it is enabled (the caller
-    checks once per table), else None."""
-    if profiler is not None:
-        started = time.perf_counter()
+def _prefixed(item: Item, cid: str) -> Item:
+    """``assignColIdPrfx`` (Fig 4.5): order prefix reflecting union side."""
     token = item.order_token()
     override = FlexKey(cid + "." + token if token else cid)
     if isinstance(item, NodeItem):
-        prefixed = NodeItem(item.key.with_override(override), item.count,
-                            item.refresh, item.skeleton)
-    else:
-        assert isinstance(item, AtomicItem)
-        source = (item.source_key or FlexKey("z")).with_override(override)
-        prefixed = AtomicItem(item.value, source, item.count, item.refresh,
-                              item.order_value, item.agg)
-    if profiler is not None:
-        profiler.add("overriding_order", time.perf_counter() - started)
-    return prefixed
+        return NodeItem(item.key.with_override(override), item.count,
+                        item.refresh, item.skeleton)
+    assert isinstance(item, AtomicItem)
+    source = (item.source_key or FlexKey("z")).with_override(override)
+    return AtomicItem(item.value, source, item.count, item.refresh,
+                      item.order_value, item.agg)
 
 
 class XmlUnique(XatOperator):

@@ -308,37 +308,30 @@ def _merge_signed_items(combined: list[Item]) -> list[Item]:
 
 
 def assign_overriding_orders(tuples: Sequence[XatTuple], col: str,
-                             order_schema: Sequence[str],
-                             ctx: ExecutionContext) -> list[Item]:
+                             order_schema: Sequence[str]) -> list[Item]:
     """The ``combine`` function of Fig 3.3: annotate items of ``col``.
 
     Each produced item carries an overriding order composed of the tuple's
     Order Schema tokens (plus the item's own order when ``col`` is not part
     of the Order Schema), and the tuple's count/refresh annotations.
     """
-    with ctx.profiler.timed("overriding_order"):
-        combined: list[Item] = []
-        order_cols = [c for c in order_schema if c != col]
-        col_in_schema = col in order_schema
-        for tup in tuples:
-            prefix_tokens = []
-            for oc in order_cols:
-                item = single_item(tup[oc])
-                prefix_tokens.append(item.order_token()
-                                     if item is not None else "")
-            for item in items_of(tup[col]):
-                if not order_schema:
-                    new_item = _annotated(item, None, tup)
-                elif col_in_schema:
-                    tokens = prefix_tokens + [item.order_token()]
-                    new_item = _annotated(
-                        item, FlexKey(COMPOSE_SEP.join(tokens)), tup)
-                else:
-                    tokens = prefix_tokens + [item.order_token()]
-                    new_item = _annotated(
-                        item, FlexKey(COMPOSE_SEP.join(tokens)), tup)
-                combined.append(new_item)
-        return _merge_signed_items(combined)
+    combined: list[Item] = []
+    order_cols = [c for c in order_schema if c != col]
+    for tup in tuples:
+        prefix_tokens = []
+        for oc in order_cols:
+            item = single_item(tup[oc])
+            prefix_tokens.append(item.order_token()
+                                 if item is not None else "")
+        for item in items_of(tup[col]):
+            if not order_schema:
+                new_item = _annotated(item, None, tup)
+            else:
+                tokens = prefix_tokens + [item.order_token()]
+                new_item = _annotated(
+                    item, FlexKey(COMPOSE_SEP.join(tokens)), tup)
+            combined.append(new_item)
+    return _merge_signed_items(combined)
 
 
 def _annotated(item: Item, override: Optional[FlexKey],
@@ -376,7 +369,7 @@ class Combine(XatOperator):
     def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
         source = inputs[0]
         items = assign_overriding_orders(
-            source.tuples, self.col, source.schema.order_schema, ctx)
+            source.tuples, self.col, source.schema.order_schema)
         table = XatTable(self.schema)
         table.append(XatTuple({self.col: items}))
         return table
@@ -470,7 +463,7 @@ class GroupBy(XatOperator):
                 cells[col] = value
             if combine_col is not None:
                 cells[combine_col] = assign_overriding_orders(
-                    members, combine_col, order_schema, ctx)
+                    members, combine_col, order_schema)
                 if count == 0 and not refresh and not cells[combine_col]:
                     return
             else:

@@ -71,7 +71,7 @@ def scanned_support(side, rows: list) -> int:
     multi-item key cell, a theta match).  The rows walked are counted
     through the handle's ``scanned`` — on the run's store and, for a
     stored side, on its entry — so an O(|group|) path shows in the
-    metrics and under its signature in EXPLAIN without a profiler."""
+    metrics and under its signature in EXPLAIN, with no timer attached."""
     side.scanned(len(rows))
     return sum(tup.count for tup in rows)
 

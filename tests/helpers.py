@@ -88,8 +88,8 @@ class MaintainedView:
         self.registered = pin(self.registry.register(self.name, query))
         self.pipeline = self.registered.pipeline
 
-    def apply_updates(self, updates, profiler=None):
-        return self.registry.apply_updates(updates, profiler=profiler)
+    def apply_updates(self, updates):
+        return self.registry.apply_updates(updates)
 
     def to_xml(self) -> str:
         return self.registry.to_xml(self.name)

@@ -1,14 +1,30 @@
-"""Engine-level behaviour, workload generators, profiler, misc coverage."""
+"""Engine-level behaviour, workload generators, the figure benches' cost
+breakdown, misc coverage."""
+
+import importlib.util
+import os
 
 import pytest
 
-from repro import (Engine, Profiler, StorageManager, UpdateRequest,
-                   ViewRegistry, XmlDocument, translate_query)
+from repro import (Engine, StorageManager, UpdateRequest, ViewRegistry,
+                   XmlDocument, translate_query)
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
 from repro.xquery.updates import apply_xquery_update, parse_update
 
 from .helpers import MaintainedView
+
+BENCH_COMMON = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "benchmarks", "bench_common.py")
+
+
+def _bench_common():
+    """``benchmarks/bench_common.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_common",
+                                                  BENCH_COMMON)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestEngine:
@@ -76,39 +92,35 @@ class TestEngine:
             assert Engine.serialize_extent(extent) == "".join(
                 serialize(child.to_xml()) for child in extent.children)
 
-    def test_profiler_collects_labels(self):
+    def test_timed_calls_times_every_breakdown_label(self):
+        """The figure benches' cost breakdown: every label is timed through
+        the recursive path (``Engine.query``) and through the plan VM (a
+        maintained view's materialization and one Δ batch), and a target
+        the source no longer has raises."""
+        bench = _bench_common()
         sm = self._storage()
-        profiler = Profiler(enabled=True)
-        Engine(sm).query(translate_query(bibload.YEAR_GROUP_QUERY),
-                         profiler=profiler)
-        assert "semantic_id" in profiler.totals
-        assert "final_sort" in profiler.totals
-
-    def test_disabled_profiler_stays_empty(self):
-        sm = self._storage()
-        profiler = Profiler(enabled=False)
-        Engine(sm).query(translate_query(bibload.YEAR_GROUP_QUERY),
-                         profiler=profiler)
-        assert profiler.totals == {}
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_profiler_labels_through_a_maintained_view(self, enabled):
-        """The plan VM runs the operators' own bodies, timers included:
-        materialization and a Δ batch each report every label."""
-        sm = self._storage()
+        with bench.timed_calls() as totals:
+            Engine(sm).query(translate_query(bibload.YEAR_GROUP_QUERY))
+        assert sorted(totals) == ["final_sort", "overriding_order",
+                                  "semantic_id"]
+        assert all(seconds > 0 for seconds in totals.values()), totals
         view = MaintainedView(sm, bibload.YEAR_GROUP_QUERY)
-        materialize, batch = Profiler(enabled), Profiler(enabled)
-        view.registry.materialize(view.name, profiler=materialize)
         last_book = sm.children(sm.root_key("bib.xml"), "book")[-1]
-        view.apply_updates([UpdateRequest.insert(
-            "bib.xml", last_book, bibload.NEW_BOOK_FRAGMENT, "after")],
-            profiler=batch)
+        with bench.timed_calls() as materialize:
+            view.registry.materialize(view.name)
+        with bench.timed_calls() as batch:
+            view.apply_updates([UpdateRequest.insert(
+                "bib.xml", last_book, bibload.NEW_BOOK_FRAGMENT, "after")])
         assert view.to_xml() == view.recompute_xml()
-        for profiler in (materialize, batch):
-            assert sorted(profiler.totals) == (
-                ["final_sort", "overriding_order", "semantic_id"]
-                if enabled else [])
+        for totals in (materialize, batch):
+            assert all(seconds > 0 for seconds in totals.values()), totals
         view.close()
+        with pytest.raises(AttributeError):
+            with bench.timed_calls({"gone": [("repro.engine.executor",
+                                              "no_such_function")]}):
+                pass
+        from repro.engine import executor
+        assert not hasattr(executor._ensure_sorted, "__wrapped__")
 
 
 class TestWorkloadGenerators:
@@ -235,4 +247,5 @@ class TestViewMisc:
         report = view.apply_updates([])
         assert report.updates == 0 and report.routed == 0
         own = report.views[view.name]
-        assert own.batches == 0 and own.accepted == 0
+        assert own.batches == 0
+        assert view.registered.stats.routed_trees == 0

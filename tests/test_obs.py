@@ -12,8 +12,7 @@ import pytest
 from repro import (Database, StorageManager, UpdateRequest,
                    ViewRegistry)
 from repro.obs import (CollectingSink, Counter, Gauge, Histogram,
-                       MetricsRegistry, Span, TraceSink, Tracer, disabled,
-                       is_enabled, set_enabled)
+                       MetricsRegistry, Span, TraceSink, Tracer)
 from repro.workloads import xmark
 
 from .helpers import random_batch
@@ -44,16 +43,6 @@ class TestMetricPrimitives:
         gauge.dec(2)
         assert counter.export() == 5
         assert gauge.export() == 5
-
-    def test_disabled_flag_freezes_metrics(self):
-        counter, histogram = Counter(), Histogram()
-        with disabled():
-            assert not is_enabled()
-            counter.inc()
-            histogram.observe(1.0)
-        assert is_enabled()
-        assert counter.export() == 0
-        assert histogram.count == 0
 
     def test_histogram_exact_aggregates(self):
         histogram = Histogram()
@@ -262,8 +251,6 @@ class TestTracing:
         sink = CollectingSink()
         tracer.add_sink(sink)
         assert tracer.active
-        with disabled():
-            assert not tracer.active
         with tracer.span("real", tag="x"):
             pass
         assert [s.name for s in sink.spans] == ["real"]
@@ -415,34 +402,34 @@ class TestQueryCache:
                 flush.span_id
 
 
-class TestDisabledDifferential:
-    def test_disabled_observability_identical_extents(self):
-        """The paranoia check: enabled vs disabled observability must
-        produce byte-identical view extents over a mixed random stream
-        (observability reads the engine, never steers it)."""
+class TestSinkDifferential:
+    def test_an_attached_sink_leaves_extents_identical(self):
+        """The paranoia check: a run with a trace sink attached and one
+        without must produce byte-identical view extents over a mixed
+        random stream (observability reads the engine, never steers it)
+        — and the sink must really have been listening."""
 
-        def run(enabled: bool) -> list[str]:
-            previous = set_enabled(enabled)
-            try:
-                storage = StorageManager()
-                xmark.register_site(storage, 15, seed=6)
-                with ViewRegistry(storage) as registry:
-                    registry.register("by-city",
-                                      xmark.PERSONS_BY_CITY_QUERY)
-                    registry.register("sales", xmark.JOIN_QUERY,
-                                      policy=3)
-                    rng = random.Random(11)
-                    extents = []
-                    for step in range(12):
-                        batch = random_batch(
-                            rng, storage, step,
-                            ("insert_person", "delete_person",
-                             "modify_city", "modify_name"))
-                        registry.apply_updates(batch)
-                        extents.append(registry.query("by-city"))
-                        extents.append(registry.query("sales"))
-                    return extents
-            finally:
-                set_enabled(previous)
+        def run(sink) -> list[str]:
+            storage = StorageManager()
+            xmark.register_site(storage, 15, seed=6)
+            with ViewRegistry(storage) as registry:
+                if sink is not None:
+                    registry.add_trace_sink(sink)
+                registry.register("by-city", xmark.PERSONS_BY_CITY_QUERY)
+                registry.register("sales", xmark.JOIN_QUERY, policy=3)
+                rng = random.Random(11)
+                extents = []
+                for step in range(12):
+                    batch = random_batch(
+                        rng, storage, step,
+                        ("insert_person", "delete_person",
+                         "modify_city", "modify_name"))
+                    registry.apply_updates(batch)
+                    extents.append(registry.query("by-city"))
+                    extents.append(registry.query("sales"))
+                return extents
 
-        assert run(True) == run(False)
+        sink = CollectingSink()
+        assert run(sink) == run(None)
+        assert {span.attrs["view"] for span in sink.by_name("view.flush")} \
+            == {"by-city", "sales"}
