@@ -109,7 +109,7 @@ def time_call(fn: Callable[[], object], repeat: int = 3) -> float:
 BREAKDOWN_TARGETS = {
     "semantic_id": [("repro.xat.construction", name)
                     for name in ("resolve_lineage", "constructed_id",
-                                 "order_tokens", "override_from_tokens")],
+                                 "resolve_order", "override_from_tokens")],
     "overriding_order": [("repro.xat.construction", "_prefixed"),
                          ("repro.xat.grouping", "assign_overriding_orders")],
     "final_sort": [("repro.engine.executor", "_ensure_sorted")],

@@ -26,6 +26,13 @@ the regime the paper's propagation equations promise to escape.
   rule reads the support its *input*'s side index maintains per value to
   tell whether a batch moves a value across zero.
 
+There is one entry per stored **row set**.  A subplan that only adds a
+constructed column to its input's rows — a ``Tagger`` on an equi-join
+side, whose probe keys its input already holds — gets none: its side is
+served through its input's entry (:class:`ConstructedSideHandle`), so
+two views probing the same persons, one for ``$p/name`` and one for
+``<entry>{$p/name}</entry>``, share one table, one index and one patch.
+
 Cached tables always mirror *current storage* — the same state live
 FULL-mode execution reads.  They are kept current *incrementally*: the
 store listens to :class:`~repro.storage.StorageManager` mutations (with
@@ -373,8 +380,48 @@ class CachedEntry:
 
     def _replace(self, fp, new_tup: XatTuple,
                  keys: Optional[dict] = None, ctx=None) -> None:
-        self._remove(fp)
-        self._add(fp, new_tup, keys, ctx)
+        """Swap ``new_tup`` in for the tuple under ``fp``, in place: it
+        takes the old tuple's table slot and, under every probe key the
+        two share, its bucket position; it leaves (joins) a bucket only
+        under a key it lost (gained)."""
+        old = self.fingerprints[fp]
+        self.fingerprints[fp] = new_tup
+        del self._fp_of[id(old)]
+        self._fp_of[id(new_tup)] = fp
+        pos = self._pos.pop(id(old))
+        self._pos[id(new_tup)] = pos
+        self.table.tuples[pos] = new_tup
+        recorded = self._indexed_keys.pop(id(old), None)
+        if not self.indexes:
+            return
+        placed = self._indexed_keys[id(new_tup)] = {}
+        for cols, index in self.indexes.items():
+            if recorded is None or cols not in recorded:
+                raise _IndexDesync(cols)
+            old_keys = recorded[cols]
+            new_keys = placed[cols] = self._keys_for(new_tup, cols, keys,
+                                                      ctx)
+            support = self.supports[cols]
+            for key in old_keys:
+                bucket = index.get(key)
+                try:
+                    slot = bucket.index(old)
+                except (AttributeError, ValueError):
+                    # The index lost track of a tuple it should hold.
+                    raise _IndexDesync(key) from None
+                if key in new_keys:
+                    bucket[slot] = new_tup
+                    support[key] += new_tup.count - old.count
+                    continue
+                del bucket[slot]
+                if bucket:
+                    support[key] -= old.count
+                else:
+                    del index[key], support[key]
+            for key in new_keys:
+                if key not in old_keys:
+                    index.setdefault(key, []).append(new_tup)
+                    support[key] = support.get(key, 0) + new_tup.count
 
     def _keys_for(self, tup, cols, keys, ctx) -> list:
         if keys is not None and cols in keys:
@@ -533,7 +580,9 @@ class CachedEntry:
 # -- probe handles -----------------------------------------------------------------------
 
 class StoredSideHandle:
-    """Probe/scan access to a join side served from the persistent store."""
+    """Probe access to an equi-join side served from the persistent store
+    (a theta side has no probe keys: it is scanned through a transient
+    handle over the table ``serve`` answers)."""
 
     def __init__(self, store: "OperatorStateStore", entry: CachedEntry,
                  ctx, mode: str, cols: Optional[tuple]):
@@ -542,7 +591,6 @@ class StoredSideHandle:
         self._ctx = ctx
         self._mode = mode
         self.cols = cols
-        self._anti_table: Optional[XatTable] = None
         # id(cached tuple) -> (projection, its probe keys), memoized so
         # repeated probes hand back the *same* object per underlying
         # tuple — consumers (the LOJ dangling corrections) dedupe
@@ -595,14 +643,44 @@ class StoredSideHandle:
         self._store.stats.bucket_rows_scanned += rows
         self._entry.stats.bucket_rows_scanned += rows
 
-    def table(self) -> XatTable:
-        if self._mode == FULL:
-            return self._entry.table
-        if self._anti_table is None:
-            self._anti_table = project_anti(self._entry.table,
-                                            self._ctx.delta,
-                                            self._entry.schema)
-        return self._anti_table
+
+class ConstructedSideHandle:
+    """A Tagger join side served through its input's handle.
+
+    A Tagger adds one constructed column to each input row and keeps the
+    row's count and key columns, so a probe key selects the same rows
+    from its input as from its output and the input's support counters
+    answer for both: no table of constructed rows is stored.  The
+    constructed row of a matched input row is built on first use and
+    kept for the handle's lifetime, so repeated probes hand back the
+    same object per row — consumers dedupe matches by identity.
+    """
+
+    def __init__(self, op: Tagger, base, ctx):
+        self._op = op
+        self._base = base
+        self._ctx = ctx
+        self.cols = base.cols
+        # id(input row) -> (input row, its constructed row); holding the
+        # input row keeps its id from being reused while the handle lives
+        self._rows: dict[int, tuple] = {}
+
+    def probe(self, key) -> list:
+        rows = self._rows
+        out = []
+        for tup in self._base.probe(key):
+            held = rows.get(id(tup))
+            if held is None:
+                held = rows[id(tup)] = (tup,
+                                        self._op.construct(tup, self._ctx))
+            out.append(held[1])
+        return out
+
+    def support(self, key) -> int:
+        return self._base.support(key)
+
+    def scanned(self, rows: int) -> None:
+        self._base.scanned(rows)
 
 
 # -- the store ---------------------------------------------------------------------------
@@ -679,7 +757,11 @@ class OperatorStateStore:
             while stack:
                 op = stack.pop()
                 stack.extend(op.inputs)
-                if not _cacheable(op):
+                if not _cacheable(op) or isinstance(op, Tagger):
+                    # A Tagger's equi-join side reads through its input's
+                    # entry and a theta side rebuilds its table on first
+                    # serve: an adopted Tagger table would be patched
+                    # every batch and checkpointed forever, unprobed.
                     continue
                 signature = subplan_signature(op)
                 table = tables.get(signature)
@@ -756,12 +838,19 @@ class OperatorStateStore:
         return project_anti(entry.table, ctx.delta, entry.schema)
 
     def join_side(self, ctx, op: XatOperator, mode: str,
-                  cols: Optional[tuple]) -> Optional[StoredSideHandle]:
-        """A probe handle over a join side; None → caller falls back."""
+                  cols: Optional[tuple]):
+        """A probe handle over an equi-join side; None → caller falls
+        back.  A Tagger side whose probe keys its input already holds is
+        served through its input's handle (one entry per row set)."""
         if cols is None:
             return None
         if mode == ANTI and not anti_projectable(op):
             return None
+        if isinstance(op, Tagger) and op.out not in cols:
+            base = self.join_side(ctx, op.inputs[0], mode, cols)
+            if base is None:
+                return None
+            return ConstructedSideHandle(op, base, ctx)
         entry = self._ensure_current(ctx, op)
         if entry is None:
             return None

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from ..engine.opstate import subplan_signature
 from ..xat.base import obs_op_stats
+from ..xat.construction import Tagger
 
 __all__ = ["render_explain"]
 
@@ -47,7 +48,8 @@ def _op_line(op, store) -> str:
             f" · Δ: runs={stats['delta_runs']} in={delta_in}"
             f" out={stats['delta_tuples_out']}")
     if store is not None:
-        entry_stats = store.per_signature().get(subplan_signature(op))
+        per_signature = store.per_signature()
+        entry_stats = per_signature.get(subplan_signature(op))
         if entry_stats is not None:
             rows = entry_stats["rows"]
             text += (f" · state: served={entry_stats['hits']}"
@@ -56,7 +58,20 @@ def _op_line(op, store) -> str:
                      f" rows={'-' if rows is None else rows}"
                      f" probes={entry_stats['support_probes']}"
                      f" scanned={entry_stats['bucket_rows_scanned']}")
+        elif _reads_through_input(op, per_signature):
+            text += " · state: via input"
     return text
+
+
+def _reads_through_input(op, per_signature: dict) -> bool:
+    """A Tagger with no entry of its own over an input that has a valid
+    one: a join side the store serves through its input's entry."""
+    while isinstance(op, Tagger):
+        op = op.inputs[0]
+        entry_stats = per_signature.get(subplan_signature(op))
+        if entry_stats is not None:
+            return entry_stats["valid"]
+    return False
 
 
 def _walk(op, store, prefix: str, last: bool, lines: list,

@@ -18,7 +18,7 @@ accumulate on the instruction and feed ``EXPLAIN``'s listing section.
 
 from __future__ import annotations
 
-from ..xat.base import DELTA
+from ..xat.base import DELTA, op_stat_keys, op_stats
 
 #: operator class name -> opcode mnemonic
 _OPCODES = {
@@ -67,6 +67,7 @@ class Instruction:
     """
 
     __slots__ = ("opcode", "dest", "srcs", "xop", "mode", "prepared", "key",
+                 "op_stats", "runs_stat", "out_stat",
                  "executed", "reused", "shortcircuits", "rows_in",
                  "rows_out", "delta_rows")
 
@@ -79,6 +80,10 @@ class Instruction:
         self.mode = mode
         self.prepared = prepared
         self.key = (prepared.signature, mode)
+        # the operator's live counters (``obs_op_stats``) and the two of
+        # them this instruction's executions advance
+        self.op_stats = op_stats(xop)
+        self.runs_stat, self.out_stat = op_stat_keys(mode)
         # -- live counters (rendered by the EXPLAIN listing) --
         self.executed = 0
         self.reused = 0     # register filled from the run memo instead
@@ -86,16 +91,6 @@ class Instruction:
         self.rows_in = 0
         self.rows_out = 0
         self.delta_rows = 0
-
-    def record(self, rows_in: int, rows_out: int,
-               shortcircuit: bool = False) -> None:
-        self.executed += 1
-        self.rows_in += rows_in
-        self.rows_out += rows_out
-        if self.mode == DELTA:
-            self.delta_rows += rows_out
-        if shortcircuit:
-            self.shortcircuits += 1
 
     def render(self) -> str:
         srcs = ", ".join(f"r{s}" for s in self.srcs) or "-"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..xat.base import DELTA, ExecutionContext, XatOperator, _obs_record
+from ..xat.base import DELTA, ExecutionContext, XatOperator
 from ..xat.table import XatTable
 from .compiler import PlanCache
 from .ir import CompiledPlan
@@ -53,24 +53,35 @@ class PlanVM:
                 reused += 1
                 continue
             op = instr.xop
-            mode = instr.mode
             executed += 1
-            if (mode == DELTA and delta_doc is not None
+            instr.executed += 1
+            if (instr.mode == DELTA and delta_doc is not None
                     and delta_doc not in instr.prepared.source_documents):
                 # Empty-Δ short-circuit, resolved at compile time: the
                 # batch's document feeds nothing under this subtree.
                 result = XatTable(op.schema)
-                instr.record(0, 0, shortcircuit=True)
+                instr.shortcircuits += 1
+                rows_out = 0
             else:
-                inputs = [regs[src] for src in instr.srcs]
-                result = op.compute(ctx, inputs)
-                rows_in = 0
-                for table in inputs:
-                    rows_in += len(table.tuples)
-                instr.record(rows_in, len(result.tuples))
+                srcs = instr.srcs
+                if len(srcs) == 1:
+                    table = regs[srcs[0]]
+                    result = op.compute(ctx, (table,))
+                    instr.rows_in += len(table.tuples)
+                else:
+                    inputs = [regs[src] for src in srcs]
+                    result = op.compute(ctx, inputs)
+                    for table in inputs:
+                        instr.rows_in += len(table.tuples)
+                rows_out = len(result.tuples)
+                instr.rows_out += rows_out
+                if instr.mode == DELTA:
+                    instr.delta_rows += rows_out
             memo[key] = result
             regs[instr.dest] = result
-            _obs_record(op, mode, result)
+            stats = instr.op_stats
+            stats[instr.runs_stat] += 1
+            stats[instr.out_stat] += rows_out
         self.cache.instructions_executed += executed
         self.cache.instructions_reused += reused
         return regs[cplan.root]

@@ -104,8 +104,9 @@ class DeltaSpec:
     key and its bare form share it, so a hit costs one probe and no
     allocation (``old_text`` too: within one pass the pre-batch text of a
     node is fixed by the pair roots).  :meth:`node_text` memoizes the
-    current text of a node the same way: storage is fixed while a spec is
-    live (``docs/PLAN_IR.md``, I1).
+    current text of a node the same way, and ``seek_memo`` the targets a
+    delta-mode navigation step seeks from a frontier key: storage is
+    fixed while a spec is live (``docs/PLAN_IR.md``, I1).
     """
 
     document: str
@@ -126,6 +127,11 @@ class DeltaSpec:
                                  compare=False)
     _text_memo: dict = field(default_factory=dict, repr=False,
                              compare=False)
+    #: ``(entry key value, axis, test, is_first) -> targets`` of the
+    #: delta-mode seek (``navigation._related_targets``): pure in the
+    #: roots and in storage, which is fixed while the spec is live
+    seek_memo: dict = field(default_factory=dict, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         self.has_pairs = (self.phase == MODIFY
@@ -277,16 +283,28 @@ def obs_op_stats(op: "XatOperator") -> dict:
     return stats
 
 
-def _obs_record(op: "XatOperator", mode: str, table: XatTable) -> None:
+def op_stats(op: "XatOperator") -> dict:
+    """The counters of :func:`obs_op_stats`, created on first use — the
+    one dict the recursive evaluation and every compiled instruction of
+    the operator advance."""
     stats = getattr(op, "_obs_stats", None)
     if stats is None:
         stats = op._obs_stats = dict.fromkeys(_OP_STATS_KEYS, 0)
+    return stats
+
+
+def op_stat_keys(mode: str) -> tuple[str, str]:
+    """The (runs, tuples out) counters an execution in ``mode`` advances."""
     if mode == DELTA:
-        stats["delta_runs"] += 1
-        stats["delta_tuples_out"] += len(table.tuples)
-    else:
-        stats["runs"] += 1
-        stats["tuples_out"] += len(table.tuples)
+        return "delta_runs", "delta_tuples_out"
+    return "runs", "tuples_out"
+
+
+def _obs_record(op: "XatOperator", mode: str, table: XatTable) -> None:
+    stats = op_stats(op)
+    runs, out = op_stat_keys(mode)
+    stats[runs] += 1
+    stats[out] += len(table.tuples)
 
 
 class ExecutionContext:
@@ -414,7 +432,9 @@ def tuple_fingerprint(tup: XatTuple, columns) -> tuple:
         if cell is None:
             parts.append(None)
         elif isinstance(cell, list):
-            parts.append(tuple(sorted(item_fingerprint(i) for i in cell)))
+            parts.append((item_fingerprint(cell[0]),) if len(cell) == 1
+                         else tuple(sorted(item_fingerprint(i)
+                                           for i in cell)))
         else:
             parts.append(item_fingerprint(cell))
     return tuple(parts)

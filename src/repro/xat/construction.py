@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ..flexkeys import FlexKey
-from ..storage import ContentItem, Skeleton
+from ..storage import REF, VALUE, ContentItem, Skeleton
 from .base import DELTA, ExecutionContext, PlanError, XatOperator
 from .conditions import ColumnRef, Literal, item_value
-from .semantic_ids import (constructed_id, lineage_terminals, order_tokens,
-                           override_from_tokens, resolve_lineage)
+from .semantic_ids import (constructed_id, lineage_terminals,
+                           override_from_tokens, resolve_lineage,
+                           resolve_order)
 from .table import (AtomicItem, ContextSpec, Item, NodeItem, TableSchema,
                     XatTable, XatTuple, items_of, single_item)
 
@@ -82,87 +83,106 @@ class Tagger(XatOperator):
 
     def _precompute(self) -> None:
         schema = self.inputs[0].schema
+        pattern = self.pattern
         id_cols = self._id_source_columns()
         self._has_ids = bool(id_cols)
         #: the Lineage Context of the id columns, flattened to terminals
         self._lineage = tuple(terminal for col in id_cols
                               for terminal in lineage_terminals(schema, col))
-        content_cols = self.pattern.content_columns()
-        #: the column whose Order Context the node's order follows
-        self._order_col = content_cols[0] if content_cols else None
-
-    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
-        # Linear: one constructed node per input tuple, in every mode.
-        pattern = self.pattern
-        schema = inputs[0].schema
-        lineage = self._lineage
-        order_col = self._order_col
+        content_cols = pattern.content_columns()
+        #: the columns whose order tokens prefix the node's overriding
+        #: order — the Order Context of the first content column; empty
+        #: when that is undefined or equals the lineage (no override)
+        self._order_cols = ((schema.spec(content_cols[0]).order or ())
+                            if content_cols else ())
+        #: ``(name, literal text or None, column)`` per attribute
+        self._attributes = tuple(
+            (name, operand.value, None) if isinstance(operand, Literal)
+            else (name, None, operand.column)
+            for name, operand in pattern.attributes)
         # With several content entries, a per-entry order prefix fixes
         # construction order (same scheme as XML Union).
         multi = len(pattern.content) > 1
-        out = self.out
-        table = XatTable(self.schema)
-        append = table.append
-        for tup in inputs[0].tuples:
-            body = resolve_lineage(lineage, tup)
-            if self._has_ids and not body:
-                # Null-padded (outer-join) tuple: the nested RETURN has
-                # no binding here, so no node is constructed.
-                append(tup.extended(out, None))
+        plan = []
+        for index, entry in enumerate(pattern.content):
+            cid = self.XmlUnionColumnIds[index] if multi else None
+            if isinstance(entry, str):
+                plan.append((entry, cid, None, None))
+            else:
+                key = (FlexKey("z").with_override(FlexKey(cid))
+                       if cid is not None else None)
+                plan.append((None, None, entry[1], key))
+        #: ``(column, union prefix, literal text, literal key)`` per
+        #: content entry: a column entry or a literal, never both
+        self._content = tuple(plan)
+
+    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
+        # Linear: one constructed node per input tuple, in every mode.
+        construct = self.construct
+        return XatTable(self.schema, [construct(tup, ctx)
+                                      for tup in inputs[0].tuples])
+
+    def construct(self, tup: XatTuple, ctx: ExecutionContext) -> XatTuple:
+        """``tup`` extended with the node this Tagger constructs for it.
+
+        The plan-fixed parts (lineage terminals, order columns, the
+        attribute and content plans) were resolved in
+        :meth:`_precompute`; only the tuple's own cells are read here.
+        """
+        body = resolve_lineage(self._lineage, tup)
+        if self._has_ids and not body:
+            # Null-padded (outer-join) tuple: the nested RETURN has
+            # no binding here, so no node is constructed.
+            return tup.extended(self.out, None)
+        node_id = constructed_id(body)
+        cells = tup.cells
+        order_cols = self._order_cols
+        override = (override_from_tokens(resolve_order(order_cols, tup))
+                    if order_cols else None)
+        attributes = {}
+        for name, literal, column in self._attributes:
+            if column is None:
+                attributes[name] = literal
+            else:
+                item = single_item(cells.get(column))
+                attributes[name] = (item_value(item, ctx)
+                                    if item is not None else "")
+        content: list[ContentItem] = []
+        append = content.append
+        for column, cid, text, key in self._content:
+            if column is None:
+                append(ContentItem(VALUE, key, text))
                 continue
-            node_id = constructed_id(body)
-            override = override_from_tokens(
-                order_tokens(schema, tup, order_col)
-                if order_col is not None else None)
-            attributes = {}
-            for name, operand in pattern.attributes:
-                if isinstance(operand, Literal):
-                    attributes[name] = operand.value
+            cell = cells.get(column)
+            if cell is None:
+                continue
+            for item in (cell,) if isinstance(cell, Item) else cell:
+                if cid is not None:
+                    item = _prefixed(item, cid)
+                if isinstance(item, NodeItem):
+                    append(ContentItem(REF, item.key, None, item.count,
+                                       item.refresh, item.skeleton))
                 else:
-                    item = single_item(tup.cells.get(operand.column))
-                    attributes[name] = (item_value(item, ctx)
-                                        if item is not None else "")
-            content: list[ContentItem] = []
-            for index, entry in enumerate(pattern.content):
-                cid = self.XmlUnionColumnIds[index] if multi else None
-                if isinstance(entry, str):
-                    for item in items_of(tup.cells.get(entry)):
-                        if cid is not None:
-                            item = _prefixed(item, cid)
-                        content.append(_to_content(item))
-                else:
-                    literal = ContentItem.value(entry[1])
-                    if cid is not None:
-                        literal.key = FlexKey("z").with_override(FlexKey(cid))
-                    content.append(literal)
-            skeleton = Skeleton(node_id, pattern.tag, attributes, content,
-                                count=1)
-            # The item's count is *relative* to its tuple (1): the absolute
-            # derivation count (tuple count x relative) is applied where the
-            # item is consumed — by Combine / Group By (assignOverRidOrd) or
-            # by an enclosing Tagger.  This keeps join/distinct
-            # multiplicities from being applied twice.
-            item = NodeItem(node_id if override is None
-                            else node_id.with_override(override),
-                            count=1, refresh=tup.refresh,
-                            skeleton=skeleton)
-            append(tup.extended(out, item))
-        return table
+                    source = item.source_key
+                    if source is not None and source.override is None:
+                        source = None
+                    append(ContentItem(VALUE, source, item.value,
+                                       item.count, item.refresh, None,
+                                       item.agg))
+        # The item's count is *relative* to its tuple (1): the absolute
+        # derivation count (tuple count x relative) is applied where the
+        # item is consumed — by Combine / Group By (assignOverRidOrd) or
+        # by an enclosing Tagger.  This keeps join/distinct
+        # multiplicities from being applied twice.
+        item = NodeItem(node_id if override is None
+                        else node_id.with_override(override), 1,
+                        tup.refresh,
+                        Skeleton(node_id, self.pattern.tag, attributes,
+                                 content, 1))
+        return tup.extended(self.out, item)
 
     def describe(self) -> str:
         return f"Tagger {self.pattern} -> {self.out}"
-
-
-def _to_content(item: Item) -> ContentItem:
-    if isinstance(item, NodeItem):
-        return ContentItem.ref(item.key, item.count, item.refresh,
-                               item.skeleton)
-    assert isinstance(item, AtomicItem)
-    entry = ContentItem.value(item.value, item.count, item.refresh)
-    entry.agg = item.agg
-    if item.source_key is not None and item.source_key.override is not None:
-        entry.key = item.source_key
-    return entry
 
 
 class XmlUnion(XatOperator):

@@ -450,10 +450,17 @@ class GroupBy(XatOperator):
         combine_col = self.combine_col
 
         def emit(members: list[XatTuple]) -> None:
-            count = sum(member.count for member in members)
-            refresh = any(member.refresh for member in members)
-            eras = {member.era for member in members}
-            era = eras.pop() if len(eras) == 1 else None
+            # one pass: the summed count, any refresh, and the era the
+            # members share (None when they do not all share one)
+            count = 0
+            refresh = False
+            era = members[0].era
+            for member in members:
+                count += member.count
+                if member.refresh:
+                    refresh = True
+                if member.era != era:
+                    era = None
             cells: dict = {}
             for col in plain_cols:
                 for member in members:

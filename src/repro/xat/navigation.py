@@ -102,7 +102,26 @@ def _related_targets(ctx: ExecutionContext, entry_key: FlexKey,
     ancestor of a root on the path down from ``entry_key`` (one key per
     root per level, read off the root's own atoms) or a matching node
     inside a root's subtree (an index range scan, delta-sized).
+
+    Memoized on the spec (``DeltaSpec.seek_memo``): every navigation of
+    the pass that seeks the same step from the same key reads one
+    answer.  Several views' paths share their leading child steps
+    (``/site/people/person`` under ``$p/name`` and ``$p/address/city``),
+    and each pass re-seeks them from the document root; the seek below
+    the root — one candidate per update root per step — is what a hit
+    saves.  The returned list is shared, so callers only iterate it.
     """
+    memo = ctx.delta.seek_memo
+    memo_key = (entry_key.value, step.axis, step.test, is_first)
+    ordered = memo.get(memo_key)
+    if ordered is None:
+        ordered = memo[memo_key] = _seek(ctx, entry_key, step, is_first)
+    return ordered
+
+
+def _seek(ctx: ExecutionContext, entry_key: FlexKey, step: Step,
+          is_first: bool) -> list[FlexKey]:
+    """The uncached body of :func:`_related_targets`."""
     storage = ctx.storage
     results: dict[str, FlexKey] = {}
     if is_first and storage.is_document_root(entry_key):

@@ -482,9 +482,11 @@ class LeftOuterJoin(_BinaryJoinBase):
     symbol = "loj"
     anti_projectable = False  # dangling tuples break coverage filtering
 
-    def _handle_has_match(self, ctx, tup, cols, side) -> bool:
+    def _handle_has_match(self, ctx, tup, cols, side,
+                          keys: Optional[list] = None) -> bool:
         """Whether the left tuple ``tup`` matches anything in the right
-        side's handle ``side``.
+        side's handle ``side`` (``keys``: ``tup``'s probe keys under
+        ``cols``, when the caller already hashed it).
 
         Matching is by *net count* — with negated diff rows in play
         (modify phase) a row present only as a cancelled pair (+c and
@@ -496,9 +498,11 @@ class LeftOuterJoin(_BinaryJoinBase):
         key to ask about and sum their matches.
         """
         if cols is not None:
-            keys = _hash_keys(tup, cols, ctx)
+            if keys is None:
+                keys = _hash_keys(tup, cols, ctx)
             if len(keys) == 1:
                 return side.support(keys[0]) != 0
+            return scanned_support(side, _probe_union(side.probe, keys)) != 0
         return scanned_support(
             side, self._side_matches(ctx, tup, cols, side)) != 0
 
@@ -559,8 +563,12 @@ class LeftOuterJoin(_BinaryJoinBase):
             for lt in matched_lefts.values():
                 if lt.era is not None:
                     continue  # synthetic diff row, not an extent left
-                has_new = self._handle_has_match(ctx, lt, lcols, new_check)
-                has_old = self._handle_has_match(ctx, lt, lcols, old_check)
+                keys = (_hash_keys(lt, lcols, ctx) if lcols is not None
+                        else None)
+                has_new = self._handle_has_match(ctx, lt, lcols, new_check,
+                                                 keys)
+                has_old = self._handle_has_match(ctx, lt, lcols, old_check,
+                                                 keys)
                 if has_old and not has_new:
                     append(self._null_padded(lt, lt.count))
                 elif has_new and not has_old:

@@ -85,11 +85,15 @@ def order_tokens(schema: TableSchema, tup: XatTuple, col: str
     spec = schema.spec(col)
     if spec.order is None:
         return None
-    if spec.order == ():
-        return []
+    return resolve_order(spec.order, tup)
+
+
+def resolve_order(order_cols, tup: XatTuple) -> list[str]:
+    """The order tokens of one tuple under a resolved Order Context
+    (its column names; an operator looks them up once per plan)."""
     tokens = []
-    for order_col in spec.order:
-        item = single_item(tup[order_col])
+    for order_col in order_cols:
+        item = single_item(tup.cells.get(order_col))
         tokens.append(item.order_token() if item is not None else "")
     return tokens
 

@@ -37,18 +37,29 @@ def city_aggregate_query(function: str, path: str) -> str:
 CITY_MAX_AGE_QUERY = city_aggregate_query("max", "profile/age")
 CITY_INCOME_SUM_QUERY = city_aggregate_query("sum", "profile/@income")
 
+#: ``PERSONS_BY_CITY_QUERY`` whose nested constructor reads attributes:
+#: an attribute value and a node (``$p/name``, whose text the Tagger
+#: reads from storage when it builds the row) — its join side is served
+#: through the persons entry beneath it, so the text is read at probe time
+PERSONS_BY_CITY_ATTRIBUTES_QUERY = xmark.PERSONS_BY_CITY_QUERY.replace(
+    "<entry>{$p/name}</entry>",
+    '<entry id="{$p/@id}" name="{$p/name}">{$p/address/city}</entry>')
+
 #: the views the differential fuzz sweeps: the two historical ROADMAP
 #: divergences, the join and selection views (predicate re-routing
-#: through Select), and the per-group aggregate views (pair re-routing
+#: through Select), the per-group aggregate views (pair re-routing
 #: through AggState) — a count, an extremum and a sum, whose
-#: members person churn and city moves carry between groups
+#: members person churn and city moves carry between groups — and a
+#: grouped view whose constructed join side reads storage at probe time
 FUZZ_VIEWS = {"order-query-2": xmark.ORDER_QUERY_2,
               "persons-by-city": xmark.PERSONS_BY_CITY_QUERY,
               "join": xmark.JOIN_QUERY,
               "selection": xmark.SELECTION_QUERY,
               "city-headcount": xmark.CITY_HEADCOUNT_QUERY,
               "city-max-age": CITY_MAX_AGE_QUERY,
-              "city-income-sum": CITY_INCOME_SUM_QUERY}
+              "city-income-sum": CITY_INCOME_SUM_QUERY,
+              "persons-by-city-attributes":
+                  PERSONS_BY_CITY_ATTRIBUTES_QUERY}
 
 
 #: the duplicate-view leg of the differential: queries repeat and overlap
@@ -58,7 +69,7 @@ SHARING_VIEWS = (xmark.PERSONS_BY_CITY_QUERY, xmark.PERSONS_BY_CITY_QUERY,
                  xmark.CITY_HEADCOUNT_QUERY, xmark.ORDER_QUERY_2,
                  xmark.JOIN_QUERY, xmark.JOIN_QUERY, xmark.SELECTION_QUERY,
                  xmark.ORDER_QUERY_1, xmark.ORDER_QUERY_3,
-                 xmark.ORDER_QUERY_4)
+                 xmark.ORDER_QUERY_4, PERSONS_BY_CITY_ATTRIBUTES_QUERY)
 
 #: the policy leg of the differential, by index into ``SHARING_VIEWS``: a
 #: grouped and a join view deferred, a join view flushing every third

@@ -306,6 +306,25 @@ class TestExplain:
         assert any(" <- " in line and "runs=" in line
                    for line in listing_lines)
 
+    def test_explain_tagger_side_served_via_input(self):
+        """``bycity``'s ``<entry>`` Tagger side keeps no table of its own:
+        EXPLAIN says it reads through its input, and the
+        NavigateCollection beneath it carries the served entry."""
+        storage = StorageManager()
+        xmark.register_site(storage, 10, seed=3)
+        with Database(storage=storage) as db:
+            db.create_view("bycity", xmark.PERSONS_BY_CITY_QUERY)
+            db.create_view("headcount", xmark.CITY_HEADCOUNT_QUERY)
+            db.update("site.xml") \
+                .at("/site/people/person[1]/address/city") \
+                .replace_with("Montevideo")
+            lines = db.explain("bycity").splitlines()
+        [entry_line] = [line for line in lines
+                        if "Tagger[<entry>" in line]
+        assert entry_line.endswith(" · state: via input")
+        below = lines[lines.index(entry_line) + 1]
+        assert "NavigateCollection[" in below and "state: served=" in below
+
     def test_explain_unknown_view_raises(self):
         with Database() as db:
             with pytest.raises(KeyError):

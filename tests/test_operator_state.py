@@ -15,11 +15,13 @@ import random
 
 import pytest
 
-from repro import StorageManager, UpdateRequest, ViewRegistry
-from repro.engine.opstate import subplan_signature
+from repro import Database, StorageManager, UpdateRequest, ViewRegistry
+from repro.engine.opstate import (CachedEntry, OperatorStateStore,
+                                  _IndexDesync, subplan_signature)
 from repro.workloads import xmark
 from repro.xat import AtomicItem, GroupBy, NavigateUnnest, Path, Source, \
-    XatTuple
+    Tagger, XatTuple
+from repro.xat.base import FULL, ExecutionContext
 from repro.xat.grouping import compute_aggregate, merge_member_items
 
 from .helpers import (GROUPED_VIEWS, assert_consistent,
@@ -285,6 +287,225 @@ class TestBatchEpochs:
 
     def test_a_long_modify_run_patches(self):
         self.grouped_run(lambda cities: cities[:80])
+
+
+class TestSharedRowSets:
+    """One stored table per row set: ``bycity``'s ``<entry>`` Tagger side
+    reads through the ``NavigateCollection`` entry beneath it — the one
+    ``headcount`` probes for ``$p/name`` — instead of storing a second
+    table of the same persons."""
+
+    def test_tagger_side_reads_through_its_input(self, monkeypatch):
+        registry = TestBatchEpochs.registry(40, GROUPED_VIEWS)
+        storage, store = registry.storage, registry.state_store
+        cities = storage.find_by_path("site.xml", CITY_PATH)
+        registry.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[0], "Tampere")])
+        gauge = registry.metrics_snapshot()["opstate_cached_signatures"]
+        assert gauge["values"][""] == 3
+        assert not any(isinstance(entry.op, Tagger)
+                       for entry in store.entries())
+
+        # Every stale entry is served — so patched — by the first pass:
+        # the end-of-pass reconcile has nothing left to stage.
+        stages, in_reconcile = [], []
+        reconcile, stage = OperatorStateStore.reconcile, CachedEntry.stage
+
+        def tracked_reconcile(self, spec, memo):
+            in_reconcile.append(True)
+            try:
+                return reconcile(self, spec, memo)
+            finally:
+                in_reconcile.pop()
+
+        def tracked_stage(self, delta, spec, ctx):
+            stages.append(bool(in_reconcile))
+            return stage(self, delta, spec, ctx)
+
+        monkeypatch.setattr(OperatorStateStore, "reconcile",
+                            tracked_reconcile)
+        monkeypatch.setattr(CachedEntry, "stage", tracked_stage)
+        registry.apply_updates([
+            UpdateRequest.modify("site.xml", city, xmark.CITIES[step])
+            for step, city in enumerate(cities[1:4])])
+        assert stages and not any(stages)
+        monkeypatch.undo()
+
+        anchor = persons_of(storage)[-1]
+        for batch in (
+                [UpdateRequest.insert("site.xml", anchor,
+                                      xmark.new_person_xml(0), "after")],
+                [UpdateRequest.modify("site.xml", cities[5], "Tampere")],
+                [UpdateRequest.delete("site.xml", persons_of(storage)[2])]):
+            registry.apply_updates(batch)
+            assert audit_operator_state(registry) == 3
+            for name in registry.names():
+                assert registry.to_xml(name) == \
+                    registry.recompute_xml(name)
+                assert registry.view(name).stats.recomputes == 0
+        registry.close()
+
+    def test_a_checkpointed_tagger_table_is_not_adopted(self, tmp_path):
+        """A checkpoint written while Tagger sides kept a table of their
+        own still holds one: reopening adopts the other three and leaves
+        it out, so it is neither patched nor written back."""
+        def gauge(db):
+            return db.registry.metrics_snapshot()[
+                "opstate_cached_signatures"]["values"][""]
+
+        db = Database(durable_path=tmp_path, fsync="always")
+        db.load("site.xml", xmark.generate_site(40, seed=1))
+        for name, query in GROUPED_VIEWS.items():
+            db.create_view(name, query)
+            pin(db.registry.view(name))
+        cities = db.storage.find_by_path("site.xml", CITY_PATH)
+        db.registry.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[0], "Tampere")])
+        assert gauge(db) == 3
+        # the persons-side Tagger table the store used to keep
+        store = db.registry.state_store
+        stack = [db.registry.view("bycity").pipeline.plan]
+        while stack:
+            op = stack.pop()
+            stack.extend(op.inputs)
+            if isinstance(op, Tagger) and \
+                    type(op.inputs[0]).__name__ == "NavigateCollection":
+                tagger = op
+        ctx = ExecutionContext(db.storage)
+        entry = CachedEntry(subplan_signature(tagger), tagger)
+        entry.populate(ctx.evaluate(tagger, FULL), ctx)
+        store._entries[entry.signature] = entry
+        store._by_doc["site.xml"].append(entry)
+        assert gauge(db) == 4
+        db.checkpoint()
+        db.close()
+
+        for step in range(2):
+            db = Database(durable_path=tmp_path, fsync="always")
+            assert db.recovery.checkpoint_lsn > 0
+            assert gauge(db) == 3
+            assert not any(isinstance(entry.op, Tagger)
+                           for entry in db.registry.state_store.entries())
+            for name in db.views():
+                pin(db.registry.view(name))
+            cities = db.storage.find_by_path("site.xml", CITY_PATH)
+            db.registry.apply_updates(
+                [UpdateRequest.modify("site.xml", cities[step + 1],
+                                      "Lahti")])
+            assert gauge(db) == 3
+            for name in db.views():
+                assert db.read(name) == db.registry.recompute_xml(name)
+            db.checkpoint()
+            db.close()
+
+
+class TestInPlaceReplace:
+    """A patch swaps a row in place: it keeps its table slot and bucket
+    position, and moves between buckets only when its probe keys do."""
+
+    @staticmethod
+    def persons_entry(registry):
+        [entry] = [e for e in registry.state_store.entries()
+                   if e.valid and type(e.op).__name__ == "NavigateCollection"]
+        [(cols, index)] = entry.indexes.items()
+        return entry, cols, index
+
+    @staticmethod
+    def row_of(entry, person):
+        return next(tup for tup in entry.table.tuples
+                    if tup.cells["$p_3"].key == person)
+
+    def warm(self):
+        registry = TestBatchEpochs.registry(40, GROUPED_VIEWS)
+        cities = registry.storage.find_by_path("site.xml", CITY_PATH)
+        registry.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[0], "Tampere")])
+        return registry, cities
+
+    def test_probe_key_change_moves_the_row(self):
+        registry, cities = self.warm()
+        storage = registry.storage
+        entry, cols, index = self.persons_entry(registry)
+        person = persons_of(storage)[3]
+        old = self.row_of(entry, person)
+        [old_key] = entry._indexed_keys[id(old)][cols]
+        old_support = entry.supports[cols][old_key]
+        position = entry._pos[id(old)]
+        registry.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[3], "Lahti")])
+        new = self.row_of(entry, person)
+        assert new is not old
+        assert entry.table.tuples[position] is new
+        assert entry.supports[cols][("Lahti",)] == 1
+        assert index[("Lahti",)] == [new]
+        assert old not in index.get(old_key, [])
+        assert new not in index.get(old_key, [])
+        assert entry.supports[cols].get(old_key, 0) == old_support - 1
+        assert audit_operator_state(registry) == 3
+        registry.close()
+
+    def test_refresh_keeping_the_keys_keeps_its_places(self):
+        registry, _cities = self.warm()
+        storage = registry.storage
+        entry, cols, index = self.persons_entry(registry)
+        person = persons_of(storage)[3]
+        old = self.row_of(entry, person)
+        [key] = entry._indexed_keys[id(old)][cols]
+        bucket_order = list(index[key])
+        position = entry._pos[id(old)]
+        support = entry.supports[cols][key]
+        name = storage.children(person, "name")[0]
+        registry.apply_updates(
+            [UpdateRequest.modify("site.xml", name, "Renamed Person")])
+        new = self.row_of(entry, person)
+        assert new is not old
+        assert entry.table.tuples[position] is new
+        assert index[key] == [new if tup is old else tup
+                              for tup in bucket_order]
+        assert entry.supports[cols][key] == support
+        assert audit_operator_state(registry) == 3
+        for view in registry.names():
+            assert registry.to_xml(view) == registry.recompute_xml(view)
+        registry.close()
+
+    def test_missing_bucket_entry_invalidates(self):
+        """A row its bucket lost is an index desync for the in-place
+        swap too: ``_replace`` raises, and a batch's patch meeting it
+        drops the entry (counted) and the same pass re-derives it."""
+        registry, cities = self.warm()
+        storage, store = registry.storage, registry.state_store
+        entry, cols, index = self.persons_entry(registry)
+        person = persons_of(storage)[3]
+        victim = self.row_of(entry, person)
+        [key] = entry._indexed_keys[id(victim)][cols]
+        index[key].remove(victim)       # lose it behind the entry's back
+        with pytest.raises(_IndexDesync):
+            entry._replace(entry._fp_of[id(victim)],
+                           XatTuple(dict(victim.cells), victim.count),
+                           {cols: [key]})
+        entry.invalidate()              # the half-done swap is garbage
+
+        registry.apply_updates(   # re-derive, then lose a row again
+            [UpdateRequest.modify("site.xml", cities[1], "Tampere")])
+        victim = self.row_of(entry, person)
+        [key] = entry._indexed_keys[id(victim)][cols]
+        entry.indexes[cols][key].remove(victim)
+        before = (store.stats.invalidations, entry.stats.misses)
+        name = storage.children(person, "name")[0]
+        # a name modify probes no persons: the end-of-pass reconcile
+        # patches the entry, meets the loss and drops it ...
+        registry.apply_updates(
+            [UpdateRequest.modify("site.xml", name, "Renamed Person")])
+        assert store.stats.invalidations == before[0] + 1
+        assert not entry.valid
+        # ... and the next batch that probes it re-derives it
+        registry.apply_updates(
+            [UpdateRequest.modify("site.xml", cities[2], "Tampere")])
+        assert entry.stats.misses == before[1] + 1
+        assert entry.valid and audit_operator_state(registry) == 3
+        for view in registry.names():
+            assert registry.to_xml(view) == registry.recompute_xml(view)
+        registry.close()
 
 
 def assert_no_dead_keys(view) -> None:
