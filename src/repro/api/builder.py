@@ -124,8 +124,10 @@ class UpdateSite:
             if len(nodes) != 1:
                 raise UpdateError("insert fragment must be a single element")
             node = nodes[0]
+            unused = [node]     # the parse itself goes to the first target
         elif isinstance(fragment, XmlNode):
             node = fragment
+            unused = []         # the caller's node is never handed over
         else:
             raise UpdateError(
                 f"insert fragment must be an XML string or XmlNode, "
@@ -133,12 +135,14 @@ class UpdateSite:
 
         def resolver(storage: StorageManager,
                      cache=None) -> List[UpdateRequest]:
-            # A fresh copy per target: storage takes ownership of the
-            # inserted tree, so one node object must never alias two
-            # insertion sites (the build-time parse is reused — the
+            # Storage takes ownership of the inserted tree, so one node
+            # object must never alias two insertion sites: every target
+            # but the first gets a copy of the build-time parse (the
             # fragment is parsed once, not once per target).
             return [UpdateRequest.insert(
-                self.document, key, node.deep_copy(), position=position)
+                self.document, key,
+                unused.pop() if unused else node.deep_copy(),
+                position=position)
                 for key in self._keys(storage, cache)]
 
         return self._submit("insert", resolver, position=position)

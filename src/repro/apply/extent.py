@@ -15,7 +15,7 @@ along the paths it fuses, so a read rebuilds only what changed.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Optional
 
@@ -63,7 +63,9 @@ class ExtentNode:
         #: an element's XML as :func:`serialize_extent` last wrote it;
         #: None until written and after a change (text nodes: always)
         self.xml: Optional[str] = None
-        self._child_index: dict[tuple, ExtentNode] = {}
+        #: children by match key, built by the first :meth:`find_child`
+        #: (delta trees are never searched, so they never build one)
+        self._child_index: Optional[dict[tuple, ExtentNode]] = None
 
     # -- identity ------------------------------------------------------------------
 
@@ -83,21 +85,33 @@ class ExtentNode:
     # -- children (kept sorted by order token) -----------------------------------------
 
     def find_child(self, key: tuple) -> Optional["ExtentNode"]:
+        if self._child_index is None:
+            self._child_index = {c.match_key(): c for c in self.children}
         return self._child_index.get(key)
 
     def insert_child(self, child: "ExtentNode") -> None:
-        # bisect_right: equal-order siblings keep their insertion order
-        self.children.insert(
-            bisect_right(self.children, child.order, key=_ORDER), child)
-        self._child_index[child.match_key()] = child
+        children = self.children
+        if not children or child.order >= children[-1].order:
+            children.append(child)    # base copies arrive in key order
+        else:
+            # bisect_right: equal-order siblings keep their insertion order
+            children.insert(bisect_right(children, child.order, key=_ORDER),
+                            child)
+        if self._child_index is not None:
+            self._child_index[child.match_key()] = child
 
     def remove_child(self, child: "ExtentNode") -> None:
-        self.children.remove(child)
-        self._child_index.pop(child.match_key(), None)
+        children = self.children
+        at = bisect_left(children, child.order, key=_ORDER)
+        while children[at] is not child:     # among equal-order siblings
+            at += 1
+        del children[at]
+        if self._child_index is not None:
+            self._child_index.pop(child.match_key(), None)
 
     def clear_children(self) -> None:
         self.children.clear()
-        self._child_index.clear()
+        self._child_index = None
 
     def subtree_size(self) -> int:
         return 1 + sum(c.subtree_size() for c in self.children)

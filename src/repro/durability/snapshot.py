@@ -37,8 +37,8 @@ What is stored, and what :func:`restore_state` rebuilds instead:
   ``{position: AggState}`` maps, plus the view's query, policy, work
   bound (``rows_read``) and refresh sequence — restore *grafts* extents
   instead of rematerializing every view (the reason checkpoint restore
-  beats a cold start by construction).  ``_child_index`` is rebuilt from
-  the children's match keys.
+  beats a cold start by construction).  A node's child index is built
+  from its children's match keys on the first lookup, as for any node.
 * **operator state** — the clean :class:`CachedEntry` FULL tables by
   subplan signature, pickled as objects.  Cells reference storage by
   FlexKey only, so the tables are independent of the node graph; on
@@ -186,7 +186,6 @@ def _decode_extent(columns: dict) -> ExtentNode:
             root = node
         else:
             parent.children.append(node)
-            parent._child_index[node.match_key()] = node
     return root
 
 

@@ -56,13 +56,14 @@ class FlexKey:
     effect transparently (Section 3.3.2: ``k1 < k2 <=> order(k1) < order(k2)``).
     """
 
-    __slots__ = ("_value", "_override", "_atoms", "_order")
+    __slots__ = ("value", "override", "_atoms", "_order")
 
     def __init__(self, value: str, override: Optional["FlexKey"] = None):
         if not value:
             raise FlexKeyError("FlexKey value must be non-empty")
-        self._value = value
-        self._override = override
+        # plain slots, not properties: read on every hash and compare
+        self.value = value
+        self.override = override
         # Lazily-memoized derived forms: the parsed atom tuple and the
         # effective order token.  Keys are immutable, so both are computed
         # at most once per instance — comparisons and sorts stop
@@ -92,43 +93,35 @@ class FlexKey:
     def child(self, atom: str) -> "FlexKey":
         """Key for a child whose sibling key is ``atom``."""
         _validate_atom(atom)
-        return FlexKey(self._value + LEVEL_SEP + atom)
+        return FlexKey(self.value + LEVEL_SEP + atom)
 
     def with_override(self, override: Optional["FlexKey"]) -> "FlexKey":
         """Return a copy of this key carrying ``override`` as its order."""
-        return FlexKey(self._value, override)
+        return FlexKey(self.value, override)
 
     def without_override(self) -> "FlexKey":
-        if self._override is None:
+        if self.override is None:
             return self
-        return FlexKey(self._value)
+        return FlexKey(self.value)
 
     # -- accessors -------------------------------------------------------------
-
-    @property
-    def value(self) -> str:
-        return self._value
-
-    @property
-    def override(self) -> Optional["FlexKey"]:
-        return self._override
 
     @property
     def atoms(self) -> tuple[str, ...]:
         """The per-level components of this key (composed keys flattened)."""
         atoms = self._atoms
         if atoms is None:
-            atoms = self._atoms = tuple(_split_atoms(self._value))
+            atoms = self._atoms = tuple(_split_atoms(self.value))
         return atoms
 
     def order_token(self) -> str:
         """The memoized effective order string (override chain resolved)."""
         token = self._order
         if token is None:
-            if self._override is not None:
-                token = self._override.order_token()
+            if self.override is not None:
+                token = self.override.order_token()
             else:
-                token = self._value
+                token = self.value
             self._order = token
         return token
 
@@ -138,16 +131,16 @@ class FlexKey:
 
     @property
     def is_composed(self) -> bool:
-        return COMPOSE_SEP in self._value
+        return COMPOSE_SEP in self.value
 
     def parent(self) -> Optional["FlexKey"]:
         """The key of this node's parent, or None for a root key."""
         if self.is_composed:
             raise FlexKeyError("composed keys have no parent")
-        idx = self._value.rfind(LEVEL_SEP)
+        idx = self.value.rfind(LEVEL_SEP)
         if idx < 0:
             return None
-        return FlexKey(self._value[:idx])
+        return FlexKey(self.value[:idx])
 
     def local(self) -> str:
         """The last (own) component of this key."""
@@ -161,43 +154,49 @@ class FlexKey:
         Containment is determined purely from the key strings — a frequent
         operation in XML query execution that must not touch the data.
         """
-        prefix = self._value + LEVEL_SEP
-        return other._value.startswith(prefix)
+        prefix = self.value + LEVEL_SEP
+        return other.value.startswith(prefix)
 
     def is_descendant_of(self, other: "FlexKey") -> bool:
         return other.is_ancestor_of(self)
 
     def is_parent_of(self, other: "FlexKey") -> bool:
         parent = other.parent() if not other.is_composed else None
-        return parent is not None and parent._value == self._value
+        return parent is not None and parent.value == self.value
 
     def relative_to(self, ancestor: "FlexKey") -> str:
         """The key suffix below ``ancestor`` (raises unless related)."""
         if not ancestor.is_ancestor_of(self):
             raise FlexKeyError(f"{ancestor} is not an ancestor of {self}")
-        return self._value[len(ancestor._value) + 1:]
+        return self.value[len(ancestor.value) + 1:]
 
     # -- dunder plumbing ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlexKey):
             return NotImplemented
-        return self._value == other._value
+        return self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(self._value)
+        return hash(self.value)
 
     def __reduce__(self):
         # the memoized forms are not state: rebuilt on first use
-        return FlexKey, (self._value, self._override)
+        return FlexKey, (self.value, self.override)
+
+    def __setstate__(self, state) -> None:
+        # slot state of a key pickled while its slots were _value/_override
+        slots = state[1]
+        self.value, self.override = slots["_value"], slots.get("_override")
+        self._atoms = self._order = None
 
     def __lt__(self, other: "FlexKey") -> bool:
         return self.order_token() < other.order_token()
 
     def __repr__(self) -> str:
-        if self._override is not None:
-            return f"{self._value}[{self._override!r}]"
-        return self._value
+        if self.override is not None:
+            return f"{self.value}[{self.override!r}]"
+        return self.value
 
     def __str__(self) -> str:
         return repr(self)

@@ -47,6 +47,7 @@ from typing import Optional, Union
 from ..engine import Engine
 from ..engine.opstate import OperatorStateStore
 from ..obs import MetricsRegistry, Tracer
+from ..obs.tracing import NOOP_SPAN
 from ..plan import PlanCache
 from ..storage import StorageManager
 from ..translate import translate_query
@@ -185,15 +186,23 @@ class RegisteredView:
         self.entangled = _derivations_entangled(pipeline.plan)
         #: the ``view`` attribute of this view's flush spans
         self.label = name
+        #: propagate ``flush_seconds`` / ``flush_trees`` histograms, bound
+        #: by :meth:`ViewRegistry.register` (query entries record none)
+        self.flush_seconds = self.flush_trees = None
+        self._instructions: Optional[int] = None
 
     def pending_trees(self) -> int:
         return sum(len(batch) for batch in self.pending)
 
     @property
     def instructions(self) -> int:
-        """Instructions of the view's FULL plan."""
-        pipeline = self.pipeline
-        return len(pipeline.vm.cache.plan(pipeline.plan, FULL))
+        """Instructions of the view's FULL plan (its plan never changes,
+        so it is counted once)."""
+        if self._instructions is None:
+            pipeline = self.pipeline
+            self._instructions = len(
+                pipeline.vm.cache.plan(pipeline.plan, FULL))
+        return self._instructions
 
     def over_work_bound(self) -> bool:
         """Would propagating the queue touch as many rows as
@@ -506,6 +515,11 @@ class ViewRegistry:
                                            self.plan_cache),
                               MaintenancePolicy.parse(policy))
         view.pipeline.tracer = self.tracer
+        view.flush_seconds = self.metrics.histogram(
+            "flush_seconds", "Wall-clock cost of one flush", view=name,
+            decision="propagate")
+        view.flush_trees = self.metrics.histogram(
+            "flush_trees", "Update trees consumed per flush", view=name)
         if isinstance(query, str):
             view.query_text = query
         elif self.wal is not None:
@@ -523,10 +537,12 @@ class ViewRegistry:
         return view
 
     def unregister(self, name: str) -> None:
-        """Drop a view; its queued deltas are discarded with it."""
+        """Drop a view; its queued deltas and its metrics are discarded
+        with it."""
         view = self._views.pop(name)
         self.router.unsubscribe(name)
         view.pending.clear()
+        self.metrics.remove(view=name)
         if self.wal is not None:
             self.wal.log_drop_view(name)
 
@@ -956,10 +972,12 @@ class ViewRegistry:
         capture = view.mutation_listeners > 0
         if capture:
             view.report.fusion.delta_log = []
-        with self.tracer.span(
-                "view.flush", view=view.label, trees=trees,
-                decision="propagate", work_rows=trees * view.instructions,
-                bound_rows=view.rows_read) as span:
+        tracer = self.tracer
+        with (tracer.span("view.flush", view=view.label, trees=trees,
+                          decision="propagate",
+                          work_rows=trees * view.instructions,
+                          bound_rows=view.rows_read)
+              if tracer.active else NOOP_SPAN) as span:
             started = time.perf_counter()
             try:
                 for batch in view.pending:
@@ -976,13 +994,9 @@ class ViewRegistry:
         view.stats.propagated_trees += trees
         view.pending.clear()
         delta_tuples = view.report.fusion.mutations - mutations_before
-        if not isinstance(view, QueryEntry):
-            self.metrics.histogram(
-                "flush_seconds", "Wall-clock cost of one flush",
-                view=view.name, decision="propagate").observe(elapsed)
-            self.metrics.histogram(
-                "flush_trees", "Update trees consumed per flush",
-                view=view.name).observe(trees)
+        if view.flush_seconds is not None:
+            view.flush_seconds.observe(elapsed)
+            view.flush_trees.observe(trees)
         self._notify_refresh(view, "propagate", trees, elapsed,
                              delta_tuples, captured)
         return None

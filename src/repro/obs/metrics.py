@@ -146,10 +146,6 @@ class _Family:
         self.instances: dict[tuple, object] = {}
 
 
-def _label_key(labels: dict) -> tuple:
-    return tuple(sorted(labels.items()))
-
-
 class MetricsRegistry:
     """Named counters/gauges/histograms with label sets and sync hooks."""
 
@@ -167,7 +163,7 @@ class MetricsRegistry:
         elif family.kind != kind:
             raise ValueError(f"metric {name!r} is a {family.kind}, "
                              f"not a {kind}")
-        key = _label_key(labels)
+        key = tuple(sorted(labels.items()))
         metric = family.instances.get(key)
         if metric is None:
             metric = family.instances[key] = factory()
@@ -181,6 +177,13 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "", **labels) -> Histogram:
         return self._metric(name, Histogram, "histogram", help, labels)
+
+    def remove(self, **labels) -> None:
+        """Drop every series, of any family, carrying all of ``labels``."""
+        for family in self._families.values():
+            for key in [key for key in family.instances
+                        if set(labels.items()).issubset(key)]:
+                del family.instances[key]
 
     # -- sync hooks ---------------------------------------------------------------------
 

@@ -69,7 +69,7 @@ class Instruction:
     __slots__ = ("opcode", "dest", "srcs", "xop", "mode", "prepared", "key",
                  "op_stats", "runs_stat", "out_stat",
                  "executed", "reused", "shortcircuits", "rows_in",
-                 "rows_out", "delta_rows")
+                 "rows_out")
 
     def __init__(self, opcode: str, dest: int, srcs: tuple, xop, mode: str,
                  prepared):
@@ -90,7 +90,6 @@ class Instruction:
         self.shortcircuits = 0
         self.rows_in = 0
         self.rows_out = 0
-        self.delta_rows = 0
 
     def render(self) -> str:
         srcs = ", ".join(f"r{s}" for s in self.srcs) or "-"
@@ -99,7 +98,7 @@ class Instruction:
                 + (f" reuse={self.reused}" if self.reused else "")
                 + f" in={self.rows_in} out={self.rows_out}")
         if self.mode == DELTA:
-            text += f" Δ={self.delta_rows}"
+            text += f" Δ={self.rows_out}"
         if self.shortcircuits:
             text += f" skip={self.shortcircuits}"
         return text

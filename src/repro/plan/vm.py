@@ -75,8 +75,6 @@ class PlanVM:
                         instr.rows_in += len(table.tuples)
                 rows_out = len(result.tuples)
                 instr.rows_out += rows_out
-                if instr.mode == DELTA:
-                    instr.delta_rows += rows_out
             memo[key] = result
             regs[instr.dest] = result
             stats = instr.op_stats

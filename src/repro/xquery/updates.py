@@ -27,6 +27,7 @@ as a retract/assert pair when it feeds predicates or sort keys; see
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -204,6 +205,11 @@ def evaluate_update(statement: UpdateStatement, storage: StorageManager,
     return requests
 
 
+#: a positional predicate: a path split on it is its shape's text pieces
+#: at even and its positions at odd indexes
+_POSITION = re.compile(r"\[[ \t\r\n]*(\d+)[ \t\r\n]*\]")
+
+
 def parse_document_path(document: str, text: str) -> PathExpr:
     """Parse a path-addressed target like ``/bib/book[2]/title`` into a
     :class:`PathExpr` rooted at ``document``.
@@ -211,16 +217,38 @@ def parse_document_path(document: str, text: str) -> PathExpr:
     The grammar is the update-target path language: child ``/`` and
     descendant ``//`` steps, ``@attr``/``text()`` value steps, positional
     predicates ``[n]`` and value predicates ``[rel/path op literal]`` on
-    any step.  A leading slash is optional.  Parses are memoized — the
-    result is a pure function of the input and is never mutated
-    downstream, and sessions re-issue the same path strings constantly.
+    any step.  A leading slash is optional.
+
+    Parses are memoized per *shape*, the path split around its
+    positional predicates: sessions address a few shapes at many
+    positions (``/site/people/person[k]/…``), so a statement only binds
+    its positions into a copy of its shape's parse, which is never
+    mutated downstream.  A path holding a string literal or a comment
+    (either may hold a ``[k]`` that is no position) is its own shape.
     """
-    return _parse_document_path(document, text)
+    if '"' in text or "'" in text or "(:" in text:
+        return _parse_shape(document, (text,))[0]
+    pieces = _POSITION.split(text)
+    try:
+        shape, slots = _parse_shape(document, tuple(pieces[0::2]))
+    except XQueryParseError:
+        # raises again, at the offsets of the path as written
+        return _parse_shape(document, (text,))[0]
+    if not slots:
+        return shape
+    predicates = dict(shape.predicates)
+    for (step, index), position in zip(slots, pieces[1::2]):
+        bound = predicates[step] = list(predicates[step])
+        bound[index] = PredicateExpr("position()", "=", position)
+    return PathExpr(document, shape.path, predicates)
 
 
 @lru_cache(maxsize=4096)
-def _parse_document_path(document: str, text: str) -> PathExpr:
-    stripped = text.strip()
+def _parse_shape(document: str, pieces: tuple) -> tuple[PathExpr, tuple]:
+    """The parse of the path ``"[1]".join(pieces)`` and the (step,
+    predicate index) slot of each positional predicate in it, in text
+    order."""
+    stripped = "[1]".join(pieces).strip()
     if not stripped:
         raise XQueryParseError("empty path", 0)
     if not stripped.startswith("/"):
@@ -232,7 +260,10 @@ def _parse_document_path(document: str, text: str) -> PathExpr:
         raise XQueryParseError(
             f"trailing input after path: {parser.text[parser.pos:]!r}",
             parser.pos)
-    return PathExpr(document, path, predicates)
+    slots = tuple((step, index) for step in sorted(predicates)
+                  for index, predicate in enumerate(predicates[step])
+                  if predicate.path == "position()")
+    return PathExpr(document, path, predicates), slots
 
 
 def resolve_path(storage: StorageManager, document: str,
@@ -257,7 +288,8 @@ def resolve_path_expr(storage: StorageManager, expr: PathExpr,
     document node through child steps only and its first predicate is
     ``[k]`` with k ≥ 1; everything else (``//`` steps, value predicates,
     a ``[k]`` after another predicate, ``[0]``) navigates the candidates
-    and filters them.
+    and filters them.  Child steps behind a child-step prefix walk the
+    frontier's children without find_by_path's merge (see ``navigate``).
 
     ``cache`` memoizes navigation segments across resolutions *of the
     same storage snapshot* (keyed by document, step prefix and the
@@ -268,7 +300,7 @@ def resolve_path_expr(storage: StorageManager, expr: PathExpr,
     """
     if not expr.from_document:
         raise ValueError("path must be rooted at a document")
-    pairs = Path.parse(expr.path).as_pairs()
+    pairs, tags, child_steps = _steps(expr.path)
     frontier: Optional[list[FlexKey]] = None
     consumed = 0
     applied: tuple = ()   # signature of the predicates applied so far
@@ -276,10 +308,18 @@ def resolve_path_expr(storage: StorageManager, expr: PathExpr,
     def navigate(upto: int) -> list[FlexKey]:
         if upto == consumed and frontier is not None:
             return frontier
+        if frontier is not None and upto <= child_steps:
+            # a frontier one depth deep, in document order: its children
+            # come out in document order with no duplicates
+            keys = frontier
+            for tag in tags[consumed:upto]:
+                keys = [child for key in keys
+                        for child in storage.children(key, tag)]
+            return keys
         if cache is None:
             return storage.find_by_path(expr.source, pairs[consumed:upto],
                                         start=frontier)
-        key = (expr.source, tuple(pairs[:upto]), applied)
+        key = (expr.source, pairs[:upto], applied)
         hit = cache.get(key)
         if hit is None:
             hit = storage.find_by_path(expr.source, pairs[consumed:upto],
@@ -289,20 +329,21 @@ def resolve_path_expr(storage: StorageManager, expr: PathExpr,
 
     for step_index in sorted(expr.predicates):
         predicates = expr.predicates[step_index]
-        prefix = pairs[:step_index + 1]
-        position = (_indexed_position(storage, expr.source, prefix,
-                                      predicates[0])
-                    if frontier is None else None)
-        if position is not None:
+        first = predicates[0]
+        if (frontier is None and step_index < child_steps
+                and first.path == "position()" and int(first.literal) >= 1
+                and storage.has_document(expr.source)):
+            # the index route (the generic one refuses ``[0]`` and an
+            # unknown document)
             frontier = storage.index.nth_children(
-                expr.source, tuple(test for _axis, test in prefix), position)
-            applied += (_signature(step_index, predicates[0]),)
+                expr.source, tags[:step_index + 1], int(first.literal))
+            applied += (_signature(step_index, first),)
             predicates = predicates[1:]
         else:
             frontier = navigate(step_index + 1)
         consumed = step_index + 1
         for predicate in predicates:
-            frontier_key = ((expr.source, tuple(pairs[:consumed]), applied)
+            frontier_key = ((expr.source, pairs[:consumed], applied)
                             if cache is not None else None)
             frontier = _apply_predicate(storage, frontier, predicate,
                                         cache, frontier_key)
@@ -310,22 +351,18 @@ def resolve_path_expr(storage: StorageManager, expr: PathExpr,
     return navigate(len(pairs))
 
 
+@lru_cache(maxsize=4096)
+def _steps(path: str) -> tuple[tuple, tuple, int]:
+    """A path's (axis, test) pairs, their tests, and how many steps lead
+    it on the child axis."""
+    pairs = tuple(Path.parse(path).as_pairs())
+    child_steps = next((at for at, (axis, _test) in enumerate(pairs)
+                        if axis != "child"), len(pairs))
+    return pairs, tuple(test for _axis, test in pairs), child_steps
+
+
 def _signature(step_index: int, predicate: PredicateExpr) -> tuple:
     return (step_index, predicate.path, predicate.op, predicate.literal)
-
-
-def _indexed_position(storage: StorageManager, document: str, prefix: list,
-                      predicate: PredicateExpr) -> Optional[int]:
-    """``k`` when ``prefix[k]`` can be answered by the structural
-    index's per-path lists (see :func:`resolve_path_expr`), else None —
-    the generic route then also owns the error cases (``[0]``, unknown
-    document)."""
-    if predicate.path != "position()" \
-            or not storage.has_document(document) \
-            or any(axis != "child" for axis, _test in prefix):
-        return None
-    position = int(predicate.literal)
-    return position if position >= 1 else None
 
 
 def _apply_predicate(storage, keys, predicate: PredicateExpr,
@@ -360,12 +397,9 @@ def _apply_predicate(storage, keys, predicate: PredicateExpr,
                 cache[groups_key] = groups
         return [members[position - 1] for members in groups.values()
                 if len(members) >= position]
-    kept = []
-    for key in keys:
-        if _where_matches(storage, key, predicate.path, predicate.op,
-                          predicate.literal):
-            kept.append(key)
-    return kept
+    return [key for key in keys
+            if _where_matches(storage, key, predicate.path, predicate.op,
+                              predicate.literal)]
 
 
 def _where_matches(storage, key: FlexKey, relative: str, op: str,
@@ -401,16 +435,11 @@ def _resolve_relative(storage, key: FlexKey, relative: str
                       ) -> list[FlexKey]:
     if not relative:
         return [key]
-    path = Path.parse(relative)
     current = [key]
-    for step in path.element_steps():
-        matched: list[FlexKey] = []
-        for k in current:
-            if step.axis == "child":
-                matched.extend(storage.children(k, step.test))
-            else:
-                matched.extend(storage.descendants(k, step.test))
-        current = matched
+    for step in Path.parse(relative).element_steps():
+        find = (storage.children if step.axis == "child"
+                else storage.descendants)
+        current = [found for k in current for found in find(k, step.test)]
     return current
 
 

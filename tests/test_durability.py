@@ -330,8 +330,11 @@ def test_snapshot_roundtrip_is_identical_and_functional(tmp_path):
         stack = [reopened.registry.view(name).pipeline.extent]
         while stack:
             node = stack.pop()
-            assert node._child_index == {
-                child.match_key(): child for child in node.children}
+            # the last child under each match key answers for it, as in
+            # an index built child by child in order
+            last = {child.match_key(): child for child in node.children}
+            assert all(node.find_child(key) is child
+                       for key, child in last.items())
             stack.extend(node.children)
     for steps in PROBE_PATHS:
         assert storage.find_by_path("site.xml", steps) \
@@ -344,7 +347,7 @@ def test_snapshot_roundtrip_is_identical_and_functional(tmp_path):
         "site.xml", [("child", "site"), ("child", "people")])[0]
     assert storage.children(people, "person") \
         == walk_children(storage, people, "person")
-    # counts, aggregate state and _child_index are functional, not just
+    # counts, aggregate state and child lookups are functional, not just
     # loadable: maintenance on the restored state keeps matching recompute
     rng = random.Random(31)
     for step in range(20):

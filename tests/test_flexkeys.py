@@ -1,5 +1,9 @@
 """Unit + property tests for FlexKey order encoding (Chapter 3)."""
 
+import copyreg
+import io
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +88,37 @@ class TestFlexKeyBasics:
         inner = FlexKey("c").with_override(FlexKey("a"))
         outer = FlexKey("z").with_override(inner)
         assert order_of(outer) == "a"
+
+
+class TestPickling:
+    def test_a_key_pickled_as_slot_state_unpickles_equal(self):
+        """Checkpoints written while the identity slots were ``_value``
+        / ``_override`` hold keys as slot-state dicts, not constructor
+        calls; they must still restore, order token included."""
+
+        class SlotStatePickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is not FlexKey:
+                    return NotImplemented
+                return (copyreg.__newobj__, (FlexKey,),
+                        (None, {"_value": obj.value,
+                                "_override": obj.override,
+                                "_atoms": None, "_order": None}))
+
+        key = FlexKey("b.f").with_override(
+            FlexKey("c").with_override(FlexKey("a.c")))
+        buffer = io.BytesIO()
+        SlotStatePickler(buffer, protocol=2).dump([key, FlexKey("b.d")])
+        assert b"_override" in buffer.getvalue()
+        restored, plain = pickle.loads(buffer.getvalue())
+        assert restored == key and hash(restored) == hash(key)
+        assert restored.override.override.value == "a.c"
+        assert restored.order_token() == "a.c"
+        assert repr(restored) == repr(key)
+        assert plain.override is None and plain.order_token() == "b.d"
+        assert sorted([plain, restored]) == [restored, plain]
+        # and a key pickled today round-trips through its constructor
+        assert pickle.loads(pickle.dumps(key)).order_token() == "a.c"
 
 
 class TestCompose:

@@ -87,6 +87,18 @@ class TestMetricPrimitives:
         with pytest.raises(ValueError):
             metrics.gauge("hits")                       # kind mismatch
 
+    def test_remove_drops_every_series_carrying_the_labels(self):
+        metrics = MetricsRegistry()
+        metrics.counter("hits", view="x").inc()
+        metrics.counter("hits", view="y").inc()
+        metrics.histogram("flush", view="x", decision="p").observe(1.0)
+        metrics.gauge("size").set(3)
+        metrics.remove(view="x")
+        snap = metrics.snapshot()
+        assert snap["hits"]["values"] == {"view=y": 1}
+        assert snap["flush"]["values"] == {}
+        assert snap["size"]["values"] == {"": 3}
+
     def test_snapshot_runs_sync_hooks(self):
         metrics = MetricsRegistry()
         external = {"count": 3}
@@ -119,6 +131,38 @@ class TestEngineMetrics:
             # index and operator-state mirrors are present
             assert "index_range_scans" in snapshot
             assert "opstate_hits" in snapshot
+
+    def test_a_dropped_view_takes_its_series_along(self):
+        """Flush histograms exist from registration and leave with the
+        view: a re-created view of the same name starts from zero."""
+        with _city_db() as db:
+            def series(snapshot):
+                return {(name, label) for name, family in snapshot.items()
+                        for label in family["values"]
+                        if "view=by-city" in label}
+
+            def counts(snapshot):
+                return (snapshot["flush_seconds"]["values"][
+                            "decision=propagate,view=by-city"]["count"],
+                        snapshot["flush_trees"]["values"][
+                            "view=by-city"]["count"],
+                        snapshot["view_flushes"]["values"]["view=by-city"])
+
+            registered = db.metrics()
+            assert counts(registered) == (0, 0, 0)
+            db.view("by-city").subscribe(lambda event: None)
+            db.update("site.xml").at("/site/people/person[1]/address/city") \
+                .replace_with("Rome")
+            flushed = db.metrics()
+            assert counts(flushed) == (1, 1, 1)
+            assert ("subscriber_callbacks", "view=by-city") \
+                in series(flushed)
+            db.drop_view("by-city")
+            assert series(db.metrics()) == set()
+            db.create_view("by-city", xmark.CITY_HEADCOUNT_QUERY)
+            recreated = db.metrics()
+            assert counts(recreated) == (0, 0, 0)
+            assert series(recreated) == series(registered)
 
     def test_subscriber_fanout_metrics(self):
         with _city_db() as db:

@@ -17,12 +17,13 @@ from .helpers import (assert_path_lists_canonical, walk_children,
                       walk_descendants, walk_find_by_path,
                       walk_nth_per_parent, walk_tag_path)
 from repro.api import Database
-from repro.apply.extent import ExtentNode
+from repro.apply.extent import ExtentNode, node_from_item
 from repro.flexkeys import FlexKey, order_of
 from repro.storage import StorageError, StorageManager, StructuralIndex
 from repro.workloads import xmark
 from repro.xmlmodel import XmlDocument, XmlNode, parse_fragment
 from repro.xat.paths import Path
+from repro.xat.table import NodeItem
 from repro.xquery.updates import parse_document_path, resolve_path_expr
 
 TAGS = ["person", "name", "city", "interest", "profile", "note", "nope"]
@@ -421,7 +422,50 @@ class TestExtentChildOrder:
                for child in parent.children]
         # sorted by order token; ties in insertion order (bisect_right)
         assert got == sorted(got)
-        assert len(parent._child_index) == 1000
+        assert all(parent.find_child(("n", f"n{number}")).node_id
+                   == f"n{number}" for number in range(1000))
+
+    def test_a_delta_forest_allocates_no_child_index(self):
+        """Delta trees are fused, never searched: building one from a
+        result item leaves every node without an index."""
+        db = Database()
+        db.load("site.xml", xmark.generate_site(5, seed=7))
+        person = db.storage.find_by_path("site.xml", PERSON_STEPS)[2]
+        stack = [node_from_item(NodeItem(person), db.storage)]
+        assert stack[0].children
+        while stack:
+            node = stack.pop()
+            assert node._child_index is None
+            stack.extend(node.children)
+
+    def test_a_built_index_tracks_insert_remove_and_clear(self):
+        parent = ExtentNode("root", "", tag="root")
+        first, second = (ExtentNode(f"n{n}", f"{n}", tag="n")
+                         for n in (1, 2))
+        parent.insert_child(first)
+        assert parent.find_child(("n", "n1")) is first    # builds it
+        parent.insert_child(second)
+        assert parent.find_child(("n", "n2")) is second
+        parent.remove_child(first)
+        assert parent.find_child(("n", "n1")) is None
+        assert parent.find_child(("n", "n2")) is second
+        parent.clear_children()
+        assert parent.find_child(("n", "n2")) is None
+        parent.insert_child(first)
+        assert parent.find_child(("n", "n1")) is first
+        assert parent.find_child(("n", "n2")) is None
+
+    def test_remove_child_among_equal_orders_removes_that_node(self):
+        parent = ExtentNode("root", "", tag="root")
+        low = ExtentNode("low", "a", tag="n")
+        ties = [ExtentNode(f"t{n}", "m", tag="n") for n in range(5)]
+        high = ExtentNode("high", "z", tag="n")
+        for child in [high, *ties, low]:
+            parent.insert_child(child)
+        for gone in (ties[3], ties[0], ties[4]):
+            parent.remove_child(gone)
+        assert [child.node_id for child in parent.children] \
+            == ["low", "t1", "t2", "high"]
 
 
 class TestFindByPathDedupe:
