@@ -17,7 +17,6 @@ from ..storage import StorageManager
 from ..xat.base import DELTA, FULL, DeltaSpec, ExecutionContext, XatOperator
 from ..xat.construction import Expose
 from ..xat.table import XatTable, items_of
-from ..xmlmodel import XmlNode
 
 
 class Engine:
@@ -35,7 +34,8 @@ class Engine:
 
         ``store`` (an :class:`~repro.engine.opstate.OperatorStateStore`)
         plugs persistent cross-run operator state into the execution
-        context; delta runs then serve FULL/ANTI side evaluation from it.
+        context; a delta run needs it, since its Δ rules read the other
+        side of every join through the store's ``side``.
         ``vm`` (a :class:`~repro.plan.PlanVM`) runs the operators in
         its linear schedule; without one (the recompute oracle) they
         evaluate recursively through ``ctx.evaluate`` — the same
@@ -143,12 +143,6 @@ class Engine:
         """Plain query execution: serialized XML result."""
         extent, _report = self.materialize(plan)
         return self.serialize_extent(extent)
-
-    def query_tree(self, plan: XatOperator) -> Optional[XmlNode]:
-        extent, _report = self.materialize(plan)
-        if len(extent.children) == 1:
-            return extent.children[0].to_xml()
-        return extent.to_xml() if extent.children else None
 
 
 def _ensure_sorted(node: ExtentNode) -> None:

@@ -26,12 +26,23 @@ the regime the paper's propagation equations promise to escape.
   rule reads the support its *input*'s side index maintains per value to
   tell whether a batch moves a value across zero.
 
+Every Δ rule reads the other side of ``Δ(A ⋈ B)`` through one entry
+point, :meth:`OperatorStateStore.side`: it asks for the side's *new* or
+*old* state and never names a mode.  The store derives FULL or ANTI
+from the phase, wraps the modify-phase old state as FULL minus the
+side's own retract/assert pairs, and answers from the side's entry
+through a :class:`StoredSideHandle` — hash probe and support counter for
+an equi side, the table for a theta side.  Only a state the store cannot
+hold is evaluated live, for the one run: the ANTI state of a side that is
+not anti-projectable, and a side that is not cacheable.
+
 There is one entry per stored **row set**.  A subplan that only adds a
 constructed column to its input's rows — a ``Tagger`` on an equi-join
 side, whose probe keys its input already holds — gets none: its side is
-served through its input's entry (:class:`ConstructedSideHandle`), so
-two views probing the same persons, one for ``$p/name`` and one for
-``<entry>{$p/name}</entry>``, share one table, one index and one patch.
+served through its input's entry, the constructed row built as one more
+view of the bucket row, so two views probing the same persons, one for
+``$p/name`` and one for ``<entry>{$p/name}</entry>``, share one table,
+one index and one patch.
 
 Cached tables always mirror *current storage* — the same state live
 FULL-mode execution reads.  They are kept current *incrementally*: the
@@ -52,10 +63,10 @@ the pre-deletion tag path, so relevancy survives the key drop) and
 
 ANTI mode ("current state minus the update roots") is served without
 re-execution wherever the subplan is *anti-projectable* (every output
-tuple carries the storage keys its existence depends on): the cached table
-is filtered by root coverage, and index probes filter per bucket.  Deletes
-propagate before they reach storage, so a delete-phase serve *stages* the
-patch and commits it when the run's deferred deletion events arrive.
+tuple carries the storage keys its existence depends on): each row is
+projected by root coverage as the handle reaches it.  Deletes propagate
+before they reach storage, so a delete-phase serve *stages* the patch and
+commits it when the run's deferred deletion events arrive.
 """
 
 from __future__ import annotations
@@ -65,14 +76,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..updates.sapt import Sapt
-from ..xat.base import ANTI, DELETE, DELTA, FULL, DeltaSpec, XatOperator
+from ..xat.base import (ANTI, DELETE, DELTA, FULL, INSERT, MODIFY, DeltaSpec,
+                        XatOperator)
 from ..xat.construction import (Expose, Map, Merge, Tagger, VariableBinding,
                                 XmlUnion, XmlUnique)
 from ..xat.grouping import Aggregate, Combine, GroupBy, TupleFunction
 from ..xat.navigation import NavigateCollection, NavigateUnnest, Source
-from ..xat.relational import (CartesianProduct, Distinct, Join,
-                              LeftOuterJoin, OrderBy, Rename, Select,
-                              _hash_keys, scanned_support)
+from ..xat.relational import (CartesianProduct, DiffSideHandle, Distinct,
+                              Join, LeftOuterJoin, OrderBy, Rename, Select,
+                              TransientSideHandle, _hash_keys,
+                              scanned_support)
 from ..xat.table import AtomicItem, Item, NodeItem, XatTable, XatTuple
 
 __all__ = ["OperatorStateStore", "StoreStats", "subplan_signature"]
@@ -202,25 +215,6 @@ def _project_tuple(tup: XatTuple,
     return XatTuple(new_cells, tup.count, tup.refresh, tup.touched)
 
 
-def project_anti(table: XatTable, spec: DeltaSpec, schema) -> XatTable:
-    """ANTI view of a current-state table: drop root-covered tuples and
-    filter root-covered members out of collection cells."""
-    out = XatTable(schema)
-    for tup in table.tuples:
-        projected = _project_tuple(tup, spec)
-        if projected is not None:
-            out.append(projected)
-    return out
-
-
-# The one equi-key hash definition: store index entries must stay
-# bit-compatible with the keys _BinaryJoinBase computes for its delta
-# tuples, so both sides share relational's implementation.  A tuple
-# hashes under one key per distinct value of a multi-item key cell
-# (existential semantics), so it may live in several buckets at once.
-_probe_keys = _hash_keys
-
-
 # -- patch plans -------------------------------------------------------------------------
 
 @dataclass
@@ -262,7 +256,7 @@ class _PatchPlan:
         alive)."""
         for planned in self.ops:
             if cols not in planned.keys and planned.new_tuple is not None:
-                planned.keys[cols] = _probe_keys(planned.new_tuple, cols,
+                planned.keys[cols] = _hash_keys(planned.new_tuple, cols,
                                                  ctx)
 
 
@@ -428,7 +422,7 @@ class CachedEntry:
             return keys[cols]
         if ctx is None:
             return []
-        return _probe_keys(tup, cols, ctx)
+        return _hash_keys(tup, cols, ctx)
 
     def index_for(self, cols: tuple, ctx) -> dict:
         """The persistent equi-key index over the cached table."""
@@ -437,7 +431,7 @@ class CachedEntry:
             index = {}
             support = self.supports[cols] = {}
             for tup in self.table.tuples:
-                tup_keys = _probe_keys(tup, cols, ctx)
+                tup_keys = _hash_keys(tup, cols, ctx)
                 self._indexed_keys.setdefault(id(tup), {})[cols] = tup_keys
                 self._index(index, support, tup, tup_keys)
             self.indexes[cols] = index
@@ -577,110 +571,93 @@ class CachedEntry:
         self.stale.append((kind, key))
 
 
-# -- probe handles -----------------------------------------------------------------------
+# -- the stored side handle --------------------------------------------------------------
 
 class StoredSideHandle:
-    """Probe access to an equi-join side served from the persistent store
-    (a theta side has no probe keys: it is scanned through a transient
-    handle over the table ``serve`` answers)."""
+    """A join side served from its persistent entry: probe, support and
+    scan over the entry's table and index.
+
+    A bucket row reaches the rule as one of its *views*: itself in FULL
+    mode; its ANTI projection (:func:`_project_tuple`) when the side is
+    read without the update roots; or, for a Tagger equi side served
+    through its input's entry (``taggers``, innermost last), the row
+    with its constructed column added.  A view is built on first use
+    and kept for the handle's lifetime, so repeated probes hand back the
+    *same* object per row — consumers (the LOJ dangling corrections)
+    dedupe matches by identity — and pay the projection, its probe keys
+    or the construction once, not per probe.
+    """
 
     def __init__(self, store: "OperatorStateStore", entry: CachedEntry,
-                 ctx, mode: str, cols: Optional[tuple]):
+                 ctx, cols: Optional[tuple], anti: bool,
+                 taggers: tuple = ()):
         self._store = store
         self._entry = entry
         self._ctx = ctx
-        self._mode = mode
+        self._anti = anti
+        self._taggers = taggers
+        self._viewed = anti or bool(taggers)
         self.cols = cols
-        # id(cached tuple) -> (projection, its probe keys), memoized so
-        # repeated probes hand back the *same* object per underlying
-        # tuple — consumers (the LOJ dangling corrections) dedupe
-        # matches by identity — and pay the projection plus its key
-        # computation once, not per probe.
-        self._projections: dict[int, tuple] = {}
+        self._table: Optional[XatTable] = None
+        # id(bucket row) -> (the row, its view, the view's probe keys
+        # when the projection may have changed them); holding the row
+        # keeps its id from being reused while the handle lives
+        self._views: dict[int, tuple] = {}
+
+    def _view(self, tup: XatTuple) -> tuple:
+        held = self._views.get(id(tup))
+        if held is None:
+            ctx, view, keys = self._ctx, tup, None
+            if self._anti:
+                # A covered scalar cell drops the row; covered collection
+                # members are filtered out — and when that touched an
+                # equi-key cell the row hashes under fewer keys.
+                view = _project_tuple(tup, ctx.delta)
+                if view is not None and view is not tup and self.cols:
+                    keys = _hash_keys(view, self.cols, ctx)
+            for tagger in reversed(self._taggers):
+                view = tagger.construct(view, ctx)
+            held = self._views[id(tup)] = (tup, view, keys)
+        return held
+
+    def table(self) -> XatTable:
+        """The entry's table, or its views (a theta side is scanned)."""
+        if self._table is None:
+            table = self._entry.table
+            if self._viewed:
+                schema = (self._taggers[0] if self._taggers
+                          else self._entry).schema
+                rows = [self._view(tup)[1] for tup in table.tuples]
+                table = XatTable(schema,
+                                 [row for row in rows if row is not None])
+            self._table = table
+        return self._table
 
     def probe(self, key) -> list:
-        if key is None:
-            return []
         bucket = self._entry.index_for(self.cols, self._ctx).get(key)
         if not bucket:
             return []
-        if self._mode != ANTI:
+        if not self._viewed:
             return list(bucket)
-        # Same transform as project_anti, per bucket tuple: a covered
-        # scalar cell drops the tuple, covered collection *members* are
-        # filtered out — and when the filtering touched an equi-key cell
-        # the tuple no longer hashes under the probed key, so it cannot
-        # match there.
-        spec = self._ctx.delta
         kept = []
         for tup in bucket:
-            marker = id(tup)
-            cached = self._projections.get(marker)
-            if cached is None:
-                projected = _project_tuple(tup, spec)
-                keys = (None if projected is None or projected is tup
-                        else _probe_keys(projected, self.cols, self._ctx))
-                cached = (projected, keys)
-                self._projections[marker] = cached
-            projected, keys = cached
-            if projected is not None and (keys is None or key in keys):
-                kept.append(projected)
+            _, view, keys = self._view(tup)
+            if view is not None and (keys is None or key in keys):
+                kept.append(view)
         return kept
 
     def support(self, key) -> int:
-        """Net count of the tuples under ``key``: the maintained counter
-        in FULL mode; ANTI filters the bucket per tuple, so it is
-        summed."""
-        if self._mode == ANTI:
+        """Net count of the tuples under ``key``: the maintained counter,
+        unless ANTI filters the bucket per tuple — then it is summed."""
+        if self._anti:
             return scanned_support(self, self.probe(key))
         entry = self._entry
         entry.index_for(self.cols, self._ctx)
-        self._store.stats.support_probes += 1
-        entry.stats.support_probes += 1
+        self._store.tally(entry, "support_probes")
         return entry.supports[self.cols].get(key, 0)
 
     def scanned(self, rows: int) -> None:
-        self._store.stats.bucket_rows_scanned += rows
-        self._entry.stats.bucket_rows_scanned += rows
-
-
-class ConstructedSideHandle:
-    """A Tagger join side served through its input's handle.
-
-    A Tagger adds one constructed column to each input row and keeps the
-    row's count and key columns, so a probe key selects the same rows
-    from its input as from its output and the input's support counters
-    answer for both: no table of constructed rows is stored.  The
-    constructed row of a matched input row is built on first use and
-    kept for the handle's lifetime, so repeated probes hand back the
-    same object per row — consumers dedupe matches by identity.
-    """
-
-    def __init__(self, op: Tagger, base, ctx):
-        self._op = op
-        self._base = base
-        self._ctx = ctx
-        self.cols = base.cols
-        # id(input row) -> (input row, its constructed row); holding the
-        # input row keeps its id from being reused while the handle lives
-        self._rows: dict[int, tuple] = {}
-
-    def probe(self, key) -> list:
-        rows = self._rows
-        out = []
-        for tup in self._base.probe(key):
-            held = rows.get(id(tup))
-            if held is None:
-                held = rows[id(tup)] = (tup,
-                                        self._op.construct(tup, self._ctx))
-            out.append(held[1])
-        return out
-
-    def support(self, key) -> int:
-        return self._base.support(key)
-
-    def scanned(self, rows: int) -> None:
-        self._base.scanned(rows)
+        self._store.tally(self._entry, "bucket_rows_scanned", rows)
 
 
 # -- the store ---------------------------------------------------------------------------
@@ -783,8 +760,13 @@ class OperatorStateStore:
         for entry in self._entries.values():
             if entry.valid:
                 entry.invalidate()
-                self.stats.invalidations += 1
-                entry.stats.invalidations += 1
+                self.tally(entry, "invalidations")
+
+    def tally(self, entry: CachedEntry, counter: str, by: int = 1) -> None:
+        """Advance one :class:`StoreStats` counter on the store and on
+        ``entry`` — its signature's share, shown in EXPLAIN."""
+        self.stats.__dict__[counter] += by
+        entry.stats.__dict__[counter] += by
 
     def entry_count(self) -> int:
         return len(self._entries)
@@ -820,41 +802,51 @@ class OperatorStateStore:
             was_valid = entry.valid
             entry.on_mutation(kind, key, tags, document, self.epoch)
             if was_valid and not entry.valid:
-                self.stats.invalidations += 1
-                entry.stats.invalidations += 1
+                self.tally(entry, "invalidations")
 
     # -- serving -------------------------------------------------------------------------
 
-    def serve(self, ctx, op: XatOperator, mode: str) -> Optional[XatTable]:
-        """A FULL/ANTI table for ``op`` under ``ctx``'s delta run, served
-        from persistent state; None when the store cannot serve it."""
-        if mode == ANTI and not anti_projectable(op):
-            return None
-        entry = self._ensure_current(ctx, op)
-        if entry is None:
-            return None
-        if mode == FULL:
-            return entry.table
-        return project_anti(entry.table, ctx.delta, entry.schema)
+    def side(self, ctx, op: XatOperator, cols, *, old: bool = False):
+        """The state of the join side ``op`` a Δ rule under ``ctx``'s run
+        reads — its *new* state, or with ``old`` its pre-batch one — as
+        a handle probed under ``cols`` (None: a theta side, scanned).
 
-    def join_side(self, ctx, op: XatOperator, mode: str,
-                  cols: Optional[tuple]):
-        """A probe handle over an equi-join side; None → caller falls
-        back.  A Tagger side whose probe keys its input already holds is
-        served through its input's handle (one entry per row set)."""
-        if cols is None:
-            return None
-        if mode == ANTI and not anti_projectable(op):
-            return None
-        if isinstance(op, Tagger) and op.out not in cols:
-            base = self.join_side(ctx, op.inputs[0], mode, cols)
-            if base is None:
-                return None
-            return ConstructedSideHandle(op, base, ctx)
-        entry = self._ensure_current(ctx, op)
-        if entry is None:
-            return None
-        return StoredSideHandle(self, entry, ctx, mode, tuple(cols))
+        The phase decides how: a side's new state under a delete and its
+        old state under an insert leave out the update roots (ANTI, a
+        projection of the stored table); every other state is the
+        current table (FULL).  The old state under a modify is FULL
+        minus the side's own retract/assert pairs (a
+        :class:`~repro.xat.relational.DiffSideHandle`).  A Tagger equi
+        side whose probe keys its input already holds is served through
+        its input's entry (one entry per row set).  Only a side the store
+        cannot hold — the ANTI state of a side that is not
+        anti-projectable, or an uncacheable side — is evaluated live.
+        """
+        spec = ctx.delta
+        anti = spec.phase == (INSERT if old else DELETE)
+        cols = tuple(cols) if cols is not None else None
+        handle = None
+        if not anti or anti_projectable(op):
+            stored, taggers = op, []
+            while (cols is not None and isinstance(stored, Tagger)
+                   and stored.out not in cols):
+                taggers.append(stored)
+                stored = stored.inputs[0]
+            entry = self._ensure_current(ctx, stored)
+            if entry is not None:
+                handle = StoredSideHandle(self, entry, ctx, cols, anti,
+                                          tuple(taggers))
+        if handle is None:
+            handle = TransientSideHandle(ctx, cols, op,
+                                         ANTI if anti else FULL,
+                                         stats=self.stats)
+        if old and spec.phase == MODIFY \
+                and spec.document in op.source_documents():
+            counted = [t for t in ctx.evaluate(op, DELTA).tuples
+                       if t.count and not t.refresh]
+            if counted:
+                return DiffSideHandle(handle, counted, ctx)
+        return handle
 
     def _ensure_current(self, ctx, op: XatOperator
                         ) -> Optional[CachedEntry]:
@@ -877,23 +869,18 @@ class OperatorStateStore:
                 plan = entry.stage(delta, spec, ctx)
                 if plan is not None and entry.commit(plan, ctx):
                     entry.stale.clear()
-                    self.stats.patches += 1
-                    self.stats.hits += 1
-                    entry.stats.patches += 1
-                    entry.stats.hits += 1
+                    self.tally(entry, "patches")
+                    self.tally(entry, "hits")
                 else:
                     entry.invalidate()
-                    self.stats.invalidations += 1
-                    entry.stats.invalidations += 1
+                    self.tally(entry, "invalidations")
                     self._recompute(ctx, op, entry)
             else:
                 entry.invalidate()
-                self.stats.invalidations += 1
-                entry.stats.invalidations += 1
+                self.tally(entry, "invalidations")
                 self._recompute(ctx, op, entry)
         else:
-            self.stats.hits += 1
-            entry.stats.hits += 1
+            self.tally(entry, "hits")
         if spec.phase == DELETE and spec.document in entry.docs \
                 and entry.prepared is None:
             # Deletes reach storage only after propagation: stage the
@@ -910,8 +897,7 @@ class OperatorStateStore:
     def _recompute(self, ctx, op: XatOperator, entry: CachedEntry) -> None:
         table = ctx.evaluate(op, FULL)
         entry.populate(table, ctx)
-        self.stats.misses += 1
-        entry.stats.misses += 1
+        self.tally(entry, "misses")
 
     # -- end-of-pass reconciliation ------------------------------------------------------
 
@@ -954,9 +940,7 @@ class OperatorStateStore:
                 plan = entry.stage(delta, spec, ctx)
                 if plan is not None and entry.commit(plan, ctx):
                     entry.stale.clear()
-                    self.stats.patches += 1
-                    entry.stats.patches += 1
+                    self.tally(entry, "patches")
                 else:
                     entry.invalidate()
-                    self.stats.invalidations += 1
-                    entry.stats.invalidations += 1
+                    self.tally(entry, "invalidations")

@@ -157,19 +157,6 @@ class FlexKey:
         prefix = self.value + LEVEL_SEP
         return other.value.startswith(prefix)
 
-    def is_descendant_of(self, other: "FlexKey") -> bool:
-        return other.is_ancestor_of(self)
-
-    def is_parent_of(self, other: "FlexKey") -> bool:
-        parent = other.parent() if not other.is_composed else None
-        return parent is not None and parent.value == self.value
-
-    def relative_to(self, ancestor: "FlexKey") -> str:
-        """The key suffix below ``ancestor`` (raises unless related)."""
-        if not ancestor.is_ancestor_of(self):
-            raise FlexKeyError(f"{ancestor} is not an ancestor of {self}")
-        return self.value[len(ancestor.value) + 1:]
-
     # -- dunder plumbing ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

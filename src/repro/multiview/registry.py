@@ -346,7 +346,7 @@ class ViewRegistry:
                             "Operator-state store activity").set(value)
         metrics.gauge("opstate_cached_signatures",
                       "Distinct subplan signatures with cached state"
-                      ).set(len(self.state_store.per_signature()))
+                      ).set(self.state_store.entry_count())
         queries = self.query_stats
         metrics.counter("query_cache_hits",
                         "Ad-hoc queries answered from a kept extent"

@@ -3,10 +3,11 @@
 Lowering is a postorder walk of the ``(operator, mode)`` DAG: every node
 gets one register and one instruction; inputs are scheduled before
 consumers, so the emitted list executes straight-line.  A join's FULL/
-ANTI side evaluation is *not* scheduled under Δ — with an operator-state
-store attached the side is a stored hash index probe, and without one
-the recursive ``ctx.evaluate`` resolves it on first touch — which keeps
-the instruction stream exactly the work the delta pass performs.
+ANTI side evaluation is *not* scheduled under Δ — the operator-state
+store every Δ run carries serves the side from its stored entry, and
+the recursive ``ctx.evaluate`` resolves whatever it recomputes or
+evaluates live on first touch — which keeps the instruction stream
+exactly the work the delta pass performs.
 
 Each subtree's source-document set lives on a :class:`PreparedOp`
 record keyed by the operator's *structural signature* — the same

@@ -8,10 +8,10 @@ one body however it is scheduled.  The register file is backed by the
 run's memo: an instruction first looks its ``(signature, mode)`` key up
 in the context's ``memo`` and executes only on a miss, and every table
 it computes is seeded there — so an evaluation the schedule does not
-cover (a join's FULL side with no state store, the operator-state
-store's Δ evaluations) resolves recursively against the same tables,
-and inside one registry dispatch a later view's pass under the same
-``DeltaSpec`` reuses what an earlier one computed.
+cover (a join side the operator-state store recomputes or evaluates
+live, the Δ it patches an entry from) resolves recursively against the
+same tables, and inside one registry dispatch a later view's pass under
+the same ``DeltaSpec`` reuses what an earlier one computed.
 """
 
 from __future__ import annotations

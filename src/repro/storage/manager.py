@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ..flexkeys import LEVEL_SEP, FlexKey, atom_for_insert, sibling_atom
 from ..xmlmodel import XmlDocument, XmlNode
@@ -269,10 +269,6 @@ class StorageManager:
         if tags is None:
             raise StorageError(f"no node stored under key {key}")
         return tags
-
-    def iter_subtree_keys(self, key: FlexKey) -> Iterator[FlexKey]:
-        for node in self.node(key).iter_subtree():
-            yield node.key
 
     # -- updates (no relabeling) -----------------------------------------------------------
 

@@ -12,15 +12,17 @@ A binary join-like operator whose both subtrees reference the updated
 document expands ``Δ(A ⋈ B) = ΔA ⋈ B_new  ∪  A_old ⋈ ΔB`` (the combined
 3-term form of Fig 7.2); which of ``full``/``anti`` realizes *new* and
 *old* depends on the update phase, because inserts are applied to storage
-before propagation while deletes are applied after (Chapter 6):
+before propagation while deletes are applied after (Chapter 6).  A rule
+never picks the mode: it asks the operator-state store's ``side`` for a
+side's new or old state, and the store applies this table:
 
-===========  =========  =========
+===========  =========  ====================================
 phase        B_new      A_old
-===========  =========  =========
+===========  =========  ====================================
 insert       full       anti
 delete       anti       full
-modify       full       full
-===========  =========  =========
+modify       full       full minus ΔA's retract/assert pairs
+===========  =========  ====================================
 """
 
 from __future__ import annotations
@@ -310,11 +312,11 @@ def _obs_record(op: "XatOperator", mode: str, table: XatTable) -> None:
 class ExecutionContext:
     """Everything an operator needs at run time.
 
-    ``store`` is the pluggable persistent cache layer (an
-    :class:`~repro.engine.opstate.OperatorStateStore` or anything with its
-    ``serve``/``join_side`` surface): during delta runs, FULL/ANTI-mode
-    side evaluation is answered from cross-run operator state instead of
-    re-executing the subplan; the store is what survives between runs.
+    ``store`` is the persistent cross-run layer (an
+    :class:`~repro.engine.opstate.OperatorStateStore`), carried by every
+    delta run: a Δ rule asks its ``side`` for the other side's old or new
+    state instead of re-executing the subplan; the store is what
+    survives between runs.
 
     ``memo`` is the run's register file, ``{(structural signature,
     mode): table}``: the plan VM and the recursive :meth:`evaluate` both
@@ -345,20 +347,6 @@ class ExecutionContext:
         clone.mode = mode
         return clone
 
-    @property
-    def mode_for_new(self) -> str:
-        """Mode that realizes the *updated* state of a side (see module doc)."""
-        if self.delta is not None and self.delta.phase == DELETE:
-            return ANTI
-        return FULL
-
-    @property
-    def mode_for_old(self) -> str:
-        """Mode that realizes the *pre-update* state of a side."""
-        if self.delta is not None and self.delta.phase == INSERT:
-            return ANTI
-        return FULL
-
     # -- evaluation with memoization ----------------------------------------------------
 
     def evaluate(self, op: "XatOperator", mode: Optional[str] = None
@@ -385,19 +373,6 @@ class ExecutionContext:
         _obs_record(op, ctx.mode, result)
         self.memo[cache_key] = result
         return result
-
-    def evaluate_stable(self, op: "XatOperator",
-                        mode: Optional[str] = None) -> XatTable:
-        """FULL/ANTI evaluation of a stable side subplan during a delta
-        run, answered from the persistent operator-state store when one is
-        attached (falling back to plain evaluation otherwise)."""
-        mode = self.mode if mode is None else mode
-        if (self.store is not None and self.delta is not None
-                and not self.bindings and mode in (FULL, ANTI)):
-            table = self.store.serve(self, op, mode)
-            if table is not None:
-                return table
-        return self.evaluate(op, mode)
 
 
 def _signature(op: "XatOperator") -> str:

@@ -103,10 +103,6 @@ class Path:
                 seen_value = True
 
     @property
-    def is_empty(self) -> bool:
-        return not self.steps
-
-    @property
     def ends_in_value(self) -> bool:
         return bool(self.steps) and self.steps[-1].is_value
 
@@ -115,9 +111,6 @@ class Path:
 
     def value_steps(self) -> tuple[Step, ...]:
         return tuple(s for s in self.steps if s.is_value)
-
-    def concat(self, other: "Path") -> "Path":
-        return Path(self.steps + other.steps)
 
     def as_pairs(self) -> list[tuple[str, str]]:
         """(axis, test) pairs for :meth:`StorageManager.find_by_path`."""

@@ -21,37 +21,35 @@ from .table import (AtomicItem, ContextSpec, Item, NodeItem, TableSchema,
 
 
 class TransientSideHandle:
-    """Probe/scan access to a join side, built for one run.
+    """Probe/scan access to a side evaluated for one run, not stored.
 
-    The store-backed twin (:class:`repro.engine.opstate.StoredSideHandle`)
-    persists its table and index across runs; this one lives and dies with
-    the run, which is exactly the old behaviour (the table itself is still
-    served through ``evaluate_stable``, so a persistent store answers the
-    table even when probing has to be transient).
+    A Δ rule gets one from :meth:`OperatorStateStore.side
+    <repro.engine.opstate.OperatorStateStore.side>` only where the store
+    cannot answer — the live ANTI state of a side that is not
+    anti-projectable, or a side that is not cacheable — and then
+    evaluates ``op`` in ``mode`` on first use; a FULL-mode join passes
+    its right input as ``table``.  ``stats`` is the store's counters the
+    rows walked are reported to (none outside a Δ rule).
     """
 
-    def __init__(self, ctx: ExecutionContext, op: XatOperator, mode: str,
-                 cols):
+    def __init__(self, ctx: ExecutionContext, cols, op=None, mode=FULL, *,
+                 table: Optional[XatTable] = None, stats=None):
         self._ctx = ctx
         self._op = op
         self._mode = mode
+        self._stats = stats
         self.cols = cols
-        self._table = None
+        self._table = table
         self._index = None
 
     def table(self) -> XatTable:
         if self._table is None:
-            self._table = self._ctx.evaluate_stable(self._op, self._mode)
+            self._table = self._ctx.evaluate(self._op, self._mode)
         return self._table
 
     def probe(self, key) -> list:
-        if key is None:
-            return []
         if self._index is None:
-            self._index = {}
-            for tup in self.table():
-                for tup_key in _hash_keys(tup, self.cols, self._ctx):
-                    self._index.setdefault(tup_key, []).append(tup)
+            self._index = _buckets(self.table().tuples, self.cols, self._ctx)
         return self._index.get(key, [])
 
     def support(self, key) -> int:
@@ -60,32 +58,31 @@ class TransientSideHandle:
         return scanned_support(self, self.probe(key))
 
     def scanned(self, rows: int) -> None:
-        if self._ctx.store is not None:
-            self._ctx.store.stats.bucket_rows_scanned += rows
+        if self._stats is not None:
+            self._stats.bucket_rows_scanned += rows
+
+
+def _buckets(tuples, cols, ctx) -> dict:
+    """``{probe key: [tuples hashing under it]}`` — the one-run hash
+    index over ``tuples`` (a tuple sits in one bucket per key of
+    :func:`_hash_keys`)."""
+    index: dict[tuple, list[XatTuple]] = {}
+    for tup in tuples:
+        for key in _hash_keys(tup, cols, ctx):
+            index.setdefault(key, []).append(tup)
+    return index
 
 
 def scanned_support(side, rows: list) -> int:
     """The net count of ``rows`` of the handle ``side``, summed row by
     row — what every support question costs where no maintained counter
     answers it (a transient or ANTI-filtered bucket, the union over a
-    multi-item key cell, a theta match).  The rows walked are counted
-    through the handle's ``scanned`` — on the run's store and, for a
-    stored side, on its entry — so an O(|group|) path shows in the
-    metrics and under its signature in EXPLAIN, with no timer attached."""
+    multi-item key cell).  The rows walked are counted through the
+    handle's ``scanned`` — on the run's store and, for a stored side, on
+    its entry — so an O(|group|) path shows in the metrics and under its
+    signature in EXPLAIN, with no timer attached."""
     side.scanned(len(rows))
     return sum(tup.count for tup in rows)
-
-
-def side_handle(ctx: ExecutionContext, op: XatOperator, mode: str,
-                cols) -> "TransientSideHandle":
-    """A probe handle over a join side, persistent-store-backed when the
-    run carries an operator-state store (falls back transparently)."""
-    if ctx.store is not None and ctx.delta is not None and not ctx.bindings:
-        handle = ctx.store.join_side(ctx, op, mode,
-                                     tuple(cols) if cols else None)
-        if handle is not None:
-            return handle
-    return TransientSideHandle(ctx, op, mode, cols)
 
 
 class DiffSideHandle:
@@ -101,11 +98,11 @@ class DiffSideHandle:
     table already holds.
     """
 
-    def __init__(self, base, delta_tuples: list, cols, ctx):
+    def __init__(self, base, delta_tuples: list, ctx):
         self._base = base
         self._delta = delta_tuples
         self._ctx = ctx
-        self.cols = cols
+        self.cols = base.cols
         self._index = None
         self._table = None
         # id(delta tuple) -> its one negated copy: consumers dedupe
@@ -124,15 +121,10 @@ class DiffSideHandle:
 
     def _delta_rows(self, key) -> list:
         if self._index is None:
-            self._index = {}
-            for tup in self._delta:
-                for tup_key in _hash_keys(tup, self.cols, self._ctx):
-                    self._index.setdefault(tup_key, []).append(tup)
+            self._index = _buckets(self._delta, self.cols, self._ctx)
         return self._index.get(key, ())
 
     def probe(self, key) -> list:
-        if key is None:
-            return []
         matches = list(self._base.probe(key))
         matches.extend(self._negated(t) for t in self._delta_rows(key))
         return matches
@@ -153,27 +145,6 @@ class DiffSideHandle:
                                    + [self._negated(t)
                                       for t in self._delta])
         return self._table
-
-
-def old_side_handle(ctx: ExecutionContext, op: XatOperator, mode: str,
-                    cols):
-    """A handle realizing the pre-batch state of a join side.
-
-    For insert/delete phases ``mode`` (``ctx.mode_for_old``) already
-    does; under a modify batch the membership is unchanged and the old
-    state is FULL minus the side's own count-carrying delta (the
-    first-class retract/assert pairs).  Sides without such a delta —
-    untouched documents, refresh-only modifies — fall through to the
-    plain handle.
-    """
-    handle = side_handle(ctx, op, mode, cols)
-    if (ctx.delta is not None and ctx.delta.phase == MODIFY
-            and ctx.delta.document in op.source_documents()):
-        delta = ctx.evaluate(op, DELTA)
-        counted = [t for t in delta.tuples if t.count and not t.refresh]
-        if counted:
-            return DiffSideHandle(handle, counted, cols, ctx)
-    return handle
 
 
 class Select(XatOperator):
@@ -302,28 +273,6 @@ class _BinaryJoinBase(XatOperator):
                 return None
         return lefts, rights
 
-    def _match_pairs(self, ctx: ExecutionContext, left: XatTable,
-                     right: XatTable):
-        """Yield (left_tuple, [matching right tuples])."""
-        lcols, rcols = self._lcols, self._rcols
-        if lcols is not None:
-            index: dict[tuple, list[XatTuple]] = {}
-            for rt in right:
-                for key in _hash_keys(rt, rcols, ctx):
-                    index.setdefault(key, []).append(rt)
-            for lt in left:
-                yield lt, _probe_union(lambda key: index.get(key, ()),
-                                       _hash_keys(lt, lcols, ctx))
-        else:
-            for lt in left:
-                matches = []
-                for rt in right:
-                    merged = lt.merged(rt)
-                    if (self.condition is None
-                            or self.condition.evaluate(merged, ctx)):
-                        matches.append(rt)
-                yield lt, matches
-
     def _side_matches(self, ctx: ExecutionContext, tup: XatTuple, cols,
                       side) -> list[XatTuple]:
         """Tuples of the other side's handle ``side`` matching ``tup``.
@@ -332,12 +281,15 @@ class _BinaryJoinBase(XatOperator):
         the handle is probed — once per distinct value of a multi-item
         key cell (existential semantics), a side tuple matching on
         several values still matching once.  A theta condition (``cols``
-        is None) is the nested-loop match over the side's table.
+        is None) is the nested-loop match over the side's table; the
+        rows it walks are counted through the handle's ``scanned``.
         """
         if cols is not None:
             return _probe_union(side.probe, _hash_keys(tup, cols, ctx))
         condition = self.condition
-        return [ot for ot in side.table()
+        rows = side.table().tuples
+        side.scanned(len(rows))
+        return [ot for ot in rows
                 if condition is None
                 or condition.evaluate(tup.merged(ot), ctx)]
 
@@ -361,24 +313,21 @@ class _BinaryJoinBase(XatOperator):
 
         A term whose delta is empty is skipped outright, so the
         untouched side of a one-sided batch is never evaluated at all —
-        and when it is needed, it is probed (persistent index or
-        transient build) by the delta tuples instead of being iterated.
+        and when it is needed, the store hands it over in the state the
+        term reads (B new, A old) and the delta tuples probe it instead
+        of iterating it.
         """
         lcols, rcols = self._lcols, self._rcols
+        store = ctx.store
         table = XatTable(self.schema)
         append = table.append
         if ldelta.tuples:
-            other = side_handle(ctx, self.inputs[1], ctx.mode_for_new,
-                                rcols)
+            other = store.side(ctx, self.inputs[1], rcols)
             for dt in ldelta.tuples:
                 for ot in self._side_matches(ctx, dt, lcols, other):
                     append(dt.merged(ot))
         if rdelta.tuples:
-            # A_old: under a modify batch the mode alone cannot realize
-            # the pre-update state — the diff handle subtracts the left
-            # side's own retract/assert pairs.
-            other = old_side_handle(ctx, self.inputs[0], ctx.mode_for_old,
-                                    lcols)
+            other = store.side(ctx, self.inputs[0], lcols, old=True)
             for dt in rdelta.tuples:
                 for ot in self._side_matches(ctx, dt, rcols, other):
                     append(ot.merged(dt))
@@ -467,8 +416,9 @@ class Join(_BinaryJoinBase):
     anti_projectable = True
 
     def _combine_into(self, table, ctx, left, right):
-        for lt, matches in self._match_pairs(ctx, left, right):
-            for rt in matches:
+        side = TransientSideHandle(ctx, self._rcols, table=right)
+        for lt in left:
+            for rt in self._side_matches(ctx, lt, self._lcols, side):
                 table.append(lt.merged(rt))
 
     def describe(self) -> str:
@@ -495,16 +445,17 @@ class LeftOuterJoin(_BinaryJoinBase):
         (minus the batch's own rows on a diff handle), O(1) whatever the
         group's size.  A multi-item key cell (the union of several
         buckets, each tuple once) and a theta condition have no single
-        key to ask about and sum their matches.
+        key to ask about and sum their matches (the theta loop has
+        counted the rows it walked already).
         """
-        if cols is not None:
-            if keys is None:
-                keys = _hash_keys(tup, cols, ctx)
-            if len(keys) == 1:
-                return side.support(keys[0]) != 0
-            return scanned_support(side, _probe_union(side.probe, keys)) != 0
-        return scanned_support(
-            side, self._side_matches(ctx, tup, cols, side)) != 0
+        if cols is None:
+            return sum(t.count for t in
+                       self._side_matches(ctx, tup, cols, side)) != 0
+        if keys is None:
+            keys = _hash_keys(tup, cols, ctx)
+        if len(keys) == 1:
+            return side.support(keys[0]) != 0
+        return scanned_support(side, _probe_union(side.probe, keys)) != 0
 
     def _delta(self, ctx, ldelta, rdelta):
         """The inner-join expansion plus the dangling-tuple treatment:
@@ -512,6 +463,7 @@ class LeftOuterJoin(_BinaryJoinBase):
         or restores (deletes) the null-padded results of old-left rows
         whose dangling status flips (Fig 7.3)."""
         spec = ctx.delta
+        store = ctx.store
         lcols, rcols = self._lcols, self._rcols
         right = self.inputs[1]
         modify = spec.phase == MODIFY
@@ -526,7 +478,7 @@ class LeftOuterJoin(_BinaryJoinBase):
             # c_new·[dangling_new] - c_old·[dangling_old] (a new row's
             # vacuous old-dangling pad cancels against its own
             # correction inside the group sum).
-            other = side_handle(ctx, right, ctx.mode_for_new, rcols)
+            other = store.side(ctx, right, rcols)
             old_check = None
             for dt in ldelta.tuples:
                 matches = self._side_matches(ctx, dt, lcols, other)
@@ -537,14 +489,12 @@ class LeftOuterJoin(_BinaryJoinBase):
                         append(self._null_padded(dt, dt.count))
                     continue
                 if old_check is None:
-                    old_check = old_side_handle(ctx, right,
-                                                ctx.mode_for_old, rcols)
+                    old_check = store.side(ctx, right, rcols, old=True)
                 if not self._handle_has_match(ctx, dt, lcols, old_check):
                     append(self._null_padded(dt, dt.count))
         if not rdelta.tuples:
             return table
-        other = old_side_handle(ctx, self.inputs[0], ctx.mode_for_old,
-                                lcols)
+        other = store.side(ctx, self.inputs[0], lcols, old=True)
         matched_lefts: dict[int, XatTuple] = {}
         for dt in rdelta.tuples:
             for lt in self._side_matches(ctx, dt, rcols, other):
@@ -558,8 +508,8 @@ class LeftOuterJoin(_BinaryJoinBase):
             # (diffed) and new (current) states.
             if not spec.has_pairs:
                 return table  # refresh-only modify: no re-routing possible
-            new_check = side_handle(ctx, right, ctx.mode_for_new, rcols)
-            old_check = old_side_handle(ctx, right, ctx.mode_for_old, rcols)
+            new_check = store.side(ctx, right, rcols)
+            old_check = store.side(ctx, right, rcols, old=True)
             for lt in matched_lefts.values():
                 if lt.era is not None:
                     continue  # synthetic diff row, not an extent left
@@ -578,8 +528,7 @@ class LeftOuterJoin(_BinaryJoinBase):
         # state held no match; a delete flips it to dangling when the
         # *new* one holds none.
         inserting = spec.phase == INSERT
-        check = side_handle(ctx, right, ctx.mode_for_old if inserting
-                            else ctx.mode_for_new, rcols)
+        check = store.side(ctx, right, rcols, old=inserting)
         for lt in matched_lefts.values():
             if not self._handle_has_match(ctx, lt, lcols, check):
                 append(self._null_padded(lt, -lt.count if inserting
@@ -593,7 +542,9 @@ class LeftOuterJoin(_BinaryJoinBase):
         return XatTuple(cells, count, lt.refresh, lt.touched, lt.era)
 
     def _combine_into(self, table, ctx, left, right):
-        for lt, matches in self._match_pairs(ctx, left, right):
+        side = TransientSideHandle(ctx, self._rcols, table=right)
+        for lt in left:
+            matches = self._side_matches(ctx, lt, self._lcols, side)
             if matches:
                 for rt in matches:
                     table.append(lt.merged(rt))
@@ -673,14 +624,15 @@ class Distinct(XatOperator):
                    ) -> XatTable:
         """The Δ rule, over the input's delta table ``source``.
 
-        The batch's signed counts net per value; the value's current
-        support is the one the *input's* persistent side index maintains
-        for it (``handle.support``: a counter read, no bucket walk; the
-        transient handle — no store, or under a Map binding — sums its
-        bucket), which is the pre-batch state in the delete phase —
-        deletes reach storage after propagation — and the post-batch
-        state otherwise.  Node-valued items hash by text but are distinct
-        by identity, so their bucket is filtered and summed.
+        The batch's signed counts net per value; the value's support is
+        the one the *input's* persistent side index maintains for it
+        (``handle.support``: a counter read, no bucket walk; a side the
+        store cannot hold sums its bucket).  The store is asked for the
+        old state in the delete phase — deletes reach storage after
+        propagation, so the current table is still the pre-batch one —
+        and for the new state otherwise.  Node-valued items hash by text
+        but are distinct by identity, so their bucket is filtered and
+        summed.
         Refresh rows and net-zero values change no support and emit
         nothing; a crossing under a modify batch carries the pair era
         of the state it belongs to.
@@ -693,7 +645,8 @@ class Distinct(XatOperator):
             if net == 0:
                 continue
             if handle is None:
-                handle = side_handle(ctx, self.inputs[0], FULL, cols)
+                handle = ctx.store.side(ctx, self.inputs[0], cols,
+                                        old=phase == DELETE)
             probe_keys = _hash_keys(tup, cols, ctx)
             if probe_keys == [key]:
                 support = handle.support(key)

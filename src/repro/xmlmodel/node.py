@@ -96,10 +96,6 @@ class XmlNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def element_children(self, tag: Optional[str] = None) -> list["XmlNode"]:
-        return [c for c in self.children
-                if c.is_element and (tag is None or c.tag == tag)]
-
     def descendants(self, tag: Optional[str] = None) -> list["XmlNode"]:
         """Proper descendants in document order, optionally filtered by tag."""
         result = []

@@ -45,12 +45,21 @@ PERSONS_BY_CITY_ATTRIBUTES_QUERY = xmark.PERSONS_BY_CITY_QUERY.replace(
     "<entry>{$p/name}</entry>",
     '<entry id="{$p/@id}" name="{$p/name}">{$p/address/city}</entry>')
 
+#: a correlated count over a ``<`` comparison, in the shape of XMark
+#: Q11/Q12: a theta ``LeftOuterJoin`` whose Δ rules scan the other side
+RESERVE_BELOW_AGE_QUERY = (
+    '<result>{for $p in doc("site.xml")/site/people/person '
+    'return <p>{count(for $o in doc("site.xml")/site/open_auctions/'
+    'open_auction where $o/reserve < $p/profile/age return $o)}</p>}'
+    '</result>')
+
 #: the views the differential fuzz sweeps: the two historical ROADMAP
 #: divergences, the join and selection views (predicate re-routing
 #: through Select), the per-group aggregate views (pair re-routing
 #: through AggState) — a count, an extremum and a sum, whose
-#: members person churn and city moves carry between groups — and a
-#: grouped view whose constructed join side reads storage at probe time
+#: members person churn and city moves carry between groups — a
+#: grouped view whose constructed join side reads storage at probe time,
+#: and the theta join
 FUZZ_VIEWS = {"order-query-2": xmark.ORDER_QUERY_2,
               "persons-by-city": xmark.PERSONS_BY_CITY_QUERY,
               "join": xmark.JOIN_QUERY,
@@ -59,7 +68,8 @@ FUZZ_VIEWS = {"order-query-2": xmark.ORDER_QUERY_2,
               "city-max-age": CITY_MAX_AGE_QUERY,
               "city-income-sum": CITY_INCOME_SUM_QUERY,
               "persons-by-city-attributes":
-                  PERSONS_BY_CITY_ATTRIBUTES_QUERY}
+                  PERSONS_BY_CITY_ATTRIBUTES_QUERY,
+              "reserve-below-age": RESERVE_BELOW_AGE_QUERY}
 
 
 #: the duplicate-view leg of the differential: queries repeat and overlap

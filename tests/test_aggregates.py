@@ -11,7 +11,7 @@ from repro.apply.extent import ExtentNode
 from repro.engine import Engine
 from repro.translate import translate_query
 from repro.xat import NavigateUnnest, Path, Source
-from repro.xat.base import FULL, ExecutionContext
+from repro.xat.base import ExecutionContext
 from repro.xat.grouping import AggContrib, AggState
 from repro.xat.relational import DiffSideHandle, TransientSideHandle
 from repro.xat.table import AtomicItem, XatTuple
@@ -322,7 +322,7 @@ def test_two_level_ad_hoc_query_is_evaluated_fresh():
 
 
 class TestSideHandleSupport:
-    """``support(key)`` of the two store-less handles, on a small table:
+    """``support(key)`` of the two unstored handles, on a small table:
     always the net count of what ``probe(key)`` returns."""
 
     @staticmethod
@@ -333,7 +333,7 @@ class TestSideHandleSupport:
         op = NavigateUnnest(people, "$p", Path.parse("town/text()"), "$t")
         op.prepare()
         ctx = ExecutionContext(sm)
-        return ctx, TransientSideHandle(ctx, op, FULL, ("$t",))
+        return ctx, TransientSideHandle(ctx, ("$t",), op)
 
     def test_transient_handle_sums_its_bucket(self):
         _, side = self._side()
@@ -351,7 +351,7 @@ class TestSideHandleSupport:
         lima_cells["$t"] = AtomicItem("Lima")
         delta = [XatTuple(lima_cells, -1, era="old"),
                  XatTuple(cairo_row.cells, 1, era="new")]
-        old = DiffSideHandle(base, delta, ("$t",), ctx)
+        old = DiffSideHandle(base, delta, ctx)
         for town, support in (("Boston", 2), ("Cairo", 0), ("Lima", 1)):
             assert old.support((town,)) == support
             assert sum(t.count for t in old.probe((town,))) == support

@@ -41,12 +41,6 @@ class TestEngine:
         with pytest.raises(RuntimeError):
             Engine(self._storage()).run(Source("bib.xml", "$S"))
 
-    def test_query_tree(self):
-        sm = self._storage()
-        tree = Engine(sm).query_tree(translate_query(
-            '<r>{for $b in doc("bib.xml")/bib/book return $b/title}</r>'))
-        assert tree.tag == "r" and len(tree.children) == 2
-
     def test_empty_query_result_serializes_empty(self):
         sm = self._storage()
         out = Engine(sm).query(translate_query(

@@ -52,18 +52,8 @@ class TestFlexKeyBasics:
         root = FlexKey("b")
         deep = FlexKey("b.f.b")
         assert root.is_ancestor_of(deep)
-        assert deep.is_descendant_of(root)
         assert not root.is_ancestor_of(FlexKey("bb"))  # no prefix confusion
         assert not root.is_ancestor_of(root)
-
-    def test_parent_of(self):
-        assert FlexKey("b.f").is_parent_of(FlexKey("b.f.d"))
-        assert not FlexKey("b").is_parent_of(FlexKey("b.f.d"))
-
-    def test_relative_to(self):
-        assert FlexKey("b.f.d").relative_to(FlexKey("b")) == "f.d"
-        with pytest.raises(FlexKeyError):
-            FlexKey("b.f").relative_to(FlexKey("c"))
 
     def test_equality_ignores_override(self):
         assert FlexKey("b.f") == FlexKey("b.f").with_override(FlexKey("a"))

@@ -17,16 +17,21 @@ import pytest
 
 from repro import Database, StorageManager, UpdateRequest, ViewRegistry
 from repro.engine.opstate import (CachedEntry, OperatorStateStore,
-                                  _IndexDesync, subplan_signature)
+                                  StoredSideHandle, _IndexDesync,
+                                  subplan_signature)
 from repro.workloads import xmark
 from repro.xat import AtomicItem, GroupBy, NavigateUnnest, Path, Source, \
     Tagger, XatTuple
-from repro.xat.base import FULL, ExecutionContext
+from repro.xat.base import (DELTA, FULL, INSERT, MODIFY, DeltaRoot,
+                            DeltaSpec, ExecutionContext)
 from repro.xat.grouping import compute_aggregate, merge_member_items
+from repro.xat.relational import (DiffSideHandle, LeftOuterJoin,
+                                  TransientSideHandle)
 
-from .helpers import (GROUPED_VIEWS, assert_consistent,
-                      audit_operator_state, closed_auctions_of, persons_of,
-                      pin, random_batch, run_differential, site_view)
+from .helpers import (ALL_MUTATORS, GROUPED_VIEWS, RESERVE_BELOW_AGE_QUERY,
+                      assert_consistent, audit_operator_state,
+                      closed_auctions_of, persons_of, pin, random_batch,
+                      run_differential, site_view)
 
 CITY_PATH = [("child", "site"), ("child", "people"), ("child", "person"),
              ("child", "address"), ("child", "city")]
@@ -397,6 +402,122 @@ class TestSharedRowSets:
                 assert db.read(name) == db.registry.recompute_xml(name)
             db.checkpoint()
             db.close()
+
+
+class TestOneSidePath:
+    """Every Δ rule gets the other side through
+    :meth:`OperatorStateStore.side`: it names the state it reads (new or
+    old), and the store derives FULL or ANTI from the phase and serves
+    it from the stored entry — a theta side too — unless it cannot hold
+    that state."""
+
+    OPEN_AUCTION_PATH = [("child", "site"), ("child", "open_auctions"),
+                         ("child", "open_auction")]
+
+    def _theta_view(self):
+        storage, view = site_view(RESERVE_BELOW_AGE_QUERY, 20, seed=1)
+        stack, joins = [view.pipeline.plan], []
+        while stack:
+            op = stack.pop()
+            stack.extend(op.inputs)
+            if isinstance(op, LeftOuterJoin):
+                joins.append(op)
+        [loj] = joins
+        return storage, view, loj
+
+    @staticmethod
+    def _ctx(storage, store, root: DeltaRoot) -> ExecutionContext:
+        spec = DeltaSpec("site.xml", (root,), root.kind, epoch=store.epoch)
+        return ExecutionContext(storage, mode=DELTA, delta=spec, store=store)
+
+    def test_the_store_picks_the_mode_from_the_phase(self):
+        storage, view, loj = self._theta_view()
+        store = view.registry.state_store
+        auction = storage.find_by_path("site.xml", self.OPEN_AUCTION_PATH)[0]
+        ctx = self._ctx(storage, store, DeltaRoot(auction, INSERT))
+        auctions = loj.inputs[1]
+        new = store.side(ctx, auctions, None)
+        old = store.side(ctx, auctions, None, old=True)
+        assert isinstance(new, StoredSideHandle)
+        assert isinstance(old, StoredSideHandle)
+        # an insert's root is left out of the old state (ANTI)
+        assert len(new.table().tuples) == len(old.table().tuples) + 1
+        assert store.entry_count() == 1
+        # an outer join's rows are not anti-projectable: evaluated live
+        assert isinstance(store.side(ctx, loj, None, old=True),
+                          TransientSideHandle)
+        assert store.entry_count() == 1
+        view.close()
+
+    def test_a_modify_reads_the_old_state_minus_its_pairs(self):
+        """The reserve of one auction changes: the auctions side's old
+        state is its table plus the negated retract/assert pair; the
+        persons side, with no pair of its own, is its stored table."""
+        storage, view, loj = self._theta_view()
+        store = view.registry.state_store
+        reserve = storage.find_by_path(
+            "site.xml", self.OPEN_AUCTION_PATH + [("child", "reserve")])[0]
+        old_text = storage.text(reserve)
+        storage.replace_text(reserve, "1")
+        ctx = self._ctx(storage, store,
+                        DeltaRoot(reserve, MODIFY, old_text, "1"))
+        persons, auctions = loj.inputs
+        new = store.side(ctx, auctions, None)
+        old = store.side(ctx, auctions, None, old=True)
+        assert isinstance(new, StoredSideHandle)
+        assert isinstance(old, DiffSideHandle)
+        assert len(old.table().tuples) == len(new.table().tuples) + 2
+        assert sum(t.count for t in old.table().tuples) == \
+            sum(t.count for t in new.table().tuples)
+        assert isinstance(store.side(ctx, persons, None, old=True),
+                          StoredSideHandle)
+        view.close()
+
+    def test_a_theta_insert_walks_the_other_side(self):
+        """One person inserted under the Q11-shaped count walks every
+        open auction once, counted on the store and on the auctions
+        side's entry (EXPLAIN's ``scanned=``)."""
+        storage, view, loj = self._theta_view()
+        store = view.registry.state_store
+        auctions = len(storage.find_by_path("site.xml",
+                                            self.OPEN_AUCTION_PATH))
+        view.apply_updates([UpdateRequest.insert(
+            "site.xml", persons_of(storage)[-1],
+            xmark.new_person_xml(0, age=40), "after")])
+        assert view.to_xml() == view.recompute_xml()
+        assert store.stats.bucket_rows_scanned == auctions
+        [entry] = store.entries()
+        assert entry.signature == subplan_signature(loj.inputs[1])
+        assert entry.stats.bucket_rows_scanned == auctions
+        assert f"scanned={auctions}" in view.registry.explain(view.name)
+        view.close()
+
+    def test_every_store_counter_is_its_entries_shares(self):
+        """Each store counter is advanced once with its entry's share, so
+        the store's total is the sum over the signatures EXPLAIN lists —
+        except rows walked on a side evaluated live, which has no entry."""
+        storage = StorageManager()
+        xmark.register_site(storage, 20, seed=1)
+        registry = ViewRegistry(storage)
+        for index, query in enumerate([*GROUPED_VIEWS.values(),
+                                       xmark.JOIN_QUERY,
+                                       RESERVE_BELOW_AGE_QUERY]):
+            pin(registry.register(f"v{index}", query))
+        rng = random.Random(5)
+        for step in range(20):
+            registry.apply_updates(random_batch(rng, storage, step,
+                                                ALL_MUTATORS))
+        store = registry.state_store
+        store.invalidate_all()
+        shares = [entry.stats.as_dict() for entry in store.entries()]
+        for counter, total in store.stats.as_dict().items():
+            summed = sum(share[counter] for share in shares)
+            if counter == "bucket_rows_scanned":
+                assert total >= summed > 0
+            else:
+                assert total == summed, counter
+        assert store.stats.invalidations > 0
+        registry.close()
 
 
 class TestInPlaceReplace:

@@ -39,7 +39,6 @@ class TestPathParse:
 
     def test_empty_path(self):
         path = Path.parse("")
-        assert path.is_empty
         assert str(path) == "."
 
     def test_str_roundtrip(self):
@@ -50,10 +49,6 @@ class TestPathParse:
         path = Path.parse("a/b/@x")
         assert [s.test for s in path.element_steps()] == ["a", "b"]
         assert [s.test for s in path.value_steps()] == ["@x"]
-
-    def test_concat(self):
-        combined = Path.parse("a/b").concat(Path.parse("c"))
-        assert str(combined) == "/a/b/c"
 
     def test_as_pairs(self):
         assert Path.parse("a//b").as_pairs() == [("child", "a"),

@@ -28,7 +28,7 @@ class TestRegistration:
 
     def test_every_node_keyed_in_document_order(self, storage):
         root = storage.root_key("bib.xml")
-        keys = list(storage.iter_subtree_keys(root))
+        keys = [node.key for node in storage.node(root).iter_subtree()]
         assert len(keys) == storage.document("bib.xml").node_count()
         assert keys == sorted(keys, key=lambda k: k.value)
 

@@ -26,11 +26,6 @@ class TestNode:
         node = parse_document("<a><b>x</b>y<c><d>z</d></c></a>")
         assert node.text_value() == "xyz"
 
-    def test_element_children_filter(self):
-        node = parse_document("<a><b/>text<c/><b/></a>")
-        assert len(node.element_children()) == 3
-        assert len(node.element_children("b")) == 2
-
     def test_descendants_document_order(self):
         node = parse_document("<a><b><c/></b><c/></a>")
         tags = [d.tag for d in node.descendants()]
