@@ -22,15 +22,16 @@ What is stored, and what :func:`restore_state` rebuilds instead:
   live).  Restore re-creates the nodes, their ``parent`` links and one
   FlexKey per node; :meth:`StorageManager.restore_document` then
   re-adopts the tree into the node map in one walk.
-* **the StructuralIndex** — its sorted per-tag key lists, tag-path
+* **the StructuralIndex** — its sorted per-tag-path key lists, tag-path
   cache and path interner, as the plain dicts they are, so restore
-  skips rebuilding them; they are filled into the fresh storage's own
-  index, which reads its FlexKeys from the node map.  The per-tag-path
-  key lists are not stored: they are the per-document lists grouped by
-  the tag-path cache, both sorted already, so restore rebuilds them in
-  one appending pass (so a file written before those lists existed
-  restores the same).  A payload without index columns — written by a
-  store that kept no index — is rejected before storage is touched.
+  adopts them without rebuilding; they are filled into the fresh
+  storage's own index, which reads its FlexKeys from the node map.  A
+  file written before the index kept only path lists (per-tag and
+  all-element lists instead, format 2 or 3) restores the same: its path
+  lists are the all-element lists grouped by the tag-path cache, both
+  sorted already, so restore rebuilds them in one appending pass.  A
+  payload without index columns — written by a store that kept no
+  index — is rejected before storage is touched.
 * **view extents** — per view ``ids``/``orders``/``tags``/``texts``/
   ``child_counts``/``counts``, ``flags`` (one byte per node: bit 0
   ``refresh``, bit 1 ``base``) and sparse ``{position: attributes}`` /
@@ -193,25 +194,28 @@ def _decode_extent(columns: dict) -> ExtentNode:
 
 
 def _encode_index(index) -> dict:
-    """Everything but ``_path_lists`` (rebuilt by :func:`_restore_index`)
-    and the activity counters (per-process); the FlexKeys themselves are
-    the restored nodes' own."""
-    return {"tag_lists": index._tag_lists, "all_lists": index._all_lists,
-            "tag_paths": index._tag_paths,
+    """The per-path lists, tag-path cache and path interner — not the
+    activity counters (per-process); the FlexKeys themselves are the
+    restored nodes' own."""
+    return {"path_lists": index._path_lists, "tag_paths": index._tag_paths,
             "path_interner": index._path_interner}
 
 
 def _restore_index(index, columns: dict) -> None:
     """Fill a fresh storage's index in place from its columns."""
-    index._tag_lists = columns["tag_lists"]
-    index._all_lists = columns["all_lists"]
     index._tag_paths = columns["tag_paths"]
     index._path_interner = columns["path_interner"]
-    tag_paths, path_lists = index._tag_paths, index._path_lists
-    for document, keys in index._all_lists.items():
-        for value in keys:   # sorted, so every per-path list stays sorted
-            path_lists.setdefault((document, tag_paths[value]),
-                                  []).append(value)
+    path_lists = columns.get("path_lists")
+    if path_lists is None:
+        # an older layout: per-tag and all-element lists, no path lists;
+        # the latter are the all-element lists grouped by tag path
+        path_lists = {}
+        tag_paths = index._tag_paths
+        for document, keys in columns["all_lists"].items():
+            for value in keys:   # sorted, so every path list stays sorted
+                path_lists.setdefault((document, tag_paths[value]),
+                                      []).append(value)
+    index._path_lists = path_lists
 
 
 # -- whole-registry capture / restore -----------------------------------------------------

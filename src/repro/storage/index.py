@@ -5,18 +5,20 @@ node's subtree a *contiguous lexicographic range* of key strings: every
 descendant of ``k`` sorts inside ``[k + "." , k + "/")`` — the level
 separator ``"."`` is smaller than every atom character and ``"/"`` is its
 successor, so the half-open range covers exactly the proper descendants.
-:class:`StructuralIndex` exploits this with three structures:
+:class:`StructuralIndex` exploits this with two structures:
 
-* **per-document, per-tag sorted key lists** in document order, so
-  ``descendants(key, tag)`` is a binary search plus a slice instead of a
-  subtree walk (and ``children`` the same scan filtered by depth);
 * **per-document, per-tag-path sorted key lists** — one list per distinct
-  root-to-node tag path.  Every key in such a list has the same depth, so
-  the nodes sharing a path *and a parent* ``P`` are the contiguous slice
-  ``[P + ".", P + "/")`` of it, in sibling order: a child-step-only
-  location path is answered by returning its list (``path_nodes``), and
-  ``…/person[k]`` by one binary search per parent (``nth_children``) —
-  O(parents · log N), never a pass over the N candidates;
+  root-to-node tag path, in document order.  Every key in such a list has
+  the same depth, so the nodes sharing a path *and a parent* ``P`` are
+  the contiguous slice ``[P + ".", P + "/")`` of it, in sibling order: a
+  child-step-only location path is answered by returning its list
+  (``path_nodes``), ``…/person[k]`` by one binary search per parent
+  (``nth_children``), ``children(key, tag)`` by the slice of the list of
+  ``key``'s path extended by ``tag``, and ``descendants(key, tag)`` by
+  merging the slices of the few lists whose path extends ``key``'s and
+  ends in ``tag`` (found once per document, path and tag, and found
+  again only after a path list appears or goes) — O(answer + paths ·
+  log N), never a pass over N candidates;
 * a **root-to-node tag-path cache** consulted by the SAPT validator and
   the multi-view router — keys are never relabeled and element tags never
   change, so a cached path stays valid for the node's whole lifetime.
@@ -30,13 +32,14 @@ results never re-parse key strings.
 The index is maintained *incrementally* by the
 :class:`~repro.storage.manager.StorageManager` mutation entry points, a
 whole subtree at a time.  A subtree's keys are one contiguous run of
-every sorted list they appear in and the keying walk visits them in key
+every path list they appear in and the keying walk visits them in key
 order, so ``add_subtree`` costs **one bisect + one slice assignment per
-touched list** (all / per-tag / per-tag-path) and ``remove_subtree`` one
-bisect pair + one range ``del`` — upkeep is proportional to the update
-size, never the document size.  (It hooks the mutation points directly
-rather than the public listener API because delete notifications carry
-only the subtree root after the keys are already dropped.)
+distinct element path of the subtree** and ``remove_subtree`` one bisect
++ one range ``del`` per path (the walk that unkeys the subtree counts
+its keys per path) — upkeep is proportional to the update size, never
+the document size.  (It hooks the mutation points directly rather than
+the public listener API because delete notifications carry only the
+subtree root after the keys are already dropped.)
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ _RANGE_END = chr(ord(LEVEL_SEP) + 1)
 class StructuralIndex:
     """Sorted-key-range index maintained alongside a ``StorageManager``."""
 
-    __slots__ = ("_nodes", "_tag_lists", "_all_lists", "_path_lists",
-                 "_tag_paths", "_path_interner", "range_scans",
+    __slots__ = ("_nodes", "_path_lists", "_below", "_tag_paths",
+                 "_path_interner", "_path_steps", "range_scans",
                  "walk_fallbacks", "path_lookups")
 
     def __init__(self, nodes: dict[str, XmlNode]):
@@ -64,110 +67,117 @@ class StructuralIndex:
         self._nodes = nodes
         # Always-on monotone activity counters (plain int adds — the
         # observability layer pulls them into metric snapshots): range
-        # scans answered by the sorted key lists, walk fallbacks where
-        # the tree walk was judged cheaper, and exact-path lookups.
+        # scans answered by the sorted key lists, child-list walks of
+        # narrow nodes, and exact-path lookups.
         self.range_scans = 0
         self.walk_fallbacks = 0
         self.path_lookups = 0
-        # (document, tag) -> sorted list of element key strings
-        self._tag_lists: dict[tuple[str, str], list[str]] = {}
-        # document -> sorted list of *all* element key strings
-        self._all_lists: dict[str, list[str]] = {}
         # (document, root-to-node tag path) -> sorted list of the key
         # strings of the elements with exactly that path (never empty:
         # a list is dropped with its last key)
         self._path_lists: dict[tuple[str, tuple[str, ...]], list[str]] = {}
+        # (document, path, tag or None) -> the path lists whose path
+        # extends ``path`` (and ends in ``tag``); emptied whenever a path
+        # list appears or goes
+        self._below: dict[tuple, list[list[str]]] = {}
         # key string -> root-to-node element tag path
         self._tag_paths: dict[str, tuple[str, ...]] = {}
         # tag path -> the one interned tuple, so a path is stored once
         # per distinct path rather than once per node
         self._path_interner: dict[tuple[str, ...], tuple[str, ...]] = {}
+        # interned path -> {child tag: (child path, its own child map)}:
+        # the keying walk extends a path by one string-keyed lookup, with
+        # no tuple built or hashed (derived, so never checkpointed)
+        self._path_steps: dict[tuple[str, ...], dict] = {}
 
     # -- incremental maintenance ---------------------------------------------------
 
-    def intern_path(self, tags: tuple[str, ...]) -> tuple[str, ...]:
-        """The one stored tuple equal to ``tags``."""
-        return self._path_interner.setdefault(tags, tags)
+    def steps(self, tags: tuple[str, ...]) -> dict:
+        """The child map of the interned path ``tags`` (see :meth:`step`)."""
+        return self._path_steps.setdefault(tags, {})
 
-    def add_subtree(self, document: str, paths: dict[str, tuple[str, ...]],
-                    elements: list[str], by_tag: dict[str, list[str]],
+    def step(self, tags: tuple[str, ...], tag: str) -> tuple:
+        """Intern the path of a ``tag`` element below path ``tags`` and
+        record it in ``tags``' child map: ``(child path, child map)``."""
+        child = tags + (tag,)
+        child = self._path_interner.setdefault(child, child)
+        below = self.steps(tags)[tag] = (child, self.steps(child))
+        return below
+
+    def add_subtree(self, document: str,
                     by_path: dict[tuple[str, ...], list[str]]) -> None:
-        """Index one newly-keyed subtree: ``paths`` maps every node's key
-        string to its interned tag path, ``elements`` are the element key
-        strings, ``by_tag`` / ``by_path`` those grouped per tag and per
-        tag path — all in key order, so each group lands as one run
-        (appended while a document registers)."""
-        self._tag_paths.update(paths)
-        if elements:
-            _splice(self._all_lists.setdefault(document, []), elements)
-        for tag, run in by_tag.items():
-            _splice(self._tag_lists.setdefault((document, tag), []), run)
+        """Index one newly-keyed subtree whose tag paths the keying walk
+        already cached: ``by_path`` groups its element key strings per
+        tag path, in key order, so each group lands as one run (appended
+        while a document registers)."""
+        path_lists = self._path_lists
         for tags, run in by_path.items():
-            _splice(self._path_lists.setdefault((document, tags), []), run)
+            keys = path_lists.get((document, tags))
+            if keys is None:
+                keys = path_lists[(document, tags)] = []
+                self._below.clear()
+            at = bisect_left(keys, run[0])
+            keys[at:at] = run
 
-    def remove_subtree(self, document: str, values: list[str]) -> None:
-        """Drop a subtree's entries; ``values`` are all its key strings,
-        the root's first.  The tag paths they had name the lists to cut
-        (a text node has its parent's: a cut that finds nothing)."""
-        tag_paths = self._tag_paths
-        paths = {tag_paths.pop(value) for value in values}
-        low = values[0]
-        high = low + _RANGE_END
-        _cut(self._all_lists, document, low, high)
-        for tag in {tags[-1] for tags in paths}:
-            _cut(self._tag_lists, (document, tag), low, high)
-        for tags in paths:
-            _cut(self._path_lists, (document, tags), low, high)
+    def remove_subtree(self, document: str, low: str,
+                       counts: dict[tuple[str, ...], int]) -> None:
+        """Drop a subtree's keys from the lists of its element paths —
+        ``counts[tags]`` keys from the run of the ``tags`` list starting
+        at root key string ``low`` — and a list with its last key (the
+        caller already popped the tag-path cache)."""
+        path_lists = self._path_lists
+        for tags, count in counts.items():
+            keys = path_lists[(document, tags)]
+            at = bisect_left(keys, low)
+            del keys[at:at + count]
+            if not keys:
+                del path_lists[(document, tags)]
+                self._below.clear()
 
     # -- range queries ----------------------------------------------------------------
 
-    def _list_for(self, document: str,
-                  tag: Optional[str]) -> Optional[list[str]]:
-        if tag is None:
-            return self._all_lists.get(document)
-        return self._tag_lists.get((document, tag))
-
     def descendants(self, document: str, key: FlexKey,
                     tag: Optional[str] = None) -> list[FlexKey]:
-        """Proper element descendants of ``key`` in document order: one
-        binary search over the ``[key., key/)`` prefix range."""
+        """Proper element descendants of ``key`` in document order: the
+        ``[key., key/)`` slices of the lists whose path extends ``key``'s
+        (and ends in ``tag``), merged in key order."""
         self.range_scans += 1
-        keys = self._list_for(document, tag)
+        value = key.value
+        base = self._tag_paths[value]
+        lists = self._below.get((document, base, tag))
+        if lists is None:
+            depth = len(base)
+            lists = self._below[(document, base, tag)] = [
+                keys for (name, tags), keys in self._path_lists.items()
+                if name == document and len(tags) > depth
+                and tags[:depth] == base and tag in (None, tags[-1])]
+        low = value + LEVEL_SEP
+        high = value + _RANGE_END
+        found: list[str] = []
+        for keys in lists:
+            lo = bisect_left(keys, low)
+            found += keys[lo:bisect_left(keys, high, lo)]
+        if len(lists) > 1:
+            found.sort()    # one sorted run per path: a merge
+        nodes = self._nodes
+        return [nodes[v].key for v in found]
+
+    def children(self, document: str, key: FlexKey,
+                 tag: str) -> list[FlexKey]:
+        """Element children of ``key`` with ``tag``: the ``[key., key/)``
+        slice of the list of ``key``'s path extended by ``tag`` — every
+        key there sits one level below its parent, so the slice is
+        exact."""
+        self.range_scans += 1
+        value = key.value
+        keys = self._path_lists.get(
+            (document, self._tag_paths[value] + (tag,)))
         if not keys:
             return []
-        value = key.value
         lo = bisect_left(keys, value + LEVEL_SEP)
         hi = bisect_left(keys, value + _RANGE_END, lo)
         nodes = self._nodes
         return [nodes[v].key for v in keys[lo:hi]]
-
-    def children(self, document: str, key: FlexKey, tag: str,
-                 child_count: int) -> Optional[list[FlexKey]]:
-        """Element children of ``key`` with ``tag``, or ``None`` when the
-        child list itself is the cheaper scan.
-
-        The tag's descendant range filtered to exactly one level below
-        (keys never compose in storage, so depth is the level-separator
-        count) beats walking the child list only when it is *narrower*
-        than the child list — a selective tag under a wide node.  The
-        caller passes the node's child count and falls back to the tree
-        walk on ``None``.
-        """
-        keys = self._list_for(document, tag)
-        if not keys:
-            self.range_scans += 1
-            return []
-        value = key.value
-        lo = bisect_left(keys, value + LEVEL_SEP)
-        hi = bisect_left(keys, value + _RANGE_END, lo)
-        if hi - lo >= child_count:
-            self.walk_fallbacks += 1
-            return None
-        self.range_scans += 1
-        child_seps = value.count(LEVEL_SEP) + 1
-        nodes = self._nodes
-        return [nodes[v].key for v in keys[lo:hi]
-                if v.count(LEVEL_SEP) == child_seps]
 
     def path_nodes(self, document: str,
                    tags: tuple[str, ...]) -> list[FlexKey]:
@@ -220,29 +230,10 @@ class StructuralIndex:
     def stats(self) -> dict:
         return {
             "interned_keys": len(self._nodes),
-            "tag_lists": len(self._tag_lists),
             "path_lists": len(self._path_lists),
-            "documents": len(self._all_lists),
             "indexed_elements": sum(len(v) for v in
-                                    self._all_lists.values()),
+                                    self._path_lists.values()),
             "range_scans": self.range_scans,
             "walk_fallbacks": self.walk_fallbacks,
             "path_lookups": self.path_lookups,
         }
-
-
-def _splice(keys: list[str], run: list[str]) -> None:
-    """Insert ``run`` — the sorted keys of one subtree, so contiguous in
-    ``keys`` once inserted — at its one position."""
-    at = bisect_left(keys, run[0])
-    keys[at:at] = run
-
-
-def _cut(lists: dict, name, low: str, high: str) -> None:
-    """Delete the keys in ``[low, high)`` from ``lists[name]``, and the
-    list with its last key."""
-    keys = lists[name]
-    at = bisect_left(keys, low)
-    del keys[at:bisect_left(keys, high, at)]
-    if not keys:
-        del lists[name]

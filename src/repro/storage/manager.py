@@ -147,34 +147,36 @@ class StorageManager:
     def _assign_keys(self, root: XmlNode, root_key: FlexKey,
                      parent_tags: tuple[str, ...]) -> None:
         """Key the subtree under ``root`` (which gets ``root_key``): one
-        pre-order walk — that is key order — fills the node map and
-        collects what the structural index then splices in."""
+        pre-order walk — that is key order — fills the node map and the
+        index's tag-path cache and groups the element keys per path for
+        the index to splice in."""
         nodes = self._nodes
         index = self._index
-        paths: dict[str, tuple[str, ...]] = {}
-        elements: list[str] = []
-        by_tag: dict[str, list[str]] = {}
+        tag_paths = index._tag_paths
+        step = index.step
         by_path: dict[tuple[str, ...], list[str]] = {}
-        stack = [(root, root_key, parent_tags)]
+        stack = [(root, root_key, parent_tags, index.steps(parent_tags))]
         while stack:
-            node, key, tags = stack.pop()
+            node, key, tags, steps = stack.pop()
             node.key = key
             value = key.value
             nodes[value] = node
-            if node.tag is not None:    # an element
-                tags = index.intern_path(tags + (node.tag,))
-                elements.append(value)
-                by_tag.setdefault(node.tag, []).append(value)
-                by_path.setdefault(tags, []).append(value)
-            paths[value] = tags
+            tag = node.tag
+            if tag is not None:    # an element
+                tags, steps = steps.get(tag) or step(tags, tag)
+                run = by_path.get(tags)
+                if run is None:
+                    by_path[tags] = [value]
+                else:
+                    run.append(value)
+            tag_paths[value] = tags
             children = node.children
             if children:
                 prefix = value + LEVEL_SEP
                 stack.extend(
-                    [(children[at], FlexKey(prefix + sibling_atom(at)), tags)
-                     for at in range(len(children) - 1, -1, -1)])
-        index.add_subtree(self.document_of_key(root_key), paths, elements,
-                          by_tag, by_path)
+                    [(children[at], FlexKey(prefix + sibling_atom(at)), tags,
+                      steps) for at in range(len(children) - 1, -1, -1)])
+        index.add_subtree(self.document_of_key(root_key), by_path)
 
     # -- lookup ----------------------------------------------------------------------
 
@@ -227,18 +229,13 @@ class StorageManager:
     def children(self, key: FlexKey, tag: Optional[str] = None) -> list[FlexKey]:
         children = self.node(key).children
         if tag is not None and len(children) > 16:
-            # Hybrid: a range scan of the tag's sorted key list wins only
-            # when the tag is selective under a wide node; for narrow
-            # nodes even the prune check costs more than the child walk.
-            fast = self._index.children(self.document_of_key(key), key, tag,
-                                        len(children))
-            if fast is not None:
-                return fast
-        else:
-            # Narrow node (or no tag test): the tree walk is the cheaper
-            # plan by construction — counted so the range-vs-walk split
-            # stays honest in metric snapshots.
-            self._index.walk_fallbacks += 1
+            # A tag test under a wide node: the exact slice of the child
+            # path's sorted key list.
+            return self._index.children(self.document_of_key(key), key, tag)
+        # Narrow node (or no tag test): the tree walk is the cheaper plan
+        # by construction — counted so the range-vs-walk split stays
+        # honest in metric snapshots.
+        self._index.walk_fallbacks += 1
         return [c.key for c in children
                 if c.is_element and (tag is None or c.tag == tag)]
 
@@ -322,17 +319,25 @@ class StorageManager:
         return node
 
     def _detach(self, root: XmlNode) -> None:
-        """Unlink ``root`` and forget its subtree's keys in one walk (no
-        notification)."""
+        """Unlink ``root`` and forget its subtree's keys and tag paths in
+        one walk (no notification), counting its elements per path: the
+        index then cuts that many keys from each path's list."""
         del root.parent.children[_child_position(root)]
         root.parent = None
         nodes = self._nodes
-        values = []
-        for node in root.iter_subtree():
+        tag_paths = self._index._tag_paths
+        counts: dict[tuple[str, ...], int] = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
             value = node.key.value
             del nodes[value]
-            values.append(value)
-        self._index.remove_subtree(self.document_of_key(root.key), values)
+            tags = tag_paths.pop(value)
+            if node.tag is not None:
+                counts[tags] = counts.get(tags, 0) + 1
+                stack += node.children
+        self._index.remove_subtree(self.document_of_key(root.key),
+                                   root.key.value, counts)
 
     def replace_text(self, key: FlexKey, new_value: str) -> None:
         """Replace the text content of the node at ``key``.

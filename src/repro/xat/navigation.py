@@ -385,12 +385,11 @@ class NavigateUnnest(XatOperator):
                         if status == _AT or not in_doc:
                             # Inside a root's subtree everything belongs
                             # to the delta (the sign was applied at the
-                            # crossing); outside the batch's document no
+                            # crossing) and is itself at or below that
+                            # root; outside the batch's document no
                             # target classifies.
-                            for tgt in targets:
-                                nxt.append((tgt, mult, refresh,
-                                            classify(tgt) if in_doc
-                                            else None))
+                            nxt += [(tgt, mult, refresh, status)
+                                    for tgt in targets]
                             continue
                         classified = [(tgt, classify(tgt))
                                       for tgt in targets]

@@ -266,15 +266,14 @@ def assert_path_lists_canonical(storage: StorageManager) -> None:
     """Everything the storage manager and its structural index keep per
     node equals a from-scratch walk of the documents — the node map
     (keyed by key string, and the very map the index reads its FlexKeys
-    from), the tag-path cache and the sorted all / per-tag / per-tag-path
-    key lists (one sorted, non-empty list per path that has live
-    elements) — whatever mutation, checkpoint and replay history produced
+    from), the tag-path cache and the sorted per-tag-path key lists (one
+    sorted, non-empty list per path that has live elements, and every
+    list a remembered descendant query reads is still the one for its
+    path) — whatever mutation, checkpoint and replay history produced
     them; and every child list is in key order, which is what lets a
     sibling's position be bisected."""
     nodes: dict = {}
     tag_paths: dict = {}
-    all_lists: dict = {}
-    tag_lists: dict = {}
     path_lists: dict = {}
     for name in storage.document_names:
         stack = [(storage.document(name).root, ())]
@@ -284,8 +283,6 @@ def assert_path_lists_canonical(storage: StorageManager) -> None:
             nodes[value] = node
             if node.is_element:
                 tags = tags + (node.tag,)
-                all_lists.setdefault(name, []).append(value)
-                tag_lists.setdefault((name, node.tag), []).append(value)
                 path_lists.setdefault((name, tags), []).append(value)
             tag_paths[value] = tags
             children = [child.key.value for child in node.children]
@@ -299,18 +296,17 @@ def assert_path_lists_canonical(storage: StorageManager) -> None:
     index = storage.index
     assert index._nodes is storage._nodes
     assert storage._nodes.keys() == index._tag_paths.keys()
-    for lists in (all_lists, tag_lists, path_lists):
-        for keys in lists.values():
-            keys.sort()
+    for keys in path_lists.values():
+        keys.sort()
     assert index._tag_paths == tag_paths
     assert all(index._path_interner[tags] is tags
                for tags in index._tag_paths.values())
-    assert index._all_lists == all_lists
-    # (a checkpoint written before tag lists were dropped with their last
-    # key may restore empty ones)
-    assert {name: keys for name, keys in index._tag_lists.items()
-            if keys} == tag_lists
     assert index._path_lists == path_lists
+    for (name, base, tag), lists in index._below.items():
+        assert [id(keys) for keys in lists] == [
+            id(keys) for (document, tags), keys in index._path_lists.items()
+            if document == name and len(tags) > len(base)
+            and tags[:len(base)] == base and tag in (None, tags[-1])]
     assert index.stats()["path_lists"] == len(path_lists)
 
 

@@ -409,31 +409,83 @@ def test_restored_path_lists_resolve_positional_paths(tmp_path):
         reopened.close()
 
 
-def test_checkpoint_without_a_path_column_still_opens(tmp_path):
-    """Backward compatibility: a format-2 checkpoint written before the
-    per-path lists existed stores exactly these four index columns;
-    restore derives the lists from them."""
+def parent_index_columns(storage: StorageManager) -> dict:
+    """The index columns of a checkpoint written before the index kept
+    only per-path lists: sorted per-tag and all-element key lists (built
+    from a walk, the live index has neither), the tag-path cache and the
+    path interner — and no path lists."""
+    all_lists: dict = {}
+    tag_lists: dict = {}
+    for name in storage.document_names:
+        for node in storage.document(name).root.iter_subtree():
+            if node.is_element:
+                all_lists.setdefault(name, []).append(node.key.value)
+                tag_lists.setdefault((name, node.tag), []).append(
+                    node.key.value)
+    for keys in (*all_lists.values(), *tag_lists.values()):
+        keys.sort()
+    return {"tag_lists": tag_lists, "all_lists": all_lists,
+            "tag_paths": storage.index._tag_paths,
+            "path_interner": storage.index._path_interner}
+
+
+def reopen_parent_layout(tmp_path, snapshot_format: int,
+                         tail_steps: int = 0) -> Database:
+    """Write a checkpoint in the parent's index layout under
+    ``snapshot_format``, run ``tail_steps`` batches into the WAL after
+    it, crash, and reopen: the views must equal their pre-crash reads
+    and the index a from-scratch walk."""
     db = seed_db(tmp_path)
     drive(db, steps=10, seed=9)
     db.flush()
-    expected = {name: db.read(name) for name in db.views()}
     state = capture_state(db.registry)
     assert state["format"] == SNAPSHOT_FORMAT == 3
-    state["format"] = 2
-    state["index"] = {column: state["index"][column] for column in (
-        "tag_lists", "all_lists", "tag_paths", "path_interner")}
+    state["format"] = snapshot_format
+    state["index"] = parent_index_columns(db.storage)
     lsn = db.durability.wal.last_lsn
     CheckpointStore(RealFileSystem(), str(tmp_path)).write(lsn, state)
+    drive(db, steps=tail_steps, seed=10)
+    db.flush()
+    expected = {name: db.read(name) for name in db.views()}
     del db                                     # crash: that file is the newest
 
     reopened = durable_db(tmp_path)
     assert reopened.recovery.checkpoint_lsn == lsn
     assert reopened.recovery.checkpoint_generation == 0
+    assert (reopened.recovery.wal_records_replayed > 0) == (tail_steps > 0)
     assert {name: reopened.read(name) for name in reopened.views()} \
         == expected
     assert_path_lists_canonical(reopened.storage)
     assert_positional_paths_match_the_walk(reopened.storage)
-    reopened.close()
+    assert_all_views_consistent(reopened)
+    return reopened
+
+
+def test_checkpoint_without_a_path_column_still_opens(tmp_path):
+    """Backward compatibility: a format-2 checkpoint written before the
+    per-path lists existed stores per-tag and all-element lists instead;
+    restore derives the path lists from them."""
+    reopen_parent_layout(tmp_path, 2).close()
+
+
+def test_format3_checkpoint_with_tag_lists_still_opens(tmp_path):
+    """A format-3 checkpoint in the parent's layout (per-tag and
+    all-element lists, no path lists) restores its path lists from the
+    all-element lists, grafts its views, and replays a WAL tail of
+    inserts and deletes onto them."""
+    reopen_parent_layout(tmp_path, 3, tail_steps=6).close()
+
+
+def test_checkpoint_stores_one_list_family(tmp_path):
+    """A checkpoint holds the per-path lists and no per-tag or
+    all-element lists beside them."""
+    db = seed_db(tmp_path)
+    drive(db, steps=4)
+    db.flush()
+    columns = capture_state(db.registry)["index"]
+    assert set(columns) == {"path_lists", "tag_paths", "path_interner"}
+    assert columns["path_lists"] is db.storage.index._path_lists
+    db.close()
 
 
 def test_checkpoint_file_holds_columns_not_object_graphs(tmp_path):

@@ -7,6 +7,7 @@ in ``tests/helpers.py`` returns.  The walk re-derives answers from the
 node tree on every call, so it is the oracle.
 """
 
+import bisect
 import inspect
 import random
 import sys
@@ -20,6 +21,7 @@ from repro.api import Database
 from repro.apply.extent import ExtentNode, node_from_item
 from repro.flexkeys import FlexKey, order_of
 from repro.storage import StorageError, StorageManager, StructuralIndex
+from repro.storage import index as index_module
 from repro.workloads import xmark
 from repro.xmlmodel import XmlDocument, XmlNode, parse_fragment
 from repro.xat.paths import Path
@@ -152,7 +154,7 @@ CHURN_FRAGMENTS = [
 class TestSubtreeChurn:
     """Whole subtrees enter and leave the index as one run per list: after
     every step of a random churn the node map, the tag-path cache and
-    all three families of sorted lists equal a from-scratch walk, and
+    the per-tag-path sorted lists equal a from-scratch walk, and
     listeners saw one event per primitive."""
 
     @pytest.mark.parametrize("seed", range(6),
@@ -562,3 +564,93 @@ class TestFlexKeyMemoization:
         storage.insert_fragment(
             people, parse_fragment(xmark.new_person_xml(99))[0])
         assert storage.tag_path(city) == path
+
+
+class TestPathListQueries:
+    """``descendants`` merges the slices of every path list that extends
+    the key's path, ``children`` of a wide node is one path list's
+    slice, and a fragment's upkeep touches one list per distinct element
+    path of the fragment — nothing sized by the document."""
+
+    WIDE = "<shelf>" + "<item><name>W</name></item>" * 20 + "</shelf>"
+
+    def assert_matches_the_walk(self, storage: StorageManager) -> None:
+        root = storage.root_key("lib.xml")
+        for key in [root] + walk_descendants(storage, root):
+            for tag in ("name", "item", "section", "b", None):
+                got = storage.descendants(key, tag)
+                assert got == walk_descendants(storage, key, tag), (key, tag)
+                assert [k.value for k in got] \
+                    == sorted(k.value for k in got)
+                if tag is not None:
+                    assert storage.children(key, tag) \
+                        == walk_children(storage, key, tag), (key, tag)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_descendants_merge_paths_in_document_order(self, seed):
+        rng = random.Random(seed)
+        storage = StorageManager()
+        storage.register(XmlDocument.from_string("lib.xml", CHURN_DOC))
+        root = storage.document("lib.xml").root
+        # "name" ends five different tag paths below the document element
+        assert len([tags for _, tags in storage.index._path_lists
+                    if tags[-1] == "name"]) >= 5
+        self.assert_matches_the_walk(storage)
+        fragments = CHURN_FRAGMENTS + [self.WIDE]
+        for step in range(60):
+            nodes = list(root.iter_subtree())
+            elements = [n for n in nodes if n.is_element]
+            op = rng.choice(["insert", "insert", "delete", "modify"])
+            if op == "insert":
+                storage.insert_fragment(
+                    rng.choice(elements).key,
+                    parse_fragment(rng.choice(fragments))[0])
+            elif op == "delete" and len(elements) > 1:
+                storage.delete_subtree(rng.choice(elements[1:]).key)
+            else:
+                storage.replace_text(rng.choice(nodes).key, f"v{step}")
+            self.assert_matches_the_walk(storage)
+        assert_path_lists_canonical(storage)
+
+    def test_wide_children_answer_from_the_path_list(self):
+        storage = StorageManager()
+        storage.register(XmlDocument.from_string(
+            "lib.xml", "<lib>" + self.WIDE + "</lib>"))
+        shelf = storage.children(storage.root_key("lib.xml"), "shelf")[0]
+        scans = storage.index.range_scans
+        walks = storage.index.walk_fallbacks
+        items = storage.children(shelf, "item")
+        assert items == walk_children(storage, shelf, "item")
+        assert len(items) == 20
+        assert storage.children(shelf, "name") == []
+        assert storage.index.range_scans == scans + 2
+        assert storage.index.walk_fallbacks == walks
+
+    @pytest.mark.parametrize("persons", [50, 800])
+    def test_fragment_upkeep_touches_one_list_per_path(self, persons,
+                                                      monkeypatch):
+        storage = build_site(persons)
+        people = storage.find_by_path(
+            "site.xml", [("child", "site"), ("child", "people")])[0]
+        touched: list = []
+
+        def counting(keys, value, *args):
+            touched.append(id(keys))
+            return bisect.bisect_left(keys, value, *args)
+
+        monkeypatch.setattr(index_module, "bisect_left", counting)
+        key = storage.insert_fragment(
+            people, parse_fragment(xmark.new_person_xml(persons))[0])
+        paths = {storage.tag_path(node.key)
+                 for node in storage.node(key).iter_subtree()
+                 if node.is_element}
+        assert len(paths) == 11
+        lists = {id(storage.index._path_lists[("site.xml", tags)])
+                 for tags in paths}
+        # one bisect (the splice point) per distinct element path
+        assert sorted(touched) == sorted(lists)
+        touched.clear()
+        storage.delete_subtree(key)
+        # one bisect (the start of the cut run) per distinct element path
+        assert sorted(touched) == sorted(lists)
+        assert_path_lists_canonical(storage)

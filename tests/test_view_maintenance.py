@@ -9,6 +9,7 @@ import pytest
 from repro import Database, StorageManager, UpdateRequest, ViewRegistry
 from repro.multiview import RegisteredView
 from repro.workloads import xmark
+from repro.xat.base import DeltaSpec
 
 from .helpers import (assert_consistent, closed_auctions_of, persons_of,
                       site_view)
@@ -282,3 +283,29 @@ def test_theta_join_maintained_from_both_sides(monkeypatch):
             update()
             assert view.read() == view.recompute() != before, step
             assert reasons == ["propagate"] * (step + 1)
+
+
+def test_delta_unnest_below_an_inserted_root_classifies_nothing(monkeypatch):
+    """Below a frontier key at or below an update root every target is
+    itself at or below it: the grouped view's delta unnest of
+    ``$p/address/city`` under an inserted person hands its targets that
+    status and asks ``DeltaSpec.classify`` about none of them."""
+    storage, view = site_view(xmark.PERSONS_BY_CITY_QUERY, num_persons=20)
+    persons = persons_of(storage)
+    asked = []
+    classify = DeltaSpec.classify
+
+    def recording(spec, key):
+        asked.append(key.value)
+        return classify(spec, key)
+
+    monkeypatch.setattr(DeltaSpec, "classify", recording)
+    view.apply_updates([UpdateRequest.insert(
+        "site.xml", persons[-1], xmark.new_person_xml(1, city="Cairo"),
+        "after")])
+    person = persons_of(storage)[-1]
+    assert person.value in asked                   # the crossing
+    assert not [value for value in asked
+                if value.startswith(person.value + ".")]
+    assert view.registered.stats.recomputes == 0
+    assert_consistent(view)
