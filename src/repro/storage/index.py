@@ -16,9 +16,8 @@ successor, so the half-open range covers exactly the proper descendants.
   (``nth_children``), ``children(key, tag)`` by the slice of the list of
   ``key``'s path extended by ``tag``, and ``descendants(key, tag)`` by
   merging the slices of the few lists whose path extends ``key``'s and
-  ends in ``tag`` (found once per document, path and tag, and found
-  again only after a path list appears or goes) — O(answer + paths ·
-  log N), never a pass over N candidates;
+  ends in ``tag`` (one filter over the distinct paths per call) —
+  O(answer + paths · log N), never a pass over N candidates;
 * a **root-to-node tag-path cache** consulted by the SAPT validator and
   the multi-view router — keys are never relabeled and element tags never
   change, so a cached path stays valid for the node's whole lifetime.
@@ -36,8 +35,10 @@ every path list they appear in and the keying walk visits them in key
 order, so ``add_subtree`` costs **one bisect + one slice assignment per
 distinct element path of the subtree** and ``remove_subtree`` one bisect
 + one range ``del`` per path (the walk that unkeys the subtree counts
-its keys per path) — upkeep is proportional to the update size, never
-the document size.  (It hooks the mutation points directly rather than
+its keys per path).  No list sized by the document is spliced; what
+still grows with the document is the bisects (log N) and the
+per-node dicts (the node map and the tag-path cache), whose lookups
+miss the CPU caches more often as they grow.  (It hooks the mutation points directly rather than
 the public listener API because delete notifications carry only the
 subtree root after the keys are already dropped.)
 """
@@ -58,7 +59,7 @@ _RANGE_END = chr(ord(LEVEL_SEP) + 1)
 class StructuralIndex:
     """Sorted-key-range index maintained alongside a ``StorageManager``."""
 
-    __slots__ = ("_nodes", "_path_lists", "_below", "_tag_paths",
+    __slots__ = ("_nodes", "_path_lists", "_tag_paths",
                  "_path_interner", "_path_steps", "range_scans",
                  "walk_fallbacks", "path_lookups")
 
@@ -76,10 +77,6 @@ class StructuralIndex:
         # strings of the elements with exactly that path (never empty:
         # a list is dropped with its last key)
         self._path_lists: dict[tuple[str, tuple[str, ...]], list[str]] = {}
-        # (document, path, tag or None) -> the path lists whose path
-        # extends ``path`` (and ends in ``tag``); emptied whenever a path
-        # list appears or goes
-        self._below: dict[tuple, list[list[str]]] = {}
         # key string -> root-to-node element tag path
         self._tag_paths: dict[str, tuple[str, ...]] = {}
         # tag path -> the one interned tuple, so a path is stored once
@@ -115,7 +112,6 @@ class StructuralIndex:
             keys = path_lists.get((document, tags))
             if keys is None:
                 keys = path_lists[(document, tags)] = []
-                self._below.clear()
             at = bisect_left(keys, run[0])
             keys[at:at] = run
 
@@ -132,7 +128,6 @@ class StructuralIndex:
             del keys[at:at + count]
             if not keys:
                 del path_lists[(document, tags)]
-                self._below.clear()
 
     # -- range queries ----------------------------------------------------------------
 
@@ -144,13 +139,10 @@ class StructuralIndex:
         self.range_scans += 1
         value = key.value
         base = self._tag_paths[value]
-        lists = self._below.get((document, base, tag))
-        if lists is None:
-            depth = len(base)
-            lists = self._below[(document, base, tag)] = [
-                keys for (name, tags), keys in self._path_lists.items()
-                if name == document and len(tags) > depth
-                and tags[:depth] == base and tag in (None, tags[-1])]
+        depth = len(base)
+        lists = [keys for (name, tags), keys in self._path_lists.items()
+                 if name == document and len(tags) > depth
+                 and tags[:depth] == base and tag in (None, tags[-1])]
         low = value + LEVEL_SEP
         high = value + _RANGE_END
         found: list[str] = []

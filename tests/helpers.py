@@ -302,11 +302,6 @@ def assert_path_lists_canonical(storage: StorageManager) -> None:
     assert all(index._path_interner[tags] is tags
                for tags in index._tag_paths.values())
     assert index._path_lists == path_lists
-    for (name, base, tag), lists in index._below.items():
-        assert [id(keys) for keys in lists] == [
-            id(keys) for (document, tags), keys in index._path_lists.items()
-            if document == name and len(tags) > len(base)
-            and tags[:len(base)] == base and tag in (None, tags[-1])]
     assert index.stats()["path_lists"] == len(path_lists)
 
 
