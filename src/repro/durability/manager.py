@@ -424,8 +424,7 @@ class DurabilityManager:
                 cut_started = time.perf_counter()
                 # Quiesce before capturing: queued deferred trees are not
                 # part of the snapshot, and their WAL records are about to
-                # be truncated — flushing folds them into the extents (and
-                # leaves operator-state entries clean enough to checkpoint).
+                # be truncated — flushing folds them into the extents.
                 registry.flush()
                 lsn = self.wal.last_lsn
                 if not (background and fork_safe() and self._fork(

@@ -1,37 +1,30 @@
-"""Snapshot format 3: the explicit on-disk representation of engine state.
+"""Snapshot format 4: the explicit on-disk representation of engine state.
 
 A checkpoint payload is one dict of plain builtins (lists, dicts, str,
 int, bytes) that :class:`~repro.durability.checkpoint.CheckpointStore`
 pickles as-is.  No live :class:`~repro.xmlmodel.XmlNode`,
-:class:`~repro.apply.ExtentNode`, :class:`~repro.flexkeys.FlexKey` or
-:class:`~repro.storage.index.StructuralIndex` object reaches the file:
-object graphs pickle slowly (one reduce call per node, plus every
-derived field) and a tree is fully described by a few **flat pre-order
-columns** — position ``i`` of every column describes the ``i``-th node
-in document order and ``child_counts`` carries the shape.  This module
-alone knows the layout; nothing else reads or writes a column.
+:class:`~repro.apply.ExtentNode` or :class:`~repro.flexkeys.FlexKey`
+object reaches the file: object graphs pickle slowly (one reduce call
+per node, plus every derived field) and a tree is fully described by a
+few **flat pre-order columns** — position ``i`` of every column
+describes the ``i``-th node in document order and ``child_counts``
+carries the shape.  This module alone knows the layout; nothing else
+reads or writes a column.
 
-What is stored, and what :func:`restore_state` rebuilds instead:
+A checkpoint stores the documents and the views, and nothing that can
+be derived from them:
 
 * **documents** — per document ``tags`` (``None`` marks a text node),
   ``values`` (text content), ``keys`` (FlexKey *strings*),
-  ``child_counts``, ``counts`` and a sparse ``{position: attributes}``
-  map.  Keys must survive verbatim: WAL-tail records address nodes by
-  key, and re-registering from XML text would relabel inserted nodes
+  ``child_counts`` and a sparse ``{position: attributes}`` map.  Keys
+  must survive verbatim: WAL-tail records address nodes by key, and
+  re-registering from XML text would relabel inserted nodes
   (``sibling_atom(index)`` ≠ the ``atom_for_insert`` keys they got
   live).  Restore re-creates the nodes, their ``parent`` links and one
-  FlexKey per node; :meth:`StorageManager.restore_document` then
-  re-adopts the tree into the node map in one walk.
-* **the StructuralIndex** — its sorted per-tag-path key lists, tag-path
-  cache and path interner, as the plain dicts they are, so restore
-  adopts them without rebuilding; they are filled into the fresh
-  storage's own index, which reads its FlexKeys from the node map.  A
-  file written before the index kept only path lists (per-tag and
-  all-element lists instead, format 2 or 3) restores the same: its path
-  lists are the all-element lists grouped by the tag-path cache, both
-  sorted already, so restore rebuilds them in one appending pass.  A
-  payload without index columns — written by a store that kept no
-  index — is rejected before storage is touched.
+  FlexKey per node; :meth:`StorageManager.restore_document` then runs
+  the keying walk of ``register`` over the tree, which fills the node
+  map, each node's tag path and the structural index's per-path key
+  lists.
 * **view extents** — per view ``ids``/``orders``/``tags``/``texts``/
   ``child_counts``/``counts``, ``flags`` (one byte per node: bit 0
   ``refresh``, bit 1 ``base``) and sparse ``{position: attributes}`` /
@@ -40,26 +33,20 @@ What is stored, and what :func:`restore_state` rebuilds instead:
   instead of rematerializing every view (the reason checkpoint restore
   beats a cold start by construction).  A node's child index is built
   from its children's match keys on the first lookup, as for any node.
-* **operator state** — the clean :class:`CachedEntry` FULL tables by
-  subplan signature, pickled as objects.  Cells reference storage by
-  FlexKey only, so the tables are independent of the node graph; on
-  restore the store re-adopts them via :meth:`CachedEntry.populate`
-  (fingerprints are recomputed against the restored storage, which
-  mirrors the checkpointed one exactly).  Adoption is belt-and-braces
-  guarded: the cache is a pure performance layer, dropping an entry
-  never affects correctness.
+
+The operator-state store is not stored: it starts empty after a restore
+and fills each entry on its first use, as after any invalidation.
 
 Views registered from raw :class:`XatOperator` plans (no query text)
 cannot be serialized — the durable facade requires query strings.
 
-**Format 3 vs 2.**  The column layout is the same; what changed is the
-meaning of the derivation counts inside extents and operator-state
-tables: a format-2 file was written when ``Distinct`` summed duplicate
-counts, format 3 under the support-zero-crossing rule, and deltas of one
-rule do not fuse into counts of the other.  A format-2 file therefore
-still restores its documents and index columns exactly, but every view
-is **re-materialized** from them and no operator-state table is
-adopted.  Any other format is rejected.
+**Older formats.**  Format 3 files carry the same documents and views
+plus sections this build derives instead (``"index"``, ``"opstate"``
+and a ``counts`` column per document); restore ignores them.  A
+format-2 file was written when ``Distinct`` summed duplicate counts,
+and deltas of that rule do not fuse into counts of the support-zero-
+crossing rule: its documents restore exactly, but every view is
+**re-materialized** from them.  Any other format is rejected.
 """
 
 from __future__ import annotations
@@ -72,7 +59,7 @@ from ..xmlmodel.node import ELEMENT, TEXT
 
 __all__ = ["SNAPSHOT_FORMAT", "capture_state", "restore_state"]
 
-SNAPSHOT_FORMAT = 3
+SNAPSHOT_FORMAT = 4
 
 _REFRESH, _BASE = 1, 2
 
@@ -98,7 +85,7 @@ def _place(open_nodes: list, node, child_count: int):
 
 
 def _encode_document(root: XmlNode) -> dict:
-    tags, values, keys, child_counts, counts = [], [], [], [], []
+    tags, values, keys, child_counts = [], [], [], []
     attributes = {}
     stack = [root]
     while stack:
@@ -108,26 +95,23 @@ def _encode_document(root: XmlNode) -> dict:
         tags.append(node.tag)
         values.append(node.value)
         keys.append(node.key.value)
-        counts.append(node.count)
         children = node.children
         child_counts.append(len(children))
         if children:
             stack.extend(children[::-1])
     return {"tags": tags, "values": values, "keys": keys,
-            "child_counts": child_counts, "counts": counts,
-            "attributes": attributes}
+            "child_counts": child_counts, "attributes": attributes}
 
 
 def _decode_document(columns: dict) -> XmlNode:
     attributes = columns["attributes"]
     root = None
     open_nodes: list = []
-    for position, (tag, value, key, child_count, count) in enumerate(zip(
+    for position, (tag, value, key, child_count) in enumerate(zip(
             columns["tags"], columns["values"], columns["keys"],
-            columns["child_counts"], columns["counts"])):
+            columns["child_counts"])):
         node = XmlNode(TEXT if tag is None else ELEMENT, tag, value)
         node.key = FlexKey(key)
-        node.count = count
         if position in attributes:
             node.attributes = attributes[position]
         parent = _place(open_nodes, node, child_count)
@@ -190,34 +174,6 @@ def _decode_extent(columns: dict) -> ExtentNode:
     return root
 
 
-# -- the structural index -----------------------------------------------------------------
-
-
-def _encode_index(index) -> dict:
-    """The per-path lists, tag-path cache and path interner — not the
-    activity counters (per-process); the FlexKeys themselves are the
-    restored nodes' own."""
-    return {"path_lists": index._path_lists, "tag_paths": index._tag_paths,
-            "path_interner": index._path_interner}
-
-
-def _restore_index(index, columns: dict) -> None:
-    """Fill a fresh storage's index in place from its columns."""
-    index._tag_paths = columns["tag_paths"]
-    index._path_interner = columns["path_interner"]
-    path_lists = columns.get("path_lists")
-    if path_lists is None:
-        # an older layout: per-tag and all-element lists, no path lists;
-        # the latter are the all-element lists grouped by tag path
-        path_lists = {}
-        tag_paths = index._tag_paths
-        for document, keys in columns["all_lists"].items():
-            for value in keys:   # sorted, so every path list stays sorted
-                path_lists.setdefault((document, tag_paths[value]),
-                                      []).append(value)
-    index._path_lists = path_lists
-
-
 # -- whole-registry capture / restore -----------------------------------------------------
 
 
@@ -227,8 +183,8 @@ def capture_state(registry) -> dict:
     The caller quiesces the registry first (``registry.flush()``):
     checkpoints are cut at a point where no pending delta queue needs
     serializing and the extents match a clean replay boundary.  The
-    columns alias live attribute dicts, index lists and aggregate
-    states — encode the result before the next mutation.
+    columns alias live attribute dicts and aggregate states — encode
+    the result before the next mutation.
     """
     storage = registry.storage
     views = []
@@ -250,40 +206,23 @@ def capture_state(registry) -> dict:
             "refresh_sequence": view.refresh_sequence,
             "rows_read": view.rows_read,
         })
-    opstate = {}
-    for entry in registry.state_store.entries():
-        # A stale backlog means the table lags storage — skip.  A
-        # leftover ``prepared`` plan does not: applied it is spent,
-        # unapplied its deletions never arrived (the registry is
-        # quiesced before capture), so the table mirrors storage
-        # either way and the plan itself is simply not persisted.
-        if entry.valid and not entry.stale and entry.table is not None:
-            opstate[entry.signature] = entry.table
     return {
         "format": SNAPSHOT_FORMAT,
         "documents": {name: _encode_document(document.root)
                       for name, document in storage._documents.items()},
-        "index": _encode_index(storage.index),
         "views": views,
-        "opstate": opstate,
     }
 
 
 def restore_state(registry, state: dict) -> None:
     """Rebuild a freshly-constructed registry (empty storage, no views)
     from a captured state dict."""
-    if state.get("format") not in (2, SNAPSHOT_FORMAT):
+    if state.get("format") not in (2, 3, SNAPSHOT_FORMAT):
         raise ValueError(
             f"unsupported snapshot format {state.get('format')!r}")
-    if state.get("index") is None:
-        raise ValueError(
-            "snapshot has no structural index: it was written by a "
-            "storage manager constructed without one, which this "
-            "release no longer supports")
-    # format 2: same columns, counts of the old Distinct rule (see above)
-    graft = state["format"] == SNAPSHOT_FORMAT
+    # format 2: counts of the old Distinct rule (see above)
+    graft = state["format"] != 2
     storage = registry.storage
-    _restore_index(storage.index, state["index"])
     for name, columns in state["documents"].items():
         root = _decode_document(columns)
         storage.restore_document(XmlDocument(name, root), root.key)
@@ -302,7 +241,3 @@ def restore_state(registry, state: dict) -> None:
             view.pipeline.materialized = spec["materialized"]
         elif spec["materialized"]:
             registry.materialize(spec["name"])
-    if graft and state["opstate"]:
-        plans = [registry.view(name).pipeline.plan
-                 for name in registry.names()]
-        registry.state_store.adopt(state["opstate"], plans)

@@ -713,48 +713,6 @@ class OperatorStateStore:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    def adopt(self, tables: dict, plans: list) -> int:
-        """Re-adopt checkpointed FULL tables after recovery.
-
-        ``tables`` maps subplan signatures to :class:`XatTable`\\ s
-        captured at checkpoint time; ``plans`` are the restored views'
-        prepared plans (the checkpoint stores no operator objects, so
-        signatures are re-derived from the live plans and matched).
-        Restored storage mirrors the checkpointed storage exactly, so
-        :meth:`CachedEntry.populate` recomputes identical fingerprints.
-        Adoption is best-effort — the store is a pure performance layer,
-        so an entry that fails to populate is simply skipped.
-        """
-        from ..xat.base import ExecutionContext
-
-        adopted = 0
-        ctx = ExecutionContext(self.storage)
-        for plan in plans:
-            stack = [plan]
-            while stack:
-                op = stack.pop()
-                stack.extend(op.inputs)
-                if not _cacheable(op) or isinstance(op, Tagger):
-                    # A Tagger's equi-join side reads through its input's
-                    # entry and a theta side rebuilds its table on first
-                    # serve: an adopted Tagger table would be patched
-                    # every batch and checkpointed forever, unprobed.
-                    continue
-                signature = subplan_signature(op)
-                table = tables.get(signature)
-                if table is None or signature in self._entries:
-                    continue
-                entry = CachedEntry(signature, op)
-                try:
-                    entry.populate(table, ctx)
-                except Exception:
-                    continue
-                self._entries[signature] = entry
-                for document in entry.docs:
-                    self._by_doc.setdefault(document, []).append(entry)
-                adopted += 1
-        return adopted
-
     def invalidate_all(self) -> None:
         """Drop every cached table (they rebuild lazily on next use)."""
         for entry in self._entries.values():

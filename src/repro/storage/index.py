@@ -5,22 +5,21 @@ node's subtree a *contiguous lexicographic range* of key strings: every
 descendant of ``k`` sorts inside ``[k + "." , k + "/")`` — the level
 separator ``"."`` is smaller than every atom character and ``"/"`` is its
 successor, so the half-open range covers exactly the proper descendants.
-:class:`StructuralIndex` exploits this with two structures:
-
-* **per-document, per-tag-path sorted key lists** — one list per distinct
-  root-to-node tag path, in document order.  Every key in such a list has
-  the same depth, so the nodes sharing a path *and a parent* ``P`` are
-  the contiguous slice ``[P + ".", P + "/")`` of it, in sibling order: a
-  child-step-only location path is answered by returning its list
-  (``path_nodes``), ``…/person[k]`` by one binary search per parent
-  (``nth_children``), ``children(key, tag)`` by the slice of the list of
-  ``key``'s path extended by ``tag``, and ``descendants(key, tag)`` by
-  merging the slices of the few lists whose path extends ``key``'s and
-  ends in ``tag`` (one filter over the distinct paths per call) —
-  O(answer + paths · log N), never a pass over N candidates;
-* a **root-to-node tag-path cache** consulted by the SAPT validator and
-  the multi-view router — keys are never relabeled and element tags never
-  change, so a cached path stays valid for the node's whole lifetime.
+:class:`StructuralIndex` exploits this with one structure, **per-document,
+per-tag-path sorted key lists** — one list per distinct root-to-node tag
+path, in document order.  Every key in such a list has the same depth,
+so the nodes sharing a path *and a parent* ``P`` are the contiguous
+slice ``[P + ".", P + "/")`` of it, in sibling order: a child-step-only
+location path is answered by returning its list (``path_nodes``),
+``…/person[k]`` by one binary search per parent (``nth_children``),
+``children(key, tag)`` by the slice of the list of ``key``'s path
+extended by ``tag``, and ``descendants(key, tag)`` by merging the slices
+of the few lists whose path extends ``key``'s and ends in ``tag`` (one
+filter over the distinct paths per call) — O(answer + paths · log N),
+never a pass over N candidates.  A key's own tag path is not kept here:
+each node carries it (``XmlNode.path``, set by the keying walk beside
+``key``; keys are never relabeled and element tags never change, so it
+stays valid for the node's whole lifetime).
 
 The lists hold key strings; a range query turns them into FlexKeys by
 reading the storage manager's node map (``nodes[value].key``), which it
@@ -36,11 +35,11 @@ order, so ``add_subtree`` costs **one bisect + one slice assignment per
 distinct element path of the subtree** and ``remove_subtree`` one bisect
 + one range ``del`` per path (the walk that unkeys the subtree counts
 its keys per path).  No list sized by the document is spliced; what
-still grows with the document is the bisects (log N) and the
-per-node dicts (the node map and the tag-path cache), whose lookups
-miss the CPU caches more often as they grow.  (It hooks the mutation points directly rather than
-the public listener API because delete notifications carry only the
-subtree root after the keys are already dropped.)
+still grows with the document is the bisects (log N) and the node map,
+whose lookups miss the CPU caches more often as it grows.  (It hooks the
+mutation points directly rather than the public listener API because
+delete notifications carry only the subtree root after the keys are
+already dropped.)
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ _RANGE_END = chr(ord(LEVEL_SEP) + 1)
 class StructuralIndex:
     """Sorted-key-range index maintained alongside a ``StorageManager``."""
 
-    __slots__ = ("_nodes", "_path_lists", "_tag_paths",
-                 "_path_interner", "_path_steps", "range_scans",
+    __slots__ = ("_nodes", "_path_lists", "_path_steps", "range_scans",
                  "walk_fallbacks", "path_lookups")
 
     def __init__(self, nodes: dict[str, XmlNode]):
@@ -77,27 +75,22 @@ class StructuralIndex:
         # strings of the elements with exactly that path (never empty:
         # a list is dropped with its last key)
         self._path_lists: dict[tuple[str, tuple[str, ...]], list[str]] = {}
-        # key string -> root-to-node element tag path
-        self._tag_paths: dict[str, tuple[str, ...]] = {}
-        # tag path -> the one interned tuple, so a path is stored once
-        # per distinct path rather than once per node
-        self._path_interner: dict[tuple[str, ...], tuple[str, ...]] = {}
-        # interned path -> {child tag: (child path, its own child map)}:
-        # the keying walk extends a path by one string-keyed lookup, with
-        # no tuple built or hashed (derived, so never checkpointed)
+        # path -> {child tag: (child path, its own child map)}: the keying
+        # walk extends a path by one string-keyed lookup, with no tuple
+        # built or hashed, and each distinct path is one tuple shared by
+        # all its nodes (built once, by the step that first reached it)
         self._path_steps: dict[tuple[str, ...], dict] = {}
 
     # -- incremental maintenance ---------------------------------------------------
 
     def steps(self, tags: tuple[str, ...]) -> dict:
-        """The child map of the interned path ``tags`` (see :meth:`step`)."""
+        """The child map of the path ``tags`` (see :meth:`step`)."""
         return self._path_steps.setdefault(tags, {})
 
     def step(self, tags: tuple[str, ...], tag: str) -> tuple:
-        """Intern the path of a ``tag`` element below path ``tags`` and
+        """Build the path of a ``tag`` element below path ``tags`` and
         record it in ``tags``' child map: ``(child path, child map)``."""
         child = tags + (tag,)
-        child = self._path_interner.setdefault(child, child)
         below = self.steps(tags)[tag] = (child, self.steps(child))
         return below
 
@@ -119,8 +112,7 @@ class StructuralIndex:
                        counts: dict[tuple[str, ...], int]) -> None:
         """Drop a subtree's keys from the lists of its element paths —
         ``counts[tags]`` keys from the run of the ``tags`` list starting
-        at root key string ``low`` — and a list with its last key (the
-        caller already popped the tag-path cache)."""
+        at root key string ``low`` — and a list with its last key."""
         path_lists = self._path_lists
         for tags, count in counts.items():
             keys = path_lists[(document, tags)]
@@ -138,7 +130,7 @@ class StructuralIndex:
         (and ends in ``tag``), merged in key order."""
         self.range_scans += 1
         value = key.value
-        base = self._tag_paths[value]
+        base = self._nodes[value].path
         depth = len(base)
         lists = [keys for (name, tags), keys in self._path_lists.items()
                  if name == document and len(tags) > depth
@@ -163,7 +155,7 @@ class StructuralIndex:
         self.range_scans += 1
         value = key.value
         keys = self._path_lists.get(
-            (document, self._tag_paths[value] + (tag,)))
+            (document, self._nodes[value].path + (tag,)))
         if not keys:
             return []
         lo = bisect_left(keys, value + LEVEL_SEP)
@@ -210,12 +202,6 @@ class StructuralIndex:
             if at < len(keys) and keys[at].startswith(prefix):
                 found.append(nodes[keys[at]].key)
         return found
-
-    # -- caches ------------------------------------------------------------------------
-
-    def tag_path(self, value: str) -> Optional[tuple[str, ...]]:
-        """The cached root-to-node tag path for a live key string."""
-        return self._tag_paths.get(value)
 
     # -- introspection -----------------------------------------------------------------
 

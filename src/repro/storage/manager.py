@@ -109,13 +109,8 @@ class StorageManager:
 
     def register(self, document: XmlDocument) -> FlexKey:
         """Register a document, assigning FlexKeys to its whole tree."""
-        if document.name in self._documents:
-            raise StorageError(f"document {document.name!r} already registered")
         root_key = FlexKey(sibling_atom(len(self._documents)))
-        self._documents[document.name] = document
-        self._roots[document.name] = root_key
-        self._doc_of_root_atom[root_key.value] = document.name
-        self._assign_keys(document.root, root_key, ())
+        self._add_document(document, root_key, keyed=False)
         return root_key
 
     def restore_document(self, document: XmlDocument,
@@ -127,39 +122,40 @@ class StorageManager:
         the keys the live run handed out, and re-registering from text
         would relabel fragment-inserted nodes (``sibling_atom(index)``
         enumeration vs the ``atom_for_insert`` keys they actually got).
-        The structural index's sorted key lists and tag paths are
-        restored separately by the caller (the checkpoint stores them, so
-        nothing is spliced here); this walk only fills the node map.
+        Everything derived from the tree — the node map, each node's tag
+        path and the index's per-path key lists — is rebuilt by the same
+        walk that keys a registered document.
         """
+        self._add_document(document, root_key, keyed=True)
+
+    def _add_document(self, document: XmlDocument, root_key: FlexKey,
+                      keyed: bool) -> None:
         if document.name in self._documents:
             raise StorageError(
                 f"document {document.name!r} already registered")
         self._documents[document.name] = document
         self._roots[document.name] = root_key
         self._doc_of_root_atom[root_key.value] = document.name
-        nodes = self._nodes
-        stack = [document.root]
-        while stack:
-            node = stack.pop()
-            nodes[node.key.value] = node
-            stack.extend(node.children)
+        self._assign_keys(document.root, root_key, (), keyed)
 
     def _assign_keys(self, root: XmlNode, root_key: FlexKey,
-                     parent_tags: tuple[str, ...]) -> None:
+                     parent_tags: tuple[str, ...],
+                     keyed: bool = False) -> None:
         """Key the subtree under ``root`` (which gets ``root_key``): one
-        pre-order walk — that is key order — fills the node map and the
-        index's tag-path cache and groups the element keys per path for
-        the index to splice in."""
+        pre-order walk — that is key order — fills the node map and each
+        node's tag path and groups the element keys per path for the
+        index to splice in.  A child is keyed ``sibling_atom(position)``
+        below its parent, unless the tree is ``keyed`` already (restored
+        from a checkpoint), whose nodes keep the keys they carry."""
         nodes = self._nodes
         index = self._index
-        tag_paths = index._tag_paths
         step = index.step
         by_path: dict[tuple[str, ...], list[str]] = {}
-        stack = [(root, root_key, parent_tags, index.steps(parent_tags))]
+        root.key = root_key
+        stack = [(root, parent_tags, index.steps(parent_tags))]
         while stack:
-            node, key, tags, steps = stack.pop()
-            node.key = key
-            value = key.value
+            node, tags, steps = stack.pop()
+            value = node.key.value
             nodes[value] = node
             tag = node.tag
             if tag is not None:    # an element
@@ -169,13 +165,15 @@ class StorageManager:
                     by_path[tags] = [value]
                 else:
                     run.append(value)
-            tag_paths[value] = tags
+            node.path = tags
             children = node.children
             if children:
-                prefix = value + LEVEL_SEP
-                stack.extend(
-                    [(children[at], FlexKey(prefix + sibling_atom(at)), tags,
-                      steps) for at in range(len(children) - 1, -1, -1)])
+                if not keyed:
+                    prefix = value + LEVEL_SEP
+                    for at, child in enumerate(children):
+                        child.key = FlexKey(prefix + sibling_atom(at))
+                stack.extend([(child, tags, steps)
+                              for child in reversed(children)])
         index.add_subtree(self.document_of_key(root_key), by_path)
 
     # -- lookup ----------------------------------------------------------------------
@@ -257,15 +255,12 @@ class StorageManager:
     def tag_path(self, key: FlexKey) -> tuple[str, ...]:
         """The root-to-node element tag path of ``key``.
 
-        Keys never relabel and tags never change, so the structural
-        index caches the path for a node's whole lifetime; the SAPT
-        validator and multi-view router classify updates against it
-        without re-walking ancestors.
+        Keys never relabel and tags never change, so each node carries
+        its path for its whole lifetime; the SAPT validator and
+        multi-view router classify updates against it without
+        re-walking ancestors.
         """
-        tags = self._index.tag_path(key.value)
-        if tags is None:
-            raise StorageError(f"no node stored under key {key}")
-        return tags
+        return self.node(key).path
 
     # -- updates (no relabeling) -----------------------------------------------------------
 
@@ -303,7 +298,7 @@ class StorageManager:
         high = siblings[index].key.local() if index < len(siblings) else None
         new_key = parent.key.child(atom_for_insert(low, high))
         parent.insert(index, fragment)
-        self._assign_keys(fragment, new_key, self.tag_path(parent.key))
+        self._assign_keys(fragment, new_key, parent.path)
         return new_key
 
     def delete_subtree(self, key: FlexKey) -> XmlNode:
@@ -319,21 +314,19 @@ class StorageManager:
         return node
 
     def _detach(self, root: XmlNode) -> None:
-        """Unlink ``root`` and forget its subtree's keys and tag paths in
-        one walk (no notification), counting its elements per path: the
-        index then cuts that many keys from each path's list."""
+        """Unlink ``root`` and forget its subtree's keys in one walk (no
+        notification), counting its elements per path: the index then
+        cuts that many keys from each path's list."""
         del root.parent.children[_child_position(root)]
         root.parent = None
         nodes = self._nodes
-        tag_paths = self._index._tag_paths
         counts: dict[tuple[str, ...], int] = {}
         stack = [root]
         while stack:
             node = stack.pop()
-            value = node.key.value
-            del nodes[value]
-            tags = tag_paths.pop(value)
+            del nodes[node.key.value]
             if node.tag is not None:
+                tags = node.path
                 counts[tags] = counts.get(tags, 0) + 1
                 stack += node.children
         self._index.remove_subtree(self.document_of_key(root.key),

@@ -64,10 +64,6 @@ class NodeItem(Item):
     def is_constructed(self) -> bool:
         return self.skeleton is not None
 
-    def __reduce__(self):
-        return NodeItem, (self.key, self.count, self.refresh, self.skeleton,
-                          self.text_override)
-
     def with_override(self, override: Optional[FlexKey]) -> "NodeItem":
         return NodeItem(self.key.with_override(override), self.count,
                         self.refresh, self.skeleton, self.text_override)
@@ -97,10 +93,6 @@ class AtomicItem(Item):
         self.source_key = source_key
         self.order_value = order_value
         self.agg = agg
-
-    def __reduce__(self):
-        return AtomicItem, (self.value, self.source_key, self.count,
-                            self.refresh, self.order_value, self.agg)
 
     def order_token(self) -> str:
         if self.order_value is not None:
@@ -161,10 +153,6 @@ class XatTuple:
         self.refresh = refresh
         self.touched = touched
         self.era = era
-
-    def __reduce__(self):
-        return XatTuple, (self.cells, self.count, self.refresh, self.touched,
-                          self.era)
 
     def __getitem__(self, column: str) -> CellValue:
         return self.cells.get(column)

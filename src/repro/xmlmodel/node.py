@@ -1,10 +1,8 @@
 """In-memory XML node model.
 
-Nodes are plain trees; FlexKeys are assigned by the storage manager when a
-document (or update fragment) is registered, never by the nodes themselves.
-Every node carries a *count annotation* (Chapter 6): the number of
-derivations of the node, ``1`` for ordinary source nodes, negative for nodes
-inside delete-update trees.
+Nodes are plain trees; FlexKeys and root-to-node tag paths are assigned
+by the storage manager when a document (or update fragment) is
+registered, never by the nodes themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ class XmlNode:
     """
 
     __slots__ = ("kind", "tag", "value", "attributes", "children", "parent",
-                 "key", "count")
+                 "key", "path")
 
     def __init__(self, kind: str, tag: Optional[str] = None,
                  value: Optional[str] = None):
@@ -37,7 +35,9 @@ class XmlNode:
         self.children: list["XmlNode"] = []
         self.parent: Optional["XmlNode"] = None
         self.key = None  # FlexKey, set by the storage manager
-        self.count = 1
+        # root-to-node element tag path (one tuple per distinct path),
+        # set with ``key``
+        self.path = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -122,10 +122,9 @@ class XmlNode:
     # -- copying ----------------------------------------------------------------
 
     def deep_copy(self) -> "XmlNode":
-        """Structural copy without keys (keys are storage-assigned)."""
+        """Structural copy without keys or paths (storage assigns both)."""
         clone = XmlNode(self.kind, tag=self.tag, value=self.value)
         clone.attributes.update(self.attributes)
-        clone.count = self.count
         for child in self.children:
             clone.append(child.deep_copy())
         return clone

@@ -200,8 +200,8 @@ def closed_auctions_of(storage: StorageManager):
 # -- the walk oracle ---------------------------------------------------------------------
 #
 # Storage navigation re-derived from the XmlNode tree on every call: the
-# reference the structural index's range scans, per-path lists and
-# tag-path cache are diffed against.  Same contracts as the
+# reference the structural index's range scans and per-path lists, and
+# the nodes' tag paths, are diffed against.  Same contracts as the
 # StorageManager methods they mirror (element keys only, document
 # order, ``find_by_path``'s frontier deduplicated and sorted).
 
@@ -266,12 +266,11 @@ def assert_path_lists_canonical(storage: StorageManager) -> None:
     """Everything the storage manager and its structural index keep per
     node equals a from-scratch walk of the documents — the node map
     (keyed by key string, and the very map the index reads its FlexKeys
-    from), the tag-path cache and the sorted per-tag-path key lists (one
-    sorted, non-empty list per path that has live elements, and every
-    list a remembered descendant query reads is still the one for its
-    path) — whatever mutation, checkpoint and replay history produced
-    them; and every child list is in key order, which is what lets a
-    sibling's position be bisected."""
+    from), each node's tag path (one interned tuple per distinct path)
+    and the sorted per-tag-path key lists (one sorted, non-empty list
+    per path that has live elements) — whatever mutation, checkpoint
+    and replay history produced them; and every child list is in key
+    order, which is what lets a sibling's position be bisected."""
     nodes: dict = {}
     tag_paths: dict = {}
     path_lists: dict = {}
@@ -295,12 +294,11 @@ def assert_path_lists_canonical(storage: StorageManager) -> None:
     assert all(storage._nodes[value] is node for value, node in nodes.items())
     index = storage.index
     assert index._nodes is storage._nodes
-    assert storage._nodes.keys() == index._tag_paths.keys()
     for keys in path_lists.values():
         keys.sort()
-    assert index._tag_paths == tag_paths
-    assert all(index._path_interner[tags] is tags
-               for tags in index._tag_paths.values())
+    assert {value: node.path for value, node in nodes.items()} == tag_paths
+    assert len({id(node.path) for node in nodes.values()}) \
+        == len(set(tag_paths.values())), "a tag path is not one shared tuple"
     assert index._path_lists == path_lists
     assert index.stats()["path_lists"] == len(path_lists)
 

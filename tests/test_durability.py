@@ -17,7 +17,6 @@ import glob
 import hashlib
 import json
 import os
-import pickle
 import random
 import shutil
 import struct
@@ -30,8 +29,8 @@ from .faults import FaultPlan, FaultyFileSystem
 from .helpers import (ALL_MUTATORS, GROUPED_VIEWS,
                       assert_path_lists_canonical, random_batch,
                       walk_children, walk_descendants, walk_find_by_path,
-                      walk_nth_per_parent)
-from repro import FlexKey, StorageManager, ViewRegistry
+                      walk_nth_per_parent, walk_tag_path)
+from repro import FlexKey, StorageManager, UpdateRequest, ViewRegistry
 from repro.api import Database
 from repro.multiview import RegisteredView
 from repro.durability import (CheckpointError, CheckpointStore,
@@ -49,7 +48,7 @@ from repro.obs import render_prometheus
 from repro.translate import translate_query
 from repro.workloads import xmark
 from repro.xat.base import _cached_item
-from repro.xat.table import AtomicItem, NodeItem, XatTuple
+from repro.xat.table import AtomicItem, NodeItem
 from repro.xquery.updates import resolve_path
 
 SITE = xmark.generate_site(12, seed=7)
@@ -215,12 +214,10 @@ def _slots(item) -> dict:
             for slot in getattr(cls, "__slots__", ())}
 
 
-def test_table_cells_pickle_and_copy_as_constructor_calls():
-    """Operator-state tables reach checkpoints as objects: their cells
-    reduce to ``(class, constructor args)``, and the copy that strips
-    ``refresh`` for the cache still copies every other field."""
+def test_cached_table_cells_copy_every_slot_but_refresh():
+    """The copy that strips ``refresh`` for the operator-state cache
+    still copies every other field, and shallowly."""
     key = FlexKey("b.c", FlexKey("c.d"))
-    key.order_token(), key.atoms                   # memoized, not state
     node = NodeItem(key, 2, True, None, "old text")
     atomic = AtomicItem("7", FlexKey("b.e"), -1, True, "007", agg=[3])
     for item in (node, atomic):
@@ -229,15 +226,6 @@ def test_table_cells_pickle_and_copy_as_constructor_calls():
         assert _slots(stripped) == {**_slots(item), "refresh": False}
         assert _slots(copy.copy(item)) == _slots(item)
     assert _cached_item(atomic).agg is atomic.agg  # a shallow copy
-    row = XatTuple({"$p": node, "$a": [atomic]}, 3, True, True, "old")
-    restored = pickle.loads(pickle.dumps(row, pickle.HIGHEST_PROTOCOL))
-    assert (restored.count, restored.refresh, restored.touched,
-            restored.era) == (3, True, True, "old")
-    assert _slots(restored["$p"]) == _slots(node)
-    assert _slots(restored["$a"][0]) == _slots(atomic)
-    assert repr(restored["$p"].key) == "b.c[c.d]"
-    assert restored["$p"].key.order_token() == "c.d"
-    assert b"_atoms" not in pickle.dumps(key, pickle.HIGHEST_PROTOCOL)
 
 
 def test_checkpoint_pickled_with_slot_state_restores_identically(tmp_path):
@@ -255,10 +243,38 @@ def test_checkpoint_pickled_with_slot_state_restores_identically(tmp_path):
     db = durable_db(tmp_path)
     assert db.recovery.checkpoint_lsn == 13
     assert db.recovery.wal_records_replayed == 0
-    assert len(db.registry.state_store.entries()) > 0
     assert {name: db.read(name) for name in db.views()} == expected
     assert all(db.registry.view(name).rows_read is None
                for name in db.views())
+    drive(db, steps=6, seed=13)
+    assert_all_views_consistent(db)
+    assert all(db.registry.view(name).stats.recomputes == 0
+               for name in db.views())
+    db.close()
+
+
+def test_parent_checkpoint_with_path_lists_restores_identically(
+        tmp_path, monkeypatch):
+    """``tests/fixtures/format3-path-lists`` is a format-3 checkpoint
+    with the index section (per-path lists, tag-path cache, path
+    interner), the operator-state tables and a ``counts`` column per
+    document — the layout written before checkpoints dropped derived
+    state.  It restores to the view XML its writer read, byte for byte,
+    with an index equal to the walk and an empty operator-state store,
+    and maintenance goes on from it incrementally."""
+    monkeypatch.setattr(RegisteredView, "over_work_bound",
+                        lambda self: False)
+    fixture = os.path.join(TESTS_DIR, "fixtures", "format3-path-lists")
+    shutil.copy(os.path.join(fixture, "checkpoint-00000000000000000013.ckpt"),
+                tmp_path)
+    with open(os.path.join(fixture, "views.json"), encoding="utf-8") as fh:
+        expected = json.load(fh)
+    db = durable_db(tmp_path)
+    assert db.recovery.checkpoint_lsn == 13
+    assert db.recovery.wal_records_replayed == 0
+    assert {name: db.read(name) for name in db.views()} == expected
+    assert_path_lists_canonical(db.storage)
+    assert db.registry.state_store.entry_count() == 0
     drive(db, steps=6, seed=13)
     assert_all_views_consistent(db)
     assert all(db.registry.view(name).stats.recomputes == 0
@@ -411,13 +427,15 @@ def test_restored_path_lists_resolve_positional_paths(tmp_path):
 
 def parent_index_columns(storage: StorageManager) -> dict:
     """The index columns of a checkpoint written before the index kept
-    only per-path lists: sorted per-tag and all-element key lists (built
-    from a walk, the live index has neither), the tag-path cache and the
-    path interner — and no path lists."""
+    only per-path lists: sorted per-tag and all-element key lists, the
+    tag-path cache and the path interner — all built from a walk — and
+    no path lists."""
     all_lists: dict = {}
     tag_lists: dict = {}
+    tag_paths: dict = {}
     for name in storage.document_names:
         for node in storage.document(name).root.iter_subtree():
+            tag_paths[node.key.value] = walk_tag_path(storage, node.key)
             if node.is_element:
                 all_lists.setdefault(name, []).append(node.key.value)
                 tag_lists.setdefault((name, node.tag), []).append(
@@ -425,8 +443,8 @@ def parent_index_columns(storage: StorageManager) -> dict:
     for keys in (*all_lists.values(), *tag_lists.values()):
         keys.sort()
     return {"tag_lists": tag_lists, "all_lists": all_lists,
-            "tag_paths": storage.index._tag_paths,
-            "path_interner": storage.index._path_interner}
+            "tag_paths": tag_paths,
+            "path_interner": {tags: tags for tags in tag_paths.values()}}
 
 
 def reopen_parent_layout(tmp_path, snapshot_format: int,
@@ -439,7 +457,6 @@ def reopen_parent_layout(tmp_path, snapshot_format: int,
     drive(db, steps=10, seed=9)
     db.flush()
     state = capture_state(db.registry)
-    assert state["format"] == SNAPSHOT_FORMAT == 3
     state["format"] = snapshot_format
     state["index"] = parent_index_columns(db.storage)
     lsn = db.durability.wal.last_lsn
@@ -464,27 +481,29 @@ def reopen_parent_layout(tmp_path, snapshot_format: int,
 def test_checkpoint_without_a_path_column_still_opens(tmp_path):
     """Backward compatibility: a format-2 checkpoint written before the
     per-path lists existed stores per-tag and all-element lists instead;
-    restore derives the path lists from them."""
+    restore ignores them and rebuilds the path lists by the walk."""
     reopen_parent_layout(tmp_path, 2).close()
 
 
 def test_format3_checkpoint_with_tag_lists_still_opens(tmp_path):
-    """A format-3 checkpoint in the parent's layout (per-tag and
-    all-element lists, no path lists) restores its path lists from the
-    all-element lists, grafts its views, and replays a WAL tail of
-    inserts and deletes onto them."""
+    """A format-3 checkpoint in an older layout (per-tag and all-element
+    lists, no path lists) rebuilds its path lists by the walk, grafts
+    its views, and replays a WAL tail of inserts and deletes onto
+    them."""
     reopen_parent_layout(tmp_path, 3, tail_steps=6).close()
 
 
-def test_checkpoint_stores_one_list_family(tmp_path):
-    """A checkpoint holds the per-path lists and no per-tag or
-    all-element lists beside them."""
+def test_checkpoint_stores_documents_and_views_only(tmp_path):
+    """A checkpoint holds nothing derivable: no structural index, no
+    operator state, no per-node column but the tree's own."""
     db = seed_db(tmp_path)
     drive(db, steps=4)
     db.flush()
-    columns = capture_state(db.registry)["index"]
-    assert set(columns) == {"path_lists", "tag_paths", "path_interner"}
-    assert columns["path_lists"] is db.storage.index._path_lists
+    assert db.registry.state_store.entry_count() > 0
+    state = capture_state(db.registry)
+    assert set(state) == {"format", "documents", "views"}
+    assert set(state["documents"]["site.xml"]) == {
+        "tags", "values", "keys", "child_counts", "attributes"}
     db.close()
 
 
@@ -496,7 +515,8 @@ def test_checkpoint_file_holds_columns_not_object_graphs(tmp_path):
     with open(path, "rb") as fh:
         blob = fh.read()
     for class_name in (b"XmlNode", b"ExtentNode", b"StructuralIndex",
-                       b"XmlDocument"):
+                       b"XmlDocument", b"XatTuple", b"NodeItem",
+                       b"CachedEntry"):
         assert class_name not in blob, (
             f"{class_name.decode()} objects were pickled into a checkpoint")
 
@@ -532,7 +552,7 @@ def test_unknown_snapshot_format_is_rejected_explicitly(tmp_path):
     store = CheckpointStore(RealFileSystem(), str(tmp_path))
     (_lsn, newest) = store.list()[0]
     _lsn, state = store.load_one(newest)
-    assert state["format"] == SNAPSHOT_FORMAT == 3
+    assert state["format"] == SNAPSHOT_FORMAT == 4
     # a well-formed file whose payload is another snapshot format (what a
     # format-1 checkpoint looks like to this build): refuse it loudly —
     # falling back past it could silently serve older data
@@ -634,8 +654,8 @@ def test_format2_checkpoint_is_rematerialized_not_grafted(tmp_path,
                                                           monkeypatch):
     """A format-2 file carries the counts of the sum-of-duplicates
     ``Distinct`` rule; fusing this build's zero-crossing deltas into
-    them leaves emptied groups standing.  Its documents and index still
-    restore, every view is rebuilt from them, no opstate is adopted."""
+    them leaves emptied groups standing.  Its documents still restore
+    and every view is rebuilt from them."""
     monkeypatch.setattr(RegisteredView, "over_work_bound",
                         lambda self: False)
     db = durable_db(tmp_path, fsync="always")
@@ -647,21 +667,16 @@ def test_format2_checkpoint_is_rematerialized_not_grafted(tmp_path,
     expected = {name: db.read(name) for name in db.views()}
     keys = _document_keys(db)
     state = capture_state(db.registry)
-    assert state["opstate"], "the modify must have left operator state"
     state["format"] = 2
     for view in state["views"]:
         columns = view["extent"]
         columns["counts"] = [count * 7 for count in columns["counts"]]
-    for table in state["opstate"].values():
-        for tup in table.tuples:
-            tup.count *= 7
     lsn = db.durability.wal.last_lsn
     CheckpointStore(RealFileSystem(), str(tmp_path)).write(lsn, state)
     del db                                     # crash: that file is the newest
 
     reopened = durable_db(tmp_path)
     assert reopened.recovery.checkpoint_lsn == lsn
-    assert reopened.registry.state_store.entry_count() == 0
     assert {name: reopened.read(name) for name in reopened.views()} \
         == expected
     assert _document_keys(reopened) == keys
@@ -692,7 +707,8 @@ def test_format3_reopen_grafts_without_rematerializing(tmp_path,
     del crashed                                # simulated kill: no close
 
     def rematerialized(*_args, **_kwargs):
-        raise AssertionError("a format-3 restore reached Engine.materialize")
+        raise AssertionError("a grafting restore reached "
+                             "Engine.materialize")
 
     for name, replays in (("clean", False), ("crash", True)):
         with monkeypatch.context() as patch:
@@ -700,7 +716,6 @@ def test_format3_reopen_grafts_without_rematerializing(tmp_path,
             reopened = durable_db(tmp_path / name)
         assert reopened.recovery.checkpoint_lsn > 0
         assert (reopened.recovery.wal_records_replayed > 0) == replays
-        assert reopened.registry.state_store.entry_count() > 0
         assert_all_views_consistent(reopened)
         reopened.close()
 
@@ -747,21 +762,36 @@ def test_recovered_registry_keeps_maintaining(tmp_path):
     recovered.close()
 
 
-def test_recovery_restores_operator_state_warm(tmp_path, monkeypatch):
-    # Pin incremental maintenance: whether an entry is clean
-    # (checkpointable) at close varies with which path each flush took.
+def test_recovery_rebuilds_operator_state_on_first_use(tmp_path,
+                                                        monkeypatch):
+    """A checkpoint stores no operator state: a reopened store starts
+    empty, its first batch builds each entry it reads (one miss each),
+    and the batches after it hit."""
     monkeypatch.setattr(RegisteredView, "over_work_bound",
                         lambda self: False)
-    db = seed_db(tmp_path)
+    db = durable_db(tmp_path, fsync="always")
+    db.load("site.xml", SITE)
+    for name, query in GROUPED_VIEWS.items():
+        db.create_view(name, query)
     drive(db, steps=5)
     db.close()
     recovered = durable_db(tmp_path)
     store = recovered.registry.state_store
+    assert store.entry_count() == 0
+    cities = recovered.storage.find_by_path(
+        "site.xml", PERSONS + [("child", "address"), ("child", "city")])
+    recovered.registry.apply_updates(
+        [UpdateRequest.modify("site.xml", cities[0], "Tampere")])
     assert store.entry_count() > 0
-    assert all(entry.valid for entry in store.entries())
-    drive(recovered, steps=2, seed=23)
-    assert store.stats.hits > 0, (
-        "restored operator state should serve hits, not recompute all")
+    assert store.stats.misses == store.entry_count()
+    for step, city in enumerate(cities[1:4]):
+        recovered.registry.apply_updates(
+            [UpdateRequest.modify("site.xml", city, xmark.CITIES[step])])
+    assert store.stats.misses == store.entry_count()
+    assert store.stats.hits > 0
+    assert_all_views_consistent(recovered)
+    assert all(recovered.registry.view(name).stats.recomputes == 0
+               for name in recovered.views())
     recovered.close()
 
 
@@ -908,26 +938,34 @@ def test_failed_recovery_leaves_no_file_open(tmp_path, payload, error):
     assert fs.opened and fs.open_handles() == 0
 
 
-def test_checkpoint_without_an_index_is_rejected_explicitly(tmp_path):
-    """A checkpoint of a store that kept no structural index (``"index":
-    None``, which older releases could write) is refused with the cause
-    named, before the registry's storage is touched, and recovery leaves
-    no file open."""
+@pytest.mark.parametrize("index", [None, "absent"])
+def test_checkpoint_without_an_index_restores_by_the_walk(tmp_path, index):
+    """Restore derives the structural index from the documents, so a
+    format-3 file with ``"index": None`` (which older releases could
+    write) or with no index section at all restores, and its index
+    equals a from-scratch walk."""
     db = seed_db(tmp_path)
+    drive(db, steps=4)
     lsn = db.durability.wal.last_lsn
+    expected = {name: db.read(name) for name in db.views()}
     db.close()
     store = CheckpointStore(RealFileSystem(), str(tmp_path))
     _lsn, state = store.load_one(store.list()[0][1])
-    state["index"] = None
+    state["format"] = 3
+    if index is None:
+        state["index"] = None
     store.write(lsn + 1, state)
     registry = ViewRegistry(StorageManager())
-    with pytest.raises(ValueError, match="no structural index"):
-        restore_state(registry, copy.deepcopy(state))
-    assert registry.storage.document_names == [] and not registry.names()
-    fs = _HandleCountingFileSystem()
-    with pytest.raises(ValueError, match="no structural index"):
-        Database(durable_path=tmp_path, durability_fs=fs)
-    assert fs.opened and fs.open_handles() == 0
+    restore_state(registry, copy.deepcopy(state))
+    assert_path_lists_canonical(registry.storage)
+    registry.close()
+    reopened = durable_db(tmp_path)
+    assert reopened.recovery.checkpoint_lsn == lsn + 1
+    assert {name: reopened.read(name) for name in reopened.views()} \
+        == expected
+    assert_path_lists_canonical(reopened.storage)
+    assert_positional_paths_match_the_walk(reopened.storage)
+    reopened.close()
 
 
 def test_recover_corrupt_checkpoint_falls_back_with_tail(tmp_path):
@@ -1001,7 +1039,6 @@ def test_failed_batch_replays_to_same_partial_state(tmp_path):
     persons = db.storage.find_by_path(
         "site.xml", [("child", "site"), ("child", "people"),
                      ("child", "person")])
-    from repro import UpdateRequest
     doomed = persons[0]
     # delete a subtree, then address a node inside it: the second
     # statement fails mid-batch, leaving a partial application.
