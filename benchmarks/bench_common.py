@@ -112,7 +112,6 @@ BREAKDOWN_TARGETS = {
                                  "resolve_order", "override_from_tokens")],
     "overriding_order": [("repro.xat.construction", "_prefixed"),
                          ("repro.xat.grouping", "assign_overriding_orders")],
-    "final_sort": [("repro.engine.executor", "_ensure_sorted")],
 }
 
 

@@ -45,7 +45,8 @@ sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from tests.helpers import ALL_MUTATORS, FUZZ_VIEWS, SHARING_POLICIES, \
-    SHARING_VIEWS, random_batch, run_differential  # noqa: E402
+    SHARING_VIEWS, assert_extents_canonical, assert_path_lists_canonical, \
+    random_batch, run_differential  # noqa: E402
 from repro.api import Database  # noqa: E402
 from repro.workloads import xmark  # noqa: E402
 
@@ -56,9 +57,12 @@ def run_crash_churn(seed: int, steps: int, crash_every: int,
     :class:`Database`, "kill" the process every ``crash_every`` rounds
     (drop the session with no close, so no final checkpoint), recover
     from the directory, and oracle-check every view after each batch
-    and each recovery.  A background checkpoint is settled right after
-    the batch that cut it, so what each crash recovers from depends on
-    the seed alone.  Returns the number of updates applied."""
+    and each recovery.  The storage and extent invariants
+    (:func:`assert_path_lists_canonical`, :func:`assert_extents_canonical`)
+    are checked after each batch and right after each recovery.  A
+    background checkpoint is settled right after the batch that cut it,
+    so what each crash recovers from depends on the seed alone.  Returns
+    the number of updates applied."""
     with tempfile.TemporaryDirectory(prefix="crash-churn-") as path:
         def open_db() -> Database:
             db = Database(durable_path=path, fsync="always",
@@ -89,9 +93,13 @@ def run_crash_churn(seed: int, steps: int, crash_every: int,
                         f"crash_churn seed={seed} step={step}: view "
                         f"{name} diverged from recomputation\n"
                         f" got: {got}\nwant: {want}")
+            assert_path_lists_canonical(db.storage)
+            assert_extents_canonical(db.registry)
             if crash_every and (step + 1) % crash_every == 0:
                 del db                          # kill -9 analogue
                 db = open_db()
+                assert_path_lists_canonical(db.storage)
+                assert_extents_canonical(db.registry)
         db.close()
         return updates
 

@@ -243,17 +243,15 @@ def _fuse(existing: ExtentNode, incoming: ExtentNode,
         _merge_aggregate(existing, incoming, report, log, path)
         return True
     if incoming.refresh:
-        existing.attributes = dict(incoming.attributes)
+        existing.attributes = incoming.attributes   # never written in place
         if incoming.base:
             # An exposed base fragment re-derivation is complete: replace
             # the children wholesale (handles deletes inside the fragment).
-            preserved = existing.count
             existing.clear_children()
-            for child in list(incoming.children):
-                incoming.remove_child(child)
+            for child in incoming.children:
                 _normalize_inserted(child)
                 existing.insert_child(child)
-            existing.count = preserved
+            incoming.clear_children()
             report.replaced_text += 1
             if log is not None:
                 _log_replace(log, path, existing)

@@ -7,6 +7,10 @@ structure represents delta update trees (Chapter 7's propagation output),
 whose counts may be negative (deletes) or whose nodes may be flagged
 ``refresh`` (content-only re-derivations).
 
+Attribute maps and child lists are shared values, replaced and never
+mutated, as in :mod:`repro.xmlmodel.node`: a base-node copy shares its
+source's map and a constructed node its skeleton's.
+
 :func:`serialize_extent` is the one writer of extent XML.  Every element
 caches what it last wrote (``xml``) and Deep Union empties that cache
 along the paths it fuses, so a read rebuilds only what changed.
@@ -17,11 +21,12 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
-from typing import Optional
+from typing import Mapping, Optional
 
 from ..flexkeys import FlexKey, order_of
 from ..storage import ContentItem, Skeleton
 from ..xmlmodel import XmlNode
+from ..xmlmodel.node import EMPTY_ATTRIBUTES
 from ..xmlmodel.serializer import escape_attr, escape_text
 from ..xat.grouping import AggState
 from ..xat.table import AtomicItem, Item, NodeItem
@@ -45,15 +50,15 @@ class ExtentNode:
 
     def __init__(self, node_id: str, order: str, tag: Optional[str] = None,
                  text: Optional[str] = None,
-                 attributes: Optional[dict[str, str]] = None,
+                 attributes: Optional[Mapping[str, str]] = None,
                  count: int = 1, refresh: bool = False,
                  agg: Optional[AggState] = None, base: bool = False):
         self.node_id = node_id
         self.order = order
         self.tag = tag
         self.text = text
-        self.attributes = attributes if attributes is not None else {}
-        self.children: list[ExtentNode] = []
+        self.attributes = attributes or EMPTY_ATTRIBUTES
+        self.children: list[ExtentNode] = [] if tag is not None else ()
         self.count = count
         self.refresh = refresh
         self.agg = agg
@@ -121,10 +126,8 @@ class ExtentNode:
     def to_xml(self) -> XmlNode:
         if self.is_text:
             return XmlNode.text(self.text or "")
-        node = XmlNode.element(self.tag, dict(self.attributes))
-        for child in self.children:
-            node.append(child.to_xml())
-        return node
+        return XmlNode.element(self.tag, self.attributes,
+                               [child.to_xml() for child in self.children])
 
     def __repr__(self) -> str:
         label = f"text={self.text!r}" if self.is_text else f"<{self.tag}>"
@@ -194,10 +197,9 @@ def node_from_item(item: Item, storage, delta=None) -> Optional[ExtentNode]:
     root itself is the deleted fragment (only its id/count matter then).
     """
     if isinstance(item, AtomicItem):
-        node = ExtentNode(TEXT_ID, item.order_token(), text=item.value,
+        return ExtentNode(TEXT_ID, item.order_token(), text=item.value,
                           count=item.count, refresh=item.refresh,
                           agg=item.agg)
-        return node
     assert isinstance(item, NodeItem)
     if item.is_constructed:
         return _from_skeleton(item.skeleton, order_of(item.key),
@@ -208,7 +210,7 @@ def node_from_item(item: Item, storage, delta=None) -> Optional[ExtentNode]:
 def _from_skeleton(skeleton: Skeleton, order: str, count: int,
                    refresh: bool, storage, delta) -> ExtentNode:
     node = ExtentNode(skeleton.node_id.value, order, tag=skeleton.tag,
-                      attributes=dict(skeleton.attributes),
+                      attributes=skeleton.attributes,
                       count=count, refresh=refresh)
     for entry in skeleton.content:
         child = _from_content(entry, storage, refresh, delta)
@@ -221,13 +223,11 @@ def _from_content(entry: ContentItem, storage, parent_refresh: bool,
                   delta) -> Optional[ExtentNode]:
     refresh = entry.refresh or parent_refresh
     if entry.kind == "value":
-        node = ExtentNode(TEXT_ID,
+        return ExtentNode(TEXT_ID,
                           order_of(entry.key) if entry.key is not None
                           else (entry.text or ""),
                           text=entry.text, count=entry.count,
-                          refresh=refresh)
-        node.agg = entry.agg
-        return node
+                          refresh=refresh, agg=entry.agg)
     if entry.skeleton is not None:
         return _from_skeleton(entry.skeleton, order_of(entry.key),
                               entry.count, refresh, storage, delta)
@@ -259,7 +259,7 @@ def _copy_base_node(source: XmlNode, order: str, count: int,
         return ExtentNode(TEXT_ID, order, text=source.value,
                           count=count, refresh=refresh)
     node = ExtentNode(source.key.value, order, tag=source.tag,
-                      attributes=dict(source.attributes),
+                      attributes=source.attributes,
                       count=count, refresh=refresh, base=True)
     for child in source.children:
         if prune_delta is not None and child.is_element \

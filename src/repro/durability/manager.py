@@ -563,6 +563,7 @@ class DurabilityManager:
                 self.recovered_batch_meta.extend(
                     state.pop("server_meta", ()))
                 restore_state(registry, state)
+                del loaded, state   # freed before the WAL tail replays
                 report.checkpoint_lsn = base_lsn
                 report.checkpoint_generation = generation
             self.replaying = True

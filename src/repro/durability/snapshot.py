@@ -183,8 +183,8 @@ def capture_state(registry) -> dict:
     The caller quiesces the registry first (``registry.flush()``):
     checkpoints are cut at a point where no pending delta queue needs
     serializing and the extents match a clean replay boundary.  The
-    columns alias live attribute dicts and aggregate states — encode
-    the result before the next mutation.
+    columns alias live aggregate states (attribute maps are never
+    written in place) — encode the result before the next mutation.
     """
     storage = registry.storage
     views = []
@@ -216,15 +216,17 @@ def capture_state(registry) -> dict:
 
 def restore_state(registry, state: dict) -> None:
     """Rebuild a freshly-constructed registry (empty storage, no views)
-    from a captured state dict."""
+    from a captured state dict, consuming it: each document's and view's
+    columns are dropped once decoded, not kept beside the trees."""
     if state.get("format") not in (2, 3, SNAPSHOT_FORMAT):
         raise ValueError(
             f"unsupported snapshot format {state.get('format')!r}")
     # format 2: counts of the old Distinct rule (see above)
     graft = state["format"] != 2
     storage = registry.storage
-    for name, columns in state["documents"].items():
-        root = _decode_document(columns)
+    documents = state["documents"]
+    for name in list(documents):
+        root = _decode_document(documents.pop(name))
         storage.restore_document(XmlDocument(name, root), root.key)
     for spec in state["views"]:
         policy = MaintenancePolicy(spec["policy_kind"],
@@ -236,8 +238,9 @@ def restore_state(registry, state: dict) -> None:
             # a view spec written before the work bound has no count: the
             # view stays incremental until its first recompute measures it
             view.rows_read = spec.get("rows_read")
-            view.pipeline.extent = (_decode_extent(spec["extent"])
-                                    if spec["extent"] is not None else None)
+            extent = spec.pop("extent")
+            view.pipeline.extent = (_decode_extent(extent)
+                                    if extent is not None else None)
             view.pipeline.materialized = spec["materialized"]
         elif spec["materialized"]:
             registry.materialize(spec["name"])

@@ -1,9 +1,10 @@
 """Query engine: executes prepared XAT plans against the storage manager.
 
-The engine produces either a plain query result (an XML string / node tree,
-partially sorted on demand — Section 3.3.3) or a materialized
-:class:`~repro.apply.extent.ExtentNode` tree with semantic ids and count
-annotations, ready for incremental maintenance.
+The engine produces either a plain query result (an XML string / node tree)
+or a materialized :class:`~repro.apply.extent.ExtentNode` tree with
+semantic ids and count annotations, ready for incremental maintenance.
+No final sort (Section 3.3.3) runs: ``ExtentNode.insert_child`` keeps
+every children list in order-token order, and checkpoints keep that order.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class Engine:
                       delta: Optional[DeltaSpec] = None, store=None,
                       vm=None, memo: Optional[dict] = None
                       ) -> list[ExtentNode]:
-        """Execute and de-reference the exposed column into extent trees."""
+        """Execute and de-reference the exposed column into extent trees
+        (their children already in order-token order)."""
         table = self.run(plan, mode=mode, delta=delta, store=store, vm=vm,
                          memo=memo)
         column = self.exposed_column(plan)
@@ -74,11 +76,6 @@ class Engine:
                 node = node_from_item(item, self.storage, delta)
                 if node is not None:
                     forest.append(node)
-        # The final (partial) sort of Section 3.3.3: collections are almost
-        # always already ordered (keys were never reshuffled), so this is
-        # one verification scan per children list, sorting only if needed.
-        for root in forest:
-            _ensure_sorted(root)
         return forest
 
     def propagate(self, plan: XatOperator, extent: Optional[ExtentNode],
@@ -143,14 +140,3 @@ class Engine:
         """Plain query execution: serialized XML result."""
         extent, _report = self.materialize(plan)
         return self.serialize_extent(extent)
-
-
-def _ensure_sorted(node: ExtentNode) -> None:
-    """Verify (and if needed restore) sibling order by order tokens."""
-    children = node.children
-    for i in range(1, len(children)):
-        if children[i - 1].order > children[i].order:
-            children.sort(key=lambda c: c.order)
-            break
-    for child in children:
-        _ensure_sorted(child)

@@ -274,6 +274,8 @@ class StorageManager:
         to the whole inserted subtree; neighbours keep their keys.
         """
         parent = self.node(parent_key)
+        if parent.is_text:
+            raise StorageError(f"{parent_key} is a text node: no children")
         if after is not None and before is not None:
             raise StorageError("give at most one of after/before")
         anchor_key = after if after is not None else before
@@ -379,7 +381,8 @@ class StorageManager:
                 and children[0].value == value)
 
     def replace_attribute(self, key: FlexKey, name: str, value: str) -> None:
-        self.node(key).attributes[name] = value
+        node = self.node(key)   # a new map: view copies share the old one
+        node.attributes = {**node.attributes, name: value}
         self._notify("modify", key)
 
     # -- path evaluation helpers -------------------------------------------------------------

@@ -10,8 +10,8 @@ skeletons recursively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from ..flexkeys import FlexKey
 
@@ -38,17 +38,6 @@ class ContentItem:
     skeleton: Optional["Skeleton"] = None
     agg: object = None
 
-    @classmethod
-    def ref(cls, key: FlexKey, count: int = 1, refresh: bool = False,
-            skeleton: Optional["Skeleton"] = None) -> "ContentItem":
-        return cls(REF, key=key, count=count, refresh=refresh,
-                   skeleton=skeleton)
-
-    @classmethod
-    def value(cls, text: str, count: int = 1,
-              refresh: bool = False) -> "ContentItem":
-        return cls(VALUE, text=text, count=count, refresh=refresh)
-
 
 @dataclass
 class Skeleton:
@@ -56,8 +45,8 @@ class Skeleton:
 
     node_id: FlexKey
     tag: str
-    attributes: dict[str, str] = field(default_factory=dict)
-    content: list[ContentItem] = field(default_factory=list)
+    attributes: Mapping[str, str]   # shared: replaced, never written
+    content: list[ContentItem]
     count: int = 1
 
     def __repr__(self) -> str:

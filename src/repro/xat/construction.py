@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Union
 
 from ..flexkeys import FlexKey
 from ..storage import REF, VALUE, ContentItem, Skeleton
+from ..xmlmodel.node import EMPTY_ATTRIBUTES
 from .base import DELTA, ExecutionContext, PlanError, XatOperator
 from .conditions import ColumnRef, Literal, item_value
 from .semantic_ids import (constructed_id, lineage_terminals,
@@ -139,7 +140,7 @@ class Tagger(XatOperator):
         order_cols = self._order_cols
         override = (override_from_tokens(resolve_order(order_cols, tup))
                     if order_cols else None)
-        attributes = {}
+        attributes = {} if self._attributes else EMPTY_ATTRIBUTES
         for name, literal, column in self._attributes:
             if column is None:
                 attributes[name] = literal

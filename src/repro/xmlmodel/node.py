@@ -3,14 +3,26 @@
 Nodes are plain trees; FlexKeys and root-to-node tag paths are assigned
 by the storage manager when a document (or update fragment) is
 registered, never by the nodes themselves.
+
+Attribute maps and child lists are shared values, replaced and never
+mutated: an attribute-less node holds the read-only
+:data:`EMPTY_ATTRIBUTES`, a write installs a new dict (so a copy shares
+the map it copies), and a text node's ``children`` is ``()``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import copyreg
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 ELEMENT = "element"
 TEXT = "text"
+
+#: The one attribute map of every attribute-less node (and extent node).
+EMPTY_ATTRIBUTES: Mapping[str, str] = MappingProxyType({})
+# pickled and deep-copied as the plain dict older checkpoints hold
+copyreg.pickle(MappingProxyType, lambda proxy: (dict, (dict(proxy),)))
 
 
 class XmlNode:
@@ -31,8 +43,8 @@ class XmlNode:
         self.kind = kind
         self.tag = tag
         self.value = value
-        self.attributes: dict[str, str] = {}
-        self.children: list["XmlNode"] = []
+        self.attributes: Mapping[str, str] = EMPTY_ATTRIBUTES
+        self.children: list["XmlNode"] = [] if kind == ELEMENT else ()
         self.parent: Optional["XmlNode"] = None
         self.key = None  # FlexKey, set by the storage manager
         # root-to-node element tag path (one tuple per distinct path),
@@ -42,11 +54,11 @@ class XmlNode:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def element(cls, tag: str, attributes: Optional[dict[str, str]] = None,
+    def element(cls, tag: str, attributes: Optional[Mapping[str, str]] = None,
                 children: Optional[list["XmlNode"]] = None) -> "XmlNode":
         node = cls(ELEMENT, tag=tag)
-        if attributes:
-            node.attributes.update(attributes)
+        if attributes:   # a copy: the caller may write its dict later
+            node.attributes = dict(attributes)
         for child in children or []:
             node.append(child)
         return node
@@ -122,9 +134,10 @@ class XmlNode:
     # -- copying ----------------------------------------------------------------
 
     def deep_copy(self) -> "XmlNode":
-        """Structural copy without keys or paths (storage assigns both)."""
+        """Structural copy without keys or paths (storage assigns both);
+        the attribute map is shared (a write replaces it)."""
         clone = XmlNode(self.kind, tag=self.tag, value=self.value)
-        clone.attributes.update(self.attributes)
+        clone.attributes = self.attributes
         for child in self.children:
             clone.append(child.deep_copy())
         return clone

@@ -125,7 +125,7 @@ def _open_tag(text: str, pos: int) -> tuple[XmlNode, int, bool]:
         raise XmlParseError("expected a name", pos + 1)
     node = XmlNode(ELEMENT, tag)
     if attributes:
-        decoded = node.attributes
+        node.attributes = decoded = {}
         if "&" in attributes:   # a bad reference is reported at its value
             for attr in _ATTR.finditer(text, match.start(2), match.end(2)):
                 decoded[attr[1]] = _decode_entities(attr[3], attr.start(3))

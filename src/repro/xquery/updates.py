@@ -36,6 +36,7 @@ from ..flexkeys import LEVEL_SEP, FlexKey
 from ..storage import StorageManager
 from ..updates.primitives import UpdateRequest
 from ..xat.paths import Path
+from ..xmlmodel.parser import _CLOSE_TAG, _OPEN_TAG
 from .ast import PathExpr, PredicateExpr, VarRef
 from .parser import XQueryParseError, XQueryParser
 
@@ -146,33 +147,36 @@ class _UpdateParser(XQueryParser):
         raise self.error("expected $var or $var/path")
 
     def _parse_raw_fragment(self) -> str:
-        """Capture the inserted XML verbatim (balanced element)."""
+        """Capture the inserted XML verbatim (one balanced element), tag
+        by tag: comments, CDATA sections and PIs are skipped whole, so a
+        ``<`` or ``>`` inside them or in an attribute value is no tag."""
         self.skip_ws()
         if self.peek() != "<":
             raise self.error("expected an XML fragment")
         start = self.pos
         depth = 0
-        i = self.pos
-        text = self.text
-        while i < len(text):
-            if text.startswith("</", i):
-                depth -= 1
-                i = text.index(">", i) + 1
-                if depth == 0:
-                    self.pos = i
-                    return text[start:i]
-            elif text.startswith("<", i):
-                end = text.index(">", i)
-                if text[end - 1] == "/":
-                    if depth == 0:
-                        self.pos = end + 1
-                        return text[start:end + 1]
-                else:
-                    depth += 1
-                i = end + 1
-            else:
-                i += 1
+        for match in _MARKUP.finditer(self.text, start):
+            if match[2] is not None:            # a close tag
+                ended, depth = match[2], depth - 1
+            elif match[3] is not None:          # an open tag
+                ended = match[3] and match[5]
+                depth += ended == ">"
+            else:                               # a comment, CDATA, PI
+                continue
+            if not ended:
+                raise XQueryParseError("malformed XML fragment",
+                                       match.start())
+            if depth == 0:
+                self.pos = match.end()
+                return self.text[start:self.pos]
         raise self.error("unterminated XML fragment")
+
+
+#: one markup construct: a comment, CDATA section or PI (skipped whole),
+#: else a close tag (groups 1-2) or an open tag (groups 3-5) as the XML
+#: parser reads them — a malformed one matches its well-formed prefix
+_MARKUP = re.compile(rf"<!--.*?-->|<!\[CDATA\[.*?]]>|<\?.*?\?>"
+                     rf"|{_CLOSE_TAG.pattern}|{_OPEN_TAG.pattern}", re.DOTALL)
 
 
 def evaluate_update(statement: UpdateStatement, storage: StorageManager,

@@ -18,6 +18,7 @@ from repro.translate import translate_query
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
 from repro.xat.base import ExecutionContext
+from repro.xmlmodel.node import EMPTY_ATTRIBUTES
 
 
 #: the three grouped views over ``site.xml`` that share one ``Distinct``
@@ -270,7 +271,9 @@ def assert_path_lists_canonical(storage: StorageManager) -> None:
     and the sorted per-tag-path key lists (one sorted, non-empty list
     per path that has live elements) — whatever mutation, checkpoint
     and replay history produced them; and every child list is in key
-    order, which is what lets a sibling's position be bisected."""
+    order, which is what lets a sibling's position be bisected; and
+    every node holds the shared containers
+    (:func:`assert_shared_containers`)."""
     nodes: dict = {}
     tag_paths: dict = {}
     path_lists: dict = {}
@@ -284,6 +287,7 @@ def assert_path_lists_canonical(storage: StorageManager) -> None:
                 tags = tags + (node.tag,)
                 path_lists.setdefault((name, tags), []).append(value)
             tag_paths[value] = tags
+            assert_shared_containers(node)
             children = [child.key.value for child in node.children]
             assert children == sorted(set(children)), (
                 f"children of {value} are not in key order")
@@ -301,6 +305,35 @@ def assert_path_lists_canonical(storage: StorageManager) -> None:
         == len(set(tag_paths.values())), "a tag path is not one shared tuple"
     assert index._path_lists == path_lists
     assert index.stats()["path_lists"] == len(path_lists)
+
+
+#: the children of every text node (the one empty tuple)
+NO_CHILDREN = ()
+
+
+def assert_shared_containers(node) -> None:
+    """A document or extent node holds the shared empty attribute map
+    when it has no attributes, and a text node the empty tuple as its
+    children — identity, not equality."""
+    assert node.attributes is EMPTY_ATTRIBUTES or (
+        node.attributes and type(node.attributes) is dict), node
+    assert not node.is_text or node.children is NO_CHILDREN, node
+
+
+def assert_extents_canonical(registry: ViewRegistry) -> None:
+    """Every view extent keeps each children list sorted by order token
+    (the engine runs no sort pass) and every node holds the shared
+    containers."""
+    for name in registry.names():
+        extent = registry.view(name).pipeline.extent
+        stack = [extent] if extent is not None else []
+        while stack:
+            node = stack.pop()
+            assert_shared_containers(node)
+            orders = [child.order for child in node.children]
+            assert orders == sorted(orders), (
+                f"{name}: children of {node!r} are not in order")
+            stack.extend(node.children)
 
 
 # -- the randomized differential harness -------------------------------------------------
@@ -445,7 +478,9 @@ def run_differential(seed: int, steps: int, mutators: Sequence[str],
     :meth:`ViewRegistry.apply_updates` and assert that each maintained
     extent is byte-identical to the recompute oracle and, after every
     batch, that the operator-state store passes
-    :func:`audit_operator_state`.
+    :func:`audit_operator_state`, the storage
+    :func:`assert_path_lists_canonical` and the extents
+    :func:`assert_extents_canonical`.
 
     ``views`` is one query string or an iterable of them.  Each view
     runs in a registry of its own over its own storage — or, with
@@ -513,6 +548,7 @@ def run_differential(seed: int, steps: int, mutators: Sequence[str],
                         f"want: {want}")
             audit_operator_state(registry)
             assert_path_lists_canonical(registry.storage)
+            assert_extents_canonical(registry)
         applied += len(batch)
     for registry in registries:
         assert all(registry.view(name).stats.recomputes == 0

@@ -95,8 +95,7 @@ class TestEngine:
         sm = self._storage()
         with bench.timed_calls() as totals:
             Engine(sm).query(translate_query(bibload.YEAR_GROUP_QUERY))
-        assert sorted(totals) == ["final_sort", "overriding_order",
-                                  "semantic_id"]
+        assert sorted(totals) == ["overriding_order", "semantic_id"]
         assert all(seconds > 0 for seconds in totals.values()), totals
         view = MaintainedView(sm, bibload.YEAR_GROUP_QUERY)
         last_book = sm.children(sm.root_key("bib.xml"), "book")[-1]
@@ -113,8 +112,8 @@ class TestEngine:
             with bench.timed_calls({"gone": [("repro.engine.executor",
                                               "no_such_function")]}):
                 pass
-        from repro.engine import executor
-        assert not hasattr(executor._ensure_sorted, "__wrapped__")
+        from repro.xat import construction
+        assert not hasattr(construction._prefixed, "__wrapped__")
 
 
 class TestWorkloadGenerators:

@@ -111,6 +111,10 @@ class TestUpdates:
         with pytest.raises(StorageError):
             storage.insert_fragment(root, XmlNode.element("x"),
                                     after=title, before=title)
+        # a text node holds the empty tuple: it takes no children
+        text = storage.node(title).children[0].key
+        with pytest.raises(StorageError):
+            storage.insert_fragment(text, XmlNode.element("x"))
 
     def test_delete_subtree_drops_keys(self, storage):
         root = storage.root_key("bib.xml")

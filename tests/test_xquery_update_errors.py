@@ -9,6 +9,7 @@ see what to fix rather than a bare offset.
 import pytest
 
 from repro import StorageManager, XmlDocument
+from repro.xmlmodel import parse_fragment
 from repro.workloads.bib import BIB_XML
 from repro.xquery.parser import XQueryParseError
 from repro.xquery.updates import (apply_xquery_update, parse_document_path,
@@ -84,6 +85,31 @@ class TestMalformedUpdateBodies:
             'for $b in document("bib.xml")/bib/book update $b delete $b '
             'delete $b',
             "trailing input after update")
+
+
+class TestInsertFragments:
+    """The insert fragment is captured tag by tag: a ``>`` or ``<`` in an
+    attribute value, a comment or a CDATA section is no tag."""
+
+    @pytest.mark.parametrize("fragment", [
+        '<a t="x/>y"><b/></a>',
+        "<a><!-- <b> --></a>",
+        "<a><![CDATA[<b>]]></a>",
+    ])
+    def test_valid_fragment_is_captured_whole(self, fragment):
+        statement = parse_update(
+            'for $p in document("d.xml")/r/p[1] update $p '
+            f'insert {fragment} after $p')
+        assert statement.fragment_xml == fragment
+        assert statement.position == "after"
+        assert statement.target_path == ""
+        assert len(parse_fragment(fragment)) == 1
+
+    def test_malformed_tag_is_named(self):
+        expect_parse_error(
+            'for $b in document("bib.xml")/bib/book update $b '
+            'insert <x a=1/> after $b',
+            "malformed XML fragment")
 
 
 class TestUnknownVariables:
