@@ -131,7 +131,8 @@ def fuse_forest(extent: Optional[ExtentNode], roots: list[ExtentNode],
 
     Used both for initial materialization and for applying delta forests —
     views whose result is a single constructed document element simply have
-    a one-child forest.
+    a one-child forest.  The wrapper exists once: each root fuses under a
+    count-neutral (count 0) wrapper, so the extent's stays at 1.
     """
     if report is None:
         report = FusionReport()
@@ -139,6 +140,7 @@ def fuse_forest(extent: Optional[ExtentNode], roots: list[ExtentNode],
         extent = forest_root()
     for root in roots:
         delta = forest_root()
+        delta.count = 0
         delta.insert_child(root)
         extent, report = deep_union(extent, delta, report)
     return extent, report

@@ -41,16 +41,19 @@ class Engine:
         its linear schedule; without one (the recompute oracle) they
         evaluate recursively through ``ctx.evaluate`` — the same
         operator bodies either way.  ``memo`` replaces the context's
-        private run memo (see :meth:`propagate`).
+        private run memo (see :meth:`propagate`); without one, a FULL
+        run keeps only the tables a later step still reads.
         """
         if plan.schema is None:
             raise RuntimeError("plan not prepared; call plan.prepare()")
         ctx = ExecutionContext(self.storage, mode=mode, delta=delta,
                                store=store)
         if memo is not None:
-            ctx.memo = memo
+            ctx.memo, ctx.memo_private = memo, False
         if vm is not None:
             return vm.run(plan, ctx)
+        if mode == FULL and memo is None:
+            ctx.count_reads(plan)
         return ctx.evaluate(plan)
 
     # -- result materialization -----------------------------------------------------

@@ -18,10 +18,11 @@ the regime the paper's propagation equations promise to escape.
   index holds, per probe key, the bucket of tuples *and* their net count
   (the key's *support*), so a rule that only asks "does this key still
   match anything" reads one integer instead of summing the bucket;
-* **Group By count state** — the cached tables of Group By, Combine and
-  Aggregate are patched through their group/member merge rules
+* **Group By count state** — a cached Group By table is patched through
+  its group/member merge rule
   (:meth:`~repro.xat.base.XatOperator.state_apply`) instead of being
-  re-executed; and
+  re-executed (no entry is rooted at Combine or Aggregate: they occur
+  only in single-tuple constructor content, above every join); and
 * **Distinct support** — not a second kind of state: the Distinct delta
   rule reads the support its *input*'s side index maintains per value to
   tell whether a batch moves a value across zero.

@@ -156,5 +156,28 @@ def lower(root: XatOperator, mode: str,
         return reg
 
     root_reg = visit(root, mode)
-    return CompiledPlan(instructions, len(instructions), root_reg, mode,
-                        subplan_signature(root))
+    compiled = CompiledPlan(instructions, len(instructions), root_reg, mode,
+                            subplan_signature(root))
+    if mode == FULL:
+        compiled.live = _schedule_frees(instructions, root_reg)
+    return compiled
+
+
+def _schedule_frees(instructions: list[Instruction], root: int) -> int:
+    """Give each instruction the registers to drop after it runs — those
+    whose memo key no later instruction reads or refills (registers of
+    one key go together; the root's stays) — and return the most
+    registers alive at once under that schedule."""
+    last: dict[tuple, int] = {}
+    for instr in instructions:
+        for reg in (*instr.srcs, instr.dest):
+            last[instructions[reg].key] = instr.dest
+    del last[instructions[root].key]
+    for instr in instructions:
+        if instr.key in last:
+            instructions[last[instr.key]].frees += (instr.dest,)
+    live = peak = 0
+    for instr in instructions:
+        peak = max(peak, live + 1)
+        live += 1 - len(instr.frees)
+    return peak

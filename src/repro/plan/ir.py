@@ -67,7 +67,7 @@ class Instruction:
     """
 
     __slots__ = ("opcode", "dest", "srcs", "xop", "mode", "prepared", "key",
-                 "op_stats", "runs_stat", "out_stat",
+                 "frees", "op_stats", "runs_stat", "out_stat",
                  "executed", "reused", "shortcircuits", "rows_in",
                  "rows_out")
 
@@ -80,6 +80,8 @@ class Instruction:
         self.mode = mode
         self.prepared = prepared
         self.key = (prepared.signature, mode)
+        # registers a FULL run over a private memo drops after this one
+        self.frees: tuple = ()
         # the operator's live counters (``obs_op_stats``) and the two of
         # them this instruction's executions advance
         self.op_stats = op_stats(xop)
@@ -110,11 +112,12 @@ class CompiledPlan:
     ``signature`` is the root operator's structural signature (shared
     with :mod:`repro.engine.opstate`), which keys the plan cache and the
     cross-view sharing of compile artifacts.  ``root`` is the register
-    holding the final result.
+    holding the final result.  ``live`` (FULL plans only) is the most
+    registers alive at once when each is dropped after its last reader.
     """
 
     __slots__ = ("instructions", "nregs", "root", "mode", "signature",
-                 "compile_seconds", "shared_prefix_instructions")
+                 "compile_seconds", "shared_prefix_instructions", "live")
 
     def __init__(self, instructions: list, nregs: int, root: int,
                  mode: str, signature, compile_seconds: float = 0.0,
@@ -126,6 +129,7 @@ class CompiledPlan:
         self.signature = signature
         self.compile_seconds = compile_seconds
         self.shared_prefix_instructions = shared_prefix_instructions
+        self.live = None
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -135,6 +139,8 @@ class CompiledPlan:
         head = (f"compiled plan [{self.mode}]"
                 f" {len(self.instructions)} instructions,"
                 f" {self.nregs} registers, root=r{self.root}")
+        if self.live is not None:
+            head += f", live≤{self.live}"
         if self.shared_prefix_instructions:
             head += (f", shared-prefix="
                      f"{self.shared_prefix_instructions}")

@@ -325,7 +325,8 @@ class ExecutionContext:
     with the memo of the registry's dispatch, which every pass under one
     ``DeltaSpec`` object and the store's ``reconcile`` share (see
     ``ViewRegistry._dispatch`` for when that is sound).  Its tables are
-    read-only to every consumer.
+    read-only to every consumer.  A FULL run over its private memo drops
+    each table after its last reader (the VM's schedule, or ``readers``).
     """
 
     def __init__(self, storage: StorageManager,
@@ -338,6 +339,26 @@ class ExecutionContext:
         self.store = store
         self.bindings: list[XatTuple] = []      # Map-operator correlation stack
         self.memo: dict[tuple[str, str], XatTable] = {}
+        self.memo_private = True    # Engine.run clears it for a shared one
+        #: reads left per memo key (:meth:`count_reads`)
+        self.readers: dict = {}
+
+    def count_reads(self, root: "XatOperator") -> None:
+        """Drop each memo entry of a recursive run of ``root`` at its last
+        read: once per scheduled input of each distinct key above it (a
+        repeated key is a memo hit and reads nothing); the root stays."""
+        readers = self.readers = {}
+
+        def visit(op: XatOperator) -> None:
+            for child in op.scheduled_inputs():
+                key = (child._state_signature or _signature(child),
+                       self.mode)
+                if key in readers:
+                    readers[key] += 1
+                else:
+                    readers[key] = 1
+                    visit(child)
+        visit(root)
 
     # -- mode management ------------------------------------------------------------
 
@@ -362,16 +383,20 @@ class ExecutionContext:
         # this memo, so a memoized table is always binding-independent).
         assert not ctx.bindings
         cache_key = (op._state_signature or _signature(op), ctx.mode)
-        cached = self.memo.get(cache_key)
-        if cached is not None:
-            return cached
-        if (ctx.mode == DELTA and ctx.delta is not None
-                and ctx.delta.document not in op.source_documents()):
-            result = XatTable(op.schema)  # Δ of an unaffected subtree is empty
-        else:
-            result = op.execute(ctx)
-        _obs_record(op, ctx.mode, result)
-        self.memo[cache_key] = result
+        result = self.memo.get(cache_key)
+        if result is None:
+            if (ctx.mode == DELTA and ctx.delta is not None
+                    and ctx.delta.document not in op.source_documents()):
+                result = XatTable(op.schema)  # Δ of an unaffected subtree
+            else:
+                result = op.execute(ctx)
+            _obs_record(op, ctx.mode, result)
+            self.memo[cache_key] = result
+        readers = self.readers
+        if cache_key in readers:
+            readers[cache_key] -= 1
+            if not readers[cache_key]:
+                del self.memo[cache_key]
         return result
 
 

@@ -174,10 +174,11 @@ class Tagger(XatOperator):
         # derivation count (tuple count x relative) is applied where the
         # item is consumed — by Combine / Group By (assignOverRidOrd) or
         # by an enclosing Tagger.  This keeps join/distinct
-        # multiplicities from being applied twice.
+        # multiplicities from being applied twice.  A count-0 Δ tuple
+        # derives no node: 0 at any consumer, the forest's root included.
         item = NodeItem(node_id if override is None
-                        else node_id.with_override(override), 1,
-                        tup.refresh,
+                        else node_id.with_override(override),
+                        1 if tup.count else 0, tup.refresh,
                         Skeleton(node_id, self.pattern.tag, attributes,
                                  content, 1))
         return tup.extended(self.out, item)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..flexkeys import COMPOSE_SEP, FlexKey
-from .base import ExecutionContext, XatOperator, cached_tuple, \
+from .base import DELTA, ExecutionContext, XatOperator, cached_tuple, \
     item_fingerprint
 from .conditions import item_value
 from .relational import group_key
@@ -371,23 +371,10 @@ class Combine(XatOperator):
         items = assign_overriding_orders(
             source.tuples, self.col, source.schema.order_schema)
         table = XatTable(self.schema)
-        table.append(XatTuple({self.col: items}))
+        # The one "all" tuple exists before and after every batch: its Δ
+        # is count-neutral (the constructor above keeps its count).
+        table.append(XatTuple({self.col: items}, int(ctx.mode != DELTA)))
         return table
-
-    # Persistent state: the single all-tuple's item list merges by member.
-
-    def state_merge_key(self, tup: XatTuple, ctx) -> tuple:
-        return ("combine",)
-
-    def state_apply(self, existing, dt, ctx):
-        if existing is None:
-            return ("insert", cached_tuple(dt))
-        merged = merge_member_items(items_of(existing[self.col]),
-                                    items_of(dt[self.col]))
-        if merged is None:
-            return ("fail", None)
-        return ("replace", XatTuple({self.col: merged}, existing.count,
-                                    False, False))
 
     def describe(self) -> str:
         return f"Combine {self.col}"
@@ -567,26 +554,9 @@ class Aggregate(XatOperator):
                                   ctx)
         table = XatTable(self.schema)
         table.append(XatTuple({self.out: AtomicItem(state.value(),
-                                                    agg=state)}))
+                                                    agg=state)},
+                              int(ctx.mode != DELTA)))   # as Combine's
         return table
-
-    # Persistent state: the one output tuple's contribution state merges.
-
-    def state_merge_key(self, tup: XatTuple, ctx) -> tuple:
-        return ("aggregate",)
-
-    def state_apply(self, existing, dt, ctx):
-        if existing is None:
-            return ("insert", cached_tuple(dt))
-        e_item = single_item(existing[self.out])
-        d_item = single_item(dt[self.out])
-        if (e_item is None or d_item is None or e_item.agg is None
-                or d_item.agg is None):
-            return ("fail", None)
-        merged = e_item.agg.merge(d_item.agg)
-        return ("replace", XatTuple(
-            {self.out: AtomicItem(merged.value(), agg=merged)},
-            existing.count, False, False))
 
     def describe(self) -> str:
         return f"Aggregate {self.kind}({self.col}) -> {self.out}"

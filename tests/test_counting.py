@@ -1,13 +1,28 @@
 """Tests for the counting solution (Chapter 6): count annotations across
 operators and multiple-derivation deletes."""
 
-from repro import StorageManager, UpdateRequest, XmlDocument
-from repro.xat import (ColumnRef, Comparison, Distinct, GroupBy, Join,
-                       NavigateCollection, NavigateUnnest, Path, Source,
-                       single_item)
+import random
+
+import pytest
+
+from repro import (StorageManager, UpdateRequest, ViewRegistry,
+                   XmlDocument)
+from repro.engine import Engine
+from repro.workloads import xmark
+from repro.xat import (Aggregate, ColumnRef, Combine, Comparison, Distinct,
+                       GroupBy, Join, NavigateCollection, NavigateUnnest,
+                       Path, Source, single_item)
 from repro.xat.base import ExecutionContext
 
-from .helpers import MaintainedView
+from .helpers import (ALL_MUTATORS, SHARING_VIEWS, MaintainedView, pin,
+                      random_batch)
+
+#: a view of several top-level roots (each keeps its real count) and one
+#: whose single root sits over the "all" tuple of an Aggregate
+SENIORS_QUERY = ('for $p in doc("site.xml")/site/people/person '
+                 'where $p/profile/age > "40" '
+                 'return <senior>{$p/name}</senior>')
+HEADCOUNT_QUERY = '<result>{count(doc("site.xml")/site/people/person)}</result>'
 
 
 def storage_with(bib_xml):
@@ -130,3 +145,37 @@ class TestMultipleDerivations:
             "<book year='2000'><title>C2</title></book>", "after")])
         assert 'Y="2000"' in view.to_xml()
         assert view.to_xml() == view.recompute_xml()
+
+
+class TestRootCounts:
+    """A Δ pass leaves the forest wrapper at count 1 and each view root at
+    its real derivation count: the "all" tuple of Combine / Aggregate is
+    count-neutral under Δ, and so is the wrapper every root fuses under."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_root_and_wrapper_counts_equal_a_fresh_materialization(
+            self, seed):
+        storage = StorageManager()
+        xmark.register_site(storage, 20, seed=1)
+        registry = ViewRegistry(storage)
+        queries = SHARING_VIEWS + (SENIORS_QUERY, HEADCOUNT_QUERY)
+        for index, query in enumerate(queries):
+            pin(registry.register(f"view{index}", query))
+        rng = random.Random(seed)
+        for step in range(12):
+            registry.apply_updates(
+                random_batch(rng, storage, step, ALL_MUTATORS))
+        for name in registry.names():
+            pipeline = registry.view(name).pipeline
+            fresh, _report = Engine(storage).materialize(pipeline.plan)
+            extent = pipeline.extent
+            assert extent.count == fresh.count == 1, name
+            assert ([(c.match_key(), c.count) for c in extent.children]
+                    == [(c.match_key(), c.count) for c in fresh.children]
+                    ), name
+            assert registry.view(name).stats.recomputes == 0
+        # no operator-state entry is rooted at an "all" operator: Combine
+        # and Aggregate keep no merge rule of their own
+        assert not any(isinstance(entry.op, (Combine, Aggregate))
+                       for entry in registry.state_store._entries.values())
+        registry.close()

@@ -683,6 +683,38 @@ class TestDispatchRegisterFile:
         assert_all_consistent(registry)
         registry.close()
 
+    def test_full_side_stays_in_the_dispatch_memo(self):
+        """A Δ pass that builds a join side's entry evaluates the side
+        FULL into the dispatch's memo, and nothing leaves that memo:
+        every FULL table of the side is still there when the pass ends
+        (only a run over a memo of its own drops tables)."""
+        from repro.engine.opstate import subplan_signature
+        from repro.xat import FULL, Join
+
+        storage = multiview_storage()
+        registry = ViewRegistry(storage)
+        pin(registry.register("join", xmark.JOIN_QUERY))
+        memos = []
+        propagate = registry.engine.propagate
+
+        def recording(plan, extent, spec, memo, **kwargs):
+            result = propagate(plan, extent, spec, memo, **kwargs)
+            memos.append(dict(memo))
+            return result
+
+        registry.engine.propagate = recording
+        registry.apply_updates([UpdateRequest.insert(
+            "site.xml", persons_of(storage)[-1],
+            xmark.new_person_xml(1, age=71), "after")])
+        (memo,) = memos
+        (join,) = [op for op in registry.view("join").pipeline.plan
+                   .iter_operators() if isinstance(op, Join)]
+        side = list(join.inputs[1].iter_operators())
+        assert len(side) > 2
+        assert all((subplan_signature(op), FULL) in memo for op in side)
+        assert_all_consistent(registry)
+        registry.close()
+
     def test_correlated_evaluation_bypasses_the_memo(self):
         from repro.xat import ExecutionContext, Source
 

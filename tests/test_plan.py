@@ -10,10 +10,13 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, StorageManager, UpdateRequest, ViewRegistry
-from repro.plan import lower
+from repro.engine.opstate import subplan_signature
+from repro.plan import PlanVM, lower
+from repro.translate import translate_query
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
-from repro.xat.base import DELTA, FULL, MODIFY, DeltaRoot, DeltaSpec
+from repro.xat.base import (DELTA, FULL, MODIFY, DeltaRoot, DeltaSpec,
+                            ExecutionContext, obs_op_stats)
 
 from .helpers import (ALL_MUTATORS, FUZZ_VIEWS, GROUPED_VIEWS,
                       SHARING_POLICIES, SHARING_VIEWS, assert_consistent,
@@ -213,6 +216,73 @@ class TestVmExecution:
             listing = db.explain("twin").split("compiled plan [delta]")[1]
             assert listing.count(" runs=0 reuse=1 ") == len(delta_plan)
             assert "shared-prefix=" in listing
+
+
+# -- FULL-run liveness -----------------------------------------------------------------
+
+
+class TestFullLiveness:
+    """A FULL run over a memo of its own keeps only the tables a later
+    step still reads; every instruction still runs once per run."""
+
+    def test_vm_keeps_only_the_root_and_runs_each_instruction_once(self):
+        storage = StorageManager()
+        xmark.register_site(storage, 20, seed=1)
+        plan = translate_query(xmark.JOIN_QUERY)
+        vm = PlanVM()
+        compiled = vm.cache.plan(plan, FULL)
+        root_key = compiled.instructions[compiled.root].key
+        for _run in range(2):
+            before = [(i.executed + i.reused, i.op_stats["runs"])
+                      for i in compiled.instructions]
+            ctx = ExecutionContext(storage)
+            table = vm.execute(compiled, ctx)
+            assert list(ctx.memo) == [root_key]
+            assert ctx.memo[root_key] is table
+            # once per instruction, and never again through ctx.evaluate
+            assert [(i.executed + i.reused - steps, i.op_stats["runs"] - runs)
+                    for i, (steps, runs) in zip(compiled.instructions, before)
+                    ] == [(1, 1)] * len(compiled)
+        assert all(i.executed == 2 for i in compiled.instructions)
+        assert len(table.tuples) == len(
+            ExecutionContext(storage).evaluate(plan).tuples)
+
+    def test_explain_reports_the_live_register_bound(self):
+        storage = StorageManager()
+        xmark.register_site(storage, 10, seed=1)
+        registry = ViewRegistry(storage)
+        registry.register("join", xmark.JOIN_QUERY)
+        (full,) = registry.plan_cache.plans_for(
+            registry.view("join").pipeline.plan)
+        assert (full.nregs, full.live) == (14, 3)
+        assert ("compiled plan [full] 14 instructions, 14 registers,"
+                " root=r13, live≤3") in registry.explain("join")
+        assert lower(registry.view("join").pipeline.plan, DELTA).live \
+            is None
+        registry.close()
+
+    def test_recompute_evaluates_each_subplan_once_and_frees(
+            self, monkeypatch):
+        storage, view = site_view(xmark.JOIN_QUERY, 20, seed=1)
+        plan = view.pipeline.plan
+        operators = list(plan.iter_operators())
+        keys = {subplan_signature(op) for op in operators}
+        runs = {id(op): obs_op_stats(op)["runs"] for op in operators}
+        sizes, contexts = [], []
+        evaluate = ExecutionContext.evaluate
+
+        def spy(ctx, op, mode=None):
+            result = evaluate(ctx, op, mode)
+            sizes.append(len(ctx.memo))
+            contexts.append(ctx)
+            return result
+        monkeypatch.setattr(ExecutionContext, "evaluate", spy)
+        assert view.recompute_xml() == view.to_xml()
+        assert sum(obs_op_stats(op)["runs"] - runs[id(op)]
+                   for op in operators) == len(keys)
+        assert max(sizes) < len(keys)
+        assert list(contexts[-1].memo) == [(subplan_signature(plan), FULL)]
+        view.close()
 
 
 # -- operator-state stale-window regression ----------------------------------------------
