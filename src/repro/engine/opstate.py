@@ -3,7 +3,7 @@
 Without persistent state, every maintenance pass re-derives the *unchanged*
 side of the bilinear join expansion ``Δ(A ⋈ B) = ΔA ⋈ B_new ∪ A_old ⋈ ΔB``
 from scratch: the per-run :class:`~repro.xat.base.ExecutionContext` memo
-dies with the run, so FULL/ANTI-mode side evaluation re-scans the document
+dies with the run, so FULL-mode side evaluation re-scans the document
 and rebuilds its hash index on every batch — O(document) per batch, exactly
 the regime the paper's propagation equations promise to escape.
 
@@ -29,13 +29,17 @@ the regime the paper's propagation equations promise to escape.
 
 Every Δ rule reads the other side of ``Δ(A ⋈ B)`` through one entry
 point, :meth:`OperatorStateStore.side`: it asks for the side's *new* or
-*old* state and never names a mode.  The store derives FULL or ANTI
-from the phase, wraps the modify-phase old state as FULL minus the
-side's own retract/assert pairs, and answers from the side's entry
-through a :class:`StoredSideHandle` — hash probe and support counter for
-an equi side, the table for a theta side.  Only a state the store cannot
-hold is evaluated live, for the one run: the ANTI state of a side that is
-not anti-projectable, and a side that is not cacheable.
+*old* state and never names a mode.  There is one rule, as in DBSP's
+join against its integrated trace: a batch's inserts and modifies
+reach storage before it propagates and its deletes after, so the stored
+table is a side's new state under an insert or a modify and its old
+state under a delete; the other state is that table ± the side's own
+counted Δ (a :class:`~repro.xat.relational.DiffSideHandle`).  The table
+is served through a :class:`StoredSideHandle` — hash probe and support
+counter for an equi side, the table for a theta side.  The only side
+the store cannot hold — one with a ``Map`` in it, which refuses Δ
+evaluation and so never sources the batch's document — has one state,
+its FULL table, evaluated for the run.
 
 There is one entry per stored **row set**.  A subplan that only adds a
 constructed column to its input's rows — a ``Tagger`` on an equi-join
@@ -62,97 +66,25 @@ the pre-deletion tag path, so relevancy survives the key drop) and
 * **invalidates** and lazily recomputes otherwise — the safe fallback
   mirroring a view's incremental-vs-recompute work bound.
 
-ANTI mode ("current state minus the update roots") is served without
-re-execution wherever the subplan is *anti-projectable* (every output
-tuple carries the storage keys its existence depends on): each row is
-projected by root coverage as the handle reaches it.  Deletes propagate
-before they reach storage, so a delete-phase serve *stages* the patch and
-commits it when the run's deferred deletion events arrive.
+Deletes propagate before they reach storage, so a delete-phase serve
+*stages* the entry's patch and commits it when the run's deferred
+deletion events arrive.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..updates.sapt import Sapt
-from ..xat.base import (ANTI, DELETE, DELTA, FULL, INSERT, MODIFY, DeltaSpec,
-                        XatOperator)
-from ..xat.construction import (Expose, Map, Merge, Tagger, VariableBinding,
-                                XmlUnion, XmlUnique)
-from ..xat.grouping import Aggregate, Combine, GroupBy, TupleFunction
-from ..xat.navigation import NavigateCollection, NavigateUnnest, Source
-from ..xat.relational import (CartesianProduct, DiffSideHandle, Distinct,
-                              Join, LeftOuterJoin, OrderBy, Rename, Select,
-                              TransientSideHandle, _hash_keys,
-                              scanned_support)
-from ..xat.table import AtomicItem, Item, NodeItem, XatTable, XatTuple
+from ..xat.base import (DELETE, DELTA, FULL, DeltaSpec, XatOperator,
+                        subplan_signature)
+from ..xat.construction import Map, Tagger, VariableBinding
+from ..xat.relational import (DiffSideHandle, TransientSideHandle,
+                              _hash_keys)
+from ..xat.table import XatTable, XatTuple
 
 __all__ = ["OperatorStateStore", "StoreStats", "subplan_signature"]
-
-
-# -- structural signatures ---------------------------------------------------------------
-#
-# Entries are keyed by a canonical description of the subplan, so two views
-# holding structurally-equal subplans (same operators, parameters and column
-# names — e.g. the same query registered twice) resolve to one shared entry.
-# Unknown operator types fall back to a per-instance key: still persistent
-# across runs of the owning view, never shared (safe by construction).
-
-def _sig_core(op: XatOperator) -> tuple:
-    if isinstance(op, Source):
-        return ("S", op.document, op.out)
-    if isinstance(op, NavigateUnnest):
-        return ("phi", op.col, str(op.path), op.out, op.keep_empty)
-    if isinstance(op, NavigateCollection):
-        return ("Phi", op.col, str(op.path), op.out)
-    if isinstance(op, Select):
-        return ("sigma", str(op.condition))
-    if isinstance(op, Rename):
-        return ("rho", op.col, op.out)
-    if isinstance(op, Join):
-        return ("join", str(op.condition))
-    if isinstance(op, LeftOuterJoin):
-        return ("loj", str(op.condition))
-    if isinstance(op, CartesianProduct):
-        return ("x",)
-    if isinstance(op, Distinct):
-        return ("distinct", op.col)
-    if isinstance(op, OrderBy):
-        return ("tau",) + op.cols
-    if isinstance(op, GroupBy):
-        return ("gamma", op.group_cols, op.combine_col, op.agg)
-    if isinstance(op, Aggregate):
-        return ("agg", op.kind, op.col, op.out)
-    if isinstance(op, TupleFunction):
-        return ("f", op.kind, op.col, op.out)
-    if isinstance(op, Combine):
-        return ("C", op.col)
-    if isinstance(op, Tagger):
-        return ("T", str(op.pattern), op.out)
-    if isinstance(op, XmlUnion):
-        return ("U", op.col1, op.col2, op.out)
-    if isinstance(op, XmlUnique):
-        return ("u", op.col, op.out)
-    if isinstance(op, Merge):
-        return ("M",)
-    if isinstance(op, Expose):
-        return ("eps", op.col)
-    return ("op", type(op).__name__, op.op_id)  # unshared fallback
-
-
-def subplan_signature(op: XatOperator) -> str:
-    """Canonical structural signature of a subplan (memoized per op, and
-    interned: it also keys the run memo, where equal signatures of
-    different views should hash and compare by identity)."""
-    cached = op._state_signature
-    if cached is None:
-        parts = [repr(_sig_core(op))]
-        parts.extend(subplan_signature(child) for child in op.inputs)
-        cached = op._state_signature = sys.intern(
-            "(" + " ".join(parts) + ")")
-    return cached
 
 
 def _cacheable(op: XatOperator) -> bool:
@@ -163,57 +95,6 @@ def _cacheable(op: XatOperator) -> bool:
                   and all(_cacheable(child) for child in op.inputs))
         op._state_cacheable = cached
     return cached
-
-
-def anti_projectable(op: XatOperator) -> bool:
-    """Whether ANTI mode equals root-coverage filtering of the FULL table.
-
-    Requires every operator of the subtree to be per-tuple linear: each
-    output tuple's cells carry all the storage keys its existence (and
-    content) depends on.  Distinct support, GroupBy counts, outer-join
-    dangling tuples and constructed skeletons break that, so they fall
-    back to live ANTI execution.
-    """
-    cached = getattr(op, "_state_anti_projectable", None)
-    if cached is None:
-        own = op.anti_projectable
-        if isinstance(op, NavigateUnnest):
-            own = own and not op.keep_empty
-        cached = own and all(anti_projectable(child) for child in op.inputs)
-        op._state_anti_projectable = cached
-    return cached
-
-
-def _item_covered(item: Item, spec: DeltaSpec) -> bool:
-    """Is this item's storage provenance at/below one of the update roots?"""
-    if isinstance(item, NodeItem):
-        return spec.classify(item.key.without_override()) == "at"
-    if isinstance(item, AtomicItem) and item.source_key is not None:
-        return spec.classify(item.source_key.without_override()) == "at"
-    return False
-
-
-def _project_tuple(tup: XatTuple,
-                   spec: DeltaSpec) -> Optional[XatTuple]:
-    """One tuple's ANTI form: ``None`` when a scalar cell is covered by
-    an update root (the tuple would not exist), else the tuple with
-    root-covered members filtered out of its collection cells."""
-    new_cells = None
-    for col, cell in tup.cells.items():
-        if cell is None:
-            continue
-        if isinstance(cell, list):
-            kept = [item for item in cell
-                    if not _item_covered(item, spec)]
-            if len(kept) != len(cell):
-                if new_cells is None:
-                    new_cells = dict(tup.cells)
-                new_cells[col] = kept
-        elif _item_covered(cell, spec):
-            return None
-    if new_cells is None:
-        return tup
-    return XatTuple(new_cells, tup.count, tup.refresh, tup.touched)
 
 
 # -- patch plans -------------------------------------------------------------------------
@@ -578,59 +459,43 @@ class StoredSideHandle:
     """A join side served from its persistent entry: probe, support and
     scan over the entry's table and index.
 
-    A bucket row reaches the rule as one of its *views*: itself in FULL
-    mode; its ANTI projection (:func:`_project_tuple`) when the side is
-    read without the update roots; or, for a Tagger equi side served
-    through its input's entry (``taggers``, innermost last), the row
-    with its constructed column added.  A view is built on first use
-    and kept for the handle's lifetime, so repeated probes hand back the
-    *same* object per row — consumers (the LOJ dangling corrections)
-    dedupe matches by identity — and pay the projection, its probe keys
-    or the construction once, not per probe.
+    A Tagger equi side served through its input's entry (``taggers``,
+    innermost last) hands each bucket row back with its constructed
+    column added.  That row is built on first use and kept for the
+    handle's lifetime, so repeated probes hand back the *same* object
+    per row — consumers (the LOJ dangling corrections) dedupe matches by
+    identity — and pay the construction once, not per probe.
     """
 
     def __init__(self, store: "OperatorStateStore", entry: CachedEntry,
-                 ctx, cols: Optional[tuple], anti: bool,
-                 taggers: tuple = ()):
+                 ctx, cols: Optional[tuple], taggers: tuple = ()):
         self._store = store
         self._entry = entry
         self._ctx = ctx
-        self._anti = anti
         self._taggers = taggers
-        self._viewed = anti or bool(taggers)
         self.cols = cols
         self._table: Optional[XatTable] = None
-        # id(bucket row) -> (the row, its view, the view's probe keys
-        # when the projection may have changed them); holding the row
-        # keeps its id from being reused while the handle lives
+        # id(bucket row) -> (the row, its constructed row); holding the
+        # row keeps its id from being reused while the handle lives
         self._views: dict[int, tuple] = {}
 
-    def _view(self, tup: XatTuple) -> tuple:
+    def _view(self, tup: XatTuple) -> XatTuple:
         held = self._views.get(id(tup))
         if held is None:
-            ctx, view, keys = self._ctx, tup, None
-            if self._anti:
-                # A covered scalar cell drops the row; covered collection
-                # members are filtered out — and when that touched an
-                # equi-key cell the row hashes under fewer keys.
-                view = _project_tuple(tup, ctx.delta)
-                if view is not None and view is not tup and self.cols:
-                    keys = _hash_keys(view, self.cols, ctx)
+            view = tup
             for tagger in reversed(self._taggers):
-                view = tagger.construct(view, ctx)
-            held = self._views[id(tup)] = (tup, view, keys)
-        return held
+                view = tagger.construct(view, self._ctx)
+            held = self._views[id(tup)] = (tup, view)
+        return held[1]
 
     def table(self) -> XatTable:
-        """The entry's table, or its views (a theta side is scanned)."""
+        """The entry's table, or its constructed rows (a theta side is
+        scanned)."""
         if self._table is None:
             table = self._entry.table
-            if self._viewed:
-                schema = (self._taggers[0] if self._taggers
-                          else self._entry).schema
-                rows = [self._view(tup)[1] for tup in table.tuples]
-                table = XatTable(schema,
-                                 [row for row in rows if row is not None])
+            if self._taggers:
+                table = XatTable(self._taggers[0].schema,
+                                 [self._view(tup) for tup in table.tuples])
             self._table = table
         return self._table
 
@@ -638,20 +503,12 @@ class StoredSideHandle:
         bucket = self._entry.index_for(self.cols, self._ctx).get(key)
         if not bucket:
             return []
-        if not self._viewed:
+        if not self._taggers:
             return list(bucket)
-        kept = []
-        for tup in bucket:
-            _, view, keys = self._view(tup)
-            if view is not None and (keys is None or key in keys):
-                kept.append(view)
-        return kept
+        return [self._view(tup) for tup in bucket]
 
     def support(self, key) -> int:
-        """Net count of the tuples under ``key``: the maintained counter,
-        unless ANTI filters the bucket per tuple — then it is summed."""
-        if self._anti:
-            return scanned_support(self, self.probe(key))
+        """Net count of the tuples under ``key``: the maintained counter."""
         entry = self._entry
         entry.index_for(self.cols, self._ctx)
         self._store.tally(entry, "support_probes")
@@ -770,41 +627,39 @@ class OperatorStateStore:
         reads — its *new* state, or with ``old`` its pre-batch one — as
         a handle probed under ``cols`` (None: a theta side, scanned).
 
-        The phase decides how: a side's new state under a delete and its
-        old state under an insert leave out the update roots (ANTI, a
-        projection of the stored table); every other state is the
-        current table (FULL).  The old state under a modify is FULL
-        minus the side's own retract/assert pairs (a
-        :class:`~repro.xat.relational.DiffSideHandle`).  A Tagger equi
-        side whose probe keys its input already holds is served through
-        its input's entry (one entry per row set).  Only a side the store
-        cannot hold — the ANTI state of a side that is not
-        anti-projectable, or an uncacheable side — is evaluated live.
+        One rule: a batch's inserts and modifies are in storage before
+        it propagates and its deletes only after, so the side's stored
+        table (kept current by :meth:`_ensure_current`) is its new state
+        under an insert or a modify and its old state under a delete.
+        The other state — old under an insert or a modify, new under a
+        delete — is that table minus (plus) the side's own counted Δ, a
+        :class:`~repro.xat.relational.DiffSideHandle` over rows the
+        pass has normally already computed.  A Tagger equi side whose
+        probe keys its input already holds is served through its input's
+        entry (one entry per row set).  A side the store cannot hold (a
+        ``Map`` subtree) never sources the batch's document — ``Map``
+        refuses Δ evaluation — so both its states are its FULL table.
         """
         spec = ctx.delta
-        anti = spec.phase == (INSERT if old else DELETE)
         cols = tuple(cols) if cols is not None else None
-        handle = None
-        if not anti or anti_projectable(op):
-            stored, taggers = op, []
-            while (cols is not None and isinstance(stored, Tagger)
-                   and stored.out not in cols):
-                taggers.append(stored)
-                stored = stored.inputs[0]
-            entry = self._ensure_current(ctx, stored)
-            if entry is not None:
-                handle = StoredSideHandle(self, entry, ctx, cols, anti,
-                                          tuple(taggers))
-        if handle is None:
-            handle = TransientSideHandle(ctx, cols, op,
-                                         ANTI if anti else FULL,
-                                         stats=self.stats)
-        if old and spec.phase == MODIFY \
+        stored, taggers = op, []
+        while (cols is not None and isinstance(stored, Tagger)
+               and stored.out not in cols):
+            taggers.append(stored)
+            stored = stored.inputs[0]
+        entry = self._ensure_current(ctx, stored)
+        if entry is None:
+            return TransientSideHandle(ctx, cols,
+                                       table=ctx.evaluate(op, FULL),
+                                       stats=self.stats)
+        handle = StoredSideHandle(self, entry, ctx, cols, tuple(taggers))
+        if old != (spec.phase == DELETE) \
                 and spec.document in op.source_documents():
             counted = [t for t in ctx.evaluate(op, DELTA).tuples
                        if t.count and not t.refresh]
             if counted:
-                return DiffSideHandle(handle, counted, ctx)
+                return DiffSideHandle(handle, counted, ctx,
+                                      -1 if old else 1)
         return handle
 
     def _ensure_current(self, ctx, op: XatOperator
@@ -864,7 +719,7 @@ class OperatorStateStore:
         """Bring every entry this batch touched current, served or not.
 
         A one-sided batch only *serves* the untouched side (the delta
-        side's own entry never gets a FULL/ANTI request), so its stale
+        side's own entry is never asked for its state), so its stale
         entries would otherwise linger until an unrelated later batch
         finds them uncoverable and recomputes.  Called by the engine
         after the first delta pass under ``spec`` — and, for delete

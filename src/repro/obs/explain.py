@@ -21,20 +21,10 @@ layers import it at module load).
 
 from __future__ import annotations
 
-from ..engine.opstate import subplan_signature
-from ..xat.base import obs_op_stats
+from ..xat.base import obs_op_stats, subplan_signature
 from ..xat.construction import Tagger
 
 __all__ = ["render_explain"]
-
-
-def _params(op) -> str:
-    """The operator's distinguishing parameters, via its signature core."""
-    from ..engine.opstate import _sig_core
-
-    core = _sig_core(op)
-    parts = [str(part) for part in core[1:]]
-    return f"[{', '.join(parts)}]" if parts else ""
 
 
 def _op_line(op, store) -> str:
@@ -42,8 +32,7 @@ def _op_line(op, store) -> str:
     child_stats = [obs_op_stats(child) for child in op.inputs]
     full_in = sum(c["tuples_out"] for c in child_stats)
     delta_in = sum(c["delta_tuples_out"] for c in child_stats)
-    text = (f"{type(op).__name__}{_params(op)}"
-            f"  full: runs={stats['runs']} in={full_in}"
+    text = (f"{op!r}  full: runs={stats['runs']} in={full_in}"
             f" out={stats['tuples_out']}"
             f" · Δ: runs={stats['delta_runs']} in={delta_in}"
             f" out={stats['delta_tuples_out']}")

@@ -65,8 +65,8 @@ class Gauge:
         return self.value
 
 
-#: quantiles reported by snapshots and the Prometheus summary rendering
-DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
+#: quantile levels reported by snapshots and the Prometheus summary rendering
+SUMMARY_LEVELS = (0.5, 0.9, 0.99)
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -129,7 +129,7 @@ class Histogram:
     def export(self) -> dict:
         result = {"count": self.count, "sum": self.sum,
                   "min": self.min, "max": self.max}
-        for q in DEFAULT_QUANTILES:
+        for q in SUMMARY_LEVELS:
             result[f"p{int(q * 100)}"] = self.quantile(q)
         return result
 

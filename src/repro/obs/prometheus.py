@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .metrics import DEFAULT_QUANTILES, MetricsRegistry
+from .metrics import SUMMARY_LEVELS, MetricsRegistry
 
 __all__ = ["render_prometheus"]
 
@@ -59,7 +59,7 @@ def render_prometheus(metrics: MetricsRegistry) -> str:
         lines.append(f"# TYPE {name} {kind}")
         for key, metric in family.instances.items():
             if family.kind == "histogram":
-                for q in DEFAULT_QUANTILES:
+                for q in SUMMARY_LEVELS:
                     labels = _label_text(key, f'quantile="{q}"')
                     lines.append(f"{name}{labels} "
                                  f"{_value_text(metric.quantile(q))}")

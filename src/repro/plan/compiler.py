@@ -2,12 +2,12 @@
 
 Lowering is a postorder walk of the ``(operator, mode)`` DAG: every node
 gets one register and one instruction; inputs are scheduled before
-consumers, so the emitted list executes straight-line.  A join's FULL/
-ANTI side evaluation is *not* scheduled under Δ — the operator-state
-store every Δ run carries serves the side from its stored entry, and
-the recursive ``ctx.evaluate`` resolves whatever it recomputes or
-evaluates live on first touch — which keeps the instruction stream
-exactly the work the delta pass performs.
+consumers, so the emitted list executes straight-line.  A Δ plan
+schedules no side state: the operator-state store every Δ run carries
+serves a join's other side as its stored table ± that side's own Δ
+(which the plan already computes), and the recursive ``ctx.evaluate``
+resolves a table the store rebuilds on first touch — which keeps the
+instruction stream exactly the work the delta pass performs.
 
 Each subtree's source-document set lives on a :class:`PreparedOp`
 record keyed by the operator's *structural signature* — the same

@@ -45,8 +45,8 @@ _OPCODES = {
     "Expose": "EXPOSE",
 }
 
-#: mode -> mnemonic suffix ("full" stays bare; Δ and anti are marked)
-_MODE_SUFFIX = {"full": "", "delta": ".d", "anti": ".a"}
+#: mode -> mnemonic suffix ("full" stays bare; Δ is marked)
+_MODE_SUFFIX = {"full": "", "delta": ".d"}
 
 
 def opcode_for(op, mode: str) -> str:

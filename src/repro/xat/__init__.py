@@ -1,7 +1,7 @@
 """The XAT algebra: tables, operators, order & context schemas (Ch 2-4)."""
 
-from .base import (ANTI, DELETE, DELTA, FULL, INSERT, MODIFY, DeltaRoot,
-                   DeltaSpec, ExecutionContext, PlanError, XatOperator)
+from .base import (DELETE, DELTA, FULL, INSERT, MODIFY, DeltaRoot, DeltaSpec,
+                   ExecutionContext, PlanError, XatOperator)
 from .conditions import And, ColumnRef, Comparison, Literal, conjuncts, \
     item_value
 from .construction import (Expose, Map, Merge, Pattern, Tagger,
@@ -17,8 +17,8 @@ from .table import (AtomicItem, CellValue, ContextSpec, Item, NodeItem,
                     TableSchema, XatTable, XatTuple, items_of, single_item)
 
 __all__ = [
-    "AGG_FUNCTIONS", "ANTI", "AggState", "Aggregate", "And", "AtomicItem",
-    "CHILD", "CartesianProduct", "CellValue", "ColumnRef", "Combine",
+    "AGG_FUNCTIONS", "AggState", "Aggregate", "And", "AtomicItem", "CHILD",
+    "CartesianProduct", "CellValue", "ColumnRef", "Combine",
     "Comparison", "ContextSpec", "DELETE", "DELTA", "DESCENDANT", "DeltaRoot",
     "DeltaSpec", "Distinct", "ExecutionContext", "Expose", "FULL", "GroupBy",
     "INSERT", "Item", "Join", "LeftOuterJoin", "Literal", "MODIFY", "Map",

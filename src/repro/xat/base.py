@@ -4,31 +4,30 @@ Execution modes (used by the Propagate phase, Chapter 7):
 
 * ``full``  — evaluate over the current storage state (normal execution);
 * ``delta`` — evaluate the *change*: navigation only follows paths that
-  intersect an update root of the batch being propagated;
-* ``anti``  — evaluate over the current state *minus* the update roots
-  (the "old"/"other" state needed by the bilinear join expansion).
+  intersect an update root of the batch being propagated.
 
 A binary join-like operator whose both subtrees reference the updated
 document expands ``Δ(A ⋈ B) = ΔA ⋈ B_new  ∪  A_old ⋈ ΔB`` (the combined
-3-term form of Fig 7.2); which of ``full``/``anti`` realizes *new* and
-*old* depends on the update phase, because inserts are applied to storage
-before propagation while deletes are applied after (Chapter 6).  A rule
-never picks the mode: it asks the operator-state store's ``side`` for a
-side's new or old state, and the store applies this table:
+3-term form of Fig 7.2).  A rule never evaluates the other side: it asks
+the operator-state store's ``side`` for that side's new or old state.
+Inserts and modifies are applied to storage before propagation and
+deletes after (Chapter 6), so the side's stored table is one of the two
+states and its own Δ gives the other:
 
-===========  =========  ====================================
-phase        B_new      A_old
-===========  =========  ====================================
-insert       full       anti
-delete       anti       full
-modify       full       full minus ΔA's retract/assert pairs
-===========  =========  ====================================
+===========  ================  ================
+phase        B_new             A_old
+===========  ================  ================
+insert       table             table − ΔA
+delete       table + ΔB        table
+modify       table             table − ΔA
+===========  ================  ================
 """
 
 from __future__ import annotations
 
 import copy as _copy
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -38,7 +37,6 @@ from .table import AtomicItem, TableSchema, XatTable, XatTuple
 
 FULL = "full"
 DELTA = "delta"
-ANTI = "anti"
 
 INSERT = "insert"
 DELETE = "delete"
@@ -273,8 +271,8 @@ _OP_STATS_KEYS = ("runs", "tuples_out", "delta_runs", "delta_tuples_out")
 def obs_op_stats(op: "XatOperator") -> dict:
     """The live execution counters of one operator instance.
 
-    ``runs`` / ``tuples_out`` count FULL and ANTI evaluations (the
-    current-state sides), ``delta_runs`` / ``delta_tuples_out`` the
+    ``runs`` / ``tuples_out`` count FULL evaluations (current-state
+    tables), ``delta_runs`` / ``delta_tuples_out`` the
     delta-mode passes of incremental maintenance.  Counters accumulate
     on the operator instance itself (one dict per op, shared by every
     run of the plan) and feed the live ``EXPLAIN`` rendering.
@@ -351,7 +349,7 @@ class ExecutionContext:
 
         def visit(op: XatOperator) -> None:
             for child in op.scheduled_inputs():
-                key = (child._state_signature or _signature(child),
+                key = (child._state_signature or subplan_signature(child),
                        self.mode)
                 if key in readers:
                     readers[key] += 1
@@ -382,7 +380,7 @@ class ExecutionContext:
         # discriminator (Map evaluates its RHS directly, never through
         # this memo, so a memoized table is always binding-independent).
         assert not ctx.bindings
-        cache_key = (op._state_signature or _signature(op), ctx.mode)
+        cache_key = (op._state_signature or subplan_signature(op), ctx.mode)
         result = self.memo.get(cache_key)
         if result is None:
             if (ctx.mode == DELTA and ctx.delta is not None
@@ -400,10 +398,20 @@ class ExecutionContext:
         return result
 
 
-def _signature(op: "XatOperator") -> str:
-    # resolved late: the signature rules name every operator class
-    from ..engine.opstate import subplan_signature
-    return subplan_signature(op)
+def subplan_signature(op: "XatOperator") -> str:
+    """Canonical structural signature of a subplan: its operators'
+    :meth:`~XatOperator.signature_core` and shape (memoized per op, and
+    interned: it keys the operator-state store, where views holding
+    structurally-equal subplans share one entry, and the run memo, where
+    equal signatures of different views should hash and compare by
+    identity)."""
+    cached = op._state_signature
+    if cached is None:
+        parts = [repr(op.signature_core())]
+        parts.extend(subplan_signature(child) for child in op.inputs)
+        cached = op._state_signature = sys.intern(
+            "(" + " ".join(parts) + ")")
+    return cached
 
 
 _op_ids = itertools.count(1)
@@ -474,8 +482,8 @@ class XatOperator:
     """Base class of every XAT operator.
 
     Subclasses implement ``_build_schema`` (Order Schema + Context Schema
-    rules, Tables 3.1 / 4.1) and ``compute``.  The ``state_*`` hooks and
-    ``anti_projectable`` flag drive the persistent operator-state store
+    rules, Tables 3.1 / 4.1) and ``compute``.  The ``state_*`` hooks
+    drive the persistent operator-state store
     (:mod:`repro.engine.opstate`): they describe how a cached FULL-mode
     result table of this operator is patched by the operator's own
     delta-mode output instead of being re-executed.
@@ -483,13 +491,7 @@ class XatOperator:
 
     symbol = "op"
 
-    #: ANTI mode ("state minus update roots") equals filtering this
-    #: operator's FULL table by root coverage.  Only true for per-tuple
-    #: linear operators whose output tuples carry all their storage
-    #: provenance (see :func:`repro.engine.opstate.anti_projectable`).
-    anti_projectable = False
-
-    #: memo of :func:`repro.engine.opstate.subplan_signature`
+    #: memo of :func:`subplan_signature`
     _state_signature: Optional[str] = None
 
     def __init__(self, inputs: Sequence["XatOperator"] = ()):
@@ -601,12 +603,16 @@ class XatOperator:
             yield op
         yield from visit(self)
 
-    def pretty(self, depth: int = 0) -> str:
-        line = "  " * depth + self.describe()
-        return "\n".join([line] + [c.pretty(depth + 1) for c in self.inputs])
-
-    def describe(self) -> str:
-        return f"{type(self).__name__}"
+    def signature_core(self) -> tuple:
+        """This operator's symbol and distinguishing parameters — its
+        part of :func:`subplan_signature`.  An operator without its own
+        is keyed by instance: persistent across runs of its plan, never
+        shared."""
+        return ("op", type(self).__name__, self.op_id)
 
     def __repr__(self) -> str:
-        return self.describe()
+        """``Name[params]``: the signature core's parameters (what
+        EXPLAIN prints per operator)."""
+        params = ", ".join(str(part) for part in self.signature_core()[1:])
+        return f"{type(self).__name__}[{params}]" if params \
+            else type(self).__name__

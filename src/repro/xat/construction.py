@@ -150,6 +150,7 @@ class Tagger(XatOperator):
                                     if item is not None else "")
         content: list[ContentItem] = []
         append = content.append
+        delta = ctx.mode == DELTA
         for column, cid, text, key in self._content:
             if column is None:
                 append(ContentItem(VALUE, key, text))
@@ -157,18 +158,25 @@ class Tagger(XatOperator):
             cell = cells.get(column)
             if cell is None:
                 continue
-            for item in (cell,) if isinstance(cell, Item) else cell:
+            # A single-item cell is part of this node, once per instance
+            # of it: under Δ it is count-neutral — the node's own count
+            # carries the change, and a node entering the extent whole
+            # counts its content 1.  Collection members keep their own
+            # signed counts.
+            single = isinstance(cell, Item)
+            for item in (cell,) if single else cell:
+                count = 0 if single and delta else item.count
                 if cid is not None:
                     item = _prefixed(item, cid)
                 if isinstance(item, NodeItem):
-                    append(ContentItem(REF, item.key, None, item.count,
+                    append(ContentItem(REF, item.key, None, count,
                                        item.refresh, item.skeleton))
                 else:
                     source = item.source_key
                     if source is not None and source.override is None:
                         source = None
                     append(ContentItem(VALUE, source, item.value,
-                                       item.count, item.refresh, None,
+                                       count, item.refresh, None,
                                        item.agg))
         # The item's count is *relative* to its tuple (1): the absolute
         # derivation count (tuple count x relative) is applied where the
@@ -183,8 +191,8 @@ class Tagger(XatOperator):
                                  content, 1))
         return tup.extended(self.out, item)
 
-    def describe(self) -> str:
-        return f"Tagger {self.pattern} -> {self.out}"
+    def signature_core(self) -> tuple:
+        return (self.symbol, str(self.pattern), self.out)
 
 
 class XmlUnion(XatOperator):
@@ -228,8 +236,8 @@ class XmlUnion(XatOperator):
             table.append(tup.extended(self.out, items))
         return table
 
-    def describe(self) -> str:
-        return f"XmlUnion {self.col1}, {self.col2} -> {self.out}"
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.col1, self.col2, self.out)
 
 
 def _prefixed(item: Item, cid: str) -> Item:
@@ -286,6 +294,9 @@ class XmlUnique(XatOperator):
             table.append(tup.extended(self.out, unique))
         return table
 
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.col, self.out)
+
 
 class Merge(XatOperator):
     """``M(T1, T2)``: vertical concatenation of two single-tuple tables.
@@ -318,6 +329,9 @@ class Merge(XatOperator):
         table.append(lt.merged(rt))
         return table
 
+    def signature_core(self) -> tuple:
+        return (self.symbol,)
+
 
 class VariableBinding(XatOperator):
     """Leaf reading the current Map correlation binding (one tuple)."""
@@ -338,9 +352,6 @@ class VariableBinding(XatOperator):
         table = XatTable(self.schema)
         table.append(bound.projected(self.columns))
         return table
-
-    def describe(self) -> str:
-        return f"VariableBinding({', '.join(self.columns)})"
 
 
 class Map(XatOperator):
@@ -399,5 +410,5 @@ class Expose(XatOperator):
     def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
         return inputs[0]
 
-    def describe(self) -> str:
-        return f"Expose {self.col}"
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.col)

@@ -376,8 +376,8 @@ class Combine(XatOperator):
         table.append(XatTuple({self.col: items}, int(ctx.mode != DELTA)))
         return table
 
-    def describe(self) -> str:
-        return f"Combine {self.col}"
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.col)
 
 
 class GroupBy(XatOperator):
@@ -525,10 +525,8 @@ class GroupBy(XatOperator):
         cells[result_col] = merged
         return ("replace", XatTuple(cells, count, False, False))
 
-    def describe(self) -> str:
-        func = (f"Combine {self.combine_col}" if self.combine_col
-                else f"{self.agg[0]}({self.agg[1]})")
-        return f"GroupBy {', '.join(self.group_cols)} ({func})"
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.group_cols, self.combine_col, self.agg)
 
 
 class Aggregate(XatOperator):
@@ -558,8 +556,8 @@ class Aggregate(XatOperator):
                               int(ctx.mode != DELTA)))   # as Combine's
         return table
 
-    def describe(self) -> str:
-        return f"Aggregate {self.kind}({self.col}) -> {self.out}"
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.kind, self.col, self.out)
 
 
 class TupleFunction(XatOperator):
@@ -596,5 +594,5 @@ class TupleFunction(XatOperator):
             table.append(tup.extended(self.out, AtomicItem(value)))
         return table
 
-    def describe(self) -> str:
-        return f"TupleFunction {self.kind}({self.col}) -> {self.out}"
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.kind, self.col, self.out)

@@ -1,24 +1,21 @@
 """Source and navigation operators (Section 2.2.2).
 
-Besides normal evaluation, navigation implements the delta/anti admission
+Besides normal evaluation, navigation implements the delta admission
 rules that make running the *same plan* in ``delta`` mode compute the
-Z-semantics change of each intermediate table (Chapter 7):
-
-* **anti** mode excludes every node at/below an update root — the
-  "pre-insert" (resp. "post-delete") state of the document;
-* **delta** mode *seeks* the update roots: an unnest step keeps only
-  targets on a path to/at a root whenever any such target exists (pure
-  context steps keep everything); the update sign is multiplied into the
-  tuple count exactly once, when navigation first crosses *into* an update
-  root's subtree; crossing into a *modify* root, stopping at a proper
-  ancestor of a root, or changing only a collection's content marks the
-  tuple ``refresh`` (content re-derivation, count-neutral).
+Z-semantics change of each intermediate table (Chapter 7): **delta**
+mode *seeks* the update roots.  An unnest step keeps only targets on a
+path to/at a root whenever any such target exists (pure context steps
+keep everything); the update sign is multiplied into the tuple count
+exactly once, when navigation first crosses *into* an update root's
+subtree; crossing into a *modify* root, stopping at a proper ancestor of
+a root, or changing only a collection's content marks the tuple
+``refresh`` (content re-derivation, count-neutral).
 """
 
 from __future__ import annotations
 
 from ..flexkeys import LEVEL_SEP, FlexKey
-from .base import ANTI, DELTA, ExecutionContext, XatOperator
+from .base import DELTA, ExecutionContext, XatOperator
 from .paths import CHILD, Path, Step
 from .table import (AtomicItem, ContextSpec, Item, NodeItem, TableSchema,
                     XatTable, XatTuple, items_of)
@@ -32,7 +29,6 @@ class Source(XatOperator):
     """``S_xmlDoc -> col``: one tuple referencing the document root."""
 
     symbol = "S"
-    anti_projectable = True
 
     def __init__(self, document: str, out: str):
         super().__init__()
@@ -60,8 +56,8 @@ class Source(XatOperator):
             self._cached = (ctx.storage, table)
         return table
 
-    def describe(self) -> str:
-        return f'Source("{self.document}") -> {self.out}'
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.document, self.out)
 
 
 def _element_targets(ctx: ExecutionContext, entry_key: FlexKey,
@@ -160,22 +156,15 @@ def _seek(ctx: ExecutionContext, entry_key: FlexKey, step: Step,
 
 def _reached(ctx: ExecutionContext, entry_key: FlexKey,
              element_steps: tuple[Step, ...]) -> list[FlexKey]:
-    """FULL/ANTI navigation: the elements ``element_steps`` reach from
-    one entry node; ANTI drops every target at/below an update root."""
+    """FULL navigation: the elements ``element_steps`` reach from one
+    entry node."""
     storage = ctx.storage
-    excluded = None
-    if (ctx.mode == ANTI and ctx.delta is not None
-            and storage.document_of_key(entry_key) == ctx.delta.document):
-        excluded = ctx.delta.classify
     frontier = [entry_key]
     is_first = storage.is_document_root(entry_key)
     for step in element_steps:
         reached: list[FlexKey] = []
         for key in frontier:
-            targets = _element_targets(ctx, key, step, is_first)
-            if excluded is not None:
-                targets = [t for t in targets if excluded(t) != _AT]
-            reached.extend(targets)
+            reached.extend(_element_targets(ctx, key, step, is_first))
         frontier = reached
         is_first = False
     return frontier
@@ -254,11 +243,6 @@ class NavigateUnnest(XatOperator):
     per reached node/value)."""
 
     symbol = "phi"
-    # Every output tuple carries its reached node/value provenance, so
-    # ANTI == root-coverage filtering — except under keep_empty, whose
-    # outer-join semantics resurrect emptied tuples (checked in
-    # :func:`repro.engine.opstate.anti_projectable`).
-    anti_projectable = True
 
     def __init__(self, child: XatOperator, col: str, path: Path, out: str,
                  keep_empty: bool = False):
@@ -446,8 +430,9 @@ class NavigateUnnest(XatOperator):
                                         tup.era))
         return table
 
-    def describe(self) -> str:
-        return f"NavigateUnnest {self.col}, {self.path} -> {self.out}"
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.col, str(self.path), self.out,
+                self.keep_empty)
 
 
 class NavigateCollection(XatOperator):
@@ -455,9 +440,6 @@ class NavigateCollection(XatOperator):
     tuple per input tuple, the cell holding the reached collection."""
 
     symbol = "Phi"
-    # ANTI drops root-covered *members* from the collection cell while the
-    # tuple itself survives — exactly what collection-cell projection does.
-    anti_projectable = True
 
     def __init__(self, child: XatOperator, col: str, path: Path, out: str):
         super().__init__([child])
@@ -613,5 +595,5 @@ class NavigateCollection(XatOperator):
                                     refresh=tup.refresh or refresh))
         return table
 
-    def describe(self) -> str:
-        return f"NavigateCollection {self.col}, {self.path} -> {self.out}"
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.col, str(self.path), self.out)

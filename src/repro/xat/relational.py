@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..flexkeys import FlexKey
-from .base import (DELETE, DELTA, FULL, INSERT, MODIFY, ExecutionContext,
+from .base import (DELETE, DELTA, INSERT, MODIFY, ExecutionContext,
                    PlanError, XatOperator)
 from .conditions import Comparison, Condition, conjuncts, item_value
 from .table import (AtomicItem, ContextSpec, Item, NodeItem, TableSchema,
@@ -21,35 +21,25 @@ from .table import (AtomicItem, ContextSpec, Item, NodeItem, TableSchema,
 
 
 class TransientSideHandle:
-    """Probe/scan access to a side evaluated for one run, not stored.
+    """Probe/scan access to a side table held for one run, not stored:
+    the right input of a FULL-mode join, or the FULL table of a side the
+    operator-state store cannot hold.  ``stats`` is the store's counters
+    the rows walked are reported to (none outside a Δ rule)."""
 
-    A Δ rule gets one from :meth:`OperatorStateStore.side
-    <repro.engine.opstate.OperatorStateStore.side>` only where the store
-    cannot answer — the live ANTI state of a side that is not
-    anti-projectable, or a side that is not cacheable — and then
-    evaluates ``op`` in ``mode`` on first use; a FULL-mode join passes
-    its right input as ``table``.  ``stats`` is the store's counters the
-    rows walked are reported to (none outside a Δ rule).
-    """
-
-    def __init__(self, ctx: ExecutionContext, cols, op=None, mode=FULL, *,
-                 table: Optional[XatTable] = None, stats=None):
+    def __init__(self, ctx: ExecutionContext, cols, *, table: XatTable,
+                 stats=None):
         self._ctx = ctx
-        self._op = op
-        self._mode = mode
         self._stats = stats
         self.cols = cols
         self._table = table
         self._index = None
 
     def table(self) -> XatTable:
-        if self._table is None:
-            self._table = self._ctx.evaluate(self._op, self._mode)
         return self._table
 
     def probe(self, key) -> list:
         if self._index is None:
-            self._index = _buckets(self.table().tuples, self.cols, self._ctx)
+            self._index = _buckets(self._table.tuples, self.cols, self._ctx)
         return self._index.get(key, [])
 
     def support(self, key) -> int:
@@ -76,48 +66,52 @@ def _buckets(tuples, cols, ctx) -> dict:
 def scanned_support(side, rows: list) -> int:
     """The net count of ``rows`` of the handle ``side``, summed row by
     row — what every support question costs where no maintained counter
-    answers it (a transient or ANTI-filtered bucket, the union over a
-    multi-item key cell).  The rows walked are counted through the
-    handle's ``scanned`` — on the run's store and, for a stored side, on
-    its entry — so an O(|group|) path shows in the metrics and under its
+    answers it (a transient bucket, the union over a multi-item key
+    cell).  The rows walked are counted through the handle's
+    ``scanned`` — on the run's store and, for a stored side, on its
+    entry — so an O(|group|) path shows in the metrics and under its
     signature in EXPLAIN, with no timer attached."""
     side.scanned(len(rows))
     return sum(tup.count for tup in rows)
 
 
 class DiffSideHandle:
-    """The *pre-batch* state of a join side under a modify batch.
+    """A join side's state on the far side of the batch from its stored
+    table: the table plus ``sign`` times the side's own counted Δ rows.
 
-    Insert/delete phases realize the old/new side state by mode (ANTI
-    excludes the update roots); a modify batch changes no membership, so
-    the old state is the current FULL table minus the side's own delta —
-    the Z-semantics bag difference.  Negating the retract/assert pairs
-    restores exactly the old rows: the negated retraction (+count, old
-    values) is the row the old derivation joined on, the negated
-    assertion (-count, new values) cancels the post-update row the FULL
-    table already holds.
+    A stored table holds a batch's inserts and modifies (they reach
+    storage before propagation) but not yet its deletes, so the old
+    state under an insert or a modify is the table minus the Δ (``sign``
+    -1) and the new state under a delete is the table plus the Δ
+    (``sign`` +1) — the Z-semantics bag difference.  Under a modify,
+    the negated retraction (+count, old values) restores the row the old
+    derivation joined on and the negated assertion (-count, new values)
+    cancels the post-update row the table holds; under a delete the Δ's
+    negative rows cancel the rows about to leave.
     """
 
-    def __init__(self, base, delta_tuples: list, ctx):
+    def __init__(self, base, delta_tuples: list, ctx, sign: int):
         self._base = base
         self._delta = delta_tuples
         self._ctx = ctx
+        self._sign = sign
         self.cols = base.cols
         self._index = None
         self._table = None
-        # id(delta tuple) -> its one negated copy: consumers dedupe
-        # probe results by tuple identity, so a row probed under several
-        # keys of a multi-item cell must come back as the same object.
-        self._negations: dict[int, XatTuple] = {}
+        # id(delta tuple) -> its one signed row: consumers dedupe probe
+        # results by tuple identity, so a row probed under several keys
+        # of a multi-item cell must come back as the same object.
+        self._signed_rows: dict[int, XatTuple] = {}
 
-    def _negated(self, tup: XatTuple) -> XatTuple:
-        marker = id(tup)
-        negated = self._negations.get(marker)
-        if negated is None:
-            negated = XatTuple(tup.cells, -tup.count, tup.refresh,
-                               tup.touched, tup.era)
-            self._negations[marker] = negated
-        return negated
+    def _signed(self, tup: XatTuple) -> XatTuple:
+        if self._sign > 0:
+            return tup
+        signed = self._signed_rows.get(id(tup))
+        if signed is None:
+            signed = XatTuple(tup.cells, -tup.count, tup.refresh,
+                              tup.touched, tup.era)
+            self._signed_rows[id(tup)] = signed
+        return signed
 
     def _delta_rows(self, key) -> list:
         if self._index is None:
@@ -126,13 +120,14 @@ class DiffSideHandle:
 
     def probe(self, key) -> list:
         matches = list(self._base.probe(key))
-        matches.extend(self._negated(t) for t in self._delta_rows(key))
+        matches.extend(self._signed(t) for t in self._delta_rows(key))
         return matches
 
     def support(self, key) -> int:
-        """The base side's support minus the delta rows under ``key``."""
+        """The base side's support plus the signed delta rows under
+        ``key``."""
         return self._base.support(key) \
-            - sum(t.count for t in self._delta_rows(key))
+            + self._sign * sum(t.count for t in self._delta_rows(key))
 
     def scanned(self, rows: int) -> None:
         self._base.scanned(rows)
@@ -142,7 +137,7 @@ class DiffSideHandle:
             base = self._base.table()
             self._table = XatTable(base.schema,
                                    list(base.tuples)
-                                   + [self._negated(t)
+                                   + [self._signed(t)
                                       for t in self._delta])
         return self._table
 
@@ -166,15 +161,14 @@ class Select(XatOperator):
                         [tup for tup in inputs[0].tuples
                          if condition.evaluate(tup, ctx)])
 
-    def describe(self) -> str:
-        return f"Select {self.condition}"
+    def signature_core(self) -> tuple:
+        return (self.symbol, str(self.condition))
 
 
 class Rename(XatOperator):
     """``rho_{col,col'}(T)``: column renaming (Category II of Table 4.1)."""
 
     symbol = "rho"
-    anti_projectable = True
 
     def __init__(self, child: XatOperator, col: str, out: str):
         super().__init__([child])
@@ -208,6 +202,9 @@ class Rename(XatOperator):
             table.append(XatTuple(cells, tup.count, tup.refresh,
                                   tup.touched, tup.era))
         return table
+
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.col, self.out)
 
 
 class _BinaryJoinBase(XatOperator):
@@ -398,7 +395,6 @@ class CartesianProduct(_BinaryJoinBase):
     """``x(T1, T2)``."""
 
     symbol = "x"
-    anti_projectable = True
 
     def __init__(self, left: XatOperator, right: XatOperator):
         super().__init__(left, right, condition=None)
@@ -408,12 +404,14 @@ class CartesianProduct(_BinaryJoinBase):
             for rt in right:
                 table.append(lt.merged(rt))
 
+    def signature_core(self) -> tuple:
+        return (self.symbol,)
+
 
 class Join(_BinaryJoinBase):
     """Theta join ``|><|_c (T1, T2)``; hash-based for equality conditions."""
 
     symbol = "join"
-    anti_projectable = True
 
     def _combine_into(self, table, ctx, left, right):
         side = TransientSideHandle(ctx, self._rcols, table=right)
@@ -421,8 +419,8 @@ class Join(_BinaryJoinBase):
             for rt in self._side_matches(ctx, lt, self._lcols, side):
                 table.append(lt.merged(rt))
 
-    def describe(self) -> str:
-        return f"Join {self.condition}"
+    def signature_core(self) -> tuple:
+        return (self.symbol, str(self.condition))
 
 
 class LeftOuterJoin(_BinaryJoinBase):
@@ -430,7 +428,6 @@ class LeftOuterJoin(_BinaryJoinBase):
     of Chapter 7.4."""
 
     symbol = "loj"
-    anti_projectable = False  # dangling tuples break coverage filtering
 
     def _handle_has_match(self, ctx, tup, cols, side,
                           keys: Optional[list] = None) -> bool:
@@ -438,12 +435,11 @@ class LeftOuterJoin(_BinaryJoinBase):
         side's handle ``side`` (``keys``: ``tup``'s probe keys under
         ``cols``, when the caller already hashed it).
 
-        Matching is by *net count* — with negated diff rows in play
-        (modify phase) a row present only as a cancelled pair (+c and
-        -c) is no match — and the net count under one probe key is the
-        handle's ``support``: a maintained counter on a stored FULL side
-        (minus the batch's own rows on a diff handle), O(1) whatever the
-        group's size.  A multi-item key cell (the union of several
+        Matching is by *net count* — with signed diff rows in play a row
+        present only as a cancelled pair (+c and -c) is no match — and
+        the net count under one probe key is the handle's ``support``: a
+        maintained counter on a stored side (± the batch's own rows on a
+        diff handle), O(1) whatever the group's size.  A multi-item key cell (the union of several
         buckets, each tuple once) and a theta condition have no single
         key to ask about and sum their matches (the theta loop has
         counted the rows it walked already).
@@ -485,7 +481,9 @@ class LeftOuterJoin(_BinaryJoinBase):
                 for ot in matches:
                     append(dt.merged(ot))
                 if not modify or dt.refresh:
-                    if not matches:
+                    # by net count: B_new may hold a row and its
+                    # cancelling Δ row
+                    if not sum(ot.count for ot in matches):
                         append(self._null_padded(dt, dt.count))
                     continue
                 if old_check is None:
@@ -551,8 +549,8 @@ class LeftOuterJoin(_BinaryJoinBase):
             else:
                 table.append(self._null_padded(lt, lt.count))
 
-    def describe(self) -> str:
-        return f"LeftOuterJoin {self.condition}"
+    def signature_core(self) -> tuple:
+        return (self.symbol, str(self.condition))
 
 
 def group_key(tup: XatTuple, cols: Sequence[str], ctx) -> tuple:
@@ -583,7 +581,7 @@ class Distinct(XatOperator):
     column (Category VIII).
     """
 
-    symbol = "delta"
+    symbol = "distinct"
 
     def __init__(self, child: XatOperator, col: str):
         super().__init__([child])
@@ -672,8 +670,8 @@ class Distinct(XatOperator):
     def state_merge_key(self, tup: XatTuple, ctx) -> tuple:
         return ("distinct", group_key(tup, (self.col,), ctx))
 
-    def describe(self) -> str:
-        return f"Distinct({self.col})"
+    def signature_core(self) -> tuple:
+        return (self.symbol, self.col)
 
 
 class OrderBy(XatOperator):
@@ -685,7 +683,6 @@ class OrderBy(XatOperator):
     """
 
     symbol = "tau"
-    anti_projectable = True  # pure reorder; order lives in order_value
 
     def __init__(self, child: XatOperator, cols: Sequence[str]):
         super().__init__([child])
@@ -750,5 +747,5 @@ class OrderBy(XatOperator):
                                   tup.touched, tup.era))
         return table
 
-    def describe(self) -> str:
-        return f"OrderBy {', '.join(self.cols)}"
+    def signature_core(self) -> tuple:
+        return (self.symbol,) + self.cols

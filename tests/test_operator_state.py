@@ -21,22 +21,27 @@ from repro.durability.snapshot import capture_state
 from repro.engine.opstate import (CachedEntry, OperatorStateStore,
                                   StoredSideHandle, _IndexDesync,
                                   subplan_signature)
+from repro.translate import translate_query
 from repro.workloads import xmark
-from repro.xat import AtomicItem, GroupBy, NavigateUnnest, Path, Source, \
-    Tagger, XatTuple
-from repro.xat.base import (DELTA, FULL, INSERT, MODIFY, DeltaRoot,
-                            DeltaSpec, ExecutionContext)
+from repro.workloads.bib import NEW_BOOK_FRAGMENT, register_running_example
+from repro.xat import (AtomicItem, CartesianProduct, Combine, Expose, GroupBy,
+                       Map, NavigateUnnest, Path, Pattern, Source, Tagger,
+                       VariableBinding, XatTuple)
+from repro.xat.base import (DELETE, DELTA, FULL, INSERT, MODIFY, DeltaRoot,
+                            DeltaSpec, ExecutionContext, obs_op_stats,
+                            tuple_fingerprint)
 from repro.xat.grouping import compute_aggregate, merge_member_items
 from repro.xat.relational import (DiffSideHandle, LeftOuterJoin,
-                                  TransientSideHandle)
+                                  _hash_keys, _probe_union)
+from repro.xmlmodel import parse_fragment
 
-from .helpers import (ALL_MUTATORS, GROUPED_VIEWS, RESERVE_BELOW_AGE_QUERY,
-                      assert_consistent, audit_operator_state,
-                      closed_auctions_of, persons_of, pin, random_batch,
-                      run_differential, site_view)
+from .helpers import (ALL_MUTATORS, FUZZ_VIEWS, GROUPED_VIEWS,
+                      RESERVE_BELOW_AGE_QUERY, assert_consistent,
+                      audit_operator_state, closed_auctions_of, persons_of,
+                      pin, random_batch, run_differential, site_view)
 
-CITY_PATH = [("child", "site"), ("child", "people"), ("child", "person"),
-             ("child", "address"), ("child", "city")]
+PERSON_PATH = [("child", "site"), ("child", "people"), ("child", "person")]
+CITY_PATH = PERSON_PATH + [("child", "address"), ("child", "city")]
 
 
 #: the historical mixed-stream update space of this module, now expressed
@@ -95,6 +100,62 @@ class TestRandomizedOracle:
         FULL evaluation after each step."""
         run_differential(404, 15, ORACLE_MUTATORS, query,
                          num_persons=30, site_seed=42, batch_max=1)
+
+
+#: the grouped views of the differential fuzz
+GROUPED_FUZZ_VIEWS = ("persons-by-city", "persons-by-city-attributes",
+                      "city-headcount", "city-max-age", "city-income-sum",
+                      "order-query-2")
+
+
+class TestWarmDeltaPath:
+    """Once its state is warm, a grouped view takes a person insert and a
+    person delete in O(Δ), by counters alone (no timer): no operator of
+    its plan is evaluated FULL, the store rebuilds nothing, and the rows
+    the pass touches — Δ rows out of every operator plus the bucket rows
+    support questions walked — do not grow with the document."""
+
+    @staticmethod
+    def touched(registry, name) -> tuple:
+        """(FULL runs, store misses, rows touched) so far."""
+        stats = [obs_op_stats(op) for op in
+                 registry.view(name).pipeline.plan.iter_operators()]
+        store = registry.state_store.stats
+        return (sum(s["runs"] for s in stats), store.misses,
+                sum(s["delta_tuples_out"] for s in stats)
+                + store.bucket_rows_scanned)
+
+    def insert_then_delete(self, registry, serial: int) -> None:
+        storage = registry.storage
+        registry.apply_updates([UpdateRequest.insert(
+            "site.xml", persons_of(storage)[-1],
+            xmark.new_person_xml(serial, city="Boston"), "after")])
+        registry.apply_updates([UpdateRequest.delete(
+            "site.xml", persons_of(storage)[-1])])
+
+    def rows_touched(self, query: str, persons: int) -> int:
+        storage = StorageManager()
+        xmark.register_site(storage, persons, seed=1)
+        registry = ViewRegistry(storage)
+        pin(registry.register("v", query))
+        self.insert_then_delete(registry, 0)          # warm-up
+        runs, misses, rows = self.touched(registry, "v")
+        self.insert_then_delete(registry, 1)
+        after = self.touched(registry, "v")
+        assert after[:2] == (runs, misses), (
+            "a warm insert or delete evaluated a side FULL "
+            f"(runs, misses {runs, misses} -> {after[:2]})")
+        assert registry.to_xml("v") == registry.recompute_xml("v")
+        assert registry.view("v").stats.recomputes == 0
+        registry.close()
+        return after[2] - rows
+
+    @pytest.mark.parametrize("name", GROUPED_FUZZ_VIEWS)
+    def test_insert_and_delete_touch_rows_flat_in_document_size(
+            self, name):
+        small = self.rows_touched(FUZZ_VIEWS[name], 60)
+        large = self.rows_touched(FUZZ_VIEWS[name], 480)
+        assert 0 < large <= 2 * small, (small, large)
 
 
 class TestStoreActivity:
@@ -413,9 +474,9 @@ class TestSharedRowSets:
 class TestOneSidePath:
     """Every Δ rule gets the other side through
     :meth:`OperatorStateStore.side`: it names the state it reads (new or
-    old), and the store derives FULL or ANTI from the phase and serves
-    it from the stored entry — a theta side too — unless it cannot hold
-    that state."""
+    old), and the store serves it from the stored entry — a theta side
+    and an outer join's rows too — as the table or the table ± the
+    side's own Δ, by phase."""
 
     OPEN_AUCTION_PATH = [("child", "site"), ("child", "open_auctions"),
                          ("child", "open_auction")]
@@ -436,7 +497,7 @@ class TestOneSidePath:
         spec = DeltaSpec("site.xml", (root,), root.kind, epoch=store.epoch)
         return ExecutionContext(storage, mode=DELTA, delta=spec, store=store)
 
-    def test_the_store_picks_the_mode_from_the_phase(self):
+    def test_the_store_derives_the_state_from_the_phase(self):
         storage, view, loj = self._theta_view()
         store = view.registry.state_store
         auction = storage.find_by_path("site.xml", self.OPEN_AUCTION_PATH)[0]
@@ -445,14 +506,17 @@ class TestOneSidePath:
         new = store.side(ctx, auctions, None)
         old = store.side(ctx, auctions, None, old=True)
         assert isinstance(new, StoredSideHandle)
-        assert isinstance(old, StoredSideHandle)
-        # an insert's root is left out of the old state (ANTI)
-        assert len(new.table().tuples) == len(old.table().tuples) + 1
+        assert isinstance(old, DiffSideHandle)
+        # an insert's own row is cancelled out of the old state
+        assert len(old.table().tuples) == len(new.table().tuples) + 1
+        assert sum(t.count for t in old.table().tuples) == \
+            sum(t.count for t in new.table().tuples) - 1
         assert store.entry_count() == 1
-        # an outer join's rows are not anti-projectable: evaluated live
+        # an outer join's rows are stored like any other side's
         assert isinstance(store.side(ctx, loj, None, old=True),
-                          TransientSideHandle)
-        assert store.entry_count() == 1
+                          DiffSideHandle)
+        assert subplan_signature(loj) in {entry.signature
+                                          for entry in store.entries()}
         view.close()
 
     def test_a_modify_reads_the_old_state_minus_its_pairs(self):
@@ -478,6 +542,37 @@ class TestOneSidePath:
         assert isinstance(store.side(ctx, persons, None, old=True),
                           StoredSideHandle)
         view.close()
+
+    def test_a_map_side_is_read_as_its_full_table(self):
+        """A hand-built plan may join a unit of one document with a
+        ``Map`` over another: the store holds no correlated subplan, and
+        since ``Map`` refuses Δ evaluation the side never sources the
+        batch's document — its one state, the FULL table, serves the
+        rule."""
+        storage = StorageManager()
+        register_running_example(storage)
+        books = NavigateUnnest(Source("bib.xml", "$S1"), "$S1",
+                               Path.parse("bib/book"), "$b")
+        entries = NavigateUnnest(Source("prices.xml", "$S2"), "$S2",
+                                 Path.parse("prices/entry"), "$e")
+        prices = Combine(NavigateUnnest(VariableBinding(("$e",)), "$e",
+                                        Path.parse("price"), "$p"), "$p")
+        pairs = Tagger(CartesianProduct(books, Map(entries, prices)),
+                       Pattern("r", content=("$b",)), "$r")
+        plan = Expose(Tagger(Combine(pairs, "$r"),
+                             Pattern("result", content=("$r",)), "$o"),
+                      "$o")
+        registry = ViewRegistry(storage)
+        pin(registry.register("m", plan))
+        book = storage.find_by_path("bib.xml", [("child", "bib"),
+                                                ("child", "book")])[-1]
+        registry.apply_updates([UpdateRequest.insert(
+            "bib.xml", book, NEW_BOOK_FRAGMENT)])
+        assert registry.to_xml("m") == registry.recompute_xml("m")
+        assert registry.view("m").stats.recomputes == 0
+        assert not any("Map" in entry.signature
+                       for entry in registry.state_store.entries())
+        registry.close()
 
     def test_a_theta_insert_walks_the_other_side(self):
         """One person inserted under the Q11-shaped count walks every
@@ -727,41 +822,140 @@ class TestSignatures:
         b = translate_query(xmark.SELECTION_QUERY).prepare()
         assert subplan_signature(a) != subplan_signature(b)
 
+    def test_repr_and_explain_print_the_signature_core(self):
+        """An operator renders as ``Name[params]`` from the signature
+        core that keys the store — in ``repr`` and in EXPLAIN alike."""
+        storage, view = site_view(xmark.ORDER_QUERY_2, 10)
+        plan = view.pipeline.plan
+        assert [repr(op) for op in plan.iter_operators()] == [
+            "Source[site.xml, $S2]",
+            "NavigateUnnest[$S2, /site/people/person/address/city/text(),"
+            " $c_1, False]",
+            "Distinct[$c_1]", "OrderBy[$c_1]",
+            "Tagger[<city>$c_1</city>, $col3]", "Combine[$col3]",
+            "Tagger[<result>$col3</result>, $col4]", "Expose[$col4]"]
+        explain = view.registry.explain(view.name)
+        for op in plan.iter_operators():
+            assert f"{op!r}  full: runs=" in explain
+        view.close()
 
-class TestAntiProjection:
-    """ANTI ("state minus roots") = scalar coverage drops the tuple,
-    collection coverage filters members — probe and table must agree."""
 
-    def _spec(self, storage, root_key):
-        from repro.xat import DeltaSpec
-        from repro.xat.base import DeltaRoot
-        return DeltaSpec("site.xml", (DeltaRoot(root_key, "insert"),),
-                         "insert")
+def net_rows(tuples, columns) -> dict:
+    """A side state as ``{row fingerprint: net count}``, zeros dropped:
+    a stored table and a signed handle compare equal when they hold the
+    same rows, whatever cancelling pairs the handle carries."""
+    net: dict = {}
+    for tup in tuples:
+        fp = tuple_fingerprint(tup, columns)
+        net[fp] = net.get(fp, 0) + tup.count
+    return {fp: count for fp, count in net.items() if count}
 
-    def test_project_tuple_filters_collection_members(self):
-        from repro.engine.opstate import _project_tuple
+
+class TestSignedSideHandle:
+    """A side's state on the far side of the batch from its stored
+    table is that table ± its own counted Δ: an insert's old state is
+    the pre-batch table and a delete's new state the post-delete one,
+    for ``bycity``'s Tagger side (served through its input's entry) and
+    its ``OrderBy``-over-``Distinct`` side alike."""
+
+    @staticmethod
+    def sides():
+        plan = translate_query(xmark.PERSONS_BY_CITY_QUERY).prepare()
+        [loj] = [op for op in plan.iter_operators()
+                 if isinstance(op, LeftOuterJoin)]
+        return ((loj.inputs[0], tuple(loj._lcols)),
+                (loj.inputs[1], tuple(loj._rcols)))
+
+    @staticmethod
+    def storage():
         storage = StorageManager()
-        xmark.register_site(storage, 3)
-        person = persons_of(storage)[0]
-        other = persons_of(storage)[1]
-        spec = self._spec(storage, person)
-        from repro.xat.table import NodeItem
-        tup = XatTuple({"$p": NodeItem(other),
-                        "$c": [NodeItem(person), NodeItem(other)]})
-        projected = _project_tuple(tup, spec)
-        assert projected is not None  # scalar cell not covered
-        kept = projected["$c"]
-        assert [i.key for i in kept] == [other]
+        xmark.register_site(storage, 20, seed=1)
+        return storage
 
-    def test_project_tuple_drops_on_scalar_coverage(self):
-        from repro.engine.opstate import _project_tuple
-        storage = StorageManager()
-        xmark.register_site(storage, 3)
-        person = persons_of(storage)[0]
-        spec = self._spec(storage, person)
-        from repro.xat.table import NodeItem
-        tup = XatTuple({"$p": NodeItem(person)})
-        assert _project_tuple(tup, spec) is None
+    @staticmethod
+    def ctx(storage, store, root: DeltaRoot) -> ExecutionContext:
+        spec = DeltaSpec("site.xml", (root,), root.kind, epoch=store.epoch)
+        return ExecutionContext(storage, mode=DELTA, delta=spec,
+                                store=store)
+
+    @staticmethod
+    def state(ctx, op, cols) -> tuple:
+        """A fresh FULL evaluation of ``op`` as its net rows and its
+        net count per probe key."""
+        tuples = ctx.evaluate(op).tuples
+        supports: dict = {}
+        for tup in tuples:
+            for key in _hash_keys(tup, cols, ctx):
+                supports[key] = supports.get(key, 0) + tup.count
+        return net_rows(tuples, op.schema.columns), supports
+
+    @staticmethod
+    def check(handle, op, cols, state) -> None:
+        rows, supports = state
+        assert isinstance(handle, DiffSideHandle)
+        assert net_rows(handle.table().tuples, op.schema.columns) == rows
+        keys = set(supports) | {key for tup in handle.table().tuples
+                                for key in _hash_keys(tup, cols,
+                                                      handle._ctx)}
+        for key in keys:
+            want = supports.get(key, 0)
+            assert handle.support(key) == want, key
+            assert sum(t.count for t in handle.probe(key)) == want, key
+
+    def test_an_insert_old_state_is_the_pre_batch_table(self):
+        storage = self.storage()
+        fresh = ExecutionContext(storage)
+        sides = self.sides()
+        before = [self.state(fresh, op, cols) for op, cols in sides]
+        people = storage.find_by_path("site.xml", PERSON_PATH)
+        new = storage.insert_fragment(
+            storage.parent_key(people[0]),
+            parse_fragment(xmark.new_person_xml(1, city="Zanzibar"))[0])
+        store = OperatorStateStore(storage)
+        ctx = self.ctx(storage, store, DeltaRoot(new, INSERT))
+        for (op, cols), state in zip(sides, before):
+            self.check(store.side(ctx, op, cols, old=True), op, cols,
+                       state)
+        store.close()
+
+    def test_a_delete_new_state_is_the_post_delete_table(self):
+        storage, after = self.storage(), self.storage()
+        # the one person of the least populated city: the delete moves
+        # that city across zero, so the Distinct side changes too
+        people = storage.find_by_path("site.xml", PERSON_PATH)
+        city_of = {p: storage.text(storage.children(
+            storage.children(p, "address")[0], "city")[0]) for p in people}
+        doomed = min(people, key=lambda p: (
+            list(city_of.values()).count(city_of[p]), p.value))
+        after.delete_subtree(doomed)
+        fresh = ExecutionContext(after)
+        store = OperatorStateStore(storage)
+        ctx = self.ctx(storage, store, DeltaRoot(doomed, DELETE))
+        for op, cols in self.sides():
+            self.check(store.side(ctx, op, cols), op, cols,
+                       self.state(fresh, op, cols))
+        store.close()
+
+    def test_a_row_probed_under_two_keys_is_one_object(self):
+        """A new person with two cities hashes under both: its negated
+        Δ row comes back as the same object from either probe, so the
+        identity dedupe of a multi-item probe counts it once."""
+        storage = self.storage()
+        people = storage.find_by_path("site.xml", PERSON_PATH)
+        fragment = xmark.new_person_xml(1, city="Lima").replace(
+            "<city>Lima</city>", "<city>Lima</city><city>Oslo</city>")
+        new = storage.insert_fragment(storage.parent_key(people[0]),
+                                      parse_fragment(fragment)[0])
+        store = OperatorStateStore(storage)
+        ctx = self.ctx(storage, store, DeltaRoot(new, INSERT))
+        _left, (persons, cols) = self.sides()
+        old = store.side(ctx, persons, cols, old=True)
+        [lima] = [t for t in old.probe(("Lima",)) if t.count < 0]
+        [oslo] = [t for t in old.probe(("Oslo",)) if t.count < 0]
+        assert lima is oslo
+        assert _probe_union(old.probe, [("Lima",), ("Oslo",)]).count(
+            lima) == 1
+        store.close()
 
 
 class TestStateHooks:
