@@ -9,7 +9,7 @@ whose counts may be negative (deletes) or whose nodes may be flagged
 
 Attribute maps and child lists are shared values, replaced and never
 mutated, as in :mod:`repro.xmlmodel.node`: a base-node copy shares its
-source's map and a constructed node its skeleton's.
+source's map and a constructed node the map its Tagger built.
 
 :func:`serialize_extent` is the one writer of extent XML.  Every element
 caches what it last wrote (``xml``) and Deep Union empties that cache
@@ -23,13 +23,12 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Mapping, Optional
 
-from ..flexkeys import FlexKey, order_of
-from ..storage import ContentItem, Skeleton
+from ..flexkeys import order_of
 from ..xmlmodel import XmlNode
 from ..xmlmodel.node import EMPTY_ATTRIBUTES
 from ..xmlmodel.serializer import escape_attr, escape_text
 from ..xat.grouping import AggState
-from ..xat.table import AtomicItem, Item, NodeItem
+from ..xat.table import AtomicItem, Item
 
 TEXT_ID = "#text"
 #: Synthetic root wrapping multi-root results so fusion is uniform.
@@ -187,8 +186,11 @@ def _build(node: ExtentNode, built: list) -> str:
 # -- building extent/delta trees from execution results ---------------------------------
 
 
-def node_from_item(item: Item, storage, delta=None) -> Optional[ExtentNode]:
-    """Turn one result item into an extent (or delta) subtree.
+def node_from_item(item: Item, storage, delta=None,
+                   parent_refresh: bool = False) -> Optional[ExtentNode]:
+    """Turn one result item into an extent (or delta) subtree: a
+    constructed node's content items recursively, under its refresh,
+    and an exposed base node as a copy of its stored subtree.
 
     ``delta`` is the :class:`~repro.xat.DeltaSpec` of the maintenance run
     (None for plain materialization).  During a *delete* batch the source
@@ -196,61 +198,26 @@ def node_from_item(item: Item, storage, delta=None) -> Optional[ExtentNode]:
     copies must prune the subtrees being deleted — except when the copied
     root itself is the deleted fragment (only its id/count matter then).
     """
+    refresh = item.refresh or parent_refresh
     if isinstance(item, AtomicItem):
         return ExtentNode(TEXT_ID, item.order_token(), text=item.value,
-                          count=item.count, refresh=item.refresh,
-                          agg=item.agg)
-    assert isinstance(item, NodeItem)
-    if item.is_constructed:
-        return _from_skeleton(item.skeleton, order_of(item.key),
-                              item.count, item.refresh, storage, delta)
-    return _copy_base(item.key, storage, item.count, item.refresh, delta)
-
-
-def _from_skeleton(skeleton: Skeleton, order: str, count: int,
-                   refresh: bool, storage, delta) -> ExtentNode:
-    node = ExtentNode(skeleton.node_id.value, order, tag=skeleton.tag,
-                      attributes=skeleton.attributes,
-                      count=count, refresh=refresh)
-    for entry in skeleton.content:
-        child = _from_content(entry, storage, refresh, delta)
+                          count=item.count, refresh=refresh, agg=item.agg)
+    key, skeleton = item.key, item.skeleton
+    if skeleton is None:
+        if not storage.has_node(key):
+            return None
+        prune = (delta is not None and delta.phase == "delete"
+                 and delta.classify(key) != "at")
+        return _copy_base_node(storage.node(key), order_of(key), item.count,
+                               refresh, delta if prune else None)
+    node = ExtentNode(key.value, order_of(key), tag=skeleton.tag,
+                      attributes=skeleton.attributes, count=item.count,
+                      refresh=refresh)
+    for member in skeleton.content:
+        child = node_from_item(member, storage, delta, refresh)
         if child is not None:
             node.insert_child(child)
     return node
-
-
-def _from_content(entry: ContentItem, storage, parent_refresh: bool,
-                  delta) -> Optional[ExtentNode]:
-    refresh = entry.refresh or parent_refresh
-    if entry.kind == "value":
-        return ExtentNode(TEXT_ID,
-                          order_of(entry.key) if entry.key is not None
-                          else (entry.text or ""),
-                          text=entry.text, count=entry.count,
-                          refresh=refresh, agg=entry.agg)
-    if entry.skeleton is not None:
-        return _from_skeleton(entry.skeleton, order_of(entry.key),
-                              entry.count, refresh, storage, delta)
-    return _copy_base(entry.key, storage, entry.count, refresh, delta)
-
-
-def _prunes_deletes(delta) -> bool:
-    return delta is not None and delta.phase == "delete"
-
-
-def _copy_base(key: FlexKey, storage, count: int, refresh: bool,
-               delta) -> Optional[ExtentNode]:
-    """Copy an exposed base-node subtree; ids/orders come from FlexKeys."""
-    if not storage.has_node(key):
-        return None
-    prune = _prunes_deletes(delta)
-    if prune and delta.classify(key) == "at":
-        # The copied root is itself being deleted: keep the whole copy
-        # (only its id and negative count matter to Deep Union).
-        prune = False
-    source = storage.node(key)
-    return _copy_base_node(source, order_of(key), count, refresh,
-                           delta if prune else None)
 
 
 def _copy_base_node(source: XmlNode, order: str, count: int,

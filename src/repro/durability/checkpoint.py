@@ -31,9 +31,11 @@ need, so the fallback always has its replay tail.
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 import time
+import types
 import zlib
 from typing import NamedTuple
 
@@ -68,6 +70,18 @@ def encode_state(state: dict) -> bytes:
     """A checkpoint payload: the state dict, pickled.  Inline and
     background checkpoints both encode through here."""
     return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Format-3 checkpoints pickled ``repro.storage.skeleton`` objects in
+    the operator-state section, which restore ignores: that one retired
+    module's classes load as inert namespaces, every other name as
+    :mod:`pickle` resolves it."""
+
+    def find_class(self, module: str, name: str):
+        if module == "repro.storage.skeleton":
+            return types.SimpleNamespace
+        return super().find_class(module, name)
 
 
 def _checkpoint_name(lsn: int) -> str:
@@ -165,7 +179,7 @@ class CheckpointStore:
         """Decode and verify one checkpoint file → ``(lsn, state)``."""
         lsn, payload = self._read_verified(path)
         try:
-            state = pickle.loads(payload)
+            state = _CheckpointUnpickler(io.BytesIO(payload)).load()
         except Exception as exc:
             raise CheckpointError(
                 f"checkpoint unpickle failed: {path}: {exc}") from exc

@@ -659,7 +659,7 @@ class OperatorStateStore:
                        if t.count and not t.refresh]
             if counted:
                 return DiffSideHandle(handle, counted, ctx,
-                                      -1 if old else 1)
+                                      -1 if old else 1, op.schema.columns)
         return handle
 
     def _ensure_current(self, ctx, op: XatOperator

@@ -1,14 +1,9 @@
-"""FlexKey-addressed storage manager, structural index and skeletons."""
+"""FlexKey-addressed storage manager and structural index."""
 
 from .index import StructuralIndex
 from .manager import StorageError, StorageManager
-from .skeleton import REF, VALUE, ContentItem, Skeleton
 
 __all__ = [
-    "REF",
-    "VALUE",
-    "ContentItem",
-    "Skeleton",
     "StorageError",
     "StorageManager",
     "StructuralIndex",

@@ -7,20 +7,21 @@ Execution modes (used by the Propagate phase, Chapter 7):
   intersect an update root of the batch being propagated.
 
 A binary join-like operator whose both subtrees reference the updated
-document expands ``Δ(A ⋈ B) = ΔA ⋈ B_new  ∪  A_old ⋈ ΔB`` (the combined
-3-term form of Fig 7.2).  A rule never evaluates the other side: it asks
-the operator-state store's ``side`` for that side's new or old state.
-Inserts and modifies are applied to storage before propagation and
-deletes after (Chapter 6), so the side's stored table is one of the two
-states and its own Δ gives the other:
+document expands ``Δ(A ⋈ B)`` bilinearly (the combined 3-term form of
+Fig 7.2), reading B as stored in the ΔA term and A on the far side of
+the batch in the ΔB term.  A rule never evaluates the other side: it
+asks the operator-state store's ``side`` for it.  Inserts and modifies
+are applied to storage before propagation and deletes after (Chapter
+6), so the stored table is the new state under an insert or a modify
+and the old one under a delete, and the side's own Δ gives the other:
 
-===========  ================  ================
-phase        B_new             A_old
-===========  ================  ================
-insert       table             table − ΔA
-delete       table + ΔB        table
-modify       table             table − ΔA
-===========  ================  ================
+===========  ==========================  ==========================
+phase        ΔA term                     ΔB term
+===========  ==========================  ==========================
+insert       ΔA ⋈ B_new (table)          A_old (table − ΔA) ⋈ ΔB
+delete       ΔA ⋈ B_old (table)          A_new (table + ΔA) ⋈ ΔB
+modify       ΔA ⋈ B_new (table)          A_old (table − ΔA) ⋈ ΔB
+===========  ==========================  ==========================
 """
 
 from __future__ import annotations
@@ -612,7 +613,9 @@ class XatOperator:
 
     def __repr__(self) -> str:
         """``Name[params]``: the signature core's parameters (what
-        EXPLAIN prints per operator)."""
+        EXPLAIN prints per operator); an instance key prints none."""
+        if type(self).signature_core is XatOperator.signature_core:
+            return type(self).__name__
         params = ", ".join(str(part) for part in self.signature_core()[1:])
         return f"{type(self).__name__}[{params}]" if params \
             else type(self).__name__

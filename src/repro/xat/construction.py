@@ -1,6 +1,6 @@
 """Result construction operators: Tagger, XML Union/Unique, Merge, Map.
 
-The Tagger builds constructed-node skeletons (never full trees) and assigns
+The Tagger records constructed nodes (never full trees) and assigns
 semantic identifiers (``composeNodeIds`` of Fig 4.4).  XML Union assigns the
 column-id order prefixes of ``assignColIdPrfx`` (Fig 4.5).  Merge is linear
 for maintenance (each side's delta passes through independently).  Map gives
@@ -14,15 +14,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ..flexkeys import FlexKey
-from ..storage import REF, VALUE, ContentItem, Skeleton
 from ..xmlmodel.node import EMPTY_ATTRIBUTES
 from .base import DELTA, ExecutionContext, PlanError, XatOperator
 from .conditions import ColumnRef, Literal, item_value
 from .semantic_ids import (constructed_id, lineage_terminals,
                            override_from_tokens, resolve_lineage,
                            resolve_order)
-from .table import (AtomicItem, ContextSpec, Item, NodeItem, TableSchema,
-                    XatTable, XatTuple, items_of, single_item)
+from .table import (AtomicItem, ContextSpec, Item, NodeItem, Skeleton,
+                    TableSchema, XatTable, XatTuple, items_of, single_item)
 
 
 @dataclass(frozen=True)
@@ -103,18 +102,17 @@ class Tagger(XatOperator):
             for name, operand in pattern.attributes)
         # With several content entries, a per-entry order prefix fixes
         # construction order (same scheme as XML Union).
-        multi = len(pattern.content) > 1
+        cids = (self.XmlUnionColumnIds if len(pattern.content) > 1
+                else [None] * len(pattern.content))
         plan = []
-        for index, entry in enumerate(pattern.content):
-            cid = self.XmlUnionColumnIds[index] if multi else None
+        for entry, cid in zip(pattern.content, cids):
             if isinstance(entry, str):
-                plan.append((entry, cid, None, None))
+                plan.append((entry, cid, None))
             else:
-                key = (FlexKey("z").with_override(FlexKey(cid))
-                       if cid is not None else None)
-                plan.append((None, None, entry[1], key))
-        #: ``(column, union prefix, literal text, literal key)`` per
-        #: content entry: a column entry or a literal, never both
+                key = cid and FlexKey("z").with_override(FlexKey(cid))
+                plan.append((None, None, AtomicItem(entry[1], key)))
+        #: ``(column, union prefix, literal item)`` per content entry: a
+        #: column entry or a literal, never both
         self._content = tuple(plan)
 
     def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
@@ -148,12 +146,12 @@ class Tagger(XatOperator):
                 item = single_item(cells.get(column))
                 attributes[name] = (item_value(item, ctx)
                                     if item is not None else "")
-        content: list[ContentItem] = []
+        content: list[Item] = []
         append = content.append
         delta = ctx.mode == DELTA
-        for column, cid, text, key in self._content:
+        for column, cid, literal in self._content:
             if column is None:
-                append(ContentItem(VALUE, key, text))
+                append(literal)
                 continue
             cell = cells.get(column)
             if cell is None:
@@ -168,16 +166,17 @@ class Tagger(XatOperator):
                 count = 0 if single and delta else item.count
                 if cid is not None:
                     item = _prefixed(item, cid)
-                if isinstance(item, NodeItem):
-                    append(ContentItem(REF, item.key, None, count,
-                                       item.refresh, item.skeleton))
-                else:
+                if isinstance(item, AtomicItem):
+                    # ordered by its overriding order, else by its text
                     source = item.source_key
                     if source is not None and source.override is None:
                         source = None
-                    append(ContentItem(VALUE, source, item.value,
-                                       count, item.refresh, None,
-                                       item.agg))
+                    item = AtomicItem(item.value, source, count,
+                                      item.refresh, None, item.agg)
+                elif count != item.count:
+                    item = NodeItem(item.key, count, item.refresh,
+                                    item.skeleton, item.text_override)
+                append(item)
         # The item's count is *relative* to its tuple (1): the absolute
         # derivation count (tuple count x relative) is applied where the
         # item is consumed — by Combine / Group By (assignOverRidOrd) or
@@ -187,8 +186,7 @@ class Tagger(XatOperator):
         item = NodeItem(node_id if override is None
                         else node_id.with_override(override),
                         1 if tup.count else 0, tup.refresh,
-                        Skeleton(node_id, self.pattern.tag, attributes,
-                                 content, 1))
+                        Skeleton(self.pattern.tag, attributes, content))
         return tup.extended(self.out, item)
 
     def signature_core(self) -> tuple:
@@ -199,7 +197,6 @@ class XmlUnion(XatOperator):
     """``x-union_{col1,col2} -> col``: per-tuple sequence concatenation."""
 
     symbol = "U"
-    _COLUMN_IDS = "abcdefghijklmnopqrstuvwxyz"
 
     def __init__(self, child: XatOperator, col1: str, col2: str, out: str):
         super().__init__([child])
@@ -352,6 +349,9 @@ class VariableBinding(XatOperator):
         table = XatTable(self.schema)
         table.append(bound.projected(self.columns))
         return table
+
+    def __repr__(self) -> str:
+        return f"VariableBinding({', '.join(self.columns)})"
 
 
 class Map(XatOperator):

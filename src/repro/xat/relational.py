@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..flexkeys import FlexKey
-from .base import (DELETE, DELTA, INSERT, MODIFY, ExecutionContext,
-                   PlanError, XatOperator)
+from .base import (DELETE, DELTA, MODIFY, ExecutionContext,
+                   PlanError, XatOperator, tuple_fingerprint)
 from .conditions import Comparison, Condition, conjuncts, item_value
 from .table import (AtomicItem, ContextSpec, Item, NodeItem, TableSchema,
                     XatTable, XatTuple, items_of, single_item)
@@ -87,14 +87,18 @@ class DiffSideHandle:
     the negated retraction (+count, old values) restores the row the old
     derivation joined on and the negated assertion (-count, new values)
     cancels the post-update row the table holds; under a delete the Δ's
-    negative rows cancel the rows about to leave.
+    negative rows cancel the rows about to leave.  A stored row and a
+    signed Δ row with equal cells (``columns``) and opposite counts are
+    no row of the state: the handle hands out neither, or a join would
+    emit a ± pair of results.
     """
 
-    def __init__(self, base, delta_tuples: list, ctx, sign: int):
+    def __init__(self, base, delta_tuples: list, ctx, sign: int, columns):
         self._base = base
         self._delta = delta_tuples
         self._ctx = ctx
         self._sign = sign
+        self._columns = columns
         self.cols = base.cols
         self._index = None
         self._table = None
@@ -118,10 +122,25 @@ class DiffSideHandle:
             self._index = _buckets(self._delta, self.cols, self._ctx)
         return self._index.get(key, ())
 
+    def _net(self, stored, deltas) -> list:
+        """``stored`` plus the signed ``deltas``, less each stored row
+        and signed Δ row that cancel (a modify's halves, read at other
+        values than the stored row, never do)."""
+        stored, kept, columns = list(stored), [], self._columns
+        for tup in map(self._signed, deltas):
+            fp = tup.era is None and tuple_fingerprint(tup, columns)
+            twin = fp and next((row for row in stored
+                                if row.count == -tup.count
+                                and tuple_fingerprint(row, columns) == fp),
+                               None)
+            if not twin:
+                kept.append(tup)
+            else:
+                stored.remove(twin)
+        return stored + kept
+
     def probe(self, key) -> list:
-        matches = list(self._base.probe(key))
-        matches.extend(self._signed(t) for t in self._delta_rows(key))
-        return matches
+        return self._net(self._base.probe(key), self._delta_rows(key))
 
     def support(self, key) -> int:
         """The base side's support plus the signed delta rows under
@@ -136,9 +155,7 @@ class DiffSideHandle:
         if self._table is None:
             base = self._base.table()
             self._table = XatTable(base.schema,
-                                   list(base.tuples)
-                                   + [self._signed(t)
-                                      for t in self._delta])
+                                   self._net(base.tuples, self._delta))
         return self._table
 
 
@@ -306,25 +323,28 @@ class _BinaryJoinBase(XatOperator):
 
     def _delta(self, ctx: ExecutionContext, ldelta: XatTable,
                rdelta: XatTable) -> XatTable:
-        """Δ(A ⋈ B) = ΔA ⋈ B_new ∪ A_old ⋈ ΔB, delta side first.
+        """Δ(A ⋈ B) = ΔA ⋈ B ∪ A' ⋈ ΔB, delta side first: B as stored, A'
+        on the far side of the batch (by phase: :mod:`repro.xat.base`).
 
         A term whose delta is empty is skipped outright, so the
         untouched side of a one-sided batch is never evaluated at all —
         and when it is needed, the store hands it over in the state the
-        term reads (B new, A old) and the delta tuples probe it instead
-        of iterating it.
+        term reads and the delta tuples probe it instead of iterating
+        it.
         """
         lcols, rcols = self._lcols, self._rcols
         store = ctx.store
+        deleting = ctx.delta.phase == DELETE
         table = XatTable(self.schema)
         append = table.append
         if ldelta.tuples:
-            other = store.side(ctx, self.inputs[1], rcols)
+            other = store.side(ctx, self.inputs[1], rcols, old=deleting)
             for dt in ldelta.tuples:
                 for ot in self._side_matches(ctx, dt, lcols, other):
                     append(dt.merged(ot))
         if rdelta.tuples:
-            other = store.side(ctx, self.inputs[0], lcols, old=True)
+            other = store.side(ctx, self.inputs[0], lcols,
+                               old=not deleting)
             for dt in rdelta.tuples:
                 for ot in self._side_matches(ctx, dt, rcols, other):
                     append(ot.merged(dt))
@@ -455,18 +475,21 @@ class LeftOuterJoin(_BinaryJoinBase):
 
     def _delta(self, ctx, ldelta, rdelta):
         """The inner-join expansion plus the dangling-tuple treatment:
-        ΔA rows null-pad where B has no match, and ΔB retracts (inserts)
-        or restores (deletes) the null-padded results of old-left rows
-        whose dangling status flips (Fig 7.3)."""
+        ΔA rows null-pad where the B they read has no match, and ΔB
+        retracts (inserts) or restores (deletes) the null-padded results
+        of the left rows it reads whose dangling status flips (Fig 7.3).
+        Under a delete ΔA pads against B_old and the flips are read on
+        A_new, so a left row the delete removes is padded once."""
         spec = ctx.delta
         store = ctx.store
         lcols, rcols = self._lcols, self._rcols
         right = self.inputs[1]
         modify = spec.phase == MODIFY
+        deleting = spec.phase == DELETE
         table = XatTable(self.schema)
         append = table.append
         if ldelta.tuples:
-            # Inner term over (ΔA, B_new) with LOJ null-padding.  Under a
+            # Inner term over (ΔA, B) with LOJ null-padding.  Under a
             # modify batch every count-carrying ΔA row pads against the
             # *old* right state — δ·[dangling_old]; together with the
             # right-delta correction c_new·([dangling_new] -
@@ -474,15 +497,13 @@ class LeftOuterJoin(_BinaryJoinBase):
             # c_new·[dangling_new] - c_old·[dangling_old] (a new row's
             # vacuous old-dangling pad cancels against its own
             # correction inside the group sum).
-            other = store.side(ctx, right, rcols)
+            other = store.side(ctx, right, rcols, old=deleting)
             old_check = None
             for dt in ldelta.tuples:
                 matches = self._side_matches(ctx, dt, lcols, other)
                 for ot in matches:
                     append(dt.merged(ot))
                 if not modify or dt.refresh:
-                    # by net count: B_new may hold a row and its
-                    # cancelling Δ row
                     if not sum(ot.count for ot in matches):
                         append(self._null_padded(dt, dt.count))
                     continue
@@ -492,7 +513,7 @@ class LeftOuterJoin(_BinaryJoinBase):
                     append(self._null_padded(dt, dt.count))
         if not rdelta.tuples:
             return table
-        other = store.side(ctx, self.inputs[0], lcols, old=True)
+        other = store.side(ctx, self.inputs[0], lcols, old=not deleting)
         matched_lefts: dict[int, XatTuple] = {}
         for dt in rdelta.tuples:
             for lt in self._side_matches(ctx, dt, rcols, other):
@@ -525,12 +546,11 @@ class LeftOuterJoin(_BinaryJoinBase):
         # An insert flips a left row to matched when the *old* right
         # state held no match; a delete flips it to dangling when the
         # *new* one holds none.
-        inserting = spec.phase == INSERT
-        check = store.side(ctx, right, rcols, old=inserting)
+        check = store.side(ctx, right, rcols, old=not deleting)
         for lt in matched_lefts.values():
             if not self._handle_has_match(ctx, lt, lcols, check):
-                append(self._null_padded(lt, -lt.count if inserting
-                                         else lt.count))
+                append(self._null_padded(lt, lt.count if deleting
+                                         else -lt.count))
         return table
 
     def _null_padded(self, lt: XatTuple, count: int) -> XatTuple:

@@ -37,7 +37,7 @@ class Item:
 class NodeItem(Item):
     """A reference to a base or constructed XML node by FlexKey.
 
-    Constructed nodes carry their :class:`~repro.storage.Skeleton` directly
+    Constructed nodes carry their :class:`Skeleton` directly
     (``skeleton`` is None for base nodes).
 
     ``text_override`` materializes a *pre-update* text value on the item:
@@ -73,6 +73,20 @@ class NodeItem(Item):
 
     def __repr__(self) -> str:
         return f"N({self.key!r})"
+
+
+class Skeleton:
+    """A constructed node as its Tagger recorded it (Section 3.3.1): the
+    tag, the attribute map (shared: replaced, never written) and the
+    content — the items the Tagger read, in order.  Only
+    :func:`repro.apply.extent.node_from_item` instantiates it."""
+
+    __slots__ = ("tag", "attributes", "content")
+
+    def __init__(self, tag: str, attributes, content: list):
+        self.tag = tag
+        self.attributes = attributes
+        self.content = content
 
 
 class AtomicItem(Item):

@@ -355,7 +355,8 @@ class TestSideHandleSupport:
         lima_cells["$t"] = AtomicItem("Lima")
         delta = [XatTuple(lima_cells, -1, era="old"),
                  XatTuple(cairo_row.cells, 1, era="new")]
-        old = DiffSideHandle(base, delta, ctx, -1)
+        old = DiffSideHandle(base, delta, ctx, -1,
+                             base.table().schema.columns)
         for town, support in (("Boston", 2), ("Cairo", 0), ("Lima", 1)):
             assert old.support((town,)) == support
             assert sum(t.count for t in old.probe((town,))) == support

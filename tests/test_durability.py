@@ -198,6 +198,23 @@ def test_checkpoint_crc_failure_falls_back_a_generation(tmp_path):
     assert (lsn, state["gen"], generation) == (5, "old", 1)
 
 
+def test_only_the_retired_skeleton_module_unpickles_as_a_placeholder(
+        tmp_path):
+    """A payload naming ``repro.storage.skeleton`` loads (its objects as
+    inert placeholders); one naming any other missing module or class
+    — a neighbour of the retired module, the package that re-exported
+    it — still fails as a :class:`CheckpointError`."""
+    store = CheckpointStore(RealFileSystem(), str(tmp_path))
+    store.write_payload(1, b"crepro.storage.skeleton\nSkeleton\n)\x81.")
+    assert store.load_one(store.list()[0][1])[0] == 1
+    for lsn, (module, name) in enumerate(
+            [("repro.storage.skeletons", "Skeleton"),
+             ("repro.storage", "Skeleton")], start=2):
+        store.write_payload(lsn, f"c{module}\n{name}\n)\x81.".encode())
+        with pytest.raises(CheckpointError):
+            store.load_one(store.list()[0][1])
+
+
 def test_checkpoint_prune_keeps_two_generations(tmp_path):
     store = CheckpointStore(RealFileSystem(), str(tmp_path), keep=2)
     for lsn in (3, 6, 9):

@@ -26,13 +26,14 @@ from repro.workloads import xmark
 from repro.workloads.bib import NEW_BOOK_FRAGMENT, register_running_example
 from repro.xat import (AtomicItem, CartesianProduct, Combine, Expose, GroupBy,
                        Map, NavigateUnnest, Path, Pattern, Source, Tagger,
-                       VariableBinding, XatTuple)
+                       VariableBinding, XatTable, XatTuple)
 from repro.xat.base import (DELETE, DELTA, FULL, INSERT, MODIFY, DeltaRoot,
                             DeltaSpec, ExecutionContext, obs_op_stats,
                             tuple_fingerprint)
 from repro.xat.grouping import compute_aggregate, merge_member_items
 from repro.xat.relational import (DiffSideHandle, LeftOuterJoin,
-                                  _hash_keys, _probe_union)
+                                  TransientSideHandle, _hash_keys,
+                                  _probe_union)
 from repro.xmlmodel import parse_fragment
 
 from .helpers import (ALL_MUTATORS, FUZZ_VIEWS, GROUPED_VIEWS,
@@ -507,8 +508,9 @@ class TestOneSidePath:
         old = store.side(ctx, auctions, None, old=True)
         assert isinstance(new, StoredSideHandle)
         assert isinstance(old, DiffSideHandle)
-        # an insert's own row is cancelled out of the old state
-        assert len(old.table().tuples) == len(new.table().tuples) + 1
+        # an insert's own row is cancelled out of the old state: the
+        # stored row and its negated Δ row leave it together
+        assert len(old.table().tuples) == len(new.table().tuples) - 1
         assert sum(t.count for t in old.table().tuples) == \
             sum(t.count for t in new.table().tuples) - 1
         assert store.entry_count() == 1
@@ -838,6 +840,10 @@ class TestSignatures:
         for op in plan.iter_operators():
             assert f"{op!r}  full: runs=" in explain
         view.close()
+        # an operator keyed by instance prints no instance number
+        binding = VariableBinding(("$e",))
+        assert [repr(binding), repr(Map(binding, binding))] == [
+            "VariableBinding($e)", "Map"]
 
 
 def net_rows(tuples, columns) -> dict:
@@ -939,7 +945,9 @@ class TestSignedSideHandle:
     def test_a_row_probed_under_two_keys_is_one_object(self):
         """A new person with two cities hashes under both: its negated
         Δ row comes back as the same object from either probe, so the
-        identity dedupe of a multi-item probe counts it once."""
+        identity dedupe of a multi-item probe counts it once.  Against
+        the stored table, which holds the person, it comes back from
+        neither: it cancels with its stored twin."""
         storage = self.storage()
         people = storage.find_by_path("site.xml", PERSON_PATH)
         fragment = xmark.new_person_xml(1, city="Lima").replace(
@@ -950,12 +958,102 @@ class TestSignedSideHandle:
         ctx = self.ctx(storage, store, DeltaRoot(new, INSERT))
         _left, (persons, cols) = self.sides()
         old = store.side(ctx, persons, cols, old=True)
-        [lima] = [t for t in old.probe(("Lima",)) if t.count < 0]
-        [oslo] = [t for t in old.probe(("Oslo",)) if t.count < 0]
-        assert lima is oslo
-        assert _probe_union(old.probe, [("Lima",), ("Oslo",)]).count(
+        assert all(t.count > 0 for key in (("Lima",), ("Oslo",))
+                   for t in old.probe(key))
+        counted = [t for t in ctx.evaluate(persons, DELTA).tuples if t.count]
+        bare = DiffSideHandle(
+            TransientSideHandle(ctx, cols, table=XatTable(persons.schema)),
+            counted, ctx, -1, persons.schema.columns)
+        [lima], [oslo] = bare.probe(("Lima",)), bare.probe(("Oslo",))
+        assert lima is oslo and lima.count < 0
+        assert _probe_union(bare.probe, [("Lima",), ("Oslo",)]).count(
             lima) == 1
         store.close()
+
+    def test_a_modify_half_never_cancels_a_stored_row(self):
+        """A modify's pair halves read other values than the stored
+        rows, so they never cancel one: a person moved to a new city
+        leaves that city's stored row in the old left state (the outer
+        join corrects its dangling pad), and moving the person on
+        closes the group exactly."""
+        storage = self.storage()
+        registry = ViewRegistry(storage)
+        pin(registry.register("v", xmark.PERSONS_BY_CITY_QUERY))
+        address = storage.children(persons_of(storage)[9], "address")[0]
+        [city] = storage.children(address, "city")
+        for text in ("Zanzibar", "Paris"):
+            registry.apply_updates([UpdateRequest.modify("site.xml", city,
+                                                         text)])
+            assert registry.to_xml("v") == registry.recompute_xml("v")
+        registry.close()
+
+    def test_a_new_city_reaches_the_outer_join_without_pairs(
+            self, monkeypatch):
+        """One person of a new city inserted under ``bycity`` and then
+        deleted: each side reads the other's stored rows and their
+        signed Δ with the cancelling pairs taken out, so the outer
+        join's Δ output holds no two rows with equal cells and opposite
+        counts.  Against handles that keep the pairs, the pass's summed
+        Δ rows fall, and the extent mutations and the XML are equal."""
+        uncancelled = DiffSideHandle._net
+        join_delta = LeftOuterJoin._delta
+
+        def keep_pairs(handle, stored, deltas):
+            return list(stored) + uncancelled(handle, [], deltas)
+
+        def run(cancel: bool) -> tuple:
+            """(each refresh's mutations, the join's Δ tables, and per
+            update the XML and the Δ rows summed over the plan)."""
+            storage = StorageManager()
+            xmark.register_site(storage, 200, seed=1)
+            registry = ViewRegistry(storage)
+            plan = pin(registry.register(
+                "v", xmark.PERSONS_BY_CITY_QUERY)).pipeline.plan
+            mutations, outputs, trace = [], [], []
+            registry.add_refresh_listener(
+                "v", lambda event: mutations.append(event.mutations),
+                deliver_mutations=True)
+
+            def recording(op, ctx, ldelta, rdelta):
+                outputs.append(join_delta(op, ctx, ldelta, rdelta))
+                return outputs[-1]
+
+            def delta_rows() -> int:
+                return sum(obs_op_stats(op)["delta_tuples_out"]
+                           for op in plan.iter_operators())
+
+            with monkeypatch.context() as patch:
+                patch.setattr(LeftOuterJoin, "_delta", recording)
+                if not cancel:
+                    patch.setattr(DiffSideHandle, "_net", keep_pairs)
+                for insert in (True, False):
+                    anchor = persons_of(storage)[-1]
+                    before = delta_rows()
+                    registry.apply_updates([
+                        UpdateRequest.insert(
+                            "site.xml", anchor,
+                            xmark.new_person_xml(0, city="Zanzibar"),
+                            "after")
+                        if insert else
+                        UpdateRequest.delete("site.xml", anchor)])
+                    xml = registry.to_xml("v")
+                    assert xml == registry.recompute_xml("v")
+                    trace.append((xml, delta_rows() - before))
+            [loj] = [op for op in plan.iter_operators()
+                     if isinstance(op, LeftOuterJoin)]
+            registry.close()
+            return mutations, outputs, trace, loj.schema.columns
+
+        mutations, outputs, trace, columns = run(cancel=True)
+        for table in outputs:
+            signed = {(tuple_fingerprint(t, columns), t.count)
+                      for t in table.tuples}
+            assert not any((fp, -count) in signed for fp, count in signed)
+        paired_mutations, _outputs, paired_trace, _ = run(cancel=False)
+        assert mutations == paired_mutations
+        assert [xml for xml, _ in trace] == [xml for xml, _ in paired_trace]
+        assert all(rows < paired for (_, rows), (_, paired)
+                   in zip(trace, paired_trace)), (trace, paired_trace)
 
 
 class TestStateHooks:

@@ -259,8 +259,9 @@ class TestConstruction:
         plan = Tagger(books(storage),
                       Pattern("x", (), ("$b", ("literal", "fixed"))), "$w")
         item = single_item(run(storage, plan).tuples[0]["$w"])
-        kinds = [c.kind for c in item.skeleton.content]
-        assert kinds == ["ref", "value"]
+        node, literal = item.skeleton.content
+        assert isinstance(node, NodeItem) and not node.is_constructed
+        assert isinstance(literal, AtomicItem) and literal.value == "fixed"
 
     def test_xml_union_prefixes_reflect_side(self, storage):
         t = NavigateCollection(books(storage), "$b", Path.parse("title"),
