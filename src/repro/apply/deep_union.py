@@ -19,15 +19,15 @@ top-down, matching children by semantic identity:
   item it rode in on is shared by every pass that reads its register and
   by the operator-state store.
 
-**Serialization caches.**  Every extent element caches its compact XML
-(:attr:`ExtentNode.xml`) and ``_fuse`` empties the cache of the node it
-fuses, on entry.  The rule is complete: an element's XML changes only
-when its own attributes, text or children change or a descendant's do;
-each such change happens inside ``_fuse`` of that element, which Deep
-Union reaches only through ``_fuse`` of every ancestor.  All other
-elements keep strings that are still right; inserted subtrees arrive
-uncached (or cached by the delta log once settled) and removed ones
-take their caches along.  A count-only merge empties its path too.
+**Serialization caches.**  Every extent element above a leaf caches its
+compact XML (:attr:`ExtentNode.xml`) and ``_fuse`` empties the cache of the
+node it fuses, on entry.  The rule is complete: an element's XML changes
+only when its own attributes, text or children change or a descendant's do;
+each such change happens inside ``_fuse`` of that element, which Deep Union
+reaches only through ``_fuse`` of every ancestor.  All other elements keep
+strings that are still right; inserted subtrees arrive uncached (or cached
+by the delta log once settled) and removed ones take their caches along.  A
+count-only merge empties its path too.
 """
 
 from __future__ import annotations

@@ -31,8 +31,7 @@ be derived from them:
   ``{position: AggState}`` maps, plus the view's query, policy, work
   bound (``rows_read``) and refresh sequence — restore *grafts* extents
   instead of rematerializing every view (the reason checkpoint restore
-  beats a cold start by construction).  A node's child index is built
-  from its children's match keys on the first lookup, as for any node.
+  beats a cold start by construction).  Decoded names are interned.
 
 The operator-state store is not stored: it starts empty after a restore
 and fills each entry on its first use, as after any invalidation.
@@ -50,6 +49,8 @@ crossing rule: its documents restore exactly, but every view is
 """
 
 from __future__ import annotations
+
+import sys
 
 from ..apply.extent import ExtentNode
 from ..flexkeys import FlexKey
@@ -81,6 +82,13 @@ def _place(open_nodes: list, node, child_count: int):
     return parent
 
 
+def _interned(attributes):
+    """Names interned in place, order kept: pickle's memo shares the map."""
+    for name in list(attributes or ()):
+        attributes[sys.intern(name)] = attributes.pop(name)
+    return attributes
+
+
 # -- documents ----------------------------------------------------------------------------
 
 
@@ -110,10 +118,10 @@ def _decode_document(columns: dict) -> XmlNode:
     for position, (tag, value, key, child_count) in enumerate(zip(
             columns["tags"], columns["values"], columns["keys"],
             columns["child_counts"])):
-        node = XmlNode(TEXT if tag is None else ELEMENT, tag, value)
+        node = XmlNode(TEXT if tag is None else ELEMENT, tag and sys.intern(tag), value)
         node.key = FlexKey(key)
         if position in attributes:
-            node.attributes = attributes[position]
+            node.attributes = _interned(attributes[position])
         parent = _place(open_nodes, node, child_count)
         if parent is None:
             root = node
@@ -162,8 +170,8 @@ def _decode_extent(columns: dict) -> ExtentNode:
             columns["ids"], columns["orders"], columns["tags"],
             columns["texts"], columns["child_counts"], columns["counts"],
             columns["flags"])):
-        node = ExtentNode(node_id, order, tag, text,
-                          attributes.get(position), count,
+        node = ExtentNode(node_id, order, tag and sys.intern(tag), text,
+                          _interned(attributes.get(position)), count,
                           bool(flags & _REFRESH), aggs.get(position),
                           bool(flags & _BASE))
         parent = _place(open_nodes, node, child_count)

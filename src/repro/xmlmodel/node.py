@@ -13,6 +13,7 @@ the map it copies), and a text node's ``children`` is ``()``.
 from __future__ import annotations
 
 import copyreg
+import sys
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
 
@@ -56,9 +57,9 @@ class XmlNode:
     @classmethod
     def element(cls, tag: str, attributes: Optional[Mapping[str, str]] = None,
                 children: Optional[list["XmlNode"]] = None) -> "XmlNode":
-        node = cls(ELEMENT, tag=tag)
+        node = cls(ELEMENT, tag=sys.intern(tag))
         if attributes:   # a copy: the caller may write its dict later
-            node.attributes = dict(attributes)
+            node.attributes = {sys.intern(k): v for k, v in attributes.items()}
         for child in children or []:
             node.append(child)
         return node

@@ -9,11 +9,14 @@ One compiled-regex match per tag, one ``str.find`` per text run; the open
 elements are the ``parent`` chain of the node being filled (no recursion).
 Every part of a tag pattern after the ``<`` is optional, so a malformed tag
 matches its well-formed prefix and the error names the offset where it ends.
+Names are interned; text and attribute values are pooled per parse (equal
+values of one parse are one object) and never interned.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from .node import ELEMENT, TEXT, XmlNode
 
@@ -53,9 +56,9 @@ def parse_document(text: str) -> XmlNode:
     pos = _skip_misc(text, 0)
     if not text.startswith("<", pos):
         raise XmlParseError("expected '<'", pos)
-    root, pos, is_open = _open_tag(text, pos)
+    root, pos, is_open = _open_tag(text, pos, pool := {})
     if is_open:
-        pos = _parse_content(text, pos, root, [])
+        pos = _parse_content(text, pos, root, [], pool)
     pos = _skip_misc(text, pos)
     if pos != len(text):
         raise XmlParseError("trailing content after document element", pos)
@@ -65,7 +68,7 @@ def parse_document(text: str) -> XmlNode:
 def parse_fragment(text: str) -> list[XmlNode]:
     """Parse a sequence of top-level elements/text (an XML fragment)."""
     nodes: list[XmlNode] = []
-    _parse_content(text, 0, None, nodes)
+    _parse_content(text, 0, None, nodes, {})
     return nodes
 
 
@@ -116,22 +119,23 @@ def _decode_entities(raw: str, position: int) -> str:
     return _REFERENCE.sub(replace, raw)
 
 
-def _open_tag(text: str, pos: int) -> tuple[XmlNode, int, bool]:
+def _open_tag(text: str, pos: int, pool: dict) -> tuple[XmlNode, int, bool]:
     """The element whose open tag starts at ``pos`` (a ``<``), the
     offset after the tag, and whether content follows (not ``<…/>``)."""
     match = _OPEN_TAG.match(text, pos)
     tag, attributes, close = match.groups()
     if not tag:
         raise XmlParseError("expected a name", pos + 1)
-    node = XmlNode(ELEMENT, tag)
+    node = XmlNode(ELEMENT, sys.intern(tag))
     if attributes:
         node.attributes = decoded = {}
         if "&" in attributes:   # a bad reference is reported at its value
             for attr in _ATTR.finditer(text, match.start(2), match.end(2)):
-                decoded[attr[1]] = _decode_entities(attr[3], attr.start(3))
+                value = _decode_entities(attr[3], attr.start(3))
+                decoded[sys.intern(attr[1])] = pool.setdefault(value, value)
         else:
             for name, _quote, value in _ATTR.findall(attributes):
-                decoded[name] = value
+                decoded[sys.intern(name)] = pool.setdefault(value, value)
     if close is None:
         bad = _BAD_ATTR.match(text, match.end())
         if not bad[1]:
@@ -146,7 +150,7 @@ def _open_tag(text: str, pos: int) -> tuple[XmlNode, int, bool]:
 
 
 def _parse_content(text: str, pos: int, node: XmlNode | None,
-                   top: list[XmlNode]) -> int:
+                   top: list[XmlNode], pool: dict) -> int:
     """Lex element content from ``pos``, returning the offset reached.
 
     With ``node`` (the document element, its open tag consumed): fill it
@@ -168,7 +172,7 @@ def _parse_content(text: str, pos: int, node: XmlNode | None,
             value = value.strip()
             pos = end
             if value:
-                child = XmlNode(TEXT, None, value)
+                child = XmlNode(TEXT, None, pool.setdefault(value, value))
                 child.parent = node
                 siblings.append(child)
         elif lead == "</":
@@ -207,12 +211,13 @@ def _parse_content(text: str, pos: int, node: XmlNode | None,
             end = text.find("]]>", pos)
             if end < 0:
                 raise XmlParseError("unterminated CDATA", pos)
-            child = XmlNode(TEXT, None, text[pos + 9:end])
+            value = text[pos + 9:end]
+            child = XmlNode(TEXT, None, pool.setdefault(value, value))
             child.parent = node
             siblings.append(child)
             pos = end + 3
         else:
-            child, pos, is_open = _open_tag(text, pos)
+            child, pos, is_open = _open_tag(text, pos, pool)
             child.parent = node
             siblings.append(child)
             if is_open:

@@ -7,6 +7,8 @@ with query expressions inside ``{ }``.
 
 from __future__ import annotations
 
+import sys
+
 from .ast import (BoolAnd, Comparison, ElementConstructor, Expression,
                   FLWOR, ForClause, FunctionCall, LetClause, NumberLiteral,
                   PathExpr, PredicateExpr, Sequence, StringLiteral,
@@ -101,7 +103,7 @@ class XQueryParser:
                 break
         if self.pos == start:
             raise self.error("expected a name")
-        return self.text[start:self.pos]
+        return sys.intern(self.text[start:self.pos])   # as documents' are
 
     def parse_string(self) -> str:
         self.skip_ws()

@@ -11,6 +11,7 @@ from collections import Counter
 from typing import Iterable, Optional, Sequence, Union
 
 from repro import StorageManager, UpdateRequest, ViewRegistry
+from repro.apply.extent import INDEX_WIDTH
 from repro.engine import Engine
 from repro.flexkeys import FlexKey
 from repro.multiview import DEFERRED, IMMEDIATE, threshold
@@ -322,18 +323,65 @@ def assert_shared_containers(node) -> None:
 
 def assert_extents_canonical(registry: ViewRegistry) -> None:
     """Every view extent keeps each children list sorted by order token
-    (the engine runs no sort pass) and every node holds the shared
-    containers."""
+    (the engine runs no sort pass), every node holds the shared
+    containers, no leaf element holds cached XML and no node of at most
+    ``INDEX_WIDTH`` children holds a child index."""
     for name in registry.names():
-        extent = registry.view(name).pipeline.extent
-        stack = [extent] if extent is not None else []
-        while stack:
-            node = stack.pop()
+        for node in extent_nodes(registry.view(name).pipeline.extent):
             assert_shared_containers(node)
             orders = [child.order for child in node.children]
             assert orders == sorted(orders), (
                 f"{name}: children of {node!r} are not in order")
-            stack.extend(node.children)
+            assert node.xml is None or not is_leaf(node), (
+                f"{name}: the leaf {node!r} caches its XML")
+            assert node._child_index is None \
+                or len(node.children) > INDEX_WIDTH, (
+                    f"{name}: the narrow {node!r} holds a child index")
+
+
+def extent_nodes(extent) -> list:
+    """Every node of an extent (None: none), in no particular order."""
+    nodes, stack = [], [extent] if extent is not None else []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children)
+    return nodes
+
+
+def is_leaf(node) -> bool:
+    """An element with no element child (its XML is never cached)."""
+    return node.tag is not None and all(
+        child.tag is None for child in node.children)
+
+
+def heap_shape(registry: ViewRegistry) -> dict:
+    """The heap rules as counts over every document and every extent of
+    a registry: ``names`` distinct tag and attribute names held as
+    ``name_objects`` ``str`` objects, ``cached`` elements holding XML
+    (``cached_leaves`` of them leaves), and ``indexed`` nodes holding a
+    child index (``narrow_indexed`` of them with at most
+    ``INDEX_WIDTH`` children).  The rules hold when ``names ==
+    name_objects`` and both other counts are 0."""
+    objects: dict = {}
+    nodes = [node for name in registry.storage.document_names
+             for node in registry.storage.document(name).root
+             .iter_subtree()]
+    extents = [node for name in registry.names()
+               for node in extent_nodes(registry.view(name).pipeline.extent)]
+    for node in nodes + extents:
+        for name in ([node.tag] if node.tag is not None else []) \
+                + list(node.attributes):
+            objects.setdefault(name, set()).add(id(name))
+    cached = [node for node in extents if node.xml is not None]
+    indexed = [node for node in extents if node._child_index is not None]
+    return {"names": len(objects),
+            "name_objects": sum(map(len, objects.values())),
+            "cached": len(cached),
+            "cached_leaves": sum(map(is_leaf, cached)),
+            "indexed": len(indexed),
+            "narrow_indexed": sum(len(node.children) <= INDEX_WIDTH
+                                  for node in indexed)}
 
 
 # -- the randomized differential harness -------------------------------------------------
@@ -420,6 +468,25 @@ def _mut_modify_city(rng, storage, step, doomed):
                                 rng.choice(xmark.CITIES))
 
 
+#: city names :func:`xmark.generate_site` never writes
+FRESH_CITIES = ("Montevideo", "Reykjavik")
+
+
+def _mut_modify_city_fresh(rng, storage, step, doomed):
+    """One group's zero crossings: move a live person to a city nobody
+    lives in (opening its group, or joining one just opened), or — half
+    the time, while someone lives there — move such a person back to one
+    of ``xmark.CITIES`` (closing the group with its last member)."""
+    cities = _alive(_site_paths(storage, "site", "people", "person",
+                                "address", "city"), doomed)
+    moved = [key for key in cities if storage.text(key) in FRESH_CITIES]
+    if moved and rng.random() < 0.5:
+        return UpdateRequest.modify("site.xml", rng.choice(moved),
+                                    rng.choice(xmark.CITIES))
+    return UpdateRequest.modify("site.xml", rng.choice(cities),
+                                rng.choice(FRESH_CITIES))
+
+
 def _mut_modify_name(rng, storage, step, doomed):
     names = _alive(_site_paths(storage, "site", "people", "person",
                                "name"), doomed)
@@ -446,6 +513,7 @@ MUTATORS = {
     "delete_person": _mut_delete_person,
     "delete_auction": _mut_delete_auction,
     "modify_city": _mut_modify_city,
+    "modify_city_fresh": _mut_modify_city_fresh,
     "modify_name": _mut_modify_name,
     "modify_same": _mut_modify_same,
 }

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apply import (ExtentNode, FusionReport, deep_union, forest_root,
                          fuse_forest)
+from repro.apply.extent import WRITER_TALLY
 from repro.durability.snapshot import _decode_extent, _encode_extent
 from repro.engine import Engine
 from repro.xat.grouping import AggState
@@ -309,14 +310,23 @@ class TestSerializationCache:
         assert 'n="1"' not in xml
 
     def test_only_the_fused_path_is_rewritten(self):
+        """Elements above a leaf keep their string; a leaf keeps none
+        (its parent's string holds it) and is rewritten with its parent."""
         extent = cache_extent()
         Engine.serialize_extent(extent)
         group = extent.find_child(("g", "gc"))
         text = extent.find_child(("p", "pc"))
         cached = group.xml
-        assert cached is not None and text.xml == "<p>old</p>"
+        assert cached is not None and extent.xml is not None
+        assert text.xml is None
+        assert all(leaf.xml is None for leaf in group.children)
         deep_union(extent, under_root(element(
             "pc", "p", refresh=True, text_children=["new"])))
         assert extent.xml is None and text.xml is None
         assert group.xml is cached
+        built = WRITER_TALLY.built
         assert_read_fresh(extent)
+        # <r> and its two leaves, <p> and the aggregate's <s>; the cached
+        # <g> and <b> are joined as they are
+        assert WRITER_TALLY.built - built == 3
+        assert group.xml is cached and text.xml is None
