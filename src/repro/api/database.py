@@ -216,11 +216,12 @@ class Database:
         """Answer an XQuery string; the XML equals a fresh evaluation.
 
         The registry keeps the extent of up to eight per-item linear
-        queries, maintained like hidden deferred views, so asking the
-        same text again costs the updates since the last ask.  A query
-        that groups, joins or deduplicates is evaluated fresh every time
-        (see :meth:`ViewRegistry.ask`).  Kept extents are neither views
-        nor durable state — use :meth:`create_view` for those."""
+        queries, maintained like hidden deferred views — each batch's Δ
+        is computed in its dispatch and fused on the next ask — so asking
+        the same text again costs the updates since the last ask.  A
+        query that groups, joins or deduplicates is evaluated fresh every
+        time (see :meth:`ViewRegistry.ask`).  Kept extents are neither
+        views nor durable state — use :meth:`create_view` for those."""
         return self.registry.ask(xquery)
 
     # -- updates -----------------------------------------------------------------------

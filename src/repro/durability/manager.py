@@ -422,7 +422,7 @@ class DurabilityManager:
                 lsn = self._complete(span)
             if cut:
                 cut_started = time.perf_counter()
-                # Quiesce before capturing: queued deferred trees are not
+                # Quiesce before capturing: queued deferred forests are not
                 # part of the snapshot, and their WAL records are about to
                 # be truncated — flushing folds them into the extents.
                 registry.flush()

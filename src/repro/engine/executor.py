@@ -81,20 +81,20 @@ class Engine:
                     forest.append(node)
         return forest
 
-    def propagate(self, plan: XatOperator, extent: Optional[ExtentNode],
-                  spec: DeltaSpec, memo: dict, *, store, report=None,
-                  vm=None) -> tuple[ExtentNode, FusionReport]:
-        """One V-P-A delta pass: execute ``plan`` in delta mode for ``spec``
-        and fuse the resulting delta forest into ``extent``.
+    def propagate(self, plan: XatOperator, spec: DeltaSpec, memo: dict, *,
+                  store, report=None, vm=None) -> list[ExtentNode]:
+        """The Propagate half of one V-P-A delta pass: execute ``plan`` in
+        delta mode for ``spec`` and return the delta forest, which
+        :meth:`fuse` applies — at once or, for a queued view, later.
 
         ``memo`` is the pass's register file, ``{(signature, mode):
-        table}``: empty for a pass of its own, or the one the registry's
-        dispatch keeps beside ``spec`` — then whatever an earlier view's
-        pass under this same spec object computed is reused, not re-run,
-        and the delta forest is built afresh from the shared root table.
-        ``report`` is an optional maintenance report (any object with
-        ``propagate_seconds``, ``apply_seconds`` and ``fusion``
-        attributes) that receives the per-phase timings.
+        table}``, the one the registry's dispatch keeps beside ``spec``:
+        whatever an earlier view's pass under this same spec object
+        computed is reused, not re-run, and the delta forest is built
+        afresh from the shared root table.  ``report`` is an optional
+        maintenance report (any object with ``propagate_seconds``,
+        ``apply_seconds`` and ``fusion`` attributes) that receives the
+        per-phase timings.
         """
         started = time.perf_counter()
         # Registers already filled: an earlier pass of this dispatch ran
@@ -109,14 +109,23 @@ class Engine:
             # registry's delete barrier reaches storage only after the
             # passes — reading each Δ from the registers just filled.
             store.reconcile(spec, memo)
-        propagate_elapsed = time.perf_counter() - started
-        started = time.perf_counter()
-        fusion = report.fusion if report is not None else None
-        extent, fusion_report = fuse_forest(extent, forest, fusion)
         if report is not None:
-            report.propagate_seconds += propagate_elapsed
+            report.propagate_seconds += time.perf_counter() - started
+        return forest
+
+    @staticmethod
+    def fuse(extent: Optional[ExtentNode], forest: list[ExtentNode],
+             report=None) -> Optional[ExtentNode]:
+        """The Apply half: fuse one delta forest :meth:`propagate` built
+        into ``extent`` with the count-aware Deep Union and return the
+        extent.  The forest holds copies, so it fuses alike whenever it
+        is applied, as long as the forests of one view fuse in order."""
+        started = time.perf_counter()
+        extent, _fusion = fuse_forest(
+            extent, forest, report.fusion if report is not None else None)
+        if report is not None:
             report.apply_seconds += time.perf_counter() - started
-        return extent, fusion_report
+        return extent
 
     def materialize(self, plan: XatOperator, vm=None
                     ) -> tuple[ExtentNode, FusionReport]:

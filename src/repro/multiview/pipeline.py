@@ -4,9 +4,10 @@
 Fig 1.5 loop; this module holds what it runs per view and per request:
 
 * the **Validate** storage helper :func:`apply_insert`;
-* the **Propagate/Apply** step — :meth:`ViewPipeline.propagate_run` runs
-  one batch update tree through the plan in delta mode and fuses the
-  delta forest into the extent with the count-aware Deep Union;
+* the **Propagate/Apply** steps — :meth:`ViewPipeline.propagate_run`
+  runs one batch update tree through the plan in delta mode into a delta
+  forest, and :meth:`ViewPipeline.fuse` fuses a forest into the extent
+  with the count-aware Deep Union;
 * :class:`MaintenanceReport`, the cumulative per-view record of it.
 """
 
@@ -69,17 +70,13 @@ def apply_insert(storage: StorageManager, request: UpdateRequest):
 
 
 class ViewPipeline:
-    """Plan, SAPT and extent of one materialized view, plus its P-A step
+    """Plan, SAPT and extent of one materialized view, plus its P-A steps
     — the view-side state the registry keeps per registered view.
 
     ``state_store`` and ``plan_cache`` are the registry's: one shared
     :class:`~repro.engine.opstate.OperatorStateStore` and one shared
     :class:`~repro.plan.PlanCache`, so structurally-equal subplans across
     views resolve to the same cached tables and compile once.
-
-    ``tracer`` is an optional :class:`repro.obs.Tracer`; when set (the
-    registry wires its own in) the Propagate/Apply phase timings of each
-    batch are emitted as child spans of whatever span is current.
     """
 
     def __init__(self, engine: Engine, plan: XatOperator,
@@ -87,7 +84,6 @@ class ViewPipeline:
         self.engine = engine
         self.plan = plan if plan.schema is not None else plan.prepare()
         self.sapt = Sapt.from_plan(self.plan)
-        self.tracer = None
         self.extent: Optional[ExtentNode] = None
         self.materialized = False
         #: extent elements rebuilt by reads (a read takes every other
@@ -123,32 +119,23 @@ class ViewPipeline:
         return self.extent.subtree_size() if self.extent is not None else 0
 
     def propagate_run(self, spec: DeltaSpec, memo: dict,
-                      report: MaintenanceReport) -> None:
-        """Propagate one closed run (one batch update tree, as the
-        registry's ``spec`` for this view's routed subset of it) and
-        fuse the delta into the extent.  ``memo`` is the register file
-        the registry keeps beside ``spec``: shared with every other
-        view's pass under the same spec object, else empty."""
+                      report: MaintenanceReport) -> list[ExtentNode]:
+        """Propagate one closed run (as the registry's ``spec`` for this
+        view's routed subset of it) and return its delta forest.
+        ``memo`` is the register file the registry keeps beside ``spec``,
+        shared with every other view's pass under the same spec object."""
         report.batches += 1
         store = self.state_store
         before = store.stats.snapshot()
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.active
-        if tracing:
-            propagate_before = report.propagate_seconds
-            apply_before = report.apply_seconds
-        self.extent, _fusion = self.engine.propagate(
-            self.plan, self.extent, spec, memo, report=report,
-            store=store, vm=self.vm)
+        forest = self.engine.propagate(self.plan, spec, memo, report=report,
+                                       store=store, vm=self.vm)
         hits, misses, patches, _inv = store.stats.snapshot()
         report.state_hits += hits - before[0]
         report.state_misses += misses - before[1]
         report.state_patches += patches - before[2]
-        if tracing:
-            tracer.record(
-                "phase.propagate",
-                report.propagate_seconds - propagate_before,
-                trees=len(spec.roots), kind=spec.phase)
-            tracer.record("phase.apply",
-                          report.apply_seconds - apply_before,
-                          trees=len(spec.roots))
+        return forest
+
+    def fuse(self, forest: list[ExtentNode],
+             report: MaintenanceReport) -> None:
+        """Apply one delta forest of :meth:`propagate_run` to the extent."""
+        self.extent = self.engine.fuse(self.extent, forest, report)

@@ -1,20 +1,18 @@
 """Per-view maintenance policies.
 
-A registered view chooses *when* its queued delta batches propagate:
+Every routed view propagates its subset of a run in that run's dispatch,
+against the state the run produced, and queues the Δ forest.  A policy
+chooses *when* the queued forests are fused into the extent (the Apply
+phase), and so when its refresh events fire:
 
 * ``immediate`` — at every batch boundary of the shared update stream;
-* ``deferred`` — queue batches and flush lazily, on the next read
-  (:meth:`ViewRegistry.query`) or an explicit
-  :meth:`ViewRegistry.flush`;
-* ``threshold(K)`` — queue batches and flush as soon as ``K`` or more
-  update trees are pending.
+* ``deferred`` — on the next read (:meth:`ViewRegistry.query`), an
+  explicit :meth:`ViewRegistry.flush` or the checkpoint quiesce, one
+  coalesced refresh for every batch queued since;
+* ``threshold(K)`` — as soon as ``K`` or more update trees are queued.
 
-Whatever the policy, **delete batches are barriers**: a source subtree
-can only leave storage after every relevant view has propagated it (the
-Propagate phase reads the doomed subtree — Chapter 6's phase/count
-discipline), so a delete forces all views it is relevant to, deferred or
-not, to flush through it first.  Deferral is thereby bounded by delete
-barriers.
+A delete run forces no flush: its subtrees leave storage once every
+relevant view has *propagated* them, and a queued forest holds copies.
 """
 
 from __future__ import annotations

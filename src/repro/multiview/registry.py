@@ -16,23 +16,20 @@ number of simultaneously maintained views:
   after); each relevant view propagates its own subset of a run's trees
   (relevance is ancestor-monotone, so the global nested-root dedup never
   hides a root from a view that needs it);
-* **policies** — immediate views propagate at every batch boundary;
-  deferred/threshold views, and the query entries below, queue batches
-  and flush lazily.  Delete batches are barriers: the doomed subtrees
-  leave storage only after every relevant view (whatever its policy)
-  has propagated them;
+* **policies** — every routed view propagates its subset of a run in
+  the run's own dispatch, against the state that run produced, and
+  queues the Δ forest; a policy only says when the queue is fused into
+  the extent (the Apply phase): immediate views at once, threshold(K)
+  views once K trees are queued, deferred views on read, on
+  :meth:`flush` and at the checkpoint quiesce, and the query entries
+  below on their next ask;
 * **ad-hoc queries** — :meth:`ViewRegistry.ask` keeps the extent of each
   per-item linear query it answers as a :class:`QueryEntry`, a deferred
-  view no one named: routed, queued and barrier-flushed like any other,
-  flushed when the same text is asked again, absent from :meth:`names`,
-  metrics labels, the WAL and checkpoints.  At most
-  :data:`QUERY_CACHE_CAPACITY` are kept (least recently asked evicted
-  first), and an entry whose queue would cost as much as re-reading its
-  sources is evicted, never recomputed in place.  Entangled queries (see
-  :func:`_derivations_entangled`) are evaluated fresh on every ask over
-  a kept prepared plan;
+  view no one named (absent from :meth:`names`, metrics labels, the WAL
+  and checkpoints), fused when the same text is asked again; a query
+  through :data:`_FRESH_OPS` is evaluated fresh on every ask;
 * **the work bound** — a view recomputes its extent wholesale instead of
-  propagating when its pending trees, charged one row per instruction of
+  propagating when its queued trees, charged one row per instruction of
   its FULL plan, reach the rows its last materialization read (Section
   9.1's crossover is about the fraction of the source a batch touches,
   so the decision reads counters, never a clock).
@@ -53,10 +50,9 @@ from ..storage import StorageManager
 from ..translate import translate_query
 from ..updates.batch import RunBatcher, spec_for_run
 from ..updates.primitives import UpdateRequest, UpdateTree
-from ..xat import (DELETE, INSERT, MODIFY, Aggregate, CartesianProduct,
-                   Distinct, GroupBy, Join, LeftOuterJoin, XatOperator,
-                   XmlUnique)
-from ..xat.base import FULL
+from ..xat import (DELETE, FULL, INSERT, MODIFY, Aggregate,
+                   CartesianProduct, Distinct, GroupBy, Join, LeftOuterJoin,
+                   XatOperator, XmlUnique)
 from ..xat.grouping import TupleFunction
 from .pipeline import MaintenanceReport, ViewPipeline, apply_insert
 from .policies import (DEFERRED, IMMEDIATE_KIND, THRESHOLD_KIND,
@@ -75,15 +71,18 @@ class RoutedTree(UpdateTree):
 class RefreshEvent:
     """One view's extent just changed under maintenance.
 
-    ``reason`` is ``"propagate"`` (pending delta batches were propagated
-    into the extent) or ``"recompute"`` (the pending trees reached the
-    view's work bound, :meth:`RegisteredView.over_work_bound`).
-    ``trees`` counts the update trees the refresh consumed.  ``duration_seconds`` is the wall-clock
-    cost of the refresh itself, ``delta_tuples`` the honest size of the
-    change (extent mutations fused on propagation; extent node count on
-    recomputation), and ``sequence`` the view's monotonically increasing
-    refresh number (starting at 1) — a per-view subscriber that sees a
-    gap has missed a refresh.
+    ``reason`` is ``"propagate"`` (queued delta forests were fused into
+    the extent) or ``"recompute"`` (the queued trees reached the view's
+    work bound, :meth:`RegisteredView.over_work_bound`).  ``trees``
+    counts every update tree the refresh consumed, a nested insert as a
+    tree of its own.  ``duration_seconds`` is the wall-clock cost of the
+    refresh itself — for a flush in the dispatch its last Δ pass and the
+    fuse, for a deferred flush the fuse (its Apply) alone —
+    ``delta_tuples`` the honest size of the change (extent mutations
+    fused on propagation; extent node count on recomputation), and
+    ``sequence`` the view's monotonically increasing refresh number
+    (starting at 1) — a per-view subscriber that sees a gap has missed a
+    refresh.
 
     ``mutations`` is the refresh's *payload*: the tuple of JSON-ready
     visible-mutation records the Apply phase captured (see the record
@@ -135,32 +134,6 @@ class MultiViewReport:
     views: dict = field(default_factory=dict)  # name -> cumulative report
 
 
-#: Operators whose output rows draw on *multiple* source items: a group
-#: absorbs every member with its key, a join row both sides, a dedup
-#: cell every duplicate.  Through them, a queued count-signed tree that
-#: re-derives at flush time against post-mutation storage can pick up
-#: another tree's contribution and inflate derivation counts.
-_ENTANGLING_OPS = (Aggregate, CartesianProduct, Distinct, GroupBy, Join,
-                   LeftOuterJoin, TupleFunction, XmlUnique)
-
-
-def _derivations_entangled(plan: XatOperator) -> bool:
-    """Whether any output of ``plan`` can derive from more than one
-    source item (selections/projections/navigations are per-item linear
-    and immune to cross-batch count inflation)."""
-    seen: set[int] = set()
-    stack = [plan]
-    while stack:
-        op = stack.pop()
-        if id(op) in seen:
-            continue
-        seen.add(id(op))
-        if isinstance(op, _ENTANGLING_OPS):
-            return True
-        stack.extend(op.inputs)
-    return False
-
-
 class RegisteredView:
     """One view under registry maintenance (a handle, also used
     internally)."""
@@ -173,7 +146,10 @@ class RegisteredView:
         #: rows the FULL plan's instructions read at the last
         #: (re)materialization; None until one is measured
         self.rows_read: Optional[int] = None
-        self.pending: list[list[RoutedTree]] = []
+        #: the Δ forests of this view's passes not fused yet, oldest
+        #: first, as ``[forest, trees]``; a None forest (always the last)
+        #: marks a view that recomputes at its flush instead
+        self.pending: list[list] = []
         self.report = MaintenanceReport()
         self.stats = ViewStats()
         self.refresh_sequence = 0
@@ -183,7 +159,6 @@ class RegisteredView:
         self.refresh_listeners: list[tuple] = []
         self.mutation_listeners = 0
         self.query_text = ""
-        self.entangled = _derivations_entangled(pipeline.plan)
         #: the ``view`` attribute of this view's flush spans
         self.label = name
         #: propagate ``flush_seconds`` / ``flush_trees`` histograms, bound
@@ -192,7 +167,12 @@ class RegisteredView:
         self._instructions: Optional[int] = None
 
     def pending_trees(self) -> int:
-        return sum(len(batch) for batch in self.pending)
+        return sum(trees for _forest, trees in self.pending)
+
+    @property
+    def recomputing(self) -> bool:
+        """Does the queue end in the recompute mark?"""
+        return bool(self.pending) and self.pending[-1][0] is None
 
     @property
     def instructions(self) -> int:
@@ -206,7 +186,7 @@ class RegisteredView:
 
     def over_work_bound(self) -> bool:
         """Would propagating the queue touch as many rows as
-        re-materializing did?  (Every pending tree is charged one row per
+        re-materializing did?  (Every queued tree is charged one row per
         instruction — counters, not a clock.)  A view whose
         materialization was never measured stays incremental."""
         return (self.rows_read is not None and self.pending_trees()
@@ -216,25 +196,35 @@ class RegisteredView:
 #: query entries :meth:`ViewRegistry.ask` keeps at most
 QUERY_CACHE_CAPACITY = 8
 
+#: Operators that build an output row from several source items; the
+#: view divergences the tests pin as strict xfails all run through them,
+#: so :meth:`ViewRegistry.ask` evaluates a query holding one fresh.
+_FRESH_OPS = (Aggregate, CartesianProduct, Distinct, GroupBy, Join,
+              LeftOuterJoin, TupleFunction, XmlUnique)
+
 
 class QueryEntry(RegisteredView):
     """The kept extent of one ad-hoc query (see :meth:`ViewRegistry.ask`).
 
     A deferred view under the router key ``("query", text)`` — no view
     name is a tuple — that never recomputes: once its queue reaches
-    :meth:`over_work_bound` it is evicted instead.  An entangled entry
-    keeps only its prepared plan and is never routed.
+    :meth:`over_work_bound`, or a pass or fuse of it fails, it is evicted
+    instead.  At most :data:`QUERY_CACHE_CAPACITY` are kept, least
+    recently asked evicted first.  A ``fresh`` entry keeps only its
+    prepared plan and is never routed.
     """
 
     def __init__(self, text: str, pipeline: ViewPipeline):
         super().__init__(("query", text), pipeline, DEFERRED)
         self.label = "query"
+        self.fresh = any(isinstance(op, _FRESH_OPS)
+                         for op in pipeline.plan.iter_operators())
 
 
 @dataclass
 class QueryCacheStats:
     """What :meth:`ViewRegistry.ask` did: answers from a kept extent,
-    fresh evaluations, and evictions by reason."""
+    materializations and fresh evaluations, and evictions by reason."""
 
     hits: int = 0
     misses: int = 0
@@ -274,10 +264,6 @@ class ViewRegistry:
         #: :meth:`ask`'s entries by router key, least recently asked first
         self._queries: dict[tuple, QueryEntry] = {}
         self.query_stats = QueryCacheStats()
-        #: the register files of the run being dispatched, one per
-        #: distinct routed subset: ``{ids of its trees: (spec, memo)}``
-        #: (see :meth:`_dispatch`); empty outside a dispatch
-        self._registers: dict[tuple, tuple] = {}
         self._storage_ops = 0
         self._modifies_unchanged = 0
         self._subscriber_errors = 0
@@ -352,8 +338,7 @@ class ViewRegistry:
                         "Ad-hoc queries answered from a kept extent"
                         ).set(queries.hits)
         metrics.counter("query_cache_misses",
-                        "Ad-hoc queries evaluated fresh (first ask, "
-                        "after an eviction, or entangled)"
+                        "Ad-hoc queries materialized or evaluated fresh"
                         ).set(queries.misses)
         for reason, count in queries.evictions.items():
             metrics.counter("query_cache_evictions",
@@ -514,7 +499,6 @@ class ViewRegistry:
                                            self.state_store,
                                            self.plan_cache),
                               MaintenancePolicy.parse(policy))
-        view.pipeline.tracer = self.tracer
         view.flush_seconds = self.metrics.histogram(
             "flush_seconds", "Wall-clock cost of one flush", view=name,
             decision="propagate")
@@ -591,16 +575,15 @@ class ViewRegistry:
         """Answer an ad-hoc XQuery string — byte-identical to a fresh
         ``Engine.query(translate_query(xquery))``.
 
-        The first ask of a per-item linear query materializes it and
-        keeps the extent as a :class:`QueryEntry`; a later ask of the same
-        text flushes the entry's queued Δ and writes it through the
-        cached-XML extent writer.  An entangled query is evaluated fresh
-        every time over the entry's kept prepared plan."""
+        A per-item linear query is materialized on its first ask and kept
+        as a :class:`QueryEntry`, whose queued forests a later ask of the
+        same text fuses; a query through :data:`_FRESH_OPS` is evaluated
+        fresh every time over the entry's kept prepared plan."""
         key = ("query", xquery)
         entry = self._queries.pop(key, None)
         if entry is not None:
             self._queries[key] = entry          # now the most recent
-            if entry.entangled:
+            if entry.fresh:
                 self.query_stats.misses += 1
                 return entry.pipeline.recompute_xml()
             self.query_stats.hits += 1
@@ -609,9 +592,8 @@ class ViewRegistry:
         self.query_stats.misses += 1
         pipeline = ViewPipeline(self.engine, translate_query(xquery),
                                 self.state_store, self.plan_cache)
-        pipeline.tracer = self.tracer
         entry = QueryEntry(xquery, pipeline)
-        if entry.entangled:
+        if entry.fresh:
             xml = pipeline.recompute_xml()
         else:
             try:
@@ -628,16 +610,11 @@ class ViewRegistry:
 
     def _evict(self, entry: QueryEntry, reason: str) -> None:
         del self._queries[entry.name]
-        if not entry.entangled:
+        if not entry.fresh:
             self.router.unsubscribe(entry.name)
         entry.pending.clear()
         self.plan_cache.invalidate(entry.pipeline.plan)
         self.query_stats.evictions[reason] += 1
-
-    def _routed(self, name) -> Optional[RegisteredView]:
-        """The view or query entry subscribed to the router as ``name``."""
-        view = self._views.get(name)
-        return view if view is not None else self._queries.get(name)
 
     # -- the shared update entry point -------------------------------------------------
 
@@ -691,13 +668,6 @@ class ViewRegistry:
                     self._dispatch(closed)
             started = time.perf_counter()
             if request.kind == INSERT:
-                # Queued count-signed trees flush before the new node
-                # enters storage (see _drain_overlapping: their flush
-                # would absorb it and double-count).  Nested inserts of
-                # the *same* run still batch — runs flush atomically.
-                self._drain_overlapping(request.target, None, batcher,
-                                        modifies_only=True,
-                                        drain_signed=True)
                 key = apply_insert(storage, request)
                 result = self.router.route(storage, request.document, key)
                 tree = RoutedTree(request.document, key, INSERT,
@@ -729,19 +699,8 @@ class ViewRegistry:
                     report.validate_seconds += (time.perf_counter()
                                                 - started)
                     continue
-                hitters = self.router.predicate_hitters(
-                    request.document, result.tags, result.views)
-                # Drain conflicting queues BEFORE the text change lands:
-                # a queued tree flushed after it would re-derive from
-                # post-mutation storage and double-apply (the queue-side
-                # form of the RunBatcher.crosses discipline).  A pair
-                # additionally conflicts with every queued count-signed
-                # tree (output overlap through shared group/join keys,
-                # regardless of input subtrees).
-                self._drain_overlapping(request.target, result.views,
-                                        batcher,
-                                        drain_signed=bool(hitters))
-                if hitters:
+                if self.router.predicate_hitters(
+                        request.document, result.tags, result.views):
                     # First-class modify: the pair re-routes derivations
                     # in-flight for the views that need it; views that
                     # read the value as content get an equivalent
@@ -765,7 +724,7 @@ class ViewRegistry:
             assert closed is None  # the boundary flush above closed it
             if accepted:
                 for name in tree.views:
-                    view = self._routed(name)
+                    view = self._views.get(name) or self._queries.get(name)
                     if view is not None:
                         view.stats.routed_trees += 1
         closed = batcher.close()
@@ -774,236 +733,157 @@ class ViewRegistry:
 
     # -- dispatch and flushing ---------------------------------------------------------
 
-    def _drain_overlapping(self, target, names, batcher: RunBatcher,
-                           modifies_only: bool = False,
-                           drain_signed: bool = False) -> None:
-        """Flush every view whose pending queue conflicts with the
-        storage change the caller is about to apply.
-
-        Two conflict classes:
-
-        * **input overlap** — a queued tree whose root shares a subtree
-          with ``target``: it must flush before the subtree changes
-          under it.  ``modifies_only`` restricts this to queued modify
-          trees (insert-over-insert nesting stays queued — the pending
-          insert covers it when it reads final storage).
-        * **output overlap** — every queued tree re-derives against
-          *final* storage when it flushes, so it absorbs any later
-          count-signed change no matter how distant the input nodes are
-          (a shared group or join key is enough): a queued insert or
-          pair asserts the newer derivation, and so does a queued
-          count-neutral refresh, whose group re-derives with the new
-          member in it; the newer tree then asserts the same derivation
-          again and the counts are silently inflated — invisible in the
-          XML until a retraction under-removes.  ``drain_signed``
-          flushes every queued tree before the caller's own
-          count-signed change enters storage — but only for views whose
-          derivations are :func:`entangled <_derivations_entangled>`
-          across source items; per-item linear views keep batching, as
-          do entangled views under refreshes — that is what the
-          deferred policy amortizes.
-
-        ``names`` limits the scan to the routed views (None scans all —
-        inserts route only after the node exists).  The pending run is
-        closed first so its trees flush in order.
-        """
-        views = ([view for view in map(self._routed, names)
-                  if view is not None] if names is not None
-                 else [*self._views.values(), *self._queries.values()])
-
-        def overlaps(t) -> bool:
-            if modifies_only and t.kind != MODIFY:
-                return False
-            return (t.root == target or t.root.is_ancestor_of(target)
-                    or target.is_ancestor_of(t.root))
-
-        closed = False
-        for view in views:
-            if not view.pending:
-                continue
-            if not (drain_signed and view.entangled) and not any(
-                    overlaps(t) for batch in view.pending for t in batch):
-                continue
-            if not closed:
-                run = batcher.close()
-                if run is not None:
-                    self._dispatch(run)
-                closed = True
-            self._flush_view(view)
-
     def _dispatch(self, run: list[RoutedTree]) -> None:
-        """Hand one closed run to every view it affects, honouring
-        policies — except that delete runs are barriers (see module
-        docstring).
+        """Propagate one closed run into every view it affects, whatever
+        its policy, and flush the views whose policy says so.
 
-        Each dispatch is one **epoch** of the operator-state store: the
-        run's trees are stamped with the store's counter, which advances
-        when the dispatch ends, so the run's own storage events — inserts
-        and modifies landed just before this call, deletes land inside
-        it — and every spec built for the run carry the same number.
-        The store patches a cached table only from a spec of the epoch
-        its stale events belong to.
-
-        The dispatch owns the run's **register files**: per distinct
-        routed subset of the run one :class:`~repro.xat.DeltaSpec` and,
-        beside it, one memo ``{(structural signature, mode): table}``
-        (:meth:`_enqueue` creates them, :meth:`_flush_view` hands them
-        to each pass), so a Δ subplan several views share is evaluated
-        once per dispatch and ``reconcile`` reads it instead of
-        evaluating it again.  What makes the reuse sound
-        (``docs/PLAN_IR.md``, "The dispatch register file"):
-
-        * **I1** — a register is reused only under the *same spec
-          object*: same subset of the same run, inside this one epoch,
-          where storage is fixed (inserts and modifies landed before it,
-          deletes land after every affected view flushed) and the
-          operator-state store is current before and after each pass
-          (stale entries are patched on first serve, delete patches only
-          staged), so the Δ rules that read state (``Distinct``'s zero
-          crossing, the outer join's dangling checks) answer every pass
-          alike.  Views routed *different* subsets share nothing: under
-          the run's full spec a ``NavigateUnnest`` Δ would hand the
-          narrower views refresh rows for the extra roots' ancestors.
-        * **I2** — correlated evaluation (a non-empty binding stack)
-          neither reads nor writes the memo; operators without a
-          structural signature get a per-instance one.
-        * **I3** — memo tables are read-only: no operator and no Apply
-          step mutates an input tuple, item or ``AggState``.
-        * **I4** — registers live for one epoch: a batch is looked up by
-          the identity of its trees and the registers go with the
-          dispatch, also when a pass raises, so older batches a view
-          flushes first, and this run flushed by a deferred view later,
-          get a spec of their own epoch and an empty memo.
+        Every routed view and query entry runs its Δ pass over its routed
+        subset here, against the storage state the run produced
+        (:meth:`_propagate`); a delete run's subtrees leave storage after
+        every pass, and a view that recomputes in the dispatch does so
+        after that.  The dispatch is one epoch of the operator-state store
+        and owns the run's register file — one ``(spec, memo)`` per
+        distinct routed subset — so a Δ subplan several views share is
+        evaluated once; invariants I1–I4 of ``docs/PLAN_IR.md`` ("The
+        dispatch register file") make that reuse sound.
         """
-        store = self.state_store
-        for tree in run:
-            tree.epoch = store.epoch
         routed = frozenset().union(*(tree.views for tree in run))
-        affected = [view for view in (*self._views.values(),
-                                      *self._queries.values())
-                    if view.name in routed]
+        deleting = run[0].kind == DELETE
+        registers: dict[tuple, tuple] = {}
+        recompute_after = []
         try:
-            if run[0].kind == DELETE:
-                recompute_after = []
-                for view in affected:
-                    if not self._enqueue(view, run):
-                        continue
-                    deferred_trees = self._flush_view(view,
-                                                      defer_recompute=True)
-                    if deferred_trees is not None:
-                        recompute_after.append((view, deferred_trees))
-                for tree in run:
-                    self.storage.delete_subtree(tree.root)
-                for view, trees in recompute_after:
-                    self._recompute(view, trees=trees)
-                return
-            for view in affected:
-                if not self._enqueue(view, run):
+            for view in (*self._views.values(), *self._queries.values()):
+                if view.name not in routed:
+                    continue
+                started = time.perf_counter()
+                if not self._propagate(view, run, registers):
                     continue
                 policy = view.policy
                 if policy.kind == IMMEDIATE_KIND or (
                         policy.kind == THRESHOLD_KIND
                         and view.pending_trees() >= policy.threshold):
+                    if deleting and view.recomputing:
+                        recompute_after.append(view)
+                    else:
+                        self._flush_view(view, started)
+            if deleting:
+                for tree in run:
+                    self.storage.delete_subtree(tree.root)
+                for view in recompute_after:
                     self._flush_view(view)
         finally:
-            self._registers = {}
-            store.epoch += 1
+            self.state_store.epoch += 1
 
-    def _enqueue(self, view: RegisteredView, run: list[RoutedTree]) -> bool:
-        """Queue ``view``'s routed subset of ``run``; False when that
-        put a query entry over its work bound and evicted it."""
+    def _propagate(self, view: RegisteredView, run: list[RoutedTree],
+                   registers: dict) -> bool:
+        """Queue the Δ forest of ``view``'s routed subset of ``run`` (past
+        the work bound, or when the pass raises, the recompute mark);
+        False when a query entry was evicted instead — a cache entry whose
+        pass raised drops out and the dispatch goes on without it."""
         if not view.pipeline.materialized:
             raise RuntimeError(
                 f"materialize view {view.name!r} before updating it")
         subset = [tree for tree in run if view.name in tree.views]
-        kept: list[RoutedTree] = []
-        for tree in subset:
-            pending = [t for batch in view.pending for t in batch]
-            if tree.kind != DELETE and any(
-                    t.kind == INSERT and (t.root == tree.root
-                                          or t.root.is_ancestor_of(tree.root))
-                    for t in pending):
-                # A pending insert reads final storage when it flushes, so
-                # it already covers this nested insert/modify; propagating
-                # both would double-count.
-                continue
-            if any(t.root == tree.root or t.root.is_ancestor_of(tree.root)
-                   or tree.root.is_ancestor_of(t.root) for t in pending):
-                # Backstop for overlaps _drain_overlapping could not see
-                # at validate time (the storage change of this run is
-                # already applied, so this drain alone is not enough to
-                # keep deferred pairs from double-propagating).
-                self._flush_view(view)
-            kept.append(tree)
-        if kept:
-            view.pending.append(kept)
-            if isinstance(view, QueryEntry) and view.over_work_bound():
+        if view.recomputing:
+            view.pending[-1][1] += len(subset)
+            return True
+        queued = [None, len(subset)]     # the mark until the pass returns
+        view.pending.append(queued)
+        if view.over_work_bound():
+            if isinstance(view, QueryEntry):
                 self._evict(view, "work")
                 return False
-            key = tuple(map(id, kept))
-            if key not in self._registers:
-                self._registers[key] = (spec_for_run(kept), {})
+            view.pending = [[None, view.pending_trees()]]
+            return True
+        key = tuple(map(id, subset))
+        if key not in registers:
+            registers[key] = (spec_for_run(subset, self.state_store.epoch),
+                              {})
+        spec, memo = registers[key]
+        report = view.report
+        before = report.propagate_seconds
+        try:
+            queued[0] = view.pipeline.propagate_run(spec, memo, report)
+        except BaseException as error:
+            if isinstance(view, QueryEntry):
+                self._evict(view, "work")
+                if isinstance(error, Exception):
+                    return False
+            raise
+        if self.tracer.active:
+            self.tracer.record("phase.propagate",
+                               report.propagate_seconds - before,
+                               view=view.label, trees=len(subset),
+                               kind=spec.phase)
         return True
 
     def flush(self, name: Optional[str] = None) -> None:
-        """Propagate pending deltas of one view (or of all views) now."""
+        """Fuse the queued deltas of one view (or of all views) now."""
         views = ([self._views[name]] if name is not None
                  else list(self._views.values()))
         for view in views:
             self._flush_view(view)
 
     def _flush_view(self, view: RegisteredView,
-                    defer_recompute: bool = False) -> Optional[int]:
-        """Flush one view's queue; returns the pending tree count when
-        the flush decided on recomputation but must wait for pending
-        storage deletes (the caller recomputes after applying them,
-        passing the count through to the refresh event), else None."""
+                    started: Optional[float] = None) -> None:
+        """Fuse one view's queued forests into its extent, oldest first,
+        or recompute it when its queue ended in the recompute mark.  The
+        refresh's duration counts from ``started`` (the start of the
+        dispatch's pass an in-dispatch flush completes), else from here."""
         if not view.pending:
-            return None
+            return
+        if started is None:
+            started = time.perf_counter()
         view.stats.flushes += 1
         trees = view.pending_trees()
-        if view.over_work_bound():
-            view.pending.clear()
-            if defer_recompute:
-                return trees
+        if view.recomputing:
+            view.pending = []
             self._recompute(view, trees=trees)
-            return None
-        mutations_before = view.report.fusion.mutations
+            return
+        # A fuse that raises leaves a view to recompute at its next flush
+        # (its extent holds part of the queue) and evicts a query entry.
+        pending, view.pending = view.pending, [[None, trees]]
+        report = view.report
+        mutations_before = report.fusion.mutations
         capture = view.mutation_listeners > 0
         if capture:
-            view.report.fusion.delta_log = []
+            report.fusion.delta_log = []
         tracer = self.tracer
         with (tracer.span("view.flush", view=view.label, trees=trees,
                           decision="propagate",
                           work_rows=trees * view.instructions,
                           bound_rows=view.rows_read)
               if tracer.active else NOOP_SPAN) as span:
-            started = time.perf_counter()
+            apply_before = report.apply_seconds
             try:
-                for batch in view.pending:
-                    spec, memo = (
-                        self._registers.get(tuple(map(id, batch)))
-                        or (spec_for_run(batch), {}))
-                    view.pipeline.propagate_run(spec, memo, view.report)
+                for forest, _trees in pending:
+                    view.pipeline.fuse(forest, report)
+            except BaseException:
+                if isinstance(view, QueryEntry):
+                    self._evict(view, "work")
+                raise
             finally:
-                captured = (tuple(view.report.fusion.delta_log)
+                captured = (tuple(report.fusion.delta_log)
                             if capture else None)
-                view.report.fusion.delta_log = None
+                report.fusion.delta_log = None
+            if tracer.active:
+                tracer.record("phase.apply",
+                              report.apply_seconds - apply_before,
+                              trees=trees)
             elapsed = time.perf_counter() - started
             span.set(observed_seconds=elapsed)
+        view.pending = []
         view.stats.propagated_trees += trees
-        view.pending.clear()
-        delta_tuples = view.report.fusion.mutations - mutations_before
+        delta_tuples = report.fusion.mutations - mutations_before
         if view.flush_seconds is not None:
             view.flush_seconds.observe(elapsed)
             view.flush_trees.observe(trees)
         self._notify_refresh(view, "propagate", trees, elapsed,
                              delta_tuples, captured)
-        return None
 
     def _recompute(self, view: RegisteredView, trees: int = 0) -> None:
         with self.tracer.span(
-                "view.flush", view=view.name, trees=trees,
+                "view.flush", view=view.label, trees=trees,
                 decision="recompute", work_rows=trees * view.instructions,
                 bound_rows=view.rows_read) as span:
             started = time.perf_counter()
@@ -1014,6 +894,6 @@ class ViewRegistry:
         view.stats.recomputes += 1
         self.metrics.histogram(
             "flush_seconds", "Wall-clock cost of one flush",
-            view=view.name, decision="recompute").observe(elapsed)
+            view=view.label, decision="recompute").observe(elapsed)
         self._notify_refresh(view, "recompute", trees, elapsed,
                              view.pipeline.extent_size())

@@ -92,11 +92,11 @@ class RunBatcher:
         return run
 
 
-def spec_for_run(run: list[UpdateTree]) -> DeltaSpec:
+def spec_for_run(run: list[UpdateTree], epoch: int = 0) -> DeltaSpec:
     """The :class:`DeltaSpec` propagating one closed run in a single pass
-    (carrying the dispatch epoch its trees were stamped with)."""
+    in dispatch ``epoch``."""
     return DeltaSpec(run[0].document,
                      tuple(DeltaRoot(t.root, t.kind, t.old_value,
                                      t.new_value, t.old_texts)
                            for t in run),
-                     run[0].kind, run[0].epoch)
+                     run[0].kind, epoch)

@@ -88,9 +88,6 @@ class UpdateTree:
     keys or sort keys (re-routing a derivation is not expressible as a
     count-neutral refresh).  Sufficient modifies leave the pair unset
     and propagate as refreshes, as before.
-
-    ``epoch`` is stamped when the tree's run is dispatched (see
-    :attr:`repro.xat.base.DeltaSpec.epoch`).
     """
 
     document: str
@@ -98,7 +95,6 @@ class UpdateTree:
     kind: str
     old_value: Optional[str] = None
     new_value: Optional[str] = None
-    epoch: int = 0
     #: the replaced text children (see :class:`repro.xat.base.DeltaRoot`)
     old_texts: Optional[tuple] = None
 

@@ -94,10 +94,10 @@ class DeltaSpec:
     """The batch being propagated: one document, homogeneous update kind.
 
     ``epoch`` names the dispatch the batch's run went out in (the
-    operator-state store's counter, stamped by the view registry): every
-    spec built for one run — any view's routed subset, flushed then or
-    later — carries the same epoch, and the storage events of that run
-    carry it too, so the store tells batches apart by it, never by roots.
+    operator-state store's counter): every spec built for one run — any
+    view's routed subset — carries the same epoch, and the storage events
+    of that run carry it too, so the store tells batches apart by it,
+    never by roots.
 
     Every key query below is pure in the (immutable) root set, yet one
     propagation pass asks them of the same few keys from every operator,

@@ -85,8 +85,8 @@ SHARING_VIEWS = (xmark.PERSONS_BY_CITY_QUERY, xmark.PERSONS_BY_CITY_QUERY,
 
 #: the policy leg of the differential, by index into ``SHARING_VIEWS``: a
 #: grouped and a join view deferred, a join view flushing every third
-#: tree — so multi-batch queues build up, drain before conflicting
-#: changes and flush batches of older epochs over a shared store
+#: tree — so queues of Δ forests span several batches, each computed in
+#: its own dispatch, and are fused later in order
 SHARING_POLICIES = {1: DEFERRED, 5: DEFERRED, 8: threshold(3)}
 
 

@@ -67,8 +67,7 @@ class TestViews:
             db.view("titles")
 
     def test_deferred_view_flushes_on_read(self):
-        # inserts queue on a deferred view (deletes are barriers and
-        # would flush immediately)
+        # a deferred view queues the insert's Δ until it is read
         db = fresh_db()
         view = db.create_view("titles", TITLES_QUERY, policy="deferred")
         db.update("bib.xml").at("/bib/book[2]") \
@@ -290,8 +289,8 @@ class TestSubscriptions:
         db.subscribe("titles", events.append)
         db.update("bib.xml").at("/bib/book[1]").delete()
         assert events and events[-1].reason == "recompute"
-        # the delete-barrier's deferred recompute still reports how many
-        # update trees the refresh consumed
+        # the recompute after the delete run's deletes still reports how
+        # many update trees the refresh consumed
         assert events[-1].trees == 1
 
     def test_deferred_view_fires_on_read(self):

@@ -812,7 +812,7 @@ def test_recovery_rebuilds_operator_state_on_first_use(tmp_path,
     recovered.close()
 
 
-#: an ad-hoc query whose extent the registry keeps (per-item linear)
+#: an ad-hoc query whose extent the registry keeps
 AD_HOC = ('<r>{for $p in doc("site.xml")/site/people/person '
           'where $p/profile/age > "30" return <e>{$p/name}</e>}</r>')
 

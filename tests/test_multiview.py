@@ -229,8 +229,9 @@ class TestDeferredPolicy:
         assert (registry.to_xml("profiles")
                 == registry.recompute_xml("profiles"))
 
-    def test_delete_is_a_barrier_for_deferred_views(self):
+    def test_a_delete_does_not_force_a_deferred_apply(self):
         storage, registry = standard_registry(seniors=DEFERRED)
+        stale = registry.to_xml("seniors")
         persons = persons_of(storage)
         registry.apply_updates([UpdateRequest.insert(
             "site.xml", persons[-1], xmark.new_person_xml(4, age=55),
@@ -238,14 +239,16 @@ class TestDeferredPolicy:
         assert registry.view("seniors").pending_trees() == 1
         registry.apply_updates([
             UpdateRequest.delete("site.xml", persons[2])])
-        # The queued insert and the delete both propagated before the
-        # subtree left storage.
-        assert registry.view("seniors").pending_trees() == 0
-        assert (registry.to_xml("seniors")
+        # Both batches propagated in their dispatch (the delete before
+        # its subtree left storage); neither is fused yet.
+        view = registry.view("seniors")
+        assert view.pending_trees() == 2 and view.stats.flushes == 0
+        assert registry.to_xml("seniors") == stale
+        assert (registry.query("seniors")
                 == registry.recompute_xml("seniors"))
         assert_all_consistent(registry)
 
-    def test_nested_insert_covered_by_pending_insert(self):
+    def test_nested_insert_beside_a_pending_insert_is_its_own_tree(self):
         storage, registry = standard_registry(profiles=DEFERRED)
         persons = persons_of(storage)
         first = registry.apply_updates([UpdateRequest.insert(
@@ -254,13 +257,12 @@ class TestDeferredPolicy:
             "site.xml", [("child", "site"), ("child", "people"),
                          ("child", "person")])[-1]
         profile = storage.children(new_person, "profile")[0]
-        # An interest inside the still-pending person: the queued insert
-        # reads final storage at flush time, so this must not be queued
-        # again (it would double-count).
+        # An interest inside the still-pending person: the queued forest
+        # was computed before it existed, so it is a tree of its own.
         registry.apply_updates([UpdateRequest.insert(
             "site.xml", profile, '<interest category="category1"/>',
             "into")])
-        assert registry.view("profiles").pending_trees() == 1
+        assert registry.view("profiles").pending_trees() == 2
         assert (registry.query("profiles")
                 == registry.recompute_xml("profiles"))
         assert_all_consistent(registry)
@@ -288,15 +290,14 @@ class TestThresholdPolicy:
 
 
 class TestCountSignedDrainDiscipline:
-    """Queued trees in one deferred queue — inserts, modify pairs and
-    count-neutral refreshes alike — re-derive against *final* storage at
-    flush time, so through a shared group or join key a queued tree
-    absorbs a later count-signed change and the derivation counts
-    silently inflate — invisible in the XML until a retraction
-    under-removes and leaves a stale duplicate.  The registry must drain
-    every queued tree before a new count-signed mutation lands (for
-    entangled views; per-item linear views keep batching).  These are
-    the minimized repros that found the bug.
+    """Regression tests of a deferred queue that held update *trees* and
+    re-derived them against *final* storage at flush time: through a
+    shared group or join key a queued tree absorbed a later count-signed
+    change and the derivation counts silently inflated — invisible in
+    the XML until a retraction under-removed and left a stale duplicate.
+    These are the minimized repros that found that bug.  A queue now
+    holds the Δ forests each batch's own dispatch computed, so they pass
+    with no drain before a conflicting change.
     """
 
     @pytest.fixture(autouse=True)
@@ -399,13 +400,6 @@ class TestCountSignedDrainDiscipline:
             assert registry.query("bycity") \
                 == registry.recompute_xml("bycity"), finish
 
-    def test_entanglement_classifier(self):
-        storage, registry = standard_registry()
-        assert not registry.view("seniors").entangled    # selection
-        assert not registry.view("profiles").entangled   # projection
-        assert registry.view("ygroup").entangled         # group-by
-        assert registry.view("sales").entangled          # join
-
 
 class TestCostBasedFallback:
     """One flush decision, from counters: a view recomputes once its
@@ -467,6 +461,23 @@ class TestCostBasedFallback:
             assert view.stats.recomputes == extra
             registry.close()
         assert reasons == {0: ["propagate"], 1: ["recompute"]}
+
+    def test_a_deferred_view_over_its_bound_keeps_one_mark(self):
+        """Past its bound a deferred view stops propagating: later
+        batches only add their trees to the one recompute mark, and the
+        read recomputes once, counting every tree."""
+        storage, registry, view = self.seniors()
+        view.rows_read = 0            # any pending tree reaches the bound
+        names = _site_paths(storage, "site", "people", "person", "name")
+        for index in range(3):
+            registry.apply_updates([UpdateRequest.modify(
+                "site.xml", names[index], f"Renamed {index}")])
+        assert view.pending == [[None, 3]] and view.report.batches == 0
+        events = []
+        registry.add_refresh_listener("seniors", events.append)
+        assert registry.query("seniors") \
+            == registry.recompute_xml("seniors")
+        assert [(e.reason, e.trees) for e in events] == [("recompute", 3)]
 
     def test_rows_read_is_remeasured_after_a_recompute(self):
         storage, registry, view = self.seniors()
@@ -576,24 +587,25 @@ class TestDispatchRegisterFile:
         assert_all_consistent(registry)
         registry.close()
 
-    def test_deferred_flush_reuses_nothing_from_earlier_dispatches(self):
+    def test_deferred_twin_reuses_its_immediate_twins_registers(self):
+        """A deferred view propagates in the dispatch too, so its pass
+        reads the registers its immediate twin filled, and its flush
+        only fuses."""
         storage = multiview_storage()
         registry = ViewRegistry(storage)
         pin(registry.register("now", xmark.SELECTION_QUERY))
         pin(registry.register("later", xmark.SELECTION_QUERY, policy=DEFERRED))
         names = _site_paths(storage, "site", "people", "person", "name")
-        for index in range(3):     # count-neutral: the queue is not drained
+        for index in range(3):
             registry.apply_updates([UpdateRequest.modify(
                 "site.xml", names[index], f"Renamed {index}")])
         assert registry.view("later").pending_trees() == 3
-        assert registry._registers == {}
+        later = self._delta_plan(registry, "later")
+        assert all(i.executed == 0 and i.reused == 3
+                   for i in later.instructions)
         before = registry.plan_cache.stats()
         registry.query("later")
-        after = registry.plan_cache.stats()
-        assert (after["instructions_executed"]
-                - before["instructions_executed"]
-                == 3 * len(self._delta_plan(registry, "later")))
-        assert after["instructions_reused"] == before["instructions_reused"]
+        assert registry.plan_cache.stats() == before
         assert_all_consistent(registry)
         registry.close()
 
@@ -632,7 +644,7 @@ class TestDispatchRegisterFile:
         assert registry.view("cities").stats.recomputes == 0
         registry.close()
 
-    def test_failed_pass_leaves_no_register_behind(self):
+    def test_failed_pass_leaves_the_view_to_recompute(self):
         storage = multiview_storage()
         registry = ViewRegistry(storage)
         pin(registry.register("bycity", xmark.PERSONS_BY_CITY_QUERY))
@@ -647,13 +659,15 @@ class TestDispatchRegisterFile:
         with pytest.raises(RuntimeError, match="mid-pass"):
             registry.apply_updates([UpdateRequest.modify(
                 "site.xml", cities[0], "Tampere")])
-        assert registry._registers == {}
         del root.compute
-        # the batch ``headcount`` still holds is retried under a spec
-        # and a memo of its own, before the next modify lands
+        # the batch ``headcount`` missed cannot be propagated later (its
+        # dispatch is over): the next flush recomputes the view
+        headcount = registry.view("headcount")
+        assert headcount.pending_trees() == 1
         registry.apply_updates([UpdateRequest.modify(
             "site.xml", cities[1], "Oslo")])
-        assert registry.view("headcount").report.batches == 3
+        assert headcount.stats.recomputes == 1
+        assert headcount.pending_trees() == 0
         assert_all_consistent(registry)
         registry.close()
 
@@ -665,9 +679,9 @@ class TestDispatchRegisterFile:
         specs = []
         propagate = registry.engine.propagate
 
-        def recording(plan, extent, spec, memo, **kwargs):
+        def recording(plan, spec, memo, **kwargs):
             specs.append((spec, dict(memo)))
-            return propagate(plan, extent, spec, memo, **kwargs)
+            return propagate(plan, spec, memo, **kwargs)
 
         registry.engine.propagate = recording
         registry.apply_updates([
@@ -697,8 +711,8 @@ class TestDispatchRegisterFile:
         memos = []
         propagate = registry.engine.propagate
 
-        def recording(plan, extent, spec, memo, **kwargs):
-            result = propagate(plan, extent, spec, memo, **kwargs)
+        def recording(plan, spec, memo, **kwargs):
+            result = propagate(plan, spec, memo, **kwargs)
             memos.append(dict(memo))
             return result
 

@@ -278,10 +278,15 @@ class TestTracing:
                 assert flush.attrs["work_rows"] > 0
                 assert flush.attrs["bound_rows"] > 0
 
+            # every Δ pass runs in the dispatch, under the batch span;
+            # a flush fuses what the passes queued
             phases = sink.by_name("phase.propagate")
-            assert phases
+            assert {p.attrs["view"] for p in phases} == {"seniors", "sales"}
+            assert all(p.parent_id == root.span_id for p in phases)
+            applies = sink.by_name("phase.apply")
             flush_ids = {s.span_id for s in flushes}
-            assert all(p.parent_id in flush_ids for p in phases)
+            assert applies and all(a.parent_id in flush_ids
+                                   for a in applies)
             # children complete (and are delivered) before their parents
             order = [s.span_id for s in sink.spans]
             assert order.index(root.span_id) == len(order) - 1
@@ -429,7 +434,7 @@ class TestQueryCache:
             db.update("site.xml").at("/site/people/person[1]/name") \
                 .replace_with("Renamed")
             assert "Renamed" in db.query(self.OSLO)
-            db.query(xmark.CITY_HEADCOUNT_QUERY)    # entangled: fresh
+            db.query(xmark.CITY_HEADCOUNT_QUERY)    # grouped: fresh
             snapshot = db.metrics()
             assert snapshot["query_cache_hits"]["values"] == {"": 1}
             assert snapshot["query_cache_misses"]["values"] == {"": 2}
@@ -456,12 +461,16 @@ class TestQueryCache:
                 .replace_with("Renamed")
             assert not [s for s in sink.by_name("view.flush")
                         if s.attrs["view"] == "query"]   # queued
+            # the entry's Δ pass ran in the update's dispatch
+            [propagated] = [s for s in sink.by_name("phase.propagate")
+                            if s.attrs["view"] == "query"]
+            assert propagated.attrs["trees"] == 1
             db.query(self.OSLO)
             [flush] = [s for s in sink.by_name("view.flush")
                        if s.attrs["view"] == "query"]
             assert flush.attrs["trees"] == 1
             assert flush.attrs["decision"] == "propagate"
-            assert sink.by_name("phase.propagate")[-1].parent_id == \
+            assert sink.by_name("phase.apply")[-1].parent_id == \
                 flush.span_id
 
 

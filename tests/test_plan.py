@@ -383,9 +383,8 @@ class TestDifferential:
 
     def test_deferred_and_threshold_views_in_one_registry(self):
         """The same ten views with two deferred and one threshold view:
-        their queues span several batches (and epochs) between reads,
-        drain before conflicting changes and flush older batches over
-        the store the immediate views keep current."""
+        their queues of Δ forests span several batches (and epochs)
+        between reads, each forest computed in its own dispatch."""
         run_differential(5, 40, ALL_MUTATORS, SHARING_VIEWS,
                          num_persons=20, site_seed=1, shared=True,
                          policies=SHARING_POLICIES)
@@ -394,7 +393,8 @@ class TestDifferential:
     def test_ad_hoc_answers(self, name, query):
         """Each view's query also asked through ``ask`` every step: a
         kept entry (the per-item linear ones) or a fresh evaluation
-        (the entangled ones) beside the view, equal to ``Engine.query``."""
+        (grouping, join and dedup ones) beside the view, equal to
+        ``Engine.query``."""
         run_differential(7, 8, ALL_MUTATORS, query,
                          num_persons=20, site_seed=1, ad_hoc=True)
 
@@ -405,8 +405,8 @@ class TestDifferential:
 
     def test_ad_hoc_answers_beside_queued_views(self):
         """Eight distinct texts (a full entry table) asked beside the
-        deferred and threshold views: entries drain, barrier-flush and
-        share registers with them."""
+        deferred and threshold views: entries propagate in the same
+        dispatches and share registers with them."""
         run_differential(3, 30, ALL_MUTATORS, SHARING_VIEWS,
                          num_persons=20, site_seed=1, shared=True,
                          policies=SHARING_POLICIES, ad_hoc=True)

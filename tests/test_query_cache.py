@@ -3,7 +3,9 @@
 A per-item linear query keeps its extent as a query entry — a deferred
 view no one named — and every answer equals a fresh
 ``Engine.query(translate_query(q))``.  The boundaries pinned here: the
-work bound, the capacity, and a query that cannot be evaluated.
+work bound, the capacity, a pass or fuse that fails, a query that
+cannot be evaluated, and a grouped query, evaluated fresh across every
+update kind.
 """
 
 from __future__ import annotations
@@ -87,6 +89,53 @@ def test_pending_delta_past_the_work_bound_evicts_and_rematerializes(
     assert entries(registry) == 1
 
 
+def test_a_failed_pass_evicts_the_entry_and_spares_the_others(
+        registry, monkeypatch):
+    """An entry whose Δ pass raises in an update's dispatch is evicted,
+    never left to recompute in place; the update and the other entries'
+    passes go on, and the next ask re-materializes."""
+    storage = registry.storage
+    names = ('<r>{for $p in doc("site.xml")/site/people/person '
+             'return <e>{$p/name}</e>}</r>')
+    texts = [names, names.replace(" return", "  return")]
+    for text in texts:
+        registry.ask(text)
+    monkeypatch.setattr(registry._queries[("query", names)].pipeline,
+                        "propagate_run", _raise)
+    rename(registry, persons_of(storage)[0], "Renamed")
+    assert registry.query_stats.evictions == {"work": 1, "capacity": 0}
+    assert registry.router.subscribers() == [("query", texts[1])]
+    for text in reversed(texts):
+        answer = registry.ask(text)
+        assert "Renamed" in answer and answer == fresh(storage, text)
+    assert (registry.query_stats.hits, registry.query_stats.misses) \
+        == (1, 3)
+    assert "flush_seconds" not in registry.metrics_snapshot()
+
+
+def test_a_failed_fuse_evicts_the_entry(registry, monkeypatch):
+    """An ask whose fuse raises evicts the entry; the ask after it is a
+    miss that re-materializes, and no flush is recorded under a
+    ``view`` label."""
+    storage = registry.storage
+    registry.ask(ELDERS)
+    monkeypatch.setattr(registry._queries[("query", ELDERS)].pipeline,
+                        "fuse", _raise)
+    rename(registry, persons_of(storage)[0], "Renamed")
+    with pytest.raises(RuntimeError):
+        registry.ask(ELDERS)
+    assert registry.query_stats.evictions == {"work": 1, "capacity": 0}
+    assert entries(registry) == 0 and registry.router.subscribers() == []
+    assert registry.ask(ELDERS) == fresh(storage, ELDERS)
+    stats = registry.query_stats          # the failed ask was a hit
+    assert (stats.hits, stats.misses) == (1, 2)
+    assert "flush_seconds" not in registry.metrics_snapshot()
+
+
+def _raise(*_args):
+    raise RuntimeError("injected")
+
+
 def test_a_ninth_query_evicts_the_least_recently_asked(registry):
     storage = registry.storage
     queries = [elders(20 + 5 * n) for n in range(QUERY_CACHE_CAPACITY + 1)]
@@ -117,3 +166,40 @@ def test_a_query_over_an_unknown_document_raises_and_keeps_no_entry(
     assert registry.router.subscribers() == []
     assert registry.query_stats.misses == 1
     assert registry.ask(ELDERS) == fresh(registry.storage, ELDERS)
+
+
+@pytest.mark.parametrize("query, is_fresh", [
+    (xmark.SELECTION_QUERY, False),
+    (xmark.ORDER_QUERY_1, False),
+    (xmark.PERSONS_BY_CITY_QUERY, True),
+    (xmark.JOIN_QUERY, True),
+], ids=["selection", "projection", "group-by", "join"])
+def test_only_a_grouping_join_or_dedup_query_is_evaluated_fresh(
+        registry, query, is_fresh):
+    assert registry.ask(query) == fresh(registry.storage, query)
+    assert registry._queries[("query", query)].fresh is is_fresh
+    assert registry.router.subscribers() == (
+        [] if is_fresh else [("query", query)])
+
+
+def test_a_grouped_query_is_evaluated_fresh_across_inserts_modifies_and_deletes(
+        registry):
+    """A query that groups is never routed: every ask evaluates it over
+    the kept prepared plan and equals a fresh evaluation."""
+    storage = registry.storage
+    query = xmark.CITY_HEADCOUNT_QUERY
+    assert registry.ask(query) == fresh(storage, query)
+    persons = persons_of(storage)
+    city = storage.children(storage.children(persons[1], "address")[0],
+                            "city")[0]
+    for batch in (
+            [UpdateRequest.insert("site.xml", persons[-1],
+                                  xmark.new_person_xml(1, city="Lima"),
+                                  "after")],
+            [UpdateRequest.modify("site.xml", city, "Atlantis")],
+            [UpdateRequest.delete("site.xml", persons[2])]):
+        registry.apply_updates(batch)
+        assert registry.ask(query) == fresh(storage, query)
+    assert registry.router.subscribers() == []
+    assert (registry.query_stats.hits, registry.query_stats.misses) == (0, 4)
+    assert registry.query_stats.evictions == {"work": 0, "capacity": 0}
