@@ -9,8 +9,8 @@ the regime the paper's propagation equations promise to escape.
 
 :class:`OperatorStateStore` persists, from one maintenance run to the next,
 
-* **FULL-mode result tables** of stable (uncorrelated) subplans, keyed by a
-  canonical structural signature so views with structurally-equal subplans
+* **FULL-mode result tables** of subplans, keyed by a canonical
+  structural signature so views with structurally-equal subplans
   share one entry (the registry hands every pipeline the same store, like
   the shared validation router);
 * **hash-join side indexes** over those tables, keyed by the join's
@@ -36,10 +36,7 @@ table is a side's new state under an insert or a modify and its old
 state under a delete; the other state is that table ± the side's own
 counted Δ (a :class:`~repro.xat.relational.DiffSideHandle`).  The table
 is served through a :class:`StoredSideHandle` — hash probe and support
-counter for an equi side, the table for a theta side.  The only side
-the store cannot hold — one with a ``Map`` in it, which refuses Δ
-evaluation and so never sources the batch's document — has one state,
-its FULL table, evaluated for the run.
+counter for an equi side, the table for a theta side.
 
 There is one entry per stored **row set**.  A subplan that only adds a
 constructed column to its input's rows — a ``Tagger`` on an equi-join
@@ -79,22 +76,11 @@ from typing import Optional
 from ..updates.sapt import Sapt
 from ..xat.base import (DELETE, DELTA, FULL, DeltaSpec, XatOperator,
                         subplan_signature)
-from ..xat.construction import Map, Tagger, VariableBinding
-from ..xat.relational import (DiffSideHandle, TransientSideHandle,
-                              _hash_keys)
+from ..xat.construction import Tagger
+from ..xat.relational import DiffSideHandle, _hash_keys
 from ..xat.table import XatTable, XatTuple
 
 __all__ = ["OperatorStateStore", "StoreStats", "subplan_signature"]
-
-
-def _cacheable(op: XatOperator) -> bool:
-    """Only storage-determined subplans may persist (no correlation)."""
-    cached = getattr(op, "_state_cacheable", None)
-    if cached is None:
-        cached = (not isinstance(op, (Map, VariableBinding))
-                  and all(_cacheable(child) for child in op.inputs))
-        op._state_cacheable = cached
-    return cached
 
 
 # -- patch plans -------------------------------------------------------------------------
@@ -636,9 +622,7 @@ class OperatorStateStore:
         :class:`~repro.xat.relational.DiffSideHandle` over rows the
         pass has normally already computed.  A Tagger equi side whose
         probe keys its input already holds is served through its input's
-        entry (one entry per row set).  A side the store cannot hold (a
-        ``Map`` subtree) never sources the batch's document — ``Map``
-        refuses Δ evaluation — so both its states are its FULL table.
+        entry (one entry per row set).
         """
         spec = ctx.delta
         cols = tuple(cols) if cols is not None else None
@@ -648,10 +632,6 @@ class OperatorStateStore:
             taggers.append(stored)
             stored = stored.inputs[0]
         entry = self._ensure_current(ctx, stored)
-        if entry is None:
-            return TransientSideHandle(ctx, cols,
-                                       table=ctx.evaluate(op, FULL),
-                                       stats=self.stats)
         handle = StoredSideHandle(self, entry, ctx, cols, tuple(taggers))
         if old != (spec.phase == DELETE) \
                 and spec.document in op.source_documents():
@@ -662,10 +642,7 @@ class OperatorStateStore:
                                       -1 if old else 1, op.schema.columns)
         return handle
 
-    def _ensure_current(self, ctx, op: XatOperator
-                        ) -> Optional[CachedEntry]:
-        if not _cacheable(op):
-            return None
+    def _ensure_current(self, ctx, op: XatOperator) -> CachedEntry:
         spec = ctx.delta
         signature = subplan_signature(op)
         entry = self._entries.get(signature)

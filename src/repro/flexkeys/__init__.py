@@ -15,10 +15,8 @@ from .key import (
 )
 from .generator import (
     ATOM_SCHEME,
-    SiblingKeyAllocator,
     atom_for_insert,
     sibling_atom,
-    sibling_atoms,
 )
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "LEVEL_SEP",
     "FlexKey",
     "FlexKeyError",
-    "SiblingKeyAllocator",
     "atom_after",
     "atom_before",
     "atom_between",
@@ -37,5 +34,4 @@ __all__ = [
     "compose_values",
     "order_of",
     "sibling_atom",
-    "sibling_atoms",
 ]

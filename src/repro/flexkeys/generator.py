@@ -17,9 +17,9 @@ under an older enumeration stay valid.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
-from .key import FlexKey, atom_after, atom_before, atom_between
+from .key import atom_after, atom_before, atom_between
 
 #: Letters used for initial assignment (gaps of one letter between each).
 _GAPPED = "bdfhjlnprtvx"
@@ -45,11 +45,6 @@ def sibling_atom(index: int) -> str:
     return "z" + chr(ord("a") + width) + digits    # b = one digit, c = two, …
 
 
-def sibling_atoms(count: int) -> Iterator[str]:
-    """The first ``count`` initial sibling atoms, in order."""
-    return (sibling_atom(i) for i in range(count))
-
-
 def atom_for_insert(before: Optional[str], after: Optional[str]) -> str:
     """An atom for a node inserted between siblings ``before`` and ``after``.
 
@@ -64,55 +59,3 @@ def atom_for_insert(before: Optional[str], after: Optional[str]) -> str:
     if after is None:
         return atom_after(before)
     return atom_between(before, after)
-
-
-class SiblingKeyAllocator:
-    """Allocates child keys under one parent, tracking used sibling atoms.
-
-    Used by the storage manager both at document load (sequential, gapped)
-    and at update time (between two existing atoms).
-    """
-
-    def __init__(self, parent: Optional[FlexKey] = None,
-                 existing: Sequence[str] = ()):
-        self._parent = parent
-        self._atoms = sorted(existing)
-
-    @property
-    def atoms(self) -> tuple[str, ...]:
-        return tuple(self._atoms)
-
-    def _register(self, atom: str) -> FlexKey:
-        # Insert keeping sorted order; duplicates are a logic error upstream.
-        import bisect
-
-        idx = bisect.bisect_left(self._atoms, atom)
-        if idx < len(self._atoms) and self._atoms[idx] == atom:
-            raise ValueError(f"sibling atom {atom!r} already allocated")
-        self._atoms.insert(idx, atom)
-        if self._parent is None:
-            return FlexKey(atom)
-        return self._parent.child(atom)
-
-    def append(self) -> FlexKey:
-        """Key for a new last child."""
-        if not self._atoms:
-            return self._register(sibling_atom(0))
-        return self._register(atom_after(self._atoms[-1]))
-
-    def prepend(self) -> FlexKey:
-        """Key for a new first child."""
-        if not self._atoms:
-            return self._register(sibling_atom(0))
-        return self._register(atom_before(self._atoms[0]))
-
-    def between(self, before_atom: str, after_atom: Optional[str]) -> FlexKey:
-        """Key for a child inserted right after the sibling ``before_atom``."""
-        return self._register(atom_for_insert(before_atom, after_atom))
-
-    def release(self, atom: str) -> None:
-        """Forget an atom after its node is deleted (key is never reused)."""
-        try:
-            self._atoms.remove(atom)
-        except ValueError:
-            pass

@@ -148,9 +148,8 @@ class SharedValidationRouter:
                           candidates: frozenset) -> set:
         """Which of ``candidates`` see a modify at ``tags`` as
         insufficient (feeding a predicate or sort key) — those views
-        need the first-class retract/assert pair.  Path matching shares
-        :func:`repro.updates.sapt.modify_hits_steps` with the
-        per-view SAPT check, so the two classifiers cannot drift.
+        need the first-class retract/assert pair.  Path matching is
+        :func:`repro.updates.sapt.modify_hits_steps`.
         """
         self.stats.predicate_checks += 1
         hitters = set(self._predicate_wildcard.get(document, ())

@@ -146,8 +146,7 @@ def lower(root: XatOperator, mode: str,
         reg = reg_of.get(key)
         if reg is not None:
             return reg
-        srcs = tuple(visit(child, op_mode)
-                     for child in op.scheduled_inputs())
+        srcs = tuple(visit(child, op_mode) for child in op.inputs)
         reg = len(instructions)
         reg_of[key] = reg
         prepared = owned_cache.prepared_for(op, root)

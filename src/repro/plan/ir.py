@@ -40,8 +40,6 @@ _OPCODES = {
     "XmlUnion": "UNION",
     "XmlUnique": "UNIQUE",
     "Merge": "MERGE",
-    "VariableBinding": "BIND",
-    "Map": "MAP",
     "Expose": "EXPOSE",
 }
 
@@ -51,8 +49,7 @@ _MODE_SUFFIX = {"full": "", "delta": ".d"}
 
 def opcode_for(op, mode: str) -> str:
     """The instruction mnemonic for one ``(operator, mode)`` node."""
-    base = _OPCODES.get(type(op).__name__, "EVAL")
-    return base + _MODE_SUFFIX.get(mode, "." + mode)
+    return _OPCODES[type(op).__name__] + _MODE_SUFFIX.get(mode, "." + mode)
 
 
 class Instruction:

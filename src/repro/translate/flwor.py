@@ -275,8 +275,8 @@ class Translator:
                 return
             if outer is not None and var in outer.env:
                 raise TranslationError(
-                    "for-bindings from an outer variable are supported via "
-                    "path content, not as inner for clauses")
+                    "a for clause over an outer variable is supported via "
+                    "path content, not as an inner for clause")
             raise TranslationError(f"unbound variable ${var} in for clause")
         raise TranslationError(
             f"unsupported for binding {type(binding).__name__}")

@@ -162,52 +162,17 @@ class Sapt:
                 return True  # target inside a subtree the view reads
         return False
 
-    def predicate_paths(self, document: str) -> list[tuple[str, ...]]:
-        return [a.steps for a in self.paths.get(document, [])
-                if PREDICATE in a.usages]
-
-    def modify_hits_predicate(self, storage: StorageManager, document: str,
-                              target: FlexKey) -> bool:
-        """True when a text replace at ``target`` feeds a predicate path."""
-        return self.modify_hits_predicate_tags(
-            document, storage.tag_path(target))
-
-    def modify_hits_predicate_tags(self, document: str,
-                                   tags: tuple[str, ...]) -> bool:
-        """True when replacing the *direct text* of the element at
-        ``tags`` changes a value some predicate/sort key reads."""
-        for steps in self.predicate_paths(document):
-            if modify_hits_steps(steps, tags):
-                return True
-        for access in self.paths.get(document, []):
-            if access.has_descendant and PREDICATE in access.usages:
-                return True
-        return False
-
-    def binding_anchor(self, storage: StorageManager, document: str,
-                       target: FlexKey) -> Optional[FlexKey]:
-        """Nearest ancestor-or-self of ``target`` that is a binding root."""
-        binding_paths = {a.steps for a in self.paths.get(document, [])
-                         if BINDING in a.usages}
-        key: Optional[FlexKey] = target
-        while key is not None:
-            if storage.tag_path(key) in binding_paths:
-                return key
-            key = storage.parent_key(key)
-        return None
-
 
 def modify_hits_steps(steps: tuple[str, ...],
                       tags: tuple[str, ...]) -> bool:
     """Whether a text replace at the element path ``tags`` feeds the
     recorded predicate access path ``steps``.
 
-    The one normalization rule shared by the per-view SAPT check and
-    the shared router: a path ending in ``text()`` reads exactly the
-    direct text of its element (strip the value step and compare element
-    paths); a path ending in ``@attr`` can never be hit (modifies replace
-    text, not attributes); an element-valued path compares by subtree
-    text, which the element's own direct text feeds.
+    The shared router's normalization rule: a path ending in ``text()``
+    reads exactly the direct text of its element (strip the value step
+    and compare element paths); a path ending in ``@attr`` can never be
+    hit (modifies replace text, not attributes); an element-valued path
+    compares by subtree text, which the element's own direct text feeds.
     """
     if steps and steps[-1].startswith("@"):
         return False

@@ -75,9 +75,3 @@ def generate_prices(num_books: int, priced_fraction: float = 0.8,
                      f'<b-title>Book {i:06d}</b-title></entry>')
     parts.append("</prices>")
     return "".join(parts)
-
-
-def new_book_xml(index: int, year: int) -> str:
-    return (f'<book year="{year}"><title>New Book {index:06d}</title>'
-            f'<author><last>NewLast{index}</last>'
-            f'<first>NewFirst{index}</first></author></book>')

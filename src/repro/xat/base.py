@@ -27,7 +27,6 @@ modify       ΔA ⋈ B_new (table)          A_old (table − ΔA) ⋈ ΔB
 from __future__ import annotations
 
 import copy as _copy
-import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -336,7 +335,6 @@ class ExecutionContext:
         self.mode = mode
         self.delta = delta
         self.store = store
-        self.bindings: list[XatTuple] = []      # Map-operator correlation stack
         self.memo: dict[tuple[str, str], XatTable] = {}
         self.memo_private = True    # Engine.run clears it for a shared one
         #: reads left per memo key (:meth:`count_reads`)
@@ -344,12 +342,12 @@ class ExecutionContext:
 
     def count_reads(self, root: "XatOperator") -> None:
         """Drop each memo entry of a recursive run of ``root`` at its last
-        read: once per scheduled input of each distinct key above it (a
-        repeated key is a memo hit and reads nothing); the root stays."""
+        read: once per input of each distinct key above it (a repeated
+        key is a memo hit and reads nothing); the root stays."""
         readers = self.readers = {}
 
         def visit(op: XatOperator) -> None:
-            for child in op.scheduled_inputs():
+            for child in op.inputs:
                 key = (child._state_signature or subplan_signature(child),
                        self.mode)
                 if key in readers:
@@ -372,15 +370,6 @@ class ExecutionContext:
     def evaluate(self, op: "XatOperator", mode: Optional[str] = None
                  ) -> XatTable:
         ctx = self if mode is None or mode == self.mode else self.with_mode(mode)
-        if ctx.bindings:
-            # Correlated (Map) evaluation cannot be cached safely.
-            result = op.execute(ctx)
-            _obs_record(op, ctx.mode, result)
-            return result
-        # Uncorrelated from here on — the memo key needs no binding-stack
-        # discriminator (Map evaluates its RHS directly, never through
-        # this memo, so a memoized table is always binding-independent).
-        assert not ctx.bindings
         cache_key = (op._state_signature or subplan_signature(op), ctx.mode)
         result = self.memo.get(cache_key)
         if result is None:
@@ -413,9 +402,6 @@ def subplan_signature(op: "XatOperator") -> str:
         cached = op._state_signature = sys.intern(
             "(" + " ".join(parts) + ")")
     return cached
-
-
-_op_ids = itertools.count(1)
 
 
 def item_fingerprint(item) -> tuple:
@@ -498,7 +484,6 @@ class XatOperator:
     def __init__(self, inputs: Sequence["XatOperator"] = ()):
         self.inputs: list[XatOperator] = list(inputs)
         self.schema: TableSchema = None  # type: ignore[assignment]
-        self.op_id = next(_op_ids)
         self._source_docs: Optional[frozenset[str]] = None
 
     # -- plan construction ------------------------------------------------------------
@@ -529,20 +514,16 @@ class XatOperator:
     def compute(self, ctx: ExecutionContext,
                 inputs: Sequence[XatTable]) -> XatTable:
         """This operator's table under ``ctx.mode``, from the
-        already-computed tables of :meth:`scheduled_inputs` — the one
-        body of each of its rules, whoever schedules it."""
+        already-computed tables of its inputs — the one body of each of
+        its rules, whoever schedules it."""
         raise NotImplementedError
-
-    def scheduled_inputs(self) -> Sequence["XatOperator"]:
-        """The inputs evaluated ahead of this operator, under its mode."""
-        return self.inputs
 
     def execute(self, ctx: ExecutionContext) -> XatTable:
         """Recursive evaluation: pull the inputs through the run's memo,
         then :meth:`compute` (the plan VM schedules the same calls
         linearly instead)."""
         return self.compute(ctx, [ctx.evaluate(child)
-                                  for child in self.scheduled_inputs()])
+                                  for child in self.inputs])
 
     def source_documents(self) -> frozenset[str]:
         """Names of source documents referenced anywhere in this subtree."""
@@ -606,16 +587,15 @@ class XatOperator:
 
     def signature_core(self) -> tuple:
         """This operator's symbol and distinguishing parameters — its
-        part of :func:`subplan_signature`.  An operator without its own
-        is keyed by instance: persistent across runs of its plan, never
-        shared."""
-        return ("op", type(self).__name__, self.op_id)
+        part of :func:`subplan_signature`.  Each concrete operator
+        defines its own: every operator is keyed by its structure, so
+        structurally-equal subplans share one memo slot and one stored
+        table."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         """``Name[params]``: the signature core's parameters (what
-        EXPLAIN prints per operator); an instance key prints none."""
-        if type(self).signature_core is XatOperator.signature_core:
-            return type(self).__name__
+        EXPLAIN prints per operator)."""
         params = ", ".join(str(part) for part in self.signature_core()[1:])
         return f"{type(self).__name__}[{params}]" if params \
             else type(self).__name__

@@ -1,17 +1,15 @@
-"""Result construction operators: Tagger, XML Union/Unique, Merge, Map.
+"""Result construction operators: Tagger, XML Union/Unique, Merge, Expose.
 
 The Tagger records constructed nodes (never full trees) and assigns
 semantic identifiers (``composeNodeIds`` of Fig 4.4).  XML Union assigns the
 column-id order prefixes of ``assignColIdPrfx`` (Fig 4.5).  Merge is linear
-for maintenance (each side's delta passes through independently).  Map gives
-nested FLWOR blocks an executable nested-loop semantics; it is removed by
-decorrelation before maintenance.
+for maintenance (each side's delta passes through independently).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from ..flexkeys import FlexKey
 from ..xmlmodel.node import EMPTY_ATTRIBUTES
@@ -328,71 +326,6 @@ class Merge(XatOperator):
 
     def signature_core(self) -> tuple:
         return (self.symbol,)
-
-
-class VariableBinding(XatOperator):
-    """Leaf reading the current Map correlation binding (one tuple)."""
-
-    def __init__(self, columns: Sequence[str]):
-        super().__init__()
-        self.columns = tuple(columns)
-
-    def _build_schema(self) -> TableSchema:
-        return TableSchema(self.columns, (),
-                           {c: ContextSpec(order=(), lineage=())
-                            for c in self.columns})
-
-    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
-        if not ctx.bindings:
-            raise PlanError("VariableBinding evaluated outside a Map")
-        bound = ctx.bindings[-1]
-        table = XatTable(self.schema)
-        table.append(bound.projected(self.columns))
-        return table
-
-    def __repr__(self) -> str:
-        return f"VariableBinding({', '.join(self.columns)})"
-
-
-class Map(XatOperator):
-    """``Map`` (Section 2.2.2): nested-loop evaluation of a correlated RHS.
-
-    Executable so that every parsed query runs even before decorrelation;
-    maintenance requires decorrelated plans (PlanError otherwise).
-    """
-
-    symbol = "Map"
-
-    def __init__(self, left: XatOperator, right: XatOperator):
-        super().__init__([left, right])
-
-    def _build_schema(self) -> TableSchema:
-        left, right = self.inputs[0].schema, self.inputs[1].schema
-        columns = left.columns + tuple(c for c in right.columns
-                                       if c not in left.columns)
-        context = dict(right.context)
-        context.update(left.context)
-        return TableSchema(columns, left.order_schema, context)
-
-    def scheduled_inputs(self):
-        # The RHS is correlated: it evaluates per binding inside
-        # compute and must never be scheduled (or memoized) standalone.
-        return self.inputs[:1]
-
-    def compute(self, ctx: ExecutionContext, inputs) -> XatTable:
-        if ctx.mode == DELTA:
-            raise PlanError(
-                "Map cannot be maintained incrementally; decorrelate first")
-        table = XatTable(self.schema)
-        for tup in inputs[0]:
-            ctx.bindings.append(tup)
-            try:
-                inner = self.inputs[1].execute(ctx)
-            finally:
-                ctx.bindings.pop()
-            for rt in inner:
-                table.append(tup.merged(rt))
-        return table
 
 
 class Expose(XatOperator):

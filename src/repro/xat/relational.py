@@ -22,14 +22,11 @@ from .table import (AtomicItem, ContextSpec, Item, NodeItem, TableSchema,
 
 class TransientSideHandle:
     """Probe/scan access to a side table held for one run, not stored:
-    the right input of a FULL-mode join, or the FULL table of a side the
-    operator-state store cannot hold.  ``stats`` is the store's counters
-    the rows walked are reported to (none outside a Δ rule)."""
+    the right input of a FULL-mode join.  No Δ rule reads one, so the
+    rows it walks are reported to no store."""
 
-    def __init__(self, ctx: ExecutionContext, cols, *, table: XatTable,
-                 stats=None):
+    def __init__(self, ctx: ExecutionContext, cols, *, table: XatTable):
         self._ctx = ctx
-        self._stats = stats
         self.cols = cols
         self._table = table
         self._index = None
@@ -48,8 +45,7 @@ class TransientSideHandle:
         return scanned_support(self, self.probe(key))
 
     def scanned(self, rows: int) -> None:
-        if self._stats is not None:
-            self._stats.bucket_rows_scanned += rows
+        pass
 
 
 def _buckets(tuples, cols, ctx) -> dict:

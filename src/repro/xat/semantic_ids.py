@@ -68,26 +68,6 @@ def resolve_lineage(terminals, tup: XatTuple) -> list[str]:
     return tokens
 
 
-def lineage_tokens(schema: TableSchema, tup: XatTuple, col: str
-                   ) -> list[str]:
-    """Resolve the Lineage Context of ``col`` for one tuple (Def 4.2.1)."""
-    return resolve_lineage(lineage_terminals(schema, col), tup)
-
-
-def order_tokens(schema: TableSchema, tup: XatTuple, col: str
-                 ) -> Optional[list[str]]:
-    """Resolve the Order Context of ``col`` for one tuple.
-
-    Returns None when no order is defined (the paper's ``~`` prefix), an
-    empty list when order equals lineage (no explicit prefix needed), and
-    the token list otherwise.
-    """
-    spec = schema.spec(col)
-    if spec.order is None:
-        return None
-    return resolve_order(spec.order, tup)
-
-
 def resolve_order(order_cols, tup: XatTuple) -> list[str]:
     """The order tokens of one tuple under a resolved Order Context
     (its column names; an operator looks them up once per plan)."""

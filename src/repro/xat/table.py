@@ -16,7 +16,7 @@ constructed) or atomic values — or sequences thereof.  Items carry
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from ..flexkeys import FlexKey, order_of
 
@@ -196,10 +196,6 @@ class XatTuple:
                         self.refresh or other.refresh,
                         self.touched or other.touched,
                         self.era or other.era)
-
-    def projected(self, columns: Iterable[str]) -> "XatTuple":
-        return XatTuple({c: self.cells.get(c) for c in columns},
-                        self.count, self.refresh, self.touched, self.era)
 
     def __repr__(self) -> str:
         flags = "" if self.count == 1 and not self.refresh else (

@@ -3,7 +3,7 @@
 from .node import ELEMENT, TEXT, XmlNode
 from .document import XmlDocument
 from .parser import XmlParseError, parse_document, parse_fragment
-from .serializer import serialize, serialize_fragment
+from .serializer import serialize
 
 __all__ = [
     "ELEMENT",
@@ -14,5 +14,4 @@ __all__ = [
     "parse_document",
     "parse_fragment",
     "serialize",
-    "serialize_fragment",
 ]

@@ -26,15 +26,6 @@ def serialize(node: XmlNode, indent: int | None = None) -> str:
     return "".join(parts)
 
 
-def serialize_fragment(nodes: list[XmlNode], indent: int | None = None) -> str:
-    parts: list[str] = []
-    for i, node in enumerate(nodes):
-        if indent is not None and i > 0:
-            parts.append("\n")
-        _write(node, parts, indent, 0)
-    return "".join(parts)
-
-
 def _write(node: XmlNode, parts: list[str], indent: int | None,
            depth: int) -> None:
     pad = "" if indent is None else " " * (indent * depth)

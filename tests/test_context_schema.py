@@ -8,8 +8,8 @@ from repro.xat import (ColumnRef, Combine, Comparison, Distinct, GroupBy,
                        OrderBy, Path, Pattern, Source, Tagger, XmlUnion,
                        items_of, single_item)
 from repro.xat.base import ExecutionContext
-from repro.xat.semantic_ids import (constructed_id, lineage_tokens,
-                                    order_tokens)
+from repro.xat.semantic_ids import (constructed_id, lineage_terminals,
+                                    resolve_lineage, resolve_order)
 
 BIB = ("<bib><book year='1994'><title>T1</title></book>"
        "<book year='2000'><title>T2</title></book></bib>")
@@ -159,7 +159,8 @@ class TestSemanticIds:
                            Path.parse("bib/book"), "$b")
         combined = Combine(b, "$b").prepare()
         table = ExecutionContext(sm).evaluate(combined)
-        assert lineage_tokens(combined.schema, table.tuples[0], "$b") == ["*"]
+        terminals = lineage_terminals(combined.schema, "$b")
+        assert resolve_lineage(terminals, table.tuples[0]) == ["*"]
 
     def test_order_tokens_after_orderby(self):
         sm = storage()
@@ -171,6 +172,7 @@ class TestSemanticIds:
         # zero-padded value.
         assert ordered.schema.spec("$y").order == ()
         table = ExecutionContext(sm).evaluate(ordered)
-        assert order_tokens(ordered.schema, table.tuples[0], "$y") == []
+        assert resolve_order(ordered.schema.spec("$y").order,
+                             table.tuples[0]) == []
         tokens = [single_item(t["$y"]).order_token() for t in table]
         assert tokens == sorted(tokens)

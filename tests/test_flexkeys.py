@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flexkeys import (FlexKey, FlexKeyError, SiblingKeyAllocator,
-                            atom_after, atom_before, atom_between,
-                            atom_for_insert, compare, compose,
-                            compose_values, order_of, sibling_atom,
-                            sibling_atoms)
+from repro.flexkeys import (FlexKey, FlexKeyError, atom_after, atom_before,
+                            atom_between, atom_for_insert, compare, compose,
+                            compose_values, order_of, sibling_atom)
 
 #: Atoms as the generator produces them (never ending in 'a').
 atoms = st.integers(min_value=0, max_value=500).map(sibling_atom)
@@ -143,7 +141,8 @@ class TestAtomGeneration:
         assert all(a < atom_between(a, b) < b for a, b in zip(seq, seq[1:]))
 
     def test_sibling_atoms_iterator(self):
-        assert list(sibling_atoms(3)) == ["b", "d", "f"]
+        """A document's first children take the gapped atoms in order."""
+        assert [sibling_atom(i) for i in range(3)] == ["b", "d", "f"]
 
     def test_rollover(self):
         # z, a length-class letter, that many base-12 gapped digits.
@@ -224,27 +223,3 @@ class TestAtomGeneration:
             atoms_list.insert(index, new)
         assert atoms_list == sorted(atoms_list)
         assert len(set(atoms_list)) == len(atoms_list)
-
-
-class TestSiblingKeyAllocator:
-    def test_append_prepend_between(self):
-        alloc = SiblingKeyAllocator(FlexKey("b"))
-        first = alloc.append()
-        second = alloc.append()
-        assert first < second
-        front = alloc.prepend()
-        assert front < first
-        mid = alloc.between(first.local(), second.local())
-        assert first < mid < second
-
-    def test_duplicate_registration_rejected(self):
-        alloc = SiblingKeyAllocator(existing=["b"])
-        with pytest.raises(ValueError):
-            alloc._register("b")
-
-    def test_release(self):
-        alloc = SiblingKeyAllocator(FlexKey("b"))
-        key = alloc.append()
-        alloc.release(key.local())
-        assert key.local() not in alloc.atoms
-        alloc.release("nonexistent")  # no error

@@ -729,19 +729,13 @@ class TestDispatchRegisterFile:
         assert_all_consistent(registry)
         registry.close()
 
-    def test_correlated_evaluation_bypasses_the_memo(self):
+    def test_structurally_equal_operators_share_one_memo_slot(self):
         from repro.xat import ExecutionContext, Source
 
         storage = multiview_storage()
-        source = Source("site.xml", "$d").prepare()
         ctx = ExecutionContext(storage)
-        ctx.bindings.append(object())
-        ctx.evaluate(source)
-        assert ctx.memo == {}
-        ctx.bindings.pop()
-        table = ctx.evaluate(source)
+        table = ctx.evaluate(Source("site.xml", "$d").prepare())
         assert list(ctx.memo.values()) == [table]
-        # ... and a structurally-equal operator resolves to the same slot
         assert ctx.evaluate(Source("site.xml", "$d").prepare()) is table
 
 

@@ -23,13 +23,11 @@ from repro.engine.opstate import (CachedEntry, OperatorStateStore,
                                   subplan_signature)
 from repro.translate import translate_query
 from repro.workloads import xmark
-from repro.workloads.bib import NEW_BOOK_FRAGMENT, register_running_example
-from repro.xat import (AtomicItem, CartesianProduct, Combine, Expose, GroupBy,
-                       Map, NavigateUnnest, Path, Pattern, Source, Tagger,
-                       VariableBinding, XatTable, XatTuple)
+from repro.xat import (AtomicItem, Combine, Expose, GroupBy, NavigateUnnest,
+                       Path, Source, Tagger, XatTable, XatTuple)
 from repro.xat.base import (DELETE, DELTA, FULL, INSERT, MODIFY, DeltaRoot,
-                            DeltaSpec, ExecutionContext, obs_op_stats,
-                            tuple_fingerprint)
+                            DeltaSpec, ExecutionContext, XatOperator,
+                            obs_op_stats, tuple_fingerprint)
 from repro.xat.grouping import compute_aggregate, merge_member_items
 from repro.xat.relational import (DiffSideHandle, LeftOuterJoin,
                                   TransientSideHandle, _hash_keys,
@@ -545,35 +543,36 @@ class TestOneSidePath:
                           StoredSideHandle)
         view.close()
 
-    def test_a_map_side_is_read_as_its_full_table(self):
-        """A hand-built plan may join a unit of one document with a
-        ``Map`` over another: the store holds no correlated subplan, and
-        since ``Map`` refuses Δ evaluation the side never sources the
-        batch's document — its one state, the FULL table, serves the
-        rule."""
+    def test_every_side_is_served_from_a_stored_entry(self, monkeypatch):
+        """Under mixed random batches over equi, theta and outer-join
+        views, every side a Δ rule reads is a stored entry's table, or
+        that table ± the side's own Δ: ``side`` evaluates no side into a
+        table of its own."""
+        handles = []
+        side = OperatorStateStore.side
+
+        def recording_side(store, *args, **kwargs):
+            handle = side(store, *args, **kwargs)
+            handles.append(handle)
+            return handle
+
+        monkeypatch.setattr(OperatorStateStore, "side", recording_side)
         storage = StorageManager()
-        register_running_example(storage)
-        books = NavigateUnnest(Source("bib.xml", "$S1"), "$S1",
-                               Path.parse("bib/book"), "$b")
-        entries = NavigateUnnest(Source("prices.xml", "$S2"), "$S2",
-                                 Path.parse("prices/entry"), "$e")
-        prices = Combine(NavigateUnnest(VariableBinding(("$e",)), "$e",
-                                        Path.parse("price"), "$p"), "$p")
-        pairs = Tagger(CartesianProduct(books, Map(entries, prices)),
-                       Pattern("r", content=("$b",)), "$r")
-        plan = Expose(Tagger(Combine(pairs, "$r"),
-                             Pattern("result", content=("$r",)), "$o"),
-                      "$o")
+        xmark.register_site(storage, 20, seed=1)
         registry = ViewRegistry(storage)
-        pin(registry.register("m", plan))
-        book = storage.find_by_path("bib.xml", [("child", "bib"),
-                                                ("child", "book")])[-1]
-        registry.apply_updates([UpdateRequest.insert(
-            "bib.xml", book, NEW_BOOK_FRAGMENT)])
-        assert registry.to_xml("m") == registry.recompute_xml("m")
-        assert registry.view("m").stats.recomputes == 0
-        assert not any("Map" in entry.signature
-                       for entry in registry.state_store.entries())
+        for name in ("join", "persons-by-city", "reserve-below-age"):
+            pin(registry.register(name, FUZZ_VIEWS[name]))
+        rng = random.Random(7)
+        for step in range(12):
+            batch = random_batch(rng, storage, step, ALL_MUTATORS)
+            if batch:
+                registry.apply_updates(batch)
+        for name in registry.names():
+            assert registry.query(name) == registry.recompute_xml(name)
+        kinds = {type(handle) for handle in handles}
+        assert kinds == {StoredSideHandle, DiffSideHandle}
+        assert all(isinstance(getattr(handle, "_base", handle),
+                              StoredSideHandle) for handle in handles)
         registry.close()
 
     def test_a_theta_insert_walks_the_other_side(self):
@@ -840,10 +839,17 @@ class TestSignatures:
         for op in plan.iter_operators():
             assert f"{op!r}  full: runs=" in explain
         view.close()
-        # an operator keyed by instance prints no instance number
-        binding = VariableBinding(("$e",))
-        assert [repr(binding), repr(Map(binding, binding))] == [
-            "VariableBinding($e)", "Map"]
+
+
+    def test_an_operator_without_a_signature_core_has_no_key(self):
+        """No operator is keyed by instance: one that defines no
+        ``signature_core`` of its own has no signature, so it can key
+        neither a memo slot nor a stored table."""
+        class Unkeyed(XatOperator):
+            pass
+
+        with pytest.raises(NotImplementedError):
+            subplan_signature(Unkeyed([Source("site.xml", "$S")]))
 
 
 def net_rows(tuples, columns) -> dict:

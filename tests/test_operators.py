@@ -6,12 +6,12 @@ from repro.engine import Engine
 from repro.storage import StorageManager
 from repro.xat import (Aggregate, And, CartesianProduct, ColumnRef, Combine,
                        Comparison, Distinct, Expose, GroupBy, Join,
-                       LeftOuterJoin, Literal, Map, Merge,
+                       LeftOuterJoin, Literal, Merge,
                        NavigateCollection, NavigateUnnest, OrderBy, Path,
                        Pattern, PlanError, Rename, Select, Source, Tagger,
-                       VariableBinding, XmlUnion, XmlUnique,
+                       XmlUnion, XmlUnique,
                        AtomicItem, NodeItem, items_of, single_item)
-from repro.xat.base import ExecutionContext
+from repro.xat.base import FULL, ExecutionContext, subplan_signature
 from repro.xat.grouping import TupleFunction
 from repro.xmlmodel import XmlDocument
 
@@ -299,18 +299,26 @@ class TestConstruction:
         assert "$book" in table.columns and "$b" not in table.columns
         assert table.schema.order_schema == ("$book",)
 
-    def test_map_nested_loop(self, storage):
-        inner = Combine(
-            NavigateUnnest(VariableBinding(("$b",)), "$b",
-                           Path.parse("title"), "$t"), "$t")
-        plan = Map(books(storage), inner)
-        table = run(storage, plan)
-        assert len(table) == 3
-        assert all(len(items_of(t["$t"])) == 1 for t in table)
-
-    def test_variable_binding_outside_map(self, storage):
-        with pytest.raises(PlanError):
-            run(storage, VariableBinding(("$b",)))
+class TestRecursiveRun:
+    def test_a_memo_entry_is_dropped_at_its_last_read(self, storage):
+        """``count_reads`` counts one read per input of each distinct
+        key: the books subplan, built twice, is one key read twice, and
+        a run keeps only the root's table."""
+        years = NavigateUnnest(books(storage), "$b", Path.parse("@year"),
+                               "$y")
+        titles = NavigateUnnest(books(storage), "$b", Path.parse("title"),
+                                "$t")
+        plan = Merge(Combine(years, "$y"), Combine(titles, "$t")).prepare()
+        ctx = ExecutionContext(storage)
+        ctx.count_reads(plan)
+        key = (subplan_signature(years.inputs[0]), FULL)
+        assert key == (subplan_signature(titles.inputs[0]), FULL)
+        assert ctx.readers[key] == 2
+        assert len(ctx.readers) == 6
+        table = ctx.evaluate(plan)
+        assert len(items_of(table.tuples[0]["$t"])) == 3
+        assert list(ctx.memo) == [(subplan_signature(plan), FULL)]
+        assert not any(ctx.readers.values())
 
 
 class TestAggregates:

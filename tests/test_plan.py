@@ -12,6 +12,7 @@ import pytest
 from repro import Database, StorageManager, UpdateRequest, ViewRegistry
 from repro.engine.opstate import subplan_signature
 from repro.plan import PlanVM, lower
+from repro.plan.ir import _OPCODES, opcode_for
 from repro.translate import translate_query
 from repro.workloads import bib as bibload
 from repro.workloads import xmark
@@ -47,18 +48,38 @@ class TestLowering:
                 assert all(src < instr.dest for src in instr.srcs)
         view.close()
 
-    def test_map_rhs_is_not_scheduled_standalone(self):
-        """A Map's correlated RHS evaluates per binding inside the
-        operator; the lowered plan must not list its subtree."""
-        from repro.xat.construction import Map
-        from repro.xat.navigation import Source
+    def test_one_plan_form(self):
+        """Every concrete operator lowers to an opcode of its own and is
+        keyed by its structure (its own ``signature_core``): no operator
+        falls back to an instance key or an untyped instruction."""
+        import repro.xat as xat
+        from repro.xat.base import XatOperator
+        from repro.xat.relational import _BinaryJoinBase
 
-        left, right = Source("bib.xml", "d"), Source("prices.xml", "p")
-        correlated = Map(left, right).prepare()
-        compiled = lower(correlated, FULL)
-        scheduled = {id(instr.xop) for instr in compiled.instructions}
-        assert scheduled == {id(left), id(correlated)}
-        assert id(right) not in scheduled
+        def concrete(cls):
+            for sub in cls.__subclasses__():
+                if sub.__module__.startswith("repro.") \
+                        and sub is not _BinaryJoinBase:
+                    yield sub
+                yield from concrete(sub)
+
+        operators = set(concrete(XatOperator))
+        assert {xat.Tagger, xat.Join, xat.GroupBy, xat.Source} <= operators
+        assert set(_OPCODES) == {cls.__name__ for cls in operators}
+        for cls in operators:
+            assert "signature_core" in vars(cls), cls
+
+    def test_an_operator_without_an_opcode_is_refused(self):
+        """An operator class the IR has no opcode for does not lower: it
+        is never run as an untyped instruction."""
+        from repro.xat.base import XatOperator
+
+        class Unknown(XatOperator):
+            def signature_core(self) -> tuple:
+                return ("unknown",)
+
+        with pytest.raises(KeyError):
+            opcode_for(Unknown(), FULL)
 
     def test_shared_prefix_across_views(self):
         """Structurally-equal subplans of different views compile against

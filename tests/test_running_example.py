@@ -13,6 +13,13 @@ from repro.workloads.bib import NEW_BOOK_FRAGMENT
 
 from .helpers import assert_consistent, books_of, running_example
 
+
+def new_book_xml(index: int, year: int) -> str:
+    return (f'<book year="{year}"><title>New Book {index:06d}</title>'
+            f'<author><last>NewLast{index}</last>'
+            f'<first>NewFirst{index}</first></author></book>')
+
+
 EXPECTED_INITIAL = (
     '<result>'
     '<yGroup Y="1994"><books><entry><title>TCP/IP Illustrated</title>'
@@ -155,8 +162,6 @@ class TestMaintenanceSequences:
     def test_randomized_sequences(self, seed):
         import random
 
-        from repro.workloads.bib import new_book_xml
-
         rng = random.Random(seed)
         storage, view = running_example()
         for step in range(12):
@@ -180,8 +185,6 @@ class TestMaintenanceSequences:
             assert_consistent(view)
 
     def test_batch_of_many_inserts_single_pass(self):
-        from repro.workloads.bib import new_book_xml
-
         storage, view = running_example()
         books = books_of(storage)
         updates = [UpdateRequest.insert("bib.xml", books[-1],

@@ -145,6 +145,13 @@ class TestUnsupported:
         with pytest.raises(TranslationError):
             translate_query(query)
 
+    def test_an_inner_for_over_an_outer_variable_is_refused(self):
+        """No plan correlates an inner for with its outer binding (there
+        is no ``Map``): the translator asks for path content instead."""
+        with pytest.raises(TranslationError, match="outer variable"):
+            translate_query('<r>{for $a in doc("x.xml")/x/a return '
+                            '<g>{for $t in $a/t return $t}</g>}</r>')
+
     def test_unbound_variable(self):
         with pytest.raises(TranslationError):
             translate_query('<r>{for $a in doc("x.xml")/x/a '

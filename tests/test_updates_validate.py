@@ -3,6 +3,7 @@
 import pytest
 
 from repro import StorageManager, UpdateRequest, XmlDocument
+from repro.multiview import SharedValidationRouter
 from repro.translate import translate_query
 from repro.updates import RunBatcher, Sapt, UpdateTree, spec_for_run
 from repro.updates.sapt import EXPOSED, PREDICATE
@@ -104,17 +105,14 @@ class TestSapt:
         sm = bib_storage()
         book = sm.children(sm.root_key("bib.xml"), "book")[0]
         title = sm.children(book, "title")[0]
-        assert sapt.modify_hits_predicate(sm, "bib.xml", title)
+        router = SharedValidationRouter()
+        router.subscribe("v", sapt)
+        views = frozenset({"v"})
+        assert router.predicate_hitters("bib.xml", sm.tag_path(title),
+                                        views) == {"v"}
         author = sm.children(book, "author")[0]
-        assert not sapt.modify_hits_predicate(sm, "bib.xml", author)
-
-    def test_binding_anchor(self):
-        sapt = self._sapt()
-        sm = bib_storage()
-        book = sm.children(sm.root_key("bib.xml"), "book")[0]
-        title = sm.children(book, "title")[0]
-        assert sapt.binding_anchor(sm, "bib.xml", title) == book
-        assert sapt.binding_anchor(sm, "bib.xml", book) == book
+        assert not router.predicate_hitters("bib.xml", sm.tag_path(author),
+                                            views)
 
 
 class TestBatching:
